@@ -42,6 +42,16 @@ Timing methodology (as in ``bench_scheduler_hotpath``): engines run
 strictly interleaved, each workload takes the minimum of
 :data:`ROUNDS` rounds, so host noise hits all engines alike.
 
+A second, *large* tier (:func:`test_driver_large_tier`) times ≥1 s
+serial searches — the 32-task scaling net at a 60,000-state budget and
+an exhaustive 70,059-state refutation — on three engines, interleaved
+min-of-:data:`LARGE_ROUNDS`: the native search driver (``kernel`` with
+its compiled core), :class:`~repro.scheduler.core.SearchCore` over the
+pure kernel engine (the driver's executable spec) and ``incremental``.
+With the compiled core it gates the driver at
+:data:`DRIVER_TARGET_SPEEDUP` × ``incremental`` in aggregate, after the
+same byte-identical exactness asserts.
+
 Results are written to ``BENCH_kernel.json`` at the repository root;
 CI builds the extension eagerly, runs this bench as a gate and uploads
 the JSON as an artifact (plus a second pure-mode job with
@@ -55,6 +65,8 @@ import json
 import os
 import platform
 import time
+
+import pytest
 
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
@@ -75,8 +87,13 @@ MIN_PURE_SPEEDUP = 1.0
 #: parallel-DFS bench's hot-path floor).
 MAX_BASELINE_REGRESSION = 0.95
 
+#: Large-tier gate (compiled core): native driver vs incremental.
+DRIVER_TARGET_SPEEDUP = 4.0
+
 ENGINES = ("reference", "incremental", "kernel")
 ROUNDS = 7
+LARGE_ENGINES = ("driver", "spec", "incremental")
+LARGE_ROUNDS = 3
 JSON_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_kernel.json"
 )
@@ -338,6 +355,133 @@ def test_kernel_throughput(report):
             "pure-Python kernel fallback lost to the reference "
             f"engine: {overall['speedup_vs_reference']:.2f}x"
         )
+
+
+def _large_workloads():
+    yield (
+        "large:scaling-n32",
+        random_task_set(
+            32,
+            total_utilization=0.4,
+            seed=132,
+            period_grid=(20, 40, 80),
+        ),
+        {"max_states": 60_000},
+    )
+    yield (
+        "large:refute-n7",
+        random_task_set(
+            7,
+            0.95,
+            seed=1,
+            preemptive_fraction=0.5,
+            deadline_slack=0.6,
+            period_grid=(10, 20, 40),
+        ),
+        {},
+    )
+
+
+def _timed_large(net, engine, limits):
+    """One large-tier search: the driver is the kernel engine with its
+    compiled core, the spec is SearchCore over the pure kernel."""
+    scheduler = PreRuntimeScheduler(
+        net,
+        SchedulerConfig(**limits),
+        engine="incremental" if engine == "incremental" else "kernel",
+    )
+    if engine == "spec":
+        scheduler.adapter.engine._core = None
+    gc.collect()
+    reenable = gc.isenabled()
+    gc.disable()
+    try:
+        started = time.perf_counter()
+        result = scheduler.search()
+        seconds = time.perf_counter() - started
+    finally:
+        if reenable:
+            gc.enable()
+    return result, seconds
+
+
+def test_driver_large_tier(report):
+    if not _kernelc.available():
+        pytest.skip("the native search driver needs the compiled core")
+    rows = []
+    for name, spec, limits in _large_workloads():
+        net = compose(spec).compiled()
+        best = {engine: float("inf") for engine in LARGE_ENGINES}
+        results = {}
+        for _ in range(LARGE_ROUNDS):
+            for engine in LARGE_ENGINES:
+                results[engine], seconds = _timed_large(
+                    net, engine, limits
+                )
+                best[engine] = min(best[engine], seconds)
+        spec_result = results["spec"]
+        for engine in ("driver", "incremental"):
+            other = results[engine]
+            assert other.feasible == spec_result.feasible, (name, engine)
+            assert other.exhausted == spec_result.exhausted, (name, engine)
+            assert other.firing_schedule == spec_result.firing_schedule
+            assert _deterministic_stats(other) == (
+                _deterministic_stats(spec_result)
+            ), f"{name}: {engine} disagrees on search statistics"
+        visited = spec_result.stats.states_visited
+        row = {"workload": name, "states_visited": visited}
+        for engine in LARGE_ENGINES:
+            row[f"{engine}_seconds"] = best[engine]
+            row[f"{engine}_states_per_sec"] = visited / best[engine]
+        rows.append(row)
+
+    states = sum(r["states_visited"] for r in rows)
+    totals = {
+        engine: sum(r[f"{engine}_seconds"] for r in rows)
+        for engine in LARGE_ENGINES
+    }
+    aggregate = {
+        f"{engine}_states_per_sec": states / totals[engine]
+        for engine in LARGE_ENGINES
+    }
+    speedup = totals["incremental"] / totals["driver"]
+    aggregate["driver_vs_incremental"] = speedup
+    aggregate["driver_vs_spec"] = totals["spec"] / totals["driver"]
+
+    path = os.path.abspath(JSON_PATH)
+    payload = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    payload["large_tier"] = {
+        "rounds": LARGE_ROUNDS,
+        "target_speedup_vs_incremental": DRIVER_TARGET_SPEEDUP,
+        "rows": rows,
+        "aggregate": aggregate,
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    for row in rows:
+        report(
+            "KN1",
+            f"{row['workload']} driver states/sec",
+            "large tier",
+            f"{row['driver_states_per_sec']:,.0f} "
+            f"(spec {row['spec_states_per_sec']:,.0f}, "
+            f"incremental {row['incremental_states_per_sec']:,.0f})",
+        )
+    report(
+        "KN1",
+        "large-tier driver vs incremental",
+        f">= {DRIVER_TARGET_SPEEDUP}",
+        f"{speedup:.2f}x",
+    )
+    assert speedup >= DRIVER_TARGET_SPEEDUP, (
+        "native search driver missed its large-tier target: "
+        f"{speedup:.2f}x incremental"
+    )
 
 
 def test_json_artifact_shape():

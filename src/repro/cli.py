@@ -170,9 +170,10 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         default="incremental",
         help=(
             "successor engine: the O(degree) incremental hot path "
-            "(default), the packed-buffer kernel (flat state buffers "
-            "with an optional compiled C inner loop and a pure-Python "
-            "fallback), the checked reference semantics, or the "
+            "(default), the packed-buffer kernel (flat state buffers; "
+            "with its optional compiled C core the whole search runs "
+            "in C, else on a pure-Python core), the checked reference "
+            "semantics, or the "
             "dense-time state-class engine (searches Berthomieu-Diaz "
             "classes and concretises the schedule back to integer "
             "time)"

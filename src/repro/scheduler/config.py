@@ -25,7 +25,8 @@ the ablation benches sweep:
   ``"incremental"`` (the O(degree) discrete-time hot path, default),
   ``"kernel"`` (the packed-buffer kernel of :mod:`repro.tpn.kernel`
   — flat marking/clock buffers, incremental 64-bit state keys, and
-  an optional compiled C inner loop with a pure-Python fallback),
+  an optional compiled C core that runs the whole search, with a
+  pure-Python fallback),
   ``"reference"`` (the checked discrete semantics baseline) or
   ``"stateclass"`` (the dense-time Berthomieu–Diaz state-class
   engine of :mod:`repro.tpn.stateclass`, which searches difference-

@@ -14,9 +14,9 @@ in through thin adapters:
 * :class:`KernelAdapter` — the packed-buffer kernel over
   :class:`~repro.tpn.kernel.KernelEngine` (flat ``array('H')``
   marking/clock state buffers, incremental 64-bit Zobrist state
-  keys, and an optional compiled C core running the
-  successor/firable/min-DUB inner loop on the same buffers — the
-  fastest engine when the native core is built);
+  keys, and an optional compiled C core; when it is built the whole
+  search runs in its native driver, see :meth:`SearchCore._drive` —
+  by far the fastest engine);
 * :class:`ReferenceAdapter` — the measured baseline over the checked
   :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|) rescans,
   dense candidate scans over all of T);
@@ -54,7 +54,14 @@ from repro.obs.events import NULL_RECORDER
 from repro.scheduler.result import SchedulerResult, SearchStats
 from repro.tpn.fastengine import FastState, IncrementalEngine
 from repro.tpn.interval import INF
-from repro.tpn.kernel import KernelEngine, KernelState
+from repro.tpn.kernel import (
+    SEARCH_BUDGET,
+    SEARCH_FEASIBLE,
+    SEARCH_POLL,
+    SEARCH_REORDER,
+    KernelEngine,
+    KernelState,
+)
 from repro.tpn.net import CompiledNet
 from repro.tpn.dbm import DbmEngine, PackedClass
 from repro.tpn.state import DISABLED, State, StateEngine
@@ -152,6 +159,11 @@ class EngineAdapter(Protocol):
     def deadline_missed(self, marking) -> bool: ...
 
     def reached_final(self, marking) -> bool: ...
+
+    def open_driver(self, root, now: int, reorder: bool, timed: bool):
+        """A compiled driver that runs the whole search from ``root``
+        (see :meth:`SearchCore._drive`), or ``None`` to run the
+        Python loop."""
 
     def finalize_path(
         self, actions: list[tuple[int, int, int]], stats: SearchStats
@@ -285,6 +297,9 @@ class _AdapterBase:
     def clocks_view(self, state):
         return state
 
+    def open_driver(self, root, now, reorder: bool, timed: bool):
+        return None
+
     def finalize_path(self, actions, stats):
         names = self.net.transition_names
         return [(names[t], q, at) for t, q, at in actions], None
@@ -404,17 +419,18 @@ class KernelAdapter(_AdapterBase):
     """The packed-buffer kernel over :class:`KernelEngine`.
 
     States are two flat buffers plus an incremental 64-bit Zobrist
-    key; in earliest-delay searches the entire candidate pipeline
-    (ceiling, window, strict filter, partial-order reduction,
-    ordering) runs inside one engine call — a single foreign call
-    when the compiled core is live.  The delay-enumeration modes get
-    the same one-call treatment through :meth:`KernelEngine.expand`
-    (window, filters, reduction, delay expansion and ordering in C);
-    without a compiled core they fall back to the raw window plus the
-    shared expansion helpers, using the engine's packed partial-order
-    variant (the tuple-based :func:`forced_immediate` reads
-    enabledness as ``clocks[t] >= 0`` and cannot run on the
-    ``0xFFFF``-sentinel clock buffer).
+    key.  With the compiled core live, :meth:`open_driver` hands the
+    whole search to the native driver (see :meth:`SearchCore._drive`)
+    and the per-state methods below are not called at all; they are
+    the pure-Python path :class:`SearchCore` runs over the pure
+    engine — the driver's executable spec.  In earliest-delay searches
+    the candidate pipeline (ceiling, window, strict filter,
+    partial-order reduction, ordering) is one engine call; the
+    delay-enumeration modes compose the raw window with the shared
+    expansion helpers, using the engine's packed partial-order variant
+    (the tuple-based :func:`forced_immediate` reads enabledness as
+    ``clocks[t] >= 0`` and cannot run on the ``0xFFFF``-sentinel clock
+    buffer).
     """
 
     name = "kernel"
@@ -438,6 +454,18 @@ class KernelAdapter(_AdapterBase):
     def state_key(self, state: KernelState) -> int:
         return state._hash
 
+    def open_driver(self, root, now, reorder: bool, timed: bool):
+        return self.engine.open_search(
+            root,
+            now,
+            strict=self._strict,
+            partial_order=self._partial_order,
+            delay_mode=self._delay_mode,
+            reorder=reorder,
+            max_states=self.config.max_states,
+            timed=timed,
+        )
+
     def candidates_of(
         self, state: KernelState, stats: SearchStats
     ) -> list[tuple[int, int]]:
@@ -445,14 +473,6 @@ class KernelAdapter(_AdapterBase):
             cands, reduced = self.engine.candidates(
                 state, self._strict, self._partial_order
             )
-            if reduced:
-                stats.reductions += 1
-            return cands
-        native = self.engine.expand(
-            state, self._strict, self._partial_order, self._delay_mode
-        )
-        if native is not None:
-            cands, reduced = native
             if reduced:
                 stats.reductions += 1
             return cands
@@ -880,6 +900,122 @@ class SearchCore:
             resplit.export(exported)
         return generated, prunes, revisits
 
+    def _drive(
+        self, driver, stats, started, deadline, trace_t0, span_acc
+    ) -> SchedulerResult:
+        """:meth:`_run`'s loop, run by a compiled driver.
+
+        The driver (:meth:`KernelAdapter.open_driver`) owns the stack,
+        the visited states and every per-expansion step; Python runs
+        only what :meth:`_run` runs at the same points:
+
+        * at every 1024-expansion poll, the depth sample, heartbeat,
+          ``max_seconds`` check and ``tick`` — only when one of them
+          asked for polling, but the driver yields there regardless,
+          so signal handlers (Ctrl-C) run within one poll interval;
+        * on each new frame with more than one candidate, the reorder
+          policy (a permutation: shorter lists need none);
+        * on a win, :meth:`EngineAdapter.finalize_path`.
+
+        Verdicts, schedules, every :class:`SearchStats` counter and
+        the tick/heartbeat arguments equal :meth:`_run`'s over the
+        pure engine (``tests/test_kernel_driver.py``).  The driver's
+        memory is freed on every exit path; its size lands on the
+        ``search.visited_bytes`` / ``search.bytes_per_state`` gauges.
+        """
+        reorder = self.reorder
+        tick = self.tick
+        heartbeat = self.heartbeat
+        metrics = self.metrics
+        record = span_acc is not None
+        clock_ns = time.monotonic_ns
+        monotonic = time.monotonic
+        polled = (
+            deadline is not None or tick is not None or heartbeat is not None
+        )
+        counters = driver.counters
+        max_depth = 1
+        reorder_ns = 0
+        exhausted = False
+        try:
+            while True:
+                status = driver.run()
+                if status == SEARCH_POLL:
+                    if not polled:
+                        continue
+                    depth = counters.depth
+                    if depth > max_depth:
+                        max_depth = depth
+                    if heartbeat is not None:
+                        heartbeat(
+                            counters.visited, counters.generated, depth
+                        )
+                    if deadline is not None and monotonic() > deadline:
+                        exhausted = True
+                        break
+                    if tick is not None and tick(
+                        counters.visited,
+                        counters.generated,
+                        counters.revisits,
+                        counters.prunes,
+                        counters.backtracks,
+                        depth,
+                    ):
+                        exhausted = True
+                        break
+                elif status == SEARCH_REORDER:
+                    t0 = clock_ns() if record else 0
+                    driver.reorder(reorder)
+                    if record:
+                        reorder_ns += clock_ns() - t0
+                elif status == SEARCH_FEASIBLE:
+                    stats.elapsed_seconds = monotonic() - started
+                    schedule, windows = self.adapter.finalize_path(
+                        driver.path(), stats
+                    )
+                    return SchedulerResult(
+                        feasible=True,
+                        firing_schedule=schedule,
+                        stats=stats,
+                        config=self.config,
+                        interval_schedule=windows,
+                    )
+                else:
+                    exhausted = status == SEARCH_BUDGET
+                    break
+        finally:
+            driver.close()
+            stats.states_visited = counters.visited
+            stats.states_generated = counters.generated
+            stats.revisits_skipped = counters.revisits
+            stats.deadline_prunes = counters.prunes
+            stats.backtracks = counters.backtracks
+            stats.reductions = counters.reductions
+            if metrics is not None:
+                if polled:
+                    metrics.max_gauge("search.max_depth", max_depth)
+                visited_bytes = counters.visited_bytes
+                metrics.max_gauge("search.visited_bytes", visited_bytes)
+                metrics.max_gauge(
+                    "search.bytes_per_state",
+                    visited_bytes / max(1, counters.visited),
+                )
+            if record:
+                span_acc["succ"] = [counters.succ_ns, counters.succ_calls]
+                span_acc["cand"] = [
+                    counters.cand_ns + reorder_ns,
+                    counters.cand_calls,
+                ]
+                self._emit_spans(trace_t0, span_acc, stats)
+
+        stats.elapsed_seconds = time.monotonic() - started
+        return SchedulerResult(
+            feasible=False,
+            stats=stats,
+            config=self.config,
+            exhausted=exhausted,
+        )
+
     def _run(self) -> SchedulerResult:
         adapter = self.adapter
         config = self.config
@@ -918,6 +1054,15 @@ class SearchCore:
                 config=config,
                 interval_schedule=windows,
             )
+
+        if self.shared_filter is None and self.resplit is None:
+            driver = adapter.open_driver(
+                s0, now0, self.reorder is not None, record
+            )
+            if driver is not None:
+                return self._drive(
+                    driver, stats, started, deadline, trace_t0, span_acc
+                )
 
         candidates_of = adapter.candidates_of
         reorder = self.reorder

@@ -33,10 +33,11 @@ adapter behind the shared loop:
 * ``engine="kernel"`` — the packed-buffer
   :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
   flat byte/word buffers with an incrementally maintained 64-bit
-  Zobrist state key, and the successor/firable/min-DUB inner loop runs
-  in an optional compiled C core (:mod:`repro.tpn._kernelc`) with a
-  semantics-identical pure-Python fallback — the fastest engine when
-  the native core is built;
+  Zobrist state key; with the optional compiled C core
+  (:mod:`repro.tpn._kernelc`) built, the whole depth-first search runs
+  in its native driver, otherwise the shared loop runs over a
+  semantics-identical pure-Python core — the fastest engine when the
+  native core is built;
 * ``engine="reference"`` — the checked-semantics
   :class:`~repro.tpn.state.StateEngine` with dense O(|T|·|P|) rescans,
   kept as the baseline the benchmarks and the CI smoke job
@@ -129,7 +130,7 @@ class PreRuntimeScheduler:
         self.metrics = MetricsRegistry()
         if engine == "kernel":
             # which core the kernel engine resolved to (1.0 = compiled
-            # C inner loop, 0.0 = pure-Python fallback) — the CI pure
+            # C core, 0.0 = pure-Python fallback) — the CI pure
             # job and the benches read this off the result metrics
             self.metrics.set_gauge(
                 "kernel.native_core",

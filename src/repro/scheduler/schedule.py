@@ -219,16 +219,19 @@ class TaskLevelSchedule:
 
     def response_times(self, model: ComposedModel) -> dict[str, int]:
         """Worst observed response time (completion − arrival) per task."""
+        # one pass: an instance completes with its last segment
+        completion: dict[tuple[str, int], int] = {}
+        for seg in self.segments:
+            completion[(seg.task, seg.instance)] = seg.end
         worst: dict[str, int] = {}
         for task in model.spec.tasks:
             for k in range(1, model.instances[task.name] + 1):
-                segs = self.segments_of(task.name, k)
-                if not segs:
+                end = completion.get((task.name, k))
+                if end is None:
                     continue
                 arrival = task.phase + (k - 1) * task.period
-                response = segs[-1].end - arrival
                 worst[task.name] = max(
-                    worst.get(task.name, 0), response
+                    worst.get(task.name, 0), end - arrival
                 )
         return worst
 

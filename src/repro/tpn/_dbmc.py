@@ -27,10 +27,9 @@ Two entry points carry the whole dense-time hot path:
   insertion sort, in one call.
 
 Build caching: the shared object lands in ``_dbmc_build/<digest>/``
-beside this file (or under the system temp directory when the package
-is not writable), keyed by a digest of the C source, so editing the
-source never picks up a stale binary and concurrent builders can only
-race to produce identical files — the final ``os.replace`` is atomic.
+beside this file, keyed by a digest of the C source; the build, cache
+and load logic is shared with the kernel core in
+:mod:`repro.tpn._native`.
 
 CI builds eagerly via ``python -m repro.tpn._dbmc``; see
 ``pyproject.toml``'s ``native`` extra for the cffi pin.
@@ -38,18 +37,7 @@ CI builds eagerly via ``python -m repro.tpn._dbmc``; see
 
 from __future__ import annotations
 
-import hashlib
-import importlib.util
-import os
-import sys
-import tempfile
-
-#: Last build/import failure, for diagnostics (``None`` = no failure).
-LOAD_ERROR: Exception | None = None
-
-#: Environment variable that force-disables the compiled core (shared
-#: with the kernel engine's core: one switch, pure everything).
-PURE_ENV = "EZRT_PURE"
+from repro.tpn._native import PURE_ENV, NativeCore
 
 _MODULE_NAME = "_ezrt_dbm"
 
@@ -508,117 +496,25 @@ int32_t dc_candidates(const dc_net *net, const int32_t *enabled,
 """
 
 
-def _digest() -> str:
-    payload = (CDEF + SOURCE).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()[:12]
+_CORE = NativeCore(
+    label="DBM",
+    module_name=_MODULE_NAME,
+    build_dir="_dbmc_build",
+    temp_prefix="ezrt-dbm",
+    cdef=CDEF,
+    source=SOURCE,
+)
+build = _CORE.build
+native_module = _CORE.native_module
+load = _CORE.load
+available = _CORE.available
 
 
-def _cache_dirs() -> list[str]:
-    """Candidate build directories, most preferred first."""
-    here = os.path.dirname(os.path.abspath(__file__))
-    tag = f"{_digest()}-py{sys.version_info[0]}{sys.version_info[1]}"
-    dirs = [os.path.join(here, "_dbmc_build", tag)]
-    override = os.environ.get("EZRT_KERNEL_CACHE")
-    if override:
-        dirs.insert(0, os.path.join(override, tag))
-    dirs.append(
-        os.path.join(
-            tempfile.gettempdir(),
-            f"ezrt-dbm-{os.getuid() if hasattr(os, 'getuid') else 0}",
-            tag,
-        )
-    )
-    return dirs
-
-
-def _find_built() -> str | None:
-    for cache in _cache_dirs():
-        if not os.path.isdir(cache):
-            continue
-        for entry in sorted(os.listdir(cache)):
-            if entry.startswith(_MODULE_NAME) and entry.endswith(".so"):
-                return os.path.join(cache, entry)
-    return None
-
-
-def build(verbose: bool = False) -> str:
-    """Compile the core into the first writable cache dir; returns the
-    shared-object path.  Raises on any failure (callers that want the
-    graceful path go through :func:`load`)."""
-    existing = _find_built()
-    if existing:
-        return existing
-    from cffi import FFI
-
-    last_error: Exception | None = None
-    for cache in _cache_dirs():
-        try:
-            os.makedirs(cache, exist_ok=True)
-            ffi = FFI()
-            ffi.cdef(CDEF)
-            ffi.set_source(_MODULE_NAME, SOURCE)
-            with tempfile.TemporaryDirectory(
-                prefix="ezrt-dbm-build-"
-            ) as tmp:
-                so_path = ffi.compile(tmpdir=tmp, verbose=verbose)
-                target = os.path.join(cache, os.path.basename(so_path))
-                # atomic within a filesystem; fall back to a plain copy
-                # when tempdir and cache live on different mounts
-                try:
-                    os.replace(so_path, target)
-                except OSError:
-                    import shutil
-
-                    shutil.copy2(so_path, target)
-            return target
-        except Exception as exc:  # try the next candidate dir
-            last_error = exc
-    raise RuntimeError(
-        f"could not build the DBM native core: {last_error}"
-    ) from last_error
-
-
-_loaded: tuple[object | None] | None = None
-
-
-def native_module():
-    """The compiled extension module (``.ffi`` / ``.lib``), or ``None``.
-
-    Build failures are recorded on :data:`LOAD_ERROR` and never raised;
-    the result is cached per process.  The ``EZRT_PURE`` gate is *not*
-    applied here — :func:`load` checks it per call so tests can flip
-    the environment variable without reloading the process.
-    """
-    global _loaded, LOAD_ERROR
-    if _loaded is not None:
-        return _loaded[0]
-    try:
-        path = _find_built() or build()
-        spec = importlib.util.spec_from_file_location(_MODULE_NAME, path)
-        if spec is None or spec.loader is None:
-            raise ImportError(f"cannot load {path}")
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        _loaded = (module,)
-    except Exception as exc:
-        LOAD_ERROR = exc
-        _loaded = (None,)
-    return _loaded[0]
-
-
-def load():
-    """The compiled module, or ``None`` (pure-Python fallback).
-
-    ``None`` when ``EZRT_PURE=1`` is set or the build/import failed.
-    """
-    if os.environ.get(PURE_ENV) == "1":
-        return None
-    return native_module()
-
-
-def available() -> bool:
-    """Whether the compiled core is usable right now."""
-    return load() is not None
+def __getattr__(name: str):
+    # LOAD_ERROR is live state of the shared loader
+    if name == "LOAD_ERROR":
+        return _CORE.load_error
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":  # pragma: no cover - CI eager build

@@ -27,8 +27,9 @@ The successor/firable/min-DUB inner loop runs in one of two cores over
 the *same* buffer layout:
 
 * the optional C core (:mod:`repro.tpn._kernelc`, built lazily via
-  cffi with graceful degradation) — one foreign call per successor,
-  operating in place on the Python-owned buffers;
+  cffi with graceful degradation) — one foreign call per step,
+  operating in place on the Python-owned buffers (searches go
+  further, see below);
 * the pure-Python core in this file — line-for-line the same
   semantics, used when the compiled core is unavailable or
   ``EZRT_PURE=1`` force-disables it.
@@ -38,6 +39,13 @@ is implemented identically on both sides), which the differential
 suite in ``tests/test_kernel_engine.py`` asserts; engine-level parity
 against the checked reference semantics rides the same randomized
 sweeps that lock the incremental engine.
+
+With the C core live, searches do not step through this module state
+by state: :meth:`KernelEngine.open_search` starts a
+:class:`NativeSearch`, the C core's resumable depth-first search
+driver, which :meth:`repro.scheduler.core.SearchCore._drive` runs to a
+verdict (``tests/test_kernel_driver.py`` locks it to the search loop
+over the pure core).
 """
 
 from __future__ import annotations
@@ -150,8 +158,6 @@ class _NativeCore:
         "_red",
         "_ceil",
         "_hash_io",
-        "_xout",
-        "_xcap",
     )
 
     def __init__(self, module, net: CompiledNet):
@@ -192,7 +198,18 @@ class _NativeCore:
                 (1 if net.immediate[t] else 0)
                 | (2 if t in net.miss_transitions else 0)
                 | (4 if net.conflict_free[t] else 0)
+                | (8 if net.touches_miss[t] else 0)
+                | (16 if net.touches_final[t] else 0)
             )
+        # the search driver's marking predicates; one padding word
+        # keeps every buffer non-empty
+        miss_place = array("i", net.miss_places or (0,))
+        final_place = array(
+            "i", [p for p, _req in net.final_constraints] or [0]
+        )
+        final_req = array(
+            "i", [req for _p, req in net.final_constraints] or [0]
+        )
 
         def ptr(a):
             return ffi.from_buffer("int32_t[]", a)
@@ -202,6 +219,7 @@ class _NativeCore:
         self._keepalive = [
             pre_off, pre_place, pre_w, d_off, d_place, d_d,
             aff_off, aff_t, pc_off, pc_t, eft, lft, prio, flags,
+            miss_place, final_place, final_req,
         ]
         buffers = [
             ptr(pre_off), ptr(pre_place), ptr(pre_w),
@@ -209,6 +227,8 @@ class _NativeCore:
             ptr(aff_off), ptr(aff_t), ptr(pc_off), ptr(pc_t),
             ptr(eft), ptr(lft), ptr(prio),
             ffi.from_buffer("uint8_t[]", flags),
+            len(net.miss_places), ptr(miss_place),
+            len(net.final_constraints), ptr(final_place), ptr(final_req),
         ]
         self._keepalive.extend(buffers)
         raw = lib.kn_net_new(
@@ -223,10 +243,6 @@ class _NativeCore:
         self._red = ffi.new("int32_t *")
         self._ceil = ffi.new("int32_t *")
         self._hash_io = ffi.new("uint64_t *")
-        # expansion output of the delay-enumeration modes; grows on
-        # demand (the "full" policy emits one pair per integer delay)
-        self._xcap = max(64, 4 * net.num_transitions)
-        self._xout = ffi.new("int32_t[]", 2 * self._xcap)
 
     def full_hash(self, mark: array, clk: array) -> int:
         ffi = self.ffi
@@ -268,29 +284,6 @@ class _NativeCore:
             bool(self._red[0]),
         )
 
-    def expand(self, clk, strict, partial_order, full):
-        clk_ptr = self.ffi.from_buffer("uint16_t[]", clk)
-        while True:
-            n = self.lib.kn_expand(
-                self.net_ptr,
-                clk_ptr,
-                strict,
-                partial_order,
-                full,
-                self._xout,
-                self._xcap,
-                self._red,
-            )
-            if n >= 0:
-                break
-            self._xcap = -n
-            self._xout = self.ffi.new("int32_t[]", 2 * self._xcap)
-        out = self._xout
-        return (
-            [(out[2 * i], out[2 * i + 1]) for i in range(n)],
-            bool(self._red[0]),
-        )
-
     def window(self, clk):
         out = self._out
         n = self.lib.kn_window(
@@ -306,6 +299,149 @@ class _NativeCore:
         )
 
 
+#: :meth:`NativeSearch.run` statuses (the C core's ``KN_S_*``).
+SEARCH_DONE = 0
+SEARCH_POLL = 1
+SEARCH_REORDER = 2
+SEARCH_FEASIBLE = 3
+SEARCH_BUDGET = 4
+_SEARCH_TOKENS = 5
+_SEARCH_CLOCK = 6
+_SEARCH_NOMEM = 7
+
+# kn_search_new option bits (the C core's ``KN_O_*``)
+_OPT_INTERMEDIATE = 1
+_OPT_STRICT = 2
+_OPT_PARTIAL_ORDER = 4
+_OPT_EXTREMES = 8
+_OPT_FULL = 16
+_OPT_REORDER = 32
+_OPT_TIMED = 64
+
+
+class _PendingClocks:
+    """Reorder-policy view of the frame awaiting ordering.
+
+    ``.clocks`` uses the reference :data:`DISABLED` convention and is
+    decoded from the arena on first read (only ``min-laxity`` reads
+    it).
+    """
+
+    __slots__ = ("_search", "_clocks")
+
+    def __init__(self, search: "NativeSearch"):
+        self._search = search
+        self._clocks: tuple[int, ...] | None = None
+
+    @property
+    def clocks(self) -> tuple[int, ...]:
+        if self._clocks is None:
+            search = self._search
+            raw = search._ffi.unpack(
+                search._lib.kn_search_clocks(search._ptr),
+                search._num_transitions,
+            )
+            self._clocks = tuple(
+                DISABLED if v == DIS else v for v in raw
+            )
+        return self._clocks
+
+
+class NativeSearch:
+    """One resumable depth-first search in the compiled core.
+
+    The ``kn_search_*`` driver runs :class:`repro.scheduler.core.SearchCore`'s
+    loop over a state arena and visited table it owns; :meth:`run`
+    advances it to its next stop and returns the status:
+
+    * :data:`SEARCH_POLL` — the 1024-expansion poll (resume to go on);
+    * :data:`SEARCH_REORDER` — a new frame waits for :meth:`reorder`;
+    * :data:`SEARCH_FEASIBLE` — the final marking is reached
+      (:meth:`path`);
+    * :data:`SEARCH_BUDGET` — ``max_states`` states are tagged;
+    * :data:`SEARCH_DONE` — the space is exhausted.
+
+    Packed-cap overflows raise the engine's :class:`SchedulingError`.
+    ``counters`` is the live ``kn_counters`` struct (SearchCore's
+    counters plus span timings and the visited-state bytes).  The
+    driver's memory is released by :meth:`close`, or at collection.
+    """
+
+    __slots__ = (
+        "counters",
+        "_engine",
+        "_core",
+        "_ffi",
+        "_lib",
+        "_ptr",
+        "_num_transitions",
+    )
+
+    def __init__(self, engine, core, root, now, options, max_states):
+        ffi = core.ffi
+        lib = core.lib
+        self.counters = ffi.new("kn_counters *")
+        raw = lib.kn_search_new(
+            core.net_ptr,
+            ffi.from_buffer("uint16_t[]", root.marking),
+            ffi.from_buffer("uint16_t[]", root.clk),
+            root._hash,
+            now,
+            options,
+            max_states,
+            self.counters,
+        )
+        if raw == ffi.NULL:
+            raise MemoryError("kn_search_new failed")
+        self._engine = engine
+        self._core = core  # the C search reads the core's net
+        self._ffi = ffi
+        self._lib = lib
+        self._ptr = ffi.gc(raw, lib.kn_search_free)
+        self._num_transitions = engine.net.num_transitions
+
+    def run(self) -> int:
+        status = self._lib.kn_search_run(self._ptr)
+        if status >= _SEARCH_TOKENS:
+            if status == _SEARCH_NOMEM:
+                raise MemoryError("kernel search driver: out of memory")
+            self._engine._overflow(
+                1 if status == _SEARCH_TOKENS else 2,
+                self.counters.fault,
+            )
+        return status
+
+    def reorder(self, policy) -> None:
+        """Order the pending frame's candidates with a reorder policy
+        (``policy(candidates, state) -> candidates``, a permutation)."""
+        n = self.counters.pending
+        pairs = self._lib.kn_search_pending(self._ptr)
+        flat = self._ffi.unpack(pairs, 2 * n)
+        ordered = policy(
+            list(zip(flat[0::2], flat[1::2])), _PendingClocks(self)
+        )
+        if len(ordered) != n:
+            raise SchedulingError(
+                "a reorder policy must permute the candidate list"
+            )
+        pairs[0 : 2 * n] = [v for pair in ordered for v in pair]
+
+    def path(self) -> list[tuple[int, int, int]]:
+        """The accepting path as ``(transition, delay, absolute time)``
+        triples (after :data:`SEARCH_FEASIBLE`)."""
+        n = self.counters.pending
+        out = self._ffi.new("int64_t[]", 3 * n)
+        self._lib.kn_search_path(self._ptr, out)
+        flat = self._ffi.unpack(out, 3 * n)
+        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
+
+    def close(self) -> None:
+        """Free the arena, table and stack now (idempotent)."""
+        if self._ptr is not None:
+            self._ffi.release(self._ptr)
+            self._ptr = None
+
+
 class KernelEngine:
     """Packed-buffer successor computation over a compiled net.
 
@@ -313,8 +449,9 @@ class KernelEngine:
     (Definition 3.1, both clock-reset policies), same locality as the
     incremental engine (enabledness re-checks limited to
     ``affected[t]``), but states are flat buffers and — when the
-    compiled core is available — the whole inner loop is one foreign
-    call.  ``native`` records which core is live.
+    compiled core is available — each step is one foreign call and
+    :meth:`open_search` runs a whole search in C.  ``native`` records
+    which core is live.
     """
 
     __slots__ = (
@@ -639,33 +776,34 @@ class KernelEngine:
                 return (t, 0)
         return None
 
-    def expand(
+    def open_search(
         self,
-        state: KernelState,
+        root: KernelState,
+        now: int,
+        *,
         strict: bool,
         partial_order: bool,
         delay_mode: str,
-    ) -> tuple[list[tuple[int, int]], bool] | None:
-        """Native candidate pipeline of the delay-enumeration modes
-        (``"extremes"`` / ``"full"``), or ``None`` without a compiled
-        core.
-
-        One foreign call covers the window, the strict filter, the
-        packed partial-order reduction, the delay expansion against
-        the min-DUB ceiling and the ``(delay, priority, index)``
-        ordering — the exact composition the adapter's Python
-        fallback builds from :meth:`window` plus
-        :func:`repro.scheduler.core.order_and_expand`.
-        """
+        reorder: bool,
+        max_states: int,
+        timed: bool,
+    ) -> NativeSearch | None:
+        """A native driver search from ``root`` at absolute time
+        ``now``, or ``None`` without a compiled core.  ``root`` counts
+        as visited; the caller has checked its marking predicates."""
         core = self._core
         if core is None:
             return None
-        return core.expand(
-            state.clk,
-            1 if strict else 0,
-            1 if partial_order else 0,
-            1 if delay_mode == "full" else 0,
+        options = (
+            (_OPT_INTERMEDIATE if self._intermediate else 0)
+            | (_OPT_STRICT if strict else 0)
+            | (_OPT_PARTIAL_ORDER if partial_order else 0)
+            | (_OPT_EXTREMES if delay_mode == "extremes" else 0)
+            | (_OPT_FULL if delay_mode == "full" else 0)
+            | (_OPT_REORDER if reorder else 0)
+            | (_OPT_TIMED if timed else 0)
         )
+        return NativeSearch(self, core, root, now, options, max_states)
 
     def window(
         self, state: KernelState

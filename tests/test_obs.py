@@ -248,32 +248,37 @@ class TestChromeTrace:
         assert structure(1) == structure(2)
 
     def test_serial_trace_covers_the_pipeline(self, tmp_path):
-        jsonl = str(tmp_path / "events.jsonl")
-        model = compose(paper_examples()["fig4"])
-        find_schedule(model, SchedulerConfig(trace_jsonl=jsonl))
-        events = read_events(jsonl)
-        names = {e["name"] for e in events}
-        assert {
-            "search",
-            "successor-generation",
-            "candidate-enumeration",
-        } <= names
-        search_span = next(e for e in events if e["name"] == "search")
-        assert search_span["args"]["engine"] == "incremental"
-        assert search_span["args"]["states_visited"] > 0
-        # aggregate child spans nest inside the search span
-        for child in (
-            "successor-generation",
-            "candidate-enumeration",
-        ):
-            span = next(e for e in events if e["name"] == child)
-            assert span["args"]["aggregate"] is True
-            assert span["args"]["calls"] > 0
-            assert span["ts"] >= search_span["ts"]
-            assert (
-                span["ts"] + span["dur"]
-                <= search_span["ts"] + search_span["dur"]
+        # the kernel engine runs its search in the native driver, which
+        # times the two phases in C when tracing is on
+        for engine in ("incremental", "kernel"):
+            jsonl = str(tmp_path / f"events-{engine}.jsonl")
+            model = compose(paper_examples()["fig4"])
+            find_schedule(
+                model, SchedulerConfig(engine=engine, trace_jsonl=jsonl)
             )
+            events = read_events(jsonl)
+            names = {e["name"] for e in events}
+            assert {
+                "search",
+                "successor-generation",
+                "candidate-enumeration",
+            } <= names
+            search_span = next(e for e in events if e["name"] == "search")
+            assert search_span["args"]["engine"] == engine
+            assert search_span["args"]["states_visited"] > 0
+            # aggregate child spans nest inside the search span
+            for child in (
+                "successor-generation",
+                "candidate-enumeration",
+            ):
+                span = next(e for e in events if e["name"] == child)
+                assert span["args"]["aggregate"] is True
+                assert span["args"]["calls"] > 0
+                assert span["ts"] >= search_span["ts"]
+                assert (
+                    span["ts"] + span["dur"]
+                    <= search_span["ts"] + search_span["dur"]
+                )
 
     def test_stateclass_trace_has_concretisation_and_replay(
         self, tmp_path

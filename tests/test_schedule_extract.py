@@ -273,3 +273,52 @@ class TestMessageExtraction:
         assert transfer.start >= sender_end
         assert receiver_start >= transfer.end
         assert transfer.end - transfer.start == 2
+
+
+def _quadratic_response_times(schedule, model):
+    """The original per-instance rescan, kept as the reference."""
+    worst = {}
+    for task in model.spec.tasks:
+        for k in range(1, model.instances[task.name] + 1):
+            segs = schedule.segments_of(task.name, k)
+            if not segs:
+                continue
+            arrival = task.phase + (k - 1) * task.period
+            worst[task.name] = max(
+                worst.get(task.name, 0), segs[-1].end - arrival
+            )
+    return worst
+
+
+class TestResponseTimesOnePass:
+    @pytest.mark.parametrize(
+        "name", ["fig3", "fig4", "fig8", "mine-pump"]
+    )
+    def test_paper_models(self, name):
+        from repro.spec import paper_examples
+
+        model = compose(paper_examples()[name])
+        schedule = schedule_from_result(model, find_schedule(model))
+        assert schedule.response_times(model) == (
+            _quadratic_response_times(schedule, model)
+        )
+
+    def test_seeded_random_schedules(self):
+        from repro.workloads import random_task_set
+
+        checked = 0
+        for seed in range(12):
+            model = compose(
+                random_task_set(
+                    4, 0.6, seed=seed, preemptive_fraction=0.5
+                )
+            )
+            result = find_schedule(model)
+            if not result.feasible:
+                continue
+            schedule = schedule_from_result(model, result)
+            assert schedule.response_times(model) == (
+                _quadratic_response_times(schedule, model)
+            )
+            checked += 1
+        assert checked >= 6
