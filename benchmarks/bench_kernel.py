@@ -50,7 +50,11 @@ its compiled core), :class:`~repro.scheduler.core.SearchCore` over the
 pure kernel engine (the driver's executable spec) and ``incremental``.
 With the compiled core it gates the driver at
 :data:`DRIVER_TARGET_SPEEDUP` × ``incremental`` in aggregate, after the
-same byte-identical exactness asserts.
+same byte-identical exactness asserts.  In both lanes (the pure one
+runs only the spec and ``incremental``) it records the pure kernel's
+aggregate ratio to ``incremental`` (``pure_vs_incremental``, not
+gated): the precondition for deleting ``incremental`` is that this
+reaches 1.0.
 
 Results are written to ``BENCH_kernel.json`` at the repository root;
 CI builds the extension eagerly, runs this bench as a gate and uploads
@@ -65,8 +69,6 @@ import json
 import os
 import platform
 import time
-
-import pytest
 
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
@@ -406,21 +408,22 @@ def _timed_large(net, engine, limits):
 
 
 def test_driver_large_tier(report):
-    if not _kernelc.available():
-        pytest.skip("the native search driver needs the compiled core")
+    native = _kernelc.available()
+    # without the compiled core only the pure kernel and incremental run
+    engines = LARGE_ENGINES if native else ("spec", "incremental")
     rows = []
     for name, spec, limits in _large_workloads():
         net = compose(spec).compiled()
-        best = {engine: float("inf") for engine in LARGE_ENGINES}
+        best = {engine: float("inf") for engine in engines}
         results = {}
         for _ in range(LARGE_ROUNDS):
-            for engine in LARGE_ENGINES:
+            for engine in engines:
                 results[engine], seconds = _timed_large(
                     net, engine, limits
                 )
                 best[engine] = min(best[engine], seconds)
         spec_result = results["spec"]
-        for engine in ("driver", "incremental"):
+        for engine in (e for e in engines if e != "spec"):
             other = results[engine]
             assert other.feasible == spec_result.feasible, (name, engine)
             assert other.exhausted == spec_result.exhausted, (name, engine)
@@ -430,7 +433,7 @@ def test_driver_large_tier(report):
             ), f"{name}: {engine} disagrees on search statistics"
         visited = spec_result.stats.states_visited
         row = {"workload": name, "states_visited": visited}
-        for engine in LARGE_ENGINES:
+        for engine in engines:
             row[f"{engine}_seconds"] = best[engine]
             row[f"{engine}_states_per_sec"] = visited / best[engine]
         rows.append(row)
@@ -438,15 +441,18 @@ def test_driver_large_tier(report):
     states = sum(r["states_visited"] for r in rows)
     totals = {
         engine: sum(r[f"{engine}_seconds"] for r in rows)
-        for engine in LARGE_ENGINES
+        for engine in engines
     }
     aggregate = {
         f"{engine}_states_per_sec": states / totals[engine]
-        for engine in LARGE_ENGINES
+        for engine in engines
     }
-    speedup = totals["incremental"] / totals["driver"]
-    aggregate["driver_vs_incremental"] = speedup
-    aggregate["driver_vs_spec"] = totals["spec"] / totals["driver"]
+    pure_ratio = totals["incremental"] / totals["spec"]
+    aggregate["pure_vs_incremental"] = pure_ratio
+    if native:
+        speedup = totals["incremental"] / totals["driver"]
+        aggregate["driver_vs_incremental"] = speedup
+        aggregate["driver_vs_spec"] = totals["spec"] / totals["driver"]
 
     path = os.path.abspath(JSON_PATH)
     payload = {}
@@ -454,6 +460,7 @@ def test_driver_large_tier(report):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
     payload["large_tier"] = {
+        "native_core": native,
         "rounds": LARGE_ROUNDS,
         "target_speedup_vs_incremental": DRIVER_TARGET_SPEEDUP,
         "rows": rows,
@@ -466,12 +473,21 @@ def test_driver_large_tier(report):
     for row in rows:
         report(
             "KN1",
-            f"{row['workload']} driver states/sec",
+            f"{row['workload']} states/sec",
             "large tier",
-            f"{row['driver_states_per_sec']:,.0f} "
-            f"(spec {row['spec_states_per_sec']:,.0f}, "
-            f"incremental {row['incremental_states_per_sec']:,.0f})",
+            ", ".join(
+                f"{engine} {row[f'{engine}_states_per_sec']:,.0f}"
+                for engine in engines
+            ),
         )
+    report(
+        "KN1",
+        "large-tier pure kernel vs incremental",
+        "recorded (1.0 lets incremental go)",
+        f"{pure_ratio:.2f}x",
+    )
+    if not native:
+        return
     report(
         "KN1",
         "large-tier driver vs incremental",

@@ -49,6 +49,7 @@ from repro.obs import NULL_RECORDER, JsonlSink, Recorder
 from repro.obs.trace import write_chrome_trace
 from repro.pnml import save as pnml_save
 from repro.scheduler import (
+    DEFAULT_ENGINE,
     ENGINES,
     SchedulerConfig,
     find_schedule,
@@ -167,13 +168,13 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=ENGINES,
-        default="incremental",
+        default=DEFAULT_ENGINE,
         help=(
-            "successor engine: the O(degree) incremental hot path "
-            "(default), the packed-buffer kernel (flat state buffers; "
-            "with its optional compiled C core the whole search runs "
-            "in C, else on a pure-Python core), the checked reference "
-            "semantics, or the "
+            "successor engine: the packed-buffer kernel (default; "
+            "flat state buffers, with its optional compiled C core "
+            "the whole search runs in C, else on a pure-Python "
+            "core), the O(degree) incremental engine, the checked "
+            "reference semantics, or the "
             "dense-time state-class engine (searches Berthomieu-Diaz "
             "classes and concretises the schedule back to integer "
             "time)"
@@ -816,7 +817,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--engine",
         choices=ENGINES,
-        default="incremental",
+        default=DEFAULT_ENGINE,
         help=(
             "engine the spec is destined for (enables engine-"
             "specific rules, e.g. the kernel token-capacity check)"

@@ -34,6 +34,12 @@ from __future__ import annotations
 
 from repro.analysis.utilization import necessary_feasible, total_utilization
 from repro.lint.diagnostics import ERROR, WARNING, Diagnostic, has_errors
+from repro.scheduler.config import (
+    DEFAULT_ENGINE,
+    DELAY_MODES,
+    ENGINES,
+    PARALLEL_MODES,
+)
 from repro.spec.model import EzRTSpec
 from repro.spec.timing import instance_count, schedule_period
 from repro.spec.validation import validate_spec
@@ -303,16 +309,17 @@ def token_cap_diagnostics(
     kernel engine stores markings as ``uint16`` words and refuses
     loudly mid-search past :data:`repro.tpn.kernel.MAX_TOKENS`.  This
     surfaces the overflow *before* the search (and before a compile
-    that would unroll the instances).
+    that would unroll the instances).  ``engine=None`` means
+    :data:`~repro.scheduler.config.DEFAULT_ENGINE`.
     """
     if not spec.tasks:
         return []
     period = schedule_period(spec)
+    kernel = (engine or DEFAULT_ENGINE) == "kernel"
     diagnostics: list[Diagnostic] = []
     for task in spec.tasks:
         instances = instance_count(task, period)
         if instances > MAX_TOKENS:
-            kernel = engine == "kernel"
             diagnostics.append(
                 Diagnostic(
                     code="EZT203",
@@ -437,11 +444,13 @@ def presearch_diagnostics(
     verdict), and the infeasibility rules assume validity — so the
     gate stands aside and lets the pipeline fail the authoritative
     way.  ``ezrt lint`` reports such specs through
-    :func:`validation_diagnostics` instead.
+    :func:`validation_diagnostics` instead.  ``engine=None`` means
+    :data:`~repro.scheduler.config.DEFAULT_ENGINE`.
     """
     if validate_spec(spec):
         return []
     diagnostics = infeasibility_diagnostics(spec)
+    engine = engine or DEFAULT_ENGINE
     if engine == "kernel":
         diagnostics.extend(token_cap_diagnostics(spec, engine=engine))
     elif engine == "stateclass":
@@ -571,12 +580,6 @@ def config_diagnostics(
     a configuration *before* :class:`SchedulerConfig.__post_init__`
     gets the chance to raise.
     """
-    from repro.scheduler.config import (
-        DELAY_MODES,
-        ENGINES,
-        PARALLEL_MODES,
-    )
-
     diagnostics: list[Diagnostic] = []
     for label, value, options in (
         ("engine", engine, ENGINES),
@@ -613,7 +616,7 @@ def config_diagnostics(
     if (
         parallel >= 2
         and parallel_mode == "worksteal"
-        and engine not in (None, "incremental")
+        and engine not in (None, "kernel")
     ):
         diagnostics.append(
             Diagnostic(
@@ -621,11 +624,12 @@ def config_diagnostics(
                 severity=ERROR,
                 message=(
                     f"work-stealing mode cannot drive the {engine!r} "
-                    "engine: the shared visited filter runs on the "
-                    "incremental engine's FastState hashes"
+                    "engine: subtree jobs and the shared visited "
+                    "filter run on the kernel engine's packed states "
+                    "and 64-bit Zobrist keys"
                 ),
                 hint=(
-                    "use engine='incremental' or "
+                    "use engine='kernel' (the default) or "
                     "parallel_mode='portfolio'"
                 ),
                 element="config.parallel_mode",

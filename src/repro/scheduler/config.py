@@ -22,11 +22,11 @@ the ablation benches sweep:
 * ``reset_policy`` — clock-reset semantics (see
   :mod:`repro.tpn.state`);
 * ``engine`` — the successor engine driving the search:
-  ``"incremental"`` (the O(degree) discrete-time hot path, default),
-  ``"kernel"`` (the packed-buffer kernel of :mod:`repro.tpn.kernel`
-  — flat marking/clock buffers, incremental 64-bit state keys, and
-  an optional compiled C core that runs the whole search, with a
-  pure-Python fallback),
+  ``"kernel"`` (:data:`DEFAULT_ENGINE`: the packed-buffer kernel of
+  :mod:`repro.tpn.kernel` — flat marking/clock buffers, incremental
+  64-bit state keys, and an optional compiled C core that runs the
+  whole search, with a pure-Python fallback),
+  ``"incremental"`` (the O(degree) tuple-based discrete-time engine),
   ``"reference"`` (the checked discrete semantics baseline) or
   ``"stateclass"`` (the dense-time Berthomieu–Diaz state-class
   engine of :mod:`repro.tpn.stateclass`, which searches difference-
@@ -40,13 +40,14 @@ the ablation benches sweep:
   the search serial), ``parallel_mode`` (``"portfolio"`` races
   independent policies and the first definitive verdict wins;
   ``"worksteal"`` splits the root frontier into subtree jobs that
-  workers drain against a shared visited filter) and ``portfolio``
+  workers drain against a shared visited filter; kernel engine only)
+  and ``portfolio``
   (explicit slot list for the race; empty picks the default
   rotation of :func:`repro.scheduler.policies.default_portfolio`).
   A portfolio slot is ``"[engine:]policy[:seed]"`` — prefixing a
   policy with an engine name races successor *engines* as well as
-  orderings (e.g. ``("incremental:earliest", "stateclass:earliest")``
-  pits the dense state-class search against the discrete hot path on
+  orderings (e.g. ``("kernel:earliest", "stateclass:earliest")``
+  pits the dense state-class search against the discrete kernel on
   wide-interval models); unprefixed slots inherit ``engine``;
 * the observability knobs (:mod:`repro.obs`) — ``trace_jsonl``
   (when set, every pipeline phase records spans into this JSONL file;
@@ -73,6 +74,11 @@ PARALLEL_MODES = ("portfolio", "worksteal")
 #: ``stateclass`` searches the dense-time state-class graph.
 ENGINES = ("incremental", "kernel", "reference", "stateclass")
 
+#: The engine every entry point (config, CLI, batch, service, lint)
+#: uses unless told otherwise: the fastest discrete engine, and the
+#: one work-stealing runs on.
+DEFAULT_ENGINE = "kernel"
+
 
 @dataclass
 class SchedulerConfig:
@@ -82,7 +88,7 @@ class SchedulerConfig:
     delay_mode: str = "earliest"
     partial_order: bool = True
     reset_policy: str = "paper"
-    engine: str = "incremental"
+    engine: str = DEFAULT_ENGINE
     max_states: int = 2_000_000
     max_seconds: float | None = None
     policy: str = "earliest"
@@ -151,11 +157,11 @@ class SchedulerConfig:
         if (
             self.parallel >= 2
             and self.parallel_mode == "worksteal"
-            and self.engine != "incremental"
+            and self.engine != "kernel"
         ):
             raise SchedulingError(
-                "work-stealing mode requires the incremental engine "
-                "(the shared filter runs on FastState hashes)"
+                "work-stealing mode requires the kernel engine "
+                "(the shared filter claims KernelState Zobrist keys)"
             )
         from repro.scheduler.policies import parse_slot
 

@@ -117,7 +117,7 @@ class EngineAdapter(Protocol):
       ``"kernel"``, ``"reference"``, ``"stateclass"``);
     * ``engine`` — the wrapped engine instance (orchestration layers
       reach through for engine-specific plumbing such as
-      :meth:`~repro.tpn.fastengine.IncrementalEngine.revive`);
+      :meth:`~repro.tpn.kernel.KernelEngine.revive`);
     * ``touches_miss`` / ``touches_final`` — the compiled
       marking-predicate skip masks (identical semantics for every
       adapter: a predicate can only change when the fired transition
@@ -317,21 +317,9 @@ class IncrementalAdapter(_AdapterBase):
         )
         # bound method, not a wrapper: the core hoists it into a local
         self.successor = self.engine.successor
-        self._root: FastState | None = None
-        self._root_now = 0
-
-    def set_root(self, root: FastState | None, now: int) -> None:
-        """Inject a subtree root (work-stealing); ``None`` resets."""
-        self._root = root
-        self._root_now = now
 
     def root(self) -> tuple[FastState, int]:
-        if self._root is not None:
-            return self._root, self._root_now
         return self.engine.initial(), 0
-
-    def state_key(self, state: FastState) -> int:
-        return state._hash
 
     def candidates_of(
         self, state: FastState, stats: SearchStats
@@ -442,6 +430,13 @@ class KernelAdapter(_AdapterBase):
         )
         # bound method, not a wrapper: the core hoists it into a local
         self.successor = self.engine.successor
+        self._root: KernelState | None = None
+        self._root_now = 0
+
+    def set_root(self, root: KernelState | None, now: int) -> None:
+        """Inject a subtree root (work-stealing); ``None`` resets."""
+        self._root = root
+        self._root_now = now
 
     def root(self) -> tuple[KernelState, int]:
         self.obs.instant(
@@ -449,6 +444,8 @@ class KernelAdapter(_AdapterBase):
             cat="kernel",
             native=self.engine.native,
         )
+        if self._root is not None:
+            return self._root, self._root_now
         return self.engine.initial(), 0
 
     def state_key(self, state: KernelState) -> int:
@@ -461,7 +458,7 @@ class KernelAdapter(_AdapterBase):
             strict=self._strict,
             partial_order=self._partial_order,
             delay_mode=self._delay_mode,
-            reorder=reorder,
+            policy=self.config.policy if reorder else "earliest",
             max_states=self.config.max_states,
             timed=timed,
         )
@@ -913,8 +910,9 @@ class SearchCore:
           ``max_seconds`` check and ``tick`` — only when one of them
           asked for polling, but the driver yields there regardless,
           so signal handlers (Ctrl-C) run within one poll interval;
-        * on each new frame with more than one candidate, the reorder
-          policy (a permutation: shorter lists need none);
+        * on each new frame with more than one candidate, a reorder
+          policy the driver cannot apply itself (``random``; it orders
+          ``latest`` and ``min-laxity`` natively);
         * on a win, :meth:`EngineAdapter.finalize_path`.
 
         Verdicts, schedules, every :class:`SearchStats` counter and

@@ -13,7 +13,7 @@ containers, ``policies.py`` the alternative candidate orderings,
 ``adaptive.py`` the portfolio-seeding statistics, and ``parallel.py``
 races or partitions the search across worker processes.  Start reading
 at :class:`repro.scheduler.core.SearchCore` (the loop) and
-:meth:`repro.scheduler.core.IncrementalAdapter.candidates_of` (how one
+:meth:`repro.scheduler.core.KernelAdapter.candidates_of` (how one
 state's successor choices are enumerated).
 
 The algorithm explores the timed labeled transition system derived from
@@ -25,12 +25,7 @@ schedulable under the searched policy.
 Four successor engines drive the expansion, each wrapped by a thin
 adapter behind the shared loop:
 
-* ``engine="incremental"`` (default) — the
-  :class:`~repro.tpn.fastengine.IncrementalEngine` hot path: O(degree)
-  successor computation over the compile-time ``affected`` adjacency,
-  compact :class:`~repro.tpn.fastengine.FastState` states with cached
-  hashes and enabled sets;
-* ``engine="kernel"`` — the packed-buffer
+* ``engine="kernel"`` (default) — the packed-buffer
   :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
   flat byte/word buffers with an incrementally maintained 64-bit
   Zobrist state key; with the optional compiled C core
@@ -38,6 +33,11 @@ adapter behind the shared loop:
   in its native driver, otherwise the shared loop runs over a
   semantics-identical pure-Python core — the fastest engine when the
   native core is built;
+* ``engine="incremental"`` — the
+  :class:`~repro.tpn.fastengine.IncrementalEngine`: O(degree)
+  successor computation over the compile-time ``affected`` adjacency,
+  compact :class:`~repro.tpn.fastengine.FastState` states with cached
+  hashes and enabled sets;
 * ``engine="reference"`` — the checked-semantics
   :class:`~repro.tpn.state.StateEngine` with dense O(|T|·|P|) rescans,
   kept as the baseline the benchmarks and the CI smoke job
@@ -63,7 +63,7 @@ from repro.scheduler.config import ENGINES, SchedulerConfig
 from repro.scheduler.core import SearchCore, make_adapter
 from repro.scheduler.policies import make_reorder
 from repro.scheduler.result import SchedulerResult
-from repro.tpn.fastengine import FastState, IncrementalEngine
+from repro.tpn.kernel import KernelState
 from repro.tpn.net import CompiledNet
 
 
@@ -162,16 +162,6 @@ class PreRuntimeScheduler:
                 "this automatically) before scheduling"
             )
 
-    @property
-    def fast(self) -> IncrementalEngine:
-        """The incremental successor engine (work-stealing handoff)."""
-        if self.engine_mode != "incremental":
-            raise SchedulingError(
-                "only the incremental adapter carries a FastState "
-                "engine"
-            )
-        return self.adapter.engine
-
     # ------------------------------------------------------------------
     def search(self) -> SchedulerResult:
         """Run the DFS; returns a result whether or not it succeeds."""
@@ -187,19 +177,19 @@ class PreRuntimeScheduler:
             resplit=self.resplit,
         ).run()
 
-    def search_from(self, root: FastState, now: int) -> SchedulerResult:
+    def search_from(self, root: KernelState, now: int) -> SchedulerResult:
         """Run the DFS from a subtree root instead of the initial state.
 
         Used by the work-stealing mode: ``root`` is a frontier state
         exported by :func:`repro.scheduler.parallel.split_frontier` and
         ``now`` the absolute time its prefix ends at, so the returned
         ``firing_schedule`` carries absolute times that concatenate
-        directly onto the prefix.  Incremental engine only (the root is
-        a :class:`FastState`).
+        directly onto the prefix.  Kernel engine only (the root is a
+        :class:`KernelState`).
         """
-        if self.engine_mode != "incremental":
+        if self.engine_mode != "kernel":
             raise SchedulingError(
-                "subtree search requires the incremental engine"
+                "subtree search requires the kernel engine"
             )
         self.adapter.set_root(root, now)
         try:

@@ -23,12 +23,13 @@ the same worker plumbing:
   rotation from prior winner statistics per model family.
 * **Work stealing** (``parallel_mode="worksteal"``) — one search is
   partitioned instead of replicated: the parent expands a breadth-first
-  prefix of the space (:func:`split_frontier`), exports each frontier
-  state as a picklable :class:`~repro.tpn.fastengine.SubtreeJob`, and
-  workers drain the job queue, searching subtrees against a
-  **shared visited filter** (:class:`SharedVisitedFilter`, a
-  hash-compacted open-addressing table in multiprocessing shared
-  memory over the ``FastState`` precomputed hashes).  A state claimed
+  prefix of the space (:func:`split_frontier`) on the packed kernel
+  engine, exports each frontier state as a picklable
+  :class:`SubtreeJob` (the state's two raw buffers), and workers drain
+  the job queue, searching subtrees against a **shared visited
+  filter** (:class:`SharedVisitedFilter`, a hash-compacted
+  open-addressing table in multiprocessing shared memory over the
+  ``KernelState`` 64-bit Zobrist keys).  A state claimed
   by one worker is skipped by all others, so the union of the subtree
   searches covers the serial search space without re-exploration; with
   real cores the exhaustive (infeasible) case scales with the worker
@@ -51,9 +52,10 @@ Determinism contract (both modes):
   winner's search deterministically.
 
 Cancellation is cooperative-first: workers poll a shared event every
-1024 expansions (the scheduler's ``tick`` hook) and report their final
-counters before exiting, so the merged :class:`SearchStats` accounts
-for the whole race; ``terminate()`` is only the backstop for a worker
+1024 expansions (the scheduler's ``tick`` hook; the worker reaching a
+definitive verdict sets it itself) and report their final counters
+before exiting, so the merged :class:`SearchStats` accounts for the
+whole race; ``terminate()`` is only the backstop for a worker
 stuck outside the search loop.  :meth:`ParallelScheduler.search` does
 not return until every worker process has been joined or killed — no
 orphans survive a win.
@@ -86,7 +88,6 @@ from repro.scheduler.policies import (
     parse_slot,
 )
 from repro.scheduler.result import SchedulerResult, SearchStats
-from repro.tpn.fastengine import SubtreeJob, export_job
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import StateEngine
 
@@ -186,6 +187,24 @@ class SharedVisitedFilter:
 # ----------------------------------------------------------------------
 # Frontier split (work-stealing mode)
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class SubtreeJob:
+    """One unit of work-stealing search, picklable in O(net size).
+
+    ``prefix`` holds the ``(transition, delay, absolute_time)`` firings
+    from the initial state to the subtree root (prepended to any
+    schedule found below it), ``marking``/``clocks`` the root's
+    :meth:`~repro.tpn.kernel.KernelState.export` buffers (revived with
+    :meth:`~repro.tpn.kernel.KernelEngine.revive`) and ``now`` the
+    absolute time at the root.
+    """
+
+    prefix: tuple[tuple[int, int, int], ...]
+    marking: bytes
+    clocks: bytes
+    now: int
+
+
 @dataclass
 class FrontierSplit:
     """Outcome of the breadth-first prefix expansion.
@@ -218,14 +237,14 @@ def split_frontier(
     prefixes short and the subtree sizes comparable.
     """
     scheduler = PreRuntimeScheduler(
-        net, replace(config, parallel=0), engine="incremental"
+        net, replace(config, parallel=0), engine="kernel"
     )
     adapter = scheduler.adapter
-    fast = adapter.engine
+    successor = adapter.successor
     stats = SearchStats()
     started = time.monotonic()
 
-    s0 = fast.initial()
+    s0 = adapter.engine.initial()
     if net.has_missed_deadline(s0.marking):
         raise SchedulingError(
             "initial marking already contains a missed deadline"
@@ -241,6 +260,7 @@ def split_frontier(
         )
 
     candidates_of = adapter.candidates_of
+    clocks_view = adapter.clocks_view
     reorder = scheduler._reorder
     touches_miss = net.touches_miss
     touches_final = net.touches_final
@@ -254,11 +274,11 @@ def split_frontier(
         state, now, prefix = frontier.popleft()
         candidates = candidates_of(state, stats)
         if reorder is not None:
-            candidates = reorder(candidates, state)
+            candidates = reorder(candidates, clocks_view(state))
         expansions += 1
         for transition, delay in candidates:
             stats.states_generated += 1
-            child = fast.successor(state, transition, delay)
+            child = successor(state, transition, delay)
             if touches_miss[transition] and net.has_missed_deadline(
                 child.marking
             ):
@@ -299,12 +319,13 @@ def split_frontier(
             stats=stats,
         )
     jobs = [
-        export_job(state, now, prefix)
+        SubtreeJob(prefix, *state.export(), now)
         for state, now, prefix in frontier
     ]
+    state_key = adapter.state_key
     return FrontierSplit(
         jobs=jobs,
-        seen_hashes=[state.hash64 for state in visited],
+        seen_hashes=[state_key(state) for state in visited],
         stats=stats,
     )
 
@@ -411,7 +432,7 @@ class _Resplitter:
         prefix = self.prefix
         for state, now, actions in entries:
             self.jobs.put(
-                export_job(state, now, prefix + tuple(actions))
+                SubtreeJob(prefix + tuple(actions), *state.export(), now)
             )
         self.metrics.inc("worksteal.resplits")
         self.metrics.inc("worksteal.jobs_resplit", len(entries))
@@ -441,6 +462,7 @@ def _portfolio_worker(
     default_engine: str,
     results,
     cancel,
+    start,
 ) -> None:
     """Run one complete search under one slot; report the outcome.
 
@@ -460,6 +482,7 @@ def _portfolio_worker(
     # restarts); its snapshot rides home on the stats payload and the
     # parent merges every worker's snapshot onto result.metrics
     metrics = MetricsRegistry()
+    start.wait()  # every slot enters the race at the same moment
     worker_started = time.monotonic()
     try:
         deadline = (
@@ -544,6 +567,8 @@ def _portfolio_worker(
             kind = "feasible"
         else:
             kind = "infeasible"
+        if kind in ("feasible", "infeasible"):
+            cancel.set()  # end the race without the parent's round trip
         # per-slot wall-clock and outcome land in the metrics snapshot
         # (gauges carry the slot name, so workers never collide); the
         # parent reads the wall-clock gauge back into the AdaptiveStore
@@ -607,10 +632,11 @@ def _worksteal_worker(
     worker_started = time.monotonic()
     try:
         scheduler = PreRuntimeScheduler(
-            net, replace(config, parallel=0), engine="incremental"
+            net, replace(config, parallel=0), engine="kernel"
         )
+        revive = scheduler.adapter.engine.revive
         scheduler.shared_filter = visited_filter
-        scheduler.metrics = metrics
+        metrics = scheduler.metrics  # carries kernel.native_core
         resplitter = _Resplitter(jobs, outstanding, n_workers, metrics)
         scheduler.resplit = resplitter
         if scheduler.obs is not None:
@@ -645,7 +671,7 @@ def _worksteal_worker(
             metrics.inc("worksteal.jobs_stolen")
             metrics.inc(f"worker.{index}.jobs_stolen")
             resplitter.begin_job(job.prefix)
-            root = scheduler.fast.revive(job.marking, job.clocks)
+            root = revive(job.marking, job.clocks)
             try:
                 result = scheduler.search_from(root, job.now)
             finally:
@@ -658,6 +684,7 @@ def _worksteal_worker(
                 over_budget = visited_total.value >= config.max_states
             _accumulate(merged, _stats_payload(result.stats))
             if result.feasible:
+                cancel.set()  # stop the other workers right away
                 schedule = [
                     (names[t], q, at) for t, q, at in job.prefix
                 ]
@@ -746,11 +773,11 @@ class ParallelScheduler:
             )
         if (
             self.config.parallel_mode == "worksteal"
-            and engine != "incremental"
+            and engine != "kernel"
         ):
             raise SchedulingError(
-                "work-stealing mode requires the incremental engine "
-                "(the shared filter runs on FastState hashes)"
+                "work-stealing mode requires the kernel engine "
+                "(the shared filter claims KernelState Zobrist keys)"
             )
         try:
             self._context = get_context("fork")
@@ -829,6 +856,7 @@ class ParallelScheduler:
         ctx = self._context
         results = ctx.Queue()
         cancel = ctx.Event()
+        start = ctx.Event()
         policies = self.portfolio_policies()
         workers = [
             ctx.Process(
@@ -841,13 +869,17 @@ class ParallelScheduler:
                     self.engine_mode,
                     results,
                     cancel,
+                    start,
                 ),
                 name=f"ezrt-portfolio-{index}",
             )
             for index, policy in enumerate(policies)
         ]
-        for process in workers:
-            process.start()
+        try:
+            for process in workers:
+                process.start()
+        finally:
+            start.set()  # never leave a started worker waiting
 
         messages = self._collect(
             workers, results, cancel, expected=len(workers)

@@ -42,7 +42,7 @@ from typing import Callable
 
 from repro.errors import SchedulingError
 from repro.tpn.interval import INF
-from repro.tpn.net import CompiledNet, ROLE_DEADLINE_MISS
+from repro.tpn.net import CompiledNet
 
 #: Policy names accepted by :func:`make_reorder` and
 #: :attr:`repro.scheduler.config.SchedulerConfig.policy`.
@@ -169,15 +169,7 @@ def _make_min_laxity(net: CompiledNet) -> Reorder:
     armed deadline timer (bookkeeping transitions, arrivals) keep their
     relative position at the back of their delay class.
     """
-    miss_of: dict[str, int] = {}
-    for index, role in enumerate(net.roles):
-        task = net.tasks[index]
-        if role == ROLE_DEADLINE_MISS and task is not None:
-            miss_of[task] = index
-    miss_timer: list[int | None] = [
-        miss_of.get(task) if task is not None else None
-        for task in net.tasks
-    ]
+    miss_timer = net.deadline_timer
     lft = net.lft
 
     def min_laxity(cands: list, state: object) -> list:
@@ -186,7 +178,7 @@ def _make_min_laxity(net: CompiledNet) -> Reorder:
         def key(cand: tuple[int, int]):
             transition, delay = cand
             timer = miss_timer[transition]
-            if timer is None or clocks[timer] < 0:
+            if timer < 0 or clocks[timer] < 0:
                 return (delay, INF, transition)
             return (delay, lft[timer] - clocks[timer], transition)
 

@@ -26,9 +26,10 @@ per-state marshalling.  It has two layers:
   of :class:`repro.scheduler.core.SearchCore` over the same buffers:
   frame stack, state arena, full-equality visited table, deadline and
   final predicates, candidate enumeration in every delay and priority
-  mode, the partial-order reduction and the state budget.  It returns
-  to Python only at the 1024-expansion poll, when a new frame needs a
-  Python reorder policy, and at the end of the search (see
+  mode, the partial-order reduction, the ``latest`` and ``min-laxity``
+  search policies and the state budget.  It returns to Python only at
+  the 1024-expansion poll, when a new frame needs the seeded
+  ``random`` policy, and at the end of the search (see
   ``docs/scheduling.md``, "The native search driver").  Its memory
   comes from ``PyMem_RawMalloc``, so ``tracemalloc`` sees it, and the
   GIL stays released for the whole call.
@@ -62,7 +63,7 @@ kn_net *kn_net_new(int32_t num_places, int32_t num_transitions,
                    const int32_t *prio, const uint8_t *flags,
                    int32_t n_miss, const int32_t *miss_place,
                    int32_t n_final, const int32_t *final_place,
-                   const int32_t *final_req);
+                   const int32_t *final_req, const int32_t *timer);
 void kn_net_free(kn_net *net);
 uint64_t kn_hash(const kn_net *net, const uint16_t *mark,
                  const uint16_t *clk);
@@ -91,7 +92,6 @@ kn_search *kn_search_new(const kn_net *net, const uint16_t *mark0,
                          int64_t max_states, kn_counters *counters);
 int32_t kn_search_run(kn_search *s);
 int32_t *kn_search_pending(kn_search *s);
-const uint16_t *kn_search_clocks(const kn_search *s);
 void kn_search_path(const kn_search *s, int64_t *out);
 void kn_search_free(kn_search *s);
 """
@@ -137,6 +137,7 @@ typedef struct kn_net {
     const uint8_t *flags;
     int32_t n_miss, n_final;
     const int32_t *miss_place, *final_place, *final_req;
+    const int32_t *timer; /* deadline timer per transition, -1 = none */
     uint16_t *scratch; /* P words: intermediate-marking reference */
     int32_t *cand;     /* 2T words: pre-expansion candidate pairs */
 } kn_net;
@@ -152,7 +153,7 @@ kn_net *kn_net_new(int32_t num_places, int32_t num_transitions,
                    const int32_t *prio, const uint8_t *flags,
                    int32_t n_miss, const int32_t *miss_place,
                    int32_t n_final, const int32_t *final_place,
-                   const int32_t *final_req)
+                   const int32_t *final_req, const int32_t *timer)
 {
     kn_net *net = (kn_net *)malloc(sizeof(kn_net));
     if (!net)
@@ -178,6 +179,7 @@ kn_net *kn_net_new(int32_t num_places, int32_t num_transitions,
     net->n_final = n_final;
     net->final_place = final_place;
     net->final_req = final_req;
+    net->timer = timer;
     net->scratch = (uint16_t *)malloc(
         (num_places ? (size_t)num_places : 1) * sizeof(uint16_t));
     net->cand = (int32_t *)malloc(
@@ -539,6 +541,8 @@ int32_t kn_window(const kn_net *net, const uint16_t *clk,
 #define KN_O_FULL 16
 #define KN_O_REORDER 32
 #define KN_O_TIMED 64
+#define KN_O_LATEST 128
+#define KN_O_LAXITY 256
 
 #define KN_POLL_MASK 0x3FF
 #define KN_TRIM_BYTES (1 << 20)
@@ -677,8 +681,52 @@ static int kn_visit(kn_search *s, const uint16_t *st, uint64_t key)
     return 0;
 }
 
+/* Laxity of candidate t for the min-laxity policy: LFT - clock of its
+ * task's deadline timer, unbounded without an armed, bounded timer. */
+static int64_t kn_laxity(const kn_net *net, const uint16_t *clk,
+                         int32_t t)
+{
+    int32_t m = net->timer[t];
+    if (m < 0 || clk[m] == KN_DIS || net->lft[m] < 0)
+        return INT64_MAX;
+    return (int64_t)net->lft[m] - clk[m];
+}
+
+/* The latest and min-laxity policies of repro.scheduler.policies on
+ * n (transition, delay) pairs in place: latest reverses them,
+ * min-laxity sorts them by (delay, laxity, index). */
+static void kn_order(const kn_net *net, const uint16_t *clk,
+                     int32_t options, int32_t *out, int32_t n)
+{
+    int32_t k, m;
+    if (options & KN_O_LATEST) {
+        for (k = 0, m = n - 1; k < m; k++, m--) {
+            int32_t pair[2];
+            memcpy(pair, out + 2 * k, sizeof pair);
+            memcpy(out + 2 * k, out + 2 * m, sizeof pair);
+            memcpy(out + 2 * m, pair, sizeof pair);
+        }
+        return;
+    }
+    for (k = 1; k < n; k++) {
+        int32_t tc = out[2 * k], qd = out[2 * k + 1];
+        int64_t lc = kn_laxity(net, clk, tc);
+        for (m = k - 1; m >= 0; m--) {
+            int32_t tm = out[2 * m], qm = out[2 * m + 1];
+            int64_t lm = kn_laxity(net, clk, tm);
+            if (!(qm > qd || (qm == qd && (lm > lc || (lm == lc && tm > tc)))))
+                break;
+            out[2 * m + 2] = tm;
+            out[2 * m + 3] = qm;
+        }
+        out[2 * m + 2] = tc;
+        out[2 * m + 3] = qd;
+    }
+}
+
 /* Open a frame on arena state `state`: enumerate its candidates onto
- * the pool.  Returns the candidate count, -1 on allocation failure. */
+ * the pool, in the order of a native policy when one is set.  Returns
+ * the candidate count, -1 on allocation failure. */
 static int32_t kn_push(kn_search *s, uint32_t state, int64_t now,
                        int32_t t, int32_t q)
 {
@@ -705,8 +753,11 @@ static int32_t kn_push(kn_search *s, uint32_t state, int64_t now,
                          s->pool + s->pool_len,
                          (int32_t)((s->pool_cap - s->pool_len) / 2),
                          &reduced);
-        if (n >= 0)
+        if (n >= 0) {
+            if (s->options & (KN_O_LATEST | KN_O_LAXITY))
+                kn_order(net, clk, s->options, s->pool + s->pool_len, n);
             break;
+        }
         need = 2 * (size_t)(-n);
     }
     if (s->options & KN_O_TIMED)
@@ -932,13 +983,6 @@ nomem:
 int32_t *kn_search_pending(kn_search *s)
 {
     return s->pool + s->frames[s->n_frames - 1].off;
-}
-
-/* The clock vector of the top frame's state. */
-const uint16_t *kn_search_clocks(const kn_search *s)
-{
-    return s->arena + (size_t)s->frames[s->n_frames - 1].state * s->W
-        + s->net->P;
 }
 
 /* After FEASIBLE: the accepting path as counters->pending

@@ -10,11 +10,7 @@ tracing a search bug, start at :meth:`IncrementalEngine.successor`
 (the firing rule) and :meth:`IncrementalEngine.window` (which
 transitions may fire next); the slow-but-obvious reference semantics
 lives in :mod:`repro.tpn.state`, and the two are locked together by a
-randomized equivalence suite.  The parallel scheduler builds on two
-small extras here: states round-trip through their canonical
-``(marking, clocks)`` pair (:meth:`FastState.export` /
-:meth:`IncrementalEngine.revive`), which is how subtree jobs travel to
-worker processes as a :class:`SubtreeJob`.
+randomized equivalence suite.
 
 :class:`repro.tpn.state.StateEngine` implements Definition 3.1 the way
 the paper states it: every firing rebuilds the dense clock vector by
@@ -54,7 +50,6 @@ checked reference implementation.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 
 from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
@@ -134,64 +129,9 @@ class FastState:
         """Canonical hashable key, interchangeable with :meth:`State.key`."""
         return (self.marking, self.clocks)
 
-    @property
-    def hash64(self) -> int:
-        """The precomputed canonical-pair hash, as a public value.
-
-        This is the compaction key the cross-process visited filter
-        claims (:class:`repro.scheduler.parallel.SharedVisitedFilter`)
-        and the :meth:`repro.scheduler.core.IncrementalAdapter.state_key`
-        contract; exposed for the orchestration layers so they need not
-        reach into the slot.
-        """
-        return self._hash
-
     def to_state(self) -> State:
         """Convert to the reference dataclass representation."""
         return State(self.marking, self.clocks)
-
-    def export(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Minimal picklable form: the canonical ``(marking, clocks)``.
-
-        The derived views are cheaper to recompute on the receiving
-        side (:meth:`IncrementalEngine.revive`) than to serialise, so
-        cross-process handoff ships only the canonical pair.
-        """
-        return (self.marking, self.clocks)
-
-
-@dataclass(frozen=True)
-class SubtreeJob:
-    """One unit of work-stealing search: a frontier state plus its path.
-
-    Produced by :func:`repro.scheduler.parallel.split_frontier` from a
-    DFS ``_Frame`` prefix and shipped to worker processes.  Everything
-    is plain tuples of ints, so pickling cost is proportional to the
-    net size, not to the search done so far:
-
-    * ``prefix`` — the ``(transition, delay, absolute_time)`` firings
-      that lead from the initial state to this subtree root; prepended
-      to any schedule found below the root;
-    * ``marking`` / ``clocks`` — the root's canonical pair, revived
-      into a :class:`FastState` by the worker
-      (:meth:`IncrementalEngine.revive`);
-    * ``now`` — the absolute time at the root (sum of prefix delays).
-    """
-
-    prefix: tuple[tuple[int, int, int], ...]
-    marking: tuple[int, ...]
-    clocks: tuple[int, ...]
-    now: int
-
-
-def export_job(
-    state: FastState,
-    now: int,
-    prefix: tuple[tuple[int, int, int], ...],
-) -> SubtreeJob:
-    """Freeze a frontier state into a picklable :class:`SubtreeJob`."""
-    marking, clocks = state.export()
-    return SubtreeJob(tuple(prefix), marking, clocks, now)
 
 
 class IncrementalEngine:
@@ -286,18 +226,6 @@ class IncrementalEngine:
     def lift(self, state: State) -> FastState:
         """Wrap a reference :class:`State` (recovers the derived views)."""
         return self._derive(state.marking, state.clocks)
-
-    def revive(
-        self,
-        marking: tuple[int, ...],
-        clocks: tuple[int, ...],
-    ) -> FastState:
-        """Rebuild a full :class:`FastState` from its canonical pair.
-
-        Inverse of :meth:`FastState.export`; one O(|T|) scan, paid once
-        per cross-process handoff instead of per successor.
-        """
-        return self._derive(marking, clocks)
 
     # ------------------------------------------------------------------
     # Firing rule (Definition 3.1, incremental)

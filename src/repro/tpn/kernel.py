@@ -118,11 +118,6 @@ class KernelState:
             f"c={self.clk.tolist()})"
         )
 
-    @property
-    def hash64(self) -> int:
-        """The incremental 64-bit Zobrist key, as a public value."""
-        return self._hash
-
     def clocks_tuple(self) -> tuple[int, ...]:
         """Dense clock tuple with :data:`repro.tpn.state.DISABLED`
         markers — the representation reorder policies read."""
@@ -210,6 +205,7 @@ class _NativeCore:
         final_req = array(
             "i", [req for _p, req in net.final_constraints] or [0]
         )
+        timer = array("i", net.deadline_timer or (0,))
 
         def ptr(a):
             return ffi.from_buffer("int32_t[]", a)
@@ -219,7 +215,7 @@ class _NativeCore:
         self._keepalive = [
             pre_off, pre_place, pre_w, d_off, d_place, d_d,
             aff_off, aff_t, pc_off, pc_t, eft, lft, prio, flags,
-            miss_place, final_place, final_req,
+            miss_place, final_place, final_req, timer,
         ]
         buffers = [
             ptr(pre_off), ptr(pre_place), ptr(pre_w),
@@ -229,6 +225,7 @@ class _NativeCore:
             ffi.from_buffer("uint8_t[]", flags),
             len(net.miss_places), ptr(miss_place),
             len(net.final_constraints), ptr(final_place), ptr(final_req),
+            ptr(timer),
         ]
         self._keepalive.extend(buffers)
         raw = lib.kn_net_new(
@@ -317,34 +314,16 @@ _OPT_EXTREMES = 8
 _OPT_FULL = 16
 _OPT_REORDER = 32
 _OPT_TIMED = 64
+_OPT_LATEST = 128
+_OPT_LAXITY = 256
 
-
-class _PendingClocks:
-    """Reorder-policy view of the frame awaiting ordering.
-
-    ``.clocks`` uses the reference :data:`DISABLED` convention and is
-    decoded from the arena on first read (only ``min-laxity`` reads
-    it).
-    """
-
-    __slots__ = ("_search", "_clocks")
-
-    def __init__(self, search: "NativeSearch"):
-        self._search = search
-        self._clocks: tuple[int, ...] | None = None
-
-    @property
-    def clocks(self) -> tuple[int, ...]:
-        if self._clocks is None:
-            search = self._search
-            raw = search._ffi.unpack(
-                search._lib.kn_search_clocks(search._ptr),
-                search._num_transitions,
-            )
-            self._clocks = tuple(
-                DISABLED if v == DIS else v for v in raw
-            )
-        return self._clocks
+#: Search policies the driver orders natively; any other non-default
+#: policy stops the driver at :data:`SEARCH_REORDER` for Python.
+_NATIVE_POLICIES = {
+    "earliest": 0,
+    "latest": _OPT_LATEST,
+    "min-laxity": _OPT_LAXITY,
+}
 
 
 class NativeSearch:
@@ -355,7 +334,8 @@ class NativeSearch:
     advances it to its next stop and returns the status:
 
     * :data:`SEARCH_POLL` — the 1024-expansion poll (resume to go on);
-    * :data:`SEARCH_REORDER` — a new frame waits for :meth:`reorder`;
+    * :data:`SEARCH_REORDER` — a new frame waits for :meth:`reorder`
+      (only under a policy the driver cannot order itself: ``random``);
     * :data:`SEARCH_FEASIBLE` — the final marking is reached
       (:meth:`path`);
     * :data:`SEARCH_BUDGET` — ``max_states`` states are tagged;
@@ -374,7 +354,6 @@ class NativeSearch:
         "_ffi",
         "_lib",
         "_ptr",
-        "_num_transitions",
     )
 
     def __init__(self, engine, core, root, now, options, max_states):
@@ -398,7 +377,6 @@ class NativeSearch:
         self._ffi = ffi
         self._lib = lib
         self._ptr = ffi.gc(raw, lib.kn_search_free)
-        self._num_transitions = engine.net.num_transitions
 
     def run(self) -> int:
         status = self._lib.kn_search_run(self._ptr)
@@ -413,13 +391,13 @@ class NativeSearch:
 
     def reorder(self, policy) -> None:
         """Order the pending frame's candidates with a reorder policy
-        (``policy(candidates, state) -> candidates``, a permutation)."""
+        (``policy(candidates, state) -> candidates``, a permutation).
+        The policies that read the state run natively, so ``state``
+        is ``None`` here."""
         n = self.counters.pending
         pairs = self._lib.kn_search_pending(self._ptr)
         flat = self._ffi.unpack(pairs, 2 * n)
-        ordered = policy(
-            list(zip(flat[0::2], flat[1::2])), _PendingClocks(self)
-        )
+        ordered = policy(list(zip(flat[0::2], flat[1::2])), None)
         if len(ordered) != n:
             raise SchedulingError(
                 "a reorder policy must permute the candidate list"
@@ -784,13 +762,14 @@ class KernelEngine:
         strict: bool,
         partial_order: bool,
         delay_mode: str,
-        reorder: bool,
+        policy: str,
         max_states: int,
         timed: bool,
     ) -> NativeSearch | None:
         """A native driver search from ``root`` at absolute time
-        ``now``, or ``None`` without a compiled core.  ``root`` counts
-        as visited; the caller has checked its marking predicates."""
+        ``now`` under search ``policy``, or ``None`` without a
+        compiled core.  ``root`` counts as visited; the caller has
+        checked its marking predicates."""
         core = self._core
         if core is None:
             return None
@@ -800,7 +779,7 @@ class KernelEngine:
             | (_OPT_PARTIAL_ORDER if partial_order else 0)
             | (_OPT_EXTREMES if delay_mode == "extremes" else 0)
             | (_OPT_FULL if delay_mode == "full" else 0)
-            | (_OPT_REORDER if reorder else 0)
+            | _NATIVE_POLICIES.get(policy, _OPT_REORDER)
             | (_OPT_TIMED if timed else 0)
         )
         return NativeSearch(self, core, root, now, options, max_states)

@@ -480,6 +480,7 @@ class CompiledNet:
         "touches_final",
         "immediate",
         "post_conflicts",
+        "deadline_timer",
     )
 
     def __init__(self, net: TimePetriNet):
@@ -554,6 +555,13 @@ class CompiledNet:
             t
             for t, role in enumerate(self.roles)
             if role == ROLE_DEADLINE_MISS
+        )
+        # deadline_timer[t]: the deadline-miss transition timing t's
+        # task (-1: none); the min-laxity search policy reads its clock
+        miss_of = {self.tasks[t]: t for t in sorted(self.miss_transitions)}
+        self.deadline_timer: tuple[int, ...] = tuple(
+            -1 if task is None else miss_of.get(task, -1)
+            for task in self.tasks
         )
 
         # ---- sparse dependency structure for the incremental engine ----

@@ -297,11 +297,14 @@ class TestSchedulerIntegration:
         assert result.feasible
         assert result.winner_engine in ("kernel", "incremental")
 
-    def test_worksteal_rejects_kernel(self):
+    def test_worksteal_requires_kernel(self):
         with pytest.raises(SchedulingError):
             SchedulerConfig(
-                engine="kernel", parallel=2, parallel_mode="worksteal"
+                engine="incremental", parallel=2, parallel_mode="worksteal"
             )
+        SchedulerConfig(
+            engine="kernel", parallel=2, parallel_mode="worksteal"
+        )
 
 
 class TestPackedRepresentation:

@@ -349,11 +349,15 @@ class TestNetRules:
         assert codes(diagnostics) == ["EZT203"]
         assert diagnostics[0].severity == WARNING
         assert "kernel" in diagnostics[0].message
-        # presearch includes it only when targeting the kernel engine
+        # presearch includes it only when targeting the kernel engine,
+        # which is also what an unset engine means (the default)
         assert "EZT203" in codes(
             presearch_diagnostics(spec, engine="kernel")
         )
-        assert "EZT203" not in codes(presearch_diagnostics(spec))
+        assert "EZT203" in codes(presearch_diagnostics(spec))
+        assert "EZT203" not in codes(
+            presearch_diagnostics(spec, engine="incremental")
+        )
 
     def test_small_spec_has_no_token_cap_finding(self):
         assert token_cap_diagnostics(mine_pump(), engine="kernel") == []
@@ -473,13 +477,17 @@ class TestConfigRules:
             engine="stateclass", delay_mode="earliest"
         ) == []
 
-    def test_worksteal_requires_incremental(self):
+    def test_worksteal_requires_kernel(self):
         diagnostics = config_diagnostics(
-            engine="kernel", parallel=4, parallel_mode="worksteal"
+            engine="incremental", parallel=4, parallel_mode="worksteal"
         )
         assert "EZG302" in codes(diagnostics)
+        assert "kernel" in diagnostics[0].hint
         assert config_diagnostics(
-            engine="incremental", parallel=4, parallel_mode="worksteal"
+            engine="kernel", parallel=4, parallel_mode="worksteal"
+        ) == []
+        assert config_diagnostics(
+            parallel=4, parallel_mode="worksteal"
         ) == []
 
     def test_lint_spec_passes_config_findings_through(self):
