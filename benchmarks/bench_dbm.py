@@ -38,7 +38,7 @@ The bench enforces, in order of importance:
    PR), so the bench re-measures the kernel engine on a bounded
    discrete workload and holds it to the same absolute floor
    ``bench_kernel`` applies — at least
-   :data:`MAX_BASELINE_REGRESSION` of the frozen incremental hot-path
+   :data:`MAX_BASELINE_REGRESSION` of the frozen pre-kernel hot-path
    rate in ``benchmarks/BASELINE_scheduler.json`` (asserted only when
    the stored baseline is comparable and the kernel core is native).
 

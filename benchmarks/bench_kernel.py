@@ -1,19 +1,18 @@
 """Experiment KN1 — packed kernel throughput: the 3× hot-path target.
 
 Acceptance benchmark of the packed search kernel (ISSUE 7,
-:mod:`repro.tpn.kernel`).  Every workload runs on the reference, the
-incremental and the kernel engine, strictly interleaved, and the bench
-enforces in order of importance:
+:mod:`repro.tpn.kernel`).  Every workload runs on the reference and
+the kernel engine, strictly interleaved, and the bench enforces in
+order of importance:
 
 1. **Exactness** (hard gate): byte-identical firing schedules and
-   identical deterministic ``SearchStats`` counters across all three
+   identical deterministic ``SearchStats`` counters across both
    discrete engines on every workload.  A perf win that changes the
    search is a bug.
 2. **The 3× target** (hard gate with the compiled core): aggregate
    states/sec of the kernel engine over the whole paper + scaling +
    grid sweep at least :data:`TARGET_SPEEDUP` times the reference
-   engine — the ROADMAP number the incremental engine alone never
-   reached.  Each family additionally has a noise-proof regression
+   engine.  Each family additionally has a noise-proof regression
    floor (:data:`MIN_FAMILY_SPEEDUP`).
 3. **Pure fallback** (hard floor): with the compiled core disabled the
    packed engine must still not lose to the reference engine on
@@ -21,14 +20,13 @@ enforces in order of importance:
    fallback's trajectory is tracked PR over PR.
 4. **No-regression floor vs the stored baseline**: the kernel engine's
    absolute aggregate states/sec must stay within
-   :data:`MAX_BASELINE_REGRESSION` of the frozen *incremental* hot-path
-   rate in ``benchmarks/BASELINE_scheduler.json`` — the same floor the
-   parallel-DFS bench applies to the incremental engine, extended to
-   the kernel: a kernel that falls back to pre-kernel throughput is a
-   regression even if it still leads the in-process reference run
-   (asserted only when the stored baseline was measured on a
-   comparable interpreter/machine; the kernel currently clears it at
-   ~1.5-1.9x).
+   :data:`MAX_BASELINE_REGRESSION` of the frozen pre-kernel hot-path
+   rate in ``benchmarks/BASELINE_scheduler.json`` (measured on the
+   since-deleted tuple-based engine): a kernel that falls back to
+   pre-kernel throughput is a regression even if it still leads the
+   in-process reference run (asserted only when the stored baseline
+   was measured on a comparable interpreter/machine; the kernel
+   currently clears it at ~1.5-1.9x).
 
 The sweep deliberately mixes search shapes: the paper case studies
 (exactness on real models, mine-pump dominating the timing), a
@@ -38,23 +36,19 @@ the models are infeasible to exhaust), and a bounded campaign-grid
 family with preemption.  Bounded runs keep every engine's per-state
 work identical, so states/sec ratios compare like for like.
 
-Timing methodology (as in ``bench_scheduler_hotpath``): engines run
-strictly interleaved, each workload takes the minimum of
-:data:`ROUNDS` rounds, so host noise hits all engines alike.
+Timing methodology: engines run strictly interleaved, each workload
+takes the minimum of :data:`ROUNDS` rounds, so host noise hits all
+engines alike.
 
 A second, *large* tier (:func:`test_driver_large_tier`) times ≥1 s
 serial searches — the 32-task scaling net at a 60,000-state budget and
-an exhaustive 70,059-state refutation — on three engines, interleaved
+an exhaustive 70,059-state refutation — interleaved
 min-of-:data:`LARGE_ROUNDS`: the native search driver (``kernel`` with
-its compiled core), :class:`~repro.scheduler.core.SearchCore` over the
-pure kernel engine (the driver's executable spec) and ``incremental``.
-With the compiled core it gates the driver at
-:data:`DRIVER_TARGET_SPEEDUP` × ``incremental`` in aggregate, after the
-same byte-identical exactness asserts.  In both lanes (the pure one
-runs only the spec and ``incremental``) it records the pure kernel's
-aggregate ratio to ``incremental`` (``pure_vs_incremental``, not
-gated): the precondition for deleting ``incremental`` is that this
-reaches 1.0.
+its compiled core) against :class:`~repro.scheduler.core.SearchCore`
+over the pure kernel engine (the driver's executable spec).  With the
+compiled core it gates the driver at :data:`DRIVER_TARGET_SPEEDUP` ×
+the spec in aggregate, after byte-identical exactness asserts.  The
+pure lane runs only the spec and records its states/sec.
 
 Results are written to ``BENCH_kernel.json`` at the repository root;
 CI builds the extension eagerly, runs this bench as a gate and uploads
@@ -85,16 +79,18 @@ MIN_FAMILY_SPEEDUP = 2.5
 #: Pure-Python fallback floor: packed buffers without the C core must
 #: still beat the dense reference engine on aggregate.
 MIN_PURE_SPEEDUP = 1.0
-#: Floor against the stored absolute baseline (same contract as the
-#: parallel-DFS bench's hot-path floor).
+#: Floor against the stored absolute baseline
+#: (``benchmarks/BASELINE_scheduler.json``).
 MAX_BASELINE_REGRESSION = 0.95
 
-#: Large-tier gate (compiled core): native driver vs incremental.
-DRIVER_TARGET_SPEEDUP = 4.0
+#: Large-tier gate (compiled core): native driver vs the pure spec.
+#: The gate was 4x the tuple-based engine the spec ran at 0.70x of,
+#: so 4 / 0.70 keeps it no looser.
+DRIVER_TARGET_SPEEDUP = 5.8
 
-ENGINES = ("reference", "incremental", "kernel")
+ENGINES = ("reference", "kernel")
 ROUNDS = 7
-LARGE_ENGINES = ("driver", "spec", "incremental")
+LARGE_ENGINES = ("driver", "spec")
 LARGE_ROUNDS = 3
 JSON_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_kernel.json"
@@ -199,14 +195,13 @@ def _run_suite():
 
         # -- exactness gate ------------------------------------------
         ref = results["reference"]
-        for engine in ("incremental", "kernel"):
-            other = results[engine]
-            assert (
-                other.firing_schedule == ref.firing_schedule
-            ), f"{name}: {engine} produced a different schedule"
-            assert _deterministic_stats(other) == (
-                _deterministic_stats(ref)
-            ), f"{name}: {engine} disagrees on search statistics"
+        kernel = results["kernel"]
+        assert (
+            kernel.firing_schedule == ref.firing_schedule
+        ), f"{name}: kernel produced a different schedule"
+        assert _deterministic_stats(kernel) == (
+            _deterministic_stats(ref)
+        ), f"{name}: kernel disagrees on search statistics"
 
         visited = ref.stats.states_visited
         rows.append(
@@ -218,12 +213,9 @@ def _run_suite():
                 "feasible": ref.feasible,
                 "states_visited": visited,
                 "reference_seconds": best["reference"],
-                "incremental_seconds": best["incremental"],
                 "kernel_seconds": best["kernel"],
                 "kernel_states_per_sec": visited / best["kernel"],
                 "speedup_vs_reference": best["reference"]
-                / best["kernel"],
-                "speedup_vs_incremental": best["incremental"]
                 / best["kernel"],
             }
         )
@@ -244,11 +236,8 @@ def _aggregate(rows, family=None):
         "workloads": len(picked),
         "states_visited": states,
         "reference_states_per_sec": states / seconds["reference"],
-        "incremental_states_per_sec": states / seconds["incremental"],
         "kernel_states_per_sec": states / seconds["kernel"],
         "speedup_vs_reference": seconds["reference"]
-        / seconds["kernel"],
-        "speedup_vs_incremental": seconds["incremental"]
         / seconds["kernel"],
     }
 
@@ -311,8 +300,7 @@ def test_kernel_throughput(report):
             "KN1",
             f"{row['workload']} kernel ({core}) vs reference",
             "faster",
-            f"{row['speedup_vs_reference']:.2f}x "
-            f"(vs incremental {row['speedup_vs_incremental']:.2f}x)",
+            f"{row['speedup_vs_reference']:.2f}x",
         )
     for family in families:
         agg = aggregates[family]
@@ -390,7 +378,7 @@ def _timed_large(net, engine, limits):
     scheduler = PreRuntimeScheduler(
         net,
         SchedulerConfig(**limits),
-        engine="incremental" if engine == "incremental" else "kernel",
+        engine="kernel",
     )
     if engine == "spec":
         scheduler.adapter.engine._core = None
@@ -409,8 +397,8 @@ def _timed_large(net, engine, limits):
 
 def test_driver_large_tier(report):
     native = _kernelc.available()
-    # without the compiled core only the pure kernel and incremental run
-    engines = LARGE_ENGINES if native else ("spec", "incremental")
+    # without the compiled core only the pure kernel runs
+    engines = LARGE_ENGINES if native else ("spec",)
     rows = []
     for name, spec, limits in _large_workloads():
         net = compose(spec).compiled()
@@ -423,14 +411,14 @@ def test_driver_large_tier(report):
                 )
                 best[engine] = min(best[engine], seconds)
         spec_result = results["spec"]
-        for engine in (e for e in engines if e != "spec"):
-            other = results[engine]
-            assert other.feasible == spec_result.feasible, (name, engine)
-            assert other.exhausted == spec_result.exhausted, (name, engine)
-            assert other.firing_schedule == spec_result.firing_schedule
-            assert _deterministic_stats(other) == (
+        if native:
+            driver = results["driver"]
+            assert driver.feasible == spec_result.feasible, name
+            assert driver.exhausted == spec_result.exhausted, name
+            assert driver.firing_schedule == spec_result.firing_schedule
+            assert _deterministic_stats(driver) == (
                 _deterministic_stats(spec_result)
-            ), f"{name}: {engine} disagrees on search statistics"
+            ), f"{name}: driver disagrees on search statistics"
         visited = spec_result.stats.states_visited
         row = {"workload": name, "states_visited": visited}
         for engine in engines:
@@ -447,12 +435,9 @@ def test_driver_large_tier(report):
         f"{engine}_states_per_sec": states / totals[engine]
         for engine in engines
     }
-    pure_ratio = totals["incremental"] / totals["spec"]
-    aggregate["pure_vs_incremental"] = pure_ratio
     if native:
-        speedup = totals["incremental"] / totals["driver"]
-        aggregate["driver_vs_incremental"] = speedup
-        aggregate["driver_vs_spec"] = totals["spec"] / totals["driver"]
+        speedup = totals["spec"] / totals["driver"]
+        aggregate["driver_vs_spec"] = speedup
 
     path = os.path.abspath(JSON_PATH)
     payload = {}
@@ -462,7 +447,7 @@ def test_driver_large_tier(report):
     payload["large_tier"] = {
         "native_core": native,
         "rounds": LARGE_ROUNDS,
-        "target_speedup_vs_incremental": DRIVER_TARGET_SPEEDUP,
+        "target_speedup_vs_spec": DRIVER_TARGET_SPEEDUP,
         "rows": rows,
         "aggregate": aggregate,
     }
@@ -480,23 +465,17 @@ def test_driver_large_tier(report):
                 for engine in engines
             ),
         )
-    report(
-        "KN1",
-        "large-tier pure kernel vs incremental",
-        "recorded (1.0 lets incremental go)",
-        f"{pure_ratio:.2f}x",
-    )
     if not native:
         return
     report(
         "KN1",
-        "large-tier driver vs incremental",
+        "large-tier driver vs pure spec",
         f">= {DRIVER_TARGET_SPEEDUP}",
         f"{speedup:.2f}x",
     )
     assert speedup >= DRIVER_TARGET_SPEEDUP, (
         "native search driver missed its large-tier target: "
-        f"{speedup:.2f}x incremental"
+        f"{speedup:.2f}x the pure spec"
     )
 
 

@@ -9,7 +9,7 @@ Two properties are measured and gated:
    with an unreachable final marking so both engines must sweep their
    entire space (an exhaustive refutation — the state counts are then
    directly comparable).  The complete discrete search
-   (``engine="incremental"``, ``delay_mode="full"``) visits one state
+   (``engine="kernel"``, ``delay_mode="full"``) visits one state
    per integer clock valuation, growing with ``width``; the class
    graph covers a whole window with one DBM and stays
    width-independent.  The gate asserts a
@@ -64,7 +64,7 @@ def _wide_interval_rows():
         compiled = net.compile()
         dense = search(compiled, SchedulerConfig(engine="stateclass"))
         discrete = search(
-            compiled, SchedulerConfig(delay_mode="full")
+            compiled, SchedulerConfig(engine="kernel", delay_mode="full")
         )
         assert not dense.feasible and not dense.exhausted, (
             f"{label}: dense refutation did not complete"

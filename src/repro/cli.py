@@ -173,8 +173,7 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
             "successor engine: the packed-buffer kernel (default; "
             "flat state buffers, with its optional compiled C core "
             "the whole search runs in C, else on a pure-Python "
-            "core), the O(degree) incremental engine, the checked "
-            "reference semantics, or the "
+            "core), the checked reference semantics, or the "
             "dense-time state-class engine (searches Berthomieu-Diaz "
             "classes and concretises the schedule back to integer "
             "time)"

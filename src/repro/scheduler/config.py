@@ -26,8 +26,8 @@ the ablation benches sweep:
   :mod:`repro.tpn.kernel` — flat marking/clock buffers, incremental
   64-bit state keys, and an optional compiled C core that runs the
   whole search, with a pure-Python fallback),
-  ``"incremental"`` (the O(degree) tuple-based discrete-time engine),
-  ``"reference"`` (the checked discrete semantics baseline) or
+  ``"reference"`` (the checked discrete semantics, the kernel's
+  executable spec) or
   ``"stateclass"`` (the dense-time Berthomieu–Diaz state-class
   engine of :mod:`repro.tpn.stateclass`, which searches difference-
   bound classes instead of integer clock valuations and concretises
@@ -68,11 +68,12 @@ PRIORITY_MODES = ("ordered", "strict")
 DELAY_MODES = ("earliest", "extremes", "full")
 PARALLEL_MODES = ("portfolio", "worksteal")
 
-#: Successor engines the scheduler can run on.  ``incremental``,
-#: ``kernel`` and ``reference`` share the discrete-time TLTS semantics
-#: (``kernel`` over packed buffers with an optional compiled core);
-#: ``stateclass`` searches the dense-time state-class graph.
-ENGINES = ("incremental", "kernel", "reference", "stateclass")
+#: Successor engines the scheduler can run on.  ``kernel`` and
+#: ``reference`` share the discrete-time TLTS semantics (``kernel``
+#: over packed buffers with an optional compiled core, ``reference``
+#: its executable spec); ``stateclass`` searches the dense-time
+#: state-class graph.
+ENGINES = ("kernel", "reference", "stateclass")
 
 #: The engine every entry point (config, CLI, batch, service, lint)
 #: uses unless told otherwise: the fastest discrete engine, and the

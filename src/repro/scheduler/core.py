@@ -5,19 +5,16 @@ repository implemented the paper's pre-runtime search three times —
 once per successor engine, each copy re-stating the tagging, deadline
 pruning, budget/tick polling and policy reordering.  The duplication
 is gone: :class:`SearchCore` is the *single* DFS loop, parameterized
-over the :class:`EngineAdapter` protocol, and the four engines plug
+over the :class:`EngineAdapter` protocol, and the three engines plug
 in through thin adapters:
 
-* :class:`IncrementalAdapter` — the tuple-based hot path over
-  :class:`~repro.tpn.fastengine.IncrementalEngine` (O(degree)
-  successors, queue-extracted candidate windows);
 * :class:`KernelAdapter` — the packed-buffer kernel over
   :class:`~repro.tpn.kernel.KernelEngine` (flat ``array('H')``
   marking/clock state buffers, incremental 64-bit Zobrist state
   keys, and an optional compiled C core; when it is built the whole
   search runs in its native driver, see :meth:`SearchCore._drive` —
   by far the fastest engine);
-* :class:`ReferenceAdapter` — the measured baseline over the checked
+* :class:`ReferenceAdapter` — the executable spec over the checked
   :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|) rescans,
   dense candidate scans over all of T);
 * :class:`StateClassAdapter` — the dense-time engine over the packed
@@ -52,7 +49,6 @@ from typing import Protocol, runtime_checkable
 from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER
 from repro.scheduler.result import SchedulerResult, SearchStats
-from repro.tpn.fastengine import FastState, IncrementalEngine
 from repro.tpn.interval import INF
 from repro.tpn.kernel import (
     SEARCH_BUDGET,
@@ -113,8 +109,8 @@ class EngineAdapter(Protocol):
     net vectors its candidate enumeration reads) and presents the
     uniform surface the shared DFS loop drives:
 
-    * ``name`` — the engine's registry name (``"incremental"``,
-      ``"kernel"``, ``"reference"``, ``"stateclass"``);
+    * ``name`` — the engine's registry name (``"kernel"``,
+      ``"reference"``, ``"stateclass"``);
     * ``engine`` — the wrapped engine instance (orchestration layers
       reach through for engine-specific plumbing such as
       :meth:`~repro.tpn.kernel.KernelEngine.revive`);
@@ -305,104 +301,6 @@ class _AdapterBase:
         return [(names[t], q, at) for t, q, at in actions], None
 
 
-class IncrementalAdapter(_AdapterBase):
-    """The production hot path over :class:`IncrementalEngine`."""
-
-    name = "incremental"
-
-    def __init__(self, net: CompiledNet, config):
-        super().__init__(net, config)
-        self.engine = IncrementalEngine(
-            net, reset_policy=config.reset_policy
-        )
-        # bound method, not a wrapper: the core hoists it into a local
-        self.successor = self.engine.successor
-
-    def root(self) -> tuple[FastState, int]:
-        return self.engine.initial(), 0
-
-    def candidates_of(
-        self, state: FastState, stats: SearchStats
-    ) -> list[tuple[int, int]]:
-        """Ordered ``(transition, delay)`` pairs — queue extraction.
-
-        Reads the ceiling in O(1) from the state's derived views and
-        extracts the firing window as a prefix of the lower-bound
-        queue, so the per-expansion cost tracks the number of
-        *fireable* transitions rather than the size of the net.
-        """
-        miss = self._miss
-        shift = state.shift
-        imms = state.imms
-
-        # O(1) ceiling: enabled immediates pin it to 0, otherwise the
-        # upper-bound queue head holds min DUB (INF when empty); the
-        # window is then a prefix of the lower-bound queue — no pass
-        # over the enabled set at all
-        if imms:
-            ceiling = 0
-            bound = shift
-            cands = [(t, 0) for t in imms if t not in miss]
-        else:
-            tub = state.tub
-            ceiling = tub[0][0] - shift if tub else INF
-            bound = shift + ceiling
-            cands = []
-        for v, tk in state.tlb:
-            if v > bound:
-                break
-            if tk not in miss:
-                lower = v - shift
-                cands.append((tk, lower if lower > 0 else 0))
-        if not cands:
-            return cands
-        cands.sort()
-
-        # specialised common path: earliest-delay, no strict filter —
-        # one candidate needs no ordering at all, several sort by
-        # (delay, priority, index)
-        if self._earliest and not self._strict:
-            if len(cands) == 1:
-                return cands
-            if self._partial_order:
-                reduced = forced_immediate(
-                    self.net, cands, state.clocks
-                )
-                if reduced is not None:
-                    stats.reductions += 1
-                    return [reduced]
-            priority = self._priority
-            expanded = [
-                (lower, priority[t], t) for t, lower in cands
-            ]
-            expanded.sort()
-            return [(t, q) for q, _p, t in expanded]
-        return self._finalize(cands, ceiling, state.clocks, stats)
-
-    def _finalize(
-        self,
-        cands: list[tuple[int, int]],
-        ceiling: float,
-        clocks: tuple[int, ...],
-        stats: SearchStats,
-    ) -> list[tuple[int, int]]:
-        """Priority filter, partial-order reduction, delay expansion."""
-        priorities = self._priority
-        if self._strict:
-            best = min(priorities[t] for t, _lo in cands)
-            cands = [
-                (t, lo) for t, lo in cands if priorities[t] == best
-            ]
-        if self._partial_order and len(cands) > 1:
-            reduced = forced_immediate(self.net, cands, clocks)
-            if reduced is not None:
-                stats.reductions += 1
-                cands = [reduced]
-        return order_and_expand(
-            cands, ceiling, priorities, self._delay_mode
-        )
-
-
 class KernelAdapter(_AdapterBase):
     """The packed-buffer kernel over :class:`KernelEngine`.
 
@@ -496,21 +394,17 @@ class KernelAdapter(_AdapterBase):
 
 
 class ReferenceAdapter(_AdapterBase):
-    """The measured baseline over the checked :class:`StateEngine`.
+    """The executable spec and baseline over the checked :class:`StateEngine`.
 
     Candidate enumeration is deliberately kept as two dense passes
-    over the whole transition set per expansion (the pre-incremental
-    scheduler's cost model), and successors pay the engine's dense
-    O(|T|·|P|) firing rule — this is the honest baseline the hot-path
-    benchmark measures the incremental adapter against, and the fixed
-    point the equivalence suites compare to.  Unlike the deleted
-    pre-PR-2 verbatim loop it *does* share the core's loop mechanics
-    (slotted frames, marking-predicate skip masks) — a deliberate
-    baseline redefinition: the engines differ only in their cost
-    model, so the speedup the bench reports is the successor/candidate
-    asymptotics, not incidental loop-body differences.  (The skip
-    masks are exact, so counters and verdicts are unchanged — only
-    wall-clock moved, and the bench's floors held.)
+    over the whole transition set per expansion, and successors pay
+    the engine's dense O(|T|·|P|) firing rule — this is the honest
+    baseline the kernel bench measures the kernel against, and the
+    fixed point the equivalence suites compare to.  It shares the
+    core's loop mechanics (slotted frames, marking-predicate skip
+    masks), so the engines differ only in their cost model and the
+    speedup the bench reports is the successor/candidate asymptotics,
+    not incidental loop-body differences.
     """
 
     name = "reference"
@@ -680,7 +574,6 @@ class StateClassAdapter(_AdapterBase):
 #: Adapter registry, keyed by the engine names of
 #: :data:`repro.scheduler.config.ENGINES`.
 ADAPTERS = {
-    "incremental": IncrementalAdapter,
     "kernel": KernelAdapter,
     "reference": ReferenceAdapter,
     "stateclass": StateClassAdapter,

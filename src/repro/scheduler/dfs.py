@@ -6,7 +6,7 @@ by the block composer and searches its timed state space for a firing
 sequence that reaches the desired final marking — that sequence *is*
 the pre-runtime schedule the code generator turns into a C table.
 Everything else in ``scheduler/`` supports this search: ``core.py``
-holds the single engine-agnostic DFS loop and the four
+holds the single engine-agnostic DFS loop and the three
 :class:`~repro.scheduler.core.EngineAdapter` implementations,
 ``config.py`` the knobs, ``result.py`` the outcome/statistics
 containers, ``policies.py`` the alternative candidate orderings,
@@ -22,7 +22,7 @@ final marking ``M_F`` — by Definition 3.2 such a sequence *is* a
 feasible pre-runtime schedule, and finding one proves the task set
 schedulable under the searched policy.
 
-Four successor engines drive the expansion, each wrapped by a thin
+Three successor engines drive the expansion, each wrapped by a thin
 adapter behind the shared loop:
 
 * ``engine="kernel"`` (default) — the packed-buffer
@@ -31,17 +31,13 @@ adapter behind the shared loop:
   Zobrist state key; with the optional compiled C core
   (:mod:`repro.tpn._kernelc`) built, the whole depth-first search runs
   in its native driver, otherwise the shared loop runs over a
-  semantics-identical pure-Python core — the fastest engine when the
-  native core is built;
-* ``engine="incremental"`` — the
-  :class:`~repro.tpn.fastengine.IncrementalEngine`: O(degree)
-  successor computation over the compile-time ``affected`` adjacency,
-  compact :class:`~repro.tpn.fastengine.FastState` states with cached
-  hashes and enabled sets;
+  semantics-identical pure-Python core — the one production
+  discrete engine;
 * ``engine="reference"`` — the checked-semantics
   :class:`~repro.tpn.state.StateEngine` with dense O(|T|·|P|) rescans,
-  kept as the baseline the benchmarks and the CI smoke job
-  cross-validate against (identical schedules, identical state counts);
+  kept as the kernel's executable spec and the baseline the benchmarks
+  and the CI smoke job cross-validate against (identical schedules,
+  identical state counts);
 * ``engine="stateclass"`` — the dense-time
   :class:`~repro.tpn.stateclass.StateClassEngine`: states are
   Berthomieu–Diaz state classes (marking + difference-bound matrix),

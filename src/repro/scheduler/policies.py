@@ -58,7 +58,7 @@ def parse_slot(text: str) -> tuple[str | None, str]:
     """Parse a portfolio slot ``"[engine:]policy[:seed]"``.
 
     A slot optionally prefixes the policy with a successor engine
-    (``"stateclass:earliest"``, ``"incremental:random:3"``); without a
+    (``"stateclass:earliest"``, ``"kernel:random:3"``); without a
     prefix the slot inherits the scheduler's engine, signalled by
     ``None``.  Engine and policy names are disjoint, so the grammar is
     unambiguous; the policy part is validated by :func:`parse_policy`

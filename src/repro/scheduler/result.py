@@ -111,7 +111,7 @@ class SchedulerResult:
             produced the verdict (e.g. ``"random:1"``); ``None`` for
             serial and work-stealing searches.
         winner_engine: in a portfolio race, the successor engine of
-            the winning slot (``"incremental"``, ``"reference"`` or
+            the winning slot (``"kernel"``, ``"reference"`` or
             ``"stateclass"``); with engine-aware slots this can differ
             from ``config.engine``.  ``None`` outside portfolio races.
         workers: worker processes used (1 for a serial search).

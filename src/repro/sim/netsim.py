@@ -2,10 +2,10 @@
 
 The dispatcher machine (:mod:`repro.sim.machine`) executes *schedule
 tables*; this module simulates the *net itself* by walking the timed
-labeled transition system — and it does so on the same incremental
-successor engine (:class:`repro.tpn.fastengine.IncrementalEngine`) that
-powers the pre-runtime scheduler and the reachability explorer, so one
-firing-rule implementation backs search, analysis and simulation alike.
+labeled transition system — and it does so on the checked reference
+engine (:class:`repro.tpn.state.StateEngine`) that also backs
+:class:`repro.tpn.TLTS` and the reachability explorer, and against
+which the scheduler's packed kernel is differentially tested.
 
 Two walk policies:
 
@@ -27,9 +27,9 @@ import random
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
-from repro.tpn.fastengine import IncrementalEngine
 from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
+from repro.tpn.state import StateEngine
 
 WALK_POLICIES = ("earliest", "random")
 
@@ -66,11 +66,11 @@ class NetSimRun:
 
 
 class NetSimulator:
-    """Walks the TLTS of a compiled net on the incremental engine."""
+    """Walks the TLTS of a compiled net on the reference engine."""
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
         self.net = net
-        self.fast = IncrementalEngine(net, reset_policy=reset_policy)
+        self.engine = StateEngine(net, reset_policy=reset_policy)
 
     def run(
         self,
@@ -94,12 +94,12 @@ class NetSimulator:
         if max_steps < 0:
             raise SimulationError("max_steps must be >= 0")
         net = self.net
-        fast = self.fast
+        engine = self.engine
         rng = random.Random(seed) if policy == "random" else None
         priorities = net.priority
         names = net.transition_names
 
-        state = fast.initial()
+        state = engine.initial_state()
         outcome = NetSimRun()
         now = 0
         for _step in range(max_steps):
@@ -109,7 +109,7 @@ class NetSimulator:
             if stop_at_final and net.is_final(state.marking):
                 outcome.reached_final = True
                 break
-            candidates = fast.fireable(state, priority_filter)
+            candidates = engine.fireable(state, priority_filter)
             if not candidates:
                 outcome.deadlocked = True
                 break
@@ -129,7 +129,7 @@ class NetSimulator:
                     delay = cand.dlb
                 else:
                     delay = rng.randint(cand.dlb, int(cand.dub))
-            state = fast.successor(state, cand.transition, delay)
+            state = engine._fire_unchecked(state, cand.transition, delay)
             now += delay
             outcome.firings.append((names[cand.transition], delay, now))
             outcome.steps += 1

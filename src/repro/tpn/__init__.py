@@ -10,9 +10,6 @@ Public surface:
 * :class:`State`, :class:`StateEngine`, :class:`FiringCandidate` — the
   checked reference semantics (Definition 3.1,
   ``ET``/``FT``/``DLB``/``DUB``);
-* :class:`FastState`, :class:`IncrementalEngine` — the O(degree)
-  incremental successor engine driving the search/reachability/
-  simulation hot paths;
 * :class:`TLTS`, :class:`Run`, :class:`Action` — labeled runs and the
   feasibility predicate (Definition 3.2);
 * :func:`explore`, :class:`ReachabilityGraph` — bounded state-space
@@ -33,7 +30,6 @@ from repro.tpn.analysis import (
     transition_invariants,
 )
 from repro.tpn.dot import net_to_dot, reachability_to_dot
-from repro.tpn.fastengine import FastState, IncrementalEngine
 from repro.tpn.interval import INF, TimeInterval
 from repro.tpn.marking import MarkingView
 from repro.tpn.net import (
@@ -86,10 +82,8 @@ __all__ = [
     "BehaviouralReport",
     "CompiledNet",
     "DISABLED",
-    "FastState",
     "FiringCandidate",
     "INF",
-    "IncrementalEngine",
     "MarkingView",
     "Place",
     "ROLE_ARRIVAL",

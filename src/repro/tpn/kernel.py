@@ -1,12 +1,12 @@
 """Packed-buffer TLTS successor engine — the native search kernel.
 
-**Overview for new contributors.**  The discrete search engines of
-this repository represent a state as Python tuples
-(:class:`repro.tpn.state.State`, :class:`repro.tpn.fastengine.FastState`);
-every successor allocates fresh tuples and every comparison walks
-boxed ints.  This module is the fourth engine
-(``PreRuntimeScheduler(engine="kernel")``): the same Definition 3.1
-semantics over *packed flat buffers* —
+**Overview for new contributors.**  The reference discrete engine
+represents a state as Python tuples
+(:class:`repro.tpn.state.State`); every successor allocates fresh
+tuples and every comparison walks boxed ints.  This module is the
+production discrete engine (``PreRuntimeScheduler(engine="kernel")``,
+the default): the same Definition 3.1 semantics over *packed flat
+buffers* —
 
 * the marking is an ``array('H')``, one unsigned 16-bit word per place
   (token counts are capped at 65535 — comfortably past the paper
@@ -19,9 +19,9 @@ semantics over *packed flat buffers* —
 * the enabled set is implicit in the clock buffer (``clk[t] != DIS``)
   and maintained branchlessly from :attr:`CompiledNet.affected`;
 * the 64-bit state key is a functional Zobrist hash (splitmix64 of a
-  packed ``(kind, index, value)`` word — no tables) maintained
-  *incrementally* across firings: XOR out the old word, XOR in the new
-  one.
+  packed ``(kind, index, value)`` word — no precomputed tables; the
+  pure core memoises the words it meets) maintained *incrementally*
+  across firings: XOR out the old word, XOR in the new one.
 
 The successor/firable/min-DUB inner loop runs in one of two cores over
 the *same* buffer layout:
@@ -36,9 +36,8 @@ the *same* buffer layout:
 
 Both cores produce bit-identical states *and hashes* (the Zobrist mix
 is implemented identically on both sides), which the differential
-suite in ``tests/test_kernel_engine.py`` asserts; engine-level parity
-against the checked reference semantics rides the same randomized
-sweeps that lock the incremental engine.
+suite in ``tests/test_kernel_engine.py`` asserts, together with
+engine-level parity against the checked reference semantics.
 
 With the C core live, searches do not step through this module state
 by state: :meth:`KernelEngine.open_search` starts a
@@ -76,14 +75,23 @@ def _mix(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _zm(p: int, v: int) -> int:
-    """Zobrist word of place ``p`` holding ``v`` tokens."""
-    return _mix((1 << 62) ^ (p << 20) ^ v)
+class _ZobristTable(dict):
+    """Lazily filled Zobrist words of one kind (1: place, 2: clock).
 
+    ``table[(i << 20) ^ v]`` is ``_mix((kind << 62) ^ (i << 20) ^ v)``
+    — the word ``kn_zm``/``kn_zc`` compute in the C core — so the pure
+    core reads each word with one subscript and mixes it only once.
+    """
 
-def _zc(t: int, v: int) -> int:
-    """Zobrist word of transition ``t``'s clock value ``v``."""
-    return _mix((2 << 62) ^ (t << 20) ^ v)
+    __slots__ = ("_tag",)
+
+    def __init__(self, kind: int):
+        super().__init__()
+        self._tag = kind << 62
+
+    def __missing__(self, key: int) -> int:
+        word = self[key] = _mix(self._tag ^ key)
+        return word
 
 
 class KernelState:
@@ -424,12 +432,11 @@ class KernelEngine:
     """Packed-buffer successor computation over a compiled net.
 
     Same semantics as the reference :class:`~repro.tpn.state.StateEngine`
-    (Definition 3.1, both clock-reset policies), same locality as the
-    incremental engine (enabledness re-checks limited to
-    ``affected[t]``), but states are flat buffers and — when the
-    compiled core is available — each step is one foreign call and
-    :meth:`open_search` runs a whole search in C.  ``native`` records
-    which core is live.
+    (Definition 3.1, both clock-reset policies), but enabledness
+    re-checks are limited to ``affected[t]``, states are flat buffers
+    and — when the compiled core is available — each step is one
+    foreign call and :meth:`open_search` runs a whole search in C.
+    ``native`` records which core is live.
     """
 
     __slots__ = (
@@ -448,8 +455,8 @@ class KernelEngine:
         "_conflict_free",
         "_post_conflicts",
         "_num_transitions",
-        "_zm_cache",
-        "_zc_cache",
+        "_zm",
+        "_zc",
     )
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
@@ -475,8 +482,8 @@ class KernelEngine:
         self._conflict_free = net.conflict_free
         self._post_conflicts = net.post_conflicts
         self._num_transitions = net.num_transitions
-        self._zm_cache: dict[int, int] = {}
-        self._zc_cache: dict[int, int] = {}
+        self._zm = _ZobristTable(1)
+        self._zc = _ZobristTable(2)
         self._core = None
         if net.num_transitions and net.num_places:
             module = _kernelc.load()
@@ -487,24 +494,6 @@ class KernelEngine:
     # ------------------------------------------------------------------
     # Zobrist hashing (pure side; the C core mirrors these bit for bit)
     # ------------------------------------------------------------------
-    def _zm(self, p: int, v: int) -> int:
-        key = (p << 20) ^ v
-        cache = self._zm_cache
-        word = cache.get(key)
-        if word is None:
-            word = _mix((1 << 62) ^ key)
-            cache[key] = word
-        return word
-
-    def _zc(self, t: int, v: int) -> int:
-        key = (t << 20) ^ v
-        cache = self._zc_cache
-        word = cache.get(key)
-        if word is None:
-            word = _mix((2 << 62) ^ key)
-            cache[key] = word
-        return word
-
     def full_hash(self, mark: array, clk: array) -> int:
         """The 64-bit Zobrist key of a packed state, from scratch."""
         if self._core is not None:
@@ -513,9 +502,9 @@ class KernelEngine:
         zc = self._zc
         h = 0
         for p, v in enumerate(mark):
-            h ^= zm(p, v)
+            h ^= zm[(p << 20) ^ v]
         for t, v in enumerate(clk):
-            h ^= zc(t, v)
+            h ^= zc[(t << 20) ^ v]
         return h
 
     # ------------------------------------------------------------------
@@ -607,17 +596,18 @@ class KernelEngine:
             nv = old + d
             if nv < 0 or nv > MAX_TOKENS:
                 self._overflow(1, t)
-            h ^= zm(p, old) ^ zm(p, nv)
+            base = p << 20
+            h ^= zm[base ^ old] ^ zm[base ^ nv]
             nm[p] = nv
 
         if q:
-            for tk in range(self._num_transitions):
-                v = nc[tk]
+            for tk, v in enumerate(oc):
                 if v != DIS:
                     nv = v + q
                     if nv >= DIS:
                         self._overflow(2, t)
-                    h ^= zc(tk, v) ^ zc(tk, nv)
+                    base = tk << 20
+                    h ^= zc[base ^ v] ^ zc[base ^ nv]
                     nc[tk] = nv
 
         pre = self._pre
@@ -637,12 +627,14 @@ class KernelEngine:
                     break
             if not enabled_now:
                 if oldc != DIS:
-                    h ^= zc(tk, nc[tk]) ^ zc(tk, DIS)
+                    base = tk << 20
+                    h ^= zc[base ^ nc[tk]] ^ zc[base ^ DIS]
                     nc[tk] = DIS
             elif oldc == DIS:
                 # newly enabled: clock resets to zero (the bulk
                 # advance skipped disabled entries)
-                h ^= zc(tk, DIS) ^ zc(tk, 0)
+                base = tk << 20
+                h ^= zc[base ^ DIS] ^ zc[base]
                 nc[tk] = 0
             else:
                 reset = tk == t
@@ -654,7 +646,8 @@ class KernelEngine:
                 if reset:
                     cur = nc[tk]
                     if cur:
-                        h ^= zc(tk, cur) ^ zc(tk, 0)
+                        base = tk << 20
+                        h ^= zc[base ^ cur] ^ zc[base]
                         nc[tk] = 0
                 # else persistent: the bulk advance already set it
 

@@ -465,13 +465,10 @@ class CompiledNet:
         "eft",
         "lft",
         "priority",
-        "roles",
         "tasks",
         "final_marking",
         "miss_places",
         "pre_places",
-        "post_places",
-        "place_consumers",
         "affected",
         "conflict_free",
         "miss_transitions",
@@ -532,9 +529,6 @@ class CompiledNet:
         self.priority: tuple[int, ...] = tuple(
             net.transition(t).priority for t in self.transition_names
         )
-        self.roles: tuple[str | None, ...] = tuple(
-            net.transition(t).role for t in self.transition_names
-        )
         self.tasks: tuple[str | None, ...] = tuple(
             net.transition(t).task for t in self.transition_names
         )
@@ -552,9 +546,9 @@ class CompiledNet:
             if required is not None
         )
         self.miss_transitions: frozenset[int] = frozenset(
-            t
-            for t, role in enumerate(self.roles)
-            if role == ROLE_DEADLINE_MISS
+            i
+            for i, t in enumerate(self.transition_names)
+            if net.transition(t).role == ROLE_DEADLINE_MISS
         )
         # deadline_timer[t]: the deadline-miss transition timing t's
         # task (-1: none); the min-laxity search policy reads its clock
@@ -564,7 +558,7 @@ class CompiledNet:
             for task in self.tasks
         )
 
-        # ---- sparse dependency structure for the incremental engine ----
+        # ---- sparse dependency structure for the kernel engine ----
         # Place-indexed views of the flow relation and, per transition,
         # the set of transitions whose enabledness can change when it
         # fires.  These are what keep successor computation O(degree)
@@ -572,16 +566,10 @@ class CompiledNet:
         self.pre_places: tuple[frozenset[int], ...] = tuple(
             frozenset(p for p, _w in row) for row in self.pre
         )
-        self.post_places: tuple[frozenset[int], ...] = tuple(
-            frozenset(p for p, _w in row) for row in self.post
-        )
         consumers: dict[int, list[int]] = {}
         for t, places in enumerate(self.pre_places):
             for p in places:
                 consumers.setdefault(p, []).append(t)
-        self.place_consumers: tuple[tuple[int, ...], ...] = tuple(
-            tuple(consumers.get(p, ())) for p in range(self.num_places)
-        )
         # affected[t]: transitions (t itself included) whose enabledness
         # or clock-reset status can differ after t fires.  Built from the
         # places t touches: net-effect places (delta) cover marking
@@ -622,8 +610,7 @@ class CompiledNet:
         )
         # Immediate ([0,0]) transitions: while one is enabled its clock
         # is pinned to 0 (strong semantics forces q=0 firings), so any
-        # enabled immediate makes the global min-DUB ceiling exactly 0 —
-        # the engine skips the ceiling scan in that common case.
+        # enabled immediate makes the global min-DUB ceiling exactly 0.
         self.immediate: tuple[bool, ...] = tuple(
             self.eft[t] == 0 and self.lft[t] == 0
             for t in range(self.num_transitions)
@@ -634,7 +621,7 @@ class CompiledNet:
         self.post_conflicts: tuple[frozenset[int], ...] = tuple(
             frozenset(
                 tk
-                for p in self.post_places[t]
+                for p, _w in self.post[t]
                 for tk in consumers.get(p, ())
                 if tk != t
             )

@@ -13,9 +13,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import SchedulingError
-from repro.tpn.fastengine import FastState, IncrementalEngine
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import State
+from repro.tpn.state import State, StateEngine
 
 
 @dataclass
@@ -78,24 +77,19 @@ def explore(
     """
     if strategy not in ("bfs", "dfs"):
         raise SchedulingError(f"unknown strategy {strategy!r}")
-    fast = IncrementalEngine(net, reset_policy=reset_policy)
+    engine = StateEngine(net, reset_policy=reset_policy)
     graph = ReachabilityGraph()
-    fs0 = fast.initial()
-    graph.states.append(fs0.to_state())
-    graph.index[graph.states[0]] = 0
+    s0 = engine.initial_state()
+    graph.states.append(s0)
+    graph.index[s0] = 0
     graph.edges.append([])
-    # exploration runs on FastState (cached hashes, O(degree)
-    # successors); the public graph exposes the reference State view.
-    # Dedup is keyed by the plain (marking, clocks) key so states that
-    # left the frontier don't keep their derived-view tuples alive.
-    seen: dict[tuple, int] = {fs0.key(): 0}
-    frontier: deque[tuple[int, FastState]] = deque([(0, fs0)])
+    frontier: deque[tuple[int, State]] = deque([(0, s0)])
 
     while frontier:
         i, state = (
             frontier.pop() if strategy == "dfs" else frontier.popleft()
         )
-        candidates = fast.fireable(state, priority_filter)
+        candidates = engine.fireable(state, priority_filter)
         if not candidates:
             graph.deadlocks.append(i)
             continue
@@ -108,18 +102,15 @@ def explore(
             else:
                 delays = list(cand.delays())
             for q in delays:
-                succ = fast.successor(state, cand.transition, q)
-                key = succ.key()
-                j = seen.get(key)
+                succ = engine._fire_unchecked(state, cand.transition, q)
+                j = graph.index.get(succ)
                 if j is None:
                     if len(graph.states) >= max_states:
                         graph.complete = False
                         continue
                     j = len(graph.states)
-                    seen[key] = j
-                    public = succ.to_state()
-                    graph.states.append(public)
-                    graph.index[public] = j
+                    graph.index[succ] = j
+                    graph.states.append(succ)
                     graph.edges.append([])
                     frontier.append((j, succ))
                 graph.edges[i].append((cand.transition, q, j))

@@ -54,10 +54,6 @@ class State:
     marking: tuple[int, ...]
     clocks: tuple[int, ...]
 
-    def key(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Canonical hashable key (the state is its own key)."""
-        return (self.marking, self.clocks)
-
 
 @dataclass(frozen=True)
 class FiringCandidate:
@@ -99,9 +95,10 @@ class StateEngine:
     This is the *checked reference* implementation of Definition 3.1:
     every firing rescans all transition presets, O(|T|·|P|) per
     expansion.  The search hot path uses the semantics-identical
-    :class:`repro.tpn.fastengine.IncrementalEngine`, which is
+    packed :class:`repro.tpn.kernel.KernelEngine`, which is
     cross-validated against this engine by the randomized equivalence
-    suite.
+    suite.  :class:`~repro.tpn.tlts.TLTS`, the reachability explorer
+    and the net simulator run on this engine directly.
     """
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from repro.errors import SchedulingError
-from repro.tpn.fastengine import FastState, IncrementalEngine
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import State, StateEngine
 
@@ -80,26 +79,23 @@ class Run:
 class TLTS:
     """The timed labeled transition system of a compiled net.
 
-    Thin layer over the successor engines adding run construction,
-    successor enumeration under a delay policy, and the Definition-3.2
-    feasibility predicate used throughout the test-suite.  Successor
-    generation and replay run on the incremental O(degree) engine
-    (:class:`~repro.tpn.fastengine.IncrementalEngine`); the checked
-    :class:`StateEngine` stays available as ``engine`` for reference
-    semantics and explicit ``fire()`` validation.
+    Thin layer over the checked reference :class:`StateEngine`
+    (available as ``engine`` for explicit ``fire()`` validation)
+    adding run construction, successor enumeration under a delay
+    policy, and the Definition-3.2 feasibility predicate used
+    throughout the test-suite.
     """
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
         self.net = net
         self.engine = StateEngine(net, reset_policy=reset_policy)
-        self.fast = IncrementalEngine(net, reset_policy=reset_policy)
 
     def initial_state(self) -> State:
         return self.engine.initial_state()
 
     def successors(
         self,
-        state: State | FastState,
+        state: State,
         priority_filter: bool = True,
         earliest_only: bool = True,
     ) -> list[tuple[int, int, State]]:
@@ -109,14 +105,9 @@ class TLTS:
         earliest admissible delay ``q = DLB(t)``; otherwise the full
         integer firing domain is expanded (bounded domains only).
         """
-        fast = self.fast
-        fs = (
-            state
-            if isinstance(state, FastState)
-            else fast.lift(state)
-        )
+        engine = self.engine
         result: list[tuple[int, int, State]] = []
-        for cand in fast.fireable(fs, priority_filter):
+        for cand in engine.fireable(state, priority_filter):
             if earliest_only:
                 delays: Iterable[int] = (cand.dlb,)
             else:
@@ -126,7 +117,7 @@ class TLTS:
                     (
                         cand.transition,
                         q,
-                        fast.successor(fs, cand.transition, q).to_state(),
+                        engine._fire_unchecked(state, cand.transition, q),
                     )
                 )
         return result
@@ -153,16 +144,16 @@ class TLTS:
         are legal timed behaviours even when a lower-priority transition
         fires first.
         """
-        fast = self.fast
-        fs = fast.initial()
-        run = Run(states=[fs.to_state()])
+        engine = self.engine
+        state = engine.initial_state()
+        run = Run(states=[state])
         now = 0
         for ref, q in firings:
             t = self._resolve(ref)
             candidates = {
                 c.transition: c
-                for c in fast.fireable(
-                    fs, priority_filter=priority_filter
+                for c in engine.fireable(
+                    state, priority_filter=priority_filter
                 )
             }
             if t not in candidates:
@@ -182,8 +173,8 @@ class TLTS:
                 )
             now += q
             run.actions.append(Action(t, q, now))
-            fs = fast.successor(fs, t, q)
-            run.states.append(fs.to_state())
+            state = engine._fire_unchecked(state, t, q)
+            run.states.append(state)
         return run
 
     def is_feasible_schedule(

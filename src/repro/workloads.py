@@ -244,7 +244,7 @@ def wide_interval_job_net(
 
 
 def wide_interval_race_net(
-    n_jobs: int = 4, width: int = 24
+    n_jobs: int = 4, width: int = 112
 ) -> TimePetriNet:
     """The mixed-engine portfolio bench's wide-interval race model.
 
@@ -255,7 +255,10 @@ def wide_interval_race_net(
     state-class graph stays width-independent — so a
     ``stateclass:earliest`` portfolio slot reaches the definitive
     infeasible verdict well before the discrete slots even on a
-    single time-shared core.  One definition shared by
+    single time-shared core.  The default ``width`` is the smallest
+    (in steps of 8) at which the native kernel's serial full-delay
+    sweep takes at least 5× the state-class search: ~27 ms against
+    ~5 ms on a 2-vCPU x86-64 host.  One definition shared by
     ``benchmarks/bench_parallel_dfs.py`` and
     :func:`repro.scheduler.adaptive.bench_model_families`, so the
     recorded winner statistics warm-start the same fingerprint a live

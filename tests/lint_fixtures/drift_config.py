@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    engine: str = "incremental"
+    engine: str = "kernel"
     max_states: int = 100
     policy: str = "earliest"
     trace_jsonl: str | None = None

@@ -61,8 +61,8 @@ class TestParseSlot:
             "stateclass",
             "earliest",
         )
-        assert parse_slot("incremental:random:3") == (
-            "incremental",
+        assert parse_slot("kernel:random:3") == (
+            "kernel",
             "random:3",
         )
         assert parse_slot("reference:min-laxity") == (
@@ -83,7 +83,7 @@ class TestParseSlot:
     def test_config_accepts_engine_slots(self):
         config = SchedulerConfig(
             parallel=2,
-            portfolio=("incremental:earliest", "stateclass:earliest"),
+            portfolio=("kernel:earliest", "stateclass:earliest"),
         )
         assert len(config.portfolio) == 2
         with pytest.raises(SchedulingError):
@@ -373,7 +373,7 @@ class TestMixedEngineRace:
                 delay_mode="full",
                 parallel=2,
                 portfolio=(
-                    "incremental:earliest",
+                    "kernel:earliest",
                     "stateclass:earliest",
                 ),
             ),
@@ -399,12 +399,12 @@ class TestMixedEngineRace:
                 parallel=2,
                 portfolio=(
                     "stateclass:earliest",
-                    "incremental:earliest",
+                    "kernel:earliest",
                 ),
             ),
         )
         assert result.feasible
-        assert result.winner_engine in ("stateclass", "incremental")
+        assert result.winner_engine in ("stateclass", "kernel")
         validate_with_reference(
             net, result.config, result.firing_schedule
         )
@@ -429,14 +429,14 @@ class TestMixedEngineRace:
                 reset_policy=reset_policy,
                 parallel=2,
                 portfolio=(
-                    "incremental:earliest",
+                    "kernel:earliest",
                     "stateclass:earliest",
                 ),
             ),
         )
         assert mixed.feasible == serial.feasible
         assert mixed.winner_engine in (
-            "incremental",
+            "kernel",
             "stateclass",
         )
         assert _no_ezrt_children()

@@ -201,7 +201,7 @@ class TestCacheKey:
         """Regression: engine selection must be part of the key.
 
         Before v3 the fingerprint hashed every scheduler knob *except*
-        the engine, so reference/incremental/stateclass runs collided
+        the engine, so runs on different engines collided
         on one cache entry despite differing stats and schedule
         shapes.
         """
@@ -209,7 +209,7 @@ class TestCacheKey:
         options = ComposerOptions()
         keys = {
             cache_key(spec, options, SchedulerConfig(engine=engine))
-            for engine in ("incremental", "reference", "stateclass")
+            for engine in ("kernel", "reference", "stateclass")
         }
         assert len(keys) == 3
 

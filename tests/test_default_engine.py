@@ -1,16 +1,16 @@
-"""The default discrete engine: ``kernel``, equivalent to ``incremental``.
+"""The default discrete engine: ``kernel``, equivalent to ``reference``.
 
 Every entry point (``SchedulerConfig``, the CLI ``--engine`` flags,
 ``ezrt lint``, the batch engine, the service and unprefixed portfolio
-slots) reads :data:`repro.scheduler.config.DEFAULT_ENGINE`.  Flipping
-it from ``incremental`` to ``kernel`` is only a speed change, and this
-suite pins that:
+slots) reads :data:`repro.scheduler.config.DEFAULT_ENGINE`.  The
+kernel is the only production discrete engine; the checked reference
+engine is its executable spec, and this suite pins the two together:
 
 * **settings matrix** — every delay mode × priority mode ×
   ``partial_order`` × reset policy, on the four paper models and
   seeded ``random_task_set`` / ``random_task_set_with_relations``
   inputs: ``SchedulerConfig()`` and ``SchedulerConfig(engine=
-  "incremental")`` give the same verdict, ``exhausted``, every
+  "reference")`` give the same verdict, ``exhausted``, every
   :class:`~repro.scheduler.result.SearchStats` counter and the same
   firing schedule;
 * **entry points** — the config, the CLI parsers, the batch engine and
@@ -92,7 +92,7 @@ def test_default_engine_is_the_kernel():
 @pytest.mark.parametrize(
     "setting", SETTINGS, ids=lambda s: "-".join(map(str, s))
 )
-def test_default_matches_incremental(nets, setting):
+def test_default_matches_reference(nets, setting):
     delay_mode, priority_mode, partial_order, reset = setting
     knobs = dict(
         delay_mode=delay_mode,
@@ -104,11 +104,11 @@ def test_default_matches_incremental(nets, setting):
     for name, net in nets.items():
         default = PreRuntimeScheduler(net, SchedulerConfig(**knobs))
         assert default.engine_mode == "kernel"
-        incremental = PreRuntimeScheduler(
-            net, SchedulerConfig(engine="incremental", **knobs)
+        reference = PreRuntimeScheduler(
+            net, SchedulerConfig(engine="reference", **knobs)
         )
         assert _outcome(default.search()) == _outcome(
-            incremental.search()
+            reference.search()
         ), name
 
 

@@ -5,6 +5,7 @@ import pytest
 from repro.blocks import compose
 from repro.errors import InfeasibleScheduleError, SchedulingError
 from repro.scheduler import (
+    PreRuntimeScheduler,
     SchedulerConfig,
     find_schedule,
     require_schedule,
@@ -262,3 +263,17 @@ class TestDeterminism:
             fig8_model, SchedulerConfig(reset_policy="intermediate")
         )
         assert paper.feasible and intermediate.feasible
+
+
+class TestEngineSelection:
+    def test_unknown_engine_rejected(self, simple_net):
+        with pytest.raises(SchedulingError, match="unknown engine"):
+            PreRuntimeScheduler(
+                simple_net.compile(), engine="warp-drive"
+            )
+
+    def test_search_helper_threads_engine(self, simple_net):
+        compiled = simple_net.compile()
+        kernel = search(compiled, engine="kernel")
+        ref = search(compiled, engine="reference")
+        assert kernel.firing_schedule == ref.firing_schedule

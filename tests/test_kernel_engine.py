@@ -12,7 +12,7 @@ ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
   bit-identical states *and* bit-identical incremental Zobrist keys
   (which must also equal the from-scratch ``full_hash`` at every step).
 * **Cross-engine search fuzz** — full scheduler searches across all
-  four adapters on a seeded sweep: the three discrete engines must
+  three adapters on a seeded sweep: the two discrete engines must
   agree exactly (verdict, visited counts, schedules, deterministic
   counters) and the dense state-class engine must agree on the verdict.
 * **Packed-representation edges** — export/revive round-trips, the
@@ -36,7 +36,7 @@ from repro.tpn.state import DISABLED, StateEngine
 from repro.workloads import random_task_set
 
 RESETS = ("paper", "intermediate")
-DISCRETE_ENGINES = ("reference", "incremental", "kernel")
+DISCRETE_ENGINES = ("reference", "kernel")
 
 WALK_STEPS = 60
 WALK_SEEDS = (0, 1, 2)
@@ -181,7 +181,7 @@ class TestNativeVsPure:
 
 
 class TestCrossEngineSearchFuzz:
-    """Full searches: the four adapters on a seeded sweep."""
+    """Full searches: the three adapters on a seeded sweep."""
 
     @pytest.mark.parametrize("reset_policy", RESETS)
     @pytest.mark.parametrize("case", FUZZ_GRID)
@@ -199,17 +199,16 @@ class TestCrossEngineSearchFuzz:
             )
             results[engine] = PreRuntimeScheduler(net, cfg).search()
         ref = results["reference"]
-        for engine in ("incremental", "kernel"):
-            other = results[engine]
-            assert other.feasible == ref.feasible, engine
-            assert other.exhausted == ref.exhausted, engine
-            assert other.firing_schedule == ref.firing_schedule, engine
-            ref_stats = ref.stats.as_dict()
-            other_stats = other.stats.as_dict()
-            for key in ref.stats.WALL_CLOCK_KEYS:
-                ref_stats.pop(key)
-                other_stats.pop(key)
-            assert other_stats == ref_stats, engine
+        other = results["kernel"]
+        assert other.feasible == ref.feasible
+        assert other.exhausted == ref.exhausted
+        assert other.firing_schedule == ref.firing_schedule
+        ref_stats = ref.stats.as_dict()
+        other_stats = other.stats.as_dict()
+        for key in ref.stats.WALL_CLOCK_KEYS:
+            ref_stats.pop(key)
+            other_stats.pop(key)
+        assert other_stats == ref_stats
 
     @pytest.mark.parametrize("case", FUZZ_GRID[:4])
     def test_stateclass_agrees_on_verdict(self, case):
@@ -239,25 +238,25 @@ class TestCrossEngineSearchFuzz:
             ("full", "strict"),
         ],
     )
-    def test_kernel_matches_incremental_across_modes(
+    def test_kernel_matches_reference_across_modes(
         self, paper_nets, delay_mode, priority_mode
     ):
         net = paper_nets["fig4"]
         results = []
-        for engine in ("incremental", "kernel"):
+        for engine in ("reference", "kernel"):
             cfg = SchedulerConfig(
                 engine=engine,
                 delay_mode=delay_mode,
                 priority_mode=priority_mode,
             )
             results.append(PreRuntimeScheduler(net, cfg).search())
-        inc, ker = results
-        assert ker.feasible == inc.feasible
-        assert ker.firing_schedule == inc.firing_schedule
+        ref, ker = results
+        assert ker.feasible == ref.feasible
+        assert ker.firing_schedule == ref.firing_schedule
         assert (
-            ker.stats.states_visited == inc.stats.states_visited
+            ker.stats.states_visited == ref.stats.states_visited
         )
-        assert ker.stats.reductions == inc.stats.reductions
+        assert ker.stats.reductions == ref.stats.reductions
 
 
 class TestSchedulerIntegration:
@@ -291,16 +290,16 @@ class TestSchedulerIntegration:
         cfg = SchedulerConfig(
             parallel=2,
             parallel_mode="portfolio",
-            portfolio=("kernel:earliest", "incremental:latest"),
+            portfolio=("kernel:earliest", "reference:latest"),
         )
         result = ParallelScheduler(paper_nets["fig3"], cfg).search()
         assert result.feasible
-        assert result.winner_engine in ("kernel", "incremental")
+        assert result.winner_engine in ("kernel", "reference")
 
     def test_worksteal_requires_kernel(self):
         with pytest.raises(SchedulingError):
             SchedulerConfig(
-                engine="incremental", parallel=2, parallel_mode="worksteal"
+                engine="reference", parallel=2, parallel_mode="worksteal"
             )
         SchedulerConfig(
             engine="kernel", parallel=2, parallel_mode="worksteal"

@@ -356,7 +356,7 @@ class TestNetRules:
         )
         assert "EZT203" in codes(presearch_diagnostics(spec))
         assert "EZT203" not in codes(
-            presearch_diagnostics(spec, engine="incremental")
+            presearch_diagnostics(spec, engine="reference")
         )
 
     def test_small_spec_has_no_token_cap_finding(self):
@@ -455,7 +455,7 @@ class TestNetRules:
 class TestConfigRules:
     def test_defaults_are_clean(self):
         assert config_diagnostics() == []
-        assert config_diagnostics(engine="incremental") == []
+        assert config_diagnostics(engine="reference") == []
 
     def test_unknown_engine(self):
         diagnostics = config_diagnostics(engine="quantum")
@@ -479,7 +479,7 @@ class TestConfigRules:
 
     def test_worksteal_requires_kernel(self):
         diagnostics = config_diagnostics(
-            engine="incremental", parallel=4, parallel_mode="worksteal"
+            engine="reference", parallel=4, parallel_mode="worksteal"
         )
         assert "EZG302" in codes(diagnostics)
         assert "kernel" in diagnostics[0].hint

@@ -1,6 +1,8 @@
 """Unit tests for time Petri net construction and queries."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import NetConstructionError
 from repro.tpn import TimeInterval, TimePetriNet, net_union
@@ -267,3 +269,77 @@ class TestUnion:
         b.set_final_marking({"q": 1})
         merged = net_union("ab", [a, b])
         assert merged.final_marking == {"p": 0, "q": 1}
+
+
+@st.composite
+def bounded_nets(draw):
+    """Random small nets whose transitions always consume something."""
+    n_places = draw(st.integers(min_value=2, max_value=5))
+    n_transitions = draw(st.integers(min_value=1, max_value=5))
+    net = TimePetriNet("eq")
+    for i in range(n_places):
+        net.add_place(f"p{i}", marking=draw(st.integers(0, 2)))
+    for j in range(n_transitions):
+        eft = draw(st.integers(0, 3))
+        lft = eft + draw(st.integers(0, 3))
+        net.add_transition(
+            f"t{j}",
+            TimeInterval(eft, lft),
+            priority=draw(st.integers(0, 2)),
+        )
+        inputs = draw(
+            st.lists(
+                st.integers(0, n_places - 1),
+                min_size=1,
+                max_size=2,
+                unique=True,
+            )
+        )
+        outputs = draw(
+            st.lists(
+                st.integers(0, n_places - 1),
+                min_size=0,
+                max_size=2,
+                unique=True,
+            )
+        )
+        for p in inputs:
+            net.add_arc(f"p{p}", f"t{j}", draw(st.integers(1, 2)))
+        for p in outputs:
+            net.add_arc(f"t{j}", f"p{p}", draw(st.integers(1, 2)))
+    return net
+
+
+class TestCompiledNetAdjacency:
+    """The compile-time sparse structure is sound and complete."""
+
+    @given(bounded_nets())
+    @settings(max_examples=30, deadline=None)
+    def test_affected_covers_enabledness_changes(self, net):
+        """If firing t can change tk's enabledness, tk ∈ affected[t]."""
+        compiled = net.compile()
+        for t in range(compiled.num_transitions):
+            touched = {p for p, _d in compiled.delta[t]}
+            touched |= compiled.pre_places[t]
+            for tk in range(compiled.num_transitions):
+                if compiled.pre_places[tk] & touched:
+                    assert tk in compiled.affected[t]
+            assert t in compiled.affected[t]
+
+    def test_immediate_and_miss_masks(self, simple_net):
+        compiled = simple_net.compile()
+        for t in range(compiled.num_transitions):
+            interval = compiled.interval_of(t)
+            assert compiled.immediate[t] == (
+                interval.eft == 0 and interval.lft == 0
+            )
+        assert compiled.miss_transitions == frozenset()
+
+    def test_touch_masks_are_sound(self, simple_net):
+        """touches_final[t] false ⇒ firing t never flips is_final."""
+        compiled = simple_net.compile()
+        constrained = {p for p, _r in compiled.final_constraints}
+        for t in range(compiled.num_transitions):
+            delta_places = {p for p, _d in compiled.delta[t]}
+            if not compiled.touches_final[t]:
+                assert not (delta_places & constrained)

@@ -1,4 +1,4 @@
-"""Tests for the TLTS net simulator (shared incremental engine)."""
+"""Tests for the TLTS net simulator (on the reference engine)."""
 
 import pytest
 

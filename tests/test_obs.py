@@ -145,7 +145,7 @@ class TestChromeTrace:
                 "ts": 5_000_000,
                 "dur": 2_000,
                 "pid": 4242,
-                "track": "search:incremental",
+                "track": "search:kernel",
                 "args": {},
             },
             {
@@ -174,7 +174,7 @@ class TestChromeTrace:
         }
         assert ("process_name", 1, "ezrt") in names
         assert ("thread_name", 1, "cli") in names
-        assert ("thread_name", 2, "search:incremental") in names
+        assert ("thread_name", 2, "search:kernel") in names
 
     def test_instants_and_counters_mapped(self):
         events = [
@@ -250,7 +250,7 @@ class TestChromeTrace:
     def test_serial_trace_covers_the_pipeline(self, tmp_path):
         # the kernel engine runs its search in the native driver, which
         # times the two phases in C when tracing is on
-        for engine in ("incremental", "kernel"):
+        for engine in ("reference", "kernel"):
             jsonl = str(tmp_path / f"events-{engine}.jsonl")
             model = compose(paper_examples()["fig4"])
             find_schedule(
@@ -378,7 +378,7 @@ class TestProgressPrinter:
         jsonl = str(tmp_path / "events.jsonl")
         metrics = MetricsRegistry()
         printer = ProgressPrinter(
-            label="search:incremental",
+            label="search:kernel",
             interval=0.0,
             stream=stream,
             recorder=Recorder(JsonlSink(jsonl)),
@@ -386,7 +386,7 @@ class TestProgressPrinter:
         )
         printer(1024, 2048, 9)
         line = stream.getvalue()
-        assert line.startswith("[progress] search:incremental:")
+        assert line.startswith("[progress] search:kernel:")
         assert "1,024 states visited" in line
         assert "depth 9" in line
         counter = read_events(jsonl)[0]

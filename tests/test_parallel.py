@@ -34,7 +34,6 @@ from repro.scheduler import (
 )
 from repro.spec import paper_examples
 from repro.scheduler.parallel import SubtreeJob
-from repro.tpn.fastengine import IncrementalEngine
 from repro.tpn.kernel import KernelEngine
 from repro.workloads import random_task_set
 
@@ -127,7 +126,7 @@ class TestCompiledNetPickle:
         assert clone.source is None
         assert clone.transition_names == net.transition_names
         result = find_schedule(model, SchedulerConfig())
-        engine = IncrementalEngine(clone)
+        engine = KernelEngine(clone)
         state = engine.initial()
         index = clone.transition_index
         for name, delay, _at in result.firing_schedule:

@@ -21,11 +21,12 @@ suite pins it:
   duplicated ``_search_*``/``_candidates_*``/``_independent_immediate*``
   helpers gone from ``dfs.py``.
 
-ISSUE 7 added the packed ``kernel`` adapter; as a third discrete
-engine it is pinned to the *same* pre-refactor expectations as the
-reference and incremental adapters on every workload (its deeper
-native-vs-pure and fuzzing coverage lives in
-``tests/test_kernel_engine.py``).
+ISSUE 7 added the packed ``kernel`` adapter; as a discrete engine it
+is pinned to the *same* pre-refactor expectations as the reference
+adapter on every workload (its deeper native-vs-pure and fuzzing
+coverage lives in ``tests/test_kernel_engine.py``).  The kernel meets
+the pins twice: through its native search driver and on its pure-Python
+core, the driver's executable spec and the ``EZRT_PURE=1`` path.
 """
 
 from __future__ import annotations
@@ -37,10 +38,11 @@ import pytest
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.spec import paper_examples
+from repro.tpn import _kernelc
 from repro.workloads import random_task_set, wide_interval_job_net
 
 RESETS = ("paper", "intermediate")
-ENGINES = ("reference", "incremental", "kernel", "stateclass")
+ENGINES = ("reference", "kernel", "stateclass")
 
 #: Deterministic outcome of one pre-refactor search:
 #: (feasible, states_visited, states_generated, revisits_skipped,
@@ -49,23 +51,17 @@ ENGINES = ("reference", "incremental", "kernel", "stateclass")
 #: the refactor, identical under both reset policies on these models.
 PAPER_PIN = {
     ("fig3", "reference"): (True, 25, 24, 0, 0, 0, 5, 24, 285),
-    ("fig3", "incremental"): (True, 25, 24, 0, 0, 0, 5, 24, 285),
     ("fig3", "kernel"): (True, 25, 24, 0, 0, 0, 5, 24, 285),
     ("fig3", "stateclass"): (True, 25, 24, 0, 0, 0, 5, 24, 285),
     ("fig4", "reference"): (True, 143, 142, 0, 0, 0, 4, 142, 280),
-    ("fig4", "incremental"): (True, 143, 142, 0, 0, 0, 4, 142, 280),
     ("fig4", "kernel"): (True, 143, 142, 0, 0, 0, 4, 142, 280),
     ("fig4", "stateclass"): (True, 143, 142, 0, 0, 0, 4, 142, 280),
     ("fig8", "reference"): (True, 90, 89, 0, 0, 0, 5, 89, 34),
-    ("fig8", "incremental"): (True, 90, 89, 0, 0, 0, 5, 89, 34),
     ("fig8", "kernel"): (True, 90, 89, 0, 0, 0, 5, 89, 34),
     ("fig8", "stateclass"): (
         True, 2813, 3993, 1181, 0, 2723, 140, 89, 35,
     ),
     ("mine-pump", "reference"): (
-        True, 3256, 3255, 0, 0, 125, 393, 3130, 29930,
-    ),
-    ("mine-pump", "incremental"): (
         True, 3256, 3255, 0, 0, 125, 393, 3130, 29930,
     ),
     ("mine-pump", "kernel"): (
@@ -87,13 +83,9 @@ GRID_CASES = {
 }
 GRID_PIN = {
     ("n2-u0.4-s0", "reference"): (True, False, 31, 30, 0, 2, 0, 0),
-    ("n2-u0.4-s0", "incremental"): (True, False, 31, 30, 0, 2, 0, 0),
     ("n2-u0.4-s0", "kernel"): (True, False, 31, 30, 0, 2, 0, 0),
     ("n2-u0.4-s0", "stateclass"): (True, False, 31, 30, 0, 2, 0, 0),
     ("n2-u0.8-s1", "reference"): (
-        False, False, 120, 150, 119, 2, 0, 31,
-    ),
-    ("n2-u0.8-s1", "incremental"): (
         False, False, 120, 150, 119, 2, 0, 31,
     ),
     ("n2-u0.8-s1", "kernel"): (
@@ -105,9 +97,6 @@ GRID_PIN = {
     ("n3-u0.4-s2", "reference"): (
         False, False, 165, 275, 164, 3, 0, 111,
     ),
-    ("n3-u0.4-s2", "incremental"): (
-        False, False, 165, 275, 164, 3, 0, 111,
-    ),
     ("n3-u0.4-s2", "kernel"): (
         False, False, 165, 275, 164, 3, 0, 111,
     ),
@@ -115,9 +104,6 @@ GRID_PIN = {
         False, False, 491, 685, 490, 3, 0, 195,
     ),
     ("n3-u0.8-s0", "reference"): (
-        False, False, 252, 400, 251, 13, 0, 149,
-    ),
-    ("n3-u0.8-s0", "incremental"): (
         False, False, 252, 400, 251, 13, 0, 149,
     ),
     ("n3-u0.8-s0", "kernel"): (
@@ -129,11 +115,9 @@ GRID_PIN = {
 }
 WIDE_PIN = {
     (True, "reference"): (True, False, 10, 9, 0, 0, 0, 0),
-    (True, "incremental"): (True, False, 10, 9, 0, 0, 0, 0),
     (True, "kernel"): (True, False, 10, 9, 0, 0, 0, 0),
     (True, "stateclass"): (True, False, 10, 9, 0, 0, 0, 0),
     (False, "reference"): (False, False, 68, 114, 67, 0, 0, 47),
-    (False, "incremental"): (False, False, 68, 114, 67, 0, 0, 47),
     (False, "kernel"): (False, False, 68, 114, 67, 0, 0, 47),
     (False, "stateclass"): (False, False, 78, 135, 77, 0, 0, 58),
 }
@@ -144,6 +128,48 @@ def _run(net, engine, reset_policy, **config_kwargs):
         reset_policy=reset_policy, engine=engine, **config_kwargs
     )
     return PreRuntimeScheduler(net, config).search()
+
+
+def _run_pure_kernel(monkeypatch, net, reset_policy, **config_kwargs):
+    """The kernel search on its pure-Python core (``EZRT_PURE=1``):
+    ``SearchCore`` over the per-step engine, the native driver's
+    executable spec."""
+    monkeypatch.setenv(_kernelc.PURE_ENV, "1")
+    config = SchedulerConfig(
+        reset_policy=reset_policy, engine="kernel", **config_kwargs
+    )
+    scheduler = PreRuntimeScheduler(net, config)
+    assert not scheduler.adapter.engine.native
+    return scheduler.search()
+
+
+def _paper_outcome(result):
+    stats = result.stats
+    return (
+        result.feasible,
+        stats.states_visited,
+        stats.states_generated,
+        stats.revisits_skipped,
+        stats.deadline_prunes,
+        stats.backtracks,
+        stats.reductions,
+        result.schedule_length,
+        result.makespan,
+    )
+
+
+def _grid_outcome(result):
+    stats = result.stats
+    return (
+        result.feasible,
+        result.exhausted,
+        stats.states_visited,
+        stats.states_generated,
+        stats.backtracks,
+        stats.reductions,
+        stats.deadline_prunes,
+        stats.revisits_skipped,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -164,20 +190,26 @@ class TestPaperModelPins:
         self, paper_nets, model, engine, reset_policy
     ):
         result = _run(paper_nets[model], engine, reset_policy)
-        stats = result.stats
-        assert (
-            result.feasible,
-            stats.states_visited,
-            stats.states_generated,
-            stats.revisits_skipped,
-            stats.deadline_prunes,
-            stats.backtracks,
-            stats.reductions,
-            result.schedule_length,
-            result.makespan,
-        ) == PAPER_PIN[(model, engine)], (
+        assert _paper_outcome(result) == PAPER_PIN[(model, engine)], (
             f"{model}/{engine}/{reset_policy} diverged from the "
             "pre-refactor loop"
+        )
+
+    @pytest.mark.parametrize("reset_policy", RESETS)
+    @pytest.mark.parametrize(
+        "model", ("fig3", "fig4", "fig8", "mine-pump")
+    )
+    def test_kernel_pins_hold_on_pure_fallback(
+        self, paper_nets, monkeypatch, model, reset_policy
+    ):
+        """The kernel's pure core (the native driver's executable
+        spec) meets the same pre-refactor pins as the driver."""
+        result = _run_pure_kernel(
+            monkeypatch, paper_nets[model], reset_policy
+        )
+        assert _paper_outcome(result) == PAPER_PIN[(model, "kernel")], (
+            f"{model}/kernel/{reset_policy} pure fallback diverged "
+            "from the pre-refactor loop"
         )
 
     @pytest.mark.parametrize("reset_policy", RESETS)
@@ -198,18 +230,7 @@ class TestPaperModelPins:
         scheduler.adapter.engine._core = None
         scheduler.adapter.engine.native = False
         result = scheduler.search()
-        stats = result.stats
-        assert (
-            result.feasible,
-            stats.states_visited,
-            stats.states_generated,
-            stats.revisits_skipped,
-            stats.deadline_prunes,
-            stats.backtracks,
-            stats.reductions,
-            result.schedule_length,
-            result.makespan,
-        ) == PAPER_PIN[(model, "stateclass")], (
+        assert _paper_outcome(result) == PAPER_PIN[(model, "stateclass")], (
             f"{model}/stateclass/{reset_policy} pure fallback "
             "diverged from the pre-refactor loop"
         )
@@ -222,18 +243,17 @@ class TestPaperModelPins:
         self, paper_nets, model, reset_policy
     ):
         """The deleted baseline loop's exactness property, kept alive:
-        the reference, incremental and kernel adapters produce
-        byte-identical schedules and deterministic counters."""
+        the reference and kernel adapters produce byte-identical
+        schedules and deterministic counters."""
         ref = _run(paper_nets[model], "reference", reset_policy)
-        for engine in ("incremental", "kernel"):
-            other = _run(paper_nets[model], engine, reset_policy)
-            assert ref.firing_schedule == other.firing_schedule
-            ref_stats = ref.stats.as_dict()
-            other_stats = other.stats.as_dict()
-            for key in ref.stats.WALL_CLOCK_KEYS:
-                ref_stats.pop(key)
-                other_stats.pop(key)
-            assert ref_stats == other_stats, (model, engine)
+        other = _run(paper_nets[model], "kernel", reset_policy)
+        assert ref.firing_schedule == other.firing_schedule
+        ref_stats = ref.stats.as_dict()
+        other_stats = other.stats.as_dict()
+        for key in ref.stats.WALL_CLOCK_KEYS:
+            ref_stats.pop(key)
+            other_stats.pop(key)
+        assert ref_stats == other_stats, model
 
 
 class TestSeededGridPins:
@@ -248,19 +268,26 @@ class TestSeededGridPins:
         result = _run(
             net, engine, reset_policy, max_states=200_000
         )
-        stats = result.stats
-        assert (
-            result.feasible,
-            result.exhausted,
-            stats.states_visited,
-            stats.states_generated,
-            stats.backtracks,
-            stats.reductions,
-            stats.deadline_prunes,
-            stats.revisits_skipped,
-        ) == GRID_PIN[(case, engine)], (
+        assert _grid_outcome(result) == GRID_PIN[(case, engine)], (
             f"{case}/{engine}/{reset_policy} diverged from the "
             "pre-refactor loop"
+        )
+
+    @pytest.mark.parametrize("reset_policy", RESETS)
+    @pytest.mark.parametrize("case", sorted(GRID_CASES))
+    def test_kernel_grid_point_on_pure_fallback(
+        self, monkeypatch, case, reset_policy
+    ):
+        n, u, seed = GRID_CASES[case]
+        net = compose(
+            random_task_set(n, u, seed=seed, deadline_slack=0.8)
+        ).compiled()
+        result = _run_pure_kernel(
+            monkeypatch, net, reset_policy, max_states=200_000
+        )
+        assert _grid_outcome(result) == GRID_PIN[(case, "kernel")], (
+            f"{case}/kernel/{reset_policy} pure fallback diverged "
+            "from the pre-refactor loop"
         )
 
     @pytest.mark.parametrize("reset_policy", RESETS)
@@ -269,17 +296,16 @@ class TestSeededGridPins:
     def test_wide_interval_nets(self, feasible, engine, reset_policy):
         net = wide_interval_job_net(feasible=feasible).compile()
         result = _run(net, engine, reset_policy)
-        stats = result.stats
-        assert (
-            result.feasible,
-            result.exhausted,
-            stats.states_visited,
-            stats.states_generated,
-            stats.backtracks,
-            stats.reductions,
-            stats.deadline_prunes,
-            stats.revisits_skipped,
-        ) == WIDE_PIN[(feasible, engine)]
+        assert _grid_outcome(result) == WIDE_PIN[(feasible, engine)]
+
+    @pytest.mark.parametrize("reset_policy", RESETS)
+    @pytest.mark.parametrize("feasible", (True, False))
+    def test_kernel_wide_interval_nets_on_pure_fallback(
+        self, monkeypatch, feasible, reset_policy
+    ):
+        net = wide_interval_job_net(feasible=feasible).compile()
+        result = _run_pure_kernel(monkeypatch, net, reset_policy)
+        assert _grid_outcome(result) == WIDE_PIN[(feasible, "kernel")]
 
 
 class TestSingleSearchLoop:

@@ -48,14 +48,14 @@ def _verdicts(model, reset_policy):
         model,
         SchedulerConfig(engine="stateclass", reset_policy=reset_policy),
     )
-    incremental = find_schedule(
+    kernel = find_schedule(
         model, SchedulerConfig(reset_policy=reset_policy)
     )
     reference = find_schedule(
         model,
         SchedulerConfig(engine="reference", reset_policy=reset_policy),
     )
-    return dense, incremental, reference
+    return dense, kernel, reference
 
 
 class TestPaperModelEquivalence:
@@ -65,8 +65,8 @@ class TestPaperModelEquivalence:
     )
     def test_verdict_matches_both_discrete_engines(self, factory, reset):
         model = compose(factory())
-        dense, incremental, reference = _verdicts(model, reset)
-        assert dense.feasible == incremental.feasible
+        dense, kernel, reference = _verdicts(model, reset)
+        assert dense.feasible == kernel.feasible
         assert dense.feasible == reference.feasible
 
     @pytest.mark.parametrize(
@@ -95,13 +95,13 @@ class TestRandomTaskSetSweep:
                         deadline_slack=0.8,
                     )
                     model = compose(spec)
-                    dense, incremental, reference = _verdicts(
+                    dense, kernel, reference = _verdicts(
                         model, reset
                     )
                     assert not dense.exhausted
                     assert (
                         dense.feasible
-                        == incremental.feasible
+                        == kernel.feasible
                         == reference.feasible
                     ), f"verdict diverged on {spec.name} ({reset})"
 
@@ -573,7 +573,7 @@ class TestEngineConfiguration:
         with pytest.raises(SchedulingError):
             SchedulerConfig(engine="stateclass", delay_mode="extremes")
 
-    def test_worksteal_requires_incremental(self, fig3_model):
+    def test_worksteal_requires_kernel(self, fig3_model):
         with pytest.raises(SchedulingError):
             SchedulerConfig(
                 engine="stateclass",
@@ -597,9 +597,9 @@ class TestEngineConfiguration:
         scheduler = PreRuntimeScheduler(
             net,
             SchedulerConfig(engine="stateclass"),
-            engine="incremental",
+            engine="kernel",
         )
-        assert scheduler.engine_mode == "incremental"
+        assert scheduler.engine_mode == "kernel"
 
     def test_stateclass_search_from_rejected(self, fig3_model):
         scheduler = PreRuntimeScheduler(
