@@ -1,7 +1,7 @@
 """Experiment DB1 — packed DBM core: dense-time search at kernel speed.
 
-Acceptance benchmark of the packed state-class hot path (ISSUE 10,
-:mod:`repro.tpn.dbm`).  Every workload runs on three state-class
+Acceptance benchmark of the packed state-class hot path
+(:mod:`repro.tpn.dbm`).  Every workload runs on these state-class
 configurations, strictly interleaved:
 
 * **legacy** — the pre-PR ``StateClassAdapter`` (embedded below,
@@ -9,15 +9,19 @@ configurations, strictly interleaved:
   :class:`~repro.tpn.stateclass.StateClassEngine`: full Floyd–Warshall
   re-closure per firing, Python column scans per candidate list.  This
   is the engine the ISSUE's 3× target is measured against;
-* **packed** — the production adapter over
-  :class:`~repro.tpn.dbm.DbmEngine`, native C core when built;
+* **packed** — :class:`~repro.scheduler.core.SearchCore`'s Python loop
+  over the production :class:`~repro.tpn.dbm.DbmEngine`, native C core
+  when built, with the search driver switched off (one foreign call
+  per successor and per candidate list);
 * **pure** — the same packed adapter with the C core disabled
-  (``EZRT_PURE=1`` equivalent), pinning the fallback's floor.
+  (``EZRT_PURE=1`` equivalent), pinning the fallback's floor;
+* **driver** (compiled core only) — the production path: the whole
+  search in the core's ``dc_search_*`` driver.
 
 The bench enforces, in order of importance:
 
 1. **Exactness** (hard gate): byte-identical firing schedules and
-   identical deterministic ``SearchStats`` counters across all three
+   identical deterministic ``SearchStats`` counters across all
    configurations on every workload.  A perf win that changes the
    search is a bug.
 2. **The 3× target** (hard gate with the compiled core): aggregate
@@ -41,16 +45,22 @@ The bench enforces, in order of importance:
    :data:`MAX_BASELINE_REGRESSION` of the frozen pre-kernel hot-path
    rate in ``benchmarks/BASELINE_scheduler.json`` (asserted only when
    the stored baseline is comparable and the kernel core is native).
+5. **The search driver** (hard gate with the compiled core): aggregate
+   states/sec over the wide-interval family of **driver** at least
+   :data:`DRIVER_TARGET_SPEEDUP` times **packed** — the C loop against
+   the Python loop over the same native engine.  The ratio is recorded
+   as ``driver_vs_packed``.
 
 Timing methodology (as in ``bench_kernel``): engines run strictly
 interleaved, each workload takes the minimum of :data:`ROUNDS`
 rounds with the collector paused, so host noise hits all engines
 alike.
 
-Results are written to ``BENCH_dbm.json`` at the repository root; CI
-builds the extension eagerly, runs this bench as a gate and uploads
-the JSON as an artifact (plus a second pure-mode job with
-``EZRT_PURE=1``).
+Results are written to ``BENCH_dbm.json`` at the repository root,
+under ``lanes.native`` or ``lanes.pure`` (see ``benchmarks/lanes.py``);
+CI builds the extension eagerly, runs this bench as a gate, runs it
+again with ``EZRT_PURE=1`` and uploads the JSON, both lanes in it, as
+an artifact.
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ import os
 import platform
 import time
 
+from lanes import lane_name, read_lanes, write_lane
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.core import DISABLED, _AdapterBase, _DenseView
@@ -95,8 +106,13 @@ MIN_PURE_SPEEDUP = 1.0
 #: Floor for the discrete kernel engine against the stored absolute
 #: baseline (same contract as ``bench_kernel``).
 MAX_BASELINE_REGRESSION = 0.95
+#: Search-driver gate (compiled core): aggregate wide-family states/sec
+#: of the C driver vs SearchCore's loop over the same native engine.
+DRIVER_TARGET_SPEEDUP = 3.0
 
 ENGINES = ("legacy", "packed", "pure")
+#: configurations run with the compiled DBM core live
+NATIVE_ENGINES = ENGINES + ("driver",)
 ROUNDS = 7
 WIDTHS = (4, 6, 8)
 JSON_PATH = os.path.join(
@@ -260,6 +276,9 @@ def _scheduler(net, engine):
     elif engine == "pure":
         scheduler.adapter.engine._core = None
         scheduler.adapter.engine.native = False
+    elif engine == "packed":
+        # SearchCore's own loop: no driver, per-step core calls
+        scheduler.adapter.open_driver = lambda *_args: None
     return scheduler
 
 
@@ -289,27 +308,27 @@ def _deterministic_stats(result):
     }
 
 
-def _measure(net):
-    """Interleaved min-of-N timing for the three configurations."""
+def _measure(net, engines):
+    """Interleaved min-of-N timing for the configurations."""
     results = {}
-    for engine in ENGINES:  # warm-up + exactness outputs
+    for engine in engines:  # warm-up + exactness outputs
         results[engine], _ = _timed_search(net, engine)
-    best = {engine: float("inf") for engine in ENGINES}
+    best = {engine: float("inf") for engine in engines}
     for _ in range(ROUNDS):
-        for engine in ENGINES:
+        for engine in engines:
             _, seconds = _timed_search(net, engine)
             best[engine] = min(best[engine], seconds)
     return results, best
 
 
-def _run_suite():
+def _run_suite(engines):
     rows = []
     for name, net, family in _workloads():
-        results, best = _measure(net)
+        results, best = _measure(net, engines)
 
         # -- exactness gate ------------------------------------------
         legacy = results["legacy"]
-        for engine in ("packed", "pure"):
+        for engine in engines[1:]:
             other = results[engine]
             assert other.feasible == legacy.feasible, (
                 f"{name}: {engine} verdict diverged from legacy"
@@ -322,37 +341,43 @@ def _run_suite():
             ), f"{name}: {engine} disagrees on search statistics"
 
         visited = legacy.stats.states_visited
-        rows.append(
-            {
-                "workload": name,
-                "family": family,
-                "transitions": net.num_transitions,
-                "places": net.num_places,
-                "feasible": legacy.feasible,
-                "states_visited": visited,
-                "legacy_seconds": best["legacy"],
-                "packed_seconds": best["packed"],
-                "pure_seconds": best["pure"],
-                "packed_states_per_sec": visited / best["packed"],
-                "speedup_vs_legacy": best["legacy"]
-                / best["packed"],
-                "pure_speedup_vs_legacy": best["legacy"]
-                / best["pure"],
-            }
-        )
+        row = {
+            "workload": name,
+            "family": family,
+            "transitions": net.num_transitions,
+            "places": net.num_places,
+            "feasible": legacy.feasible,
+            "states_visited": visited,
+            "packed_states_per_sec": visited / best["packed"],
+            "speedup_vs_legacy": best["legacy"] / best["packed"],
+            "pure_speedup_vs_legacy": best["legacy"] / best["pure"],
+        }
+        for engine in engines:
+            row[f"{engine}_seconds"] = best[engine]
+        if "driver" in engines:
+            row["driver_states_per_sec"] = visited / best["driver"]
+            row["driver_vs_packed"] = best["packed"] / best["driver"]
+        rows.append(row)
     return rows
 
 
-def _aggregate(rows, family=None):
+def _aggregate(rows, engines, family=None):
     picked = [
         r for r in rows if family is None or r["family"] == family
     ]
     states = sum(r["states_visited"] for r in picked)
     seconds = {
         engine: sum(r[f"{engine}_seconds"] for r in picked)
-        for engine in ENGINES
+        for engine in engines
     }
+    driver = {}
+    if "driver" in engines:
+        driver = {
+            "driver_states_per_sec": states / seconds["driver"],
+            "driver_vs_packed": seconds["packed"] / seconds["driver"],
+        }
     return {
+        **driver,
         "family": family or "all",
         "workloads": len(picked),
         "states_visited": states,
@@ -440,15 +465,15 @@ def _kernel_floor():
 
 def test_dbm_throughput(report):
     native = _dbmc.available()
-    rows = _run_suite()
+    engines = NATIVE_ENGINES if native else ENGINES
+    rows = _run_suite(engines)
     families = ("paper", "wide")
-    aggregates = {f: _aggregate(rows, f) for f in families}
-    overall = _aggregate(rows)
+    aggregates = {f: _aggregate(rows, engines, f) for f in families}
+    overall = _aggregate(rows, engines)
     kernel_floor = _kernel_floor()
 
     wide = aggregates["wide"]
     payload = {
-        "bench": "dbm",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rounds": ROUNDS,
@@ -460,14 +485,13 @@ def test_dbm_throughput(report):
         "target_speedup": TARGET_SPEEDUP,
         "min_pure_speedup": MIN_PURE_SPEEDUP,
         "max_baseline_regression": MAX_BASELINE_REGRESSION,
+        "driver_target_speedup": DRIVER_TARGET_SPEEDUP,
         "target_met": wide["speedup_vs_legacy"] >= TARGET_SPEEDUP,
         "kernel_floor": kernel_floor,
         "rows": rows,
         "aggregates": {**aggregates, "all": overall},
     }
-    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lane(JSON_PATH, "dbm", lane_name(native), payload)
 
     core = "native" if native else "pure"
     for row in rows:
@@ -492,6 +516,14 @@ def test_dbm_throughput(report):
         f"{overall['pure_speedup_vs_legacy']:.2f}x "
         f"(wide {wide['pure_speedup_vs_legacy']:.2f}x)",
     )
+    if native:
+        report(
+            "DB1",
+            "wide aggregate search driver vs Python loop (native)",
+            f">= {DRIVER_TARGET_SPEEDUP}",
+            f"{wide['driver_vs_packed']:.2f}x "
+            f"({wide['driver_states_per_sec']:,.0f} states/sec)",
+        )
     if kernel_floor["baseline_ratio"] is not None:
         report(
             "DB1",
@@ -507,6 +539,10 @@ def test_dbm_throughput(report):
         assert wide["speedup_vs_legacy"] >= TARGET_SPEEDUP, (
             "packed DBM core missed the 3x wide-interval target: "
             f"{wide['speedup_vs_legacy']:.2f}x aggregate"
+        )
+        assert wide["driver_vs_packed"] >= DRIVER_TARGET_SPEEDUP, (
+            "DBM search driver missed its wide-interval target: "
+            f"{wide['driver_vs_packed']:.2f}x the Python loop"
         )
     # the pure floor is a global no-regression claim: the fallback
     # must not lose to the tuple engine over the whole suite.  (On the
@@ -533,16 +569,20 @@ def test_dbm_throughput(report):
 
 
 def test_json_artifact_shape():
-    """The emitted artifact stays machine-readable across PRs."""
-    if not os.path.exists(os.path.abspath(JSON_PATH)):
+    """The emitted artifact stays machine-readable across PRs, one
+    entry per lane."""
+    lane = lane_name(_dbmc.available())
+    if lane not in read_lanes(JSON_PATH, "dbm")["lanes"]:
         test_dbm_throughput(lambda *a: None)
-    with open(os.path.abspath(JSON_PATH), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["bench"] == "dbm"
-    assert payload["rows"], "no benchmark rows recorded"
-    for row in payload["rows"]:
+    payload = read_lanes(JSON_PATH, "dbm")
+    assert set(payload["lanes"]) <= {"native", "pure"}
+    entry = payload["lanes"][lane]
+    assert entry["native_core"] == (lane == "native")
+    assert entry["rows"], "no benchmark rows recorded"
+    for row in entry["rows"]:
         assert row["packed_states_per_sec"] > 0
         assert row["states_visited"] > 0
-    assert set(payload["aggregates"]) == {"paper", "wide", "all"}
-    assert any(row["feasible"] for row in payload["rows"])
-    assert payload["kernel_floor"]["kernel_states_per_sec"] > 0
+        assert ("driver_states_per_sec" in row) == (lane == "native")
+    assert set(entry["aggregates"]) == {"paper", "wide", "all"}
+    assert any(row["feasible"] for row in entry["rows"])
+    assert entry["kernel_floor"]["kernel_states_per_sec"] > 0

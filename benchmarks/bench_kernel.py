@@ -50,10 +50,11 @@ compiled core it gates the driver at :data:`DRIVER_TARGET_SPEEDUP` ×
 the spec in aggregate, after byte-identical exactness asserts.  The
 pure lane runs only the spec and records its states/sec.
 
-Results are written to ``BENCH_kernel.json`` at the repository root;
-CI builds the extension eagerly, runs this bench as a gate and uploads
-the JSON as an artifact (plus a second pure-mode job with
-``EZRT_PURE=1``).
+Results are written to ``BENCH_kernel.json`` at the repository root,
+under ``lanes.native`` or ``lanes.pure`` (see ``benchmarks/lanes.py``);
+CI builds the extension eagerly, runs this bench as a gate, runs it
+again with ``EZRT_PURE=1`` and uploads the JSON, both lanes in it, as
+an artifact.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ import os
 import platform
 import time
 
+from lanes import lane_name, read_lanes, write_lane
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.spec import paper_examples
@@ -271,7 +273,6 @@ def test_kernel_throughput(report):
         )
 
     payload = {
-        "bench": "kernel",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rounds": ROUNDS,
@@ -290,9 +291,7 @@ def test_kernel_throughput(report):
         "rows": rows,
         "aggregates": {**aggregates, "all": overall},
     }
-    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lane(JSON_PATH, "kernel", lane_name(native), payload)
 
     core = "native" if native else "pure"
     for row in rows:
@@ -439,21 +438,16 @@ def test_driver_large_tier(report):
         speedup = totals["spec"] / totals["driver"]
         aggregate["driver_vs_spec"] = speedup
 
-    path = os.path.abspath(JSON_PATH)
-    payload = {}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    payload["large_tier"] = {
+    lane = lane_name(native)
+    entry = read_lanes(JSON_PATH, "kernel")["lanes"].get(lane, {})
+    entry["large_tier"] = {
         "native_core": native,
         "rounds": LARGE_ROUNDS,
         "target_speedup_vs_spec": DRIVER_TARGET_SPEEDUP,
         "rows": rows,
         "aggregate": aggregate,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_lane(JSON_PATH, "kernel", lane, entry)
 
     for row in rows:
         report(
@@ -480,17 +474,22 @@ def test_driver_large_tier(report):
 
 
 def test_json_artifact_shape():
-    """The emitted artifact stays machine-readable across PRs."""
-    if not os.path.exists(os.path.abspath(JSON_PATH)):
+    """The emitted artifact stays machine-readable across PRs, one
+    entry per lane."""
+    lane = lane_name(_kernelc.available())
+    if "rows" not in read_lanes(JSON_PATH, "kernel")["lanes"].get(
+        lane, {}
+    ):
         test_kernel_throughput(lambda *a: None)
-    with open(os.path.abspath(JSON_PATH), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["bench"] == "kernel"
-    assert payload["rows"], "no benchmark rows recorded"
-    for row in payload["rows"]:
+    payload = read_lanes(JSON_PATH, "kernel")
+    assert set(payload["lanes"]) <= {"native", "pure"}
+    entry = payload["lanes"][lane]
+    assert entry["native_core"] == (lane == "native")
+    assert entry["rows"], "no benchmark rows recorded"
+    for row in entry["rows"]:
         assert row["kernel_states_per_sec"] > 0
         assert row["states_visited"] > 0
-    assert set(payload["aggregates"]) == {
+    assert set(entry["aggregates"]) == {
         "paper",
         "scaling",
         "grid",

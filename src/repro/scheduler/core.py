@@ -19,9 +19,10 @@ in through thin adapters:
   dense candidate scans over all of T);
 * :class:`StateClassAdapter` — the dense-time engine over the packed
   :class:`~repro.tpn.dbm.DbmEngine` (Berthomieu–Diaz classes on flat
-  native-width buffers, optionally driven by a compiled C core;
-  feasible paths are concretised back to integer time and replayed
-  through the reference engine).
+  native-width buffers, with an optional compiled C core; when it is
+  built the whole search runs in its native driver too; feasible
+  paths are concretised back to integer time and replayed through the
+  reference engine).
 
 The split of responsibilities is strict: the adapter knows *states*
 (how to compute a root, successors, candidates, and how to turn a
@@ -50,14 +51,13 @@ from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER
 from repro.scheduler.result import SchedulerResult, SearchStats
 from repro.tpn.interval import INF
-from repro.tpn.kernel import (
+from repro.tpn._native import (
     SEARCH_BUDGET,
     SEARCH_FEASIBLE,
     SEARCH_POLL,
     SEARCH_REORDER,
-    KernelEngine,
-    KernelState,
 )
+from repro.tpn.kernel import KernelEngine, KernelState
 from repro.tpn.net import CompiledNet
 from repro.tpn.dbm import DbmEngine, PackedClass
 from repro.tpn.state import DISABLED, State, StateEngine
@@ -476,9 +476,14 @@ class StateClassAdapter(_AdapterBase):
     strict-priority filters, the dense forced-immediate reduction and
     the ``(lower, priority, index)`` ordering — are one engine call
     each, a single foreign call when the compiled DBM core is live.
-    The tuple-based :class:`StateClassEngine` remains the checked
-    Floyd–Warshall specification the packed engine is differentially
-    tested against.
+    With that core live, :meth:`open_driver` hands the whole search to
+    its native driver (see :meth:`SearchCore._drive`) and the
+    per-class methods below are not called during the search; they
+    are the pure-Python path :class:`SearchCore` runs over the pure
+    engine — the driver's executable spec.  The tuple-based
+    :class:`StateClassEngine` remains the checked Floyd–Warshall
+    specification the packed engine is differentially tested
+    against.
 
     A feasible class path is concretised back to integer firing times
     and replayed through the checked reference engine in
@@ -534,6 +539,17 @@ class StateClassAdapter(_AdapterBase):
         if reduced:
             stats.reductions += 1
         return cands
+
+    def open_driver(self, root, now, reorder: bool, timed: bool):
+        return self.engine.open_search(
+            root,
+            now,
+            strict=self._strict,
+            partial_order=self._partial_order,
+            policy=self.config.policy if reorder else "earliest",
+            max_states=self.config.max_states,
+            timed=timed,
+        )
 
     def clocks_view(self, cls: PackedClass) -> _DenseView:
         """Surrogate clock vector of a class for the reorder policies.
@@ -795,9 +811,13 @@ class SearchCore:
     ) -> SchedulerResult:
         """:meth:`_run`'s loop, run by a compiled driver.
 
-        The driver (:meth:`KernelAdapter.open_driver`) owns the stack,
-        the visited states and every per-expansion step; Python runs
-        only what :meth:`_run` runs at the same points:
+        The driver — the kernel core's ``kn_search_*``
+        (:meth:`KernelAdapter.open_driver`) or the DBM core's
+        ``dc_search_*`` (:meth:`StateClassAdapter.open_driver`), both
+        behind one :class:`~repro.tpn._native.NativeSearch` handle —
+        owns the stack, the visited states and every per-expansion
+        step; Python runs only what :meth:`_run` runs at the same
+        points:
 
         * at every 1024-expansion poll, the depth sample, heartbeat,
           ``max_seconds`` check and ``tick`` — only when one of them
@@ -810,7 +830,8 @@ class SearchCore:
 
         Verdicts, schedules, every :class:`SearchStats` counter and
         the tick/heartbeat arguments equal :meth:`_run`'s over the
-        pure engine (``tests/test_kernel_driver.py``).  The driver's
+        pure engine (``tests/test_kernel_driver.py``,
+        ``tests/test_dbm_driver.py``).  The driver's
         memory is freed on every exit path; its size lands on the
         ``search.visited_bytes`` / ``search.bytes_per_state`` gauges.
         """

@@ -30,7 +30,7 @@ per-state marshalling.  It has two layers:
   search policies and the state budget.  It returns to Python only at
   the 1024-expansion poll, when a new frame needs the seeded
   ``random`` policy, and at the end of the search (see
-  ``docs/scheduling.md``, "The native search driver").  Its memory
+  ``docs/scheduling.md``, "The native search drivers").  Its memory
   comes from ``PyMem_RawMalloc``, so ``tracemalloc`` sees it, and the
   GIL stays released for the whole call.
 

@@ -16,6 +16,11 @@ holds the one copy of the logic behind them:
   exception on :attr:`NativeCore.load_error` (each core module exposes
   it as its ``LOAD_ERROR``).
 
+Both cores also carry a resumable depth-first search driver
+(``kn_search_*`` and ``dc_search_*``); :class:`NativeSearch` is the one
+Python handle on either, the shape
+:meth:`repro.scheduler.core.SearchCore._drive` runs.
+
 Build caching: the shared object lands in ``<build_dir>/<digest>-pyXY/``
 beside this package (or under ``$EZRT_KERNEL_CACHE``, which takes
 precedence, or under the system temp directory when the package is not
@@ -33,6 +38,8 @@ import os
 import shutil
 import sys
 import tempfile
+
+from repro.errors import SchedulingError
 
 #: Environment variable that force-disables the compiled cores (one
 #: switch, pure everything).
@@ -174,3 +181,147 @@ class NativeCore:
     def available(self) -> bool:
         """Whether the compiled core is usable right now."""
         return self.load() is not None
+
+
+#: :meth:`NativeSearch.run` statuses (the C drivers' ``KN_S_*`` and
+#: ``DC_S_*``, which share their values).
+SEARCH_DONE = 0
+SEARCH_POLL = 1
+SEARCH_REORDER = 2
+SEARCH_FEASIBLE = 3
+SEARCH_BUDGET = 4
+SEARCH_TOKENS = 5
+SEARCH_CLOCK = 6
+SEARCH_NOMEM = 7
+
+# option bits of both drivers' ``*_search_new`` (``KN_O_*``/``DC_O_*``;
+# the kernel adds its delay-mode bits 8 and 16)
+_OPT_INTERMEDIATE = 1
+_OPT_STRICT = 2
+_OPT_PARTIAL_ORDER = 4
+_OPT_REORDER = 32
+_OPT_TIMED = 64
+_OPT_LATEST = 128
+_OPT_LAXITY = 256
+
+#: Search policies the drivers order natively; any other non-default
+#: policy stops a driver at :data:`SEARCH_REORDER` for Python.
+_NATIVE_POLICIES = {
+    "earliest": 0,
+    "latest": _OPT_LATEST,
+    "min-laxity": _OPT_LAXITY,
+}
+
+
+def search_options(
+    intermediate: bool,
+    strict: bool,
+    partial_order: bool,
+    policy: str,
+    timed: bool,
+) -> int:
+    """The option word of a driver search under ``policy``."""
+    return (
+        (_OPT_INTERMEDIATE if intermediate else 0)
+        | (_OPT_STRICT if strict else 0)
+        | (_OPT_PARTIAL_ORDER if partial_order else 0)
+        | _NATIVE_POLICIES.get(policy, _OPT_REORDER)
+        | (_OPT_TIMED if timed else 0)
+    )
+
+
+class NativeSearch:
+    """One resumable depth-first search in a compiled core.
+
+    A ``<prefix>search_*`` driver runs
+    :class:`repro.scheduler.core.SearchCore`'s loop over a state arena
+    and visited table it owns; :meth:`run` advances it to its next stop
+    and returns the status:
+
+    * :data:`SEARCH_POLL` — the 1024-expansion poll (resume to go on);
+    * :data:`SEARCH_REORDER` — a new frame waits for :meth:`reorder`
+      (only under a policy the driver cannot order itself: ``random``);
+    * :data:`SEARCH_FEASIBLE` — the final marking is reached
+      (:meth:`path`);
+    * :data:`SEARCH_BUDGET` — ``max_states`` states are tagged;
+    * :data:`SEARCH_DONE` — the space is exhausted.
+
+    Packed-cap overflows go to ``fault(status, transition)``, which
+    raises the engine's :class:`~repro.errors.SchedulingError`.
+    ``counters`` is the live ``<prefix>counters`` struct (SearchCore's
+    counters plus span timings and the visited-state bytes).  The
+    driver's memory is released by :meth:`close`, or at collection.
+    """
+
+    __slots__ = (
+        "counters",
+        "_label",
+        "_fault",
+        "_core",
+        "_ffi",
+        "_run",
+        "_pending",
+        "_path",
+        "_ptr",
+    )
+
+    def __init__(self, core, prefix: str, label: str, args, fault):
+        """Start a search with ``<prefix>search_new(core.net_ptr,
+        *args, counters)``; ``core`` is the engine's per-net handle
+        (``ffi``, ``lib``, ``net_ptr``)."""
+        ffi = core.ffi
+        lib = core.lib
+        self.counters = ffi.new(f"{prefix}counters *")
+        raw = getattr(lib, f"{prefix}search_new")(
+            core.net_ptr, *args, self.counters
+        )
+        if raw == ffi.NULL:
+            raise MemoryError(f"{prefix}search_new failed")
+        self._label = label
+        self._fault = fault
+        self._core = core  # the C search reads the core's net
+        self._ffi = ffi
+        self._run = getattr(lib, f"{prefix}search_run")
+        self._pending = getattr(lib, f"{prefix}search_pending")
+        self._path = getattr(lib, f"{prefix}search_path")
+        self._ptr = ffi.gc(raw, getattr(lib, f"{prefix}search_free"))
+
+    def run(self) -> int:
+        status = self._run(self._ptr)
+        if status >= SEARCH_TOKENS:
+            if status == SEARCH_NOMEM:
+                raise MemoryError(
+                    f"{self._label} search driver: out of memory"
+                )
+            self._fault(status, self.counters.fault)
+        return status
+
+    def reorder(self, policy) -> None:
+        """Order the pending frame's candidates with a reorder policy
+        (``policy(candidates, state) -> candidates``, a permutation).
+        The policies that read the state run natively, so ``state``
+        is ``None`` here."""
+        n = self.counters.pending
+        pairs = self._pending(self._ptr)
+        flat = self._ffi.unpack(pairs, 2 * n)
+        ordered = policy(list(zip(flat[0::2], flat[1::2])), None)
+        if len(ordered) != n:
+            raise SchedulingError(
+                "a reorder policy must permute the candidate list"
+            )
+        pairs[0 : 2 * n] = [v for pair in ordered for v in pair]
+
+    def path(self) -> list[tuple[int, int, int]]:
+        """The accepting path as ``(transition, delay, absolute time)``
+        triples (after :data:`SEARCH_FEASIBLE`)."""
+        n = self.counters.pending
+        out = self._ffi.new("int64_t[]", 3 * n)
+        self._path(self._ptr, out)
+        flat = self._ffi.unpack(out, 3 * n)
+        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
+
+    def close(self) -> None:
+        """Free the arena, table and stack now (idempotent)."""
+        if self._ptr is not None:
+            self._ffi.release(self._ptr)
+            self._ptr = None

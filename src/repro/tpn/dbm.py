@@ -45,6 +45,13 @@ differential suite in ``tests/test_dbm.py`` asserts firing-by-firing
 against the tuple-based Floyd–Warshall specification of
 :class:`repro.tpn.stateclass.StateClassEngine` across both reset
 policies.
+
+With the C core live, searches do not step through this module class
+by class: :meth:`DbmEngine.open_search` starts the core's resumable
+depth-first search driver, which
+:meth:`repro.scheduler.core.SearchCore._drive` runs to a verdict
+(``tests/test_dbm_driver.py`` locks it to the search loop over the
+pure core).
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from operator import itemgetter
 
 from repro.errors import SchedulingError
 from repro.tpn import _dbmc
+from repro.tpn._native import NativeSearch, search_options
 from repro.tpn.interval import INF
 from repro.tpn.kernel import MAX_TOKENS, _MASK64, _mix
 from repro.tpn.net import CompiledNet
@@ -263,7 +271,19 @@ class _DbmNativeCore:
             flags[t] = (
                 (2 if t in net.miss_transitions else 0)
                 | (4 if net.conflict_free[t] else 0)
+                | (8 if net.touches_miss[t] else 0)
+                | (16 if net.touches_final[t] else 0)
             )
+        # the search driver's marking predicates and min-laxity timers
+        # (a one-slot stand-in keeps cffi's buffer views non-empty)
+        miss_place = array("i", net.miss_places or (0,))
+        final_place = array(
+            "i", [p for p, _req in net.final_constraints] or [0]
+        )
+        final_req = array(
+            "i", [req for _p, req in net.final_constraints] or [0]
+        )
+        timer = array("i", net.deadline_timer)
 
         def ptr(a):
             return ffi.from_buffer("int32_t[]", a)
@@ -273,6 +293,7 @@ class _DbmNativeCore:
         self._keepalive = [
             pre_off, pre_place, pre_w, d_off, d_place, d_d,
             pc_off, pc_t, eft, lft, prio, flags,
+            miss_place, final_place, final_req, timer,
         ]
         buffers = [
             ptr(pre_off), ptr(pre_place), ptr(pre_w),
@@ -281,9 +302,18 @@ class _DbmNativeCore:
             ptr(eft), ptr(lft), ptr(prio),
             ffi.from_buffer("uint8_t[]", flags),
         ]
-        self._keepalive.extend(buffers)
+        search_buffers = [
+            ptr(miss_place), ptr(final_place), ptr(final_req), ptr(timer)
+        ]
+        self._keepalive.extend(buffers + search_buffers)
         raw = lib.dc_net_new(
-            net.num_places, net.num_transitions, *buffers
+            net.num_places,
+            net.num_transitions,
+            *buffers,
+            len(net.miss_places),
+            search_buffers[0],
+            len(net.final_constraints),
+            *search_buffers[1:],
         )
         if raw == ffi.NULL:
             raise MemoryError("dc_net_new failed")
@@ -310,7 +340,7 @@ class _DbmNativeCore:
     def fire(
         self, cls: PackedClass, transition: int, intermediate: int
     ):
-        """``None`` when not firable, ``-2`` on token overflow, else
+        """``-1`` when not firable, ``-2`` on token overflow, else
         the packed successor class."""
         ffi = self.ffi
         cv = cls._cv
@@ -391,7 +421,8 @@ class DbmEngine:
     policies), but classes are flat buffers with precomputed hash
     keys, and — when the compiled core is available — the whole
     firing rule and the whole candidate pipeline are one foreign call
-    each.  ``native`` records which core is live.
+    each, and :meth:`open_search` runs a whole search in C.
+    ``native`` records which core is live.
     """
 
     __slots__ = (
@@ -689,6 +720,49 @@ class DbmEngine:
                 self._overflow(transition)
             return result
         return self._try_fire_pure(cls, transition)
+
+    def open_search(
+        self,
+        root: PackedClass,
+        now: int,
+        *,
+        strict: bool,
+        partial_order: bool,
+        policy: str,
+        max_states: int,
+        timed: bool,
+    ) -> NativeSearch | None:
+        """A native driver search from ``root`` at absolute time
+        ``now`` under search ``policy``, or ``None`` without a
+        compiled core.  ``root`` counts as visited; the caller has
+        checked its marking predicates."""
+        core = self._core
+        if core is None:
+            return None
+        ffi = core.ffi
+        return NativeSearch(
+            core,
+            "dc_",
+            "DBM",
+            (
+                ffi.from_buffer("uint16_t[]", root.marking),
+                core._enb_ptr(root.enabled),
+                len(root.enabled),
+                ffi.from_buffer("int64_t[]", root.dbm),
+                root._mhash,
+                root._hash,
+                now,
+                search_options(
+                    self._intermediate, strict, partial_order, policy,
+                    timed,
+                ),
+                max_states,
+            ),
+            self._search_fault,
+        )
+
+    def _search_fault(self, _status: int, transition: int) -> None:
+        self._overflow(transition)
 
     def _overflow(self, transition: int) -> None:
         raise SchedulingError(

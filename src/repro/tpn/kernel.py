@@ -53,6 +53,7 @@ from array import array
 
 from repro.errors import SchedulingError
 from repro.tpn import _kernelc
+from repro.tpn._native import SEARCH_TOKENS, NativeSearch, search_options
 from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import DISABLED, RESET_POLICIES, State
@@ -304,128 +305,10 @@ class _NativeCore:
         )
 
 
-#: :meth:`NativeSearch.run` statuses (the C core's ``KN_S_*``).
-SEARCH_DONE = 0
-SEARCH_POLL = 1
-SEARCH_REORDER = 2
-SEARCH_FEASIBLE = 3
-SEARCH_BUDGET = 4
-_SEARCH_TOKENS = 5
-_SEARCH_CLOCK = 6
-_SEARCH_NOMEM = 7
-
-# kn_search_new option bits (the C core's ``KN_O_*``)
-_OPT_INTERMEDIATE = 1
-_OPT_STRICT = 2
-_OPT_PARTIAL_ORDER = 4
+# kn_search_new's delay-mode option bits (the C core's ``KN_O_*``);
+# the rest of the option word is shared with the DBM driver
 _OPT_EXTREMES = 8
 _OPT_FULL = 16
-_OPT_REORDER = 32
-_OPT_TIMED = 64
-_OPT_LATEST = 128
-_OPT_LAXITY = 256
-
-#: Search policies the driver orders natively; any other non-default
-#: policy stops the driver at :data:`SEARCH_REORDER` for Python.
-_NATIVE_POLICIES = {
-    "earliest": 0,
-    "latest": _OPT_LATEST,
-    "min-laxity": _OPT_LAXITY,
-}
-
-
-class NativeSearch:
-    """One resumable depth-first search in the compiled core.
-
-    The ``kn_search_*`` driver runs :class:`repro.scheduler.core.SearchCore`'s
-    loop over a state arena and visited table it owns; :meth:`run`
-    advances it to its next stop and returns the status:
-
-    * :data:`SEARCH_POLL` — the 1024-expansion poll (resume to go on);
-    * :data:`SEARCH_REORDER` — a new frame waits for :meth:`reorder`
-      (only under a policy the driver cannot order itself: ``random``);
-    * :data:`SEARCH_FEASIBLE` — the final marking is reached
-      (:meth:`path`);
-    * :data:`SEARCH_BUDGET` — ``max_states`` states are tagged;
-    * :data:`SEARCH_DONE` — the space is exhausted.
-
-    Packed-cap overflows raise the engine's :class:`SchedulingError`.
-    ``counters`` is the live ``kn_counters`` struct (SearchCore's
-    counters plus span timings and the visited-state bytes).  The
-    driver's memory is released by :meth:`close`, or at collection.
-    """
-
-    __slots__ = (
-        "counters",
-        "_engine",
-        "_core",
-        "_ffi",
-        "_lib",
-        "_ptr",
-    )
-
-    def __init__(self, engine, core, root, now, options, max_states):
-        ffi = core.ffi
-        lib = core.lib
-        self.counters = ffi.new("kn_counters *")
-        raw = lib.kn_search_new(
-            core.net_ptr,
-            ffi.from_buffer("uint16_t[]", root.marking),
-            ffi.from_buffer("uint16_t[]", root.clk),
-            root._hash,
-            now,
-            options,
-            max_states,
-            self.counters,
-        )
-        if raw == ffi.NULL:
-            raise MemoryError("kn_search_new failed")
-        self._engine = engine
-        self._core = core  # the C search reads the core's net
-        self._ffi = ffi
-        self._lib = lib
-        self._ptr = ffi.gc(raw, lib.kn_search_free)
-
-    def run(self) -> int:
-        status = self._lib.kn_search_run(self._ptr)
-        if status >= _SEARCH_TOKENS:
-            if status == _SEARCH_NOMEM:
-                raise MemoryError("kernel search driver: out of memory")
-            self._engine._overflow(
-                1 if status == _SEARCH_TOKENS else 2,
-                self.counters.fault,
-            )
-        return status
-
-    def reorder(self, policy) -> None:
-        """Order the pending frame's candidates with a reorder policy
-        (``policy(candidates, state) -> candidates``, a permutation).
-        The policies that read the state run natively, so ``state``
-        is ``None`` here."""
-        n = self.counters.pending
-        pairs = self._lib.kn_search_pending(self._ptr)
-        flat = self._ffi.unpack(pairs, 2 * n)
-        ordered = policy(list(zip(flat[0::2], flat[1::2])), None)
-        if len(ordered) != n:
-            raise SchedulingError(
-                "a reorder policy must permute the candidate list"
-            )
-        pairs[0 : 2 * n] = [v for pair in ordered for v in pair]
-
-    def path(self) -> list[tuple[int, int, int]]:
-        """The accepting path as ``(transition, delay, absolute time)``
-        triples (after :data:`SEARCH_FEASIBLE`)."""
-        n = self.counters.pending
-        out = self._ffi.new("int64_t[]", 3 * n)
-        self._lib.kn_search_path(self._ptr, out)
-        flat = self._ffi.unpack(out, 3 * n)
-        return list(zip(flat[0::3], flat[1::3], flat[2::3]))
-
-    def close(self) -> None:
-        """Free the arena, table and stack now (idempotent)."""
-        if self._ptr is not None:
-            self._ffi.release(self._ptr)
-            self._ptr = None
 
 
 class KernelEngine:
@@ -767,15 +650,30 @@ class KernelEngine:
         if core is None:
             return None
         options = (
-            (_OPT_INTERMEDIATE if self._intermediate else 0)
-            | (_OPT_STRICT if strict else 0)
-            | (_OPT_PARTIAL_ORDER if partial_order else 0)
+            search_options(
+                self._intermediate, strict, partial_order, policy, timed
+            )
             | (_OPT_EXTREMES if delay_mode == "extremes" else 0)
             | (_OPT_FULL if delay_mode == "full" else 0)
-            | _NATIVE_POLICIES.get(policy, _OPT_REORDER)
-            | (_OPT_TIMED if timed else 0)
         )
-        return NativeSearch(self, core, root, now, options, max_states)
+        ffi = core.ffi
+        return NativeSearch(
+            core,
+            "kn_",
+            "kernel",
+            (
+                ffi.from_buffer("uint16_t[]", root.marking),
+                ffi.from_buffer("uint16_t[]", root.clk),
+                root._hash,
+                now,
+                options,
+                max_states,
+            ),
+            self._search_fault,
+        )
+
+    def _search_fault(self, status: int, t: int) -> None:
+        self._overflow(1 if status == SEARCH_TOKENS else 2, t)
 
     def window(
         self, state: KernelState

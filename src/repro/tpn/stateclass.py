@@ -481,6 +481,14 @@ def _sequence_constraints(
     semantics: no step may overrun an armed transition's LFT).  Per
     enabling episode only the *last* armed step is emitted — firing
     dates are monotone, so it implies the earlier ones.
+
+    Each step re-checks only ``net.affected[fired]``: no other
+    transition shares a place with the firing (its delta or, for the
+    intermediate policy's self-loops, its preset), so every other
+    episode carries on unchanged.  Episodes live in a dict in the
+    order they opened, and a step's ended episodes are emitted in that
+    order (``opened`` stamps it), so the constraints come out in the
+    order of a scan over every open episode.
     """
     if reset_policy not in RESET_POLICIES:
         raise SchedulingError(
@@ -490,7 +498,7 @@ def _sequence_constraints(
     pre = net.pre
     eft = net.eft
     lft = net.lft
-    num_transitions = net.num_transitions
+    affected = net.affected
     intermediate_policy = reset_policy == "intermediate"
 
     def enabled_in(marking: list[int], t: int) -> bool:
@@ -501,18 +509,25 @@ def _sequence_constraints(
 
     marking = list(net.m0)
     enabled_since: dict[int, int] = {
-        t: 0 for t in range(num_transitions) if enabled_in(marking, t)
+        t: 0
+        for t in range(net.num_transitions)
+        if enabled_in(marking, t)
     }
+    # opened[u]: a counter value stamped when u's episode opened, so
+    # sorting by it recovers the dict's insertion order
+    opened = dict(zip(enabled_since, range(len(enabled_since))))
+    stamp = len(opened)
     lower_at: list[tuple[int, int]] = [(0, 0)]  # 1-indexed; slot 0 unused
     uppers: list[tuple[int, int, int]] = []
 
     for step, fired in enumerate(sequence, start=1):
-        if fired not in enabled_since:
+        since_fired = enabled_since.get(fired)
+        if since_fired is None:
             raise SchedulingError(
                 f"sequence fires disabled transition "
                 f"{net.transition_names[fired]!r} at step {step}"
             )
-        lower_at.append((enabled_since[fired], eft[fired]))
+        lower_at.append((since_fired, eft[fired]))
 
         if intermediate_policy:
             intermediate = list(marking)
@@ -521,8 +536,10 @@ def _sequence_constraints(
         for place, delta in net.delta[fired]:
             marking[place] += delta
 
-        survivors: dict[int, int] = {}
-        for u, since in enabled_since.items():
+        ended: list[int] = []
+        for u in affected[fired]:
+            if u not in enabled_since:
+                continue
             persists = (
                 u != fired
                 and enabled_in(marking, u)
@@ -531,17 +548,21 @@ def _sequence_constraints(
                     or enabled_in(intermediate, u)
                 )
             )
-            if persists:
-                survivors[u] = since
-            else:
-                # episode ends at this step: u was armed in the
-                # pre-marking, so step `step` must respect its LFT
-                if lft[u] != INF:
-                    uppers.append((step, since, int(lft[u])))
-        enabled_since = survivors
-        for u in range(num_transitions):
+            if not persists:
+                ended.append(u)
+        if len(ended) > 1:
+            ended.sort(key=opened.__getitem__)
+        for u in ended:
+            # episode ends at this step: u was armed in the
+            # pre-marking, so step `step` must respect its LFT
+            since = enabled_since.pop(u)
+            if lft[u] != INF:
+                uppers.append((step, since, int(lft[u])))
+        for u in affected[fired]:
             if u not in enabled_since and enabled_in(marking, u):
                 enabled_since[u] = step
+                opened[u] = stamp
+                stamp += 1
 
     # episodes still open after the last firing constrained it too
     n = len(sequence)

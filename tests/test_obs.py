@@ -15,6 +15,8 @@ import json
 import multiprocessing
 import os
 
+import pytest
+
 from repro.blocks import compose
 from repro.obs import (
     NULL_RECORDER,
@@ -32,6 +34,7 @@ from repro.obs import (
 from repro.scheduler import SchedulerConfig, find_schedule
 from repro.scheduler.result import SearchStats
 from repro.spec import paper_examples
+from repro.tpn import _dbmc
 
 
 def _no_ezrt_children() -> bool:
@@ -292,6 +295,39 @@ class TestChromeTrace:
         assert result.feasible
         names = {e["name"] for e in read_events(jsonl)}
         assert {"concretisation", "reference-replay"} <= names
+
+    def test_traced_stateclass_driver_search(self, tmp_path, monkeypatch):
+        """A dense search run by the DBM core's C driver reports the
+        aggregate phase spans from the driver's timers and the
+        visited-bytes gauges, as a kernel driver search does."""
+        if _dbmc.native_module() is None:
+            pytest.skip("the DBM engine's compiled core cannot be built")
+        monkeypatch.delenv(_dbmc.PURE_ENV, raising=False)
+        jsonl = str(tmp_path / "events.jsonl")
+        model = compose(paper_examples()["mine-pump"])
+        result = find_schedule(
+            model,
+            SchedulerConfig(engine="stateclass", trace_jsonl=jsonl),
+        )
+        assert result.feasible
+        events = read_events(jsonl)
+        search_span = next(e for e in events if e["name"] == "search")
+        assert search_span["args"]["engine"] == "stateclass"
+        visited = result.stats.states_visited
+        assert search_span["args"]["states_visited"] == visited
+        for child in ("successor-generation", "candidate-enumeration"):
+            span = next(e for e in events if e["name"] == child)
+            assert span["args"]["aggregate"] is True
+            assert span["args"]["calls"] > 0
+            assert (
+                span["ts"] + span["dur"]
+                <= search_span["ts"] + search_span["dur"]
+            )
+        gauges = result.metrics["gauges"]
+        assert gauges["search.visited_bytes"] > 0
+        assert gauges["search.bytes_per_state"] == pytest.approx(
+            gauges["search.visited_bytes"] / visited
+        )
 
 
 # ----------------------------------------------------------------------

@@ -6,11 +6,15 @@ reachability, so the dense-time class graph and the exhaustive
 discrete exploration must see exactly the same markings.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.blocks import compose
 from repro.errors import SchedulingError
+from repro.spec import paper_examples
 from repro.tpn import (
     StateClassEngine,
     TimeInterval,
@@ -18,6 +22,10 @@ from repro.tpn import (
     build_state_class_graph,
     explore,
 )
+from repro.tpn.dbm import DbmEngine
+from repro.tpn.interval import INF
+from repro.tpn.stateclass import _sequence_constraints
+from repro.workloads import random_task_set, random_task_set_with_relations
 
 
 class TestInitialClass:
@@ -206,3 +214,162 @@ class TestCrossValidationProperty:
             if cand.transition in firable:
                 lower, upper = initial.bounds_of(cand.transition)
                 assert lower <= cand.dlb
+
+
+def _full_scan_constraints(net, sequence, reset_policy):
+    """The original ``_sequence_constraints``: after every firing it
+    re-checks every open episode and rescans all of T for new ones.
+    Kept verbatim as the oracle of the ``affected``-only version."""
+    pre = net.pre
+    eft = net.eft
+    lft = net.lft
+    num_transitions = net.num_transitions
+    intermediate_policy = reset_policy == "intermediate"
+
+    def enabled_in(marking, t):
+        for place, weight in pre[t]:
+            if marking[place] < weight:
+                return False
+        return True
+
+    marking = list(net.m0)
+    enabled_since = {
+        t: 0 for t in range(num_transitions) if enabled_in(marking, t)
+    }
+    lower_at = [(0, 0)]
+    uppers = []
+
+    for step, fired in enumerate(sequence, start=1):
+        if fired not in enabled_since:
+            raise SchedulingError(
+                f"sequence fires disabled transition "
+                f"{net.transition_names[fired]!r} at step {step}"
+            )
+        lower_at.append((enabled_since[fired], eft[fired]))
+
+        if intermediate_policy:
+            intermediate = list(marking)
+            for place, weight in pre[fired]:
+                intermediate[place] -= weight
+        for place, delta in net.delta[fired]:
+            marking[place] += delta
+
+        survivors = {}
+        for u, since in enabled_since.items():
+            persists = (
+                u != fired
+                and enabled_in(marking, u)
+                and (
+                    not intermediate_policy
+                    or enabled_in(intermediate, u)
+                )
+            )
+            if persists:
+                survivors[u] = since
+            else:
+                if lft[u] != INF:
+                    uppers.append((step, since, int(lft[u])))
+        enabled_since = survivors
+        for u in range(num_transitions):
+            if u not in enabled_since and enabled_in(marking, u):
+                enabled_since[u] = step
+
+    n = len(sequence)
+    for u, since in enabled_since.items():
+        if since < n and lft[u] != INF:
+            uppers.append((n, since, int(lft[u])))
+    return lower_at, uppers
+
+
+def _self_loop_net():
+    """``tick`` self-loops on ``p``, which ``job`` also reads: under
+    the intermediate reset policy every ``tick`` ends ``job``'s
+    episode."""
+    net = TimePetriNet("self-loop")
+    net.add_place("p", marking=1)
+    net.add_place("q", marking=1)
+    net.add_place("done")
+    net.add_transition("tick", TimeInterval(1, 3))
+    net.add_arc("p", "tick")
+    net.add_arc("tick", "p")
+    net.add_transition("job", TimeInterval(0, 4))
+    net.add_arc("p", "job")
+    net.add_arc("q", "job")
+    net.add_arc("job", "done")
+    net.add_arc("job", "p")
+    net.add_arc("job", "q")
+    return net.compile()
+
+
+def _constraint_nets():
+    nets = {
+        name: compose(spec).compiled()
+        for name, spec in paper_examples().items()
+    }
+    nets["self-loop"] = _self_loop_net()
+    for seed in (0, 1, 2):
+        nets[f"rand-s{seed}"] = compose(
+            random_task_set(
+                4, 0.7, seed=seed, preemptive_fraction=0.5,
+                deadline_slack=0.8,
+            )
+        ).compiled()
+        nets[f"rel-s{seed}"] = compose(
+            random_task_set_with_relations(3, 0.5, seed=seed)
+        ).compiled()
+    return nets
+
+
+def _class_path(net, reset_policy, seed, length=400):
+    """A seeded random walk through the state-class graph."""
+    rng = random.Random(seed)
+    engine = DbmEngine(net, reset_policy=reset_policy)
+    cls = engine.initial_class()
+    path = []
+    for _ in range(length):
+        firable = engine.firable(cls)
+        if not firable:
+            break
+        t = rng.choice(firable)
+        cls = engine.fire(cls, t)
+        path.append(t)
+    return path
+
+
+class TestSequenceConstraints:
+    """``_sequence_constraints`` re-checks only ``affected[fired]`` and
+    emits exactly what the full scan emits, in the same order."""
+
+    @pytest.mark.parametrize("reset_policy", ["paper", "intermediate"])
+    def test_matches_the_full_scan_on_class_paths(self, reset_policy):
+        walked = 0
+        for name, net in sorted(_constraint_nets().items()):
+            for seed in range(3):
+                path = _class_path(net, reset_policy, seed)
+                walked += len(path)
+                assert _sequence_constraints(
+                    net, path, reset_policy
+                ) == _full_scan_constraints(net, path, reset_policy), (
+                    name,
+                    seed,
+                )
+        assert walked > 3_000
+
+    @pytest.mark.parametrize("reset_policy", ["paper", "intermediate"])
+    def test_disabled_firing_raises_the_same_error(self, reset_policy):
+        net = compose(paper_examples()["fig4"]).compiled()
+        path = _class_path(net, reset_policy, seed=0, length=12)
+        engine = DbmEngine(net, reset_policy=reset_policy)
+        cls = engine.initial_class()
+        for t in path:
+            cls = engine.fire(cls, t)
+        disabled = next(
+            t for t in range(net.num_transitions) if t not in cls.enabled
+        )
+        bad = path + [disabled]
+        errors = []
+        for build in (_sequence_constraints, _full_scan_constraints):
+            with pytest.raises(SchedulingError, match="disabled") as info:
+                build(net, bad, reset_policy)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
