@@ -37,70 +37,110 @@ reports), :mod:`repro.batch` (parallel multi-spec synthesis with
 result caching and campaign sweeps).
 """
 
-from repro.batch import (
-    BatchEngine,
-    BatchJob,
-    BatchResult,
-    CampaignGrid,
-    CampaignResult,
-    JobOutcome,
-    ResultCache,
-    run_campaign,
-)
-from repro.blocks import BlockStyle, ComposedModel, ComposerOptions, compose
-from repro.codegen import GeneratedProject, generate_project
-from repro.errors import (
-    CodeGenError,
-    DSLError,
-    EzRealtimeError,
-    InfeasibleScheduleError,
-    NetConstructionError,
-    PNMLError,
-    SchedulingError,
-    SimulationError,
-    SpecificationError,
-    TraceVerificationError,
-)
-from repro.scheduler import (
-    AdaptiveStore,
-    ParallelScheduler,
-    SchedulerConfig,
-    SchedulerResult,
-    SearchCore,
-    TaskLevelSchedule,
-    default_portfolio,
-    find_schedule,
-    require_schedule,
-    schedule_from_result,
-    simulate_runtime,
-)
-from repro.sim import (
-    DispatcherMachine,
-    NetSimulator,
-    run_schedule,
-    simulate_net,
-    verify_trace,
-)
-from repro.spec import (
-    EzRTSpec,
-    SchedulingType,
-    SpecBuilder,
-    Task,
-    fig3_precedence,
-    fig4_exclusion,
-    fig8_preemptive,
-    mine_pump,
-)
-from repro.tpn import TimeInterval, TimePetriNet
-from repro.workloads import (
-    campaign_task_sets,
-    hard_portfolio_task_set,
-    random_task_set,
-    random_task_set_with_relations,
-    time_scaled_task_set,
-    uunifast,
-    wide_interval_race_net,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.batch.cache import ResultCache
+    from repro.batch.campaign import CampaignGrid, CampaignResult, run_campaign
+    from repro.batch.engine import BatchEngine, BatchResult
+    from repro.batch.job import BatchJob, JobOutcome
+    from repro.blocks.blocks import BlockStyle
+    from repro.blocks.composer import ComposedModel, ComposerOptions, compose
+    from repro.codegen.generator import GeneratedProject, generate_project
+    from repro.errors import (
+        CodeGenError,
+        DSLError,
+        EzRealtimeError,
+        InfeasibleScheduleError,
+        NetConstructionError,
+        PNMLError,
+        SchedulingError,
+        SimulationError,
+        SpecificationError,
+        TraceVerificationError,
+    )
+    from repro.scheduler.adaptive import AdaptiveStore
+    from repro.scheduler.baselines import simulate_runtime
+    from repro.scheduler.config import SchedulerConfig
+    from repro.scheduler.core import SearchCore
+    from repro.scheduler.dfs import find_schedule, require_schedule
+    from repro.scheduler.parallel import ParallelScheduler
+    from repro.scheduler.policies import default_portfolio
+    from repro.scheduler.result import SchedulerResult
+    from repro.scheduler.schedule import (
+        TaskLevelSchedule,
+        schedule_from_result,
+    )
+    from repro.sim.machine import DispatcherMachine, run_schedule
+    from repro.sim.netsim import NetSimulator, simulate_net
+    from repro.sim.verifier import verify_trace
+    from repro.spec.builder import SpecBuilder
+    from repro.spec.examples import (
+        fig3_precedence,
+        fig4_exclusion,
+        fig8_preemptive,
+        mine_pump,
+    )
+    from repro.spec.model import EzRTSpec, SchedulingType, Task
+    from repro.tpn.interval import TimeInterval
+    from repro.tpn.net import TimePetriNet
+    from repro.workloads import (
+        campaign_task_sets,
+        hard_portfolio_task_set,
+        random_task_set,
+        random_task_set_with_relations,
+        time_scaled_task_set,
+        uunifast,
+        wide_interval_race_net,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.batch.cache": "ResultCache",
+            "repro.batch.campaign": "CampaignGrid CampaignResult run_campaign",
+            "repro.batch.engine": "BatchEngine BatchResult",
+            "repro.batch.job": "BatchJob JobOutcome",
+            "repro.blocks.blocks": "BlockStyle",
+            "repro.blocks.composer": "ComposedModel ComposerOptions compose",
+            "repro.codegen.generator": "GeneratedProject generate_project",
+            "repro.errors": (
+                "CodeGenError DSLError EzRealtimeError "
+                "InfeasibleScheduleError NetConstructionError "
+                "PNMLError SchedulingError SimulationError "
+                "SpecificationError TraceVerificationError"
+            ),
+            "repro.scheduler.adaptive": "AdaptiveStore",
+            "repro.scheduler.baselines": "simulate_runtime",
+            "repro.scheduler.config": "SchedulerConfig",
+            "repro.scheduler.core": "SearchCore",
+            "repro.scheduler.dfs": "find_schedule require_schedule",
+            "repro.scheduler.parallel": "ParallelScheduler",
+            "repro.scheduler.policies": "default_portfolio",
+            "repro.scheduler.result": "SchedulerResult",
+            "repro.scheduler.schedule": (
+                "TaskLevelSchedule schedule_from_result"
+            ),
+            "repro.sim.machine": "DispatcherMachine run_schedule",
+            "repro.sim.netsim": "NetSimulator simulate_net",
+            "repro.sim.verifier": "verify_trace",
+            "repro.spec.builder": "SpecBuilder",
+            "repro.spec.examples": (
+                "fig3_precedence fig4_exclusion fig8_preemptive "
+                "mine_pump"
+            ),
+            "repro.spec.model": "EzRTSpec SchedulingType Task",
+            "repro.tpn.interval": "TimeInterval",
+            "repro.tpn.net": "TimePetriNet",
+            "repro.workloads": (
+                "campaign_task_sets hard_portfolio_task_set "
+                "random_task_set random_task_set_with_relations "
+                "time_scaled_task_set uunifast wide_interval_race_net"
+            ),
+        },
+    )
 
 __version__ = "1.0.0"
 

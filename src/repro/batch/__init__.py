@@ -61,36 +61,56 @@ or, from the shell: ``ezrt batch --n-tasks 4,6,8 --utilizations
 0.3,0.5,0.7 --seeds 0-9 -o results.jsonl``.
 """
 
-from repro.batch.cache import (
-    CACHE_FORMAT_VERSION,
-    ResultCache,
-    cache_key,
-    job_fingerprint,
-    spec_fingerprint,
-)
-from repro.batch.campaign import (
-    CampaignGrid,
-    CampaignResult,
-    run_campaign,
-)
-from repro.batch.engine import (
-    BatchEngine,
-    BatchResult,
-    BatchStats,
-    Submission,
-    SubmissionBridge,
-    default_workers,
-)
-from repro.batch.job import (
-    BatchJob,
-    JobOutcome,
-    STATUS_ERROR,
-    STATUS_FEASIBLE,
-    STATUS_INFEASIBLE,
-    STATUS_TIMEOUT,
-    STATUSES,
-    execute_job,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.batch.cache import (
+        CACHE_FORMAT_VERSION,
+        ResultCache,
+        cache_key,
+        job_fingerprint,
+        spec_fingerprint,
+    )
+    from repro.batch.campaign import CampaignGrid, CampaignResult, run_campaign
+    from repro.batch.engine import (
+        BatchEngine,
+        BatchResult,
+        BatchStats,
+        Submission,
+        SubmissionBridge,
+        default_workers,
+    )
+    from repro.batch.job import (
+        BatchJob,
+        JobOutcome,
+        STATUS_ERROR,
+        STATUS_FEASIBLE,
+        STATUS_INFEASIBLE,
+        STATUS_TIMEOUT,
+        STATUSES,
+        execute_job,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.batch.cache": (
+                "CACHE_FORMAT_VERSION ResultCache cache_key "
+                "job_fingerprint spec_fingerprint"
+            ),
+            "repro.batch.campaign": "CampaignGrid CampaignResult run_campaign",
+            "repro.batch.engine": (
+                "BatchEngine BatchResult BatchStats Submission "
+                "SubmissionBridge default_workers"
+            ),
+            "repro.batch.job": (
+                "BatchJob JobOutcome STATUS_ERROR STATUS_FEASIBLE "
+                "STATUS_INFEASIBLE STATUS_TIMEOUT STATUSES execute_job"
+            ),
+        },
+    )
 
 __all__ = [
     "BatchEngine",

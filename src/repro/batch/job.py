@@ -29,12 +29,13 @@ from repro.batch.cache import cache_key
 from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
 from repro.obs.progress import ProgressFile
 from repro.blocks.composer import ComposerOptions, compose
-from repro.codegen import generate_project
+from repro.codegen.generator import generate_project
 from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.dfs import find_schedule
 from repro.scheduler.result import SearchStats
 from repro.scheduler.schedule import schedule_from_result
-from repro.sim import run_schedule, verify_trace
+from repro.sim.machine import run_schedule
+from repro.sim.verifier import verify_trace
 from repro.spec.model import EzRTSpec
 
 STATUS_FEASIBLE = "feasible"

@@ -33,37 +33,34 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 from dataclasses import replace
 
+# The pipeline a one-shot command runs, imported leaf by leaf and bound
+# by name: the command bodies call these module globals.  Everything
+# else (batch, service, PNML, the lint pack, trace export) is imported
+# by the command that needs it, so `ezrt schedule` never pays for it.
+from repro.analysis.report import full_report, interval_slack_report
+from repro.blocks.blocks import BlockStyle
+from repro.blocks.composer import ComposerOptions, compose
+from repro.codegen.generator import generate_project
+from repro.codegen.targets import TARGETS
 from repro.errors import EzRealtimeError
-from repro.analysis import (
-    campaign_report,
-    full_report,
-    interval_slack_report,
-)
-from repro.batch import BatchEngine, CampaignGrid, ResultCache
-from repro.blocks import BlockStyle, ComposerOptions, compose
-from repro.codegen import TARGETS, generate_project
-from repro.obs import NULL_RECORDER, JsonlSink, Recorder
-from repro.obs.trace import write_chrome_trace
-from repro.pnml import save as pnml_save
-from repro.scheduler import (
-    DEFAULT_ENGINE,
-    ENGINES,
-    SchedulerConfig,
-    find_schedule,
-    schedule_from_result,
-)
-from repro.sim import run_schedule, verify_trace
-from repro.spec import load as dsl_load
-from repro.spec import paper_examples, save as dsl_save
+from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
+from repro.scheduler.config import DEFAULT_ENGINE, ENGINES, SchedulerConfig
+from repro.scheduler.dfs import find_schedule
+from repro.scheduler.schedule import schedule_from_result
+from repro.sim.machine import run_schedule
+from repro.sim.verifier import verify_trace
+from repro.spec.dsl import load as dsl_load
+from repro.spec.dsl import save as dsl_save
 from repro.spec.validation import validate_spec
 
 
 def _load_spec(ref: str):
     """Load a spec from a file path or a built-in ``@name``."""
     if ref.startswith("@"):
+        from repro.spec.examples import paper_examples
+
         examples = paper_examples()
         name = ref[1:]
         if name not in examples:
@@ -116,6 +113,10 @@ def _start_trace(args):
     if not getattr(args, "trace", None):
         args._trace_jsonl = None
         return lambda: None
+    import tempfile
+
+    from repro.obs.trace import write_chrome_trace
+
     fd, jsonl_path = tempfile.mkstemp(
         prefix="ezrt-trace-", suffix=".jsonl"
     )
@@ -286,6 +287,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_compile(args) -> int:
+    from repro.pnml.writer import save as pnml_save
+
     spec = _load_spec(args.spec)
     model = compose(spec, _composer_options(args))
     pnml_save(model.net, args.output)
@@ -429,6 +432,8 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _cmd_batch(args) -> int:
+    from repro.batch.cache import ResultCache
+
     # a memory-only cache cannot hit within one CLI invocation (and
     # in-batch duplicates are deduplicated anyway), so only build one
     # when there is a directory to persist it in
@@ -441,6 +446,10 @@ def _cmd_batch(args) -> int:
 
 
 def _run_batch(args, cache) -> int:
+    from repro.analysis.report import campaign_report
+    from repro.batch.campaign import CampaignGrid
+    from repro.batch.engine import BatchEngine
+
     # batch progress is job-completion driven; per-job search
     # heartbeats would interleave on stderr, so strip the flag from
     # the scheduler config the jobs inherit
@@ -498,6 +507,14 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
+    # import the whole search path here, in the parent, so the forked
+    # pool workers inherit it instead of importing it on a first job:
+    # the batch engine brings the default search, the last two the
+    # engines a job may select that load lazily elsewhere
+    import repro.scheduler.parallel  # noqa: F401
+    import repro.tpn.dbm  # noqa: F401
+    from repro.batch.cache import ResultCache
+    from repro.batch.engine import BatchEngine
     from repro.service.app import serve
 
     def _graceful(signum, frame):
@@ -537,9 +554,8 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    # deferred import: the lint package pulls the composer and the
-    # utilization analysis in; the other subcommands don't need it
-    from repro.lint import has_errors, lint_spec
+    from repro.lint.diagnostics import has_errors
+    from repro.lint.specrules import lint_spec
 
     failed = False
     payload = []
@@ -586,6 +602,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_examples(_args) -> int:
+    from repro.spec.examples import paper_examples
+
     print("built-in case studies (use as @name):")
     for name, spec in paper_examples().items():
         print(
@@ -594,27 +612,19 @@ def _cmd_examples(_args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ezrt",
-        description=(
-            "ezRealtime reproduction: embedded hard real-time software "
-            "synthesis from time Petri net models (DATE 2008)"
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="validate an ez-spec document")
+def _validate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec", help="spec file or @builtin")
     p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("compile", help="translate spec to PNML")
+
+def _compile_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
     p.add_argument("-o", "--output", default="model.pnml")
     _add_model_arguments(p)
     p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("schedule", help="synthesise a schedule")
+
+def _schedule_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
     p.add_argument("--gantt", action="store_true")
     p.add_argument(
@@ -629,7 +639,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_arguments(p)
     p.set_defaults(func=_cmd_schedule)
 
-    p = sub.add_parser("codegen", help="generate scheduled C code")
+
+def _codegen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
     p.add_argument("-o", "--output", default="generated")
     p.add_argument(
@@ -641,19 +652,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_arguments(p)
     p.set_defaults(func=_cmd_codegen)
 
-    p = sub.add_parser(
-        "simulate", help="run the table on the dispatcher machine"
-    )
+
+def _simulate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
     p.add_argument("--overhead", type=int, default=0)
     _add_model_arguments(p)
     _add_search_arguments(p)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser(
-        "batch",
-        help="synthesise many specs concurrently (pool + cache)",
-    )
+
+def _batch_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "specs",
         nargs="*",
@@ -739,10 +747,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search_arguments(p)
     p.set_defaults(func=_cmd_batch)
 
-    p = sub.add_parser(
-        "serve",
-        help="run the synthesis HTTP service (JSON API + SSE)",
-    )
+
+def _serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--host",
         default="127.0.0.1",
@@ -794,20 +800,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_serve)
 
-    p = sub.add_parser(
-        "lint",
-        help="diagnose specs before searching (necessary conditions)",
-        description=(
-            "Static analysis of specifications: necessary-condition "
-            "infeasibility (processor/bus overutilisation, empty "
-            "firing windows, precedence chains that cannot meet "
-            "their deadline), structural net problems (dead "
-            "transitions, token counts beyond the kernel engine's "
-            "capacity) and engine/option incompatibilities.  Exit "
-            "code 1 when any error-severity diagnostic fires; "
-            "warnings alone exit 0."
-        ),
-    )
+
+def _lint_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "specs",
         nargs="+",
@@ -848,19 +842,104 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_lint)
 
-    p = sub.add_parser("export", help="write a built-in spec as XML")
+
+def _export_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("spec")
     p.add_argument("-o", "--output", default="spec.xml")
     p.set_defaults(func=_cmd_export)
 
-    p = sub.add_parser("examples", help="list built-in case studies")
+
+def _examples_arguments(p: argparse.ArgumentParser) -> None:
     p.set_defaults(func=_cmd_examples)
+
+
+#: every subcommand: its name, the ``add_parser`` keywords (the help
+#: ``ezrt --help`` lists) and the function adding its arguments
+_SUBCOMMANDS = (
+    (
+        "validate",
+        {"help": "validate an ez-spec document"},
+        _validate_arguments,
+    ),
+    ("compile", {"help": "translate spec to PNML"}, _compile_arguments),
+    ("schedule", {"help": "synthesise a schedule"}, _schedule_arguments),
+    ("codegen", {"help": "generate scheduled C code"}, _codegen_arguments),
+    (
+        "simulate",
+        {"help": "run the table on the dispatcher machine"},
+        _simulate_arguments,
+    ),
+    (
+        "batch",
+        {"help": "synthesise many specs concurrently (pool + cache)"},
+        _batch_arguments,
+    ),
+    (
+        "serve",
+        {"help": "run the synthesis HTTP service (JSON API + SSE)"},
+        _serve_arguments,
+    ),
+    (
+        "lint",
+        {
+            "help": (
+                "diagnose specs before searching (necessary conditions)"
+            ),
+            "description": (
+                "Static analysis of specifications: necessary-condition "
+                "infeasibility (processor/bus overutilisation, empty "
+                "firing windows, precedence chains that cannot meet "
+                "their deadline), structural net problems (dead "
+                "transitions, token counts beyond the kernel engine's "
+                "capacity) and engine/option incompatibilities.  Exit "
+                "code 1 when any error-severity diagnostic fires; "
+                "warnings alone exit 0."
+            ),
+        },
+        _lint_arguments,
+    ),
+    (
+        "export",
+        {"help": "write a built-in spec as XML"},
+        _export_arguments,
+    ),
+    (
+        "examples",
+        {"help": "list built-in case studies"},
+        _examples_arguments,
+    ),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``ezrt`` argument parser.
+
+    Every subcommand is registered with its help; only ``command``'s
+    arguments are added when it is given (every subcommand's when it
+    is ``None``), which is all one invocation parses.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ezrt",
+        description=(
+            "ezRealtime reproduction: embedded hard real-time software "
+            "synthesis from time Petri net models (DATE 2008)"
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, options, add_arguments in _SUBCOMMANDS:
+        p = sub.add_parser(name, **options)
+        if command is None or command == name:
+            add_arguments(p)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser takes no option values, so the first bare
+    # word names the subcommand
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except EzRealtimeError as error:

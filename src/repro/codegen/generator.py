@@ -8,7 +8,6 @@ bodies, dispatcher + ISR, entry point, build file and a README — the
 from __future__ import annotations
 
 import os
-import subprocess
 from dataclasses import dataclass, field
 
 from repro.errors import CodeGenError
@@ -64,6 +63,8 @@ class GeneratedProject:
                 "host; use the 'hostsim' target or the Python "
                 "dispatcher simulator (repro.sim)"
             )
+        import subprocess
+
         self.write(directory)
         binary = os.path.join(directory, "ezrt_app")
         sources = [

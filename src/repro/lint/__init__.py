@@ -17,33 +17,58 @@ See ``docs/linting.md`` for the rule table and workflows.
 
 from __future__ import annotations
 
-from repro.lint.diagnostics import (
-    ERROR,
-    WARNING,
-    Diagnostic,
-    LintReport,
-    errors,
-    format_report,
-    has_errors,
-)
-from repro.lint.coderules import (
-    check_fixture_dir,
-    fingerprint_drift,
-    lint_file,
-    lint_source,
-    lint_tree,
-)
-from repro.lint.specrules import (
-    classify_problem,
-    config_diagnostics,
-    dbm_bound_diagnostics,
-    infeasibility_diagnostics,
-    lint_spec,
-    net_diagnostics,
-    presearch_diagnostics,
-    token_cap_diagnostics,
-    validation_diagnostics,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lint.diagnostics import (
+        ERROR,
+        WARNING,
+        Diagnostic,
+        LintReport,
+        errors,
+        format_report,
+        has_errors,
+    )
+    from repro.lint.coderules import (
+        check_fixture_dir,
+        fingerprint_drift,
+        lint_file,
+        lint_source,
+        lint_tree,
+    )
+    from repro.lint.specrules import (
+        classify_problem,
+        config_diagnostics,
+        dbm_bound_diagnostics,
+        infeasibility_diagnostics,
+        lint_spec,
+        net_diagnostics,
+        presearch_diagnostics,
+        token_cap_diagnostics,
+        validation_diagnostics,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.lint.diagnostics": (
+                "ERROR WARNING Diagnostic LintReport errors "
+                "format_report has_errors"
+            ),
+            "repro.lint.coderules": (
+                "check_fixture_dir fingerprint_drift lint_file "
+                "lint_source lint_tree"
+            ),
+            "repro.lint.specrules": (
+                "classify_problem config_diagnostics "
+                "dbm_bound_diagnostics infeasibility_diagnostics "
+                "lint_spec net_diagnostics presearch_diagnostics "
+                "token_cap_diagnostics validation_diagnostics"
+            ),
+        },
+    )
 
 __all__ = [
     "ERROR",

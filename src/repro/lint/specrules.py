@@ -43,7 +43,6 @@ from repro.scheduler.config import (
 from repro.spec.model import EzRTSpec
 from repro.spec.timing import instance_count, schedule_period
 from repro.spec.validation import validate_spec
-from repro.tpn.dbm import MAX_BOUND
 from repro.tpn.interval import INF
 from repro.tpn.kernel import MAX_TOKENS
 from repro.tpn.net import CompiledNet
@@ -360,6 +359,10 @@ def dbm_bound_diagnostics(
     surfaces the overflow *before* the compile, mirroring the
     EZT203 token-cap rule.
     """
+    # deferred: the pre-search gate of a discrete-time search never
+    # runs this rule, so it never loads the dense engine
+    from repro.tpn.dbm import MAX_BOUND
+
     if not spec.tasks:
         return []
     stateclass = engine == "stateclass"
@@ -473,6 +476,8 @@ def net_diagnostics(
     markable.  Transitions outside the fixpoint can never fire in any
     run (EZT201); unmarkable places are dead weight (EZT202).
     """
+    from repro.tpn.dbm import MAX_BOUND
+
     markable = {
         index for index, tokens in enumerate(net.m0) if tokens > 0
     }

@@ -26,19 +26,32 @@ traces: as first-class analysis artifacts, not debug prints.
 See ``docs/observability.md`` for the span and metric reference.
 """
 
-from repro.obs.events import (
-    NULL_RECORDER,
-    JsonlSink,
-    NullRecorder,
-    Recorder,
-)
-from repro.obs.metrics import MetricsRegistry, format_metrics
-from repro.obs.progress import ProgressFile, ProgressPrinter
-from repro.obs.trace import (
-    chrome_trace,
-    read_events,
-    write_chrome_trace,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.events import (
+        NULL_RECORDER,
+        JsonlSink,
+        NullRecorder,
+        Recorder,
+    )
+    from repro.obs.metrics import MetricsRegistry, format_metrics
+    from repro.obs.progress import ProgressFile, ProgressPrinter
+    from repro.obs.trace import chrome_trace, read_events, write_chrome_trace
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.obs.events": (
+                "NULL_RECORDER JsonlSink NullRecorder Recorder"
+            ),
+            "repro.obs.metrics": "MetricsRegistry format_metrics",
+            "repro.obs.progress": "ProgressFile ProgressPrinter",
+            "repro.obs.trace": "chrome_trace read_events write_chrome_trace",
+        },
+    )
 
 __all__ = [
     "JsonlSink",

@@ -1,68 +1,114 @@
 """Pre-runtime scheduler, schedule extraction and runtime baselines."""
 
-from repro.scheduler.adaptive import (
-    AdaptiveStore,
-    bench_model_families,
-    net_family,
-    predict_states,
-    spec_family,
-)
-from repro.scheduler.baselines import (
-    DeadlineMiss,
-    RUNTIME_POLICIES,
-    RuntimeOutcome,
-    exclusion_blocking_pair,
-    mok_trap,
-    rm_overload_pair,
-    simulate_runtime,
-)
-from repro.scheduler.config import (
-    DEFAULT_ENGINE,
-    DELAY_MODES,
-    ENGINES,
-    PARALLEL_MODES,
-    PRIORITY_MODES,
-    SchedulerConfig,
-)
-from repro.scheduler.core import (
-    EngineAdapter,
-    ReferenceAdapter,
-    SearchCore,
-    StateClassAdapter,
-    make_adapter,
-)
-from repro.scheduler.dfs import (
-    PreRuntimeScheduler,
-    find_schedule,
-    require_schedule,
-    search,
-)
-from repro.scheduler.parallel import (
-    ParallelScheduler,
-    SharedVisitedFilter,
-    split_frontier,
-    validate_with_reference,
-)
-from repro.scheduler.policies import (
-    POLICIES,
-    default_portfolio,
-    parse_policy,
-    parse_slot,
-)
-from repro.scheduler.result import SchedulerResult, SearchStats
-from repro.scheduler.schedule import (
-    BusSegment,
-    DenseScheduleEntry,
-    ExecutionSegment,
-    ScheduleItem,
-    TaskLevelSchedule,
-    build_schedule_items,
-    dense_schedule_entries,
-    extract_schedule,
-    format_dense_schedule,
-    schedule_from_result,
-    validate_schedule,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.scheduler.adaptive import (
+        AdaptiveStore,
+        bench_model_families,
+        net_family,
+        predict_states,
+        spec_family,
+    )
+    from repro.scheduler.baselines import (
+        DeadlineMiss,
+        RUNTIME_POLICIES,
+        RuntimeOutcome,
+        exclusion_blocking_pair,
+        mok_trap,
+        rm_overload_pair,
+        simulate_runtime,
+    )
+    from repro.scheduler.config import (
+        DEFAULT_ENGINE,
+        DELAY_MODES,
+        ENGINES,
+        PARALLEL_MODES,
+        PRIORITY_MODES,
+        SchedulerConfig,
+    )
+    from repro.scheduler.core import (
+        EngineAdapter,
+        ReferenceAdapter,
+        SearchCore,
+        StateClassAdapter,
+        make_adapter,
+        validate_with_reference,
+    )
+    from repro.scheduler.dfs import (
+        PreRuntimeScheduler,
+        find_schedule,
+        require_schedule,
+        search,
+    )
+    from repro.scheduler.parallel import (
+        ParallelScheduler,
+        SharedVisitedFilter,
+        split_frontier,
+    )
+    from repro.scheduler.policies import (
+        POLICIES,
+        default_portfolio,
+        parse_policy,
+        parse_slot,
+    )
+    from repro.scheduler.result import SchedulerResult, SearchStats
+    from repro.scheduler.schedule import (
+        BusSegment,
+        DenseScheduleEntry,
+        ExecutionSegment,
+        ScheduleItem,
+        TaskLevelSchedule,
+        build_schedule_items,
+        dense_schedule_entries,
+        extract_schedule,
+        format_dense_schedule,
+        schedule_from_result,
+        validate_schedule,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.scheduler.adaptive": (
+                "AdaptiveStore bench_model_families net_family "
+                "predict_states spec_family"
+            ),
+            "repro.scheduler.baselines": (
+                "DeadlineMiss RUNTIME_POLICIES RuntimeOutcome "
+                "exclusion_blocking_pair mok_trap rm_overload_pair "
+                "simulate_runtime"
+            ),
+            "repro.scheduler.config": (
+                "DEFAULT_ENGINE DELAY_MODES ENGINES PARALLEL_MODES "
+                "PRIORITY_MODES SchedulerConfig"
+            ),
+            "repro.scheduler.core": (
+                "EngineAdapter ReferenceAdapter SearchCore "
+                "StateClassAdapter make_adapter validate_with_reference"
+            ),
+            "repro.scheduler.dfs": (
+                "PreRuntimeScheduler find_schedule require_schedule "
+                "search"
+            ),
+            "repro.scheduler.parallel": (
+                "ParallelScheduler SharedVisitedFilter split_frontier"
+            ),
+            "repro.scheduler.policies": (
+                "POLICIES default_portfolio parse_policy parse_slot"
+            ),
+            "repro.scheduler.result": "SchedulerResult SearchStats",
+            "repro.scheduler.schedule": (
+                "BusSegment DenseScheduleEntry ExecutionSegment "
+                "ScheduleItem TaskLevelSchedule build_schedule_items "
+                "dense_schedule_entries extract_schedule "
+                "format_dense_schedule schedule_from_result "
+                "validate_schedule"
+            ),
+        },
+    )
 
 __all__ = [
     "AdaptiveStore",

@@ -384,7 +384,7 @@ def bench_model_families() -> dict[str, str]:
     and fingerprinted the same way a live race fingerprints its net.
     """
     # deferred imports: keep this module import-light for the workers
-    from repro.blocks import compose
+    from repro.blocks.composer import compose
     from repro.workloads import (
         hard_portfolio_task_set,
         wide_interval_race_net,

@@ -45,10 +45,11 @@ policies).
 from __future__ import annotations
 
 import time
-from typing import Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER
+from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.result import SchedulerResult, SearchStats
 from repro.tpn.interval import INF
 from repro.tpn._native import (
@@ -59,9 +60,10 @@ from repro.tpn._native import (
 )
 from repro.tpn.kernel import KernelEngine, KernelState
 from repro.tpn.net import CompiledNet
-from repro.tpn.dbm import DbmEngine, PackedClass
 from repro.tpn.state import DISABLED, State, StateEngine
-from repro.tpn.stateclass import realize_firing_sequence
+
+if TYPE_CHECKING:
+    from repro.tpn.dbm import PackedClass
 
 # check the wall clock every 1024 expansions; the budget is measured
 # on time.monotonic() — never the adjustable system clock — matching
@@ -495,6 +497,9 @@ class StateClassAdapter(_AdapterBase):
     name = "stateclass"
 
     def __init__(self, net: CompiledNet, config):
+        # the dense engine loads only when a state-class search runs
+        from repro.tpn.dbm import DbmEngine
+
         super().__init__(net, config)
         self.engine = DbmEngine(
             net, reset_policy=config.reset_policy
@@ -570,21 +575,55 @@ class StateClassAdapter(_AdapterBase):
         return _DenseView(tuple(clocks))
 
     def finalize_path(self, actions, stats):
+        from repro.tpn.stateclass import realize_firing_sequence
+
         sequence = [t for t, _q, _at in actions]
         with self.obs.span("concretisation", cat="stateclass"):
             realized = realize_firing_sequence(
                 self.net, sequence, self.config.reset_policy
             )
         # same reference-replay gate the parallel scheduler applies to
-        # worker wins (deferred import: parallel imports the scheduler
-        # stack for its workers)
-        from repro.scheduler.parallel import validate_with_reference
-
+        # worker wins
         with self.obs.span("reference-replay", cat="validate"):
             validate_with_reference(
                 self.net, self.config, realized.schedule
             )
         return realized.schedule, realized.windows
+
+
+def validate_with_reference(
+    net: CompiledNet,
+    config: SchedulerConfig,
+    schedule: list[tuple[str, int, int]],
+) -> None:
+    """Replay a firing schedule through the checked reference engine.
+
+    Every firing is validated against Definition 3.1 (enabledness,
+    admissible delay window under strong semantics) by
+    :meth:`StateEngine.fire`, and the final marking must satisfy
+    ``M_F``.  Raises :class:`SchedulingError` when the schedule is not
+    a legal feasible run — which would mean the producing search (a
+    parallel worker, or the dense state-class concretisation, which
+    shares this gate) returned garbage, so the error is loud rather
+    than folded into a verdict.
+    """
+    engine = StateEngine(net, reset_policy=config.reset_policy)
+    state = engine.initial_state()
+    index = net.transition_index
+    now = 0
+    for name, delay, at in schedule:
+        state = engine.fire(state, index[name], delay)
+        now += delay
+        if now != at:
+            raise SchedulingError(
+                f"schedule timestamp mismatch at {name!r}: "
+                f"recorded {at}, replayed {now}"
+            )
+    if not net.is_final(state.marking):
+        raise SchedulingError(
+            "schedule does not reach the final marking under the "
+            "reference engine"
+        )
 
 
 #: Adapter registry, keyed by the engine names of

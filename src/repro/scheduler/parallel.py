@@ -81,6 +81,7 @@ from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.scheduler.adaptive import AdaptiveStore, net_family
 from repro.scheduler.config import ENGINES, SchedulerConfig
+from repro.scheduler.core import validate_with_reference
 from repro.scheduler.dfs import PreRuntimeScheduler
 from repro.scheduler.policies import (
     default_portfolio,
@@ -89,7 +90,6 @@ from repro.scheduler.policies import (
 )
 from repro.scheduler.result import SchedulerResult, SearchStats
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import StateEngine
 
 #: Frontier jobs exported per worker: enough imbalance absorption that
 #: an unlucky worker's huge subtree does not serialise the rest.
@@ -328,44 +328,6 @@ def split_frontier(
         seen_hashes=[state_key(state) for state in visited],
         stats=stats,
     )
-
-
-# ----------------------------------------------------------------------
-# Schedule validation (the determinism contract)
-# ----------------------------------------------------------------------
-def validate_with_reference(
-    net: CompiledNet,
-    config: SchedulerConfig,
-    schedule: list[tuple[str, int, int]],
-) -> None:
-    """Replay a firing schedule through the checked reference engine.
-
-    Every firing is validated against Definition 3.1 (enabledness,
-    admissible delay window under strong semantics) by
-    :meth:`StateEngine.fire`, and the final marking must satisfy
-    ``M_F``.  Raises :class:`SchedulingError` when the schedule is not
-    a legal feasible run — which would mean the producing search (a
-    parallel worker, or the dense state-class concretisation, which
-    shares this gate) returned garbage, so the error is loud rather
-    than folded into a verdict.
-    """
-    engine = StateEngine(net, reset_policy=config.reset_policy)
-    state = engine.initial_state()
-    index = net.transition_index
-    now = 0
-    for name, delay, at in schedule:
-        state = engine.fire(state, index[name], delay)
-        now += delay
-        if now != at:
-            raise SchedulingError(
-                f"schedule timestamp mismatch at {name!r}: "
-                f"recorded {at}, replayed {now}"
-            )
-    if not net.is_final(state.marking):
-        raise SchedulingError(
-            "schedule does not reach the final marking under the "
-            "reference engine"
-        )
 
 
 # ----------------------------------------------------------------------

@@ -29,21 +29,41 @@ See ``docs/service.md`` for the endpoint contract, the SSE event
 schema and dedup semantics.
 """
 
-from repro.service.app import (
-    ServiceThread,
-    SynthesisService,
-    run_in_thread,
-    serve,
-)
-from repro.service.http11 import HttpError, Request
-from repro.service.jobs import AuditLog, JobManager, JobRecord
-from repro.service.sse import (
-    EventQueue,
-    ServerEvent,
-    decode_stream,
-    encode_comment,
-    encode_event,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.service.app import (
+        ServiceThread,
+        SynthesisService,
+        run_in_thread,
+        serve,
+    )
+    from repro.service.http11 import HttpError, Request
+    from repro.service.jobs import AuditLog, JobManager, JobRecord
+    from repro.service.sse import (
+        EventQueue,
+        ServerEvent,
+        decode_stream,
+        encode_comment,
+        encode_event,
+    )
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.service.app": (
+                "ServiceThread SynthesisService run_in_thread serve"
+            ),
+            "repro.service.http11": "HttpError Request",
+            "repro.service.jobs": "AuditLog JobManager JobRecord",
+            "repro.service.sse": (
+                "EventQueue ServerEvent decode_stream encode_comment "
+                "encode_event"
+            ),
+        },
+    )
 
 __all__ = [
     "AuditLog",

@@ -25,7 +25,6 @@ conventions:
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
-from xml.dom import minidom
 
 from repro.errors import DSLError
 from repro.spec.model import (
@@ -333,6 +332,8 @@ def dumps(spec: EzRTSpec, pretty: bool = True) -> str:
     raw = ET.tostring(root, encoding="unicode")
     document = '<?xml version="1.0" encoding="UTF-8"?>\n' + raw
     if pretty:
+        from xml.dom import minidom
+
         parsed = minidom.parseString(document)
         document = parsed.toprettyxml(indent="  ")
         # minidom emits blank lines for whitespace-only nodes; drop them

@@ -18,63 +18,104 @@ Public surface:
   export.
 """
 
-from repro.tpn.analysis import (
-    BehaviouralReport,
-    behavioural_report,
-    check_invariants_on_graph,
-    classify,
-    incidence_matrix,
-    invariant_value,
-    is_conservative,
-    place_invariants,
-    transition_invariants,
-)
-from repro.tpn.dot import net_to_dot, reachability_to_dot
-from repro.tpn.interval import INF, TimeInterval
-from repro.tpn.marking import MarkingView
-from repro.tpn.net import (
-    Arc,
-    CompiledNet,
-    Place,
-    ROLE_ARRIVAL,
-    ROLE_COMPUTE,
-    ROLE_DEADLINE_MISS,
-    ROLE_DEADLINE_OK,
-    ROLE_EXCLUSION,
-    ROLE_FINISH,
-    ROLE_FORK,
-    ROLE_GRANT,
-    ROLE_JOIN,
-    ROLE_MESSAGE,
-    ROLE_PHASE,
-    ROLE_PRECEDENCE,
-    ROLE_RELEASE,
-    TimePetriNet,
-    Transition,
-    net_union,
-)
-from repro.tpn.reachability import (
-    ReachabilityGraph,
-    explore,
-    find_state,
-    reachable_markings,
-)
-from repro.tpn.stateclass import (
-    RealizedSchedule,
-    StateClass,
-    StateClassEngine,
-    StateClassGraph,
-    build_state_class_graph,
-    realize_firing_sequence,
-)
-from repro.tpn.state import (
-    DISABLED,
-    FiringCandidate,
-    RESET_POLICIES,
-    State,
-    StateEngine,
-)
-from repro.tpn.tlts import TLTS, Action, Run
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.tpn.analysis import (
+        BehaviouralReport,
+        behavioural_report,
+        check_invariants_on_graph,
+        classify,
+        incidence_matrix,
+        invariant_value,
+        is_conservative,
+        place_invariants,
+        transition_invariants,
+    )
+    from repro.tpn.dot import net_to_dot, reachability_to_dot
+    from repro.tpn.interval import INF, TimeInterval
+    from repro.tpn.marking import MarkingView
+    from repro.tpn.net import (
+        Arc,
+        CompiledNet,
+        Place,
+        ROLE_ARRIVAL,
+        ROLE_COMPUTE,
+        ROLE_DEADLINE_MISS,
+        ROLE_DEADLINE_OK,
+        ROLE_EXCLUSION,
+        ROLE_FINISH,
+        ROLE_FORK,
+        ROLE_GRANT,
+        ROLE_JOIN,
+        ROLE_MESSAGE,
+        ROLE_PHASE,
+        ROLE_PRECEDENCE,
+        ROLE_RELEASE,
+        TimePetriNet,
+        Transition,
+        net_union,
+    )
+    from repro.tpn.reachability import (
+        ReachabilityGraph,
+        explore,
+        find_state,
+        reachable_markings,
+    )
+    from repro.tpn.stateclass import (
+        RealizedSchedule,
+        StateClass,
+        StateClassEngine,
+        StateClassGraph,
+        build_state_class_graph,
+        realize_firing_sequence,
+    )
+    from repro.tpn.state import (
+        DISABLED,
+        FiringCandidate,
+        RESET_POLICIES,
+        State,
+        StateEngine,
+    )
+    from repro.tpn.tlts import TLTS, Action, Run
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "repro.tpn.analysis": (
+                "BehaviouralReport behavioural_report "
+                "check_invariants_on_graph classify incidence_matrix "
+                "invariant_value is_conservative place_invariants "
+                "transition_invariants"
+            ),
+            "repro.tpn.dot": "net_to_dot reachability_to_dot",
+            "repro.tpn.interval": "INF TimeInterval",
+            "repro.tpn.marking": "MarkingView",
+            "repro.tpn.net": (
+                "Arc CompiledNet Place ROLE_ARRIVAL ROLE_COMPUTE "
+                "ROLE_DEADLINE_MISS ROLE_DEADLINE_OK ROLE_EXCLUSION "
+                "ROLE_FINISH ROLE_FORK ROLE_GRANT ROLE_JOIN "
+                "ROLE_MESSAGE ROLE_PHASE ROLE_PRECEDENCE ROLE_RELEASE "
+                "TimePetriNet Transition net_union"
+            ),
+            "repro.tpn.reachability": (
+                "ReachabilityGraph explore find_state "
+                "reachable_markings"
+            ),
+            "repro.tpn.stateclass": (
+                "RealizedSchedule StateClass StateClassEngine "
+                "StateClassGraph build_state_class_graph "
+                "realize_firing_sequence"
+            ),
+            "repro.tpn.state": (
+                "DISABLED FiringCandidate RESET_POLICIES State "
+                "StateEngine"
+            ),
+            "repro.tpn.tlts": "TLTS Action Run",
+        },
+    )
 
 __all__ = [
     "Action",

@@ -1,0 +1,230 @@
+"""The cold path: a one-shot ``ezrt`` command loads only what it runs.
+
+The paper's tool chain is one ``ezrt`` process per step (model →
+schedule → code), so import is a large share of every command.  The
+package facades resolve their names lazily and ``repro.cli`` imports
+the pipeline leaf by leaf; these tests pin the result:
+
+* each one-shot command, run in a fresh interpreter, loads none of
+  the batch engine, the service, PNML, the code lint pack, the
+  parallel/adaptive/baseline schedulers, the net analysis tools or
+  the process-pool and socket stacks;
+* ``import repro.cli`` alone loads at most 50 ``repro`` modules;
+* every layer the benchmark's traced pass wraps on ``repro.cli`` is
+  still called through the module global it wraps;
+* ``main`` builds only the named subcommand's arguments, yet every
+  ``--help`` page is byte-identical to the full parser's.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import functools
+import importlib
+import importlib.util
+import io
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro import cli
+
+REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.join(REPO_ROOT, "src")
+
+#: modules (and their submodules) no one-shot command may load
+FORBIDDEN = (
+    "repro.batch",
+    "repro.service",
+    "repro.pnml",
+    "repro.lint.coderules",
+    "repro.scheduler.parallel",
+    "repro.scheduler.adaptive",
+    "repro.scheduler.baselines",
+    "repro.tpn.analysis",
+    "repro.tpn.reachability",
+    "repro.tpn.dot",
+    "repro.tpn.tlts",
+    "repro.workloads",
+    "multiprocessing",
+    "concurrent.futures",
+    "asyncio",
+    "socket",
+)
+
+#: ``repro`` modules ``import repro.cli`` may load
+MAX_IMPORT_MODULES = 50
+
+#: runs ``repro.cli.main`` on argv[2:] (or only imports the CLI when
+#: there are none) and writes the loaded module names to argv[1]
+_PROBE = """
+import sys
+import repro.cli
+if sys.argv[2:]:
+    rc = repro.cli.main(sys.argv[2:])
+    assert rc == 0, rc
+loaded = sorted(sys.modules)
+with open(sys.argv[1], "w") as out:
+    out.write("\\n".join(loaded))
+"""
+
+
+def _loaded_modules(tmp_path, *argv: str) -> set[str]:
+    """Modules a fresh interpreter holds after the probe runs ``argv``."""
+    out = tmp_path / "modules.txt"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+    subprocess.run(
+        [sys.executable, "-c", _PROBE, str(out), *argv],
+        cwd=tmp_path,
+        env=env,
+        check=True,
+        capture_output=True,
+        timeout=120,
+    )
+    return set(out.read_text().split())
+
+
+@functools.lru_cache(maxsize=1)
+def _interpreter_baseline() -> frozenset[str]:
+    """What a bare interpreter loads here (site hooks included)."""
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"],
+        check=True,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return frozenset(done.stdout.split())
+
+
+def _forbidden(modules: set[str]) -> list[str]:
+    extra = modules - _interpreter_baseline()
+    return sorted(
+        name
+        for name in extra
+        for banned in FORBIDDEN
+        if name == banned or name.startswith(banned + ".")
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("schedule", "@fig3"),
+        ("codegen", "@fig3", "-o", "generated"),
+        ("simulate", "@fig3"),
+        ("validate", "@fig3"),
+        ("export", "@fig3", "-o", "fig3.xml"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_one_shot_command_loads_only_its_pipeline(tmp_path, argv):
+    modules = _loaded_modules(tmp_path, *argv)
+    assert "repro.cli" in modules
+    assert _forbidden(modules) == []
+
+
+def test_import_cli_module_budget(tmp_path):
+    modules = _loaded_modules(tmp_path)
+    repro_modules = sorted(m for m in modules if m.startswith("repro"))
+    assert len(repro_modules) <= MAX_IMPORT_MODULES, repro_modules
+    assert _forbidden(modules) == []
+
+
+# ----------------------------------------------------------------------
+# the benchmark's traced layers still see every call
+# ----------------------------------------------------------------------
+def _cli_layers() -> tuple[tuple[str, str, str], ...]:
+    path = os.path.join(REPO_ROOT, "perfbench", "spans.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_spans", path)
+    assert spec is not None and spec.loader is not None
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.CLI_LAYERS
+
+
+def _owner(module_name: str, attr: str):
+    owner = importlib.import_module(module_name)
+    *path, name = attr.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    return owner, name
+
+
+def test_every_traced_cli_layer_is_called(tmp_path, monkeypatch):
+    layers = _cli_layers()
+    assert any(module == "repro.cli" for module, _attr, _ in layers)
+    calls = {}
+    for module_name, attr, _layer in layers:
+        owner, name = _owner(module_name, attr)
+        original = getattr(owner, name)
+        key = f"{module_name}.{attr}"
+        calls[key] = 0
+
+        def counting(*args, _original=original, _key=key, **kwargs):
+            calls[_key] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    spec_path = str(tmp_path / "fig3.xml")
+    runs = (
+        ["export", "@fig3", "-o", spec_path],
+        ["schedule", spec_path],
+        ["codegen", spec_path, "-o", str(tmp_path / "gen")],
+        ["simulate", spec_path],
+    )
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in runs:
+            assert cli.main(argv) == 0, argv
+    assert {key for key, n in calls.items() if n == 0} == set()
+
+
+# ----------------------------------------------------------------------
+# the lean parser keeps every help page
+# ----------------------------------------------------------------------
+def _help_text(parse) -> str:
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer), pytest.raises(SystemExit) as done:
+        parse()
+    assert done.value.code == 0
+    return buffer.getvalue()
+
+
+SUBCOMMANDS = [name for name, _options, _add in cli._SUBCOMMANDS]
+
+
+@pytest.mark.parametrize("command", [None, *SUBCOMMANDS])
+def test_help_matches_the_full_parser(command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    full = _help_text(lambda: cli.build_parser().parse_args(argv))
+    lean = _help_text(lambda: cli.main(argv))
+    assert lean == full
+    assert lean
+
+
+def test_lean_parser_builds_only_the_named_subcommand():
+    parser = cli.build_parser("schedule")
+    sub = next(
+        action
+        for action in parser._actions
+        if action.dest == "command"
+    )
+    assert set(sub.choices) == set(SUBCOMMANDS)
+    # registered but unconfigured subcommands carry only --help
+    assert [a.dest for a in sub.choices["batch"]._actions] == ["help"]
+    assert "--engine" in sub.choices["schedule"]._option_string_actions
+
+
+def test_unknown_subcommand_lists_every_choice(capsys):
+    with pytest.raises(SystemExit) as done:
+        cli.main(["bogus"])
+    assert done.value.code == 2
+    err = capsys.readouterr().err
+    for name in SUBCOMMANDS:
+        assert name in err
