@@ -1,7 +1,7 @@
-"""Experiment PD1 — parallel DFS: portfolio racing and work stealing.
+"""Experiment PD1 — parallel DFS: portfolio racing.
 
 Acceptance benchmark of :mod:`repro.scheduler.parallel`.  Two
-workload/strategy pairings are measured end-to-end (compose + compile
+portfolio workloads are measured end-to-end (compose + compile
 + search + reference-replay validation, i.e. exactly what
 ``ezrt schedule --parallel N`` pays):
 
@@ -13,14 +13,7 @@ workload/strategy pairings are measured end-to-end (compose + compile
    the speedup-vs-workers curve is recorded and the acceptance gate
    (:data:`MIN_SPEEDUP_AT_4`× at 4 workers) is asserted alongside
    verdict parity with the serial search.
-2. **Work stealing on an exhaustively-infeasible model**: the subtree
-   partition with a shared visited filter must reproduce the serial
-   infeasible verdict with bounded duplicated work
-   (:data:`MAX_WORKSTEAL_WORK_RATIO`× the serial visited count).  On a
-   multi-core host this curve shows wall-clock scaling too; on the
-   single-core CI box only the parity and bounded-work properties are
-   gated.
-3. **Mixed-engine portfolio on the wide-interval race model**
+2. **Mixed-engine portfolio on the wide-interval race model**
    (:func:`repro.workloads.wide_interval_race_net`, ISSUE 5): a
    ``stateclass:earliest`` slot races the discrete hot path under a
    delay-enumerating configuration.  The discrete state space grows
@@ -55,7 +48,6 @@ from repro.scheduler import (
 )
 from repro.workloads import (
     hard_portfolio_task_set,
-    random_task_set,
     wide_interval_race_net,
 )
 
@@ -64,11 +56,6 @@ from repro.workloads import (
 #: model.  Measured ~6-12x on a single shared vCPU; 1.8 is the
 #: noise-proof floor.
 MIN_SPEEDUP_AT_4 = 1.8
-
-#: Work-stealing may duplicate some exploration (lock-free filter
-#: claims, frontier overlap) but must stay within this factor of the
-#: serial visited count on an exhaustive (infeasible) search.
-MAX_WORKSTEAL_WORK_RATIO = 1.25
 
 WORKER_CURVE = (2, 4)
 ROUNDS = 2
@@ -114,43 +101,6 @@ def _portfolio_curve():
     return {
         "model": spec.name,
         "mode": "portfolio",
-        "serial_seconds": serial_s,
-        "serial_states_visited": serial.stats.states_visited,
-        "feasible": serial.feasible,
-        "curve": rows,
-    }
-
-
-def _worksteal_curve():
-    # exhaustively infeasible: ~7k states to refute, fully decidable
-    spec = random_task_set(6, 0.95, seed=3, deadline_slack=0.6)
-    serial, serial_s = _end_to_end(spec, SchedulerConfig())
-    assert not serial.feasible and not serial.exhausted
-    rows = []
-    for workers in WORKER_CURVE:
-        config = SchedulerConfig(
-            parallel=workers, parallel_mode="worksteal"
-        )
-        result, seconds = _end_to_end(spec, config)
-        assert result.feasible == serial.feasible, (
-            f"worksteal verdict diverged at {workers} workers"
-        )
-        assert not result.exhausted
-        rows.append(
-            {
-                "workers": workers,
-                "seconds": seconds,
-                "speedup": serial_s / seconds,
-                "states_visited": result.stats.states_visited,
-                "work_ratio": (
-                    result.stats.states_visited
-                    / serial.stats.states_visited
-                ),
-            }
-        )
-    return {
-        "model": spec.name,
-        "mode": "worksteal",
         "serial_seconds": serial_s,
         "serial_states_visited": serial.stats.states_visited,
         "feasible": serial.feasible,
@@ -216,7 +166,6 @@ def _mixed_engine_curve():
 
 def test_parallel_dfs(report):
     portfolio = _portfolio_curve()
-    worksteal = _worksteal_curve()
     mixed = _mixed_engine_curve()
     at4 = next(
         row for row in portfolio["curve"] if row["workers"] == 4
@@ -229,7 +178,7 @@ def test_parallel_dfs(report):
         "rounds": ROUNDS,
         "min_speedup_at_4": MIN_SPEEDUP_AT_4,
         "target_met": at4["speedup"] >= MIN_SPEEDUP_AT_4,
-        "results": [portfolio, worksteal, mixed],
+        "results": [portfolio, mixed],
     }
     with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -248,13 +197,6 @@ def test_parallel_dfs(report):
             f">= {MIN_SPEEDUP_AT_4}x at 4",
             f"{row['speedup']:.2f}x (won by {row['winner_policy']})",
         )
-    for row in worksteal["curve"]:
-        report(
-            "PD1",
-            f"worksteal --parallel {row['workers']} work ratio",
-            f"<= {MAX_WORKSTEAL_WORK_RATIO}",
-            f"{row['work_ratio']:.2f}",
-        )
     for row in mixed["curve"]:
         report(
             "PD1",
@@ -268,12 +210,6 @@ def test_parallel_dfs(report):
         f"portfolio at 4 workers managed only {at4['speedup']:.2f}x "
         f"over serial on {portfolio['model']}"
     )
-    for row in worksteal["curve"]:
-        assert row["work_ratio"] <= MAX_WORKSTEAL_WORK_RATIO, (
-            "work stealing duplicated too much exploration: "
-            f"{row['work_ratio']:.2f}x serial at "
-            f"{row['workers']} workers"
-        )
     # ISSUE 5: a stateclass slot must win the wide-interval race —
     # the engine-aware portfolio's reason to exist
     for row in mixed["curve"]:
@@ -291,7 +227,7 @@ def test_json_artifact_shape(report):
         payload = json.load(fh)
     assert payload["bench"] == "parallel_dfs"
     modes = {entry["mode"] for entry in payload["results"]}
-    assert modes == {"portfolio", "worksteal"}
+    assert modes == {"portfolio"}
     for entry in payload["results"]:
         assert entry["curve"], "empty speedup curve"
         for row in entry["curve"]:

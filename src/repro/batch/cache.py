@@ -16,7 +16,9 @@ The key is the SHA-256 hex digest of the canonical JSON encoding
      "scheduler": {"engine": ..., "priority_mode": ...,
                    "delay_mode": ..., "partial_order": ...,
                    "reset_policy": ..., "max_states": ...,
-                   "max_seconds": ...},
+                   "max_seconds": ..., "policy": ...,
+                   "policy_seed": ..., "parallel": ...,
+                   "portfolio": [...]},
      "stages": {"codegen": <target or None>, "simulate": <bool>,
                 "store_schedule": <bool>}}
 
@@ -53,7 +55,10 @@ from repro.spec.model import EzRTSpec
 #: though their stats and schedule shapes differ; bumping the version
 #: also makes every v2 entry miss cleanly instead of being replayed
 #: with the wrong shape.
-CACHE_FORMAT_VERSION = 3
+#: v4: scheduler section lost the parallel-mode knob (the portfolio
+#: race is the only parallel search); v3 entries miss instead of
+#: matching a layout that no longer exists.
+CACHE_FORMAT_VERSION = 4
 
 
 def spec_fingerprint(spec: EzRTSpec) -> dict:
@@ -120,7 +125,6 @@ def job_fingerprint(
             "policy": config.policy,
             "policy_seed": config.policy_seed,
             "parallel": config.parallel,
-            "parallel_mode": config.parallel_mode,
             "portfolio": list(config.portfolio),
         },
         "stages": {

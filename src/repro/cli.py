@@ -7,9 +7,8 @@ Subcommands mirror the stages of the ezRealtime architecture:
   time Petri net and export PNML;
 * ``ezrt schedule spec.xml`` — synthesise a pre-runtime schedule and
   print the Section-5 style report; ``--parallel N`` races search
-  policies (or partitions the space, ``--parallel-mode worksteal``)
-  across worker processes, ``--policy``/``--engine``/``--profile``
-  control and expose the serial search;
+  policies across worker processes, ``--policy``/``--engine``/
+  ``--profile`` control and expose the serial search;
 * ``ezrt codegen spec.xml -o out/ --target hostsim`` — full synthesis:
   schedule + generated C project;
 * ``ezrt simulate spec.xml`` — execute the synthesised table on the
@@ -94,7 +93,6 @@ def _scheduler_config(args) -> SchedulerConfig:
         policy=args.policy,
         policy_seed=args.policy_seed,
         parallel=args.parallel,
-        parallel_mode=args.parallel_mode,
         portfolio=portfolio,
         trace_jsonl=getattr(args, "_trace_jsonl", None),
         progress=getattr(args, "progress", False),
@@ -225,18 +223,9 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help=(
-            "search one model with N worker processes (0/1 = serial); "
-            "the mode is picked by --parallel-mode"
-        ),
-    )
-    parser.add_argument(
-        "--parallel-mode",
-        choices=("portfolio", "worksteal"),
-        default="portfolio",
-        help=(
-            "portfolio races policies, first definitive verdict wins; "
-            "worksteal partitions the root frontier into subtree jobs "
-            "with a shared visited filter (default: portfolio)"
+            "race N worker processes over one model, each under its "
+            "own --portfolio slot; the first definitive verdict wins "
+            "(0/1 = serial)"
         ),
     )
     parser.add_argument(
@@ -565,8 +554,6 @@ def _cmd_lint(args) -> int:
             spec,
             engine=args.engine,
             delay_mode=args.delay_mode,
-            parallel=args.parallel,
-            parallel_mode=args.parallel_mode,
         )
         failed = failed or has_errors(diagnostics)
         if args.json:
@@ -821,19 +808,6 @@ def _lint_arguments(p: argparse.ArgumentParser) -> None:
         choices=("earliest", "extremes", "full"),
         default="earliest",
         help="planned delay mode (checked against the engine)",
-    )
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=0,
-        metavar="N",
-        help="planned worker count (checked against the mode)",
-    )
-    p.add_argument(
-        "--parallel-mode",
-        choices=("portfolio", "worksteal"),
-        default="portfolio",
-        help="planned parallel mode (checked against the engine)",
     )
     p.add_argument(
         "--json",

@@ -38,7 +38,6 @@ from repro.scheduler.config import (
     DEFAULT_ENGINE,
     DELAY_MODES,
     ENGINES,
-    PARALLEL_MODES,
 )
 from repro.spec.model import EzRTSpec
 from repro.spec.timing import instance_count, schedule_period
@@ -576,8 +575,6 @@ def net_diagnostics(
 def config_diagnostics(
     engine: str | None = None,
     delay_mode: str | None = None,
-    parallel: int = 0,
-    parallel_mode: str | None = None,
 ) -> list[Diagnostic]:
     """Engine/configuration incompatibilities, pre-construction.
 
@@ -589,7 +586,6 @@ def config_diagnostics(
     for label, value, options in (
         ("engine", engine, ENGINES),
         ("delay_mode", delay_mode, DELAY_MODES),
-        ("parallel_mode", parallel_mode, PARALLEL_MODES),
     ):
         if value is not None and value not in options:
             diagnostics.append(
@@ -618,28 +614,6 @@ def config_diagnostics(
                 element="config.delay_mode",
             )
         )
-    if (
-        parallel >= 2
-        and parallel_mode == "worksteal"
-        and engine not in (None, "kernel")
-    ):
-        diagnostics.append(
-            Diagnostic(
-                code="EZG302",
-                severity=ERROR,
-                message=(
-                    f"work-stealing mode cannot drive the {engine!r} "
-                    "engine: subtree jobs and the shared visited "
-                    "filter run on the kernel engine's packed states "
-                    "and 64-bit Zobrist keys"
-                ),
-                hint=(
-                    "use engine='kernel' (the default) or "
-                    "parallel_mode='portfolio'"
-                ),
-                element="config.parallel_mode",
-            )
-        )
     return diagnostics
 
 
@@ -650,8 +624,6 @@ def lint_spec(
     spec: EzRTSpec,
     engine: str | None = None,
     delay_mode: str | None = None,
-    parallel: int = 0,
-    parallel_mode: str | None = None,
     compile_net: bool = True,
 ) -> list[Diagnostic]:
     """Run every spec-pack rule against one specification.
@@ -674,11 +646,6 @@ def lint_spec(
                 net_diagnostics(compose(spec).compiled(), engine=engine)
             )
     diagnostics.extend(
-        config_diagnostics(
-            engine=engine,
-            delay_mode=delay_mode,
-            parallel=parallel,
-            parallel_mode=parallel_mode,
-        )
+        config_diagnostics(engine=engine, delay_mode=delay_mode)
     )
     return diagnostics

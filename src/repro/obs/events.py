@@ -8,11 +8,11 @@ Design constraints, in priority order:
    and every method is a no-op for the coarse-grained call sites that
    do not bother checking.  ``benchmarks/bench_obs_overhead.py`` gates
    the disabled path at <2% of the raw search-loop baseline.
-2. **Process safety without coordination.**  Portfolio/work-stealing
-   workers and batch pool workers all append to one JSONL file.  The
-   sink opens the file with ``O_APPEND`` and emits each event as a
-   single ``os.write`` — POSIX appends are atomic per write, so lines
-   from concurrent processes interleave but never tear.  The file
+2. **Process safety without coordination.**  Portfolio workers and
+   batch pool workers all append to one JSONL file.  The sink opens
+   the file with ``O_APPEND`` and emits each event as a single
+   ``os.write`` — POSIX appends are atomic per write, so lines from
+   concurrent processes interleave but never tear.  The file
    descriptor is opened lazily *per pid* (a fork-inherited descriptor
    is detected by the pid check and reopened), so a recorder created
    before ``fork`` keeps working in every child.

@@ -3,14 +3,14 @@
 A :class:`MetricsRegistry` is process-local and lock-free (the search
 loop and its callers are single-threaded per process); aggregation
 across worker processes happens at the *snapshot* level: each portfolio
-or work-stealing worker attaches ``registry.snapshot()`` to the stats
-payload it already sends over the results queue, and the parent merges
-the drained snapshots with :meth:`MetricsRegistry.merge_snapshots` —
+worker attaches ``registry.snapshot()`` to the stats payload it
+already sends over the results queue, and the parent merges the
+drained snapshots with :meth:`MetricsRegistry.merge_snapshots` —
 no shared memory, no extra queue, no new failure modes.
 
 Merge semantics per kind:
 
-* **counters** sum (total cache hits, total steal counts);
+* **counters** sum (total cache hits, total restarts);
 * **gauges** keep the maximum (deepest frontier across workers; the
   per-slot wall-clock gauges carry the slot name, so distinct workers
   never collide on one key);

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
         DEFAULT_ENGINE,
         DELAY_MODES,
         ENGINES,
-        PARALLEL_MODES,
         PRIORITY_MODES,
         SchedulerConfig,
     )
@@ -43,11 +42,7 @@ if TYPE_CHECKING:
         require_schedule,
         search,
     )
-    from repro.scheduler.parallel import (
-        ParallelScheduler,
-        SharedVisitedFilter,
-        split_frontier,
-    )
+    from repro.scheduler.parallel import ParallelScheduler
     from repro.scheduler.policies import (
         POLICIES,
         default_portfolio,
@@ -82,8 +77,8 @@ else:
                 "simulate_runtime"
             ),
             "repro.scheduler.config": (
-                "DEFAULT_ENGINE DELAY_MODES ENGINES PARALLEL_MODES "
-                "PRIORITY_MODES SchedulerConfig"
+                "DEFAULT_ENGINE DELAY_MODES ENGINES PRIORITY_MODES "
+                "SchedulerConfig"
             ),
             "repro.scheduler.core": (
                 "EngineAdapter ReferenceAdapter SearchCore "
@@ -93,9 +88,7 @@ else:
                 "PreRuntimeScheduler find_schedule require_schedule "
                 "search"
             ),
-            "repro.scheduler.parallel": (
-                "ParallelScheduler SharedVisitedFilter split_frontier"
-            ),
+            "repro.scheduler.parallel": "ParallelScheduler",
             "repro.scheduler.policies": (
                 "POLICIES default_portfolio parse_policy parse_slot"
             ),
@@ -120,7 +113,6 @@ __all__ = [
     "ENGINES",
     "EngineAdapter",
     "ExecutionSegment",
-    "PARALLEL_MODES",
     "POLICIES",
     "ParallelScheduler",
     "PRIORITY_MODES",
@@ -134,7 +126,6 @@ __all__ = [
     "SchedulerConfig",
     "SchedulerResult",
     "SearchStats",
-    "SharedVisitedFilter",
     "TaskLevelSchedule",
     "bench_model_families",
     "build_schedule_items",
@@ -156,7 +147,6 @@ __all__ = [
     "search",
     "spec_family",
     "simulate_runtime",
-    "split_frontier",
     "validate_schedule",
     "validate_with_reference",
 ]

@@ -37,13 +37,10 @@ the ablation benches sweep:
   :mod:`repro.scheduler.policies`); orderings never change the verdict,
   only how fast a feasible schedule is found;
 * the parallel knobs — ``parallel`` (worker count; ``0``/``1`` keep
-  the search serial), ``parallel_mode`` (``"portfolio"`` races
-  independent policies and the first definitive verdict wins;
-  ``"worksteal"`` splits the root frontier into subtree jobs that
-  workers drain against a shared visited filter; kernel engine only)
-  and ``portfolio``
-  (explicit slot list for the race; empty picks the default
-  rotation of :func:`repro.scheduler.policies.default_portfolio`).
+  the search serial; ``>= 2`` races independent policies and the
+  first definitive verdict wins) and ``portfolio`` (explicit slot
+  list for the race; empty picks the default rotation of
+  :func:`repro.scheduler.policies.default_portfolio`).
   A portfolio slot is ``"[engine:]policy[:seed]"`` — prefixing a
   policy with an engine name races successor *engines* as well as
   orderings (e.g. ``("kernel:earliest", "stateclass:earliest")``
@@ -66,7 +63,6 @@ from repro.tpn.state import RESET_POLICIES
 
 PRIORITY_MODES = ("ordered", "strict")
 DELAY_MODES = ("earliest", "extremes", "full")
-PARALLEL_MODES = ("portfolio", "worksteal")
 
 #: Successor engines the scheduler can run on.  ``kernel`` and
 #: ``reference`` share the discrete-time TLTS semantics (``kernel``
@@ -76,8 +72,7 @@ PARALLEL_MODES = ("portfolio", "worksteal")
 ENGINES = ("kernel", "reference", "stateclass")
 
 #: The engine every entry point (config, CLI, batch, service, lint)
-#: uses unless told otherwise: the fastest discrete engine, and the
-#: one work-stealing runs on.
+#: uses unless told otherwise: the fastest discrete engine.
 DEFAULT_ENGINE = "kernel"
 
 
@@ -95,7 +90,6 @@ class SchedulerConfig:
     policy: str = "earliest"
     policy_seed: int = 0
     parallel: int = 0
-    parallel_mode: str = "portfolio"
     portfolio: tuple[str, ...] = field(default_factory=tuple)
     #: observability (repro.obs): JSONL span/event sink path (None =
     #: tracing off, the no-op recorder) and heartbeat streaming —
@@ -149,20 +143,6 @@ class SchedulerConfig:
         if self.parallel < 0:
             raise SchedulingError(
                 "parallel must be >= 0 (0/1 mean a serial search)"
-            )
-        if self.parallel_mode not in PARALLEL_MODES:
-            raise SchedulingError(
-                f"unknown parallel mode {self.parallel_mode!r}; "
-                f"expected one of {PARALLEL_MODES}"
-            )
-        if (
-            self.parallel >= 2
-            and self.parallel_mode == "worksteal"
-            and self.engine != "kernel"
-        ):
-            raise SchedulingError(
-                "work-stealing mode requires the kernel engine "
-                "(the shared filter claims KernelState Zobrist keys)"
             )
         from repro.scheduler.policies import parse_slot
 

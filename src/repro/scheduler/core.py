@@ -27,12 +27,11 @@ in through thin adapters:
 The split of responsibilities is strict: the adapter knows *states*
 (how to compute a root, successors, candidates, and how to turn a
 finished path into a schedule); the core knows *search* (the stack,
-tagging, pruning, budgets, cooperative cancellation, the shared
-visited filter and the policy reordering).  Orchestration layers —
-the portfolio racer, the work-stealing partitioner, the batch engine —
-treat every engine uniformly through this protocol, the way Real-Time
-Maude and e-Motions keep one formal analysis core under several
-modeling front-ends.
+tagging, pruning, budgets, cooperative cancellation and the policy
+reordering).  Orchestration layers — the portfolio racer, the batch
+engine — treat every engine uniformly through this protocol, the way
+Real-Time Maude and e-Motions keep one formal analysis core under
+several modeling front-ends.
 
 Behaviour-preserving parity is the refactor's contract: for every
 engine the core produces the same verdicts, the same visited-state
@@ -113,9 +112,8 @@ class EngineAdapter(Protocol):
 
     * ``name`` — the engine's registry name (``"kernel"``,
       ``"reference"``, ``"stateclass"``);
-    * ``engine`` — the wrapped engine instance (orchestration layers
-      reach through for engine-specific plumbing such as
-      :meth:`~repro.tpn.kernel.KernelEngine.revive`);
+    * ``engine`` — the wrapped engine instance (the scheduler shell
+      reads its ``native`` flag for the ``*.native_core`` gauges);
     * ``touches_miss`` / ``touches_final`` — the compiled
       marking-predicate skip masks (identical semantics for every
       adapter: a predicate can only change when the fired transition
@@ -146,10 +144,6 @@ class EngineAdapter(Protocol):
         """Ordered ``(transition, delay)`` pairs of a state, after the
         priority filter, the partial-order reduction (counted on
         ``stats.reductions``) and the delay-policy expansion."""
-
-    def state_key(self, state) -> int:
-        """64-bit compaction key for the cross-process visited filter
-        (hash-compacted claims; full-equality tagging stays local)."""
 
     def clocks_view(self, state):
         """The object reorder policies read ``.clocks`` from."""
@@ -289,9 +283,6 @@ class _AdapterBase:
         self.deadline_missed = net.has_missed_deadline
         self.reached_final = net.is_final
 
-    def state_key(self, state) -> int:
-        return hash(state)
-
     def clocks_view(self, state):
         return state
 
@@ -330,13 +321,6 @@ class KernelAdapter(_AdapterBase):
         )
         # bound method, not a wrapper: the core hoists it into a local
         self.successor = self.engine.successor
-        self._root: KernelState | None = None
-        self._root_now = 0
-
-    def set_root(self, root: KernelState | None, now: int) -> None:
-        """Inject a subtree root (work-stealing); ``None`` resets."""
-        self._root = root
-        self._root_now = now
 
     def root(self) -> tuple[KernelState, int]:
         self.obs.instant(
@@ -344,12 +328,7 @@ class KernelAdapter(_AdapterBase):
             cat="kernel",
             native=self.engine.native,
         )
-        if self._root is not None:
-            return self._root, self._root_now
         return self.engine.initial(), 0
-
-    def state_key(self, state: KernelState) -> int:
-        return state._hash
 
     def open_driver(self, root, now, reorder: bool, timed: bool):
         return self.engine.open_search(
@@ -513,9 +492,6 @@ class StateClassAdapter(_AdapterBase):
         )
         return self.engine.initial_class(), 0
 
-    def state_key(self, cls: PackedClass) -> int:
-        return cls._hash
-
     def successor(
         self, cls: PackedClass, transition: int, _delay: int
     ) -> PackedClass | None:
@@ -668,15 +644,11 @@ class SearchCore:
       reorder policy overrides it; the stop criterion is reaching
       ``M_F``.
 
-    Two injection points serve the parallel scheduler's workers (both
-    no-ops for a plain serial search): ``tick`` is a cooperative
+    One injection point serves the parallel scheduler's workers (a
+    no-op for a plain serial search): ``tick`` is a cooperative
     callback polled every 1024 expansions with the live counters plus
     the current stack depth (returning True aborts the search —
-    first-win cancellation, shared state budgets), and
-    ``shared_filter`` is a cross-process visited filter with an
-    ``add(key) -> bool`` protocol (False when the key was already
-    present); states another worker claimed are skipped like local
-    revisits.
+    first-win cancellation).
 
     Three more injection points serve :mod:`repro.obs` (all ``None``
     by default, costing the loop nothing): ``obs`` is a span recorder —
@@ -696,28 +668,17 @@ class SearchCore:
         config,
         reorder=None,
         tick=None,
-        shared_filter=None,
         obs=None,
         metrics=None,
         heartbeat=None,
-        resplit=None,
     ):
         self.adapter = adapter
         self.config = config
         self.reorder = reorder
         self.tick = tick
-        self.shared_filter = shared_filter
         self.obs = obs
         self.metrics = metrics
         self.heartbeat = heartbeat
-        #: work-stealing re-split hook (None for serial searches): an
-        #: object with ``wants_export(n_visited) -> bool`` and
-        #: ``export([(state, now, actions), ...])`` plus a
-        #: ``max_export`` bound.  Polled at the 1024-expansion cadence;
-        #: when it asks, a prefix of the *shallowest* open frame's
-        #: remaining candidates is handed back to the shared job queue
-        #: instead of being searched locally (see ``_export_prefix``).
-        self.resplit = resplit
 
     def run(self) -> SchedulerResult:
         result = self._run()
@@ -762,88 +723,6 @@ class SearchCore:
                 args={"aggregate": True, "calls": calls},
             )
             cursor += spent_ns
-
-    def _export_prefix(
-        self, stack, visited, shared_add, state_key
-    ) -> tuple[int, int, int]:
-        """Hand a prefix of the DFS frontier back to the job queue.
-
-        Cold path of the work-stealing re-split: when one subtree
-        dwarfs the rest and other workers are starving, the *shallowest*
-        stack frame with unexpanded candidates donates up to
-        ``resplit.max_export`` of them as fresh jobs.  Donated children
-        go through exactly the successor/prune/revisit pipeline of the
-        hot loop — including the shared-filter claim, so at most one
-        worker ever searches a donated subtree (modulo the filter's
-        usual lock-free race, which only ever duplicates work) — and
-        the frame's index advances past them, so this worker never
-        expands them again.  A donated child that already reaches the
-        final marking is *not* exported: the export stops and the
-        frame index stays put, so this worker's own DFS reaches the
-        win through the normal code path.
-
-        Returns ``(generated, prunes, revisits)`` deltas so the
-        caller's counters stay truthful.
-        """
-        adapter = self.adapter
-        resplit = self.resplit
-        successor = adapter.successor
-        touches_miss = adapter.touches_miss
-        touches_final = adapter.touches_final
-        has_missed = adapter.deadline_missed
-        is_final = adapter.reached_final
-        generated = prunes = revisits = 0
-        exported: list[tuple] = []
-        for depth, frame in enumerate(stack):
-            candidates = frame.candidates
-            if frame.index >= len(candidates):
-                continue
-            actions = [
-                f.action
-                for f in stack[1 : depth + 1]
-                if f.action is not None
-            ]
-            now = frame.now
-            while (
-                frame.index < len(candidates)
-                and len(exported) < resplit.max_export
-            ):
-                transition, delay = candidates[frame.index]
-                generated += 1
-                child = successor(frame.state, transition, delay)
-                if child is None or (
-                    touches_miss[transition]
-                    and has_missed(child.marking)
-                ):
-                    frame.index += 1
-                    prunes += 1
-                    continue
-                if touches_final[transition] and is_final(
-                    child.marking
-                ):
-                    # one step from a win: keep it local (index not
-                    # advanced), the hot loop takes it from here
-                    generated -= 1
-                    break
-                if child in visited or (
-                    shared_add is not None
-                    and not shared_add(state_key(child))
-                ):
-                    frame.index += 1
-                    revisits += 1
-                    continue
-                frame.index += 1
-                exported.append(
-                    (
-                        child,
-                        now + delay,
-                        actions + [(transition, delay, now + delay)],
-                    )
-                )
-            break  # only the shallowest open frame donates
-        if exported:
-            resplit.export(exported)
-        return generated, prunes, revisits
 
     def _drive(
         self, driver, stats, started, deadline, trace_t0, span_acc
@@ -1006,14 +885,13 @@ class SearchCore:
                 interval_schedule=windows,
             )
 
-        if self.shared_filter is None and self.resplit is None:
-            driver = adapter.open_driver(
-                s0, now0, self.reorder is not None, record
+        driver = adapter.open_driver(
+            s0, now0, self.reorder is not None, record
+        )
+        if driver is not None:
+            return self._drive(
+                driver, stats, started, deadline, trace_t0, span_acc
             )
-            if driver is not None:
-                return self._drive(
-                    driver, stats, started, deadline, trace_t0, span_acc
-                )
 
         candidates_of = adapter.candidates_of
         reorder = self.reorder
@@ -1066,25 +944,18 @@ class SearchCore:
         touches_final = adapter.touches_final
         has_missed = adapter.deadline_missed
         is_final = adapter.reached_final
-        state_key = adapter.state_key
         max_states = config.max_states
         monotonic = time.monotonic
         visited_add = visited.add
         tick = self.tick
-        shared = self.shared_filter
-        shared_add = None if shared is None else shared.add
         heartbeat = self.heartbeat
         metrics = self.metrics
         max_depth = 1
         # the metrics registry alone never turns polling on: the bare
         # hot loop and the registry-only default path run the same
         # per-expansion bytecode (the <2% gate in bench_obs_overhead)
-        resplit = self.resplit
         polled = (
-            deadline is not None
-            or tick is not None
-            or heartbeat is not None
-            or resplit is not None
+            deadline is not None or tick is not None or heartbeat is not None
         )
         n_visited = 1
         n_generated = 0
@@ -1125,17 +996,6 @@ class SearchCore:
                     ):
                         exhausted = True
                         break
-                    if resplit is not None and resplit.wants_export(
-                        n_visited
-                    ):
-                        d_gen, d_prune, d_revisit = (
-                            self._export_prefix(
-                                stack, visited, shared_add, state_key
-                            )
-                        )
-                        n_generated += d_gen
-                        n_prunes += d_prune
-                        n_revisits += d_revisit
 
                 child = successor(frame.state, transition, delay)
                 if child is None:
@@ -1147,13 +1007,6 @@ class SearchCore:
                     n_prunes += 1
                     continue
                 if child in visited:
-                    n_revisits += 1
-                    continue
-                if shared_add is not None and not shared_add(
-                    state_key(child)
-                ):
-                    # another worker already claimed (and will fully
-                    # explore) this state
                     n_revisits += 1
                     continue
                 visited_add(child)

@@ -11,7 +11,7 @@ holds the single engine-agnostic DFS loop and the three
 ``config.py`` the knobs, ``result.py`` the outcome/statistics
 containers, ``policies.py`` the alternative candidate orderings,
 ``adaptive.py`` the portfolio-seeding statistics, and ``parallel.py``
-races or partitions the search across worker processes.  Start reading
+races the search across worker processes.  Start reading
 at :class:`repro.scheduler.core.SearchCore` (the loop) and
 :meth:`repro.scheduler.core.KernelAdapter.candidates_of` (how one
 state's successor choices are enumerated).
@@ -59,7 +59,6 @@ from repro.scheduler.config import ENGINES, SchedulerConfig
 from repro.scheduler.core import SearchCore, make_adapter
 from repro.scheduler.policies import make_reorder
 from repro.scheduler.result import SchedulerResult
-from repro.tpn.kernel import KernelState
 from repro.tpn.net import CompiledNet
 
 
@@ -68,9 +67,8 @@ class PreRuntimeScheduler:
 
     A thin shell around :class:`repro.scheduler.core.SearchCore`: it
     validates the configuration, builds the engine adapter and the
-    policy reorder function, and exposes the injection points the
-    parallel scheduler's workers use (``tick``, ``shared_filter``,
-    :meth:`search_from`).
+    policy reorder function, and exposes the injection point the
+    parallel scheduler's workers use (``tick``).
     """
 
     def __init__(
@@ -101,28 +99,18 @@ class PreRuntimeScheduler:
         self._reorder = make_reorder(
             self.config.policy, net, self.config.policy_seed
         )
-        # Injection points for the parallel scheduler's workers (all
-        # no-ops for a plain serial search):
-        #: cooperative callback, polled every 1024 expansions with the
-        #: live counters; returning True aborts the search (used for
-        #: first-win cancellation and shared state budgets).
+        #: Injection point for the parallel scheduler's workers (a
+        #: no-op for a plain serial search): cooperative callback,
+        #: polled every 1024 expansions with the live counters;
+        #: returning True aborts the search (first-win cancellation).
         self.tick = None
-        #: cross-process visited filter with an ``add(key) -> bool``
-        #: protocol (False when the key was already present); states
-        #: another worker claimed are skipped like local revisits.
-        self.shared_filter = None
-        #: work-stealing re-split hook: when set, the search core
-        #: donates frontier prefixes back to the shared job queue
-        #: whenever the hook reports other workers are starving (see
-        #: :meth:`repro.scheduler.core.SearchCore._export_prefix`).
-        self.resplit = None
         # Observability (repro.obs).  The metrics registry is always
         # on — a few dict writes per search, snapshotted onto
         # ``SchedulerResult.metrics``; portfolio workers swap in their
-        # own registry so every worker's counters ship home.  The span
-        # recorder and the progress heartbeat exist only when their
-        # config knobs ask for them (otherwise the core's hot loop
-        # never sees them).
+        # own registry (carrying over the gauges below) so every
+        # worker's counters ship home.  The span recorder and the
+        # progress heartbeat exist only when their config knobs ask for
+        # them (otherwise the core's hot loop never sees them).
         self.metrics = MetricsRegistry()
         if engine == "kernel":
             # which core the kernel engine resolved to (1.0 = compiled
@@ -166,32 +154,10 @@ class PreRuntimeScheduler:
             self.config,
             reorder=self._reorder,
             tick=self.tick,
-            shared_filter=self.shared_filter,
             obs=self.obs,
             metrics=self.metrics,
             heartbeat=self.heartbeat,
-            resplit=self.resplit,
         ).run()
-
-    def search_from(self, root: KernelState, now: int) -> SchedulerResult:
-        """Run the DFS from a subtree root instead of the initial state.
-
-        Used by the work-stealing mode: ``root`` is a frontier state
-        exported by :func:`repro.scheduler.parallel.split_frontier` and
-        ``now`` the absolute time its prefix ends at, so the returned
-        ``firing_schedule`` carries absolute times that concatenate
-        directly onto the prefix.  Kernel engine only (the root is a
-        :class:`KernelState`).
-        """
-        if self.engine_mode != "kernel":
-            raise SchedulingError(
-                "subtree search requires the kernel engine"
-            )
-        self.adapter.set_root(root, now)
-        try:
-            return self.search()
-        finally:
-            self.adapter.set_root(None, 0)
 
 
 def search(
@@ -204,8 +170,8 @@ def search(
 
     Dispatches on ``config.parallel``: ``0``/``1`` run the serial DFS
     in-process, ``>= 2`` hand the net to the
-    :class:`~repro.scheduler.parallel.ParallelScheduler` (portfolio
-    racing or work-stealing subtree search across worker processes).
+    :class:`~repro.scheduler.parallel.ParallelScheduler` (a portfolio
+    race across worker processes).
     ``engine=None`` uses ``config.engine``; an explicit argument
     overrides it for this call.
 

@@ -109,7 +109,7 @@ class SchedulerResult:
             known (used for the paper's visited/minimum comparison).
         winner_policy: in a portfolio race, the policy whose search
             produced the verdict (e.g. ``"random:1"``); ``None`` for
-            serial and work-stealing searches.
+            serial searches.
         winner_engine: in a portfolio race, the successor engine of
             the winning slot (``"kernel"``, ``"reference"`` or
             ``"stateclass"``); with engine-aware slots this can differ

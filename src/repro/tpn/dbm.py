@@ -56,7 +56,6 @@ pure core).
 
 from __future__ import annotations
 
-import math
 from array import array
 from itertools import chain
 from operator import itemgetter
@@ -202,19 +201,6 @@ class PackedClass:
         return StateClass(
             tuple(self.marking), tuple(self.enabled), tuple(rows)
         )
-
-    def export(self) -> tuple[bytes, bytes]:
-        """Minimal picklable form: the two raw buffers.
-
-        The enabled list and both hash parts are recomputed by the
-        receiving side's :meth:`DbmEngine.revive` — the marking
-        determines the enabled list, and ``len(dbm)`` determines the
-        matrix size.
-        """
-        dbm = self.dbm
-        if type(dbm) is not array:  # pure-path class (flat tuple)
-            dbm = array("q", dbm)
-        return (self.marking.tobytes(), dbm.tobytes())
 
 
 class _DbmNativeCore:
@@ -666,24 +652,6 @@ class DbmEngine:
             mhash ^ self._dbm_hash(flat, size),
         )
 
-    def revive(self, marking: bytes, dbm: bytes) -> PackedClass:
-        """Rebuild a class from :meth:`PackedClass.export` buffers."""
-        mark = array("H")
-        mark.frombytes(marking)
-        flat = array("q")
-        flat.frombytes(dbm)
-        size = math.isqrt(len(flat))
-        enabled = array("i", self._enabled(mark))
-        mhash = self._mark_hash(mark)
-        return PackedClass(
-            mark,
-            enabled,
-            flat,
-            size,
-            mhash,
-            mhash ^ self._dbm_hash(flat, size),
-        )
-
     # ------------------------------------------------------------------
     # Firing rule (dense-time Definition 3.1, packed)
     # ------------------------------------------------------------------
@@ -784,7 +752,7 @@ class DbmEngine:
             return None
         size = cls.size
         # pure-path classes carry the matrix as a flat tuple; array
-        # backed ones (the root, revived imports) are unboxed once so
+        # backed ones (the root, lifted classes) are unboxed once so
         # every later cell access is a plain C-level read
         cells = cls.dbm
         kind = type(cells)

@@ -138,15 +138,6 @@ class KernelState:
         """Convert to the reference dataclass representation."""
         return State(tuple(self.marking), self.clocks_tuple())
 
-    def export(self) -> tuple[bytes, bytes]:
-        """Minimal picklable form: the two raw buffers.
-
-        Cheaper to ship than the object (two ``bytes`` blobs); the
-        receiving side rebuilds the hash with
-        :meth:`KernelEngine.revive`.
-        """
-        return (self.marking.tobytes(), self.clk.tobytes())
-
 
 class _NativeCore:
     """Per-net handle on the compiled core: flattened CSR arrays plus
@@ -411,14 +402,6 @@ class KernelEngine:
                 for t in range(self._num_transitions)
             ),
         )
-        return KernelState(mark, clk, self.full_hash(mark, clk))
-
-    def revive(self, marking: bytes, clocks: bytes) -> KernelState:
-        """Rebuild a state from :meth:`KernelState.export` buffers."""
-        mark = array("H")
-        mark.frombytes(marking)
-        clk = array("H")
-        clk.frombytes(clocks)
         return KernelState(mark, clk, self.full_hash(mark, clk))
 
     def lift(self, state: State) -> KernelState:

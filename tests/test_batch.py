@@ -151,6 +151,23 @@ class TestExecuteJob:
         assert job.effective_config().max_seconds == 1.0
 
 
+#: A non-default value for every SchedulerConfig field that enters the
+#: cache key; each one alone must produce a different key.
+_KNOB_ALTERNATIVES = {
+    "priority_mode": "strict",
+    "delay_mode": "extremes",
+    "partial_order": False,
+    "reset_policy": "intermediate",
+    "engine": "reference",
+    "max_states": 1_000,
+    "max_seconds": 5.0,
+    "policy": "latest",
+    "policy_seed": 7,
+    "parallel": 2,
+    "portfolio": ("earliest", "latest"),
+}
+
+
 class TestCacheKey:
     def test_identifier_and_name_insensitive(self):
         # same content, freshly generated identifiers each build
@@ -214,7 +231,8 @@ class TestCacheKey:
         assert len(keys) == 3
 
     def test_v2_entries_miss_cleanly(self, tmp_path):
-        """A pre-engine (v2) cache entry is never served under v3."""
+        """Pre-engine (v2) and pre-v4 (``parallel_mode``) cache entries
+        are never served under the current layout."""
         import hashlib
 
         from repro.batch.cache import (
@@ -222,31 +240,82 @@ class TestCacheKey:
             job_fingerprint,
         )
 
-        assert CACHE_FORMAT_VERSION == 3
+        assert CACHE_FORMAT_VERSION == 4
         spec = fig3_precedence()
         options, config = ComposerOptions(), SchedulerConfig()
-        document = job_fingerprint(spec, options, config)
-        # reconstruct the v2 layout: old version tag, no engine field
-        document["v"] = 2
-        del document["scheduler"]["engine"]
-        v2_key = hashlib.sha256(
-            json.dumps(
-                document, sort_keys=True, separators=(",", ":")
-            ).encode("utf-8")
-        ).hexdigest()
+        # the v2 layout: old version tag, no engine field
+        v2 = job_fingerprint(spec, options, config)
+        v2["v"] = 2
+        del v2["scheduler"]["engine"]
+        # the v3 layout: old version tag plus the parallel-mode knob
+        v3 = job_fingerprint(spec, options, config)
+        v3["v"] = 3
+        v3["scheduler"]["parallel_mode"] = "portfolio"
+        for document in (v2, v3):
+            stale_key = hashlib.sha256(
+                json.dumps(
+                    document, sort_keys=True, separators=(",", ":")
+                ).encode("utf-8")
+            ).hexdigest()
 
-        cache = ResultCache(str(tmp_path / "cache"))
-        cache.put(v2_key, {"status": "feasible", "stale": True})
-        engine = BatchEngine(max_workers=1, cache=cache)
-        result = engine.run([spec])
-        # the stale payload must not be replayed: the job executed
-        assert result.stats.cache_hits == 0
-        assert result.stats.cache_misses == 1
-        assert result.outcomes[0].status == STATUS_FEASIBLE
-        assert "stale" not in result.outcomes[0].to_dict().get(
-            "meta", {}
+            cache = ResultCache(str(tmp_path / f"cache-v{document['v']}"))
+            cache.put(stale_key, {"status": "feasible", "stale": True})
+            engine = BatchEngine(max_workers=1, cache=cache)
+            result = engine.run([spec])
+            # the stale payload must not be replayed: the job executed
+            assert result.stats.cache_hits == 0
+            assert result.stats.cache_misses == 1
+            assert result.outcomes[0].status == STATUS_FEASIBLE
+            assert "stale" not in result.outcomes[0].to_dict().get(
+                "meta", {}
+            )
+            assert result.outcomes[0].key != stale_key
+
+    def test_fingerprint_covers_every_search_knob(self):
+        """Every SchedulerConfig field except the two observability
+        knobs is part of the key, so a new field cannot be left out of
+        the fingerprint silently."""
+        from dataclasses import fields
+
+        from repro.batch.cache import job_fingerprint
+
+        document = job_fingerprint(
+            fig3_precedence(), ComposerOptions(), SchedulerConfig()
         )
-        assert result.outcomes[0].key != v2_key
+        knobs = {f.name for f in fields(SchedulerConfig)} - {
+            "trace_jsonl",
+            "progress",
+        }
+        assert set(document["scheduler"]) == knobs
+
+    @pytest.mark.parametrize(
+        "knob", sorted(_KNOB_ALTERNATIVES), ids=str
+    )
+    def test_each_search_knob_moves_the_key(self, knob):
+        spec, options = fig3_precedence(), ComposerOptions()
+        base = cache_key(spec, options, SchedulerConfig())
+        moved = SchedulerConfig(**{knob: _KNOB_ALTERNATIVES[knob]})
+        assert cache_key(spec, options, moved) != base
+
+    def test_knob_alternatives_cover_every_search_knob(self):
+        from dataclasses import fields
+
+        knobs = {f.name for f in fields(SchedulerConfig)} - {
+            "trace_jsonl",
+            "progress",
+        }
+        assert set(_KNOB_ALTERNATIVES) == knobs
+
+    @pytest.mark.parametrize(
+        "knob, value",
+        [("trace_jsonl", "trace.jsonl"), ("progress", True)],
+        ids=["trace_jsonl", "progress"],
+    )
+    def test_observability_knobs_share_the_key(self, knob, value):
+        spec, options = fig3_precedence(), ComposerOptions()
+        base = cache_key(spec, options, SchedulerConfig())
+        observed = SchedulerConfig(**{knob: value})
+        assert cache_key(spec, options, observed) == base
 
 
 class TestResultCache:

@@ -194,6 +194,38 @@ class TestSchedule:
             == 0
         )
 
+    def test_parallel_profile_reports_the_native_core(
+        self, capsys, small_spec_file
+    ):
+        """A portfolio race's profile carries the same native-core
+        gauge as the serial search: its workers drive the same core."""
+
+        def native_core_line(argv):
+            assert main(argv) == 0
+            lines = capsys.readouterr().out.splitlines()
+            return [line.split() for line in lines if "native_core" in line]
+
+        serial = native_core_line(["schedule", small_spec_file, "--profile"])
+        race = native_core_line(
+            ["schedule", small_spec_file, "--parallel", "2", "--profile"]
+        )
+        assert serial and race == serial
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["schedule", "@fig3", "--parallel-mode", "portfolio"],
+            ["lint", "@fig3", "--parallel", "2"],
+            ["lint", "@fig3", "--parallel-mode", "portfolio"],
+        ],
+        ids=["schedule-parallel-mode", "lint-parallel", "lint-parallel-mode"],
+    )
+    def test_retired_parallel_flags_are_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCodegen:
     def test_generates_project(self, tmp_path, capsys, small_spec_file):

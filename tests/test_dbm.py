@@ -14,9 +14,7 @@ This suite walks seeded class graphs and pins all three to the *same
 bits*: identical markings, identical canonical matrices, identical
 64-bit Zobrist keys, identical firable sets, windows and ordered
 candidate lists, under both clock-reset policies.  It also pins the
-:meth:`~repro.tpn.dbm.PackedClass.export` /
-:meth:`~repro.tpn.dbm.DbmEngine.revive` round trip the work-stealing
-path relies on, and the construction-time EZT204 bound-cap refusal.
+construction-time EZT204 bound-cap refusal.
 """
 
 from __future__ import annotations
@@ -181,37 +179,6 @@ class TestClosureBitIdentity:
 
         for name in ("fig4", "seeded", "wide-infeasible"):
             _walk(nets[name], reset_policy, check, limit=200)
-
-
-class TestExportRevive:
-    @pytest.mark.parametrize("reset_policy", RESETS)
-    def test_round_trip_preserves_identity(self, nets, reset_policy):
-        engine = DbmEngine(nets["fig4"], reset_policy=reset_policy)
-        cls = engine.initial_class()
-        for _ in range(6):
-            cands, _reduced = engine.candidates(cls, False, False)
-            if not cands:
-                break
-            marking, dbm = cls.export()
-            assert isinstance(marking, bytes)
-            assert isinstance(dbm, bytes)
-            revived = engine.revive(marking, dbm)
-            assert revived == cls
-            assert hash(revived) == hash(cls)
-            assert revived.enabled == cls.enabled
-            assert revived.size == cls.size
-            cls = engine.fire(cls, cands[0][0])
-
-    def test_revive_crosses_engine_instances(self, nets):
-        """The worker-side engine rebuilds the exporter's class from
-        raw bytes alone (the work-stealing handoff contract)."""
-        sender = DbmEngine(nets["fig3"])
-        receiver = DbmEngine(nets["fig3"])
-        cls = sender.initial_class()
-        cands, _ = sender.candidates(cls, False, False)
-        child = sender.fire(cls, cands[0][0])
-        revived = receiver.revive(*child.export())
-        assert revived == child and hash(revived) == hash(child)
 
 
 class TestIncrementalHash:

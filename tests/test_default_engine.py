@@ -29,7 +29,6 @@ import pytest
 from repro.batch import BatchEngine
 from repro.blocks import compose
 from repro.cli import build_parser
-from repro.lint import config_diagnostics
 from repro.scheduler import (
     DEFAULT_ENGINE,
     PreRuntimeScheduler,
@@ -124,5 +123,3 @@ def test_entry_points_default_to_the_kernel():
         assert parser.parse_args(argv).engine == DEFAULT_ENGINE, argv
     # `ezrt serve` and batch jobs inherit the engine's default config
     assert BatchEngine().scheduler_config.engine == DEFAULT_ENGINE
-    # worksteal needs no engine flag: the default already qualifies
-    assert config_diagnostics(parallel=2, parallel_mode="worksteal") == []

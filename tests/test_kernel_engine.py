@@ -289,40 +289,13 @@ class TestSchedulerIntegration:
     def test_kernel_portfolio_slot(self, paper_nets):
         cfg = SchedulerConfig(
             parallel=2,
-            parallel_mode="portfolio",
             portfolio=("kernel:earliest", "reference:latest"),
         )
         result = ParallelScheduler(paper_nets["fig3"], cfg).search()
         assert result.feasible
         assert result.winner_engine in ("kernel", "reference")
 
-    def test_worksteal_requires_kernel(self):
-        with pytest.raises(SchedulingError):
-            SchedulerConfig(
-                engine="reference", parallel=2, parallel_mode="worksteal"
-            )
-        SchedulerConfig(
-            engine="kernel", parallel=2, parallel_mode="worksteal"
-        )
-
-
 class TestPackedRepresentation:
-    def test_export_revive_roundtrip(self, paper_nets):
-        net = paper_nets["fig3"]
-        engine = KernelEngine(net)
-        state = engine.initial()
-        for _ in range(5):
-            cands, _red = engine.candidates(state, False, True)
-            if not cands:
-                break
-            state = engine.successor(state, *cands[0])
-        marking, clocks = state.export()
-        assert isinstance(marking, bytes)
-        assert isinstance(clocks, bytes)
-        revived = engine.revive(marking, clocks)
-        assert revived == state
-        assert revived._hash == state._hash
-
     def test_lift_matches_reference_state(self, paper_nets):
         net = paper_nets["fig4"]
         ref_engine = StateEngine(net)

@@ -25,6 +25,7 @@ from repro.batch.job import (
 )
 from repro.blocks.composer import compose
 from repro.cli import main as cli_main
+from repro.errors import SchedulingError
 from repro.lint import (
     ERROR,
     WARNING,
@@ -54,6 +55,7 @@ from repro.lint.coderules import (
 )
 from repro.lint.diagnostics import allowed_codes_by_line
 from repro.scheduler import SchedulerConfig
+from repro.scheduler.config import DELAY_MODES, ENGINES
 from repro.scheduler.dfs import find_schedule
 from repro.spec import (
     SpecBuilder,
@@ -462,11 +464,8 @@ class TestConfigRules:
         assert codes(diagnostics) == ["EZG303"]
         assert diagnostics[0].severity == ERROR
 
-    def test_unknown_delay_mode_and_parallel_mode(self):
+    def test_unknown_delay_mode(self):
         assert "EZG303" in codes(config_diagnostics(delay_mode="sometimes"))
-        assert "EZG303" in codes(
-            config_diagnostics(parallel=2, parallel_mode="magic")
-        )
 
     def test_stateclass_requires_earliest_delay(self):
         diagnostics = config_diagnostics(
@@ -477,18 +476,22 @@ class TestConfigRules:
             engine="stateclass", delay_mode="earliest"
         ) == []
 
-    def test_worksteal_requires_kernel(self):
+    @pytest.mark.parametrize("delay_mode", DELAY_MODES)
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_config_rules_agree_with_scheduler_config(
+        self, engine, delay_mode
+    ):
+        """The lint flags exactly the supported combinations that
+        SchedulerConfig would refuse to construct."""
         diagnostics = config_diagnostics(
-            engine="reference", parallel=4, parallel_mode="worksteal"
+            engine=engine, delay_mode=delay_mode
         )
-        assert "EZG302" in codes(diagnostics)
-        assert "kernel" in diagnostics[0].hint
-        assert config_diagnostics(
-            engine="kernel", parallel=4, parallel_mode="worksteal"
-        ) == []
-        assert config_diagnostics(
-            parallel=4, parallel_mode="worksteal"
-        ) == []
+        try:
+            SchedulerConfig(engine=engine, delay_mode=delay_mode)
+        except SchedulingError:
+            assert codes(diagnostics) == ["EZG301"]
+        else:
+            assert diagnostics == []
 
     def test_lint_spec_passes_config_findings_through(self):
         diagnostics = lint_spec(mine_pump(), engine="quantum")

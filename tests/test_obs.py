@@ -384,12 +384,12 @@ class TestMetricsRegistry:
 
     def test_format_metrics(self):
         reg = MetricsRegistry()
-        reg.inc("worksteal.jobs_stolen", 4)
+        reg.inc("slot.earliest.feasible", 4)
         reg.set_gauge("slot.earliest.wall_seconds", 0.25)
         reg.observe("job.seconds", 2.0)
         text = format_metrics(reg.snapshot())
         assert "counters:" in text
-        assert "worksteal.jobs_stolen" in text
+        assert "slot.earliest.feasible" in text
         assert "slot.earliest.wall_seconds" in text
         assert "count=1 mean=2" in text
         assert format_metrics({}) == "(no metrics recorded)"
@@ -540,19 +540,6 @@ class TestSearchMetrics:
         }
         assert {"w0:earliest", "w1:min-laxity"} <= tracks
         assert _no_ezrt_children()
-
-    def test_worksteal_metrics(self):
-        model = compose(paper_examples()["mine-pump"])
-        result = find_schedule(
-            model,
-            SchedulerConfig(parallel=2, parallel_mode="worksteal"),
-        )
-        assert result.feasible
-        metrics = result.metrics
-        assert metrics["gauges"]["worksteal.frontier_jobs"] >= 1
-        assert metrics["counters"]["worksteal.jobs_stolen"] >= 1
-        assert _no_ezrt_children()
-
 
 # ----------------------------------------------------------------------
 # Batch metrics: cache accounting from the cache's own counters

@@ -2,10 +2,10 @@
 
 The contract under test (see ``docs/scheduling.md``):
 
-* portfolio and work-stealing searches agree with the serial search's
-  feasible/infeasible *verdict* on every model, under both clock-reset
-  policies — orderings and partitions change which schedule is found
-  and how fast, never whether one exists;
+* portfolio searches agree with the serial search's feasible/infeasible
+  *verdict* on every model, under both clock-reset policies — orderings
+  change which schedule is found and how fast, never whether one
+  exists;
 * every feasible parallel schedule replays through the checked
   reference engine (the :func:`validate_with_reference` gate runs
   inside ``ParallelScheduler.search``, so feasibility results in these
@@ -25,15 +25,12 @@ from repro.errors import SchedulingError
 from repro.scheduler import (
     ParallelScheduler,
     SchedulerConfig,
-    SharedVisitedFilter,
     default_portfolio,
     find_schedule,
     parse_policy,
-    split_frontier,
     validate_with_reference,
 )
 from repro.spec import paper_examples
-from repro.scheduler.parallel import SubtreeJob
 from repro.tpn.kernel import KernelEngine
 from repro.workloads import random_task_set
 
@@ -85,8 +82,6 @@ class TestPolicies:
             SchedulerConfig(portfolio=("earliest", "bogus"))
         with pytest.raises(SchedulingError):
             SchedulerConfig(parallel=-1)
-        with pytest.raises(SchedulingError):
-            SchedulerConfig(parallel_mode="threads")
 
     def test_serial_policies_agree_on_verdict(self):
         """Every ordering reaches the same verdict as the default."""
@@ -151,98 +146,6 @@ class TestCompiledNetPickle:
 
 
 # ----------------------------------------------------------------------
-# Shared visited filter
-# ----------------------------------------------------------------------
-class TestSharedVisitedFilter:
-    def test_add_claims_once(self):
-        vf = SharedVisitedFilter(1 << 10)
-        assert vf.add(12345)
-        assert not vf.add(12345)
-        assert vf.add(-98765)  # negative hashes are masked, not lost
-        assert not vf.add(-98765)
-
-    def test_zero_hash_is_representable(self):
-        vf = SharedVisitedFilter(1 << 10)
-        assert vf.add(0)
-        assert not vf.add(0)
-
-    def test_saturation_errs_toward_exploring(self):
-        vf = SharedVisitedFilter(2)
-        outcomes = [vf.add(value) for value in range(1, 64)]
-        # never raises, and past saturation it keeps answering "new"
-        assert outcomes[-1] is True
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(SchedulingError):
-            SharedVisitedFilter(1000)
-
-    def test_for_budget_sizing(self):
-        assert SharedVisitedFilter.for_budget(1_000).slots >= 2_000
-        assert SharedVisitedFilter.for_budget(10**9).slots == 1 << 22
-
-
-# ----------------------------------------------------------------------
-# Frontier split
-# ----------------------------------------------------------------------
-class TestSplitFrontier:
-    def test_jobs_replay_onto_their_roots(self):
-        model = compose(paper_examples()["fig4"])
-        net = model.compiled()
-        split = split_frontier(net, SchedulerConfig(), target_jobs=6)
-        assert split.result is None
-        assert len(split.jobs) >= 6
-        engine = KernelEngine(net)
-        for job in split.jobs:
-            assert isinstance(job, SubtreeJob)
-            state = engine.initial()
-            now = 0
-            for transition, delay, at in job.prefix:
-                state = engine.successor(state, transition, delay)
-                now += delay
-                assert now == at
-            assert now == job.now
-            assert state.export() == (job.marking, job.clocks)
-            # exported roots are live states, not dead ends
-            root = engine.revive(job.marking, job.clocks)
-            assert not net.has_missed_deadline(root.marking)
-
-    def test_split_solves_trivial_models_serially(self):
-        model = compose(paper_examples()["fig3"])
-        net = model.compiled()
-        split = split_frontier(
-            net, SchedulerConfig(), target_jobs=10_000
-        )
-        # fig3's space is tiny: the split reaches a verdict on its own
-        assert split.result is not None
-        assert split.result.feasible
-
-    def test_serial_fallback_is_validated_and_honest(self):
-        """A split-solved worksteal run replays the schedule through
-        the reference engine and reports that no worker ran."""
-        model = compose(paper_examples()["fig3"])
-        result = find_schedule(
-            model,
-            SchedulerConfig(parallel=4, parallel_mode="worksteal"),
-        )
-        assert result.feasible
-        assert result.workers == 1  # solved during the split
-        validate_with_reference(
-            model.compiled(), result.config, result.firing_schedule
-        )
-
-    def test_seen_hashes_cover_the_frontier(self):
-        net = compose(paper_examples()["fig8"]).compiled()
-        split = split_frontier(net, SchedulerConfig(), target_jobs=4)
-        if split.result is not None:
-            pytest.skip("model solved during split")
-        engine = KernelEngine(net)
-        seen = set(split.seen_hashes)
-        for job in split.jobs:
-            root = engine.revive(job.marking, job.clocks)
-            assert root._hash in seen
-
-
-# ----------------------------------------------------------------------
 # Verdict parity on the paper models
 # ----------------------------------------------------------------------
 PAPER_MODELS = ("fig3", "fig4", "fig8", "mine-pump")
@@ -267,7 +170,10 @@ class TestPaperModelParity:
 
     @pytest.mark.parametrize("name", PAPER_MODELS)
     @pytest.mark.parametrize("reset_policy", ("paper", "intermediate"))
-    def test_worksteal_matches_serial(self, name, reset_policy):
+    def test_mixed_engine_race_matches_serial(self, name, reset_policy):
+        """A race of the discrete kernel against the dense-time
+        state-class engine reaches the serial verdict; a feasible win
+        from either slot replays through the reference engine."""
         model = compose(paper_examples()[name])
         serial = _verdict(
             model, SchedulerConfig(reset_policy=reset_policy)
@@ -277,12 +183,13 @@ class TestPaperModelParity:
             SchedulerConfig(
                 reset_policy=reset_policy,
                 parallel=2,
-                parallel_mode="worksteal",
+                portfolio=("kernel:earliest", "stateclass:earliest"),
             ),
         )
         assert parallel.feasible == serial.feasible
+        assert parallel.workers == 2
+        assert not parallel.exhausted
         assert _no_ezrt_children()
-
 
 # ----------------------------------------------------------------------
 # Verdict parity on a randomized sweep
@@ -310,7 +217,7 @@ class TestRandomizedParity:
         "spec", list(_sweep_specs()), ids=lambda s: s.name
     )
     @pytest.mark.parametrize("reset_policy", ("paper", "intermediate"))
-    def test_both_modes_match_serial(self, spec, reset_policy):
+    def test_portfolio_matches_serial(self, spec, reset_policy):
         model = compose(spec)
         serial = _verdict(
             model,
@@ -319,113 +226,16 @@ class TestRandomizedParity:
             ),
         )
         assert not serial.exhausted, "sweep instance must be decidable"
-        for mode in ("portfolio", "worksteal"):
-            parallel = _verdict(
-                model,
-                SchedulerConfig(
-                    reset_policy=reset_policy,
-                    max_states=100_000,
-                    parallel=2,
-                    parallel_mode=mode,
-                ),
-            )
-            assert parallel.feasible == serial.feasible, mode
-            assert not parallel.exhausted, mode
-        assert _no_ezrt_children()
-
-
-# ----------------------------------------------------------------------
-# Work-stealing re-split
-# ----------------------------------------------------------------------
-class TestResplit:
-    """Mid-search frontier donation (``_Resplitter``).
-
-    The threshold is monkeypatched *before* the fork so every worker
-    inherits an aggressive trigger; real runs only re-split once a
-    subtree has proven big (``RESPLIT_MIN_VISITED``).
-    """
-
-    @staticmethod
-    def _hard_infeasible_model():
-        # exhaustive (infeasible) space of ~1-2k states: large enough
-        # that workers are still searching when the queue runs dry,
-        # which is exactly the starvation signal that triggers exports
-        return compose(
-            random_task_set(
-                5, 0.95, seed=7, deadline_slack=0.35
-            )
-        )
-
-    def test_resplit_fires_and_preserves_verdict(self, monkeypatch):
-        import repro.scheduler.parallel as par
-
-        monkeypatch.setattr(par, "RESPLIT_MIN_VISITED", 8)
-        model = self._hard_infeasible_model()
-        serial = _verdict(
-            model, SchedulerConfig(max_states=300_000)
-        )
-        assert not serial.feasible and not serial.exhausted
         parallel = _verdict(
             model,
             SchedulerConfig(
-                max_states=300_000,
+                reset_policy=reset_policy,
+                max_states=100_000,
                 parallel=2,
-                parallel_mode="worksteal",
             ),
         )
-        counters = (parallel.metrics or {}).get("counters", {})
-        assert counters.get("worksteal.resplits", 0) > 0
         assert parallel.feasible == serial.feasible
         assert not parallel.exhausted
-        assert _no_ezrt_children()
-
-    def test_resplit_duplication_is_bounded(self, monkeypatch):
-        """Donated subtrees are claim-filtered before export, so the
-        union of worker searches re-explores at most a handful of
-        states (job roots double-counted, lock-free claim races) —
-        never a multiple of the serial space."""
-        import repro.scheduler.parallel as par
-
-        monkeypatch.setattr(par, "RESPLIT_MIN_VISITED", 8)
-        model = self._hard_infeasible_model()
-        serial = _verdict(
-            model, SchedulerConfig(max_states=300_000)
-        )
-        parallel = _verdict(
-            model,
-            SchedulerConfig(
-                max_states=300_000,
-                parallel=2,
-                parallel_mode="worksteal",
-            ),
-        )
-        assert parallel.feasible == serial.feasible
-        assert (
-            parallel.stats.states_visited
-            <= serial.stats.states_visited * 1.25 + 100
-        )
-        assert _no_ezrt_children()
-
-    def test_resplit_feasible_schedule_still_validates(
-        self, monkeypatch
-    ):
-        """A win reached through a donated job concatenates its prefix
-        into a complete schedule (the reference-replay gate inside
-        ``ParallelScheduler.search`` would raise otherwise)."""
-        import repro.scheduler.parallel as par
-
-        monkeypatch.setattr(par, "RESPLIT_MIN_VISITED", 8)
-        spec = random_task_set(
-            5, 0.85, seed=7, preemptive_fraction=1.0,
-            deadline_slack=0.7,
-        )
-        model = compose(spec)
-        result = find_schedule(
-            model,
-            SchedulerConfig(parallel=3, parallel_mode="worksteal"),
-        )
-        assert result.feasible
-        assert result.firing_schedule
         assert _no_ezrt_children()
 
 
@@ -458,34 +268,17 @@ class TestCancellation:
             assert result.feasible
             assert _no_ezrt_children()
 
-    def test_worksteal_win_leaves_no_orphans(self):
-        spec = random_task_set(
-            5, 0.85, seed=7, preemptive_fraction=1.0, deadline_slack=0.7
-        )
+    def test_state_budget_cut_is_not_a_proof(self):
+        """A race whose every slot runs out of states reports
+        exhausted=True: an unfinished search proves no infeasibility."""
+        # the sweep's infeasible instance: serial needs ~7k states to
+        # exhaust the space, far past this budget
+        spec = random_task_set(6, 0.95, seed=3, deadline_slack=0.6)
         model = compose(spec)
+        serial = _verdict(model, SchedulerConfig(max_states=100_000))
+        assert not serial.feasible and not serial.exhausted
         result = find_schedule(
-            model,
-            SchedulerConfig(parallel=3, parallel_mode="worksteal"),
-        )
-        assert result.feasible
-        assert _no_ezrt_children()
-
-    def test_worksteal_cancel_never_claims_exhaustive_proof(self):
-        """A budget-cancelled partition must report exhausted=True.
-
-        With unexplored subtrees left behind, ``exhausted=False``
-        would falsely claim a complete infeasibility proof.
-        """
-        spec = _undecided_in_a_second()
-        model = compose(spec)
-        result = find_schedule(
-            model,
-            SchedulerConfig(
-                parallel=2,
-                parallel_mode="worksteal",
-                max_seconds=0.5,
-                max_states=10_000_000,
-            ),
+            model, SchedulerConfig(parallel=2, max_states=200)
         )
         assert not result.feasible
         assert result.exhausted
@@ -538,15 +331,6 @@ class TestMergedStats:
         with pytest.raises(SchedulingError):
             ParallelScheduler(net, SchedulerConfig(parallel=1))
 
-    def test_worksteal_rejects_reference_engine(self):
-        net = compose(paper_examples()["fig3"]).compiled()
-        with pytest.raises(SchedulingError):
-            ParallelScheduler(
-                net,
-                SchedulerConfig(parallel=2, parallel_mode="worksteal"),
-                engine="reference",
-            )
-
     def test_explicit_portfolio_is_padded_and_truncated(self):
         net = compose(paper_examples()["fig3"]).compiled()
         scheduler = ParallelScheduler(
@@ -583,6 +367,52 @@ class TestMergedStats:
             "latest",
             "earliest",
         )
+
+
+class TestNativeCoreGauges:
+    """Portfolio workers search under their own metrics registry; the
+    native-core gauge the scheduler sets at construction must ride
+    home on it, so a race result says which core its workers drove."""
+
+    def test_portfolio_reports_kernel_native_core(self):
+        model = compose(paper_examples()["mine-pump"])
+        serial = find_schedule(model, SchedulerConfig())
+        race = find_schedule(model, SchedulerConfig(parallel=2))
+        assert race.metrics["gauges"].get("kernel.native_core") == (
+            serial.metrics["gauges"]["kernel.native_core"]
+        )
+        assert _no_ezrt_children()
+
+    def test_mixed_engine_race_reports_both_cores(self):
+        model = compose(paper_examples()["mine-pump"])
+        kernel = find_schedule(model, SchedulerConfig())
+        dense = find_schedule(model, SchedulerConfig(engine="stateclass"))
+        race = find_schedule(
+            model,
+            SchedulerConfig(
+                parallel=2,
+                portfolio=("kernel:earliest", "stateclass:earliest"),
+            ),
+        )
+        gauges = race.metrics["gauges"]
+        assert gauges.get("kernel.native_core") == (
+            kernel.metrics["gauges"]["kernel.native_core"]
+        )
+        assert gauges.get("dbm.native_core") == (
+            dense.metrics["gauges"]["dbm.native_core"]
+        )
+        assert _no_ezrt_children()
+
+    def test_stateclass_race_reports_dbm_native_core(self):
+        model = compose(paper_examples()["fig8"])
+        serial = find_schedule(model, SchedulerConfig(engine="stateclass"))
+        race = find_schedule(
+            model, SchedulerConfig(engine="stateclass", parallel=2)
+        )
+        assert race.metrics["gauges"].get("dbm.native_core") == (
+            serial.metrics["gauges"]["dbm.native_core"]
+        )
+        assert _no_ezrt_children()
 
 
 class TestBatchCoresBudget:

@@ -19,7 +19,6 @@ import pytest
 from repro.errors import SchedulingError
 from repro.blocks import compose
 from repro.scheduler import (
-    ParallelScheduler,
     SchedulerConfig,
     dense_schedule_entries,
     find_schedule,
@@ -573,20 +572,6 @@ class TestEngineConfiguration:
         with pytest.raises(SchedulingError):
             SchedulerConfig(engine="stateclass", delay_mode="extremes")
 
-    def test_worksteal_requires_kernel(self, fig3_model):
-        with pytest.raises(SchedulingError):
-            SchedulerConfig(
-                engine="stateclass",
-                parallel=2,
-                parallel_mode="worksteal",
-            )
-        with pytest.raises(SchedulingError):
-            ParallelScheduler(
-                fig3_model.compiled(),
-                SchedulerConfig(parallel=2, parallel_mode="worksteal"),
-                engine="stateclass",
-            )
-
     def test_scheduler_reads_engine_from_config(self, fig3_model):
         net = fig3_model.compiled()
         scheduler = PreRuntimeScheduler(
@@ -600,14 +585,6 @@ class TestEngineConfiguration:
             engine="kernel",
         )
         assert scheduler.engine_mode == "kernel"
-
-    def test_stateclass_search_from_rejected(self, fig3_model):
-        scheduler = PreRuntimeScheduler(
-            fig3_model.compiled(), SchedulerConfig(engine="stateclass")
-        )
-        with pytest.raises(SchedulingError):
-            scheduler.search_from(None, 0)
-
 
 class TestSearchHooks:
     def test_budget_exhaustion_reports_exhausted(self):
