@@ -143,8 +143,8 @@ class _LegacyStateClassAdapter(_AdapterBase):
             net, reset_policy=config.reset_policy
         )
 
-    def root(self) -> tuple[StateClass, int]:
-        return self.engine.initial_class(), 0
+    def root(self) -> StateClass:
+        return self.engine.initial_class()
 
     def successor(
         self, cls: StateClass, transition: int, _delay: int

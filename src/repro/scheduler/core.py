@@ -10,19 +10,21 @@ in through thin adapters:
 
 * :class:`KernelAdapter` — the packed-buffer kernel over
   :class:`~repro.tpn.kernel.KernelEngine` (flat ``array('H')``
-  marking/clock state buffers, incremental 64-bit Zobrist state
-  keys, and an optional compiled C core; when it is built the whole
-  search runs in its native driver, see :meth:`SearchCore._drive` —
-  by far the fastest engine);
+  marking/clock state buffers and incremental 64-bit Zobrist state
+  keys — by far the fastest engine);
 * :class:`ReferenceAdapter` — the executable spec over the checked
   :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|) rescans,
   dense candidate scans over all of T);
 * :class:`StateClassAdapter` — the dense-time engine over the packed
   :class:`~repro.tpn.dbm.DbmEngine` (Berthomieu–Diaz classes on flat
-  native-width buffers, with an optional compiled C core; when it is
-  built the whole search runs in its native driver too; feasible
-  paths are concretised back to integer time and replayed through the
-  reference engine).
+  native-width buffers; feasible paths are concretised back to
+  integer time and replayed through the reference engine).
+
+The C side has the same shape.  When the optional native core
+(:mod:`repro.tpn._native`, one cffi extension) is built, both packed
+engines run the whole search in its one C driver, this module's loop
+parameterised by a per-engine operations table instead of an adapter
+(see :meth:`SearchCore._drive`).
 
 The split of responsibilities is strict: the adapter knows *states*
 (how to compute a root, successors, candidates, and how to turn a
@@ -132,8 +134,8 @@ class EngineAdapter(Protocol):
     touches_miss: tuple[bool, ...]
     touches_final: tuple[bool, ...]
 
-    def root(self) -> tuple[object, int]:
-        """``(root state, absolute time at the root)``."""
+    def root(self):
+        """The root state (the search starts at time 0)."""
 
     def successor(self, state, transition: int, delay: int):
         """The child state, or ``None`` for an inconsistent dead end
@@ -152,7 +154,7 @@ class EngineAdapter(Protocol):
 
     def reached_final(self, marking) -> bool: ...
 
-    def open_driver(self, root, now: int, reorder: bool, timed: bool):
+    def open_driver(self, root, reorder: bool, timed: bool):
         """A compiled driver that runs the whole search from ``root``
         (see :meth:`SearchCore._drive`), or ``None`` to run the
         Python loop."""
@@ -286,7 +288,7 @@ class _AdapterBase:
     def clocks_view(self, state):
         return state
 
-    def open_driver(self, root, now, reorder: bool, timed: bool):
+    def open_driver(self, root, reorder: bool, timed: bool):
         return None
 
     def finalize_path(self, actions, stats):
@@ -322,18 +324,17 @@ class KernelAdapter(_AdapterBase):
         # bound method, not a wrapper: the core hoists it into a local
         self.successor = self.engine.successor
 
-    def root(self) -> tuple[KernelState, int]:
+    def root(self) -> KernelState:
         self.obs.instant(
             "kernel-core",
             cat="kernel",
             native=self.engine.native,
         )
-        return self.engine.initial(), 0
+        return self.engine.initial()
 
-    def open_driver(self, root, now, reorder: bool, timed: bool):
+    def open_driver(self, root, reorder: bool, timed: bool):
         return self.engine.open_search(
             root,
-            now,
             strict=self._strict,
             partial_order=self._partial_order,
             delay_mode=self._delay_mode,
@@ -397,8 +398,8 @@ class ReferenceAdapter(_AdapterBase):
         )
         self.successor = self.engine._fire_unchecked
 
-    def root(self) -> tuple[State, int]:
-        return self.engine.initial_state(), 0
+    def root(self) -> State:
+        return self.engine.initial_state()
 
     def candidates_of(
         self, state: State, stats: SearchStats
@@ -484,13 +485,13 @@ class StateClassAdapter(_AdapterBase):
             net, reset_policy=config.reset_policy
         )
 
-    def root(self) -> tuple[PackedClass, int]:
+    def root(self) -> PackedClass:
         self.obs.instant(
             "dbm-core",
             cat="stateclass",
             native=self.engine.native,
         )
-        return self.engine.initial_class(), 0
+        return self.engine.initial_class()
 
     def successor(
         self, cls: PackedClass, transition: int, _delay: int
@@ -521,10 +522,9 @@ class StateClassAdapter(_AdapterBase):
             stats.reductions += 1
         return cands
 
-    def open_driver(self, root, now, reorder: bool, timed: bool):
+    def open_driver(self, root, reorder: bool, timed: bool):
         return self.engine.open_search(
             root,
-            now,
             strict=self._strict,
             partial_order=self._partial_order,
             policy=self.config.policy if reorder else "earliest",
@@ -729,9 +729,10 @@ class SearchCore:
     ) -> SchedulerResult:
         """:meth:`_run`'s loop, run by a compiled driver.
 
-        The driver — the kernel core's ``kn_search_*``
-        (:meth:`KernelAdapter.open_driver`) or the DBM core's
-        ``dc_search_*`` (:meth:`StateClassAdapter.open_driver`), both
+        The driver — the native core's one ``ez_search_*`` loop,
+        rooted by the kernel's ``kn_search_new``
+        (:meth:`KernelAdapter.open_driver`) or the DBM engine's
+        ``dc_search_new`` (:meth:`StateClassAdapter.open_driver`),
         behind one :class:`~repro.tpn._native.NativeSearch` handle —
         owns the stack, the visited states and every per-expansion
         step; Python runs only what :meth:`_run` runs at the same
@@ -864,7 +865,7 @@ class SearchCore:
             else started + config.max_seconds
         )
 
-        s0, now0 = adapter.root()
+        s0 = adapter.root()
         if adapter.deadline_missed(s0.marking):
             raise SchedulingError(
                 "initial marking already contains a missed deadline"
@@ -885,9 +886,7 @@ class SearchCore:
                 interval_schedule=windows,
             )
 
-        driver = adapter.open_driver(
-            s0, now0, self.reorder is not None, record
-        )
+        driver = adapter.open_driver(s0, self.reorder is not None, record)
         if driver is not None:
             return self._drive(
                 driver, stats, started, deadline, trace_t0, span_acc
@@ -920,7 +919,7 @@ class SearchCore:
                 return cands
 
         stack: list[_Frame] = [
-            _Frame(s0, now0, candidates_of(s0, stats))
+            _Frame(s0, 0, candidates_of(s0, stats))
         ]
         exhausted = False
 

@@ -28,9 +28,9 @@ adapter behind the shared loop:
 * ``engine="kernel"`` (default) — the packed-buffer
   :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
   flat byte/word buffers with an incrementally maintained 64-bit
-  Zobrist state key; with the optional compiled C core
-  (:mod:`repro.tpn._kernelc`) built, the whole depth-first search runs
-  in its native driver, otherwise the shared loop runs over a
+  Zobrist state key; with the optional native core
+  (:mod:`repro.tpn._native`) built, the whole depth-first search runs
+  in its C driver, otherwise the shared loop runs over a
   semantics-identical pure-Python core — the one production
   discrete engine;
 * ``engine="reference"`` — the checked-semantics

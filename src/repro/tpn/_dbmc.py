@@ -1,21 +1,9 @@
-"""Optional compiled core of the packed DBM state-class engine.
+"""The packed DBM engine's part of the native core.
 
-This module owns the native half of :mod:`repro.tpn.dbm`: a small C
-translation unit (embedded below as a string, so the sdist needs no
-extra data files) compiled on demand through cffi's API mode into a
-shared object cached next to this package.  It is the dense-time
-sibling of :mod:`repro.tpn._kernelc` and shares its degradation
-contract — the DBM engine asks :func:`load` for the compiled module
-and falls back to its pure-Python core whenever the answer is
-``None``:
-
-* ``EZRT_PURE=1`` in the environment force-disables the compiled core
-  (CI runs the whole test suite once in this mode);
-* a missing cffi, a missing C compiler, an unwritable cache directory
-  or any other build/import failure is swallowed after recording the
-  exception on :data:`LOAD_ERROR` for diagnostics.
-
-Three entry points carry the whole dense-time hot path:
+This module owns the dense-time C fragment of the one extension built
+by :mod:`repro.tpn._native`, over the same flat buffers the Python
+side of :mod:`repro.tpn.dbm` owns.  Two entry points carry the whole
+dense-time hot path:
 
 * ``dc_fire`` — the firability column scan, the O(n²) incremental
   closure repair, the marking update, the enabledness rescan, the
@@ -24,79 +12,45 @@ Three entry points carry the whole dense-time hot path:
 * ``dc_candidates`` — per-variable firability scans, the deadline-miss
   and strict-priority filters, the dense forced-immediate
   partial-order reduction and the ``(lower, priority, index)``
-  insertion sort, in one call;
-* the search driver (``dc_search_*``) — the whole depth-first search
-  of :class:`repro.scheduler.core.SearchCore` over state classes:
-  frame stack, class arena, a visited table keyed on the fused
-  Zobrist key and confirmed on the marking and DBM bytes, the
-  deadline and final predicates, the two calls above, the ``latest``
-  and ``min-laxity`` search policies and the state budget.  It
-  returns to Python only at the 1024-expansion poll, when a new frame
-  needs the seeded ``random`` policy, and at the end of the search
-  (see ``docs/scheduling.md``, "The dense search driver").  Its memory
-  comes from ``PyMem_RawMalloc``, so ``tracemalloc`` sees it, and the
-  GIL stays released for the whole call.
+  insertion sort, in one call.
 
-Build caching: the shared object lands in ``_dbmc_build/<digest>/``
-beside this file, keyed by a digest of the C source; the build, cache
-and load logic is shared with the kernel core in
-:mod:`repro.tpn._native`.
+The DBM's half of the search driver plugs the two into the shared
+``ez_search_*`` loop: ``dc_search_new`` roots a search, and the
+``dc_ops`` table adds the min-laxity key and the class records (a
+byte arena of closed bounds, enabled list and marking per class,
+confirmed on the marking and bound-matrix bytes when the fused
+Zobrist keys match; see ``docs/scheduling.md``, "The native core").
 
-CI builds eagerly via ``python -m repro.tpn._dbmc``; see
-``pyproject.toml``'s ``native`` extra for the cffi pin.
+The module also re-exports the one core's :func:`build`,
+:func:`native_module`, :func:`load`, :func:`available`,
+:data:`LOAD_ERROR` and :data:`PURE_ENV`: the DBM engine asks
+:func:`load` for the compiled module and falls back to its
+pure-Python core whenever the answer is ``None``.  ``python -m
+repro.tpn._dbmc`` builds the core eagerly, like ``python -m
+repro.tpn._native``.
 """
 
 from __future__ import annotations
 
-from repro.tpn._native import PURE_ENV, NativeCore
+from repro.tpn._native import CORE, PURE_ENV  # noqa: F401 - re-exported
 
-_MODULE_NAME = "_ezrt_dbm"
-
-# The foreign function surface, shared between ffi.cdef and the
-# translation unit below.
+# The DBM engine's foreign function surface.
 CDEF = """
-typedef struct dc_net dc_net;
-dc_net *dc_net_new(int32_t num_places, int32_t num_transitions,
-                   const int32_t *pre_off, const int32_t *pre_place,
-                   const int32_t *pre_w,
-                   const int32_t *delta_off, const int32_t *delta_place,
-                   const int32_t *delta_d,
-                   const int32_t *pc_off, const int32_t *pc_t,
-                   const int32_t *eft, const int32_t *lft,
-                   const int32_t *prio, const uint8_t *flags,
-                   int32_t n_miss, const int32_t *miss_place,
-                   int32_t n_final, const int32_t *final_place,
-                   const int32_t *final_req, const int32_t *timer);
-void dc_net_free(dc_net *net);
-int32_t dc_fire(const dc_net *net, const uint16_t *old_mark,
+int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
                 const int32_t *old_enabled, int32_t k,
                 const int64_t *old_dbm, int32_t t,
                 int32_t intermediate, uint16_t *mark,
                 int32_t *out_enabled, int64_t *out_dbm,
                 uint64_t *hash_io);
-int32_t dc_candidates(const dc_net *net, const int32_t *enabled,
+int32_t dc_candidates(const ez_net *net, const int32_t *enabled,
                       int32_t k, const int64_t *dbm, int32_t strict,
                       int32_t partial_order, int32_t *out,
                       int32_t *reduced);
-
-typedef struct {
-    int64_t visited, generated, revisits, prunes, backtracks;
-    int64_t reductions, depth;
-    int64_t succ_ns, succ_calls, cand_ns, cand_calls;
-    int64_t visited_bytes;
-    int32_t pending;
-    int32_t fault;
-} dc_counters;
-typedef struct dc_search dc_search;
-dc_search *dc_search_new(const dc_net *net, const uint16_t *mark0,
+ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
                          const int32_t *enabled0, int32_t k0,
                          const int64_t *dbm0, uint64_t mhash0,
-                         uint64_t key0, int64_t now0, int32_t options,
-                         int64_t max_states, dc_counters *counters);
-int32_t dc_search_run(dc_search *s);
-int32_t *dc_search_pending(dc_search *s);
-void dc_search_path(const dc_search *s, int64_t *out);
-void dc_search_free(dc_search *s);
+                         uint64_t key0, int32_t options,
+                         int64_t max_states, ez_counters *counters);
 """
 
 # The dense-time firing rule and candidate pipeline over the packed
@@ -106,133 +60,9 @@ void dc_search_free(dc_search *s);
 # together by the native-vs-pure differential suite in
 # tests/test_dbm.py, and the driver is locked to SearchCore by
 # tests/test_dbm_driver.py.  DC_INF (1 << 62) is the unbounded-bound
-# sentinel; lft < 0 encodes an unbounded static LFT; flag bits:
-# 2 = deadline-miss, 4 = structurally conflict-free, 8 = touches a
-# deadline-miss place, 16 = touches a final-constrained place (bit 1
-# is unused here, matching the kernel core's flag layout).
+# sentinel; flag bit 1 (immediate) is unused here.
 SOURCE = r"""
-#include <Python.h>
-#include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
-#include <time.h>
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
-
 #define DC_INF ((int64_t)1 << 62)
-
-/* CPython's raw allocator domain: thread-safe without the GIL and
- * traced by tracemalloc.  Declared here because cffi may build against
- * the limited API, whose headers hide it before 3.13. */
-void *PyMem_RawMalloc(size_t size);
-void *PyMem_RawCalloc(size_t nelem, size_t elsize);
-void *PyMem_RawRealloc(void *ptr, size_t new_size);
-void PyMem_RawFree(void *ptr);
-
-typedef struct dc_net {
-    int32_t P, T;
-    const int32_t *pre_off, *pre_place, *pre_w;
-    const int32_t *delta_off, *delta_place, *delta_d;
-    const int32_t *pc_off, *pc_t;
-    const int32_t *eft, *lft, *prio;
-    const uint8_t *flags;
-    int32_t n_miss, n_final;
-    const int32_t *miss_place, *final_place, *final_req;
-    const int32_t *timer; /* deadline timer per transition, -1 = none */
-    int64_t *closed;   /* (T+1)^2: repaired-closure scratch */
-    int64_t *col;      /* T+1: fired transition's column */
-    int32_t *inter;    /* P: intermediate-marking reference */
-    int32_t *old_var;  /* T: transition -> old DBM variable (0=none) */
-    int32_t *pers;     /* T+1: new variable -> old variable (0=fresh) */
-    int32_t *new_vars; /* T: newly enabled variable list */
-    uint8_t *mask;     /* T: enabled-membership scratch */
-} dc_net;
-
-void dc_net_free(dc_net *net);
-
-dc_net *dc_net_new(int32_t num_places, int32_t num_transitions,
-                   const int32_t *pre_off, const int32_t *pre_place,
-                   const int32_t *pre_w,
-                   const int32_t *delta_off, const int32_t *delta_place,
-                   const int32_t *delta_d,
-                   const int32_t *pc_off, const int32_t *pc_t,
-                   const int32_t *eft, const int32_t *lft,
-                   const int32_t *prio, const uint8_t *flags,
-                   int32_t n_miss, const int32_t *miss_place,
-                   int32_t n_final, const int32_t *final_place,
-                   const int32_t *final_req, const int32_t *timer)
-{
-    size_t size = (size_t)num_transitions + 1;
-    dc_net *net = (dc_net *)calloc(1, sizeof(dc_net));
-    if (!net)
-        return NULL;
-    net->P = num_places;
-    net->T = num_transitions;
-    net->pre_off = pre_off;
-    net->pre_place = pre_place;
-    net->pre_w = pre_w;
-    net->delta_off = delta_off;
-    net->delta_place = delta_place;
-    net->delta_d = delta_d;
-    net->pc_off = pc_off;
-    net->pc_t = pc_t;
-    net->eft = eft;
-    net->lft = lft;
-    net->prio = prio;
-    net->flags = flags;
-    net->n_miss = n_miss;
-    net->miss_place = miss_place;
-    net->n_final = n_final;
-    net->final_place = final_place;
-    net->final_req = final_req;
-    net->timer = timer;
-    net->closed = (int64_t *)malloc(size * size * sizeof(int64_t));
-    net->col = (int64_t *)malloc(size * sizeof(int64_t));
-    net->inter = (int32_t *)malloc(
-        (num_places ? (size_t)num_places : 1) * sizeof(int32_t));
-    net->old_var = (int32_t *)calloc(size, sizeof(int32_t));
-    net->pers = (int32_t *)malloc(size * sizeof(int32_t));
-    net->new_vars = (int32_t *)malloc(size * sizeof(int32_t));
-    net->mask = (uint8_t *)calloc(size, sizeof(uint8_t));
-    if (!net->closed || !net->col || !net->inter || !net->old_var ||
-        !net->pers || !net->new_vars || !net->mask) {
-        dc_net_free(net);
-        return NULL;
-    }
-    return net;
-}
-
-void dc_net_free(dc_net *net)
-{
-    if (net) {
-        free(net->closed);
-        free(net->col);
-        free(net->inter);
-        free(net->old_var);
-        free(net->pers);
-        free(net->new_vars);
-        free(net->mask);
-        free(net);
-    }
-}
-
-/* splitmix64 finalizer — identical to repro.tpn.kernel._mix. */
-static uint64_t dc_mix(uint64_t x)
-{
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-
-/* Zobrist word of place p holding v tokens — identical to the kernel
- * engine's kn_zm (kind 1), so the marking part of the class key is
- * maintained incrementally across firings on both sides. */
-static uint64_t dc_zm(int32_t p, uint32_t v)
-{
-    return dc_mix(((uint64_t)1 << 62) ^ ((uint64_t)p << 20) ^ v);
-}
 
 /* Zobrist word of bound-matrix cell (i, j) holding bound b: a double
  * mix folds the full signed 64-bit bound in (the (uint64_t) cast is
@@ -241,7 +71,7 @@ static uint64_t dc_zd(int32_t i, int32_t j, int64_t b)
 {
     uint64_t ij = ((uint64_t)(uint32_t)i << 11) |
                   (uint64_t)(uint32_t)j;
-    return dc_mix(dc_mix(((uint64_t)3 << 62) ^ ij) ^ (uint64_t)b);
+    return ez_mix(ez_mix(((uint64_t)3 << 62) ^ ij) ^ (uint64_t)b);
 }
 
 /* The dense-time firing rule: firability column scan, incremental
@@ -253,7 +83,7 @@ static uint64_t dc_zd(int32_t i, int32_t j, int64_t b)
  * incrementally), `hash_io[1]` receives the fused bound-matrix hash.
  * Returns the new enabled count (>= 0), -1 when `t` is not enabled
  * or not firable, -2 on token overflow (> 0xFFFF in a place). */
-int32_t dc_fire(const dc_net *net, const uint16_t *old_mark,
+int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
                 const int32_t *old_enabled, int32_t k,
                 const int64_t *old_dbm, int32_t t,
                 int32_t intermediate, uint16_t *mark,
@@ -329,7 +159,7 @@ int32_t dc_fire(const dc_net *net, const uint16_t *old_mark,
         int32_t nv = (int32_t)mark[p] + net->delta_d[i];
         if (nv < 0 || nv > 0xFFFF)
             return -2;
-        h ^= dc_zm(p, mark[p]) ^ dc_zm(p, (uint32_t)nv);
+        h ^= ez_zm(p, mark[p]) ^ ez_zm(p, (uint32_t)nv);
         mark[p] = (uint16_t)nv;
     }
     hash_io[0] = h;
@@ -446,7 +276,7 @@ int32_t dc_fire(const dc_net *net, const uint16_t *old_mark,
  * optional dense forced-immediate partial-order reduction and the
  * (lower, priority, index) insertion sort.  `out` receives
  * (transition, lower) pairs; returns the count. */
-int32_t dc_candidates(const dc_net *net, const int32_t *enabled,
+int32_t dc_candidates(const ez_net *net, const int32_t *enabled,
                       int32_t k, const int64_t *dbm, int32_t strict,
                       int32_t partial_order, int32_t *out,
                       int32_t *reduced)
@@ -554,122 +384,31 @@ int32_t dc_candidates(const dc_net *net, const int32_t *enabled,
     return n;
 }
 
-/* ------------------------------------------------------------------
- * The search driver: SearchCore's depth-first loop over state
- * classes, resumable.
- *
- * dc_search_run runs until one of the statuses below and saves where
- * it stopped, so the next call resumes exactly there.  Every counter
- * is SearchCore's, updated at the same points of the loop.  Statuses
- * and option bits share their values with the kernel driver's, so one
- * Python handle serves both.
- * ------------------------------------------------------------------ */
-#define DC_S_DONE 0     /* stack empty: space exhausted, no schedule */
-#define DC_S_POLL 1     /* 1024-expansion poll; resume to continue */
-#define DC_S_REORDER 2  /* top frame awaits a Python reorder */
-#define DC_S_FEASIBLE 3 /* final marking reached; see dc_search_path */
-#define DC_S_BUDGET 4   /* max_states reached */
-#define DC_S_TOKENS 5   /* token overflow firing counters->fault */
-#define DC_S_NOMEM 7    /* an allocation failed */
-
-#define DC_O_INTERMEDIATE 1
-#define DC_O_STRICT 2
-#define DC_O_PARTIAL_ORDER 4
-#define DC_O_REORDER 32
-#define DC_O_TIMED 64
-#define DC_O_LATEST 128
-#define DC_O_LAXITY 256
-
-#define DC_POLL_MASK 0x3FF
-#define DC_TRIM_BYTES (1 << 20)
-
-enum { DC_PH_ROOT, DC_PH_LOOP, DC_PH_STEP, DC_PH_OVER };
-
-typedef struct {
-    int64_t visited, generated, revisits, prunes, backtracks;
-    int64_t reductions, depth;
-    int64_t succ_ns, succ_calls, cand_ns, cand_calls;
-    int64_t visited_bytes;
-    int32_t pending; /* frame's candidates (REORDER), path length
-                        (FEASIBLE) */
-    int32_t fault;   /* transition whose firing overflowed */
-} dc_counters;
-
 /* A visited class: its record, plus its bytes in the arena at `off`:
  * the (k+1)^2 closed bounds, the k enabled transitions, the marking,
- * padded to 8 bytes. */
+ * padded to 8 bytes.  Its fused Zobrist key (marking ^ bound matrix)
+ * is the loop's. */
 typedef struct {
     size_t off;
-    uint64_t key;   /* fused Zobrist key (marking ^ bound matrix) */
-    uint64_t mhash; /* marking part, carried into dc_fire */
+    uint64_t mhash; /* marking part of the key, carried into dc_fire */
     int32_t k;      /* enabled count */
 } dc_class;
 
 typedef struct {
-    int64_t now;    /* absolute time at this frame's class */
-    uint32_t state; /* class index */
-    int32_t n, index;
-    int32_t t, q;   /* the firing that produced this frame */
-    size_t off;     /* first candidate word in the pool */
-} dc_frame;
-
-typedef struct dc_search {
-    const dc_net *net;
-    dc_counters *c;
-    int32_t options, phase;
-    int64_t max_states;
+    ez_search base;
     /* class arena (bytes) and the per-class records */
     unsigned char *arena;
     size_t arena_len, arena_cap;
     dc_class *classes;
-    size_t n_states, cap_states;
-    /* open-addressing visited table: class index + 1, 0 = empty */
-    uint32_t *table;
-    size_t table_cap;
-    dc_frame *frames;
-    size_t n_frames, cap_frames;
-    /* candidate pairs of every open frame, stacked like the frames */
-    int32_t *pool;
-    size_t pool_len, pool_cap;
     /* the successor under construction */
     uint16_t *cmark;
     int32_t *cenb;
     int64_t *cdbm;
-    int32_t pend_t, pend_q;
-    int64_t pend_now;
+    int32_t ck;
+    uint64_t cmhash;
 } dc_search;
 
-static int64_t dc_now_ns(void)
-{
-    struct timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return (int64_t)ts.tv_sec * 1000000000LL + ts.tv_nsec;
-}
-
-static int dc_reserve(void **buf, size_t *cap, size_t need, size_t elem)
-{
-    size_t ncap = *cap ? *cap : 64;
-    void *grown;
-    if (need <= *cap)
-        return 1;
-    while (ncap < need)
-        ncap *= 2;
-    grown = PyMem_RawRealloc(*buf, ncap * elem);
-    if (!grown)
-        return 0;
-    *buf = grown;
-    *cap = ncap;
-    return 1;
-}
-
-static void dc_account(dc_search *s)
-{
-    s->c->visited_bytes = (int64_t)(
-        s->arena_cap + s->cap_states * sizeof(dc_class)
-        + s->table_cap * sizeof(uint32_t));
-}
-
-static size_t dc_class_bytes(const dc_net *net, int32_t k)
+static size_t dc_class_bytes(const ez_net *net, int32_t k)
 {
     size_t size = (size_t)k + 1;
     size_t bytes = size * size * sizeof(int64_t)
@@ -678,112 +417,52 @@ static size_t dc_class_bytes(const dc_net *net, int32_t k)
     return (bytes + 7) & ~(size_t)7;
 }
 
-static int64_t *dc_dbm_of(const dc_search *s, const dc_class *cls)
+static int64_t *dc_dbm_of(const dc_search *d, const dc_class *cls)
 {
-    return (int64_t *)(s->arena + cls->off);
+    return (int64_t *)(d->arena + cls->off);
 }
 
-static int32_t *dc_enabled_of(const dc_search *s, const dc_class *cls)
+static int32_t *dc_enabled_of(const dc_search *d, const dc_class *cls)
 {
     size_t size = (size_t)cls->k + 1;
-    return (int32_t *)(s->arena + cls->off + size * size * sizeof(int64_t));
+    return (int32_t *)(d->arena + cls->off + size * size * sizeof(int64_t));
 }
 
-static uint16_t *dc_mark_of(const dc_search *s, const dc_class *cls)
+static uint16_t *dc_mark_of(const dc_search *d, const dc_class *cls)
 {
-    return (uint16_t *)(dc_enabled_of(s, cls) + cls->k);
+    return (uint16_t *)(dc_enabled_of(d, cls) + cls->k);
 }
 
-/* Tag the class in the successor buffers (cmark, cenb, cdbm, k
- * enabled): 1 when it was already visited, 0 when it was appended to
- * the arena and the table, -1 when an allocation failed.  Equal
- * classes have equal keys; a key match is confirmed on the marking
- * and bound-matrix bytes (the enabled list follows from the
- * marking). */
-static int dc_visit(dc_search *s, uint64_t key, uint64_t mhash, int32_t k)
+/* A class has at most T candidates, so `cap` always suffices. */
+static int32_t dc_op_candidates(ez_search *s, uint32_t state,
+                                int32_t *out, int32_t cap,
+                                int32_t *reduced)
 {
-    const dc_net *net = s->net;
-    size_t mask = s->table_cap - 1;
-    size_t i = (size_t)key & mask, idx, size = (size_t)k + 1, bytes;
-    size_t dbm_bytes = size * size * sizeof(int64_t);
-    size_t mark_bytes = (size_t)net->P * sizeof(uint16_t);
-    uint32_t e;
-    dc_class *cls;
-    unsigned char *at;
-
-    while ((e = s->table[i]) != 0) {
-        cls = &s->classes[e - 1];
-        if (cls->key == key && cls->k == k &&
-            memcmp(dc_mark_of(s, cls), s->cmark, mark_bytes) == 0 &&
-            memcmp(dc_dbm_of(s, cls), s->cdbm, dbm_bytes) == 0)
-            return 1;
-        i = (i + 1) & mask;
-    }
-    if (s->n_states >= 0xFFFFFFFEu)
-        return -1; /* class indices are 32-bit */
-    bytes = dc_class_bytes(net, k);
-    if (s->n_states == s->cap_states) {
-        if (!dc_reserve((void **)&s->classes, &s->cap_states,
-                        s->n_states + 1, sizeof(dc_class)))
-            return -1;
-        dc_account(s);
-    }
-    if (s->arena_len + bytes > s->arena_cap) {
-        if (!dc_reserve((void **)&s->arena, &s->arena_cap,
-                        s->arena_len + bytes, 1))
-            return -1;
-        dc_account(s);
-    }
-    if (2 * (s->n_states + 1) > s->table_cap) {
-        size_t ncap = 2 * s->table_cap, j;
-        uint32_t *grown = (uint32_t *)PyMem_RawCalloc(ncap,
-                                                      sizeof(uint32_t));
-        if (!grown)
-            return -1;
-        mask = ncap - 1;
-        for (j = 0; j < s->n_states; j++) {
-            size_t slot = (size_t)s->classes[j].key & mask;
-            while (grown[slot])
-                slot = (slot + 1) & mask;
-            grown[slot] = (uint32_t)(j + 1);
-        }
-        PyMem_RawFree(s->table);
-        s->table = grown;
-        s->table_cap = ncap;
-        dc_account(s);
-        i = (size_t)key & mask;
-        while (s->table[i])
-            i = (i + 1) & mask;
-    }
-    idx = s->n_states++;
-    cls = &s->classes[idx];
-    cls->off = s->arena_len;
-    cls->key = key;
-    cls->mhash = mhash;
-    cls->k = k;
-    s->arena_len += bytes;
-    at = s->arena + cls->off;
-    memcpy(at, s->cdbm, dbm_bytes);
-    memcpy(at + dbm_bytes, s->cenb, (size_t)k * sizeof(int32_t));
-    memcpy(at + dbm_bytes + (size_t)k * sizeof(int32_t), s->cmark,
-           mark_bytes);
-    s->table[i] = (uint32_t)(idx + 1);
-    return 0;
+    const dc_search *d = (const dc_search *)s;
+    const dc_class *cls = &d->classes[state];
+    (void)cap;
+    return dc_candidates(s->net, dc_enabled_of(d, cls), cls->k,
+                         dc_dbm_of(d, cls), s->options & EZ_O_STRICT,
+                         s->options & EZ_O_PARTIAL_ORDER, out, reduced);
 }
 
 /* Laxity of candidate t for the min-laxity policy: LFT minus the
  * surrogate clock of its task's deadline timer, eft + dbm[0][var]
  * clamped at 0 (repro.scheduler.core.StateClassAdapter.clocks_view);
  * unbounded without an enabled, bounded timer. */
-static int64_t dc_laxity(const dc_net *net, const int32_t *enabled,
-                         int32_t k, const int64_t *dbm, int32_t t)
+static int64_t dc_op_laxity(const ez_search *s, uint32_t state,
+                            int32_t t)
 {
+    const ez_net *net = s->net;
+    const dc_search *d = (const dc_search *)s;
+    const dc_class *cls = &d->classes[state];
+    const int32_t *enabled = dc_enabled_of(d, cls);
     int32_t m = net->timer[t], i;
     if (m < 0 || net->lft[m] < 0)
         return INT64_MAX;
-    for (i = 0; i < k; i++) {
+    for (i = 0; i < cls->k; i++) {
         if (enabled[i] == m) {
-            int64_t clock = (int64_t)net->eft[m] + dbm[i + 1];
+            int64_t clock = (int64_t)net->eft[m] + dc_dbm_of(d, cls)[i + 1];
             if (clock < 0)
                 clock = 0;
             return (int64_t)net->lft[m] - clock;
@@ -792,342 +471,155 @@ static int64_t dc_laxity(const dc_net *net, const int32_t *enabled,
     return INT64_MAX;
 }
 
-/* The latest and min-laxity policies of repro.scheduler.policies on
- * n (transition, lower) pairs in place: latest reverses them,
- * min-laxity sorts them by (lower, laxity, index). */
-static void dc_order(const dc_net *net, const int32_t *enabled,
-                     int32_t k, const int64_t *dbm, int32_t options,
-                     int32_t *out, int32_t n)
+static int32_t dc_op_fire(ez_search *s, uint32_t state, int32_t t,
+                          int32_t q, uint64_t *key)
 {
-    int32_t a, b;
-    if (options & DC_O_LATEST) {
-        for (a = 0, b = n - 1; a < b; a++, b--) {
-            int32_t pair[2];
-            memcpy(pair, out + 2 * a, sizeof pair);
-            memcpy(out + 2 * a, out + 2 * b, sizeof pair);
-            memcpy(out + 2 * b, pair, sizeof pair);
-        }
-        return;
-    }
-    for (a = 1; a < n; a++) {
-        int32_t tc = out[2 * a], qc = out[2 * a + 1];
-        int64_t lc = dc_laxity(net, enabled, k, dbm, tc);
-        for (b = a - 1; b >= 0; b--) {
-            int32_t tb = out[2 * b], qb = out[2 * b + 1];
-            int64_t lb = dc_laxity(net, enabled, k, dbm, tb);
-            if (!(qb > qc || (qb == qc && (lb > lc || (lb == lc && tb > tc)))))
-                break;
-            out[2 * b + 2] = tb;
-            out[2 * b + 3] = qb;
-        }
-        out[2 * b + 2] = tc;
-        out[2 * b + 3] = qc;
-    }
+    dc_search *d = (dc_search *)s;
+    const dc_class *parent = &d->classes[state];
+    uint64_t hio[2];
+    int32_t k;
+    (void)q;
+    memcpy(d->cmark, dc_mark_of(d, parent),
+           (size_t)s->net->P * sizeof(uint16_t));
+    hio[0] = parent->mhash;
+    k = dc_fire(s->net, dc_mark_of(d, parent), dc_enabled_of(d, parent),
+                parent->k, dc_dbm_of(d, parent), t,
+                s->options & EZ_O_INTERMEDIATE, d->cmark, d->cenb,
+                d->cdbm, hio);
+    if (k == -2)
+        return EZ_S_TOKENS;
+    if (k < 0)
+        return EZ_DEAD; /* not firable */
+    d->ck = k;
+    d->cmhash = hio[0];
+    *key = hio[0] ^ hio[1];
+    return 0;
 }
 
-/* Open a frame on class `state`: enumerate its candidates onto the
- * pool, in the order of a native policy when one is set.  Returns the
- * candidate count, -1 on allocation failure. */
-static int32_t dc_push(dc_search *s, uint32_t state, int64_t now,
-                       int32_t t, int32_t q)
+/* Equal classes have equal keys; a key match is confirmed on the
+ * marking and bound-matrix bytes (the enabled list follows from the
+ * marking). */
+static int dc_op_same(const ez_search *s, uint32_t idx)
 {
-    const dc_net *net = s->net;
-    dc_counters *c = s->c;
-    const dc_class *cls;
-    const int32_t *enabled;
-    const int64_t *dbm;
-    int32_t n, reduced;
-    int64_t t0 = 0;
-    dc_frame *f;
-
-    if (!dc_reserve((void **)&s->frames, &s->cap_frames,
-                    s->n_frames + 1, sizeof(dc_frame)))
-        return -1;
-    if (!dc_reserve((void **)&s->pool, &s->pool_cap,
-                    s->pool_len + 2 * (size_t)(net->T ? net->T : 1),
-                    sizeof(int32_t)))
-        return -1;
-    if (s->options & DC_O_TIMED)
-        t0 = dc_now_ns();
-    cls = &s->classes[state];
-    enabled = dc_enabled_of(s, cls);
-    dbm = dc_dbm_of(s, cls);
-    n = dc_candidates(net, enabled, cls->k, dbm,
-                      s->options & DC_O_STRICT,
-                      s->options & DC_O_PARTIAL_ORDER,
-                      s->pool + s->pool_len, &reduced);
-    if (s->options & (DC_O_LATEST | DC_O_LAXITY))
-        dc_order(net, enabled, cls->k, dbm, s->options,
-                 s->pool + s->pool_len, n);
-    if (s->options & DC_O_TIMED)
-        c->cand_ns += dc_now_ns() - t0;
-    c->cand_calls++;
-    if (reduced)
-        c->reductions++;
-    f = &s->frames[s->n_frames++];
-    f->now = now;
-    f->state = state;
-    f->off = s->pool_len;
-    f->n = n;
-    f->index = 0;
-    f->t = t;
-    f->q = q;
-    s->pool_len += 2 * (size_t)n;
-    return n;
+    const dc_search *d = (const dc_search *)s;
+    const dc_class *cls = &d->classes[idx];
+    size_t size = (size_t)d->ck + 1;
+    return cls->k == d->ck &&
+           memcmp(dc_mark_of(d, cls), d->cmark,
+                  (size_t)s->net->P * sizeof(uint16_t)) == 0 &&
+           memcmp(dc_dbm_of(d, cls), d->cdbm,
+                  size * size * sizeof(int64_t)) == 0;
 }
 
-void dc_search_free(dc_search *s)
+static int dc_op_grow(ez_search *s, size_t cap)
 {
-    if (s) {
-        int large = s->arena_cap >= DC_TRIM_BYTES;
-        PyMem_RawFree(s->arena);
-        PyMem_RawFree(s->classes);
-        PyMem_RawFree(s->table);
-        PyMem_RawFree(s->frames);
-        PyMem_RawFree(s->pool);
-        PyMem_RawFree(s->cmark);
-        PyMem_RawFree(s->cenb);
-        PyMem_RawFree(s->cdbm);
-        PyMem_RawFree(s);
-#ifdef __GLIBC__
-        /* glibc raises its mmap threshold after freeing a large mmapped
-         * block, so the next search's arena lands on the heap and stays
-         * resident once freed; hand those pages back */
-        if (large)
-            malloc_trim(0);
-#else
-        (void)large;
-#endif
+    dc_search *d = (dc_search *)s;
+    dc_class *classes = (dc_class *)PyMem_RawRealloc(
+        d->classes, cap * sizeof(dc_class));
+    if (!classes)
+        return 0;
+    d->classes = classes;
+    return 1;
+}
+
+static int dc_op_store(ez_search *s)
+{
+    dc_search *d = (dc_search *)s;
+    size_t size = (size_t)d->ck + 1;
+    size_t dbm_bytes = size * size * sizeof(int64_t);
+    size_t bytes = dc_class_bytes(s->net, d->ck);
+    dc_class *cls;
+    unsigned char *at;
+
+    if (d->arena_len + bytes > d->arena_cap) {
+        if (!ez_reserve((void **)&d->arena, &d->arena_cap,
+                        d->arena_len + bytes, 1))
+            return 0;
+        ez_account(s, s->ops);
     }
+    cls = &d->classes[s->n_states];
+    cls->off = d->arena_len;
+    cls->mhash = d->cmhash;
+    cls->k = d->ck;
+    d->arena_len += bytes;
+    at = d->arena + cls->off;
+    memcpy(at, d->cdbm, dbm_bytes);
+    memcpy(at + dbm_bytes, d->cenb, (size_t)d->ck * sizeof(int32_t));
+    memcpy(at + dbm_bytes + (size_t)d->ck * sizeof(int32_t), d->cmark,
+           (size_t)s->net->P * sizeof(uint16_t));
+    return 1;
 }
 
-/* A search rooted at class (mark0, enabled0, dbm0) at absolute time
- * now0.  The root is tagged visited here; the caller has already
- * checked it against the deadline and final predicates.  `counters`
- * stays owned by the caller and is written until dc_search_free. */
-dc_search *dc_search_new(const dc_net *net, const uint16_t *mark0,
+static size_t dc_op_bytes(const ez_search *s)
+{
+    const dc_search *d = (const dc_search *)s;
+    return d->arena_cap + s->cap_states * sizeof(dc_class);
+}
+
+static void dc_op_release(ez_search *s)
+{
+    dc_search *d = (dc_search *)s;
+    PyMem_RawFree(d->arena);
+    PyMem_RawFree(d->classes);
+    PyMem_RawFree(d->cmark);
+    PyMem_RawFree(d->cenb);
+    PyMem_RawFree(d->cdbm);
+}
+
+static int32_t dc_run(ez_search *s);
+
+static const ez_ops dc_ops = {
+    dc_op_candidates, dc_op_laxity, dc_op_fire, dc_op_same,
+    dc_op_grow, dc_op_store, dc_op_bytes, dc_op_release,
+    dc_run,
+};
+
+static int32_t dc_run(ez_search *s)
+{
+    return ez_run(s, &dc_ops);
+}
+
+/* A search rooted at class (mark0, enabled0, dbm0) with marking hash
+ * mhash0 and key key0. */
+ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
                          const int32_t *enabled0, int32_t k0,
                          const int64_t *dbm0, uint64_t mhash0,
-                         uint64_t key0, int64_t now0, int32_t options,
-                         int64_t max_states, dc_counters *counters)
+                         uint64_t key0, int32_t options,
+                         int64_t max_states, ez_counters *counters)
 {
-    dc_search *s = (dc_search *)PyMem_RawCalloc(1, sizeof(dc_search));
+    dc_search *d = (dc_search *)PyMem_RawCalloc(1, sizeof(dc_search));
     size_t size = (size_t)net->T + 1, root = (size_t)k0 + 1;
-    if (!s)
+    if (!d)
         return NULL;
-    memset(counters, 0, sizeof(dc_counters));
-    s->net = net;
-    s->c = counters;
-    s->options = options;
-    s->phase = DC_PH_ROOT;
-    s->max_states = max_states;
-    s->pend_now = now0;
-    s->table_cap = 1024;
-    s->table = (uint32_t *)PyMem_RawCalloc(s->table_cap, sizeof(uint32_t));
-    s->cmark = (uint16_t *)PyMem_RawMalloc(
+    d->cmark = (uint16_t *)PyMem_RawMalloc(
         (net->P ? (size_t)net->P : 1) * sizeof(uint16_t));
-    s->cenb = (int32_t *)PyMem_RawMalloc(size * sizeof(int32_t));
-    s->cdbm = (int64_t *)PyMem_RawMalloc(size * size * sizeof(int64_t));
-    if (!s->table || !s->cmark || !s->cenb || !s->cdbm) {
-        dc_search_free(s);
+    d->cenb = (int32_t *)PyMem_RawMalloc(size * sizeof(int32_t));
+    d->cdbm = (int64_t *)PyMem_RawMalloc(size * size * sizeof(int64_t));
+    if (!ez_search_init(&d->base, net, &dc_ops, options, max_states,
+                        counters) || !d->cmark || !d->cenb || !d->cdbm) {
+        ez_search_free(&d->base);
         return NULL;
     }
-    memcpy(s->cmark, mark0, (size_t)net->P * sizeof(uint16_t));
-    memcpy(s->cenb, enabled0, (size_t)k0 * sizeof(int32_t));
-    memcpy(s->cdbm, dbm0, root * root * sizeof(int64_t));
-    if (dc_visit(s, key0, mhash0, k0) != 0) {
-        dc_search_free(s);
-        return NULL;
-    }
-    counters->visited = 1;
-    return s;
-}
-
-int32_t dc_search_run(dc_search *s)
-{
-    const dc_net *net = s->net;
-    dc_counters *c = s->c;
-    const uint8_t *flags = net->flags;
-    int32_t intermediate = s->options & DC_O_INTERMEDIATE;
-    int32_t reorder = s->options & DC_O_REORDER;
-    int32_t timed = s->options & DC_O_TIMED;
-    int32_t t = 0, q = 0, n, k, status, i;
-    dc_frame *f;
-
-    switch (s->phase) {
-    case DC_PH_ROOT:
-        n = dc_push(s, 0, s->pend_now, -1, 0);
-        if (n < 0)
-            goto nomem;
-        s->phase = DC_PH_LOOP;
-        if (reorder && n > 1) {
-            c->pending = n;
-            return DC_S_REORDER;
-        }
-        break;
-    case DC_PH_LOOP:
-        break;
-    case DC_PH_STEP:
-        f = &s->frames[s->n_frames - 1];
-        t = s->pend_t;
-        q = s->pend_q;
-        s->phase = DC_PH_LOOP;
-        goto step;
-    default:
-        return DC_S_DONE;
-    }
-
-    for (;;) {
-        const dc_class *parent;
-        uint64_t hio[2];
-        int64_t now, t0 = 0;
-
-        if (s->n_frames == 0) {
-            s->phase = DC_PH_OVER;
-            return DC_S_DONE;
-        }
-        f = &s->frames[s->n_frames - 1];
-        if (f->index >= f->n) {
-            s->pool_len = f->off;
-            s->n_frames--;
-            if (s->n_frames)
-                c->backtracks++;
-            continue;
-        }
-        t = s->pool[f->off + 2 * (size_t)f->index];
-        q = s->pool[f->off + 2 * (size_t)f->index + 1];
-        f->index++;
-        c->generated++;
-        if (!(c->generated & DC_POLL_MASK)) {
-            c->depth = (int64_t)s->n_frames;
-            s->pend_t = t;
-            s->pend_q = q;
-            s->phase = DC_PH_STEP;
-            return DC_S_POLL;
-        }
-    step:
-        parent = &s->classes[f->state];
-        memcpy(s->cmark, dc_mark_of(s, parent),
-               (size_t)net->P * sizeof(uint16_t));
-        hio[0] = parent->mhash;
-        if (timed)
-            t0 = dc_now_ns();
-        k = dc_fire(net, dc_mark_of(s, parent), dc_enabled_of(s, parent),
-                    parent->k, dc_dbm_of(s, parent), t, intermediate,
-                    s->cmark, s->cenb, s->cdbm, hio);
-        if (timed) {
-            c->succ_ns += dc_now_ns() - t0;
-            c->succ_calls++;
-        }
-        if (k == -2) {
-            c->fault = t;
-            s->phase = DC_PH_OVER;
-            return DC_S_TOKENS;
-        }
-        if (k < 0) {
-            /* not firable: SearchCore prunes a None successor */
-            c->prunes++;
-            continue;
-        }
-        if (flags[t] & 8) {
-            int missed = 0;
-            for (i = 0; i < net->n_miss; i++) {
-                if (s->cmark[net->miss_place[i]]) {
-                    missed = 1;
-                    break;
-                }
-            }
-            if (missed) {
-                c->prunes++;
-                continue;
-            }
-        }
-        status = dc_visit(s, hio[0] ^ hio[1], hio[0], k);
-        if (status < 0)
-            goto nomem;
-        if (status) {
-            c->revisits++;
-            continue;
-        }
-        c->visited++;
-        now = f->now + q;
-        if (flags[t] & 16) {
-            int final = 1;
-            for (i = 0; i < net->n_final; i++) {
-                if (s->cmark[net->final_place[i]] != net->final_req[i]) {
-                    final = 0;
-                    break;
-                }
-            }
-            if (final) {
-                s->pend_t = t;
-                s->pend_q = q;
-                s->pend_now = now;
-                c->pending = (int32_t)s->n_frames;
-                s->phase = DC_PH_OVER;
-                return DC_S_FEASIBLE;
-            }
-        }
-        if (c->visited >= s->max_states) {
-            s->phase = DC_PH_OVER;
-            return DC_S_BUDGET;
-        }
-        n = dc_push(s, (uint32_t)(s->n_states - 1), now, t, q);
-        if (n < 0)
-            goto nomem;
-        if (reorder && n > 1) {
-            c->pending = n;
-            return DC_S_REORDER;
-        }
-    }
-
-nomem:
-    s->phase = DC_PH_OVER;
-    return DC_S_NOMEM;
-}
-
-/* The candidate pairs of the frame awaiting a reorder (REORDER);
- * the caller permutes them in place before resuming. */
-int32_t *dc_search_pending(dc_search *s)
-{
-    return s->pool + s->frames[s->n_frames - 1].off;
-}
-
-/* After FEASIBLE: the accepting path as counters->pending
- * (transition, lower bound, absolute time) triples in firing order. */
-void dc_search_path(const dc_search *s, int64_t *out)
-{
-    size_t i, k = 0;
-    for (i = 1; i < s->n_frames; i++) {
-        out[k++] = s->frames[i].t;
-        out[k++] = s->frames[i].q;
-        out[k++] = s->frames[i].now;
-    }
-    out[k++] = s->pend_t;
-    out[k++] = s->pend_q;
-    out[k++] = s->pend_now;
+    d->base.cmark = d->cmark;
+    memcpy(d->cmark, mark0, (size_t)net->P * sizeof(uint16_t));
+    memcpy(d->cenb, enabled0, (size_t)k0 * sizeof(int32_t));
+    memcpy(d->cdbm, dbm0, root * root * sizeof(int64_t));
+    d->ck = k0;
+    d->cmhash = mhash0;
+    return ez_search_start(&d->base, key0);
 }
 """
 
-
-_CORE = NativeCore(
-    label="DBM",
-    module_name=_MODULE_NAME,
-    build_dir="_dbmc_build",
-    temp_prefix="ezrt-dbm",
-    cdef=CDEF,
-    source=SOURCE,
-)
-build = _CORE.build
-native_module = _CORE.native_module
-load = _CORE.load
-available = _CORE.available
+build = CORE.build
+native_module = CORE.native_module
+load = CORE.load
+available = CORE.available
 
 
 def __getattr__(name: str):
     # LOAD_ERROR is live state of the shared loader
     if name == "LOAD_ERROR":
-        return _CORE.load_error
+        return CORE.load_error
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -28,14 +28,15 @@ semantics over flat buffers, the substrate the discrete kernel engine
 The firing rule runs in one of two cores over the *same* buffer
 layout:
 
-* the optional C core (:mod:`repro.tpn._dbmc`, built lazily via cffi
-  with graceful degradation) — one foreign call per successor
-  performs the column-scan firability test, the O(n²) incremental
-  closure repair, the marking update, the enabledness rescan, the
-  persistence projection and the fused hash; a second entry point
-  enumerates candidates (firability scans, priority filter, dense
-  partial-order reduction, ``(lower, priority, index)`` sort) in one
-  call;
+* the DBM part (:mod:`repro.tpn._dbmc`) of the optional native core
+  (:mod:`repro.tpn._native`, one cffi extension for both packed
+  engines, built lazily with graceful degradation) — one foreign call
+  per successor performs the column-scan firability test, the O(n²)
+  incremental closure repair, the marking update, the enabledness
+  rescan, the persistence projection and the fused hash; a second
+  entry point enumerates candidates (firability scans, priority
+  filter, dense partial-order reduction, ``(lower, priority, index)``
+  sort) in one call;
 * the pure-Python core in this file — line-for-line the same
   semantics, used when the compiled core is unavailable or
   ``EZRT_PURE=1`` force-disables it.
@@ -47,8 +48,9 @@ against the tuple-based Floyd–Warshall specification of
 policies.
 
 With the C core live, searches do not step through this module class
-by class: :meth:`DbmEngine.open_search` starts the core's resumable
-depth-first search driver, which
+by class: :meth:`DbmEngine.open_search` roots the native core's
+resumable depth-first search driver on the DBM engine's operations
+table (``dc_search_new``), which
 :meth:`repro.scheduler.core.SearchCore._drive` runs to a verdict
 (``tests/test_dbm_driver.py`` locks it to the search loop over the
 pure core).
@@ -62,7 +64,7 @@ from operator import itemgetter
 
 from repro.errors import SchedulingError
 from repro.tpn import _dbmc
-from repro.tpn._native import NativeSearch, search_options
+from repro.tpn._native import NativeNet, NativeSearch, search_options
 from repro.tpn.interval import INF
 from repro.tpn.kernel import MAX_TOKENS, _MASK64, _mix
 from repro.tpn.net import CompiledNet
@@ -203,16 +205,11 @@ class PackedClass:
         )
 
 
-class _DbmNativeCore:
-    """Per-net handle on the compiled DBM core: flattened CSR arrays
-    plus preallocated output buffers, all kept alive for the net
-    pointer's lifetime."""
+class _DbmNativeCore(NativeNet):
+    """Per-net handle on the compiled core: the packed net plus the DBM
+    engine's preallocated output buffers."""
 
     __slots__ = (
-        "ffi",
-        "lib",
-        "net_ptr",
-        "_keepalive",
         "_out_enb",
         "_out_dbm",
         "_out",
@@ -222,88 +219,8 @@ class _DbmNativeCore:
     )
 
     def __init__(self, module, net: CompiledNet):
-        ffi = module.ffi
-        lib = module.lib
-        self.ffi = ffi
-        self.lib = lib
-
-        def csr(rows, pair_index):
-            off = array("i", [0])
-            flat_a = array("i")
-            flat_b = array("i") if pair_index else None
-            for row in rows:
-                if pair_index:
-                    for a, b in row:
-                        flat_a.append(a)
-                        flat_b.append(b)
-                else:
-                    for a in row:
-                        flat_a.append(a)
-                off.append(len(flat_a))
-            return off, flat_a, flat_b
-
-        pre_off, pre_place, pre_w = csr(net.pre, True)
-        d_off, d_place, d_d = csr(net.delta, True)
-        pc_off, pc_t, _ = csr(
-            [sorted(s) for s in net.post_conflicts], False
-        )
-        eft = array("i", net.eft)
-        lft = array(
-            "i", [-1 if b == INF else int(b) for b in net.lft]
-        )
-        prio = array("i", net.priority)
-        flags = bytearray(net.num_transitions)
-        for t in range(net.num_transitions):
-            flags[t] = (
-                (2 if t in net.miss_transitions else 0)
-                | (4 if net.conflict_free[t] else 0)
-                | (8 if net.touches_miss[t] else 0)
-                | (16 if net.touches_final[t] else 0)
-            )
-        # the search driver's marking predicates and min-laxity timers
-        # (a one-slot stand-in keeps cffi's buffer views non-empty)
-        miss_place = array("i", net.miss_places or (0,))
-        final_place = array(
-            "i", [p for p, _req in net.final_constraints] or [0]
-        )
-        final_req = array(
-            "i", [req for _p, req in net.final_constraints] or [0]
-        )
-        timer = array("i", net.deadline_timer)
-
-        def ptr(a):
-            return ffi.from_buffer("int32_t[]", a)
-
-        # the cffi buffer views (and the arrays they view) must stay
-        # alive as long as the C net reads them
-        self._keepalive = [
-            pre_off, pre_place, pre_w, d_off, d_place, d_d,
-            pc_off, pc_t, eft, lft, prio, flags,
-            miss_place, final_place, final_req, timer,
-        ]
-        buffers = [
-            ptr(pre_off), ptr(pre_place), ptr(pre_w),
-            ptr(d_off), ptr(d_place), ptr(d_d),
-            ptr(pc_off), ptr(pc_t),
-            ptr(eft), ptr(lft), ptr(prio),
-            ffi.from_buffer("uint8_t[]", flags),
-        ]
-        search_buffers = [
-            ptr(miss_place), ptr(final_place), ptr(final_req), ptr(timer)
-        ]
-        self._keepalive.extend(buffers + search_buffers)
-        raw = lib.dc_net_new(
-            net.num_places,
-            net.num_transitions,
-            *buffers,
-            len(net.miss_places),
-            search_buffers[0],
-            len(net.final_constraints),
-            *search_buffers[1:],
-        )
-        if raw == ffi.NULL:
-            raise MemoryError("dc_net_new failed")
-        self.net_ptr = ffi.gc(raw, lib.dc_net_free)
+        super().__init__(module, net)
+        ffi = self.ffi
         max_size = net.num_transitions + 1
         self._out_enb = ffi.new(
             "int32_t[]", max(1, net.num_transitions)
@@ -692,7 +609,6 @@ class DbmEngine:
     def open_search(
         self,
         root: PackedClass,
-        now: int,
         *,
         strict: bool,
         partial_order: bool,
@@ -700,18 +616,17 @@ class DbmEngine:
         max_states: int,
         timed: bool,
     ) -> NativeSearch | None:
-        """A native driver search from ``root`` at absolute time
-        ``now`` under search ``policy``, or ``None`` without a
-        compiled core.  ``root`` counts as visited; the caller has
-        checked its marking predicates."""
+        """A native driver search from ``root`` under search
+        ``policy``, or ``None`` without a compiled core.  ``root``
+        counts as visited; the caller has checked its marking
+        predicates."""
         core = self._core
         if core is None:
             return None
         ffi = core.ffi
         return NativeSearch(
             core,
-            "dc_",
-            "DBM",
+            core.lib.dc_search_new,
             (
                 ffi.from_buffer("uint16_t[]", root.marking),
                 core._enb_ptr(root.enabled),
@@ -719,13 +634,13 @@ class DbmEngine:
                 ffi.from_buffer("int64_t[]", root.dbm),
                 root._mhash,
                 root._hash,
-                now,
                 search_options(
                     self._intermediate, strict, partial_order, policy,
                     timed,
                 ),
                 max_states,
             ),
+            "DBM",
             self._search_fault,
         )
 

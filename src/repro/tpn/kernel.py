@@ -26,10 +26,11 @@ buffers* —
 The successor/firable/min-DUB inner loop runs in one of two cores over
 the *same* buffer layout:
 
-* the optional C core (:mod:`repro.tpn._kernelc`, built lazily via
-  cffi with graceful degradation) — one foreign call per step,
-  operating in place on the Python-owned buffers (searches go
-  further, see below);
+* the kernel's part (:mod:`repro.tpn._kernelc`) of the optional
+  native core (:mod:`repro.tpn._native`, one cffi extension for both
+  packed engines, built lazily with graceful degradation) — one
+  foreign call per step, operating in place on the Python-owned
+  buffers (searches go further, see below);
 * the pure-Python core in this file — line-for-line the same
   semantics, used when the compiled core is unavailable or
   ``EZRT_PURE=1`` force-disables it.
@@ -40,9 +41,10 @@ suite in ``tests/test_kernel_engine.py`` asserts, together with
 engine-level parity against the checked reference semantics.
 
 With the C core live, searches do not step through this module state
-by state: :meth:`KernelEngine.open_search` starts a
-:class:`NativeSearch`, the C core's resumable depth-first search
-driver, which :meth:`repro.scheduler.core.SearchCore._drive` runs to a
+by state: :meth:`KernelEngine.open_search` roots the native core's
+resumable depth-first search driver on the kernel's operations table
+(``kn_search_new``) and returns its :class:`NativeSearch` handle,
+which :meth:`repro.scheduler.core.SearchCore._drive` runs to a
 verdict (``tests/test_kernel_driver.py`` locks it to the search loop
 over the pure core).
 """
@@ -53,7 +55,12 @@ from array import array
 
 from repro.errors import SchedulingError
 from repro.tpn import _kernelc
-from repro.tpn._native import SEARCH_TOKENS, NativeSearch, search_options
+from repro.tpn._native import (
+    SEARCH_TOKENS,
+    NativeNet,
+    NativeSearch,
+    search_options,
+)
 from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import DISABLED, RESET_POLICIES, State
@@ -69,7 +76,7 @@ _MASK64 = (1 << 64) - 1
 
 
 def _mix(x: int) -> int:
-    """splitmix64 finalizer — identical to ``kn_mix`` in the C core."""
+    """splitmix64 finalizer — identical to ``ez_mix`` in the C core."""
     x = (x + 0x9E3779B97F4A7C15) & _MASK64
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -80,7 +87,7 @@ class _ZobristTable(dict):
     """Lazily filled Zobrist words of one kind (1: place, 2: clock).
 
     ``table[(i << 20) ^ v]`` is ``_mix((kind << 62) ^ (i << 20) ^ v)``
-    — the word ``kn_zm``/``kn_zc`` compute in the C core — so the pure
+    — the word ``ez_zm``/``kn_zc`` compute in the C core — so the pure
     core reads each word with one subscript and mixes it only once.
     """
 
@@ -139,101 +146,15 @@ class KernelState:
         return State(tuple(self.marking), self.clocks_tuple())
 
 
-class _NativeCore:
-    """Per-net handle on the compiled core: flattened CSR arrays plus
-    preallocated output buffers, all kept alive for the net pointer's
-    lifetime."""
+class _NativeCore(NativeNet):
+    """Per-net handle on the compiled core: the packed net plus the
+    kernel's preallocated output buffers."""
 
-    __slots__ = (
-        "ffi",
-        "lib",
-        "net_ptr",
-        "_keepalive",
-        "_out",
-        "_red",
-        "_ceil",
-        "_hash_io",
-    )
+    __slots__ = ("_out", "_red", "_ceil", "_hash_io")
 
     def __init__(self, module, net: CompiledNet):
-        ffi = module.ffi
-        lib = module.lib
-        self.ffi = ffi
-        self.lib = lib
-
-        def csr(rows, pair_index):
-            off = array("i", [0])
-            flat_a = array("i")
-            flat_b = array("i") if pair_index else None
-            for row in rows:
-                if pair_index:
-                    for a, b in row:
-                        flat_a.append(a)
-                        flat_b.append(b)
-                else:
-                    for a in row:
-                        flat_a.append(a)
-                off.append(len(flat_a))
-            return off, flat_a, flat_b
-
-        pre_off, pre_place, pre_w = csr(net.pre, True)
-        d_off, d_place, d_d = csr(net.delta, True)
-        aff_off, aff_t, _ = csr(net.affected, False)
-        pc_off, pc_t, _ = csr(
-            [sorted(s) for s in net.post_conflicts], False
-        )
-        eft = array("i", net.eft)
-        lft = array(
-            "i", [-1 if b == INF else int(b) for b in net.lft]
-        )
-        prio = array("i", net.priority)
-        flags = bytearray(net.num_transitions)
-        for t in range(net.num_transitions):
-            flags[t] = (
-                (1 if net.immediate[t] else 0)
-                | (2 if t in net.miss_transitions else 0)
-                | (4 if net.conflict_free[t] else 0)
-                | (8 if net.touches_miss[t] else 0)
-                | (16 if net.touches_final[t] else 0)
-            )
-        # the search driver's marking predicates; one padding word
-        # keeps every buffer non-empty
-        miss_place = array("i", net.miss_places or (0,))
-        final_place = array(
-            "i", [p for p, _req in net.final_constraints] or [0]
-        )
-        final_req = array(
-            "i", [req for _p, req in net.final_constraints] or [0]
-        )
-        timer = array("i", net.deadline_timer or (0,))
-
-        def ptr(a):
-            return ffi.from_buffer("int32_t[]", a)
-
-        # the cffi buffer views (and the arrays they view) must stay
-        # alive as long as the C net reads them
-        self._keepalive = [
-            pre_off, pre_place, pre_w, d_off, d_place, d_d,
-            aff_off, aff_t, pc_off, pc_t, eft, lft, prio, flags,
-            miss_place, final_place, final_req, timer,
-        ]
-        buffers = [
-            ptr(pre_off), ptr(pre_place), ptr(pre_w),
-            ptr(d_off), ptr(d_place), ptr(d_d),
-            ptr(aff_off), ptr(aff_t), ptr(pc_off), ptr(pc_t),
-            ptr(eft), ptr(lft), ptr(prio),
-            ffi.from_buffer("uint8_t[]", flags),
-            len(net.miss_places), ptr(miss_place),
-            len(net.final_constraints), ptr(final_place), ptr(final_req),
-            ptr(timer),
-        ]
-        self._keepalive.extend(buffers)
-        raw = lib.kn_net_new(
-            net.num_places, net.num_transitions, *buffers
-        )
-        if raw == ffi.NULL:
-            raise MemoryError("kn_net_new failed")
-        self.net_ptr = ffi.gc(raw, lib.kn_net_free)
+        super().__init__(module, net)
+        ffi = self.ffi
         self._out = ffi.new(
             "int32_t[]", 2 * max(1, net.num_transitions)
         )
@@ -296,8 +217,9 @@ class _NativeCore:
         )
 
 
-# kn_search_new's delay-mode option bits (the C core's ``KN_O_*``);
-# the rest of the option word is shared with the DBM driver
+# kn_search_new's delay-mode option bits (the core's ``EZ_O_EXTREMES``
+# and ``EZ_O_FULL``); the rest of the option word is shared with the
+# DBM engine
 _OPT_EXTREMES = 8
 _OPT_FULL = 16
 
@@ -616,7 +538,6 @@ class KernelEngine:
     def open_search(
         self,
         root: KernelState,
-        now: int,
         *,
         strict: bool,
         partial_order: bool,
@@ -625,10 +546,10 @@ class KernelEngine:
         max_states: int,
         timed: bool,
     ) -> NativeSearch | None:
-        """A native driver search from ``root`` at absolute time
-        ``now`` under search ``policy``, or ``None`` without a
-        compiled core.  ``root`` counts as visited; the caller has
-        checked its marking predicates."""
+        """A native driver search from ``root`` under search
+        ``policy``, or ``None`` without a compiled core.  ``root``
+        counts as visited; the caller has checked its marking
+        predicates."""
         core = self._core
         if core is None:
             return None
@@ -642,16 +563,15 @@ class KernelEngine:
         ffi = core.ffi
         return NativeSearch(
             core,
-            "kn_",
-            "kernel",
+            core.lib.kn_search_new,
             (
                 ffi.from_buffer("uint16_t[]", root.marking),
                 ffi.from_buffer("uint16_t[]", root.clk),
                 root._hash,
-                now,
                 options,
                 max_states,
             ),
+            "kernel",
             self._search_fault,
         )
 

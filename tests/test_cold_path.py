@@ -7,8 +7,8 @@ the pipeline leaf by leaf; these tests pin the result:
 
 * each one-shot command, run in a fresh interpreter, loads none of
   the batch engine, the service, PNML, the code lint pack, the
-  parallel/adaptive/baseline schedulers, the net analysis tools or
-  the process-pool and socket stacks;
+  parallel/adaptive/baseline schedulers, the net analysis tools, the
+  dense engine or the process-pool and socket stacks;
 * ``import repro.cli`` alone loads at most 50 ``repro`` modules;
 * every layer the benchmark's traced pass wraps on ``repro.cli`` is
   still called through the module global it wraps;
@@ -44,6 +44,8 @@ FORBIDDEN = (
     "repro.scheduler.adaptive",
     "repro.scheduler.baselines",
     "repro.tpn.analysis",
+    "repro.tpn.dbm",
+    "repro.tpn.stateclass",
     "repro.tpn.reachability",
     "repro.tpn.dot",
     "repro.tpn.tlts",

@@ -21,7 +21,10 @@ ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -30,7 +33,7 @@ from repro.errors import SchedulingError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.parallel import ParallelScheduler
 from repro.spec import paper_examples
-from repro.tpn import _kernelc
+from repro.tpn import _dbmc, _kernelc, _native
 from repro.tpn.kernel import DIS, MAX_CLOCK, KernelEngine, KernelState
 from repro.tpn.state import DISABLED, StateEngine
 from repro.workloads import random_task_set
@@ -178,6 +181,65 @@ class TestNativeVsPure:
             pytest.skip(
                 f"native core unavailable: {_kernelc.LOAD_ERROR}"
             )
+
+
+class TestOneExtension:
+    """Both engines run in the one native core."""
+
+    def test_both_engines_load_the_same_module(self):
+        assert _kernelc.load() is _dbmc.load()
+
+    def test_both_entry_points_build_the_same_path(self):
+        if _native.CORE.native_module() is None:
+            pytest.skip(f"native core unavailable: {_native.CORE.load_error}")
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        paths = {
+            subprocess.run(
+                [sys.executable, "-m", module],
+                env=env,
+                check=True,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            ).stdout.strip().splitlines()[-1]
+            for module in ("repro.tpn._kernelc", "repro.tpn._dbmc")
+        }
+        assert len(paths) == 1
+        assert paths == {_native.CORE.build()}
+
+    @pytest.mark.parametrize("module", [_kernelc, _dbmc])
+    def test_each_fragment_is_in_the_digest(self, module, monkeypatch):
+        before = _native.CORE.digest()
+        monkeypatch.setattr(module, "SOURCE", module.SOURCE + "\n")
+        assert _native.CORE.digest() != before
+
+    def test_build_publishes_from_inside_the_cache_dir(
+        self, tmp_path, monkeypatch
+    ):
+        """The finished object is renamed into place from a directory
+        on the cache's own filesystem, so the rename is atomic and no
+        concurrent loader can see a partial file."""
+        pytest.importorskip("cffi")
+        if _native.CORE.native_module() is None:
+            pytest.skip(f"native core unavailable: {_native.CORE.load_error}")
+        cache = str(tmp_path / "cache")
+        core = _native.NativeCore()
+        monkeypatch.setattr(core, "_cache_dirs", lambda: [cache])
+        moves = []
+        replace = os.replace
+
+        def recording(src, dst):
+            moves.append((str(src), str(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording)
+        path = core.build()
+        assert moves == [(moves[0][0], path)]
+        source = moves[0][0]
+        assert os.path.commonpath([source, cache]) == cache
+        assert os.path.dirname(path) == cache
+        assert os.listdir(cache) == [os.path.basename(path)]
 
 
 class TestCrossEngineSearchFuzz:
