@@ -50,6 +50,17 @@ The bench enforces, in order of importance:
    :data:`DRIVER_TARGET_SPEEDUP` times **packed** — the C loop against
    the Python loop over the same native engine.  The ratio is recorded
    as ``driver_vs_packed``.
+6. **The native finish** (hard gate with the compiled core): on every
+   feasible workload the bench times the *finish* layer — concretising
+   the class path and replaying the schedule through Definition 3.1 —
+   as production runs it (``DbmEngine.realize`` then
+   ``validate_with_reference``: ``dc_realize`` and ``ez_replay`` with
+   the core live) and as its Python spec
+   (``realize_firing_sequence`` then the Python replay), after
+   asserting both give the search's schedule.  Rows record
+   ``finish_ms`` and ``finish_spec_ms``; the aggregate spec time must
+   be at least :data:`FINISH_TARGET_SPEEDUP` times the production
+   time.  Without the core both are the spec, recorded but not gated.
 
 Timing methodology (as in ``bench_kernel``): engines run strictly
 interleaved, each workload takes the minimum of :data:`ROUNDS`
@@ -74,7 +85,13 @@ import time
 from lanes import lane_name, read_lanes, write_lane
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
-from repro.scheduler.core import DISABLED, _AdapterBase, _DenseView
+from repro.scheduler.core import (
+    DISABLED,
+    _AdapterBase,
+    _DenseView,
+    _replay_with_reference,
+    validate_with_reference,
+)
 from repro.scheduler.result import SearchStats
 from repro.spec import (
     fig3_precedence,
@@ -83,6 +100,7 @@ from repro.spec import (
     mine_pump,
 )
 from repro.tpn import _dbmc, _kernelc
+from repro.tpn.dbm import DbmEngine
 from repro.tpn.stateclass import (
     StateClass,
     StateClassEngine,
@@ -109,6 +127,10 @@ MAX_BASELINE_REGRESSION = 0.95
 #: Search-driver gate (compiled core): aggregate wide-family states/sec
 #: of the C driver vs SearchCore's loop over the same native engine.
 DRIVER_TARGET_SPEEDUP = 3.0
+#: Native-finish gate (compiled core): aggregate concretise + replay
+#: time of the Python spec over the production finish, across the
+#: feasible workloads.
+FINISH_TARGET_SPEEDUP = 10.0
 
 ENGINES = ("legacy", "packed", "pure")
 #: configurations run with the compiled DBM core live
@@ -282,22 +304,75 @@ def _scheduler(net, engine):
     return scheduler
 
 
-def _timed_search(net, engine):
-    scheduler = _scheduler(net, engine)
-    # collector pauses scale with whatever the rest of the process has
-    # allocated (other benches in the same run), which would punish the
-    # fastest engine the hardest — time every engine collector-free
+def _collector_free(fn):
+    """``(fn(), seconds)`` with the collector paused.
+
+    Collector pauses scale with whatever the rest of the process has
+    allocated (other benches in the same run), which would punish the
+    fastest engine the hardest, so every timing here is collector-free.
+    """
     gc.collect()
     reenable = gc.isenabled()
     gc.disable()
     try:
         started = time.perf_counter()
-        result = scheduler.search()
-        seconds = time.perf_counter() - started
+        value = fn()
+        return value, time.perf_counter() - started
     finally:
         if reenable:
             gc.enable()
-    return result, seconds
+
+
+def _timed_search(net, engine):
+    return _collector_free(_scheduler(net, engine).search)
+
+
+def _finish_layer(net, result):
+    """Min-of-N milliseconds of a feasible search's finish layer:
+    production (``DbmEngine.realize`` + ``validate_with_reference``)
+    and its Python spec, interleaved, each checked to rebuild the
+    search's schedule first."""
+    config = result.config
+    index = net.transition_index
+    sequence = [index[name] for name, _d, _a in result.firing_schedule]
+    engine = DbmEngine(net, reset_policy=config.reset_policy)
+
+    def production():
+        realized = engine.realize(sequence)
+        validate_with_reference(net, config, realized.schedule)
+        return realized
+
+    def spec():
+        realized = realize_firing_sequence(
+            net, sequence, config.reset_policy
+        )
+        _replay_with_reference(net, config, realized.schedule)
+        return realized
+
+    for run in (production, spec):
+        realized = run()
+        assert realized.schedule == result.firing_schedule
+        assert realized.windows == result.interval_schedule
+    best = {production: float("inf"), spec: float("inf")}
+    for _ in range(ROUNDS):
+        for run in (production, spec):
+            best[run] = min(best[run], _collector_free(run)[1])
+    return {
+        "finish_ms": best[production] * 1000.0,
+        "finish_spec_ms": best[spec] * 1000.0,
+    }
+
+
+def _finish_aggregate(rows):
+    picked = [r for r in rows if "finish_ms" in r]
+    finish = sum(r["finish_ms"] for r in picked)
+    spec = sum(r["finish_spec_ms"] for r in picked)
+    return {
+        "workloads": len(picked),
+        "finish_ms": finish,
+        "finish_spec_ms": spec,
+        "spec_vs_finish": spec / finish,
+    }
 
 
 def _deterministic_stats(result):
@@ -357,6 +432,8 @@ def _run_suite(engines):
         if "driver" in engines:
             row["driver_states_per_sec"] = visited / best["driver"]
             row["driver_vs_packed"] = best["packed"] / best["driver"]
+        if legacy.feasible:
+            row.update(_finish_layer(net, legacy))
         rows.append(row)
     return rows
 
@@ -470,6 +547,7 @@ def test_dbm_throughput(report):
     families = ("paper", "wide")
     aggregates = {f: _aggregate(rows, engines, f) for f in families}
     overall = _aggregate(rows, engines)
+    finish = _finish_aggregate(rows)
     kernel_floor = _kernel_floor()
 
     wide = aggregates["wide"]
@@ -486,6 +564,8 @@ def test_dbm_throughput(report):
         "min_pure_speedup": MIN_PURE_SPEEDUP,
         "max_baseline_regression": MAX_BASELINE_REGRESSION,
         "driver_target_speedup": DRIVER_TARGET_SPEEDUP,
+        "finish_target_speedup": FINISH_TARGET_SPEEDUP,
+        "finish": finish,
         "target_met": wide["speedup_vs_legacy"] >= TARGET_SPEEDUP,
         "kernel_floor": kernel_floor,
         "rows": rows,
@@ -524,6 +604,14 @@ def test_dbm_throughput(report):
             f"{wide['driver_vs_packed']:.2f}x "
             f"({wide['driver_states_per_sec']:,.0f} states/sec)",
         )
+    report(
+        "DB1",
+        f"finish layer ({core}): Python spec vs production",
+        f">= {FINISH_TARGET_SPEEDUP}" if native else "recorded",
+        f"{finish['spec_vs_finish']:.1f}x "
+        f"({finish['finish_ms']:.2f} vs {finish['finish_spec_ms']:.2f} ms "
+        f"over {finish['workloads']} feasible workloads)",
+    )
     if kernel_floor["baseline_ratio"] is not None:
         report(
             "DB1",
@@ -543,6 +631,10 @@ def test_dbm_throughput(report):
         assert wide["driver_vs_packed"] >= DRIVER_TARGET_SPEEDUP, (
             "DBM search driver missed its wide-interval target: "
             f"{wide['driver_vs_packed']:.2f}x the Python loop"
+        )
+        assert finish["spec_vs_finish"] >= FINISH_TARGET_SPEEDUP, (
+            "the native finish missed its target: the Python spec "
+            f"takes only {finish['spec_vs_finish']:.1f}x its time"
         )
     # the pure floor is a global no-regression claim: the fallback
     # must not lose to the tuple engine over the whole suite.  (On the
@@ -583,6 +675,10 @@ def test_json_artifact_shape():
         assert row["packed_states_per_sec"] > 0
         assert row["states_visited"] > 0
         assert ("driver_states_per_sec" in row) == (lane == "native")
+        assert ("finish_ms" in row) == row["feasible"]
     assert set(entry["aggregates"]) == {"paper", "wide", "all"}
     assert any(row["feasible"] for row in entry["rows"])
+    assert entry["finish"]["workloads"] == sum(
+        row["feasible"] for row in entry["rows"]
+    )
     assert entry["kernel_floor"]["kernel_states_per_sec"] > 0

@@ -58,10 +58,11 @@ from repro.tpn._native import (
     SEARCH_FEASIBLE,
     SEARCH_POLL,
     SEARCH_REORDER,
+    replay as native_replay,
 )
 from repro.tpn.kernel import KernelEngine, KernelState
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import DISABLED, State, StateEngine
+from repro.tpn.state import DISABLED, RESET_POLICIES, State, StateEngine
 
 if TYPE_CHECKING:
     from repro.tpn.dbm import PackedClass
@@ -551,13 +552,9 @@ class StateClassAdapter(_AdapterBase):
         return _DenseView(tuple(clocks))
 
     def finalize_path(self, actions, stats):
-        from repro.tpn.stateclass import realize_firing_sequence
-
         sequence = [t for t, _q, _at in actions]
         with self.obs.span("concretisation", cat="stateclass"):
-            realized = realize_firing_sequence(
-                self.net, sequence, self.config.reset_policy
-            )
+            realized = self.engine.realize(sequence)
         # same reference-replay gate the parallel scheduler applies to
         # worker wins
         with self.obs.span("reference-replay", cat="validate"):
@@ -582,12 +579,42 @@ def validate_with_reference(
     parallel worker, or the dense state-class concretisation, which
     shares this gate) returned garbage, so the error is loud rather
     than folded into a verdict.
+
+    With the native core live the replay runs as one ``ez_replay``
+    call (:func:`repro.tpn._native.replay`).  When that rejects, the
+    Python replay runs to raise its own message; should it accept, the
+    two replays disagree and that raises instead.
     """
+    verdict = None
+    if config.reset_policy in RESET_POLICIES:
+        verdict = native_replay(
+            net, config.reset_policy == "intermediate", schedule
+        )
+    if verdict:
+        return
+    _replay_with_reference(net, config, schedule)
+    if verdict is not None:
+        raise SchedulingError(
+            "reference replays disagree: the native replay rejects a "
+            "schedule the Python replay accepts"
+        )
+
+
+def _replay_with_reference(
+    net: CompiledNet,
+    config: SchedulerConfig,
+    schedule: list[tuple[str, int, int]],
+) -> None:
+    """The Python replay: :func:`validate_with_reference`'s spec."""
     engine = StateEngine(net, reset_policy=config.reset_policy)
     state = engine.initial_state()
     index = net.transition_index
     now = 0
     for name, delay, at in schedule:
+        if name not in index:
+            raise SchedulingError(
+                f"schedule fires unknown transition {name!r}"
+            )
         state = engine.fire(state, index[name], delay)
         now += delay
         if now != at:

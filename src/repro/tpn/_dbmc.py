@@ -21,6 +21,13 @@ byte arena of closed bounds, enabled list and marking per class,
 confirmed on the marking and bound-matrix bytes when the fused
 Zobrist keys match; see ``docs/scheduling.md``, "The native core").
 
+A third entry point finishes a feasible search: ``dc_realize``
+concretises a class path to its earliest and latest integer firing
+dates, a line-for-line port of
+:func:`~repro.tpn.stateclass.realize_firing_sequence` (its executable
+spec, pinned by ``tests/test_native_finish.py``), called through
+:meth:`repro.tpn.dbm.DbmEngine.realize`.
+
 The module also re-exports the one core's :func:`build`,
 :func:`native_module`, :func:`load`, :func:`available`,
 :data:`LOAD_ERROR` and :data:`PURE_ENV`: the DBM engine asks
@@ -51,6 +58,9 @@ ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
                          const int64_t *dbm0, uint64_t mhash0,
                          uint64_t key0, int32_t options,
                          int64_t max_states, ez_counters *counters);
+int32_t dc_realize(const ez_net *net, const uint16_t *m0,
+                   const int32_t *seq, int32_t n, int32_t intermediate,
+                   int64_t *earliest, int64_t *latest);
 """
 
 # The dense-time firing rule and candidate pipeline over the packed
@@ -607,6 +617,229 @@ ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
     d->ck = k0;
     d->cmhash = mhash0;
     return ez_search_start(&d->base, key0);
+}
+
+/* ------------------------------------------------------------------
+ * Concretisation: repro.tpn.stateclass.realize_firing_sequence, line
+ * for line — _sequence_constraints, then _least_times and
+ * _greatest_times, with the same constraint order, the same chaotic
+ * iteration and the same n + 2 pass bound.  tests/test_native_finish.py
+ * pins it to the spec.
+ * ------------------------------------------------------------------ */
+#define DC_R_DISABLED 1     /* the sequence fires a disabled transition */
+#define DC_R_INCONSISTENT 2 /* the constraints admit no integer timing */
+#define DC_R_RANGE 3        /* a place over the uint16 token range */
+#define DC_R_NOMEM 4
+
+/* Sort transitions by the step their open episode was stamped at. */
+static void dc_by_stamp(int32_t *list, int32_t n, const int64_t *stamp)
+{
+    int32_t m, m2;
+    for (m = 1; m < n; m++) {
+        int32_t u = list[m];
+        for (m2 = m - 1; m2 >= 0 && stamp[list[m2]] > stamp[u]; m2--)
+            list[m2 + 1] = list[m2];
+        list[m2 + 1] = u;
+    }
+}
+
+/* Fire seq[0..n-1] from m0 under the reset policy: the earliest integer
+ * firing dates into earliest[0..n], the latest into latest[0..n] (-1
+ * where nothing forces a firing).  Returns 0 or a DC_R_* status; on a
+ * status the Python spec re-runs and raises its own error. */
+int32_t dc_realize(const ez_net *net, const uint16_t *m0,
+                   const int32_t *seq, int32_t n, int32_t intermediate,
+                   int64_t *earliest, int64_t *latest)
+{
+    size_t places = net->P ? (size_t)net->P : 1;
+    size_t trans = net->T ? (size_t)net->T : 1;
+    uint16_t *mark = (uint16_t *)PyMem_RawMalloc(places * sizeof(uint16_t));
+    uint16_t *inter = (uint16_t *)PyMem_RawMalloc(places * sizeof(uint16_t));
+    /* since[u]: the step u's open episode began at, -1 when closed;
+     * opened[u]: its stamp, so sorting by it recovers opening order */
+    int32_t *since = (int32_t *)PyMem_RawMalloc(trans * sizeof(int32_t));
+    int64_t *opened = (int64_t *)PyMem_RawMalloc(trans * sizeof(int64_t));
+    int32_t *ended = (int32_t *)PyMem_RawMalloc(trans * sizeof(int32_t));
+    /* lower_at[k] = (low_e[k], eft[seq[k-1]]): tau_k >= tau_e + eft */
+    int32_t *low_e = (int32_t *)PyMem_RawMalloc(
+        ((size_t)n + 1) * sizeof(int32_t));
+    /* uppers: (k, e, lft) triples, tau_k <= tau_e + lft */
+    int64_t *up = NULL;
+    size_t n_up = 0, up_cap = 0, i;
+    int64_t stamp = 0;
+    int32_t status = DC_R_INCONSISTENT, step, u, a, n_end, pass;
+    const int64_t INF = INT64_MAX;
+
+    if (!mark || !inter || !since || !opened || !ended || !low_e) {
+        status = DC_R_NOMEM;
+        goto out;
+    }
+    memcpy(mark, m0, (size_t)net->P * sizeof(uint16_t));
+    for (u = 0; u < net->T; u++) {
+        since[u] = -1;
+        if (ez_enabled(net, mark, u)) {
+            since[u] = 0;
+            opened[u] = stamp++;
+        }
+    }
+    low_e[0] = 0;
+
+    for (step = 1; step <= n; step++) {
+        int32_t fired = seq[step - 1];
+        if (fired < 0 || fired >= net->T || since[fired] < 0) {
+            status = DC_R_DISABLED;
+            goto out;
+        }
+        low_e[step] = since[fired];
+        if (intermediate) {
+            /* fired is enabled, so m - W(., fired) stays >= 0 */
+            memcpy(inter, mark, (size_t)net->P * sizeof(uint16_t));
+            for (a = net->pre_off[fired]; a < net->pre_off[fired + 1]; a++)
+                inter[net->pre_place[a]] -= (uint16_t)net->pre_w[a];
+        }
+        for (a = net->delta_off[fired]; a < net->delta_off[fired + 1]; a++) {
+            int32_t v = (int32_t)mark[net->delta_place[a]] + net->delta_d[a];
+            if (v > 0xFFFF) {
+                status = DC_R_RANGE;
+                goto out;
+            }
+            mark[net->delta_place[a]] = (uint16_t)v;
+        }
+
+        n_end = 0;
+        for (a = net->aff_off[fired]; a < net->aff_off[fired + 1]; a++) {
+            u = net->aff_t[a];
+            if (since[u] < 0)
+                continue;
+            if (!(u != fired && ez_enabled(net, mark, u) &&
+                  (!intermediate || ez_enabled(net, inter, u))))
+                ended[n_end++] = u;
+        }
+        dc_by_stamp(ended, n_end, opened);
+        for (a = 0; a < n_end; a++) {
+            /* the episode ends at this step: u was armed in the
+             * pre-marking, so step `step` must respect its LFT */
+            int32_t e;
+            u = ended[a];
+            e = since[u];
+            since[u] = -1;
+            if (net->lft[u] >= 0) {
+                if (!ez_reserve((void **)&up, &up_cap, 3 * (n_up + 1),
+                                sizeof(int64_t))) {
+                    status = DC_R_NOMEM;
+                    goto out;
+                }
+                up[3 * n_up] = step;
+                up[3 * n_up + 1] = e;
+                up[3 * n_up + 2] = net->lft[u];
+                n_up++;
+            }
+        }
+        for (a = net->aff_off[fired]; a < net->aff_off[fired + 1]; a++) {
+            u = net->aff_t[a];
+            if (since[u] < 0 && ez_enabled(net, mark, u)) {
+                since[u] = step;
+                opened[u] = stamp++;
+            }
+        }
+    }
+    /* episodes still open after the last firing constrained it too */
+    n_end = 0;
+    for (u = 0; u < net->T; u++) {
+        if (since[u] >= 0)
+            ended[n_end++] = u;
+    }
+    dc_by_stamp(ended, n_end, opened);
+    for (a = 0; a < n_end; a++) {
+        u = ended[a];
+        if (since[u] < n && net->lft[u] >= 0) {
+            if (!ez_reserve((void **)&up, &up_cap, 3 * (n_up + 1),
+                            sizeof(int64_t))) {
+                status = DC_R_NOMEM;
+                goto out;
+            }
+            up[3 * n_up] = n;
+            up[3 * n_up + 1] = since[u];
+            up[3 * n_up + 2] = net->lft[u];
+            n_up++;
+        }
+    }
+
+    /* _least_times: forward lower-bound sweep, then raise the enabling
+     * date of every overrun LFT; n + 2 passes prove a negative cycle */
+    for (step = 0; step <= n; step++)
+        earliest[step] = 0;
+    for (pass = 0; pass < n + 2; pass++) {
+        int changed = 0;
+        for (step = 1; step <= n; step++) {
+            int64_t value = earliest[step - 1];
+            int64_t lower = earliest[low_e[step]] + net->eft[seq[step - 1]];
+            if (lower > value)
+                value = lower;
+            if (value > earliest[step]) {
+                earliest[step] = value;
+                changed = 1;
+            }
+        }
+        for (i = 0; i < n_up; i++) {
+            int64_t need = earliest[up[3 * i]] - up[3 * i + 2];
+            if (need > earliest[up[3 * i + 1]]) {
+                earliest[up[3 * i + 1]] = need;
+                changed = 1;
+            }
+        }
+        if (!changed) {
+            status = 0;
+            break;
+        }
+    }
+    if (status)
+        goto out;
+
+    /* _greatest_times: INF where nothing forces a firing */
+    latest[0] = 0;
+    for (step = 1; step <= n; step++)
+        latest[step] = INF;
+    for (pass = 0; pass < n + 2; pass++) {
+        int changed = 0;
+        for (i = 0; i < n_up; i++) {
+            int64_t e = latest[up[3 * i + 1]];
+            if (e != INF && e + up[3 * i + 2] < latest[up[3 * i]]) {
+                latest[up[3 * i]] = e + up[3 * i + 2];
+                changed = 1;
+            }
+        }
+        for (step = n; step > 0; step--) {
+            int64_t value = latest[step], cap;
+            if (value == INF)
+                continue;
+            if (value < latest[step - 1]) {
+                latest[step - 1] = value;
+                changed = 1;
+            }
+            cap = value - net->eft[seq[step - 1]];
+            if (cap < latest[low_e[step]]) {
+                latest[low_e[step]] = cap;
+                changed = 1;
+            }
+        }
+        if (!changed)
+            break;
+    }
+    for (step = 0; step <= n; step++) {
+        if (latest[step] == INF)
+            latest[step] = -1;
+    }
+
+out:
+    PyMem_RawFree(mark);
+    PyMem_RawFree(inter);
+    PyMem_RawFree(since);
+    PyMem_RawFree(opened);
+    PyMem_RawFree(ended);
+    PyMem_RawFree(low_e);
+    PyMem_RawFree(up);
+    return status;
 }
 """
 

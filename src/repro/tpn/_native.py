@@ -13,11 +13,15 @@ mode into one shared object.  The unit has three parts:
   driver (``ez_search_*``) — :meth:`SearchCore._run
   <repro.scheduler.core.SearchCore._run>`'s loop with its frame stack,
   candidate pool, visited table, deadline and final predicates,
-  ``latest`` and ``min-laxity`` orders, state budget and polls;
+  ``latest`` and ``min-laxity`` orders, state budget and polls — and
+  the reference replay (``ez_replay``, :func:`replay`), Definition 3.1
+  checked naively step by step, the C twin of
+  :func:`repro.scheduler.core.validate_with_reference`'s Python loop;
 * :mod:`repro.tpn._kernelc`'s fragment: the kernel's successor,
   candidate and window scans and its fixed-stride state records;
 * :mod:`repro.tpn._dbmc`'s fragment: the DBM firing rule and
-  candidate pipeline and its variable-size class records.
+  candidate pipeline, its variable-size class records and the
+  concretisation of a class path (``dc_realize``).
 
 An engine plugs into the driver through an operations table
 (``ez_ops``: candidates, laxity, fire, and the state-record ops), the
@@ -115,6 +119,8 @@ int32_t ez_search_run(ez_search *s);
 int32_t *ez_search_pending(ez_search *s);
 void ez_search_path(const ez_search *s, int64_t *out);
 void ez_search_free(ez_search *s);
+int32_t ez_replay(const ez_net *net, const uint16_t *m0,
+                  int32_t intermediate, const int64_t *steps, int32_t n);
 """
 
 # The prelude, the compiled net and the search driver.  The driver is
@@ -255,6 +261,17 @@ ez_net *ez_net_new(int32_t num_places, int32_t num_transitions,
         return NULL;
     }
     return net;
+}
+
+/* Whether marking m enables transition t. */
+static int ez_enabled(const ez_net *net, const uint16_t *m, int32_t t)
+{
+    int32_t i;
+    for (i = net->pre_off[t]; i < net->pre_off[t + 1]; i++) {
+        if (m[net->pre_place[i]] < net->pre_w[i])
+            return 0;
+    }
+    return 1;
 }
 
 /* ------------------------------------------------------------------
@@ -756,6 +773,124 @@ void ez_search_path(const ez_search *s, int64_t *out)
     out[k++] = s->pend_q;
     out[k++] = s->pend_now;
 }
+
+/* ------------------------------------------------------------------
+ * The reference replay: Definition 3.1 as repro.tpn.state.StateEngine
+ * .fire states it, deliberately naive — nothing of the search's
+ * incremental steps.  Every firing checks enabledness and
+ * DLB <= q <= min DUB over a full scan of T, then rebuilds every clock
+ * from the presets under the reset policy.
+ *
+ * `steps` holds n (transition, delay, absolute time) triples; a
+ * transition outside 0..T-1 names none.  EZ_R_ACCEPT: a legal run that
+ * reaches the final marking.  EZ_R_REJECT: not one (the Python replay
+ * then says why).  EZ_R_DEFER: beyond what the replay represents (a
+ * place over the uint16 token range, a time over 2^62) or out of
+ * memory; the Python replay decides alone.
+ * ------------------------------------------------------------------ */
+#define EZ_R_ACCEPT 0
+#define EZ_R_REJECT 1
+#define EZ_R_DEFER 2
+#define EZ_R_MAX_TIME ((int64_t)1 << 62)
+
+int32_t ez_replay(const ez_net *net, const uint16_t *m0,
+                  int32_t intermediate, const int64_t *steps, int32_t n)
+{
+    size_t places = net->P ? (size_t)net->P : 1;
+    size_t trans = net->T ? (size_t)net->T : 1;
+    uint16_t *mark = (uint16_t *)PyMem_RawMalloc(places * sizeof(uint16_t));
+    uint16_t *inter = (uint16_t *)PyMem_RawMalloc(places * sizeof(uint16_t));
+    /* clocks over all of T, -1 = disabled, as in StateEngine */
+    int64_t *clock = (int64_t *)PyMem_RawMalloc(trans * sizeof(int64_t));
+    int64_t *next = (int64_t *)PyMem_RawMalloc(trans * sizeof(int64_t));
+    int64_t now = 0;
+    int32_t status = EZ_R_REJECT, k, u, i;
+
+    if (!mark || !inter || !clock || !next) {
+        status = EZ_R_DEFER;
+        goto out;
+    }
+    memcpy(mark, m0, (size_t)net->P * sizeof(uint16_t));
+    for (u = 0; u < net->T; u++)
+        clock[u] = ez_enabled(net, mark, u) ? 0 : -1;
+
+    for (k = 0; k < n; k++) {
+        int64_t q = steps[3 * k + 1], dlb, ceiling = 0, *swap;
+        int bounded = 0;
+        int32_t t;
+        if (steps[3 * k] < 0 || steps[3 * k] >= net->T)
+            goto out; /* no such transition */
+        t = (int32_t)steps[3 * k];
+        if (clock[t] < 0)
+            goto out; /* firing a disabled transition */
+        dlb = (int64_t)net->eft[t] - clock[t];
+        if (dlb < 0)
+            dlb = 0;
+        if (q < dlb)
+            goto out; /* delay below DLB */
+        for (u = 0; u < net->T; u++) {
+            int64_t dub;
+            if (clock[u] < 0 || net->lft[u] < 0)
+                continue;
+            dub = (int64_t)net->lft[u] - clock[u];
+            if (!bounded || dub < ceiling) {
+                ceiling = dub;
+                bounded = 1;
+            }
+        }
+        if (bounded && q > ceiling)
+            goto out; /* delay beyond min DUB (strong semantics) */
+        if (q > EZ_R_MAX_TIME - now) {
+            status = EZ_R_DEFER;
+            goto out;
+        }
+
+        if (intermediate) {
+            /* the reference marking m - W(., t); t is enabled, so >= 0 */
+            memcpy(inter, mark, (size_t)net->P * sizeof(uint16_t));
+            for (i = net->pre_off[t]; i < net->pre_off[t + 1]; i++)
+                inter[net->pre_place[i]] -= (uint16_t)net->pre_w[i];
+        }
+        for (i = net->delta_off[t]; i < net->delta_off[t + 1]; i++) {
+            int32_t p = net->delta_place[i];
+            int32_t v = (int32_t)mark[p] + net->delta_d[i];
+            if (v > 0xFFFF) {
+                status = EZ_R_DEFER;
+                goto out;
+            }
+            mark[p] = (uint16_t)v;
+        }
+        for (u = 0; u < net->T; u++) {
+            if (!ez_enabled(net, mark, u))
+                next[u] = -1;
+            else if (u == t)
+                next[u] = 0;
+            else if (clock[u] >= 0 &&
+                     (!intermediate || ez_enabled(net, inter, u)))
+                next[u] = clock[u] + q; /* persistent */
+            else
+                next[u] = 0; /* newly enabled */
+        }
+        swap = clock;
+        clock = next;
+        next = swap;
+        now += q;
+        if (now != steps[3 * k + 2])
+            goto out; /* timestamp mismatch */
+    }
+    for (i = 0; i < net->n_final; i++) {
+        if (mark[net->final_place[i]] != net->final_req[i])
+            goto out; /* the final marking is not reached */
+    }
+    status = EZ_R_ACCEPT;
+
+out:
+    PyMem_RawFree(mark);
+    PyMem_RawFree(inter);
+    PyMem_RawFree(clock);
+    PyMem_RawFree(next);
+    return status;
+}
 """
 
 
@@ -969,6 +1104,53 @@ class NativeNet:
         if raw == ffi.NULL:
             raise MemoryError("ez_net_new failed")
         self.net_ptr = ffi.gc(raw, lib.ez_net_free)
+
+
+#: ``ez_replay`` statuses.
+_REPLAY_ACCEPT = 0
+_REPLAY_REJECT = 1
+
+
+def replay(net, intermediate: bool, schedule) -> bool | None:
+    """Replay ``schedule`` through Definition 3.1 in the compiled core.
+
+    ``True`` when its ``(transition name, delay, absolute time)``
+    triples are a legal run of ``net`` from ``m0`` to the final
+    marking, ``False`` when they are not, and ``None`` when the core is
+    not live or the schedule lies outside what ``ez_replay`` represents
+    (the Python replay then decides alone).  An unknown name is a
+    rejection.
+    """
+    module = CORE.load()
+    if module is None or not (net.num_transitions and net.num_places):
+        return None
+    index = net.transition_index
+    try:
+        m0 = array("H", net.m0)
+        steps = array(
+            "q",
+            [
+                v
+                for name, delay, at in schedule
+                for v in (index.get(name, -1), delay, at)
+            ],
+        )
+        native = NativeNet(module, net)
+    except (OverflowError, TypeError):
+        return None
+    ffi = native.ffi
+    status = native.lib.ez_replay(
+        native.net_ptr,
+        ffi.from_buffer("uint16_t[]", m0),
+        1 if intermediate else 0,
+        ffi.from_buffer("int64_t[]", steps) if steps else ffi.NULL,
+        len(steps) // 3,
+    )
+    if status == _REPLAY_ACCEPT:
+        return True
+    if status == _REPLAY_REJECT:
+        return False
+    return None
 
 
 #: :meth:`NativeSearch.run` statuses (the driver's ``EZ_S_*``).

@@ -69,7 +69,14 @@ from repro.tpn.interval import INF
 from repro.tpn.kernel import MAX_TOKENS, _MASK64, _mix
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import RESET_POLICIES
-from repro.tpn.stateclass import Bound, StateClass, _canonical
+from repro.tpn.stateclass import (
+    Bound,
+    RealizedSchedule,
+    StateClass,
+    _canonical,
+    realize_firing_sequence,
+    realized_schedule,
+)
 
 #: Unbounded-entry sentinel in the packed ``array('q')`` bound matrix.
 #: Far above any reachable finite bound (see :data:`MAX_BOUND`), so
@@ -314,6 +321,36 @@ class _DbmNativeCore(NativeNet):
             [(out[2 * i], out[2 * i + 1]) for i in range(n)],
             bool(self._red[0]),
         )
+
+    def realize(
+        self, m0, sequence: list[int], intermediate: int
+    ) -> tuple[list[int], list[Bound]] | None:
+        """``dc_realize``: the earliest and latest firing dates of
+        ``sequence`` from ``m0``, or ``None`` on any non-zero status
+        (the caller then runs the spec, which raises its error)."""
+        try:
+            mark = array("H", m0)
+            seq = array("i", sequence)
+        except OverflowError:
+            return None
+        ffi = self.ffi
+        n = len(seq)
+        earliest = ffi.new("int64_t[]", n + 1)
+        latest = ffi.new("int64_t[]", n + 1)
+        status = self.lib.dc_realize(
+            self.net_ptr,
+            ffi.from_buffer("uint16_t[]", mark),
+            ffi.from_buffer("int32_t[]", seq) if n else ffi.NULL,
+            n,
+            intermediate,
+            earliest,
+            latest,
+        )
+        if status:
+            return None
+        return ffi.unpack(earliest, n + 1), [
+            INF if b < 0 else b for b in ffi.unpack(latest, n + 1)
+        ]
 
 
 class DbmEngine:
@@ -642,6 +679,25 @@ class DbmEngine:
             ),
             "DBM",
             self._search_fault,
+        )
+
+    def realize(self, sequence: list[int]) -> RealizedSchedule:
+        """Concretise a class path to integer time.
+
+        :func:`~repro.tpn.stateclass.realize_firing_sequence` under
+        this engine's reset policy, run as one ``dc_realize`` call when
+        the compiled core is live.  On any non-zero status the spec
+        runs instead and raises its own :class:`SchedulingError`.
+        """
+        core = self._core
+        if core is not None:
+            dates = core.realize(
+                self.net.m0, sequence, 1 if self._intermediate else 0
+            )
+            if dates is not None:
+                return realized_schedule(self.net, sequence, *dates)
+        return realize_firing_sequence(
+            self.net, sequence, self.reset_policy
         )
 
     def _search_fault(self, _status: int, transition: int) -> None:

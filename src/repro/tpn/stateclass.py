@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import sub
 
 from repro.errors import SchedulingError
 from repro.tpn.interval import INF
@@ -660,14 +661,25 @@ def realize_firing_sequence(
     """
     lower_at, uppers = _sequence_constraints(net, sequence, reset_policy)
     n = len(sequence)
-    earliest = _least_times(n, lower_at, uppers)
-    latest = _greatest_times(n, lower_at, uppers)
-    names = net.transition_names
-    schedule: list[tuple[str, int, int]] = []
-    windows: list[tuple[str, int, Bound]] = []
-    for k, fired in enumerate(sequence, start=1):
-        schedule.append(
-            (names[fired], earliest[k] - earliest[k - 1], earliest[k])
-        )
-        windows.append((names[fired], earliest[k], latest[k]))
-    return RealizedSchedule(schedule=schedule, windows=windows)
+    return realized_schedule(
+        net,
+        sequence,
+        _least_times(n, lower_at, uppers),
+        _greatest_times(n, lower_at, uppers),
+    )
+
+
+def realized_schedule(
+    net: CompiledNet,
+    sequence: list[int],
+    earliest: list[int],
+    latest: list[Bound],
+) -> RealizedSchedule:
+    """``sequence`` fired at the dates ``earliest[1..n]``, with the
+    dense windows closed by ``latest[1..n]`` (index 0 is time 0)."""
+    names = [net.transition_names[fired] for fired in sequence]
+    dates = earliest[1:]
+    return RealizedSchedule(
+        schedule=list(zip(names, map(sub, dates, earliest), dates)),
+        windows=list(zip(names, dates, latest[1:])),
+    )

@@ -329,6 +329,30 @@ class TestChromeTrace:
             gauges["search.visited_bytes"] / visited
         )
 
+    def test_native_finish_keeps_its_spans(self, tmp_path, monkeypatch):
+        """With the native core live, the concretisation and the
+        reference replay of a feasible dense search run in C and still
+        emit one span each, after the search span."""
+        if _dbmc.native_module() is None:
+            pytest.skip("the DBM engine's compiled core cannot be built")
+        monkeypatch.delenv(_dbmc.PURE_ENV, raising=False)
+        jsonl = str(tmp_path / "events.jsonl")
+        model = compose(paper_examples()["fig8"])
+        result = find_schedule(
+            model,
+            SchedulerConfig(engine="stateclass", trace_jsonl=jsonl),
+        )
+        assert result.feasible
+        assert result.metrics["gauges"]["dbm.native_core"] == 1
+        events = read_events(jsonl)
+        names = [e["name"] for e in events]
+        assert names.count("concretisation") == 1
+        assert names.count("reference-replay") == 1
+        search_span = next(e for e in events if e["name"] == "search")
+        for name in ("concretisation", "reference-replay"):
+            span = next(e for e in events if e["name"] == name)
+            assert span["ts"] >= search_span["ts"]
+
 
 # ----------------------------------------------------------------------
 # Metrics registry

@@ -471,3 +471,17 @@ class TestValidateWithReference:
             validate_with_reference(
                 model.compiled(), result.config, corrupted
             )
+
+    def test_unknown_transition_is_a_scheduling_error(self):
+        model = compose(paper_examples()["fig8"])
+        result = find_schedule(model, SchedulerConfig())
+        _name, delay, at = result.firing_schedule[0]
+        corrupted = [("no_such_transition", delay, at)] + list(
+            result.firing_schedule[1:]
+        )
+        with pytest.raises(
+            SchedulingError, match="unknown transition 'no_such_transition'"
+        ):
+            validate_with_reference(
+                model.compiled(), result.config, corrupted
+            )
