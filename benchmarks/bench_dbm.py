@@ -4,19 +4,21 @@ Acceptance benchmark of the packed state-class hot path
 (:mod:`repro.tpn.dbm`).  Every workload runs on these state-class
 configurations, strictly interleaved:
 
-* **legacy** — the pre-PR ``StateClassAdapter`` (embedded below,
-  verbatim) over the tuple-of-tuples
+* **legacy** — :class:`~repro.scheduler.core.StateClassSpecAdapter`,
+  the pre-packing adapter promoted to the dense search's executable
+  spec, over the tuple-of-tuples
   :class:`~repro.tpn.stateclass.StateClassEngine`: full Floyd–Warshall
   re-closure per firing, Python column scans per candidate list.  This
-  is the engine the ISSUE's 3× target is measured against;
+  is the engine the 3× target is measured against;
 * **packed** — :class:`~repro.scheduler.core.SearchCore`'s Python loop
-  over the production :class:`~repro.tpn.dbm.DbmEngine`, native C core
-  when built, with the search driver switched off (one foreign call
-  per successor and per candidate list);
-* **pure** — the same packed adapter with the C core disabled
-  (``EZRT_PURE=1`` equivalent), pinning the fallback's floor;
-* **driver** (compiled core only) — the production path: the whole
-  search in the core's ``dc_search_*`` driver.
+  over the production :class:`~repro.tpn.dbm.DbmEngine` with the
+  search driver switched off (one foreign call per successor and per
+  candidate list);
+* **driver** — the production path: the whole search in the core's
+  ``dc_search_*`` driver.
+
+The bench measures the native core, so it skips when the core cannot
+be built (``EZRT_PURE=1`` runs every search on the spec).
 
 The bench enforces, in order of importance:
 
@@ -24,54 +26,44 @@ The bench enforces, in order of importance:
    identical deterministic ``SearchStats`` counters across all
    configurations on every workload.  A perf win that changes the
    search is a bug.
-2. **The 3× target** (hard gate with the compiled core): aggregate
-   states/sec over the wide-interval family at least
-   :data:`TARGET_SPEEDUP` times the legacy engine — wide release
-   windows are exactly where dense-time search is the winning engine
-   (see ``bench_stateclass``), so that is where its constant factor
-   must be paid down.
-3. **Pure fallback** (hard floor, always measured): the packed
-   buffers without the C core must not lose to the legacy engine on
-   the overall aggregate (:data:`MIN_PURE_SPEEDUP`) — a global
-   no-regression claim for the fallback.  Its decisive wins are the
-   larger-matrix paper case studies; the small wide race nets run at
-   parity within host noise.
-4. **Discrete-kernel no-regression floor**: the packed DBM core
+2. **The 3× target** (hard gate): aggregate states/sec over the
+   wide-interval family at least :data:`TARGET_SPEEDUP` times the
+   legacy engine — wide release windows are exactly where dense-time
+   search is the winning engine (see ``bench_stateclass``), so that
+   is where its constant factor must be paid down.
+3. **Discrete-kernel no-regression floor**: the packed DBM core
    shares its C translation unit and build machinery with the search
-   kernel (``_kernelc`` gained the candidates/window path in this
-   PR), so the bench re-measures the kernel engine on a bounded
+   kernel, so the bench re-measures the kernel engine on a bounded
    discrete workload and holds it to the same absolute floor
    ``bench_kernel`` applies — at least
    :data:`MAX_BASELINE_REGRESSION` of the frozen pre-kernel hot-path
    rate in ``benchmarks/BASELINE_scheduler.json`` (asserted only when
-   the stored baseline is comparable and the kernel core is native).
-5. **The search driver** (hard gate with the compiled core): aggregate
-   states/sec over the wide-interval family of **driver** at least
+   the stored baseline is comparable).
+4. **The search driver** (hard gate): aggregate states/sec over the
+   wide-interval family of **driver** at least
    :data:`DRIVER_TARGET_SPEEDUP` times **packed** — the C loop against
    the Python loop over the same native engine.  The ratio is recorded
    as ``driver_vs_packed``.
-6. **The native finish** (hard gate with the compiled core): on every
-   feasible workload the bench times the *finish* layer — concretising
-   the class path and replaying the schedule through Definition 3.1 —
-   as production runs it (``DbmEngine.realize`` then
+5. **The native finish** (hard gate): on every feasible workload the
+   bench times the *finish* layer — concretising the class path and
+   replaying the schedule through Definition 3.1 — as production runs
+   it (``DbmEngine.realize`` then
    ``validate_with_reference``: ``dc_realize`` and ``ez_replay`` with
    the core live) and as its Python spec
    (``realize_firing_sequence`` then the Python replay), after
    asserting both give the search's schedule.  Rows record
    ``finish_ms`` and ``finish_spec_ms``; the aggregate spec time must
    be at least :data:`FINISH_TARGET_SPEEDUP` times the production
-   time.  Without the core both are the spec, recorded but not gated.
+   time.
 
 Timing methodology (as in ``bench_kernel``): engines run strictly
 interleaved, each workload takes the minimum of :data:`ROUNDS`
 rounds with the collector paused, so host noise hits all engines
 alike.
 
-Results are written to ``BENCH_dbm.json`` at the repository root,
-under ``lanes.native`` or ``lanes.pure`` (see ``benchmarks/lanes.py``);
-CI builds the extension eagerly, runs this bench as a gate, runs it
-again with ``EZRT_PURE=1`` and uploads the JSON, both lanes in it, as
-an artifact.
+Results are written to ``BENCH_dbm.json`` at the repository root;
+CI builds the extension eagerly, runs this bench as a gate and uploads
+the JSON as an artifact.
 """
 
 from __future__ import annotations
@@ -82,30 +74,24 @@ import os
 import platform
 import time
 
-from lanes import lane_name, read_lanes, write_lane
+import pytest
+
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.core import (
-    DISABLED,
-    _AdapterBase,
-    _DenseView,
+    StateClassSpecAdapter,
     _replay_with_reference,
     validate_with_reference,
 )
-from repro.scheduler.result import SearchStats
 from repro.spec import (
     fig3_precedence,
     fig4_exclusion,
     fig8_preemptive,
     mine_pump,
 )
-from repro.tpn import _dbmc, _kernelc
+from repro.tpn import _dbmc
 from repro.tpn.dbm import DbmEngine
-from repro.tpn.stateclass import (
-    StateClass,
-    StateClassEngine,
-    realize_firing_sequence,
-)
+from repro.tpn.stateclass import realize_firing_sequence
 from repro.workloads import (
     random_task_set,
     wide_interval_family,
@@ -113,28 +99,21 @@ from repro.workloads import (
     wide_interval_race_net,
 )
 
-#: ISSUE 10 target, a hard gate when the compiled DBM core is active:
-#: aggregate states/sec over the wide-interval family vs the pre-PR
-#: tuple engine.
+#: The packed core's target: aggregate states/sec over the
+#: wide-interval family vs the tuple engine.
 TARGET_SPEEDUP = 3.0
-#: Pure-Python fallback floor (overall aggregate): flat buffers +
-#: incremental closure repair without the C core must still not lose
-#: to the tuple engine.
-MIN_PURE_SPEEDUP = 1.0
 #: Floor for the discrete kernel engine against the stored absolute
 #: baseline (same contract as ``bench_kernel``).
 MAX_BASELINE_REGRESSION = 0.95
-#: Search-driver gate (compiled core): aggregate wide-family states/sec
-#: of the C driver vs SearchCore's loop over the same native engine.
+#: Search-driver gate: aggregate wide-family states/sec of the C
+#: driver vs SearchCore's loop over the same native engine.
 DRIVER_TARGET_SPEEDUP = 3.0
-#: Native-finish gate (compiled core): aggregate concretise + replay
-#: time of the Python spec over the production finish, across the
-#: feasible workloads.
+#: Native-finish gate: aggregate concretise + replay time of the
+#: Python spec over the production finish, across the feasible
+#: workloads.
 FINISH_TARGET_SPEEDUP = 10.0
 
-ENGINES = ("legacy", "packed", "pure")
-#: configurations run with the compiled DBM core live
-NATIVE_ENGINES = ENGINES + ("driver",)
+ENGINES = ("legacy", "packed", "driver")
 ROUNDS = 7
 WIDTHS = (4, 6, 8)
 JSON_PATH = os.path.join(
@@ -145,112 +124,10 @@ BASELINE_PATH = os.path.join(
 )
 
 
-# ----------------------------------------------------------------------
-# The pre-PR comparator, embedded verbatim
-# ----------------------------------------------------------------------
-class _LegacyStateClassAdapter(_AdapterBase):
-    """The pre-ISSUE-10 ``StateClassAdapter``, kept here as the
-    measured baseline: tuple-of-tuples classes from
-    :class:`StateClassEngine` (full Floyd–Warshall re-closure per
-    firing), Python column scans and filters per candidate list.
-    Everything below is the adapter exactly as it shipped, so the
-    speedup the bench reports is the packed core, not loop drift.
-    """
-
-    name = "stateclass-legacy"
-
-    def __init__(self, net, config):
-        super().__init__(net, config)
-        self.engine = StateClassEngine(
-            net, reset_policy=config.reset_policy
-        )
-
-    def root(self) -> StateClass:
-        return self.engine.initial_class()
-
-    def successor(
-        self, cls: StateClass, transition: int, _delay: int
-    ) -> StateClass | None:
-        return self.engine.try_fire(cls, transition)
-
-    def candidates_of(
-        self, cls: StateClass, stats: SearchStats
-    ) -> list[tuple[int, int]]:
-        miss = self._miss
-        dbm = cls.dbm
-        size = len(cls.enabled) + 1
-        cands: list[tuple[int, int]] = []
-        for var, t in enumerate(cls.enabled, start=1):
-            if t in miss:
-                continue
-            for u in range(1, size):
-                if dbm[u][var] < 0:
-                    break
-            else:
-                cands.append((t, int(-dbm[0][var])))
-        if not cands:
-            return cands
-
-        priorities = self._priority
-        if self._strict:
-            best = min(priorities[t] for t, _lo in cands)
-            cands = [
-                (t, lo) for t, lo in cands if priorities[t] == best
-            ]
-
-        if self._partial_order and len(cands) > 1:
-            reduced = self._forced_immediate_dense(cls, cands)
-            if reduced is not None:
-                stats.reductions += 1
-                return [reduced]
-
-        if len(cands) == 1:
-            return cands
-        expanded = [(lower, priorities[t], t) for t, lower in cands]
-        expanded.sort()
-        return [(t, q) for q, _p, t in expanded]
-
-    def _forced_immediate_dense(
-        self, cls: StateClass, cands: list[tuple[int, int]]
-    ) -> tuple[int, int] | None:
-        net = self.net
-        conflict_free = net.conflict_free
-        post_conflicts = net.post_conflicts
-        enabled = set(cls.enabled)
-        dbm = cls.dbm
-        for t, lower in cands:
-            if lower != 0 or not conflict_free[t]:
-                continue
-            var = cls.enabled.index(t) + 1
-            if dbm[var][0] != 0:
-                continue  # not forced at this instant
-            for other in post_conflicts[t]:
-                if other in enabled:
-                    break  # an enabled transition consumes from t•
-            else:
-                return (t, 0)
-        return None
-
-    def clocks_view(self, cls: StateClass) -> _DenseView:
-        clocks = [DISABLED] * self.net.num_transitions
-        eft = self._eft
-        row0 = cls.dbm[0]
-        for var, t in enumerate(cls.enabled, start=1):
-            elapsed = eft[t] + int(row0[var])  # eft − lower bound
-            clocks[t] = elapsed if elapsed > 0 else 0
-        return _DenseView(tuple(clocks))
-
-    def finalize_path(self, actions, stats):
-        sequence = [t for t, _q, _at in actions]
-        realized = realize_firing_sequence(
-            self.net, sequence, self.config.reset_policy
-        )
-        from repro.scheduler.parallel import validate_with_reference
-
-        validate_with_reference(
-            self.net, self.config, realized.schedule
-        )
-        return realized.schedule, realized.windows
+pytestmark = pytest.mark.skipif(
+    not _dbmc.available(),
+    reason="the native core cannot be built here",
+)
 
 
 # ----------------------------------------------------------------------
@@ -292,12 +169,7 @@ def _scheduler(net, engine):
         net, SchedulerConfig(), engine="stateclass"
     )
     if engine == "legacy":
-        scheduler.adapter = _LegacyStateClassAdapter(
-            net, scheduler.config
-        )
-    elif engine == "pure":
-        scheduler.adapter.engine._core = None
-        scheduler.adapter.engine.native = False
+        scheduler.adapter = StateClassSpecAdapter(net, scheduler.config)
     elif engine == "packed":
         # SearchCore's own loop: no driver, per-step core calls
         scheduler.adapter.open_driver = lambda *_args: None
@@ -383,27 +255,27 @@ def _deterministic_stats(result):
     }
 
 
-def _measure(net, engines):
+def _measure(net):
     """Interleaved min-of-N timing for the configurations."""
     results = {}
-    for engine in engines:  # warm-up + exactness outputs
+    for engine in ENGINES:  # warm-up + exactness outputs
         results[engine], _ = _timed_search(net, engine)
-    best = {engine: float("inf") for engine in engines}
+    best = {engine: float("inf") for engine in ENGINES}
     for _ in range(ROUNDS):
-        for engine in engines:
+        for engine in ENGINES:
             _, seconds = _timed_search(net, engine)
             best[engine] = min(best[engine], seconds)
     return results, best
 
 
-def _run_suite(engines):
+def _run_suite():
     rows = []
     for name, net, family in _workloads():
-        results, best = _measure(net, engines)
+        results, best = _measure(net)
 
         # -- exactness gate ------------------------------------------
         legacy = results["legacy"]
-        for engine in engines[1:]:
+        for engine in ENGINES[1:]:
             other = results[engine]
             assert other.feasible == legacy.feasible, (
                 f"{name}: {engine} verdict diverged from legacy"
@@ -425,45 +297,35 @@ def _run_suite(engines):
             "states_visited": visited,
             "packed_states_per_sec": visited / best["packed"],
             "speedup_vs_legacy": best["legacy"] / best["packed"],
-            "pure_speedup_vs_legacy": best["legacy"] / best["pure"],
+            "driver_states_per_sec": visited / best["driver"],
+            "driver_vs_packed": best["packed"] / best["driver"],
         }
-        for engine in engines:
+        for engine in ENGINES:
             row[f"{engine}_seconds"] = best[engine]
-        if "driver" in engines:
-            row["driver_states_per_sec"] = visited / best["driver"]
-            row["driver_vs_packed"] = best["packed"] / best["driver"]
         if legacy.feasible:
             row.update(_finish_layer(net, legacy))
         rows.append(row)
     return rows
 
 
-def _aggregate(rows, engines, family=None):
+def _aggregate(rows, family=None):
     picked = [
         r for r in rows if family is None or r["family"] == family
     ]
     states = sum(r["states_visited"] for r in picked)
     seconds = {
         engine: sum(r[f"{engine}_seconds"] for r in picked)
-        for engine in engines
+        for engine in ENGINES
     }
-    driver = {}
-    if "driver" in engines:
-        driver = {
-            "driver_states_per_sec": states / seconds["driver"],
-            "driver_vs_packed": seconds["packed"] / seconds["driver"],
-        }
     return {
-        **driver,
         "family": family or "all",
         "workloads": len(picked),
         "states_visited": states,
         "legacy_states_per_sec": states / seconds["legacy"],
         "packed_states_per_sec": states / seconds["packed"],
-        "pure_states_per_sec": states / seconds["pure"],
+        "driver_states_per_sec": states / seconds["driver"],
         "speedup_vs_legacy": seconds["legacy"] / seconds["packed"],
-        "pure_speedup_vs_legacy": seconds["legacy"]
-        / seconds["pure"],
+        "driver_vs_packed": seconds["packed"] / seconds["driver"],
     }
 
 
@@ -536,32 +398,24 @@ def _kernel_floor():
         ),
         "baseline_ratio": ratio,
         "baseline_comparable": comparable,
-        "native_core": _kernelc.available(),
     }
 
 
 def test_dbm_throughput(report):
-    native = _dbmc.available()
-    engines = NATIVE_ENGINES if native else ENGINES
-    rows = _run_suite(engines)
+    rows = _run_suite()
     families = ("paper", "wide")
-    aggregates = {f: _aggregate(rows, engines, f) for f in families}
-    overall = _aggregate(rows, engines)
+    aggregates = {f: _aggregate(rows, f) for f in families}
+    overall = _aggregate(rows)
     finish = _finish_aggregate(rows)
     kernel_floor = _kernel_floor()
 
     wide = aggregates["wide"]
     payload = {
+        "bench": "dbm",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rounds": ROUNDS,
-        "native_core": native,
-        "load_error": (
-            None if _dbmc.LOAD_ERROR is None
-            else str(_dbmc.LOAD_ERROR)
-        ),
         "target_speedup": TARGET_SPEEDUP,
-        "min_pure_speedup": MIN_PURE_SPEEDUP,
         "max_baseline_regression": MAX_BASELINE_REGRESSION,
         "driver_target_speedup": DRIVER_TARGET_SPEEDUP,
         "finish_target_speedup": FINISH_TARGET_SPEEDUP,
@@ -571,43 +425,35 @@ def test_dbm_throughput(report):
         "rows": rows,
         "aggregates": {**aggregates, "all": overall},
     }
-    write_lane(JSON_PATH, "dbm", lane_name(native), payload)
+    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
-    core = "native" if native else "pure"
     for row in rows:
         report(
             "DB1",
-            f"{row['workload']} packed ({core}) vs legacy",
+            f"{row['workload']} packed vs legacy",
             "faster",
-            f"{row['speedup_vs_legacy']:.2f}x "
-            f"(pure {row['pure_speedup_vs_legacy']:.2f}x)",
+            f"{row['speedup_vs_legacy']:.2f}x",
         )
     report(
         "DB1",
-        f"wide aggregate packed ({core}) vs legacy",
-        f">= {TARGET_SPEEDUP}" if native else f">= {MIN_PURE_SPEEDUP}",
+        "wide aggregate packed vs legacy",
+        f">= {TARGET_SPEEDUP}",
         f"{wide['speedup_vs_legacy']:.2f}x "
         f"({wide['packed_states_per_sec']:,.0f} states/sec)",
     )
     report(
         "DB1",
-        "overall aggregate pure fallback vs legacy",
-        f">= {MIN_PURE_SPEEDUP}",
-        f"{overall['pure_speedup_vs_legacy']:.2f}x "
-        f"(wide {wide['pure_speedup_vs_legacy']:.2f}x)",
+        "wide aggregate search driver vs Python loop",
+        f">= {DRIVER_TARGET_SPEEDUP}",
+        f"{wide['driver_vs_packed']:.2f}x "
+        f"({wide['driver_states_per_sec']:,.0f} states/sec)",
     )
-    if native:
-        report(
-            "DB1",
-            "wide aggregate search driver vs Python loop (native)",
-            f">= {DRIVER_TARGET_SPEEDUP}",
-            f"{wide['driver_vs_packed']:.2f}x "
-            f"({wide['driver_states_per_sec']:,.0f} states/sec)",
-        )
     report(
         "DB1",
-        f"finish layer ({core}): Python spec vs production",
-        f">= {FINISH_TARGET_SPEEDUP}" if native else "recorded",
+        "finish layer: Python spec vs production",
+        f">= {FINISH_TARGET_SPEEDUP}",
         f"{finish['spec_vs_finish']:.1f}x "
         f"({finish['finish_ms']:.2f} vs {finish['finish_spec_ms']:.2f} ms "
         f"over {finish['workloads']} feasible workloads)",
@@ -623,32 +469,20 @@ def test_dbm_throughput(report):
         )
 
     # -- throughput gates --------------------------------------------
-    if native:
-        assert wide["speedup_vs_legacy"] >= TARGET_SPEEDUP, (
-            "packed DBM core missed the 3x wide-interval target: "
-            f"{wide['speedup_vs_legacy']:.2f}x aggregate"
-        )
-        assert wide["driver_vs_packed"] >= DRIVER_TARGET_SPEEDUP, (
-            "DBM search driver missed its wide-interval target: "
-            f"{wide['driver_vs_packed']:.2f}x the Python loop"
-        )
-        assert finish["spec_vs_finish"] >= FINISH_TARGET_SPEEDUP, (
-            "the native finish missed its target: the Python spec "
-            f"takes only {finish['spec_vs_finish']:.1f}x its time"
-        )
-    # the pure floor is a global no-regression claim: the fallback
-    # must not lose to the tuple engine over the whole suite.  (On the
-    # small wide race nets pure runs at parity within host noise; its
-    # decisive wins are the paper's larger case studies — mine-pump
-    # classes carry the biggest matrices — so the aggregate that
-    # states the claim robustly is the overall one.)
-    assert overall["pure_speedup_vs_legacy"] >= MIN_PURE_SPEEDUP, (
-        "pure-Python packed fallback lost to the legacy tuple "
-        f"engine: {overall['pure_speedup_vs_legacy']:.2f}x overall"
+    assert wide["speedup_vs_legacy"] >= TARGET_SPEEDUP, (
+        "packed DBM core missed the 3x wide-interval target: "
+        f"{wide['speedup_vs_legacy']:.2f}x aggregate"
+    )
+    assert wide["driver_vs_packed"] >= DRIVER_TARGET_SPEEDUP, (
+        "DBM search driver missed its wide-interval target: "
+        f"{wide['driver_vs_packed']:.2f}x the Python loop"
+    )
+    assert finish["spec_vs_finish"] >= FINISH_TARGET_SPEEDUP, (
+        "the native finish missed its target: the Python spec "
+        f"takes only {finish['spec_vs_finish']:.1f}x its time"
     )
     if (
-        kernel_floor["native_core"]
-        and kernel_floor["baseline_comparable"]
+        kernel_floor["baseline_comparable"]
         and kernel_floor["baseline_ratio"] is not None
     ):
         assert (
@@ -661,20 +495,21 @@ def test_dbm_throughput(report):
 
 
 def test_json_artifact_shape():
-    """The emitted artifact stays machine-readable across PRs, one
-    entry per lane."""
-    lane = lane_name(_dbmc.available())
-    if lane not in read_lanes(JSON_PATH, "dbm")["lanes"]:
+    """The emitted artifact stays machine-readable across PRs."""
+    path = os.path.abspath(JSON_PATH)
+    entry = None
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
+    if not entry or entry.get("bench") != "dbm":
         test_dbm_throughput(lambda *a: None)
-    payload = read_lanes(JSON_PATH, "dbm")
-    assert set(payload["lanes"]) <= {"native", "pure"}
-    entry = payload["lanes"][lane]
-    assert entry["native_core"] == (lane == "native")
+        with open(path, encoding="utf-8") as fh:
+            entry = json.load(fh)
     assert entry["rows"], "no benchmark rows recorded"
     for row in entry["rows"]:
         assert row["packed_states_per_sec"] > 0
+        assert row["driver_states_per_sec"] > 0
         assert row["states_visited"] > 0
-        assert ("driver_states_per_sec" in row) == (lane == "native")
         assert ("finish_ms" in row) == row["feasible"]
     assert set(entry["aggregates"]) == {"paper", "wide", "all"}
     assert any(row["feasible"] for row in entry["rows"])

@@ -9,16 +9,11 @@ order of importance:
    identical deterministic ``SearchStats`` counters across both
    discrete engines on every workload.  A perf win that changes the
    search is a bug.
-2. **The 3× target** (hard gate with the compiled core): aggregate
-   states/sec of the kernel engine over the whole paper + scaling +
-   grid sweep at least :data:`TARGET_SPEEDUP` times the reference
+2. **The 3× target** (hard gate): aggregate states/sec of the kernel
+   engine over the whole paper + scaling + grid sweep at least :data:`TARGET_SPEEDUP` times the reference
    engine.  Each family additionally has a noise-proof regression
    floor (:data:`MIN_FAMILY_SPEEDUP`).
-3. **Pure fallback** (hard floor): with the compiled core disabled the
-   packed engine must still not lose to the reference engine on
-   aggregate (:data:`MIN_PURE_SPEEDUP`); its ratio is recorded so the
-   fallback's trajectory is tracked PR over PR.
-4. **No-regression floor vs the stored baseline**: the kernel engine's
+3. **No-regression floor vs the stored baseline**: the kernel engine's
    absolute aggregate states/sec must stay within
    :data:`MAX_BASELINE_REGRESSION` of the frozen pre-kernel hot-path
    rate in ``benchmarks/BASELINE_scheduler.json`` (measured on the
@@ -43,17 +38,16 @@ engines alike.
 A second, *large* tier (:func:`test_driver_large_tier`) times ≥1 s
 serial searches — the 32-task scaling net at a 60,000-state budget and
 an exhaustive 70,059-state refutation — interleaved
-min-of-:data:`LARGE_ROUNDS`: the native search driver (``kernel`` with
-its compiled core) against :class:`~repro.scheduler.core.SearchCore`
-over the pure kernel engine (the driver's executable spec).  With the
-compiled core it gates the driver at :data:`DRIVER_TARGET_SPEEDUP` ×
-the spec in aggregate, after byte-identical exactness asserts.  The
-pure lane runs only the spec and records its states/sec.
+min-of-:data:`LARGE_ROUNDS`: the native search driver (``kernel``)
+against :class:`~repro.scheduler.core.SearchCore` over the reference
+engine (the driver's executable spec).  It gates the driver at
+:data:`DRIVER_TARGET_SPEEDUP` × the spec in aggregate, after
+byte-identical exactness asserts.
 
-Results are written to ``BENCH_kernel.json`` at the repository root,
-under ``lanes.native`` or ``lanes.pure`` (see ``benchmarks/lanes.py``);
-CI builds the extension eagerly, runs this bench as a gate, runs it
-again with ``EZRT_PURE=1`` and uploads the JSON, both lanes in it, as
+The bench measures the native core, so it skips when the core cannot
+be built (``EZRT_PURE=1`` runs every search on the spec).  Results are
+written to ``BENCH_kernel.json`` at the repository root; CI builds the
+extension eagerly, runs this bench as a gate and uploads the JSON as
 an artifact.
 """
 
@@ -65,30 +59,28 @@ import os
 import platform
 import time
 
-from lanes import lane_name, read_lanes, write_lane
+import pytest
+
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.spec import paper_examples
 from repro.tpn import _kernelc
 from repro.workloads import random_task_set
 
-#: ROADMAP target, a hard gate when the compiled core is active.
+#: ROADMAP target, a hard gate.
 TARGET_SPEEDUP = 3.0
-#: Per-family noise-proof floor (compiled core): the kernel engine has
-#: cleared 3× on every family measured, but the paper family's margin
-#: is thin enough that a shared-core hiccup should not fail CI.
+#: Per-family noise-proof floor: the kernel engine has cleared 3× on
+#: every family measured, but the paper family's margin is thin enough
+#: that a shared-core hiccup should not fail CI.
 MIN_FAMILY_SPEEDUP = 2.5
-#: Pure-Python fallback floor: packed buffers without the C core must
-#: still beat the dense reference engine on aggregate.
-MIN_PURE_SPEEDUP = 1.0
 #: Floor against the stored absolute baseline
 #: (``benchmarks/BASELINE_scheduler.json``).
 MAX_BASELINE_REGRESSION = 0.95
 
-#: Large-tier gate (compiled core): native driver vs the pure spec.
-#: The gate was 4x the tuple-based engine the spec ran at 0.70x of,
-#: so 4 / 0.70 keeps it no looser.
-DRIVER_TARGET_SPEEDUP = 5.8
+#: Large-tier gate: native driver vs the reference spec.  The gate was
+#: 5.8x a pure-Python kernel that ran the large tier in 0.73x of the
+#: reference's time, so 5.8 / 0.73 (rounded up) keeps it no looser.
+DRIVER_TARGET_SPEEDUP = 8.0
 
 ENGINES = ("reference", "kernel")
 ROUNDS = 7
@@ -100,6 +92,29 @@ JSON_PATH = os.path.join(
 BASELINE_PATH = os.path.join(
     os.path.dirname(__file__), "BASELINE_scheduler.json"
 )
+
+pytestmark = pytest.mark.skipif(
+    not _kernelc.available(),
+    reason="the native core cannot be built here",
+)
+
+
+def _read_artifact() -> dict:
+    """``BENCH_kernel.json``, or ``{}`` when absent or another
+    bench's."""
+    path = os.path.abspath(JSON_PATH)
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if payload.get("bench") == "kernel":
+            return payload
+    return {}
+
+
+def _write_artifact(payload: dict) -> None:
+    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _workloads():
@@ -259,7 +274,6 @@ def _baseline():
 
 
 def test_kernel_throughput(report):
-    native = _kernelc.available()
     rows = _run_suite()
     families = ("paper", "scaling", "grid")
     aggregates = {f: _aggregate(rows, f) for f in families}
@@ -273,31 +287,27 @@ def test_kernel_throughput(report):
         )
 
     payload = {
+        "bench": "kernel",
         "python": platform.python_version(),
         "machine": platform.machine(),
         "rounds": ROUNDS,
-        "native_core": native,
-        "load_error": (
-            None if _kernelc.LOAD_ERROR is None
-            else str(_kernelc.LOAD_ERROR)
-        ),
         "target_speedup": TARGET_SPEEDUP,
         "min_family_speedup": MIN_FAMILY_SPEEDUP,
-        "min_pure_speedup": MIN_PURE_SPEEDUP,
-        "target_met": overall["speedup_vs_reference"]
-        >= TARGET_SPEEDUP,
+        "target_met": overall["speedup_vs_reference"] >= TARGET_SPEEDUP,
         "baseline_ratio": baseline_ratio,
         "baseline_comparable": comparable,
         "rows": rows,
         "aggregates": {**aggregates, "all": overall},
     }
-    write_lane(JSON_PATH, "kernel", lane_name(native), payload)
+    large_tier = _read_artifact().get("large_tier")
+    if large_tier is not None:
+        payload["large_tier"] = large_tier
+    _write_artifact(payload)
 
-    core = "native" if native else "pure"
     for row in rows:
         report(
             "KN1",
-            f"{row['workload']} kernel ({core}) vs reference",
+            f"{row['workload']} kernel vs reference",
             "faster",
             f"{row['speedup_vs_reference']:.2f}x",
         )
@@ -311,38 +321,28 @@ def test_kernel_throughput(report):
         )
     report(
         "KN1",
-        f"overall aggregate kernel ({core}) vs reference",
-        f">= {TARGET_SPEEDUP}" if native else f">= {MIN_PURE_SPEEDUP}",
+        "overall aggregate kernel vs reference",
+        f">= {TARGET_SPEEDUP}",
         f"{overall['speedup_vs_reference']:.2f}x "
         f"({overall['kernel_states_per_sec']:,.0f} states/sec)",
     )
 
     # -- throughput gates --------------------------------------------
-    if native:
-        assert overall["speedup_vs_reference"] >= TARGET_SPEEDUP, (
-            "kernel engine missed the 3x hot-path target: "
-            f"{overall['speedup_vs_reference']:.2f}x aggregate"
+    assert overall["speedup_vs_reference"] >= TARGET_SPEEDUP, (
+        "kernel engine missed the 3x hot-path target: "
+        f"{overall['speedup_vs_reference']:.2f}x aggregate"
+    )
+    for family in families:
+        agg = aggregates[family]
+        assert agg["speedup_vs_reference"] >= MIN_FAMILY_SPEEDUP, (
+            f"kernel engine regressed on the {family} family: "
+            f"{agg['speedup_vs_reference']:.2f}x"
         )
-        for family in families:
-            agg = aggregates[family]
-            assert (
-                agg["speedup_vs_reference"] >= MIN_FAMILY_SPEEDUP
-            ), (
-                f"kernel engine regressed on the {family} family: "
-                f"{agg['speedup_vs_reference']:.2f}x"
-            )
-        if baseline_ratio is not None and comparable:
-            assert baseline_ratio >= MAX_BASELINE_REGRESSION, (
-                "kernel aggregate states/sec fell below the stored "
-                f"baseline floor: {baseline_ratio:.2f}x of "
-                "BASELINE_scheduler.json"
-            )
-    else:
-        assert (
-            overall["speedup_vs_reference"] >= MIN_PURE_SPEEDUP
-        ), (
-            "pure-Python kernel fallback lost to the reference "
-            f"engine: {overall['speedup_vs_reference']:.2f}x"
+    if baseline_ratio is not None and comparable:
+        assert baseline_ratio >= MAX_BASELINE_REGRESSION, (
+            "kernel aggregate states/sec fell below the stored "
+            f"baseline floor: {baseline_ratio:.2f}x of "
+            "BASELINE_scheduler.json"
         )
 
 
@@ -372,15 +372,13 @@ def _large_workloads():
 
 
 def _timed_large(net, engine, limits):
-    """One large-tier search: the driver is the kernel engine with its
-    compiled core, the spec is SearchCore over the pure kernel."""
+    """One large-tier search: the driver is the kernel engine, the spec
+    is SearchCore over the reference engine."""
     scheduler = PreRuntimeScheduler(
         net,
         SchedulerConfig(**limits),
-        engine="kernel",
+        engine="kernel" if engine == "driver" else "reference",
     )
-    if engine == "spec":
-        scheduler.adapter.engine._core = None
     gc.collect()
     reenable = gc.isenabled()
     gc.disable()
@@ -395,32 +393,28 @@ def _timed_large(net, engine, limits):
 
 
 def test_driver_large_tier(report):
-    native = _kernelc.available()
-    # without the compiled core only the pure kernel runs
-    engines = LARGE_ENGINES if native else ("spec",)
     rows = []
     for name, spec, limits in _large_workloads():
         net = compose(spec).compiled()
-        best = {engine: float("inf") for engine in engines}
+        best = {engine: float("inf") for engine in LARGE_ENGINES}
         results = {}
         for _ in range(LARGE_ROUNDS):
-            for engine in engines:
+            for engine in LARGE_ENGINES:
                 results[engine], seconds = _timed_large(
                     net, engine, limits
                 )
                 best[engine] = min(best[engine], seconds)
         spec_result = results["spec"]
-        if native:
-            driver = results["driver"]
-            assert driver.feasible == spec_result.feasible, name
-            assert driver.exhausted == spec_result.exhausted, name
-            assert driver.firing_schedule == spec_result.firing_schedule
-            assert _deterministic_stats(driver) == (
-                _deterministic_stats(spec_result)
-            ), f"{name}: driver disagrees on search statistics"
+        driver = results["driver"]
+        assert driver.feasible == spec_result.feasible, name
+        assert driver.exhausted == spec_result.exhausted, name
+        assert driver.firing_schedule == spec_result.firing_schedule
+        assert _deterministic_stats(driver) == (
+            _deterministic_stats(spec_result)
+        ), f"{name}: driver disagrees on search statistics"
         visited = spec_result.stats.states_visited
         row = {"workload": name, "states_visited": visited}
-        for engine in engines:
+        for engine in LARGE_ENGINES:
             row[f"{engine}_seconds"] = best[engine]
             row[f"{engine}_states_per_sec"] = visited / best[engine]
         rows.append(row)
@@ -428,26 +422,24 @@ def test_driver_large_tier(report):
     states = sum(r["states_visited"] for r in rows)
     totals = {
         engine: sum(r[f"{engine}_seconds"] for r in rows)
-        for engine in engines
+        for engine in LARGE_ENGINES
     }
     aggregate = {
         f"{engine}_states_per_sec": states / totals[engine]
-        for engine in engines
+        for engine in LARGE_ENGINES
     }
-    if native:
-        speedup = totals["spec"] / totals["driver"]
-        aggregate["driver_vs_spec"] = speedup
+    speedup = totals["spec"] / totals["driver"]
+    aggregate["driver_vs_spec"] = speedup
 
-    lane = lane_name(native)
-    entry = read_lanes(JSON_PATH, "kernel")["lanes"].get(lane, {})
-    entry["large_tier"] = {
-        "native_core": native,
+    payload = _read_artifact()
+    payload["bench"] = "kernel"
+    payload["large_tier"] = {
         "rounds": LARGE_ROUNDS,
         "target_speedup_vs_spec": DRIVER_TARGET_SPEEDUP,
         "rows": rows,
         "aggregate": aggregate,
     }
-    write_lane(JSON_PATH, "kernel", lane, entry)
+    _write_artifact(payload)
 
     for row in rows:
         report(
@@ -456,35 +448,26 @@ def test_driver_large_tier(report):
             "large tier",
             ", ".join(
                 f"{engine} {row[f'{engine}_states_per_sec']:,.0f}"
-                for engine in engines
+                for engine in LARGE_ENGINES
             ),
         )
-    if not native:
-        return
     report(
         "KN1",
-        "large-tier driver vs pure spec",
+        "large-tier driver vs reference spec",
         f">= {DRIVER_TARGET_SPEEDUP}",
         f"{speedup:.2f}x",
     )
     assert speedup >= DRIVER_TARGET_SPEEDUP, (
         "native search driver missed its large-tier target: "
-        f"{speedup:.2f}x the pure spec"
+        f"{speedup:.2f}x the reference spec"
     )
 
 
 def test_json_artifact_shape():
-    """The emitted artifact stays machine-readable across PRs, one
-    entry per lane."""
-    lane = lane_name(_kernelc.available())
-    if "rows" not in read_lanes(JSON_PATH, "kernel")["lanes"].get(
-        lane, {}
-    ):
+    """The emitted artifact stays machine-readable across PRs."""
+    if "rows" not in _read_artifact():
         test_kernel_throughput(lambda *a: None)
-    payload = read_lanes(JSON_PATH, "kernel")
-    assert set(payload["lanes"]) <= {"native", "pure"}
-    entry = payload["lanes"][lane]
-    assert entry["native_core"] == (lane == "native")
+    entry = _read_artifact()
     assert entry["rows"], "no benchmark rows recorded"
     for row in entry["rows"]:
         assert row["kernel_states_per_sec"] > 0

@@ -170,9 +170,9 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_ENGINE,
         help=(
             "successor engine: the packed-buffer kernel (default; "
-            "flat state buffers, with its optional compiled C core "
-            "the whole search runs in C, else on a pure-Python "
-            "core), the checked reference semantics, or the "
+            "with its optional compiled C core the whole search runs "
+            "in C, else on the reference semantics), the checked "
+            "reference semantics, or the "
             "dense-time state-class engine (searches Berthomieu-Diaz "
             "classes and concretises the schedule back to integer "
             "time)"

@@ -25,7 +25,7 @@ the ablation benches sweep:
   ``"kernel"`` (:data:`DEFAULT_ENGINE`: the packed-buffer kernel of
   :mod:`repro.tpn.kernel` — flat marking/clock buffers, incremental
   64-bit state keys, and an optional compiled C core that runs the
-  whole search, with a pure-Python fallback),
+  whole search; without that core the reference engine runs it),
   ``"reference"`` (the checked discrete semantics, the kernel's
   executable spec) or
   ``"stateclass"`` (the dense-time Berthomieu–Diaz state-class

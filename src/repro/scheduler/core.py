@@ -12,19 +12,25 @@ in through thin adapters:
   :class:`~repro.tpn.kernel.KernelEngine` (flat ``array('H')``
   marking/clock state buffers and incremental 64-bit Zobrist state
   keys — by far the fastest engine);
-* :class:`ReferenceAdapter` — the executable spec over the checked
-  :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|) rescans,
-  dense candidate scans over all of T);
+* :class:`ReferenceAdapter` — the kernel's executable spec over the
+  checked :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|)
+  rescans, dense candidate scans over all of T);
 * :class:`StateClassAdapter` — the dense-time engine over the packed
   :class:`~repro.tpn.dbm.DbmEngine` (Berthomieu–Diaz classes on flat
   native-width buffers; feasible paths are concretised back to
-  integer time and replayed through the reference engine).
+  integer time and replayed through the reference engine);
+* :class:`StateClassSpecAdapter` — its executable spec over the tuple
+  :class:`~repro.tpn.stateclass.StateClassEngine` (full Floyd–Warshall
+  re-closure per firing).
 
-The C side has the same shape.  When the optional native core
-(:mod:`repro.tpn._native`, one cffi extension) is built, both packed
-engines run the whole search in its one C driver, this module's loop
-parameterised by a per-engine operations table instead of an adapter
-(see :meth:`SearchCore._drive`).
+Each time semantics thus has two implementations: the optional native
+core (:mod:`repro.tpn._native`, one cffi extension), which runs the
+whole search of both packed engines in its one C driver — this
+module's loop parameterised by a per-engine operations table instead
+of an adapter (see :meth:`SearchCore._drive`) — and the executable
+spec, which :class:`SearchCore`'s own loop runs.  When the core cannot
+run a net, :func:`make_adapter` hands ``engine="kernel"`` and
+``engine="stateclass"`` to their specs.
 
 The split of responsibilities is strict: the adapter knows *states*
 (how to compute a root, successors, candidates, and how to turn a
@@ -58,6 +64,8 @@ from repro.tpn._native import (
     SEARCH_FEASIBLE,
     SEARCH_POLL,
     SEARCH_REORDER,
+    NativeNet,
+    core_for,
     replay as native_replay,
 )
 from repro.tpn.kernel import KernelEngine, KernelState
@@ -66,6 +74,7 @@ from repro.tpn.state import DISABLED, RESET_POLICIES, State, StateEngine
 
 if TYPE_CHECKING:
     from repro.tpn.dbm import PackedClass
+    from repro.tpn.stateclass import StateClass
 
 # check the wall clock every 1024 expansions; the budget is measured
 # on time.monotonic() — never the adjustable system clock — matching
@@ -115,8 +124,9 @@ class EngineAdapter(Protocol):
 
     * ``name`` — the engine's registry name (``"kernel"``,
       ``"reference"``, ``"stateclass"``);
-    * ``engine`` — the wrapped engine instance (the scheduler shell
-      reads its ``native`` flag for the ``*.native_core`` gauges);
+    * ``engine`` — the wrapped engine instance;
+    * ``native`` — whether the native driver runs the search (the
+      scheduler shell reports it on the ``*.native_core`` gauges);
     * ``touches_miss`` / ``touches_final`` — the compiled
       marking-predicate skip masks (identical semantics for every
       adapter: a predicate can only change when the fired transition
@@ -132,6 +142,7 @@ class EngineAdapter(Protocol):
 
     name: str
     engine: object
+    native: bool
     touches_miss: tuple[bool, ...]
     touches_final: tuple[bool, ...]
 
@@ -270,6 +281,9 @@ class _AdapterBase:
     #: when ``config.trace_jsonl`` is set.
     obs = NULL_RECORDER
 
+    #: Whether :meth:`open_driver` hands the search to the native core.
+    native = False
+
     def __init__(self, net: CompiledNet, config):
         self.net = net
         self.config = config
@@ -301,21 +315,22 @@ class KernelAdapter(_AdapterBase):
     """The packed-buffer kernel over :class:`KernelEngine`.
 
     States are two flat buffers plus an incremental 64-bit Zobrist
-    key.  With the compiled core live, :meth:`open_driver` hands the
-    whole search to the native driver (see :meth:`SearchCore._drive`)
-    and the per-state methods below are not called at all; they are
-    the pure-Python path :class:`SearchCore` runs over the pure
-    engine — the driver's executable spec.  In earliest-delay searches
-    the candidate pipeline (ceiling, window, strict filter,
+    key.  :meth:`open_driver` hands the whole search to the native
+    driver (see :meth:`SearchCore._drive`), so the per-state methods
+    below run only when :class:`SearchCore`'s own loop drives the
+    engine step by step (one foreign call each).  In earliest-delay
+    searches the candidate pipeline (ceiling, window, strict filter,
     partial-order reduction, ordering) is one engine call; the
     delay-enumeration modes compose the raw window with the shared
     expansion helpers, using the engine's packed partial-order variant
     (the tuple-based :func:`forced_immediate` reads enabledness as
     ``clocks[t] >= 0`` and cannot run on the ``0xFFFF``-sentinel clock
-    buffer).
+    buffer).  Without the native core :func:`make_adapter` builds a
+    :class:`ReferenceAdapter` instead.
     """
 
     name = "kernel"
+    native = True
 
     def __init__(self, net: CompiledNet, config):
         super().__init__(net, config)
@@ -326,11 +341,6 @@ class KernelAdapter(_AdapterBase):
         self.successor = self.engine.successor
 
     def root(self) -> KernelState:
-        self.obs.instant(
-            "kernel-core",
-            cat="kernel",
-            native=self.engine.native,
-        )
         return self.engine.initial()
 
     def open_driver(self, root, reorder: bool, timed: bool):
@@ -379,9 +389,11 @@ class KernelAdapter(_AdapterBase):
 class ReferenceAdapter(_AdapterBase):
     """The executable spec and baseline over the checked :class:`StateEngine`.
 
-    Candidate enumeration is deliberately kept as two dense passes
-    over the whole transition set per expansion, and successors pay
-    the engine's dense O(|T|·|P|) firing rule — this is the honest
+    It runs ``engine="reference"``, and ``engine="kernel"`` whenever
+    the native core cannot run the net.  Candidate enumeration is
+    deliberately kept as two dense passes over the whole transition
+    set per expansion, and successors pay the engine's dense
+    O(|T|·|P|) firing rule — this is the honest
     baseline the kernel bench measures the kernel against, and the
     fixed point the equivalence suites compare to.  It shares the
     core's loop mechanics (slotted frames, marking-predicate skip
@@ -457,16 +469,14 @@ class StateClassAdapter(_AdapterBase):
     (:class:`repro.tpn.dbm.PackedClass`); the whole firing rule and
     the whole candidate pipeline — firability column scans, miss and
     strict-priority filters, the dense forced-immediate reduction and
-    the ``(lower, priority, index)`` ordering — are one engine call
-    each, a single foreign call when the compiled DBM core is live.
-    With that core live, :meth:`open_driver` hands the whole search to
-    its native driver (see :meth:`SearchCore._drive`) and the
-    per-class methods below are not called during the search; they
-    are the pure-Python path :class:`SearchCore` runs over the pure
-    engine — the driver's executable spec.  The tuple-based
-    :class:`StateClassEngine` remains the checked Floyd–Warshall
-    specification the packed engine is differentially tested
-    against.
+    the ``(lower, priority, index)`` ordering — are one foreign call
+    each.  :meth:`open_driver` hands the whole search to the native
+    driver (see :meth:`SearchCore._drive`), so the per-class methods
+    below run only when :class:`SearchCore`'s own loop drives the
+    engine step by step.  Without the native core :func:`make_adapter`
+    builds a :class:`StateClassSpecAdapter` instead, over the
+    tuple-based Floyd–Warshall specification the packed engine is
+    differentially tested against.
 
     A feasible class path is concretised back to integer firing times
     and replayed through the checked reference engine in
@@ -476,6 +486,7 @@ class StateClassAdapter(_AdapterBase):
     """
 
     name = "stateclass"
+    native = True
 
     def __init__(self, net: CompiledNet, config):
         # the dense engine loads only when a state-class search runs
@@ -487,11 +498,6 @@ class StateClassAdapter(_AdapterBase):
         )
 
     def root(self) -> PackedClass:
-        self.obs.instant(
-            "dbm-core",
-            cat="stateclass",
-            native=self.engine.native,
-        )
         return self.engine.initial_class()
 
     def successor(
@@ -552,22 +558,149 @@ class StateClassAdapter(_AdapterBase):
         return _DenseView(tuple(clocks))
 
     def finalize_path(self, actions, stats):
-        sequence = [t for t, _q, _at in actions]
-        with self.obs.span("concretisation", cat="stateclass"):
-            realized = self.engine.realize(sequence)
-        # same reference-replay gate the parallel scheduler applies to
-        # worker wins
-        with self.obs.span("reference-replay", cat="validate"):
-            validate_with_reference(
-                self.net, self.config, realized.schedule
+        # the replay reads the net the search already packed
+        return _finish_dense(
+            self, self.engine.realize, actions, self.engine.core
+        )
+
+
+class StateClassSpecAdapter(_AdapterBase):
+    """The dense search's executable spec over the tuple
+    :class:`~repro.tpn.stateclass.StateClassEngine`.
+
+    It runs ``engine="stateclass"`` whenever the native core cannot
+    run the net: tuple-of-tuples classes (full Floyd–Warshall
+    re-closure per firing), Python column scans and filters per
+    candidate list.  Same verdicts, schedules, windows and
+    :class:`SearchStats` counters as the native driver
+    (``tests/test_dbm_driver.py``); ``bench_dbm`` measures the packed
+    engine against it.
+    """
+
+    name = "stateclass"
+
+    def __init__(self, net: CompiledNet, config):
+        # the tuple engine loads only when a spec dense search runs
+        from repro.tpn.stateclass import StateClassEngine
+
+        super().__init__(net, config)
+        self.engine = StateClassEngine(
+            net, reset_policy=config.reset_policy
+        )
+
+    def root(self) -> StateClass:
+        return self.engine.initial_class()
+
+    def successor(
+        self, cls: StateClass, transition: int, _delay: int
+    ) -> StateClass | None:
+        return self.engine.try_fire(cls, transition)
+
+    def candidates_of(
+        self, cls: StateClass, stats: SearchStats
+    ) -> list[tuple[int, int]]:
+        """Ordered ``(transition, dense lower bound)`` pairs of a
+        class: :meth:`StateClassAdapter.candidates_of`'s pipeline,
+        on the tuple matrix."""
+        miss = self._miss
+        dbm = cls.dbm
+        size = len(cls.enabled) + 1
+        cands: list[tuple[int, int]] = []
+        for var, t in enumerate(cls.enabled, start=1):
+            if t in miss:
+                continue
+            for u in range(1, size):
+                if dbm[u][var] < 0:
+                    break
+            else:
+                cands.append((t, int(-dbm[0][var])))
+        if not cands:
+            return cands
+
+        priorities = self._priority
+        if self._strict:
+            best = min(priorities[t] for t, _lo in cands)
+            cands = [
+                (t, lo) for t, lo in cands if priorities[t] == best
+            ]
+
+        if self._partial_order and len(cands) > 1:
+            reduced = self._forced_immediate_dense(cls, cands)
+            if reduced is not None:
+                stats.reductions += 1
+                return [reduced]
+
+        if len(cands) == 1:
+            return cands
+        expanded = [(lower, priorities[t], t) for t, lower in cands]
+        expanded.sort()
+        return [(t, q) for q, _p, t in expanded]
+
+    def _forced_immediate_dense(
+        self, cls: StateClass, cands: list[tuple[int, int]]
+    ) -> tuple[int, int] | None:
+        """The dense partial-order pick: a conflict-free candidate
+        whose own firing bounds are exactly ``[0, 0]`` and whose
+        postset feeds no enabled transition fires alone."""
+        net = self.net
+        conflict_free = net.conflict_free
+        post_conflicts = net.post_conflicts
+        enabled = set(cls.enabled)
+        dbm = cls.dbm
+        for t, lower in cands:
+            if lower != 0 or not conflict_free[t]:
+                continue
+            var = cls.enabled.index(t) + 1
+            if dbm[var][0] != 0:
+                continue  # not forced at this instant
+            for other in post_conflicts[t]:
+                if other in enabled:
+                    break  # an enabled transition consumes from t•
+            else:
+                return (t, 0)
+        return None
+
+    def clocks_view(self, cls: StateClass) -> _DenseView:
+        """:meth:`StateClassAdapter.clocks_view` on the tuple matrix."""
+        clocks = [DISABLED] * self.net.num_transitions
+        eft = self._eft
+        row0 = cls.dbm[0]
+        for var, t in enumerate(cls.enabled, start=1):
+            elapsed = eft[t] + int(row0[var])  # eft − lower bound
+            clocks[t] = elapsed if elapsed > 0 else 0
+        return _DenseView(tuple(clocks))
+
+    def finalize_path(self, actions, stats):
+        from repro.tpn.stateclass import realize_firing_sequence
+
+        def realize(sequence):
+            return realize_firing_sequence(
+                self.net, sequence, self.config.reset_policy
             )
-        return realized.schedule, realized.windows
+
+        return _finish_dense(self, realize, actions)
+
+
+def _finish_dense(adapter, realize, actions, packed=None):
+    """Concretise an accepting class path with ``realize`` and replay
+    the schedule through the reference semantics — the same gate the
+    parallel scheduler applies to worker wins.  Returns
+    ``(firing_schedule, interval_schedule)``."""
+    sequence = [t for t, _q, _at in actions]
+    with adapter.obs.span("concretisation", cat="stateclass"):
+        realized = realize(sequence)
+    with adapter.obs.span("reference-replay", cat="validate"):
+        validate_with_reference(
+            adapter.net, adapter.config, realized.schedule, packed
+        )
+    return realized.schedule, realized.windows
 
 
 def validate_with_reference(
     net: CompiledNet,
     config: SchedulerConfig,
     schedule: list[tuple[str, int, int]],
+    packed: NativeNet | None = None,
 ) -> None:
     """Replay a firing schedule through the checked reference engine.
 
@@ -581,14 +714,16 @@ def validate_with_reference(
     than folded into a verdict.
 
     With the native core live the replay runs as one ``ez_replay``
-    call (:func:`repro.tpn._native.replay`).  When that rejects, the
-    Python replay runs to raise its own message; should it accept, the
-    two replays disagree and that raises instead.
+    call (:func:`repro.tpn._native.replay`), on ``packed`` — the net's
+    :class:`~repro.tpn._native.NativeNet` — when the caller already
+    holds one.  When that rejects, the Python replay runs to raise its
+    own message; should it accept, the two replays disagree and that
+    raises instead.
     """
     verdict = None
     if config.reset_policy in RESET_POLICIES:
         verdict = native_replay(
-            net, config.reset_policy == "intermediate", schedule
+            net, config.reset_policy == "intermediate", schedule, packed
         )
     if verdict:
         return
@@ -637,9 +772,23 @@ ADAPTERS = {
     "stateclass": StateClassAdapter,
 }
 
+#: The executable spec each native engine runs on when the native
+#: core cannot run a net.
+SPEC_ADAPTERS = {
+    "kernel": ReferenceAdapter,
+    "stateclass": StateClassSpecAdapter,
+}
+
 
 def make_adapter(engine: str, net: CompiledNet, config) -> EngineAdapter:
-    """Build the adapter for ``engine`` over ``net``."""
+    """Build the adapter for ``engine`` over ``net``.
+
+    ``engine="kernel"`` and ``engine="stateclass"`` need the native
+    core; when :func:`~repro.tpn._native.core_for` says it cannot run
+    ``net`` they get their :data:`SPEC_ADAPTERS` entry instead, still
+    named after the requested engine (spans, traces and batch rows
+    keep naming it; ``adapter.native`` says which path runs).
+    """
     try:
         factory = ADAPTERS[engine]
     except KeyError:
@@ -647,6 +796,10 @@ def make_adapter(engine: str, net: CompiledNet, config) -> EngineAdapter:
             f"unknown engine {engine!r}; expected one of "
             f"{tuple(ADAPTERS)}"
         ) from None
+    if engine in SPEC_ADAPTERS and core_for(net) is None:
+        adapter = SPEC_ADAPTERS[engine](net, config)
+        adapter.name = engine
+        return adapter
     return factory(net, config)
 
 
@@ -776,7 +929,7 @@ class SearchCore:
 
         Verdicts, schedules, every :class:`SearchStats` counter and
         the tick/heartbeat arguments equal :meth:`_run`'s over the
-        pure engine (``tests/test_kernel_driver.py``,
+        engine's executable spec (``tests/test_kernel_driver.py``,
         ``tests/test_dbm_driver.py``).  The driver's
         memory is freed on every exit path; its size lands on the
         ``search.visited_bytes`` / ``search.bytes_per_state`` gauges.

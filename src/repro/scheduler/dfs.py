@@ -28,24 +28,30 @@ adapter behind the shared loop:
 * ``engine="kernel"`` (default) — the packed-buffer
   :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
   flat byte/word buffers with an incrementally maintained 64-bit
-  Zobrist state key; with the optional native core
-  (:mod:`repro.tpn._native`) built, the whole depth-first search runs
-  in its C driver, otherwise the shared loop runs over a
-  semantics-identical pure-Python core — the one production
-  discrete engine;
+  Zobrist state key, and the whole depth-first search runs in the
+  optional native core's C driver (:mod:`repro.tpn._native`) — the one
+  production discrete engine;
 * ``engine="reference"`` — the checked-semantics
   :class:`~repro.tpn.state.StateEngine` with dense O(|T|·|P|) rescans,
   kept as the kernel's executable spec and the baseline the benchmarks
   and the CI smoke job cross-validate against (identical schedules,
   identical state counts);
-* ``engine="stateclass"`` — the dense-time
-  :class:`~repro.tpn.stateclass.StateClassEngine`: states are
-  Berthomieu–Diaz state classes (marking + difference-bound matrix),
-  so every dense firing delay of a transition is one search edge
-  instead of one edge per integer delay.  A feasible class path is
-  *concretised* back to integer firing times and replayed through the
-  checked reference engine before being returned — the same contract
-  the parallel scheduler applies to worker wins.
+* ``engine="stateclass"`` — dense time over the packed
+  :class:`~repro.tpn.dbm.DbmEngine`, again searched by the native
+  driver: states are Berthomieu–Diaz state classes (marking +
+  difference-bound matrix), so every dense firing delay of a
+  transition is one search edge instead of one edge per integer delay.
+  A feasible class path is *concretised* back to integer firing times
+  and replayed through the checked reference engine before being
+  returned — the same contract the parallel scheduler applies to
+  worker wins.
+
+Without the native core (``EZRT_PURE=1``, no cffi, a failed build, or
+a net with no places or no transitions) ``engine="kernel"`` runs on the
+reference engine and ``engine="stateclass"`` on the tuple
+:class:`~repro.tpn.stateclass.StateClassEngine`, their executable
+specs; the ``kernel.native_core`` / ``dbm.native_core`` gauges say
+which path ran.
 """
 
 from __future__ import annotations
@@ -60,6 +66,14 @@ from repro.scheduler.core import SearchCore, make_adapter
 from repro.scheduler.policies import make_reorder
 from repro.scheduler.result import SchedulerResult
 from repro.tpn.net import CompiledNet
+
+#: Which path a native engine's search ran, per engine: the result
+#: gauge and the trace instant (1.0 / ``native=True``: the native
+#: driver; 0.0 / ``False``: ``SearchCore`` over the executable spec).
+_CORE_SIGNALS = {
+    "kernel": ("kernel.native_core", "kernel-core"),
+    "stateclass": ("dbm.native_core", "dbm-core"),
+}
 
 
 class PreRuntimeScheduler:
@@ -112,19 +126,10 @@ class PreRuntimeScheduler:
         # progress heartbeat exist only when their config knobs ask for
         # them (otherwise the core's hot loop never sees them).
         self.metrics = MetricsRegistry()
-        if engine == "kernel":
-            # which core the kernel engine resolved to (1.0 = compiled
-            # C core, 0.0 = pure-Python fallback) — the CI pure
-            # job and the benches read this off the result metrics
+        if engine in _CORE_SIGNALS:
             self.metrics.set_gauge(
-                "kernel.native_core",
-                1.0 if self.adapter.engine.native else 0.0,
-            )
-        elif engine == "stateclass":
-            # same contract for the packed DBM core
-            self.metrics.set_gauge(
-                "dbm.native_core",
-                1.0 if self.adapter.engine.native else 0.0,
+                _CORE_SIGNALS[engine][0],
+                1.0 if self.adapter.native else 0.0,
             )
         self.obs = None
         if self.config.trace_jsonl:
@@ -149,6 +154,13 @@ class PreRuntimeScheduler:
     # ------------------------------------------------------------------
     def search(self) -> SchedulerResult:
         """Run the DFS; returns a result whether or not it succeeds."""
+        engine = self.engine_mode
+        if self.obs is not None and engine in _CORE_SIGNALS:
+            self.obs.instant(
+                _CORE_SIGNALS[engine][1],
+                cat=engine,
+                native=self.adapter.native,
+            )
         return SearchCore(
             self.adapter,
             self.config,

@@ -3,7 +3,8 @@
 This module owns the dense-time C fragment of the one extension built
 by :mod:`repro.tpn._native`, over the same flat buffers the Python
 side of :mod:`repro.tpn.dbm` owns.  Two entry points carry the whole
-dense-time hot path:
+dense-time hot path, and ``dc_hash`` keys a class from scratch (the
+root of a search):
 
 * ``dc_fire`` — the firability column scan, the O(n²) incremental
   closure repair, the marking update, the enabledness rescan, the
@@ -30,9 +31,7 @@ spec, pinned by ``tests/test_native_finish.py``), called through
 
 The module also re-exports the one core's :func:`build`,
 :func:`native_module`, :func:`load`, :func:`available`,
-:data:`LOAD_ERROR` and :data:`PURE_ENV`: the DBM engine asks
-:func:`load` for the compiled module and falls back to its
-pure-Python core whenever the answer is ``None``.  ``python -m
+:data:`LOAD_ERROR` and :data:`PURE_ENV`.  ``python -m
 repro.tpn._dbmc`` builds the core eagerly, like ``python -m
 repro.tpn._native``.
 """
@@ -43,6 +42,8 @@ from repro.tpn._native import CORE, PURE_ENV  # noqa: F401 - re-exported
 
 # The DBM engine's foreign function surface.
 CDEF = """
+void dc_hash(const ez_net *net, const uint16_t *mark, int32_t size,
+             const int64_t *dbm, uint64_t *hash_out);
 int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
                 const int32_t *old_enabled, int32_t k,
                 const int64_t *old_dbm, int32_t t,
@@ -64,24 +65,48 @@ int32_t dc_realize(const ez_net *net, const uint16_t *m0,
 """
 
 # The dense-time firing rule and candidate pipeline over the packed
-# buffers.  Semantics are line-for-line the pure-Python core of
-# repro.tpn.dbm.DbmEngine (which mirrors the tuple-based Floyd-
-# Warshall specification of repro.tpn.stateclass); the two are locked
-# together by the native-vs-pure differential suite in
-# tests/test_dbm.py, and the driver is locked to SearchCore by
+# buffers.  Semantics are those of the tuple-based Floyd-Warshall
+# specification of repro.tpn.stateclass; the two are locked together
+# class by class by the differential suite in tests/test_dbm.py, and
+# the driver is locked to SearchCore over the specification by
 # tests/test_dbm_driver.py.  DC_INF (1 << 62) is the unbounded-bound
 # sentinel; flag bit 1 (immediate) is unused here.
 SOURCE = r"""
 #define DC_INF ((int64_t)1 << 62)
 
 /* Zobrist word of bound-matrix cell (i, j) holding bound b: a double
- * mix folds the full signed 64-bit bound in (the (uint64_t) cast is
- * the two's-complement image Python's `b & MASK64` computes). */
+ * mix folds the full signed 64-bit bound in (through its (uint64_t)
+ * two's-complement image). */
 static uint64_t dc_zd(int32_t i, int32_t j, int64_t b)
 {
     uint64_t ij = ((uint64_t)(uint32_t)i << 11) |
                   (uint64_t)(uint32_t)j;
     return ez_mix(ez_mix(((uint64_t)3 << 62) ^ ij) ^ (uint64_t)b);
+}
+
+/* The fused Zobrist key of a class from scratch: `hash_out[0]`
+ * receives the marking hash and `hash_out[1]` the bound-matrix hash,
+ * the two words dc_fire maintains (the key is their XOR).  Hidden:
+ * only this unit's cffi wrapper calls it, so it takes no PLT slot and
+ * leaves the kernel's code at the addresses it had without it (the
+ * kernel driver's speed is sensitive to that layout). */
+#if defined(__GNUC__)
+__attribute__((visibility("hidden")))
+#endif
+void dc_hash(const ez_net *net, const uint16_t *mark, int32_t size,
+             const int64_t *dbm, uint64_t *hash_out)
+{
+    uint64_t h = 0;
+    int32_t i, j, idx = 0;
+    for (i = 0; i < net->P; i++)
+        h ^= ez_zm(i, mark[i]);
+    hash_out[0] = h;
+    h = 0;
+    for (i = 0; i < size; i++) {
+        for (j = 0; j < size; j++, idx++)
+            h ^= dc_zd(i, j, dbm[idx]);
+    }
+    hash_out[1] = h;
 }
 
 /* The dense-time firing rule: firability column scan, incremental

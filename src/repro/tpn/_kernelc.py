@@ -20,9 +20,7 @@ has two layers:
 
 The module also re-exports the one core's :func:`build`,
 :func:`native_module`, :func:`load`, :func:`available`,
-:data:`LOAD_ERROR` and :data:`PURE_ENV`: the kernel engine asks
-:func:`load` for the compiled module and falls back to its
-pure-Python core whenever the answer is ``None``.  ``python -m
+:data:`LOAD_ERROR` and :data:`PURE_ENV`.  ``python -m
 repro.tpn._kernelc`` builds the core eagerly, like ``python -m
 repro.tpn._native``.
 """
@@ -51,11 +49,10 @@ ez_search *kn_search_new(const ez_net *net, const uint16_t *mark0,
 """
 
 # The successor/firable/min-DUB inner loop over the packed buffers.
-# Semantics are line-for-line the pure-Python core of
-# repro.tpn.kernel.KernelEngine (which mirrors the checked reference
-# engine of repro.tpn.state); the two are locked together by the
-# native-vs-pure differential suite in tests/test_kernel_engine.py, and
-# the driver is locked to SearchCore by tests/test_kernel_driver.py.
+# Semantics are those of the checked reference engine of
+# repro.tpn.state; the two are locked together step by step by the
+# differential walks in tests/test_kernel_engine.py, and the driver is
+# locked to SearchCore over the reference by tests/test_kernel_driver.py.
 # DIS (0xFFFF) marks a disabled transition's clock.
 SOURCE = r"""
 #define KN_DIS 0xFFFFu

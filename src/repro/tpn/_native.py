@@ -32,9 +32,12 @@ way :class:`~repro.scheduler.core.SearchCore` is parameterised by
 ``PyMem_RawMalloc``, so ``tracemalloc`` sees it, and the GIL stays
 released for the whole call.
 
-Everything degrades gracefully — the engines ask :meth:`NativeCore.load`
-for the compiled module and fall back to their pure-Python cores
-whenever the answer is ``None``:
+Everything degrades gracefully — :func:`core_for` asks
+:meth:`NativeCore.load` for the compiled module, and whenever the
+answer is ``None`` the scheduler runs each engine's executable spec
+instead (the reference ``StateEngine`` for ``engine="kernel"``, the
+tuple ``StateClassEngine`` for ``engine="stateclass"``; see
+:func:`repro.scheduler.core.make_adapter`):
 
 * ``EZRT_PURE=1`` in the environment force-disables the core (checked
   per :meth:`~NativeCore.load` call, so tests can flip it without
@@ -73,7 +76,7 @@ from repro.errors import SchedulingError
 from repro.tpn.interval import INF
 
 #: Environment variable that force-disables the compiled core (one
-#: switch, pure everything).
+#: switch: every engine runs its executable spec).
 PURE_ENV = "EZRT_PURE"
 
 #: Environment variable naming a preferred build cache root.
@@ -125,7 +128,8 @@ int32_t ez_replay(const ez_net *net, const uint16_t *m0,
 
 # The prelude, the compiled net and the search driver.  The driver is
 # SearchCore._run's loop; tests/test_kernel_driver.py and
-# tests/test_dbm_driver.py lock it to that loop over each pure engine.
+# tests/test_dbm_driver.py lock it to that loop over each engine's
+# executable spec.
 # lft < 0 encodes an unbounded LFT; flag bits: 1 = immediate [0,0],
 # 2 = deadline-miss, 4 = structurally conflict-free, 8 = touches a
 # deadline-miss place, 16 = touches a final-constrained place.
@@ -149,7 +153,7 @@ void PyMem_RawFree(void *ptr);
 
 /* splitmix64 finalizer: the functional Zobrist key generator.  No
  * tables — the key of (kind, index, value) is the mix of one packed
- * word, identical to repro.tpn.kernel._mix on the Python side. */
+ * word. */
 static uint64_t ez_mix(uint64_t x)
 {
     x += 0x9E3779B97F4A7C15ULL;
@@ -1000,7 +1004,7 @@ class NativeCore:
         return self._loaded[0]
 
     def load(self):
-        """The compiled module, or ``None`` (pure-Python fallback).
+        """The compiled module, or ``None`` (the spec fallback).
 
         ``None`` when ``EZRT_PURE=1`` is set or the build/import failed.
         """
@@ -1015,6 +1019,19 @@ class NativeCore:
 
 #: The process's one core; the engine modules alias its methods.
 CORE = NativeCore()
+
+
+def core_for(net):
+    """The compiled module when it can run ``net``, else ``None``.
+
+    ``None`` when the core is off (``EZRT_PURE=1``, no cffi, a failed
+    build) or the net has no places or no transitions (the packed
+    buffers and ``ez_net`` need at least one of each).
+    """
+    module = CORE.load()
+    if module is None or not (net.num_transitions and net.num_places):
+        return None
+    return module
 
 
 class NativeNet:
@@ -1111,7 +1128,9 @@ _REPLAY_ACCEPT = 0
 _REPLAY_REJECT = 1
 
 
-def replay(net, intermediate: bool, schedule) -> bool | None:
+def replay(
+    net, intermediate: bool, schedule, packed: NativeNet | None = None
+) -> bool | None:
     """Replay ``schedule`` through Definition 3.1 in the compiled core.
 
     ``True`` when its ``(transition name, delay, absolute time)``
@@ -1119,11 +1138,14 @@ def replay(net, intermediate: bool, schedule) -> bool | None:
     marking, ``False`` when they are not, and ``None`` when the core is
     not live or the schedule lies outside what ``ez_replay`` represents
     (the Python replay then decides alone).  An unknown name is a
-    rejection.
+    rejection.  ``packed`` is ``net``'s :class:`NativeNet` when the
+    caller already holds one; otherwise the replay packs its own.
     """
-    module = CORE.load()
-    if module is None or not (net.num_transitions and net.num_places):
-        return None
+    module = None
+    if packed is None:
+        module = core_for(net)
+        if module is None:
+            return None
     index = net.transition_index
     try:
         m0 = array("H", net.m0)
@@ -1135,12 +1157,13 @@ def replay(net, intermediate: bool, schedule) -> bool | None:
                 for v in (index.get(name, -1), delay, at)
             ],
         )
-        native = NativeNet(module, net)
+        if packed is None:
+            packed = NativeNet(module, net)
     except (OverflowError, TypeError):
         return None
-    ffi = native.ffi
-    status = native.lib.ez_replay(
-        native.net_ptr,
+    ffi = packed.ffi
+    status = packed.lib.ez_replay(
+        packed.net_ptr,
         ffi.from_buffer("uint16_t[]", m0),
         1 if intermediate else 0,
         ffi.from_buffer("int64_t[]", steps) if steps else ffi.NULL,

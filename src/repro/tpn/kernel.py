@@ -19,34 +19,30 @@ buffers* —
 * the enabled set is implicit in the clock buffer (``clk[t] != DIS``)
   and maintained branchlessly from :attr:`CompiledNet.affected`;
 * the 64-bit state key is a functional Zobrist hash (splitmix64 of a
-  packed ``(kind, index, value)`` word — no precomputed tables; the
-  pure core memoises the words it meets) maintained *incrementally*
-  across firings: XOR out the old word, XOR in the new one.
+  packed ``(kind, index, value)`` word — no precomputed tables)
+  maintained *incrementally* across firings: XOR out the old word,
+  XOR in the new one.
 
-The successor/firable/min-DUB inner loop runs in one of two cores over
-the *same* buffer layout:
+The successor/firable/min-DUB inner loop runs in the kernel's part
+(:mod:`repro.tpn._kernelc`) of the native core
+(:mod:`repro.tpn._native`, one cffi extension for both packed
+engines): one foreign call per step, operating in place on the
+Python-owned buffers.  The engine needs that core.  When the core is
+off (``EZRT_PURE=1``, no cffi, a failed build) or cannot pack a net
+(no places or no transitions),
+:func:`repro.scheduler.core.make_adapter` runs ``engine="kernel"`` on
+the reference :class:`~repro.tpn.state.StateEngine` instead, the
+kernel's executable spec; ``tests/test_kernel_engine.py`` walks the
+two in lockstep.  The token and clock caps above are limits of the
+packed representation only: the spec has none.
 
-* the kernel's part (:mod:`repro.tpn._kernelc`) of the optional
-  native core (:mod:`repro.tpn._native`, one cffi extension for both
-  packed engines, built lazily with graceful degradation) — one
-  foreign call per step, operating in place on the Python-owned
-  buffers (searches go further, see below);
-* the pure-Python core in this file — line-for-line the same
-  semantics, used when the compiled core is unavailable or
-  ``EZRT_PURE=1`` force-disables it.
-
-Both cores produce bit-identical states *and hashes* (the Zobrist mix
-is implemented identically on both sides), which the differential
-suite in ``tests/test_kernel_engine.py`` asserts, together with
-engine-level parity against the checked reference semantics.
-
-With the C core live, searches do not step through this module state
-by state: :meth:`KernelEngine.open_search` roots the native core's
-resumable depth-first search driver on the kernel's operations table
+Searches do not step through this module state by state:
+:meth:`KernelEngine.open_search` roots the native core's resumable
+depth-first search driver on the kernel's operations table
 (``kn_search_new``) and returns its :class:`NativeSearch` handle,
 which :meth:`repro.scheduler.core.SearchCore._drive` runs to a
 verdict (``tests/test_kernel_driver.py`` locks it to the search loop
-over the pure core).
+over the reference engine).
 """
 
 from __future__ import annotations
@@ -54,11 +50,11 @@ from __future__ import annotations
 from array import array
 
 from repro.errors import SchedulingError
-from repro.tpn import _kernelc
 from repro.tpn._native import (
     SEARCH_TOKENS,
     NativeNet,
     NativeSearch,
+    core_for,
     search_options,
 )
 from repro.tpn.interval import INF
@@ -71,35 +67,6 @@ DIS = 0xFFFF
 #: Largest storable token count / clock value (loud overflow above).
 MAX_TOKENS = 0xFFFF
 MAX_CLOCK = DIS - 1
-
-_MASK64 = (1 << 64) - 1
-
-
-def _mix(x: int) -> int:
-    """splitmix64 finalizer — identical to ``ez_mix`` in the C core."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return x ^ (x >> 31)
-
-
-class _ZobristTable(dict):
-    """Lazily filled Zobrist words of one kind (1: place, 2: clock).
-
-    ``table[(i << 20) ^ v]`` is ``_mix((kind << 62) ^ (i << 20) ^ v)``
-    — the word ``ez_zm``/``kn_zc`` compute in the C core — so the pure
-    core reads each word with one subscript and mixes it only once.
-    """
-
-    __slots__ = ("_tag",)
-
-    def __init__(self, kind: int):
-        super().__init__()
-        self._tag = kind << 62
-
-    def __missing__(self, key: int) -> int:
-        word = self[key] = _mix(self._tag ^ key)
-        return word
 
 
 class KernelState:
@@ -229,30 +196,23 @@ class KernelEngine:
 
     Same semantics as the reference :class:`~repro.tpn.state.StateEngine`
     (Definition 3.1, both clock-reset policies), but enabledness
-    re-checks are limited to ``affected[t]``, states are flat buffers
-    and — when the compiled core is available — each step is one
-    foreign call and :meth:`open_search` runs a whole search in C.
-    ``native`` records which core is live.
+    re-checks are limited to ``affected[t]``, states are flat buffers,
+    each step is one foreign call and :meth:`open_search` runs a whole
+    search in C.  ``core`` is the per-net handle on the compiled core;
+    construction raises :class:`SchedulingError` when the core cannot
+    run the net (see :func:`repro.tpn._native.core_for`).
     """
 
     __slots__ = (
         "net",
         "reset_policy",
-        "native",
-        "_core",
+        "core",
         "_intermediate",
         "_pre",
-        "_delta",
-        "_affected",
-        "_eft",
         "_lft_i",
-        "_prio",
-        "_miss",
         "_conflict_free",
         "_post_conflicts",
         "_num_transitions",
-        "_zm",
-        "_zc",
     )
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
@@ -261,47 +221,30 @@ class KernelEngine:
                 f"unknown reset policy {reset_policy!r}; "
                 f"expected one of {RESET_POLICIES}"
             )
+        module = core_for(net)
+        if module is None:
+            raise SchedulingError(
+                "kernel engine: the native core cannot run this net "
+                "(it is off or unbuilt, or the net has no places or "
+                "no transitions)"
+            )
         self.net = net
         self.reset_policy = reset_policy
         self._intermediate = reset_policy == "intermediate"
         self._pre = net.pre
-        self._delta = net.delta
-        self._affected = net.affected
-        self._eft = net.eft
         # integer LFT vector with -1 encoding the unbounded bound, the
         # packed analogue of the float INF convention
         self._lft_i = tuple(
             -1 if b == INF else int(b) for b in net.lft
         )
-        self._prio = net.priority
-        self._miss = net.miss_transitions
         self._conflict_free = net.conflict_free
         self._post_conflicts = net.post_conflicts
         self._num_transitions = net.num_transitions
-        self._zm = _ZobristTable(1)
-        self._zc = _ZobristTable(2)
-        self._core = None
-        if net.num_transitions and net.num_places:
-            module = _kernelc.load()
-            if module is not None:
-                self._core = _NativeCore(module, net)
-        self.native = self._core is not None
+        self.core = _NativeCore(module, net)
 
-    # ------------------------------------------------------------------
-    # Zobrist hashing (pure side; the C core mirrors these bit for bit)
-    # ------------------------------------------------------------------
     def full_hash(self, mark: array, clk: array) -> int:
         """The 64-bit Zobrist key of a packed state, from scratch."""
-        if self._core is not None:
-            return self._core.full_hash(mark, clk)
-        zm = self._zm
-        zc = self._zc
-        h = 0
-        for p, v in enumerate(mark):
-            h ^= zm[(p << 20) ^ v]
-        for t, v in enumerate(clk):
-            h ^= zc[(t << 20) ^ v]
-        return h
+        return self.core.full_hash(mark, clk)
 
     # ------------------------------------------------------------------
     # State construction
@@ -348,16 +291,13 @@ class KernelEngine:
         oc = state.clk
         nm = array("H", om)
         nc = array("H", oc)
-        core = self._core
-        if core is not None:
-            status, key = core.successor(
-                om, oc, nm, nc, state._hash, t, q,
-                1 if self._intermediate else 0,
-            )
-            if status:
-                self._overflow(status, t)
-            return KernelState(nm, nc, key)
-        return self._successor_pure(state, om, oc, nm, nc, t, q)
+        status, key = self.core.successor(
+            om, oc, nm, nc, state._hash, t, q,
+            1 if self._intermediate else 0,
+        )
+        if status:
+            self._overflow(status, t)
+        return KernelState(nm, nc, key)
 
     def _overflow(self, status: int, t: int) -> None:
         name = self.net.transition_names[t]
@@ -371,75 +311,6 @@ class KernelEngine:
             f"firing {name!r} (use another engine for searches this "
             "deep in time)"
         )
-
-    def _successor_pure(
-        self, state, om, oc, nm, nc, t: int, q: int
-    ) -> KernelState:
-        zm = self._zm
-        zc = self._zc
-        h = state._hash
-
-        for p, d in self._delta[t]:
-            old = nm[p]
-            nv = old + d
-            if nv < 0 or nv > MAX_TOKENS:
-                self._overflow(1, t)
-            base = p << 20
-            h ^= zm[base ^ old] ^ zm[base ^ nv]
-            nm[p] = nv
-
-        if q:
-            for tk, v in enumerate(oc):
-                if v != DIS:
-                    nv = v + q
-                    if nv >= DIS:
-                        self._overflow(2, t)
-                    base = tk << 20
-                    h ^= zc[base ^ v] ^ zc[base ^ nv]
-                    nc[tk] = nv
-
-        pre = self._pre
-        if self._intermediate:
-            ref = array("H", om)
-            for place, weight in pre[t]:
-                ref[place] -= weight
-        else:
-            ref = None
-
-        for tk in self._affected[t]:
-            oldc = oc[tk]
-            enabled_now = True
-            for place, weight in pre[tk]:
-                if nm[place] < weight:
-                    enabled_now = False
-                    break
-            if not enabled_now:
-                if oldc != DIS:
-                    base = tk << 20
-                    h ^= zc[base ^ nc[tk]] ^ zc[base ^ DIS]
-                    nc[tk] = DIS
-            elif oldc == DIS:
-                # newly enabled: clock resets to zero (the bulk
-                # advance skipped disabled entries)
-                base = tk << 20
-                h ^= zc[base ^ DIS] ^ zc[base]
-                nc[tk] = 0
-            else:
-                reset = tk == t
-                if not reset and ref is not None:
-                    for place, weight in pre[tk]:
-                        if ref[place] < weight:
-                            reset = True
-                            break
-                if reset:
-                    cur = nc[tk]
-                    if cur:
-                        base = tk << 20
-                        h ^= zc[base ^ cur] ^ zc[base]
-                        nc[tk] = 0
-                # else persistent: the bulk advance already set it
-
-        return KernelState(nm, nc, h)
 
     # ------------------------------------------------------------------
     # Firing window / candidate enumeration
@@ -456,56 +327,9 @@ class KernelEngine:
         one core call; the returned flag records whether the reduction
         collapsed the window to a single forced firing.
         """
-        core = self._core
-        if core is not None:
-            return core.candidates(
-                state.clk, 1 if strict else 0, 1 if partial_order else 0
-            )
-        return self._candidates_pure(state.clk, strict, partial_order)
-
-    def _candidates_pure(self, clk, strict, partial_order):
-        lft = self._lft_i
-        eft = self._eft
-        miss = self._miss
-
-        ceiling = -1  # sentinel: unbounded
-        for tk, v in enumerate(clk):
-            if v == DIS:
-                continue
-            bound = lft[tk]
-            if bound < 0:
-                continue
-            bound -= v
-            if ceiling < 0 or bound < ceiling:
-                ceiling = bound
-
-        cands: list[tuple[int, int]] = []
-        for tk, v in enumerate(clk):
-            if v == DIS or tk in miss:
-                continue
-            lo = eft[tk] - v
-            if lo < 0:
-                lo = 0
-            if ceiling < 0 or lo <= ceiling:
-                cands.append((tk, lo))
-        if not cands:
-            return cands, False
-
-        prio = self._prio
-        if strict:
-            best = min(prio[t] for t, _lo in cands)
-            cands = [(t, lo) for t, lo in cands if prio[t] == best]
-
-        if partial_order and len(cands) > 1:
-            reduced = self.forced_immediate(cands, clk)
-            if reduced is not None:
-                return [reduced], True
-
-        if len(cands) > 1:
-            expanded = [(lo, prio[t], t) for t, lo in cands]
-            expanded.sort()
-            cands = [(t, lo) for lo, _p, t in expanded]
-        return cands, False
+        return self.core.candidates(
+            state.clk, 1 if strict else 0, 1 if partial_order else 0
+        )
 
     def forced_immediate(
         self, cands: list[tuple[int, int]], clk
@@ -545,14 +369,10 @@ class KernelEngine:
         policy: str,
         max_states: int,
         timed: bool,
-    ) -> NativeSearch | None:
+    ) -> NativeSearch:
         """A native driver search from ``root`` under search
-        ``policy``, or ``None`` without a compiled core.  ``root``
-        counts as visited; the caller has checked its marking
-        predicates."""
-        core = self._core
-        if core is None:
-            return None
+        ``policy``.  ``root`` counts as visited; the caller has checked
+        its marking predicates."""
         options = (
             search_options(
                 self._intermediate, strict, partial_order, policy, timed
@@ -560,6 +380,7 @@ class KernelEngine:
             | (_OPT_EXTREMES if delay_mode == "extremes" else 0)
             | (_OPT_FULL if delay_mode == "full" else 0)
         )
+        core = self.core
         ffi = core.ffi
         return NativeSearch(
             core,
@@ -584,30 +405,4 @@ class KernelEngine:
         """``(min DUB, raw [(t, DLB(t)), ...])`` for the
         delay-enumeration modes — no filter, no reduction, no sort
         beyond the ascending index order of the scan."""
-        core = self._core
-        if core is not None:
-            return core.window(state.clk)
-        clk = state.clk
-        lft = self._lft_i
-        eft = self._eft
-        miss = self._miss
-        ceiling = -1
-        for tk, v in enumerate(clk):
-            if v == DIS:
-                continue
-            bound = lft[tk]
-            if bound < 0:
-                continue
-            bound -= v
-            if ceiling < 0 or bound < ceiling:
-                ceiling = bound
-        cands: list[tuple[int, int]] = []
-        for tk, v in enumerate(clk):
-            if v == DIS or tk in miss:
-                continue
-            lo = eft[tk] - v
-            if lo < 0:
-                lo = 0
-            if ceiling < 0 or lo <= ceiling:
-                cands.append((tk, lo))
-        return (INF if ceiling < 0 else ceiling, cands)
+        return self.core.window(state.clk)

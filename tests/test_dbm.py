@@ -1,20 +1,24 @@
 """The packed DBM core (ISSUE 10): bit-identity and round trips.
 
-Three engines implement the Berthomieu–Diaz firing rule:
+Two engines implement the Berthomieu–Diaz firing rule:
 
 * the tuple-of-tuples :class:`repro.tpn.stateclass.StateClassEngine`,
   whose full Floyd–Warshall re-closure (``_canonical``) is the
-  executable specification;
-* the pure-Python side of :class:`repro.tpn.dbm.DbmEngine` —
-  incremental closure repair over flat ``array('q')`` buffers;
-* the compiled C core (:mod:`repro.tpn._dbmc`), reached through the
-  same :class:`DbmEngine` when built.
+  executable specification (and the ``engine="stateclass"`` path
+  without the native core);
+* :class:`repro.tpn.dbm.DbmEngine` — incremental closure repair over
+  flat ``array('q')`` buffers in the compiled C core
+  (:mod:`repro.tpn._dbmc`).
 
-This suite walks seeded class graphs and pins all three to the *same
+This suite walks seeded class graphs and pins the two to the *same
 bits*: identical markings, identical canonical matrices, identical
-64-bit Zobrist keys, identical firable sets, windows and ordered
-candidate lists, under both clock-reset policies.  It also pins the
-construction-time EZT204 bound-cap refusal.
+firable sets, windows and ordered candidate lists (against
+:class:`~repro.scheduler.core.StateClassSpecAdapter`'s pipeline),
+and incremental 64-bit Zobrist keys equal to their from-scratch
+``dc_hash``, under both clock-reset policies.  It also pins the
+construction-time EZT204 bound-cap refusal.  The packed engine needs
+the native core, so the suite skips without it; the caps it pins are
+limits of the packed representation only.
 """
 
 from __future__ import annotations
@@ -25,7 +29,11 @@ import pytest
 
 from repro.blocks.composer import compose
 from repro.errors import SchedulingError
+from repro.scheduler.config import SchedulerConfig
+from repro.scheduler.core import StateClassSpecAdapter
+from repro.scheduler.result import SearchStats
 from repro.spec.examples import fig3_precedence, fig4_exclusion
+from repro.tpn import _dbmc
 from repro.tpn.dbm import DINF, MAX_BOUND, DbmEngine, PackedClass
 from repro.tpn.interval import INF, TimeInterval
 from repro.tpn.net import TimePetriNet
@@ -33,6 +41,11 @@ from repro.tpn.stateclass import StateClassEngine, _canonical
 from repro.workloads import (
     random_task_set,
     wide_interval_job_net,
+)
+
+pytestmark = pytest.mark.skipif(
+    _dbmc.load() is None,
+    reason="the native core is not live (EZRT_PURE=1 or no compiler)",
 )
 
 RESETS = ("paper", "intermediate")
@@ -57,14 +70,6 @@ def nets():
     return _nets()
 
 
-def _pure_engine(net, reset_policy) -> DbmEngine:
-    """A DbmEngine forced onto the pure-Python path."""
-    engine = DbmEngine(net, reset_policy=reset_policy)
-    engine._core = None
-    engine.native = False
-    return engine
-
-
 def _assert_same_class(packed: PackedClass, spec_cls) -> None:
     """Packed class ≡ tuple-engine class, bit for bit."""
     unpacked = packed.unpack()
@@ -74,54 +79,48 @@ def _assert_same_class(packed: PackedClass, spec_cls) -> None:
 
 
 def _walk(net, reset_policy, check, limit=600):
-    """Drive the three engines in lockstep over the class graph.
+    """Drive the two engines in lockstep over the class graph.
 
-    ``check(packed_a, packed_b, spec_cls)`` sees the same class as
-    produced by the default engine (native when built), the forced-pure
-    engine and the tuple specification engine.
+    ``check(packed, spec, a, s)`` sees the same class as produced by
+    the packed engine (``a``) and the tuple specification engine
+    (``s``).
     """
-    default = DbmEngine(net, reset_policy=reset_policy)
-    pure = _pure_engine(net, reset_policy)
+    packed = DbmEngine(net, reset_policy=reset_policy)
     spec = StateClassEngine(net, reset_policy=reset_policy)
-    frontier = [
-        (default.initial_class(), pure.initial_class(),
-         spec.initial_class())
-    ]
+    frontier = [(packed.initial_class(), spec.initial_class())]
     seen = set()
     visited = 0
     while frontier and visited < limit:
-        a, b, s = frontier.pop()
+        a, s = frontier.pop()
         if a in seen:
             continue
         seen.add(a)
         visited += 1
-        check(default, pure, spec, a, b, s)
+        check(packed, spec, a, s)
         for t in spec.firable(s):
-            sa = default.try_fire(a, t)
-            sb = pure.try_fire(b, t)
+            sa = packed.try_fire(a, t)
             ss = spec.try_fire(s, t)
             assert (sa is None) == (ss is None)
-            assert (sb is None) == (ss is None)
             if ss is None:
                 continue
             if not net.has_missed_deadline(sa.marking):
-                frontier.append((sa, sb, ss))
+                frontier.append((sa, ss))
     assert visited > 1, "walk never left the initial class"
     return visited
 
 
 class TestClosureBitIdentity:
-    """Native vs pure vs Floyd–Warshall spec, across both policies."""
+    """Native vs Floyd–Warshall spec, across both policies."""
 
     @pytest.mark.parametrize("reset_policy", RESETS)
     @pytest.mark.parametrize("name", sorted(_nets()))
     def test_successors_match_spec_engine(
         self, nets, name, reset_policy
     ):
-        def check(default, pure, spec, a, b, s):
+        def check(packed, spec, a, s):
             _assert_same_class(a, s)
-            _assert_same_class(b, s)
-            assert a == b and hash(a) == hash(b)
+            again = packed.initial_class()
+            assert (a == again) == (s == spec.initial_class())
 
         _walk(nets[name], reset_policy, check)
 
@@ -133,7 +132,7 @@ class TestClosureBitIdentity:
         """Every packed matrix equals its own full FW re-closure —
         the incremental repair never under- or over-tightens."""
 
-        def check(default, pure, spec, a, b, s):
+        def check(packed, spec, a, s):
             matrix = [list(row) for row in a.unpack().dbm]
             closed = _canonical(matrix)
             assert closed is not None
@@ -148,14 +147,12 @@ class TestClosureBitIdentity:
     def test_firable_and_windows_match(
         self, nets, name, reset_policy
     ):
-        def check(default, pure, spec, a, b, s):
+        def check(packed, spec, a, s):
             firable = spec.firable(s)
-            assert default.firable(a) == firable
-            assert pure.firable(b) == firable
+            assert packed.firable(a) == firable
             for t in s.enabled:
                 window = spec.fire_window(s, t)
-                assert default.fire_window(a, t) == window
-                assert pure.fire_window(b, t) == window
+                assert packed.fire_window(a, t) == window
                 if t in firable:
                     assert a.bounds_of(t) == s.bounds_of(t)
 
@@ -166,18 +163,27 @@ class TestClosureBitIdentity:
         "strict,partial_order",
         list(itertools.product((False, True), repeat=2)),
     )
-    def test_candidates_native_matches_pure(
+    def test_candidates_native_matches_spec(
         self, nets, reset_policy, strict, partial_order
     ):
         """The single-call C candidate path (filters + reduction +
-        ordering) is bit-identical to the pure enumeration."""
-
-        def check(default, pure, spec, a, b, s):
-            got = default.candidates(a, strict, partial_order)
-            want = pure.candidates(b, strict, partial_order)
-            assert got == want
+        ordering) is identical to the spec adapter's enumeration."""
+        config = SchedulerConfig(
+            engine="stateclass",
+            reset_policy=reset_policy,
+            priority_mode="strict" if strict else "ordered",
+            partial_order=partial_order,
+        )
 
         for name in ("fig4", "seeded", "wide-infeasible"):
+            adapter = StateClassSpecAdapter(nets[name], config)
+
+            def check(packed, spec, a, s):
+                stats = SearchStats()
+                want = adapter.candidates_of(s, stats)
+                got = packed.candidates(a, strict, partial_order)
+                assert got == (want, bool(stats.reductions))
+
             _walk(nets[name], reset_policy, check, limit=200)
 
 
@@ -186,16 +192,16 @@ class TestIncrementalHash:
     def test_hash_matches_from_scratch_recomputation(
         self, nets, reset_policy
     ):
-        """The XOR-maintained key equals a full Zobrist recompute on
-        every reachable class (collision-free bookkeeping).  ``hash()``
-        folds the raw key modulo 2**61 - 1 (CPython int hashing), so
-        the comparison pins the unfolded ``hash64``."""
+        """The XOR-maintained key equals a full Zobrist recompute
+        (``dc_hash``) on every reachable class (collision-free
+        bookkeeping).  ``hash()`` folds the raw key modulo 2**61 - 1
+        (CPython int hashing), so the comparison pins the unfolded
+        ``hash64``."""
 
-        def check(default, pure, spec, a, b, s):
-            mhash = default._mark_hash(a.marking)
-            full = mhash ^ default._dbm_hash(a.dbm, a.size)
+        def check(packed, spec, a, s):
+            mhash, full = packed.core.keys(a.marking, a.dbm, a.size)
+            assert a._mhash == mhash
             assert a.hash64 == full
-            assert b.hash64 == full
 
         _walk(nets["seeded"], reset_policy, check, limit=300)
 

@@ -3,10 +3,12 @@
 With the DBM engine's compiled core live, ``engine="stateclass"``
 searches run entirely inside the ``dc_search_*`` driver of
 :mod:`repro.tpn._dbmc` (see :meth:`repro.scheduler.core.SearchCore._drive`).
-:class:`~repro.scheduler.core.SearchCore`'s own loop over the pure
-:class:`~repro.tpn.dbm.DbmEngine` (``engine._core = None``) is the
-driver's executable spec, and this suite pins the two together — the
-dense twin of ``tests/test_kernel_driver.py``:
+:class:`~repro.scheduler.core.SearchCore`'s own loop over the tuple
+:class:`~repro.tpn.stateclass.StateClassEngine`
+(:class:`~repro.scheduler.core.StateClassSpecAdapter`, which
+``engine="stateclass"`` runs without the core) is the driver's
+executable spec, and this suite pins the two together — the dense twin
+of ``tests/test_kernel_driver.py``:
 
 * **settings matrix** — priority mode × ``partial_order`` × reset
   policy × reorder policy, on the paper models, wide-interval race
@@ -16,8 +18,9 @@ dense twin of ``tests/test_kernel_driver.py``:
   ``tick``/``heartbeat`` arguments;
 * **every search prefix** — ``max_states=k`` over every ``k`` of a
   small search and sampled ``k`` of the perfbench ``dense`` kind;
-* **loud overflow** — the same :class:`SchedulingError` text on both
-  paths;
+* **loud overflow** — the packed token cap raises the same
+  :class:`SchedulingError` text in the driver and in ``SearchCore``'s
+  loop over the per-step native engine (the spec has no caps);
 * **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
   a pending Ctrl-C stop within one poll interval, the driver's memory
   is freed on every exit path and ``tracemalloc`` sees it.
@@ -35,6 +38,7 @@ from repro.blocks import compose
 from repro.errors import SchedulingError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.config import PRIORITY_MODES
+from repro.scheduler.core import StateClassSpecAdapter
 from repro.spec import paper_examples
 from repro.tpn import _dbmc
 from repro.tpn._native import SEARCH_POLL, NativeSearch
@@ -56,7 +60,7 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _compiled_core(monkeypatch):
     """Run the driver even in the ``EZRT_PURE=1`` test lane: the spec
-    side drops the compiled core explicitly."""
+    side installs the spec adapter explicitly."""
     monkeypatch.delenv(_dbmc.PURE_ENV, raising=False)
 
 
@@ -118,13 +122,12 @@ def _config(setting, **extra):
 
 
 def _search(net, config, native, polled=True, tick=None):
-    """One search; returns (result, [("tick"|"heartbeat", args)])."""
+    """One search, on the native driver or on the tuple spec; returns
+    (result, [("tick"|"heartbeat", args)])."""
     scheduler = PreRuntimeScheduler(net, config)
-    engine = scheduler.adapter.engine
     if not native:
-        engine._core = None
-        engine.native = False
-    assert engine.native == native
+        scheduler.adapter = StateClassSpecAdapter(net, scheduler.config)
+    assert scheduler.adapter.native == native
     calls: list = []
     if polled:
         def log_tick(*args):
@@ -289,14 +292,26 @@ def _token_overflow_net():
 
 class TestOverflow:
     def test_same_error_on_both_paths(self):
+        """The driver and the per-step native engine hit the cap with
+        the same message."""
         net = _token_overflow_net()
         config = SchedulerConfig(engine="stateclass")
         errors = []
-        for native in (False, True):
+        for driven in (False, True):
+            scheduler = PreRuntimeScheduler(net, config)
+            if not driven:
+                scheduler.adapter.open_driver = lambda *_args: None
             with pytest.raises(SchedulingError, match="token cap") as info:
-                _search(net, config, native, polled=False)
+                scheduler.search()
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+    def test_the_spec_has_no_packed_caps(self):
+        config = SchedulerConfig(engine="stateclass", max_states=200)
+        result, _ = _search(
+            _token_overflow_net(), config, False, polled=False
+        )
+        assert result.exhausted and result.stats.states_visited == 200
 
 
 class _Spy:

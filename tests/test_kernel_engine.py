@@ -2,15 +2,18 @@
 
 ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
 
-* **Engine-level differential walks** — the kernel engine steps a
-  randomized firing walk in lockstep with the checked reference
-  :class:`~repro.tpn.state.StateEngine`; markings, clock vectors and
-  candidate windows must match at every step, under both clock-reset
-  policies, on the paper models and a seeded task-set grid.
-* **Native vs pure core** — the same walks run once with the compiled
-  core and once with ``EZRT_PURE=1``; the two cores must produce
-  bit-identical states *and* bit-identical incremental Zobrist keys
-  (which must also equal the from-scratch ``full_hash`` at every step).
+* **Engine-level differential walks** — the kernel engine (its
+  compiled core) steps a randomized firing walk in lockstep with the
+  checked reference :class:`~repro.tpn.state.StateEngine`; markings,
+  clock vectors and candidate windows must match at every step, and
+  the incremental Zobrist key must equal the from-scratch
+  ``full_hash``, under both clock-reset policies, on the paper models
+  and a seeded task-set grid.
+* **Native vs spec adapters** — the same walks compare the kernel
+  adapter's candidate pipeline (filters, partial-order reduction,
+  delay expansion) with the reference adapter's, which
+  ``engine="kernel"`` runs without the core (``EZRT_PURE=1``, or a net
+  the core cannot pack).
 * **Cross-engine search fuzz** — full scheduler searches across all
   three adapters on a seeded sweep: the two discrete engines must
   agree exactly (verdict, visited counts, schedules, deterministic
@@ -31,15 +34,28 @@ import pytest
 from repro.blocks import compose
 from repro.errors import SchedulingError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
+from repro.scheduler.core import (
+    KernelAdapter,
+    ReferenceAdapter,
+    make_adapter,
+)
 from repro.scheduler.parallel import ParallelScheduler
+from repro.scheduler.result import SearchStats
 from repro.spec import paper_examples
 from repro.tpn import _dbmc, _kernelc, _native
-from repro.tpn.kernel import DIS, MAX_CLOCK, KernelEngine, KernelState
+from repro.tpn.dbm import DbmEngine
+from repro.tpn.kernel import DIS, MAX_CLOCK, KernelEngine
+from repro.tpn.net import TimePetriNet
 from repro.tpn.state import DISABLED, StateEngine
 from repro.workloads import random_task_set
 
 RESETS = ("paper", "intermediate")
 DISCRETE_ENGINES = ("reference", "kernel")
+
+native_only = pytest.mark.skipif(
+    _kernelc.load() is None,
+    reason="the native core is not live (EZRT_PURE=1 or no compiler)",
+)
 
 WALK_STEPS = 60
 WALK_SEEDS = (0, 1, 2)
@@ -114,6 +130,7 @@ def _lockstep_walk(net, reset_policy, seed, kernel_engine):
     return WALK_STEPS
 
 
+@native_only
 class TestEngineDifferentialWalks:
     @pytest.mark.parametrize("reset_policy", RESETS)
     @pytest.mark.parametrize("seed", WALK_SEEDS)
@@ -125,62 +142,126 @@ class TestEngineDifferentialWalks:
             steps = _lockstep_walk(net, reset_policy, seed, engine)
             assert steps > 0, f"{name}: walk never started"
 
+
+#: adapter settings the native-vs-spec walks cover: (delay mode,
+#: priority mode, partial order)
+ADAPTER_SETTINGS = [
+    ("earliest", "ordered", True),
+    ("earliest", "strict", False),
+    ("extremes", "ordered", True),
+    ("full", "strict", True),
+]
+
+
+class TestNativeVsSpec:
+    """The kernel adapter and its spec, the reference adapter, agree
+    step by step; without the core ``engine="kernel"`` is the spec."""
+
+    @native_only
     @pytest.mark.parametrize("reset_policy", RESETS)
-    def test_pure_core_tracks_reference(
+    def test_identical_states_and_candidates(
+        self, paper_nets, reset_policy
+    ):
+        for setting in ADAPTER_SETTINGS:
+            delay_mode, priority_mode, partial_order = setting
+            config = SchedulerConfig(
+                reset_policy=reset_policy,
+                delay_mode=delay_mode,
+                priority_mode=priority_mode,
+                partial_order=partial_order,
+            )
+            for name, net in _walk_nets(paper_nets):
+                native = KernelAdapter(net, config)
+                spec = ReferenceAdapter(net, config)
+                a, b = native.root(), spec.root()
+                stats_a, stats_b = SearchStats(), SearchStats()
+                rng = random.Random(17)
+                for step in range(WALK_STEPS):
+                    where = (setting, name, step)
+                    assert a.to_state() == b, where
+                    assert a._hash == native.engine.full_hash(
+                        a.marking, a.clk
+                    ), where
+                    ca = native.candidates_of(a, stats_a)
+                    cb = spec.candidates_of(b, stats_b)
+                    assert ca == cb, where
+                    assert stats_a.reductions == stats_b.reductions
+                    if not ca:
+                        break
+                    t, q = rng.choice(ca)
+                    b = spec.successor(b, t, q)
+                    try:
+                        a = native.successor(a, t, q)
+                    except SchedulingError:
+                        # a packed cap: the spec has none
+                        assert max(b.marking) > 0xFFFF or max(
+                            v for v in b.clocks if v != DISABLED
+                        ) > MAX_CLOCK
+                        break
+
+    @pytest.mark.parametrize("reset_policy", RESETS)
+    def test_pure_env_runs_the_reference(
         self, paper_nets, reset_policy, monkeypatch
     ):
         monkeypatch.setenv(_kernelc.PURE_ENV, "1")
+        config = SchedulerConfig(reset_policy=reset_policy)
         for name, net in _walk_nets(paper_nets):
-            engine = KernelEngine(net, reset_policy=reset_policy)
-            assert not engine.native
-            steps = _lockstep_walk(net, reset_policy, 0, engine)
-            assert steps > 0, f"{name}: walk never started"
-
-
-class TestNativeVsPure:
-    """The two cores are locked together bit for bit."""
-
-    @pytest.mark.parametrize("reset_policy", RESETS)
-    def test_identical_states_and_hashes(
-        self, paper_nets, reset_policy, monkeypatch
-    ):
-        for name, net in _walk_nets(paper_nets):
-            native = KernelEngine(net, reset_policy=reset_policy)
-            monkeypatch.setenv(_kernelc.PURE_ENV, "1")
-            pure = KernelEngine(net, reset_policy=reset_policy)
-            monkeypatch.delenv(_kernelc.PURE_ENV)
-            assert not pure.native
-            a, b = native.initial(), pure.initial()
-            rng = random.Random(17)
-            for step in range(WALK_STEPS):
-                assert a.marking == b.marking, (name, step)
-                assert a.clk == b.clk, (name, step)
-                assert a._hash == b._hash, (name, step)
-                ca = native.candidates(a, False, True)
-                cb = pure.candidates(b, False, True)
-                assert ca == cb, (name, step)
-                assert native.window(a) == pure.window(b), (name, step)
-                cands = ca[0]
-                if not cands:
-                    break
-                t, q = rng.choice(cands)
-                try:
-                    a = native.successor(a, t, q)
-                except SchedulingError:
-                    with pytest.raises(SchedulingError):
-                        pure.successor(b, t, q)
-                    break
-                b = pure.successor(b, t, q)
+            adapter = make_adapter("kernel", net, config)
+            assert type(adapter) is ReferenceAdapter, name
+            assert adapter.name == "kernel" and not adapter.native
+            assert adapter.root() == StateEngine(
+                net, reset_policy=reset_policy
+            ).initial_state()
 
     def test_native_core_builds_here(self):
         """CI builds the extension eagerly; this test documents
-        whether this environment exercises the compiled or the pure
+        whether this environment exercises the compiled or the spec
         path (it fails only when a build was attempted and died)."""
         module = _kernelc.load()
         if module is None and _kernelc.LOAD_ERROR is not None:
             pytest.skip(
                 f"native core unavailable: {_kernelc.LOAD_ERROR}"
             )
+
+
+class TestNetsTheCoreCannotPack:
+    """A net with no transitions (or no places) has no packed form: the
+    native engines run it on their specs even with the core built."""
+
+    @staticmethod
+    def _net(feasible: bool):
+        net = TimePetriNet("one-place")
+        net.add_place("p", marking=1)
+        net.set_final_marking({"p": 1 if feasible else 2})
+        return net.compile()
+
+    @pytest.mark.parametrize("feasible", (True, False))
+    @pytest.mark.parametrize("engine", ("kernel", "stateclass"))
+    def test_routes_to_the_spec(self, monkeypatch, engine, feasible):
+        monkeypatch.delenv(_native.PURE_ENV, raising=False)
+        if _native.CORE.load() is None:
+            pytest.skip("the native core cannot be built here")
+        net = self._net(feasible)
+        result = PreRuntimeScheduler(
+            net, SchedulerConfig(engine=engine)
+        ).search()
+        reference = PreRuntimeScheduler(
+            net, SchedulerConfig(engine="reference")
+        ).search()
+        assert result.feasible == reference.feasible == feasible
+        assert result.exhausted == reference.exhausted
+        gauge = "kernel.native_core" if engine == "kernel" else (
+            "dbm.native_core"
+        )
+        assert result.metrics["gauges"][gauge] == 0.0
+
+    @pytest.mark.parametrize("engine", (KernelEngine, DbmEngine))
+    def test_the_packed_engines_refuse_it(self, monkeypatch, engine):
+        monkeypatch.delenv(_native.PURE_ENV, raising=False)
+        if _native.CORE.load() is None:
+            pytest.skip("the native core cannot be built here")
+        with pytest.raises(SchedulingError, match="cannot run this net"):
+            engine(self._net(True))
 
 
 class TestOneExtension:
@@ -357,6 +438,7 @@ class TestSchedulerIntegration:
         assert result.feasible
         assert result.winner_engine in ("kernel", "reference")
 
+@native_only
 class TestPackedRepresentation:
     def test_lift_matches_reference_state(self, paper_nets):
         net = paper_nets["fig4"]

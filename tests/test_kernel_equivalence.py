@@ -5,26 +5,25 @@ observationally identical to the checked reference
 :class:`~repro.tpn.state.StateEngine` — same successors, same fireable
 sets and firing domains, same visited-state counts and feasibility
 verdicts — across both clock-reset policies and all three delay modes.
-Both of its cores are held to that contract: the compiled core (with
-its native search driver) and the pure-Python core that is the
-driver's executable spec and the ``EZRT_PURE=1`` path.
 
-* **engine level** — on hypothesis-drawn nets (arc weights, priorities
-  and markings the task-set compiler never produces) both cores agree
-  with the reference on every reachable state, and the incrementally
-  maintained Zobrist key never drifts from the from-scratch
-  :meth:`~repro.tpn.kernel.KernelEngine.full_hash`;
+* **engine level** (native core only) — on hypothesis-drawn nets (arc
+  weights, priorities and markings the task-set compiler never
+  produces) the kernel's compiled core agrees with the reference on
+  every reachable state, under each reset policy, and the
+  incrementally maintained Zobrist key never drifts from the
+  from-scratch :meth:`~repro.tpn.kernel.KernelEngine.full_hash`;
 * **search level** — seeded task sets under every delay mode, priority
   mode, partial-order setting and reset policy, the paper models and
   an infeasible set give the same verdict, schedule and deterministic
-  counters on the reference, the native driver and the pure core.
+  counters on the reference, on ``engine="kernel"`` (the native driver
+  when the core is built) and on ``engine="kernel"`` under
+  ``EZRT_PURE=1`` (routed to the reference spec).
 """
 
 import random
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.blocks import compose
 from repro.scheduler import SchedulerConfig, PreRuntimeScheduler
@@ -35,15 +34,12 @@ from repro.workloads import random_task_set
 
 from test_net import bounded_nets
 
-CORES = ("native", "pure")
+RESETS = ("paper", "intermediate")
 
-
-def _kernel(compiled, policy, core):
-    engine = KernelEngine(compiled, reset_policy=policy)
-    if core == "pure":
-        engine._core = None
-        engine.native = False
-    return engine
+native_only = pytest.mark.skipif(
+    _kernelc.load() is None,
+    reason="the native core is not live (EZRT_PURE=1 or no compiler)",
+)
 
 
 def _walk_states(compiled, reset_policy, max_states=80):
@@ -72,16 +68,17 @@ def _assert_key_consistent(engine, ks):
     assert ks._hash == engine.full_hash(ks.marking, ks.clk)
 
 
+@native_only
 class TestEngineEquivalence:
-    @pytest.mark.parametrize("core", CORES)
-    @given(bounded_nets(), st.sampled_from(["paper", "intermediate"]))
+    @pytest.mark.parametrize("policy", RESETS)
+    @given(bounded_nets())
     @settings(max_examples=40, deadline=None)
-    def test_successors_and_fireable_agree(self, core, net, policy):
+    def test_successors_and_fireable_agree(self, policy, net):
         """On every reachable state the kernel and the reference agree
         on FT(s), the firing domains, and every successor state."""
         compiled = net.compile()
         reference = StateEngine(compiled, reset_policy=policy)
-        kernel = _kernel(compiled, policy, core)
+        kernel = KernelEngine(compiled, reset_policy=policy)
         for state in _walk_states(compiled, policy):
             ks = kernel.lift(state)
             _assert_key_consistent(kernel, ks)
@@ -105,16 +102,14 @@ class TestEngineEquivalence:
                     assert succ.to_state() == ref_succ
                     _assert_key_consistent(kernel, succ)
 
-    @pytest.mark.parametrize("core", CORES)
-    @given(bounded_nets(), st.sampled_from(["paper", "intermediate"]))
+    @pytest.mark.parametrize("policy", RESETS)
+    @given(bounded_nets())
     @settings(max_examples=25, deadline=None)
-    def test_chained_successors_keep_key_consistent(
-        self, core, net, policy
-    ):
+    def test_chained_successors_keep_key_consistent(self, policy, net):
         """Deep random runs: the incrementally maintained key never
         drifts from its definition (XOR updates vs full rescan)."""
         compiled = net.compile()
-        kernel = _kernel(compiled, policy, core)
+        kernel = KernelEngine(compiled, reset_policy=policy)
         rng = random.Random(17)
         ks = kernel.initial()
         for _ in range(40):
@@ -126,24 +121,23 @@ class TestEngineEquivalence:
             ks = kernel.successor(ks, t, q)
             _assert_key_consistent(kernel, ks)
 
-    def test_initial_matches_reference(self, simple_net):
+    @pytest.mark.parametrize("policy", RESETS)
+    def test_initial_matches_reference(self, simple_net, policy):
         compiled = simple_net.compile()
-        s0 = StateEngine(compiled).initial_state()
-        native = _kernel(compiled, "paper", "native")
-        pure = _kernel(compiled, "paper", "pure")
-        for kernel in (native, pure):
-            ks = kernel.initial()
-            assert ks.to_state() == s0
-            assert kernel.lift(s0) == ks
-            assert hash(kernel.lift(s0)) == hash(ks)
-        assert hash(native.initial()) == hash(pure.initial())
+        s0 = StateEngine(compiled, reset_policy=policy).initial_state()
+        kernel = KernelEngine(compiled, reset_policy=policy)
+        ks = kernel.initial()
+        assert ks.to_state() == s0
+        assert kernel.lift(s0) == ks
+        assert hash(kernel.lift(s0)) == hash(ks)
+        assert ks._hash == kernel.full_hash(ks.marking, ks.clk)
 
 
 SEARCH_SEEDS = (1, 2, 3, 4, 5, 6)
 
 
 class TestSchedulerEquivalence:
-    """The search over either kernel core is the reference search."""
+    """``engine="kernel"`` on either path is the reference search."""
 
     @pytest.mark.parametrize("seed", SEARCH_SEEDS)
     @pytest.mark.parametrize(
@@ -220,7 +214,8 @@ class TestSchedulerEquivalence:
             runs.append(
                 PreRuntimeScheduler(net, config, engine="kernel")
             )
-        assert not runs[1].adapter.engine.native
+        assert not runs[1].adapter.native
+        assert runs[1].adapter.name == "kernel"
         ref_stats = ref.stats.as_dict()
         for key in ref.stats.WALL_CLOCK_KEYS:
             ref_stats.pop(key)

@@ -161,8 +161,7 @@ def _spec_dates(net, sequence, reset):
 
 def _assert_realize_matches(net, sequence, reset):
     engine = DbmEngine(net, reset_policy=reset)
-    assert engine.native
-    dates = engine._core.realize(
+    dates = engine.core.realize(
         net.m0, sequence, 1 if reset == "intermediate" else 0
     )
     assert dates == _spec_dates(net, sequence, reset)
@@ -216,7 +215,7 @@ class TestConcretisation:
 
     def _same_error(self, net, sequence, reset="paper"):
         engine = DbmEngine(net, reset_policy=reset)
-        assert engine._core.realize(net.m0, sequence, 0) is None
+        assert engine.core.realize(net.m0, sequence, 0) is None
         with pytest.raises(SchedulingError) as spec:
             realize_firing_sequence(net, sequence, reset)
         with pytest.raises(SchedulingError) as native:
@@ -408,6 +407,39 @@ class TestReplay:
         validate_with_reference(
             net, SchedulerConfig(), result.firing_schedule
         )
+
+    def test_the_dense_finish_replays_on_the_search_net(
+        self, nets, monkeypatch
+    ):
+        """A dense search packs its net once: the replay runs on the
+        engine's own :class:`NativeNet`, and its verdict is the one a
+        freshly packed net gives."""
+        net = nets["fig8"]
+        scheduler = PreRuntimeScheduler(
+            net, SchedulerConfig(engine="stateclass")
+        )
+        calls = []
+        replay = scheduler_core.native_replay
+
+        def recording(*args):
+            verdict = replay(*args)
+            calls.append((args[3], verdict))
+            return verdict
+
+        monkeypatch.setattr(scheduler_core, "native_replay", recording)
+        packs = []
+        init = _native.NativeNet.__init__
+
+        def counting_init(native, *args):
+            packs.append(args)
+            init(native, *args)
+
+        monkeypatch.setattr(_native.NativeNet, "__init__", counting_init)
+        result = scheduler.search()
+        assert result.feasible
+        assert calls == [(scheduler.adapter.engine.core, True)]
+        assert packs == []  # nothing packed after the engine's own net
+        assert replay(net, False, result.firing_schedule) is True
 
     def test_a_false_rejection_is_a_disagreement(self, nets, monkeypatch):
         net = nets["fig8"]

@@ -296,6 +296,35 @@ class TestChromeTrace:
         names = {e["name"] for e in read_events(jsonl)}
         assert {"concretisation", "reference-replay"} <= names
 
+    @pytest.mark.parametrize("pure", [False, True])
+    @pytest.mark.parametrize("engine", ["kernel", "stateclass"])
+    def test_trace_says_which_path_ran(
+        self, tmp_path, monkeypatch, engine, pure
+    ):
+        """The core instant and gauge say whether the native driver or
+        the executable spec ran; the search span names the requested
+        engine either way."""
+        if pure:
+            monkeypatch.setenv(_dbmc.PURE_ENV, "1")
+        else:
+            monkeypatch.delenv(_dbmc.PURE_ENV, raising=False)
+            if _dbmc.native_module() is None:
+                pytest.skip("the native core cannot be built here")
+        jsonl = str(tmp_path / "events.jsonl")
+        result = find_schedule(
+            compose(paper_examples()["fig3"]),
+            SchedulerConfig(engine=engine, trace_jsonl=jsonl),
+        )
+        assert result.feasible
+        events = read_events(jsonl)
+        core = "kernel" if engine == "kernel" else "dbm"
+        instant = next(e for e in events if e["name"] == f"{core}-core")
+        assert instant["args"]["native"] is not pure
+        gauge = result.metrics["gauges"][f"{core}.native_core"]
+        assert gauge == (0.0 if pure else 1.0)
+        search_span = next(e for e in events if e["name"] == "search")
+        assert search_span["args"]["engine"] == engine
+
     def test_traced_stateclass_driver_search(self, tmp_path, monkeypatch):
         """A dense search run by the DBM core's C driver reports the
         aggregate phase spans from the driver's timers and the

@@ -30,8 +30,8 @@ from repro.scheduler import (
     parse_policy,
     validate_with_reference,
 )
+from repro.scheduler.core import make_adapter
 from repro.spec import paper_examples
-from repro.tpn.kernel import KernelEngine
 from repro.workloads import random_task_set
 
 
@@ -120,12 +120,15 @@ class TestCompiledNetPickle:
         clone = pickle.loads(pickle.dumps(net))
         assert clone.source is None
         assert clone.transition_names == net.transition_names
-        result = find_schedule(model, SchedulerConfig())
-        engine = KernelEngine(clone)
-        state = engine.initial()
+        config = SchedulerConfig()
+        result = find_schedule(model, config)
+        # the default engine's adapter: the kernel with the native
+        # core, its reference spec without
+        adapter = make_adapter(config.engine, clone, config)
+        state = adapter.root()
         index = clone.transition_index
         for name, delay, _at in result.firing_schedule:
-            state = engine.successor(state, index[name], delay)
+            state = adapter.successor(state, index[name], delay)
         assert clone.is_final(state.marking)
 
     def test_pickle_is_smaller_without_source(self):

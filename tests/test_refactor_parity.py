@@ -23,10 +23,11 @@ suite pins it:
 
 ISSUE 7 added the packed ``kernel`` adapter; as a discrete engine it
 is pinned to the *same* pre-refactor expectations as the reference
-adapter on every workload (its deeper native-vs-pure and fuzzing
-coverage lives in ``tests/test_kernel_engine.py``).  The kernel meets
-the pins twice: through its native search driver and on its pure-Python
-core, the driver's executable spec and the ``EZRT_PURE=1`` path.
+adapter on every workload (its deeper native-vs-spec and fuzzing
+coverage lives in ``tests/test_kernel_engine.py``).  The kernel and
+stateclass engines meet the pins twice: through their native search
+drivers and, under ``EZRT_PURE=1``, on the executable specs
+``make_adapter`` routes them to without the core.
 """
 
 from __future__ import annotations
@@ -130,16 +131,18 @@ def _run(net, engine, reset_policy, **config_kwargs):
     return PreRuntimeScheduler(net, config).search()
 
 
-def _run_pure_kernel(monkeypatch, net, reset_policy, **config_kwargs):
-    """The kernel search on its pure-Python core (``EZRT_PURE=1``):
-    ``SearchCore`` over the per-step engine, the native driver's
-    executable spec."""
+def _run_pure(
+    monkeypatch, net, reset_policy, engine="kernel", **config_kwargs
+):
+    """An ``engine`` search with ``EZRT_PURE=1``: ``SearchCore`` over
+    the engine's executable spec, the native driver's fallback."""
     monkeypatch.setenv(_kernelc.PURE_ENV, "1")
     config = SchedulerConfig(
-        reset_policy=reset_policy, engine="kernel", **config_kwargs
+        reset_policy=reset_policy, engine=engine, **config_kwargs
     )
     scheduler = PreRuntimeScheduler(net, config)
-    assert not scheduler.adapter.engine.native
+    assert not scheduler.adapter.native
+    assert scheduler.adapter.name == engine
     return scheduler.search()
 
 
@@ -202,9 +205,9 @@ class TestPaperModelPins:
     def test_kernel_pins_hold_on_pure_fallback(
         self, paper_nets, monkeypatch, model, reset_policy
     ):
-        """The kernel's pure core (the native driver's executable
-        spec) meets the same pre-refactor pins as the driver."""
-        result = _run_pure_kernel(
+        """``engine="kernel"`` on its spec fallback (the reference
+        engine) meets the same pre-refactor pins as the driver."""
+        result = _run_pure(
             monkeypatch, paper_nets[model], reset_policy
         )
         assert _paper_outcome(result) == PAPER_PIN[(model, "kernel")], (
@@ -217,19 +220,14 @@ class TestPaperModelPins:
         "model", ("fig3", "fig4", "fig8", "mine-pump")
     )
     def test_stateclass_pins_hold_on_pure_fallback(
-        self, paper_nets, model, reset_policy
+        self, paper_nets, monkeypatch, model, reset_policy
     ):
-        """ISSUE 10 moved the dense-time adapter onto the packed
-        :class:`repro.tpn.dbm.DbmEngine`; the pre-refactor stateclass
-        pins must hold on its pure-Python fallback exactly as they do
-        on the compiled core (the EZRT_PURE=1 CI lane)."""
-        config = SchedulerConfig(
-            reset_policy=reset_policy, engine="stateclass"
+        """The pre-refactor stateclass pins hold on the spec fallback
+        (the tuple :class:`repro.tpn.stateclass.StateClassEngine`)
+        exactly as they do on the native driver."""
+        result = _run_pure(
+            monkeypatch, paper_nets[model], reset_policy, "stateclass"
         )
-        scheduler = PreRuntimeScheduler(paper_nets[model], config)
-        scheduler.adapter.engine._core = None
-        scheduler.adapter.engine.native = False
-        result = scheduler.search()
         assert _paper_outcome(result) == PAPER_PIN[(model, "stateclass")], (
             f"{model}/stateclass/{reset_policy} pure fallback "
             "diverged from the pre-refactor loop"
@@ -282,7 +280,7 @@ class TestSeededGridPins:
         net = compose(
             random_task_set(n, u, seed=seed, deadline_slack=0.8)
         ).compiled()
-        result = _run_pure_kernel(
+        result = _run_pure(
             monkeypatch, net, reset_policy, max_states=200_000
         )
         assert _grid_outcome(result) == GRID_PIN[(case, "kernel")], (
@@ -304,7 +302,7 @@ class TestSeededGridPins:
         self, monkeypatch, feasible, reset_policy
     ):
         net = wide_interval_job_net(feasible=feasible).compile()
-        result = _run_pure_kernel(monkeypatch, net, reset_policy)
+        result = _run_pure(monkeypatch, net, reset_policy)
         assert _grid_outcome(result) == WIDE_PIN[(feasible, "kernel")]
 
 

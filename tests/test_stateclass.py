@@ -22,7 +22,6 @@ from repro.tpn import (
     build_state_class_graph,
     explore,
 )
-from repro.tpn.dbm import DbmEngine
 from repro.tpn.interval import INF
 from repro.tpn.stateclass import _sequence_constraints
 from repro.workloads import random_task_set, random_task_set_with_relations
@@ -323,7 +322,7 @@ def _constraint_nets():
 def _class_path(net, reset_policy, seed, length=400):
     """A seeded random walk through the state-class graph."""
     rng = random.Random(seed)
-    engine = DbmEngine(net, reset_policy=reset_policy)
+    engine = StateClassEngine(net, reset_policy=reset_policy)
     cls = engine.initial_class()
     path = []
     for _ in range(length):
@@ -359,7 +358,7 @@ class TestSequenceConstraints:
     def test_disabled_firing_raises_the_same_error(self, reset_policy):
         net = compose(paper_examples()["fig4"]).compiled()
         path = _class_path(net, reset_policy, seed=0, length=12)
-        engine = DbmEngine(net, reset_policy=reset_policy)
+        engine = StateClassEngine(net, reset_policy=reset_policy)
         cls = engine.initial_class()
         for t in path:
             cls = engine.fire(cls, t)
