@@ -61,6 +61,11 @@ interleaved, each workload takes the minimum of :data:`ROUNDS`
 rounds with the collector paused, so host noise hits all engines
 alike.
 
+Each row also records the driver's ``driver_bytes_per_class`` (its
+``search.bytes_per_state`` gauge: key, record, arena bytes and table
+slots per visited class, at their grown capacities) beside the times,
+and each aggregate the state-weighted mean; no gate reads them.
+
 Results are written to ``BENCH_dbm.json`` at the repository root;
 CI builds the extension eagerly, runs this bench as a gate and uploads
 the JSON as an artifact.
@@ -299,6 +304,11 @@ def _run_suite():
             "speedup_vs_legacy": best["legacy"] / best["packed"],
             "driver_states_per_sec": visited / best["driver"],
             "driver_vs_packed": best["packed"] / best["driver"],
+            # the driver's visited-class memory: key, record, arena
+            # bytes and table slots at their grown capacities
+            "driver_bytes_per_class": results["driver"].metrics[
+                "gauges"
+            ]["search.bytes_per_state"],
         }
         for engine in ENGINES:
             row[f"{engine}_seconds"] = best[engine]
@@ -326,6 +336,11 @@ def _aggregate(rows, family=None):
         "driver_states_per_sec": states / seconds["driver"],
         "speedup_vs_legacy": seconds["legacy"] / seconds["packed"],
         "driver_vs_packed": seconds["packed"] / seconds["driver"],
+        "driver_bytes_per_class": sum(
+            r["driver_bytes_per_class"] * r["states_visited"]
+            for r in picked
+        )
+        / states,
     }
 
 
@@ -448,7 +463,8 @@ def test_dbm_throughput(report):
         "wide aggregate search driver vs Python loop",
         f">= {DRIVER_TARGET_SPEEDUP}",
         f"{wide['driver_vs_packed']:.2f}x "
-        f"({wide['driver_states_per_sec']:,.0f} states/sec)",
+        f"({wide['driver_states_per_sec']:,.0f} states/sec, "
+        f"{wide['driver_bytes_per_class']:,.0f} B/class)",
     )
     report(
         "DB1",
@@ -510,6 +526,7 @@ def test_json_artifact_shape():
         assert row["packed_states_per_sec"] > 0
         assert row["driver_states_per_sec"] > 0
         assert row["states_visited"] > 0
+        assert row["driver_bytes_per_class"] > 0
         assert ("finish_ms" in row) == row["feasible"]
     assert set(entry["aggregates"]) == {"paper", "wide", "all"}
     assert any(row["feasible"] for row in entry["rows"])

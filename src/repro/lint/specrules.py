@@ -348,9 +348,10 @@ def dbm_bound_diagnostics(
     """EZT204 (spec level): timing magnitudes near the DBM bound cap.
 
     The packed DBM core of the dense-time state-class engine stores
-    difference bounds in native 64-bit words with
+    difference bounds in 32-bit words with
     :data:`repro.tpn.dbm.MAX_BOUND` as the static-interval cap — the
-    headroom that keeps closure sums provably below the ``DINF``
+    cap under which every canonical bound provably lies within
+    ``±MAX_BOUND`` and every closure sum clear of the ``DINF``
     sentinel.  Every compiled transition interval is built from task
     timings (phases, deadlines, periods) and message transfer times,
     so a spec field past the cap compiles into an interval the

@@ -465,7 +465,7 @@ class StateClassAdapter(_AdapterBase):
     A state is a Berthomieu–Diaz class, so one search edge covers
     *every* dense firing delay of a transition; candidate delays are
     the dense lower bounds (used for ordering only).  Classes are
-    packed flat buffers with precomputed fused Zobrist keys
+    packed flat buffers with precomputed 64-bit keys
     (:class:`repro.tpn.dbm.PackedClass`); the whole firing rule and
     the whole candidate pipeline — firability column scans, miss and
     strict-priority filters, the dense forced-immediate reduction and

@@ -6,10 +6,11 @@ side of :mod:`repro.tpn.dbm` owns.  Two entry points carry the whole
 dense-time hot path, and ``dc_hash`` keys a class from scratch (the
 root of a search):
 
-* ``dc_fire`` — the firability column scan, the O(n²) incremental
-  closure repair, the marking update, the enabledness rescan, the
-  persistence projection (both reset policies) and the fused Zobrist
-  hash, in one call;
+* ``dc_fire`` — the firability column scan, the marking update, the
+  enabled-list merge over the fired transition's affected set, the
+  O(n²) incremental closure repair fused with the persistence
+  projection (both reset policies: each persistent bound is written
+  once, already closed) and the class key, in one call;
 * ``dc_candidates`` — per-variable firability scans, the deadline-miss
   and strict-priority filters, the dense forced-immediate
   partial-order reduction and the ``(lower, priority, index)``
@@ -18,9 +19,9 @@ root of a search):
 The DBM's half of the search driver plugs the two into the shared
 ``ez_search_*`` loop: ``dc_search_new`` roots a search, and the
 ``dc_ops`` table adds the min-laxity key and the class records (a
-byte arena of closed bounds, enabled list and marking per class,
-confirmed on the marking and bound-matrix bytes when the fused
-Zobrist keys match; see ``docs/scheduling.md``, "The native core").
+byte arena of int32 closed bounds, enabled list and marking per class,
+confirmed on the marking and bound-matrix bytes when the keys match;
+see ``docs/scheduling.md``, "The native core").
 
 A third entry point finishes a feasible search: ``dc_realize``
 concretises a class path to its earliest and latest integer firing
@@ -43,20 +44,20 @@ from repro.tpn._native import CORE, PURE_ENV  # noqa: F401 - re-exported
 # The DBM engine's foreign function surface.
 CDEF = """
 void dc_hash(const ez_net *net, const uint16_t *mark, int32_t size,
-             const int64_t *dbm, uint64_t *hash_out);
+             const int32_t *dbm, uint64_t *hash_out);
 int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
                 const int32_t *old_enabled, int32_t k,
-                const int64_t *old_dbm, int32_t t,
+                const int32_t *old_dbm, int32_t t,
                 int32_t intermediate, uint16_t *mark,
-                int32_t *out_enabled, int64_t *out_dbm,
+                int32_t *out_enabled, int32_t *out_dbm,
                 uint64_t *hash_io);
 int32_t dc_candidates(const ez_net *net, const int32_t *enabled,
-                      int32_t k, const int64_t *dbm, int32_t strict,
+                      int32_t k, const int32_t *dbm, int32_t strict,
                       int32_t partial_order, int32_t *out,
                       int32_t *reduced);
 ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
                          const int32_t *enabled0, int32_t k0,
-                         const int64_t *dbm0, uint64_t mhash0,
+                         const int32_t *dbm0, uint64_t mhash0,
                          uint64_t key0, int32_t options,
                          int64_t max_states, ez_counters *counters);
 int32_t dc_realize(const ez_net *net, const uint16_t *m0,
@@ -69,72 +70,105 @@ int32_t dc_realize(const ez_net *net, const uint16_t *m0,
 # specification of repro.tpn.stateclass; the two are locked together
 # class by class by the differential suite in tests/test_dbm.py, and
 # the driver is locked to SearchCore over the specification by
-# tests/test_dbm_driver.py.  DC_INF (1 << 62) is the unbounded-bound
-# sentinel; flag bit 1 (immediate) is unused here.
+# tests/test_dbm_driver.py.  Bounds are int32 (DC_INF = INT32_MAX is
+# the unbounded sentinel, repro.tpn.dbm.DINF; every finite canonical
+# bound lies in [-MAX_BOUND, MAX_BOUND], see repro.tpn.dbm.MAX_BOUND)
+# and closure sums are int64; flag bit 1 (immediate) is unused here.
 SOURCE = r"""
-#define DC_INF ((int64_t)1 << 62)
+#define DC_INF INT32_MAX
+/* DC_INF's stand-in inside int64 closure sums: any finite bound
+ * (|b| <= MAX_BOUND = 2^30) added to it stays above DC_INF, so a
+ * `min` against a stored bound needs no branch. */
+#define DC_FAR ((int64_t)1 << 40)
 
-/* Zobrist word of bound-matrix cell (i, j) holding bound b: a double
- * mix folds the full signed 64-bit bound in (through its (uint64_t)
- * two's-complement image). */
-static uint64_t dc_zd(int32_t i, int32_t j, int64_t b)
+/* One lane step of the bound-matrix hash (the xxh64 round). */
+static inline uint64_t dc_lane(uint64_t h, uint64_t w)
 {
-    uint64_t ij = ((uint64_t)(uint32_t)i << 11) |
-                  (uint64_t)(uint32_t)j;
-    return ez_mix(ez_mix(((uint64_t)3 << 62) ^ ij) ^ (uint64_t)b);
+    h += w * 0xC2B2AE3D27D4EB4FULL;
+    h = (h << 31) | (h >> 33);
+    return h * 0x9E3779B185EBCA87ULL;
 }
 
-/* The fused Zobrist key of a class from scratch: `hash_out[0]`
- * receives the marking hash and `hash_out[1]` the bound-matrix hash,
- * the two words dc_fire maintains (the key is their XOR).  Hidden:
- * only this unit's cffi wrapper calls it, so it takes no PLT slot and
- * leaves the kernel's code at the addresses it had without it (the
- * kernel driver's speed is sensitive to that layout). */
+/* The bound-matrix part of a class key: a four-lane word stream over
+ * the matrix bytes, 8 bytes per lane step, folded by ez_mix.  dc_fire
+ * and dc_hash both key through it; a key match is confirmed on the
+ * bytes, so its collisions cost a compare, never a wrong tag. */
+static uint64_t dc_bounds_hash(const int32_t *dbm, size_t cells)
+{
+    const unsigned char *p = (const unsigned char *)dbm;
+    size_t n = cells * sizeof(int32_t), i = 0;
+    uint64_t a = 0x60EA27EEADC0B5D6ULL, b = 0xC2B2AE3D27D4EB4FULL;
+    uint64_t c = 0x165667B19E3779F9ULL, d = 0x27D4EB2F165667C5ULL;
+    uint64_t w, h;
+    for (; i + 32 <= n; i += 32) {
+        memcpy(&w, p + i, 8);
+        a = dc_lane(a, w);
+        memcpy(&w, p + i + 8, 8);
+        b = dc_lane(b, w);
+        memcpy(&w, p + i + 16, 8);
+        c = dc_lane(c, w);
+        memcpy(&w, p + i + 24, 8);
+        d = dc_lane(d, w);
+    }
+    for (; i + 8 <= n; i += 8) {
+        memcpy(&w, p + i, 8);
+        a = dc_lane(a, w);
+    }
+    if (i < n) {
+        uint32_t tail;
+        memcpy(&tail, p + i, 4);
+        b = dc_lane(b, tail);
+    }
+    h = ((a << 1) | (a >> 63)) + ((b << 7) | (b >> 57)) +
+        ((c << 12) | (c >> 52)) + ((d << 18) | (d >> 46));
+    return ez_mix(h ^ (uint64_t)n);
+}
+
+/* The key of a class from scratch: `hash_out[0]` receives the
+ * marking hash and `hash_out[1]` the bound-matrix hash, the two words
+ * dc_fire yields (the key is their XOR).  Hidden: only this unit's
+ * cffi wrapper calls it, so it takes no PLT slot and leaves the
+ * kernel's code at the addresses it had without it (the kernel
+ * driver's speed is sensitive to that layout). */
 #if defined(__GNUC__)
 __attribute__((visibility("hidden")))
 #endif
 void dc_hash(const ez_net *net, const uint16_t *mark, int32_t size,
-             const int64_t *dbm, uint64_t *hash_out)
+             const int32_t *dbm, uint64_t *hash_out)
 {
     uint64_t h = 0;
-    int32_t i, j, idx = 0;
+    int32_t i;
     for (i = 0; i < net->P; i++)
         h ^= ez_zm(i, mark[i]);
     hash_out[0] = h;
-    h = 0;
-    for (i = 0; i < size; i++) {
-        for (j = 0; j < size; j++, idx++)
-            h ^= dc_zd(i, j, dbm[idx]);
-    }
-    hash_out[1] = h;
+    hash_out[1] = dc_bounds_hash(dbm, (size_t)size * (size_t)size);
 }
 
-/* The dense-time firing rule: firability column scan, incremental
- * closure repair, marking delta, enabledness rescan, persistence
- * projection and the fused hash — one call per successor class.
+/* The dense-time firing rule: firability column scan, marking delta,
+ * enabled-list merge, then the successor matrix written down already
+ * closed — the closure repair fused with the persistence projection —
+ * and its key, in one call per successor class.
  *
  * `mark` arrives as a copy of `old_mark` and is mutated in place;
  * `hash_io[0]` carries the marking hash in and out (maintained
- * incrementally), `hash_io[1]` receives the fused bound-matrix hash.
+ * incrementally), `hash_io[1]` receives the bound-matrix hash.
  * Returns the new enabled count (>= 0), -1 when `t` is not enabled
  * or not firable, -2 on token overflow (> 0xFFFF in a place). */
 int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
                 const int32_t *old_enabled, int32_t k,
-                const int64_t *old_dbm, int32_t t,
+                const int32_t *old_dbm, int32_t t,
                 int32_t intermediate, uint16_t *mark,
-                int32_t *out_enabled, int64_t *out_dbm,
+                int32_t *out_enabled, int32_t *out_dbm,
                 uint64_t *hash_io)
 {
-    int32_t size = k + 1;
-    int32_t var_t = 0, i, j, u, k2 = 0, new_size, n_new = 0;
-    int64_t *closed = net->closed;
-    int64_t *col_t = net->col;
-    int64_t *row_t, *fresh;
+    size_t size = (size_t)(uint32_t)k + 1, new_size, i, j;
+    int32_t *row_t = net->row;
+    int32_t var_t = 0, u, k2 = 0, n_new = 0;
     uint64_t h;
 
-    for (i = 0; i < k; i++) {
-        if (old_enabled[i] == t) {
-            var_t = i + 1;
+    for (u = 0; u < k; u++) {
+        if (old_enabled[u] == t) {
+            var_t = u + 1;
             break;
         }
     }
@@ -143,55 +177,27 @@ int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
     /* firability: adding theta_t <= theta_u for every enabled u keeps
      * the canonical system satisfiable iff no column entry into var_t
      * is negative */
-    for (u = 1; u < size; u++) {
-        if (old_dbm[u * size + var_t] < 0)
+    for (i = 1; i < size; i++) {
+        if (old_dbm[i * size + (size_t)var_t] < 0)
             return -1;
     }
-    for (i = 0; i < size; i++)
-        col_t[i] = old_dbm[i * size + var_t];
 
-    /* incremental closure repair: the new shortest row out of var_t
-     * is the column-wise minimum over every enabled row, and any
-     * other entry improves only by routing through var_t once */
-    row_t = closed + (size_t)var_t * size;
-    memcpy(row_t, old_dbm + (size_t)var_t * size,
-           (size_t)size * sizeof(int64_t));
-    for (u = 1; u < size; u++) {
-        const int64_t *row_u;
-        if (u == var_t)
-            continue;
-        row_u = old_dbm + (size_t)u * size;
-        for (j = 0; j < size; j++) {
-            if (row_u[j] < row_t[j])
-                row_t[j] = row_u[j];
-        }
-    }
-    for (i = 0; i < size; i++) {
-        int64_t *row_i;
-        int64_t d_it;
-        if (i == var_t)
-            continue;
-        row_i = closed + (size_t)i * size;
-        memcpy(row_i, old_dbm + (size_t)i * size,
-               (size_t)size * sizeof(int64_t));
-        d_it = col_t[i];
-        if (d_it != DC_INF) {
-            for (j = 0; j < size; j++) {
-                int64_t d_tj = row_t[j], cand;
-                if (d_tj == DC_INF)
-                    continue;
-                cand = d_it + d_tj;
-                if (cand < row_i[j])
-                    row_i[j] = cand;
-            }
-        }
+    /* the repaired row out of var_t: with theta_t <= theta_u added,
+     * its shortest paths are the column-wise minimum over every
+     * enabled row (past column 0 each entry is <= 0, so finite) */
+    for (j = 0; j < size; j++)
+        row_t[j] = old_dbm[size + j];
+    for (i = 2; i < size; i++) {
+        const int32_t *row_i = old_dbm + i * size;
+        for (j = 0; j < size; j++)
+            row_t[j] = row_i[j] < row_t[j] ? row_i[j] : row_t[j];
     }
 
     /* new marking, with the marking hash maintained incrementally */
     h = hash_io[0];
-    for (i = net->delta_off[t]; i < net->delta_off[t + 1]; i++) {
-        int32_t p = net->delta_place[i];
-        int32_t nv = (int32_t)mark[p] + net->delta_d[i];
+    for (u = net->delta_off[t]; u < net->delta_off[t + 1]; u++) {
+        int32_t p = net->delta_place[u];
+        int32_t nv = (int32_t)mark[p] + net->delta_d[u];
         if (nv < 0 || nv > 0xFFFF)
             return -2;
         h ^= ez_zm(p, mark[p]) ^ ez_zm(p, (uint32_t)nv);
@@ -199,110 +205,96 @@ int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
     }
     hash_io[0] = h;
 
-    /* old-variable map + the intermediate-marking reference */
-    memset(net->old_var, 0, (size_t)net->T * sizeof(int32_t));
-    for (i = 0; i < k; i++)
-        net->old_var[old_enabled[i]] = i + 1;
+    /* the intermediate-marking reference m - Pre(t) */
     if (intermediate) {
-        for (i = 0; i < net->P; i++)
-            net->inter[i] = (int32_t)old_mark[i];
-        for (i = net->pre_off[t]; i < net->pre_off[t + 1]; i++)
-            net->inter[net->pre_place[i]] -= net->pre_w[i];
+        for (u = 0; u < net->P; u++)
+            net->inter[u] = (int32_t)old_mark[u];
+        for (u = net->pre_off[t]; u < net->pre_off[t + 1]; u++)
+            net->inter[net->pre_place[u]] -= net->pre_w[u];
     }
 
-    /* enabledness rescan over the whole transition set */
-    for (j = 0; j < net->T; j++) {
-        int ok = 1;
-        for (i = net->pre_off[j]; i < net->pre_off[j + 1]; i++) {
-            if (mark[net->pre_place[i]] < net->pre_w[i]) {
-                ok = 0;
-                break;
-            }
-        }
-        if (ok)
-            out_enabled[k2++] = j;
-    }
-
-    /* the successor matrix, written down already closed (the
-     * persistent block is a projection of the closed matrix; a newly
-     * enabled variable's shortest paths all route through origin) */
-    new_size = k2 + 1;
-    fresh = out_dbm;
-    for (i = 0; i < new_size * new_size; i++)
-        fresh[i] = DC_INF;
-    for (i = 0; i < new_size; i++)
-        fresh[i * new_size + i] = 0;
-    for (i = 1; i < new_size; i++) {
-        int32_t tn = out_enabled[i - 1];
-        int32_t ov = (tn == t) ? 0 : net->old_var[tn];
-        if (ov && intermediate) {
-            for (j = net->pre_off[tn]; j < net->pre_off[tn + 1];
-                 j++) {
-                if (net->inter[net->pre_place[j]] < net->pre_w[j]) {
+    /* the enabled list, merged from the old one and net->aff_t[t]
+     * (both sorted): only an affected transition can change
+     * enabledness, or lose persistence under the intermediate policy,
+     * so the others carry over as persistent.  Row 0 of the successor
+     * matrix comes with it: a persistent variable theta'_u = theta_u -
+     * theta_t takes its lower bound from the repaired row, a newly
+     * enabled one its -eft. */
+    {
+        int32_t a = net->aff_off[t], a_end = net->aff_off[t + 1];
+        int32_t i_old = 0;
+        out_dbm[0] = 0;
+        while (i_old < k || a < a_end) {
+            int32_t uo = i_old < k ? old_enabled[i_old] : INT32_MAX;
+            int32_t ua = a < a_end ? net->aff_t[a] : INT32_MAX;
+            int32_t ov = 0;
+            if (uo < ua) {
+                u = uo;
+                ov = ++i_old;
+            } else {
+                u = ua;
+                a++;
+                if (uo == ua)
+                    ov = ++i_old;
+                if (!ez_enabled(net, mark, u))
+                    continue;
+                if (u == t)
                     ov = 0;
-                    break;
+                if (ov && intermediate) {
+                    int32_t b;
+                    for (b = net->pre_off[u]; b < net->pre_off[u + 1]; b++) {
+                        if (net->inter[net->pre_place[b]] < net->pre_w[b]) {
+                            ov = 0;
+                            break;
+                        }
+                    }
                 }
             }
-        }
-        net->pers[i] = ov;
-        if (ov) {
-            /* theta'_u = theta_u - theta_t: bounds against the new
-             * origin */
-            fresh[i * new_size] = closed[(size_t)ov * size + var_t];
-            fresh[i] = closed[(size_t)var_t * size + ov];
-        } else {
-            int32_t l = net->lft[tn];
-            fresh[i * new_size] = (l < 0) ? DC_INF : (int64_t)l;
-            fresh[i] = -(int64_t)net->eft[tn];
-            net->new_vars[n_new++] = i;
+            out_enabled[k2++] = u;
+            net->pers[k2] = ov;
+            if (ov) {
+                out_dbm[k2] = row_t[ov];
+            } else {
+                out_dbm[k2] = -net->eft[u];
+                net->new_vars[n_new++] = k2;
+            }
         }
     }
-    /* pairwise differences among persistent transitions */
+    new_size = (size_t)k2 + 1;
+    /* rows 1..k2.  A persistent row keeps its old upper bound D[u][t]
+     * (the repair leaves column var_t as it was) and routes every
+     * other entry through var_t once: min(D[u][v], D[u][t] +
+     * row_t[v]).  An entry involving a newly enabled variable routes
+     * through the origin: D'[i][0] + D'[0][j]. */
     for (i = 1; i < new_size; i++) {
+        int32_t *dst = out_dbm + i * new_size;
         int32_t oi = net->pers[i];
-        const int64_t *row_old;
-        if (!oi)
-            continue;
-        row_old = closed + (size_t)oi * size;
-        for (j = 1; j < new_size; j++) {
-            int32_t oj = net->pers[j];
-            if (!oj || i == j)
-                continue;
-            fresh[i * new_size + j] = row_old[oj];
-        }
-    }
-    /* cross entries of newly enabled variables: via the origin */
-    for (u = 0; u < n_new; u++) {
-        int32_t nv = net->new_vars[u];
-        int64_t up = fresh[nv * new_size], down = fresh[nv];
-        for (j = 1; j < new_size; j++) {
-            int64_t d_0j, d_j0, cand;
-            if (j == nv)
-                continue;
-            d_0j = fresh[j];
-            if (up != DC_INF && d_0j != DC_INF) {
-                cand = up + d_0j;
-                if (cand < fresh[nv * new_size + j])
-                    fresh[nv * new_size + j] = cand;
+        if (oi) {
+            const int32_t *src = old_dbm + (size_t)oi * size;
+            int64_t up = src[var_t] == DC_INF ? DC_FAR : src[var_t];
+            dst[0] = src[var_t];
+            /* every column as if persistent (a new one reads src[0]),
+             * then the new columns through the origin */
+            for (j = 1; j < new_size; j++) {
+                int64_t old = src[net->pers[j]];
+                int64_t cand = up + out_dbm[j];
+                dst[j] = (int32_t)(cand < old ? cand : old);
             }
-            d_j0 = fresh[j * new_size];
-            if (d_j0 != DC_INF) {
-                cand = d_j0 + down;
-                if (cand < fresh[j * new_size + nv])
-                    fresh[j * new_size + nv] = cand;
+            for (u = 0; u < n_new; u++) {
+                j = (size_t)net->new_vars[u];
+                dst[j] = (up == DC_FAR) ? DC_INF
+                                        : (int32_t)(up + out_dbm[j]);
             }
+        } else {
+            int32_t l = net->lft[out_enabled[i - 1]];
+            dst[0] = (l < 0) ? DC_INF : l;
+            for (j = 1; j < new_size; j++)
+                dst[j] = (l < 0) ? DC_INF
+                                 : (int32_t)((int64_t)l + out_dbm[j]);
+            dst[i] = 0;
         }
     }
-    /* fused bound-matrix hash */
-    {
-        uint64_t dh = 0;
-        int32_t idx = 0;
-        for (i = 0; i < new_size; i++) {
-            for (j = 0; j < new_size; j++, idx++)
-                dh ^= dc_zd(i, j, fresh[idx]);
-        }
-        hash_io[1] = dh;
-    }
+    hash_io[1] = dc_bounds_hash(out_dbm, new_size * new_size);
     return k2;
 }
 
@@ -312,7 +304,7 @@ int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
  * (lower, priority, index) insertion sort.  `out` receives
  * (transition, lower) pairs; returns the count. */
 int32_t dc_candidates(const ez_net *net, const int32_t *enabled,
-                      int32_t k, const int64_t *dbm, int32_t strict,
+                      int32_t k, const int32_t *dbm, int32_t strict,
                       int32_t partial_order, int32_t *out,
                       int32_t *reduced)
 {
@@ -419,10 +411,10 @@ int32_t dc_candidates(const ez_net *net, const int32_t *enabled,
     return n;
 }
 
-/* A visited class: its record, plus its bytes in the arena at `off`:
- * the (k+1)^2 closed bounds, the k enabled transitions, the marking,
- * padded to 8 bytes.  Its fused Zobrist key (marking ^ bound matrix)
- * is the loop's. */
+/* A visited class: its record (24 bytes), plus its bytes in the arena
+ * at `off`: the (k+1)^2 int32 closed bounds, the k int32 enabled
+ * transitions, the uint16 marking, padded to 8 bytes.  Its key
+ * (marking hash ^ bound-matrix hash) is the loop's. */
 typedef struct {
     size_t off;
     uint64_t mhash; /* marking part of the key, carried into dc_fire */
@@ -438,7 +430,7 @@ typedef struct {
     /* the successor under construction */
     uint16_t *cmark;
     int32_t *cenb;
-    int64_t *cdbm;
+    int32_t *cdbm;
     int32_t ck;
     uint64_t cmhash;
 } dc_search;
@@ -446,21 +438,21 @@ typedef struct {
 static size_t dc_class_bytes(const ez_net *net, int32_t k)
 {
     size_t size = (size_t)k + 1;
-    size_t bytes = size * size * sizeof(int64_t)
+    size_t bytes = size * size * sizeof(int32_t)
                    + (size_t)k * sizeof(int32_t)
                    + (size_t)net->P * sizeof(uint16_t);
     return (bytes + 7) & ~(size_t)7;
 }
 
-static int64_t *dc_dbm_of(const dc_search *d, const dc_class *cls)
+static int32_t *dc_dbm_of(const dc_search *d, const dc_class *cls)
 {
-    return (int64_t *)(d->arena + cls->off);
+    return (int32_t *)(d->arena + cls->off);
 }
 
 static int32_t *dc_enabled_of(const dc_search *d, const dc_class *cls)
 {
     size_t size = (size_t)cls->k + 1;
-    return (int32_t *)(d->arena + cls->off + size * size * sizeof(int64_t));
+    return (int32_t *)(d->arena + cls->off + size * size * sizeof(int32_t));
 }
 
 static uint16_t *dc_mark_of(const dc_search *d, const dc_class *cls)
@@ -543,7 +535,7 @@ static int dc_op_same(const ez_search *s, uint32_t idx)
            memcmp(dc_mark_of(d, cls), d->cmark,
                   (size_t)s->net->P * sizeof(uint16_t)) == 0 &&
            memcmp(dc_dbm_of(d, cls), d->cdbm,
-                  size * size * sizeof(int64_t)) == 0;
+                  size * size * sizeof(int32_t)) == 0;
 }
 
 static int dc_op_grow(ez_search *s, size_t cap)
@@ -561,7 +553,7 @@ static int dc_op_store(ez_search *s)
 {
     dc_search *d = (dc_search *)s;
     size_t size = (size_t)d->ck + 1;
-    size_t dbm_bytes = size * size * sizeof(int64_t);
+    size_t dbm_bytes = size * size * sizeof(int32_t);
     size_t bytes = dc_class_bytes(s->net, d->ck);
     dc_class *cls;
     unsigned char *at;
@@ -618,7 +610,7 @@ static int32_t dc_run(ez_search *s)
  * mhash0 and key key0. */
 ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
                          const int32_t *enabled0, int32_t k0,
-                         const int64_t *dbm0, uint64_t mhash0,
+                         const int32_t *dbm0, uint64_t mhash0,
                          uint64_t key0, int32_t options,
                          int64_t max_states, ez_counters *counters)
 {
@@ -629,7 +621,7 @@ ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
     d->cmark = (uint16_t *)PyMem_RawMalloc(
         (net->P ? (size_t)net->P : 1) * sizeof(uint16_t));
     d->cenb = (int32_t *)PyMem_RawMalloc(size * sizeof(int32_t));
-    d->cdbm = (int64_t *)PyMem_RawMalloc(size * size * sizeof(int64_t));
+    d->cdbm = (int32_t *)PyMem_RawMalloc(size * size * sizeof(int32_t));
     if (!ez_search_init(&d->base, net, &dc_ops, options, max_states,
                         counters) || !d->cmark || !d->cenb || !d->cdbm) {
         ez_search_free(&d->base);
@@ -638,7 +630,7 @@ ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
     d->base.cmark = d->cmark;
     memcpy(d->cmark, mark0, (size_t)net->P * sizeof(uint16_t));
     memcpy(d->cenb, enabled0, (size_t)k0 * sizeof(int32_t));
-    memcpy(d->cdbm, dbm0, root * root * sizeof(int64_t));
+    memcpy(d->cdbm, dbm0, root * root * sizeof(int32_t));
     d->ck = k0;
     d->cmhash = mhash0;
     return ez_search_start(&d->base, key0);

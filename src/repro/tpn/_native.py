@@ -184,10 +184,8 @@ typedef struct ez_net {
     uint16_t *scratch; /* P: intermediate-marking reference */
     int32_t *cand;     /* 2(T+1): pre-expansion candidate pairs */
     /* DBM scratch */
-    int64_t *closed;   /* (T+1)^2: repaired-closure scratch */
-    int64_t *col;      /* T+1: fired transition's column */
+    int32_t *row;      /* T+1: the fired variable's repaired row */
     int32_t *inter;    /* P: intermediate-marking reference */
-    int32_t *old_var;  /* T+1: transition -> old DBM variable (0=none) */
     int32_t *pers;     /* T+1: new variable -> old variable (0=fresh) */
     int32_t *new_vars; /* T+1: newly enabled variable list */
     uint8_t *mask;     /* T+1: enabled-membership scratch */
@@ -198,10 +196,8 @@ void ez_net_free(ez_net *net)
     if (net) {
         free(net->scratch);
         free(net->cand);
-        free(net->closed);
-        free(net->col);
+        free(net->row);
         free(net->inter);
-        free(net->old_var);
         free(net->pers);
         free(net->new_vars);
         free(net->mask);
@@ -251,16 +247,13 @@ ez_net *ez_net_new(int32_t num_places, int32_t num_transitions,
     net->timer = timer;
     net->scratch = (uint16_t *)malloc(places * sizeof(uint16_t));
     net->cand = (int32_t *)malloc(2 * size * sizeof(int32_t));
-    net->closed = (int64_t *)malloc(size * size * sizeof(int64_t));
-    net->col = (int64_t *)malloc(size * sizeof(int64_t));
+    net->row = (int32_t *)malloc(size * sizeof(int32_t));
     net->inter = (int32_t *)malloc(places * sizeof(int32_t));
-    net->old_var = (int32_t *)calloc(size, sizeof(int32_t));
     net->pers = (int32_t *)malloc(size * sizeof(int32_t));
     net->new_vars = (int32_t *)malloc(size * sizeof(int32_t));
     net->mask = (uint8_t *)calloc(size, sizeof(uint8_t));
-    if (!net->scratch || !net->cand || !net->closed || !net->col ||
-        !net->inter || !net->old_var || !net->pers || !net->new_vars ||
-        !net->mask) {
+    if (!net->scratch || !net->cand || !net->row || !net->inter ||
+        !net->pers || !net->new_vars || !net->mask) {
         ez_net_free(net);
         return NULL;
     }

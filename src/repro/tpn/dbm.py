@@ -11,26 +11,29 @@ semantics over flat buffers, the substrate the discrete kernel engine
 
 * the marking is an ``array('H')`` with the same 16-bit token cap and
   loud-overflow contract as the kernel engine;
-* the bound matrix is a flat row-major ``array('q')`` of 64-bit
-  integers with :data:`DINF` (``1 << 62``) as the unbounded sentinel —
+* the bound matrix is a flat row-major ``array('i')`` of 32-bit
+  integers with :data:`DINF` (``2³¹ − 1``) as the unbounded sentinel —
   every finite bound is an exact integer, and the engine rejects nets
-  whose static intervals exceed :data:`MAX_BOUND` up front so closure
-  sums can never collide with the sentinel (lint rule ``EZT204``
-  diagnoses this before a search starts);
+  whose static intervals exceed :data:`MAX_BOUND` up front, which
+  keeps every canonical entry within ``±MAX_BOUND`` and every closure
+  sum clear of the sentinel (lint rule ``EZT204`` diagnoses this
+  before a search starts);
 * the enabled list is an ``array('i')`` of transition indices in DBM
   variable order (variable 0 is the zero reference);
-* the 64-bit state key is a functional Zobrist hash: the marking part
-  is maintained *incrementally* across firings (XOR out the old word,
-  XOR in the new one), the matrix part is fused into successor
-  construction — no second pass, and since the enabled list is a
-  function of the marking it needs no words of its own.
+* the 64-bit state key is the XOR of two words: a functional
+  Zobrist hash of the marking, maintained *incrementally* across
+  firings (XOR out the old word, XOR in the new one), and a
+  four-lane word-stream hash over the bound matrix's bytes, taken once
+  per successor right after the matrix is written; since the enabled
+  list is a function of the marking it needs no words of its own.
 
 The firing rule runs in the DBM part (:mod:`repro.tpn._dbmc`) of the
 native core (:mod:`repro.tpn._native`, one cffi extension for both
 packed engines): one foreign call per successor performs the
-column-scan firability test, the O(n²) incremental closure repair, the
-marking update, the enabledness rescan, the persistence projection
-and the fused hash; a second entry point enumerates candidates
+column-scan firability test, the marking update, the enabled-list
+merge, the O(n²) incremental closure repair fused with the
+persistence projection (each persistent entry is written once,
+already closed) and the key; a second entry point enumerates candidates
 (firability scans, priority filter, dense partial-order reduction,
 ``(lower, priority, index)`` sort) in one call, and a third keys a
 class from scratch.  The engine needs that core.  When the core is off
@@ -76,22 +79,50 @@ from repro.tpn.stateclass import (
     realized_schedule,
 )
 
-#: Unbounded-entry sentinel in the packed ``array('q')`` bound matrix.
-#: Far above any reachable finite bound (see :data:`MAX_BOUND`), so
-#: ``min``/comparison logic needs no special cases.
-DINF = 1 << 62
+#: Unbounded-entry sentinel in the packed ``array('i')`` bound matrix:
+#: ``INT32_MAX``, above every finite canonical bound (see
+#: :data:`MAX_BOUND`), so ``min``/comparison logic needs no special
+#: cases.
+DINF = (1 << 31) - 1
 
-#: Largest static interval bound the packed representation accepts.
-#: Closure entries are shortest-path distances over at most
-#: :data:`MAX_VARS` hops, so |entry| ≤ MAX_VARS · MAX_BOUND < 2⁴¹ —
-#: comfortably below :data:`DINF`; candidate lower bounds also fit the
-#: C core's ``int32`` output pairs.  The engine raises loudly at
-#: construction when a net exceeds the cap (lint rule ``EZT204``
-#: reports the same condition pre-search, at spec level).
+#: Largest static interval bound the packed representation accepts;
+#: with it every finite entry of a canonical class lies in
+#: ``[-MAX_BOUND, MAX_BOUND]``, so the bounds are stored as ``int32``
+#: (the C core adds them in ``int64``).  The argument, on a class
+#: ``D`` over firing delays ``θ₁..θₖ`` (``θ₀ = 0``, ``D[i][j]`` the
+#: least upper bound of ``θᵢ − θⱼ``), by induction over the firing
+#: rule from the root, the Floyd–Warshall closure of the static box
+#: ``eftᵢ ≤ θᵢ ≤ lftᵢ``:
+#:
+#: 1. **Delays are non-negative**, ``D[0][j] ≤ 0``: a newly enabled
+#:    variable starts at ``−eft ≤ 0``, and a persistent one,
+#:    ``θ'ᵤ = θᵤ − θₜ``, is bounded by the firing condition
+#:    ``θₜ ≤ θᵤ``.
+#: 2. **Every finite upper bound starts at an lft and only
+#:    tightens**: ``D[i][0] ≤ lftᵢ ≤ MAX_BOUND``, since
+#:    ``θ'ᵤ ≤ θᵤ`` by (1).  A variable with an unbounded LFT keeps an
+#:    all-:data:`DINF` row off the diagonal (the repair routes it
+#:    through its own unbounded ``D[u][t]``).
+#: 3. **Each lower bound is at most MAX_BOUND**, ``D[0][j] ≥
+#:    −MAX_BOUND``: a new variable's is its ``eft``; a persistent
+#:    one's is ``−min_v D[v][u]`` over the enabled ``v``, and
+#:    ``D[v][u] ≥ D[0][u] − D[0][v] ≥ D[0][u]`` by closure and (1).
+#:
+#: So ``D[i][j] ≥ D[0][j] − D[0][i] ≥ −min θⱼ ≥ −MAX_BOUND``, and a
+#: finite ``D[i][j] ≤ D[i][0] + D[0][j] ≤ D[i][0] ≤ MAX_BOUND``; a
+#: sum of two entries stays within ``±2³¹`` in ``int64``, clear of the
+#: sentinel.  ``tests/test_dbm.py`` asserts the bound on every class
+#: of its walks, including an edge net with ``eft = lft = MAX_BOUND``
+#: beside an unbounded LFT.  The engine raises loudly at construction
+#: when a net exceeds the cap (lint rule ``EZT204`` reports the same
+#: condition pre-search, at spec level).
 MAX_BOUND = 1 << 30
 
-#: DBM size cap (variables per class, including the zero reference):
-#: the Zobrist position key packs ``(i << 11) | j``.
+#: DBM size cap (variables per class, including the zero reference).
+#: A class matrix, and each successor buffer a packed search
+#: allocates for the largest class up front, holds ``(T+1)²`` int32
+#: bounds: the cap holds that at 16 MiB and keeps the core's int32 cell
+#: indices ``i·size + j`` below 2²².
 MAX_VARS = 1 << 11
 
 
@@ -101,7 +132,7 @@ class PackedClass:
     Identity (equality) lives in the marking and bound-matrix buffers
     — the enabled list is a function of the marking, so it carries no
     identity of its own and two equal classes always agree on it.
-    ``__hash__`` returns the precomputed fused Zobrist key, so set
+    ``__hash__`` returns the precomputed 64-bit key, so set
     membership never walks the buffers on the non-colliding path.
     ``marking`` is indexable, so the compiled marking predicates
     (:meth:`CompiledNet.is_final`,
@@ -147,7 +178,8 @@ class PackedClass:
 
     @property
     def hash64(self) -> int:
-        """The fused 64-bit Zobrist key, as a public value."""
+        """The 64-bit class key (marking hash XOR bound-matrix hash),
+        as a public value."""
         return self._hash
 
     def bounds_of(self, transition: int) -> tuple[Bound, Bound]:
@@ -197,7 +229,7 @@ class _DbmNativeCore(NativeNet):
         self._out_enb = ffi.new(
             "int32_t[]", max(1, net.num_transitions)
         )
-        self._out_dbm = ffi.new("int64_t[]", max_size * max_size)
+        self._out_dbm = ffi.new("int32_t[]", max_size * max_size)
         self._out = ffi.new(
             "int32_t[]", 2 * max(1, net.num_transitions)
         )
@@ -208,15 +240,15 @@ class _DbmNativeCore(NativeNet):
         self._null_i32 = ffi.new("int32_t[1]")
 
     def keys(self, marking: array, dbm: array, size: int):
-        """``dc_hash``: the marking hash and the fused key of a class,
-        from scratch."""
+        """``dc_hash``: the marking hash and the key of a class, from
+        scratch."""
         ffi = self.ffi
         hio = self._hash_io
         self.lib.dc_hash(
             self.net_ptr,
             ffi.from_buffer("uint16_t[]", marking),
             size,
-            ffi.from_buffer("int64_t[]", dbm),
+            ffi.from_buffer("int32_t[]", dbm),
             hio,
         )
         return hio[0], hio[0] ^ hio[1]
@@ -239,7 +271,7 @@ class _DbmNativeCore(NativeNet):
             cv = (
                 ffi.from_buffer("uint16_t[]", cls.marking),
                 self._enb_ptr(cls.enabled),
-                ffi.from_buffer("int64_t[]", cls.dbm),
+                ffi.from_buffer("int32_t[]", cls.dbm),
             )
             cls._cv = cv
         new_mark = array("H", cls.marking)
@@ -264,9 +296,9 @@ class _DbmNativeCore(NativeNet):
         enabled = array("i")
         if k:
             enabled.frombytes(ffi.buffer(self._out_enb, 4 * k))
-        dbm = array("q")
+        dbm = array("i")
         dbm.frombytes(
-            ffi.buffer(self._out_dbm, 8 * new_size * new_size)
+            ffi.buffer(self._out_dbm, 4 * new_size * new_size)
         )
         mhash = hio[0]
         return PackedClass(
@@ -282,7 +314,7 @@ class _DbmNativeCore(NativeNet):
             cv = (
                 ffi.from_buffer("uint16_t[]", cls.marking),
                 self._enb_ptr(cls.enabled),
-                ffi.from_buffer("int64_t[]", cls.dbm),
+                ffi.from_buffer("int32_t[]", cls.dbm),
             )
             cls._cv = cv
         out = self._out
@@ -429,7 +461,7 @@ class DbmEngine:
         if closed is None:
             raise SchedulingError("initial class is inconsistent")
         flat = array(
-            "q",
+            "i",
             (
                 DINF if b == INF else int(b)
                 for row in closed
@@ -499,7 +531,7 @@ class DbmEngine:
                 ffi.from_buffer("uint16_t[]", root.marking),
                 core._enb_ptr(root.enabled),
                 len(root.enabled),
-                ffi.from_buffer("int64_t[]", root.dbm),
+                ffi.from_buffer("int32_t[]", root.dbm),
                 root._mhash,
                 root._hash,
                 search_options(

@@ -51,8 +51,38 @@ pytestmark = pytest.mark.skipif(
 RESETS = ("paper", "intermediate")
 
 
+def bound_edge_net(feasible: bool = True):
+    """A one-shot net at the packed bound cap: static bounds equal to
+    :data:`MAX_BOUND` beside unbounded LFTs, so canonical entries reach
+    ``±MAX_BOUND`` and rows of unbounded variables meet lower bounds of
+    ``MAX_BOUND`` in the closure — where an ``int32`` sum would hit the
+    :data:`DINF` sentinel.  ``feasible=False`` adds an unreachable final
+    place, turning the search into an exhaustive refutation."""
+    net = TimePetriNet("bound-edge" if feasible else "bound-edge-refute")
+    net.add_place("never")
+    for name, interval, src, dst in (
+        ("cap", TimeInterval(MAX_BOUND, MAX_BOUND), "a0", "a1"),
+        ("open", TimeInterval(MAX_BOUND, INF), "b0", "b1"),
+        ("free", TimeInterval(0, INF), "c0", "c1"),
+        ("late", TimeInterval(MAX_BOUND, MAX_BOUND), "c1", "c2"),
+        ("tick", TimeInterval(1, MAX_BOUND), "d0", "d1"),
+    ):
+        for place in (src, dst):
+            if place not in net:
+                net.add_place(place, marking=1 if place.endswith("0") else 0)
+        net.add_transition(name, interval)
+        net.add_arc(src, name)
+        net.add_arc(name, dst)
+    final = {"a1": 1, "c2": 1}
+    if not feasible:
+        final["never"] = 1
+    net.set_final_marking(final)
+    return net.compile()
+
+
 def _nets():
     return {
+        "bound-edge": bound_edge_net(),
         "fig3": compose(fig3_precedence()).compiled(),
         "fig4": compose(fig4_exclusion()).compiled(),
         "wide-feasible": wide_interval_job_net(feasible=True).compile(),
@@ -78,12 +108,29 @@ def _assert_same_class(packed: PackedClass, spec_cls) -> None:
     assert unpacked.dbm == spec_cls.dbm
 
 
+def _assert_bounded(net, cls: PackedClass) -> None:
+    """The ``int32`` bound argument of :data:`MAX_BOUND`, on one class:
+    every finite entry lies in ``[-MAX_BOUND, MAX_BOUND]`` and every
+    unbounded one is exactly :data:`DINF`; delays are non-negative
+    (row 0 is ``<= 0``); a variable with an unbounded LFT has an
+    all-``DINF`` row off the diagonal."""
+    size = cls.size
+    dbm = cls.dbm
+    assert all(b == DINF or -MAX_BOUND <= b <= MAX_BOUND for b in dbm)
+    assert all(b <= 0 for b in dbm[:size])
+    for var, t in enumerate(cls.enabled, start=1):
+        if net.lft[t] == INF:
+            row = dbm[var * size:(var + 1) * size]
+            assert all(b == DINF for i, b in enumerate(row) if i != var)
+
+
 def _walk(net, reset_policy, check, limit=600):
     """Drive the two engines in lockstep over the class graph.
 
     ``check(packed, spec, a, s)`` sees the same class as produced by
     the packed engine (``a``) and the tuple specification engine
-    (``s``).
+    (``s``).  Every class the walk meets is also held to the ``int32``
+    bound argument (:func:`_assert_bounded`).
     """
     packed = DbmEngine(net, reset_policy=reset_policy)
     spec = StateClassEngine(net, reset_policy=reset_policy)
@@ -96,6 +143,7 @@ def _walk(net, reset_policy, check, limit=600):
             continue
         seen.add(a)
         visited += 1
+        _assert_bounded(net, a)
         check(packed, spec, a, s)
         for t in spec.firable(s):
             sa = packed.try_fire(a, t)

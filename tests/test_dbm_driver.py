@@ -39,6 +39,7 @@ from repro.errors import SchedulingError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.config import PRIORITY_MODES
 from repro.scheduler.core import StateClassSpecAdapter
+from repro.scheduler.result import SearchStats
 from repro.spec import paper_examples
 from repro.tpn import _dbmc
 from repro.tpn._native import SEARCH_POLL, NativeSearch
@@ -50,6 +51,7 @@ from repro.workloads import (
     random_task_set_with_relations,
     wide_interval_race_net,
 )
+from test_dbm import bound_edge_net
 
 pytestmark = pytest.mark.skipif(
     _dbmc.native_module() is None,
@@ -276,6 +278,24 @@ class TestResetPolicies:
         assert verdicts == {"paper": True, "intermediate": False}
 
 
+class TestBoundEdge:
+    """The packed bound cap in lockstep: static bounds of exactly
+    ``MAX_BOUND`` beside unbounded LFTs, where an ``int32`` closure sum
+    would reach the ``DINF`` sentinel."""
+
+    @pytest.mark.parametrize("reset", RESETS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("feasible", [True, False])
+    def test_driver_matches_search_core(self, feasible, policy, reset):
+        drv, _ = _assert_lockstep(
+            bound_edge_net(feasible),
+            _config(("ordered", False, reset, policy)),
+        )
+        assert drv.feasible == feasible
+        if not feasible:  # the whole class graph, not a short path
+            assert drv.stats.states_visited > 20
+
+
 def _token_overflow_net():
     """A net whose class graph hits the packed token cap."""
     net = TimePetriNet("tokens-overflow")
@@ -379,6 +399,52 @@ class TestStoppingAndMemory:
                 _token_overflow_net(), SchedulerConfig(engine="stateclass")
             ).search()
         assert spy.searches and spy.searches[0]._ptr is None
+
+    def test_visited_bytes_follow_the_documented_layout(self, nets):
+        """``visited_bytes`` of a refutation, rebuilt from the layout in
+        ``docs/scheduling.md``: per class an 8-byte key, a 24-byte
+        record, its arena bytes — ``(k+1)²`` int32 bounds, ``k`` int32
+        enabled entries and the uint16 marking, padded to 8 bytes — and
+        the table slots, each array at its doubled capacity."""
+        net = nets["race-n5-w12"]
+        config = SchedulerConfig(engine="stateclass")
+        result, _ = _search(net, config, True, polled=False)
+        assert not result.feasible and not result.exhausted
+
+        # the visited classes: the spec's graph as the search expands it
+        adapter = StateClassSpecAdapter(net, config)
+        stats = SearchStats()
+        root = adapter.root()
+        seen, stack = {root}, [root]
+        while stack:
+            cls = stack.pop()
+            for t, q in adapter.candidates_of(cls, stats):
+                child = adapter.successor(cls, t, q)
+                if child is None or child in seen:
+                    continue
+                if net.has_missed_deadline(child.marking):
+                    continue
+                seen.add(child)
+                stack.append(child)
+        n = len(seen)
+        assert result.stats.states_visited == n
+
+        def capacity(start, need):
+            while start < need:
+                start *= 2
+            return start
+
+        arena = sum(
+            -(-((k + 1) ** 2 * 4 + k * 4 + net.num_places * 2) // 8) * 8
+            for k in (len(cls.enabled) for cls in seen)
+        )
+        records = capacity(64, n)
+        expected = (
+            (8 + 24) * records
+            + 4 * capacity(1024, 2 * n)
+            + capacity(64, arena)
+        )
+        assert result.metrics["gauges"]["search.visited_bytes"] == expected
 
     def test_tracemalloc_sees_the_visited_classes(self):
         net = self._long()
