@@ -20,9 +20,7 @@ portfolio workloads are measured end-to-end (compose + compile
    with the release-window width while the class graph does not, so
    the dense slot must win the race (gated) — the dense-aware
    portfolio the ROADMAP asked for.  The winning slot is recorded per
-   row (``winner_slot``), which is what
-   :meth:`repro.scheduler.adaptive.AdaptiveStore.warm_start_from_bench`
-   reads to seed future rotations.
+   row (``winner_slot``).
 
 The kernel's absolute throughput floor against the frozen
 ``benchmarks/BASELINE_scheduler.json`` lives in ``bench_kernel.py``

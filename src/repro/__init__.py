@@ -61,7 +61,6 @@ if TYPE_CHECKING:
         SpecificationError,
         TraceVerificationError,
     )
-    from repro.scheduler.adaptive import AdaptiveStore
     from repro.scheduler.baselines import simulate_runtime
     from repro.scheduler.config import SchedulerConfig
     from repro.scheduler.core import SearchCore
@@ -112,7 +111,6 @@ else:
                 "PNMLError SchedulingError SimulationError "
                 "SpecificationError TraceVerificationError"
             ),
-            "repro.scheduler.adaptive": "AdaptiveStore",
             "repro.scheduler.baselines": "simulate_runtime",
             "repro.scheduler.config": "SchedulerConfig",
             "repro.scheduler.core": "SearchCore",
@@ -145,7 +143,6 @@ else:
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptiveStore",
     "BatchEngine",
     "BatchJob",
     "BatchResult",

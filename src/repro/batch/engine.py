@@ -21,12 +21,11 @@ parent, ships the misses to a ``ProcessPoolExecutor`` (or runs them
 inline when ``max_workers <= 1`` — the serial baseline the throughput
 bench compares against), and returns a :class:`BatchResult` whose
 outcome list preserves submission order regardless of completion order.
-Misses are dispatched **hardest-first** by default — ordered by the
-predicted search states of each job's model family (the same
-fingerprint scheme the adaptive portfolio uses,
-:mod:`repro.scheduler.adaptive`) so one huge job starts early instead
-of serialising the pool's tail; the ordering affects completion order
-only, never the outcomes or the JSONL bytes.
+Misses are dispatched **hardest-first** by default — ordered by
+:func:`predict_states`, a heuristic estimate of each job's search
+states — so one huge job starts early instead of serialising the
+pool's tail; the ordering affects completion order only, never the
+outcomes or the JSONL bytes.
 
 Timeouts are cooperative: the per-job budget is folded into the DFS
 scheduler's ``max_seconds`` and checked inside the worker, so a timed
@@ -40,6 +39,7 @@ pool) surfaces as an ``error`` outcome, never as an engine exception.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import threading
@@ -61,17 +61,11 @@ from repro.batch.job import (
     BatchJob,
     JobOutcome,
     STATUS_ERROR,
-    STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
     STATUSES,
     execute_job,
 )
 from repro.blocks.composer import ComposerOptions
-from repro.scheduler.adaptive import (
-    AdaptiveStore,
-    predict_states,
-    spec_family,
-)
 from repro.scheduler.config import SchedulerConfig
 from repro.spec.model import EzRTSpec
 
@@ -82,6 +76,29 @@ def default_workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # non-Linux
         return os.cpu_count() or 1
+
+
+def predict_states(spec: EzRTSpec) -> float:
+    """Heuristic search-hardness estimate of a specification.
+
+    The key of the batch engine's hardest-first dispatch.  Monotone in
+    the features that actually blow up the DFS: task instances over
+    the hyper-period (the backtrack-free path length is linear in
+    them), utilisation pressure (close to 1 forces tight interleavings
+    and deep refutation subtrees) and preemption (every grant becomes
+    a genuine branch; the preemptive share counts in whole tenths).
+    The absolute value is meaningless; only the induced order matters.
+    """
+    tasks = spec.tasks
+    schedule_period = math.lcm(*(task.period for task in tasks))
+    instances = sum(schedule_period // task.period for task in tasks)
+    utilization = sum(task.computation / task.period for task in tasks)
+    pressure = 1.0 / max(0.05, 1.05 - min(utilization, 1.0))
+    preemptive_share = sum(task.is_preemptive for task in tasks) / max(
+        1, len(tasks)
+    )
+    preemptive = 1.0 + int(preemptive_share * 10) / 10.0
+    return instances * (1.0 + len(tasks) / 4.0) * pressure * preemptive
 
 
 def prelint_outcome(job: BatchJob) -> JobOutcome | None:
@@ -299,18 +316,11 @@ class BatchEngine:
             this engine's config; prepared :class:`BatchJob` objects
             carry their own configs unchanged.
         hardest_first: dispatch executed jobs in descending order of
-            predicted search states (the adaptive hardness estimate
-            keyed by the job's model-family fingerprint — the same
-            fingerprint scheme the adaptive portfolio uses).  Starting
+            predicted search states (:func:`predict_states`).  Starting
             the stragglers first stops one huge job from serialising
             the pool's tail.  Purely a *dispatch* order: outcomes,
             JSONL rows and cache behaviour stay in submission order
             and byte-identical either way (regression-tested).
-        adaptive: an :class:`~repro.scheduler.adaptive.AdaptiveStore`
-            refining the hardness prediction with recorded per-family
-            visited counts; executed outcomes are recorded back into
-            it after the run.  ``None`` falls back to the pure
-            heuristic.
         progress: stream ``[progress] batch: done/total`` lines to
             stderr as executed jobs complete (``ezrt batch
             --progress``).  Completion-driven and rate-limited; it
@@ -330,7 +340,6 @@ class BatchEngine:
         store_schedules: bool = False,
         cores: int | None = None,
         hardest_first: bool = True,
-        adaptive: AdaptiveStore | None = None,
         progress: bool = False,
     ):
         self.composer_options = composer_options or ComposerOptions()
@@ -362,7 +371,6 @@ class BatchEngine:
         self.simulate = simulate
         self.store_schedules = store_schedules
         self.hardest_first = hardest_first
-        self.adaptive = adaptive
         #: stream ``[progress] batch: done/total`` heartbeat lines to
         #: stderr as jobs complete (completion-driven, rate-limited;
         #: per-job search heartbeats are a separate scheduler knob)
@@ -457,13 +465,12 @@ class BatchEngine:
                     stats.deduplicated += 1
 
         if self.hardest_first and len(pending) > 1:
-            # hardest-first dispatch: predicted states per job (the
-            # adaptive store's per-family mean when recorded, else the
-            # heuristic), descending; ties keep submission order so
-            # the permutation is deterministic.  Only the *execution*
+            # hardest-first dispatch: predicted states per job,
+            # descending; ties keep submission order so the
+            # permutation is deterministic.  Only the *execution*
             # order changes — `outcomes` is indexed by submission.
             predicted = {
-                index: self._predicted_states(jobs[index])
+                index: predict_states(jobs[index].spec)
                 for index in pending
             }
             pending.sort(key=lambda index: (-predicted[index], index))
@@ -493,20 +500,6 @@ class BatchEngine:
                 # (killed worker, broken pool) rather than a property
                 # of the model
                 self.cache.put(outcome.key, outcome.to_dict())
-            if self.adaptive is not None and outcome.status in (
-                STATUS_FEASIBLE,
-                STATUS_INFEASIBLE,
-            ):
-                # errors are environmental; timeout counts are
-                # budget-truncated and would bias the family's mean
-                # *below* easy families, inverting hardest-first for
-                # exactly the jobs it exists to front-load
-                self.adaptive.record_job(
-                    spec_family(jobs[index].spec),
-                    outcome.search.get("states_visited", 0),
-                )
-        if self.adaptive is not None and pending:
-            self.adaptive.save()
 
         stats.wall_seconds = time.monotonic() - started
         if self.cache is not None:
@@ -553,15 +546,6 @@ class BatchEngine:
                 stats.job_seconds += outcome.elapsed_seconds
             result_outcomes.append(outcome)
         return BatchResult(outcomes=result_outcomes, stats=stats)
-
-    def _predicted_states(self, job: BatchJob) -> float:
-        """Hardness estimate of one job (store-refined heuristic)."""
-        fallback = predict_states(job.spec)
-        if self.adaptive is None:
-            return fallback
-        return self.adaptive.predicted_states(
-            spec_family(job.spec), fallback
-        )
 
     @staticmethod
     def _replay(payload: dict, job: BatchJob) -> JobOutcome:

@@ -5,13 +5,6 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.scheduler.adaptive import (
-        AdaptiveStore,
-        bench_model_families,
-        net_family,
-        predict_states,
-        spec_family,
-    )
     from repro.scheduler.baselines import (
         DeadlineMiss,
         RUNTIME_POLICIES,
@@ -67,10 +60,6 @@ else:
     __getattr__, __dir__ = lazy_exports(
         __name__,
         {
-            "repro.scheduler.adaptive": (
-                "AdaptiveStore bench_model_families net_family "
-                "predict_states spec_family"
-            ),
             "repro.scheduler.baselines": (
                 "DeadlineMiss RUNTIME_POLICIES RuntimeOutcome "
                 "exclusion_blocking_pair mok_trap rm_overload_pair "
@@ -104,7 +93,6 @@ else:
     )
 
 __all__ = [
-    "AdaptiveStore",
     "BusSegment",
     "DEFAULT_ENGINE",
     "DELAY_MODES",
@@ -127,7 +115,6 @@ __all__ = [
     "SchedulerResult",
     "SearchStats",
     "TaskLevelSchedule",
-    "bench_model_families",
     "build_schedule_items",
     "default_portfolio",
     "dense_schedule_entries",
@@ -137,15 +124,12 @@ __all__ = [
     "format_dense_schedule",
     "make_adapter",
     "mok_trap",
-    "net_family",
     "parse_policy",
     "parse_slot",
-    "predict_states",
     "require_schedule",
     "rm_overload_pair",
     "schedule_from_result",
     "search",
-    "spec_family",
     "simulate_runtime",
     "validate_schedule",
     "validate_with_reference",

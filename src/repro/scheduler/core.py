@@ -186,14 +186,14 @@ class EngineAdapter(Protocol):
 
 
 # ----------------------------------------------------------------------
-# Shared candidate machinery
+# The reference adapter's candidate machinery (the spec of kn_candidates)
 # ----------------------------------------------------------------------
 def forced_immediate(
     net: CompiledNet,
     cands: list[tuple[int, int]],
     clocks: tuple[int, ...],
 ) -> tuple[int, int] | None:
-    """Partial-order reduction pick shared by both discrete adapters.
+    """The reference adapter's partial-order reduction pick.
 
     A candidate may soundly be fired without branching when it is
     *structurally conflict-free* (every input place is consumed by this
@@ -289,7 +289,6 @@ class _AdapterBase:
         self.config = config
         self._strict = config.priority_mode == "strict"
         self._delay_mode = config.delay_mode
-        self._earliest = config.delay_mode == "earliest"
         self._partial_order = config.partial_order
         self._eft = net.eft
         self._lft = net.lft
@@ -318,15 +317,13 @@ class KernelAdapter(_AdapterBase):
     key.  :meth:`open_driver` hands the whole search to the native
     driver (see :meth:`SearchCore._drive`), so the per-state methods
     below run only when :class:`SearchCore`'s own loop drives the
-    engine step by step (one foreign call each).  In earliest-delay
-    searches the candidate pipeline (ceiling, window, strict filter,
-    partial-order reduction, ordering) is one engine call; the
-    delay-enumeration modes compose the raw window with the shared
-    expansion helpers, using the engine's packed partial-order variant
-    (the tuple-based :func:`forced_immediate` reads enabledness as
-    ``clocks[t] >= 0`` and cannot run on the ``0xFFFF``-sentinel clock
-    buffer).  Without the native core :func:`make_adapter` builds a
-    :class:`ReferenceAdapter` instead.
+    engine step by step (one foreign call each), the entry point the
+    tests use to check the driver's step against the spec state by
+    state.  The candidate pipeline (ceiling, window, strict filter,
+    partial-order reduction, delay expansion, ordering) is the
+    driver's own, one engine call in every delay mode.  Without the
+    native core :func:`make_adapter` builds a :class:`ReferenceAdapter`
+    instead.
     """
 
     name = "kernel"
@@ -357,30 +354,12 @@ class KernelAdapter(_AdapterBase):
     def candidates_of(
         self, state: KernelState, stats: SearchStats
     ) -> list[tuple[int, int]]:
-        if self._earliest:
-            cands, reduced = self.engine.candidates(
-                state, self._strict, self._partial_order
-            )
-            if reduced:
-                stats.reductions += 1
-            return cands
-        ceiling, cands = self.engine.window(state)
-        if not cands:
-            return cands
-        priorities = self._priority
-        if self._strict:
-            best = min(priorities[t] for t, _lo in cands)
-            cands = [
-                (t, lo) for t, lo in cands if priorities[t] == best
-            ]
-        if self._partial_order and len(cands) > 1:
-            reduced = self.engine.forced_immediate(cands, state.clk)
-            if reduced is not None:
-                stats.reductions += 1
-                cands = [reduced]
-        return order_and_expand(
-            cands, ceiling, priorities, self._delay_mode
+        cands, reduced = self.engine.candidates(
+            state, self._strict, self._partial_order, self._delay_mode
         )
+        if reduced:
+            stats.reductions += 1
+        return cands
 
     def clocks_view(self, state: KernelState):
         return _DenseView(state.clocks_tuple())

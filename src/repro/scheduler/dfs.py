@@ -9,9 +9,8 @@ Everything else in ``scheduler/`` supports this search: ``core.py``
 holds the single engine-agnostic DFS loop and the three
 :class:`~repro.scheduler.core.EngineAdapter` implementations,
 ``config.py`` the knobs, ``result.py`` the outcome/statistics
-containers, ``policies.py`` the alternative candidate orderings,
-``adaptive.py`` the portfolio-seeding statistics, and ``parallel.py``
-races the search across worker processes.  Start reading
+containers, ``policies.py`` the alternative candidate orderings, and
+``parallel.py`` races the search across worker processes.  Start reading
 at :class:`repro.scheduler.core.SearchCore` (the loop) and
 :meth:`repro.scheduler.core.KernelAdapter.candidates_of` (how one
 state's successor choices are enumerated).

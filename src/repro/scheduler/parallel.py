@@ -15,9 +15,7 @@ verdict, only the time to reach it, and combinatorial search times are
 heavy-tailed — so the *first* definitive verdict wins the race and
 cancels the rest.  This wins even on a single core: a 4-way race
 time-shared on one CPU still finishes ~N/4× faster whenever some slot
-needs N× fewer states than the default.  An optional
-:class:`~repro.scheduler.adaptive.AdaptiveStore` orders the slot
-rotation from prior winner statistics per model family.
+needs N× fewer states than the default.
 
 Determinism contract:
 
@@ -52,7 +50,6 @@ from multiprocessing import get_context
 from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
-from repro.scheduler.adaptive import AdaptiveStore, net_family
 from repro.scheduler.config import ENGINES, SchedulerConfig
 from repro.scheduler.core import validate_with_reference
 from repro.scheduler.dfs import PreRuntimeScheduler
@@ -207,8 +204,7 @@ def _portfolio_worker(
         if kind in ("feasible", "infeasible"):
             cancel.set()  # end the race without the parent's round trip
         # per-slot wall-clock and outcome land in the metrics snapshot
-        # (gauges carry the slot name, so workers never collide); the
-        # parent reads the wall-clock gauge back into the AdaptiveStore
+        # (gauges carry the slot name, so workers never collide)
         metrics.set_gauge(
             f"slot.{slot_text}.wall_seconds",
             round(time.monotonic() - worker_started, 6),
@@ -256,10 +252,7 @@ class ParallelScheduler:
     prefix their policy with a successor engine
     (``"stateclass:earliest"``), racing the dense state-class search
     against the discrete engines; unprefixed slots inherit the
-    configured engine.  An optional :class:`AdaptiveStore` seeds the
-    rotation from prior winner statistics of the net's model family
-    and records this race's winner back into the store — ordering only
-    ever permutes the slots, so the verdict contract is untouched.
+    configured engine.
     """
 
     def __init__(
@@ -267,10 +260,8 @@ class ParallelScheduler:
         net: CompiledNet,
         config: SchedulerConfig | None = None,
         engine: str | None = None,
-        adaptive: AdaptiveStore | None = None,
     ):
         self.net = net
-        self.adaptive = adaptive
         self.config = config or SchedulerConfig()
         if engine is None:
             engine = self.config.engine
@@ -295,10 +286,7 @@ class ParallelScheduler:
 
         An explicit ``config.portfolio`` is honoured (truncated to the
         worker count, padded with fresh random seeds when shorter);
-        otherwise the default rotation applies.  With an
-        :class:`AdaptiveStore` attached, the rotation is reordered by
-        the net's model-family winner statistics (recorded winners
-        first; a pure permutation, so exactly the same searches race).
+        otherwise the default rotation applies.
         """
         workers = self.config.parallel
         if not self.config.portfolio:
@@ -317,11 +305,9 @@ class ParallelScheduler:
                     seed += 1
                 used_seeds.add(seed)
                 entries.append(f"random:{seed}")
-        # pin unseeded random slots to their rotation index *before*
-        # any adaptive permutation: the worker-index fallback would
-        # otherwise resolve them post-reorder, so reordering could
-        # alias two slots onto one seed (burning a worker on a
-        # byte-identical search)
+        # pin unseeded random slots to their rotation index, the seed
+        # the worker would fall back to: the slot name then carries
+        # the seed, so a winning slot reruns serially as reported
         for index, entry in enumerate(entries):
             engine_prefix, policy = parse_slot(entry)
             name, seed = parse_policy(policy)
@@ -332,12 +318,6 @@ class ParallelScheduler:
                     if engine_prefix is None
                     else f"{engine_prefix}:{pinned}"
                 )
-        if self.adaptive is not None:
-            entries = list(
-                self.adaptive.order_slots(
-                    net_family(self.net), tuple(entries)
-                )
-            )
         return tuple(entries)
 
     # ------------------------------------------------------------------
@@ -417,42 +397,10 @@ class ParallelScheduler:
                 workers=len(workers),
                 metrics=race_metrics,
             )
-        kind, _index, slot, slot_stats, payload = winner
+        kind, _index, slot, _slot_stats, payload = winner
         slot_engine, policy = parse_slot(slot)
         if slot_engine is None:
             slot_engine = self.engine_mode
-        if self.adaptive is not None:
-            family = net_family(self.net)
-            # per-slot wall-clock (and near-miss credit for losers that
-            # still reached a definitive verdict) flows back into the
-            # store so a narrowly-losing diverse slot is not starved;
-            # the decay halves the horizon so old wins fade
-            for message in messages:
-                m_kind, _i, m_slot, m_stats, _payload = message
-                if not m_slot:
-                    continue
-                seconds = (
-                    ((m_stats or {}).get("metrics") or {})
-                    .get("gauges", {})
-                    .get(f"slot.{m_slot}.wall_seconds")
-                )
-                if seconds is not None:
-                    self.adaptive.record_slot_time(
-                        family,
-                        m_slot,
-                        seconds,
-                        near=(
-                            m_kind in ("feasible", "infeasible")
-                            and message is not winner
-                        ),
-                    )
-            self.adaptive.decay_family(family)
-            self.adaptive.record_win(
-                family,
-                slot,
-                (slot_stats or {}).get("states_visited", 0),
-            )
-            self.adaptive.save()
         if kind == "feasible":
             raw_schedule, windows = payload
             schedule = [tuple(entry) for entry in raw_schedule]

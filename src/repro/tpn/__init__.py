@@ -6,7 +6,6 @@ Public surface:
 * :class:`Place`, :class:`Transition`, :class:`Arc`,
   :class:`TimePetriNet`, :func:`net_union` — net construction;
 * :class:`CompiledNet` — frozen index-based view;
-* :class:`MarkingView` — name-addressed marking inspection;
 * :class:`State`, :class:`StateEngine`, :class:`FiringCandidate` — the
   checked reference semantics (Definition 3.1,
   ``ET``/``FT``/``DLB``/``DUB``);
@@ -14,8 +13,8 @@ Public surface:
   feasibility predicate (Definition 3.2);
 * :func:`explore`, :class:`ReachabilityGraph` — bounded state-space
   enumeration;
-* analysis helpers (invariants, conservation, classification) and DOT
-  export.
+* place invariants and their cross-check on an explored graph, and
+  DOT export.
 """
 
 from typing import TYPE_CHECKING
@@ -24,19 +23,13 @@ from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
     from repro.tpn.analysis import (
-        BehaviouralReport,
-        behavioural_report,
         check_invariants_on_graph,
-        classify,
         incidence_matrix,
         invariant_value,
-        is_conservative,
         place_invariants,
-        transition_invariants,
     )
     from repro.tpn.dot import net_to_dot, reachability_to_dot
     from repro.tpn.interval import INF, TimeInterval
-    from repro.tpn.marking import MarkingView
     from repro.tpn.net import (
         Arc,
         CompiledNet,
@@ -58,12 +51,7 @@ if TYPE_CHECKING:
         Transition,
         net_union,
     )
-    from repro.tpn.reachability import (
-        ReachabilityGraph,
-        explore,
-        find_state,
-        reachable_markings,
-    )
+    from repro.tpn.reachability import ReachabilityGraph, explore
     from repro.tpn.stateclass import (
         RealizedSchedule,
         StateClass,
@@ -85,14 +73,11 @@ else:
         __name__,
         {
             "repro.tpn.analysis": (
-                "BehaviouralReport behavioural_report "
-                "check_invariants_on_graph classify incidence_matrix "
-                "invariant_value is_conservative place_invariants "
-                "transition_invariants"
+                "check_invariants_on_graph incidence_matrix "
+                "invariant_value place_invariants"
             ),
             "repro.tpn.dot": "net_to_dot reachability_to_dot",
             "repro.tpn.interval": "INF TimeInterval",
-            "repro.tpn.marking": "MarkingView",
             "repro.tpn.net": (
                 "Arc CompiledNet Place ROLE_ARRIVAL ROLE_COMPUTE "
                 "ROLE_DEADLINE_MISS ROLE_DEADLINE_OK ROLE_EXCLUSION "
@@ -100,10 +85,7 @@ else:
                 "ROLE_MESSAGE ROLE_PHASE ROLE_PRECEDENCE ROLE_RELEASE "
                 "TimePetriNet Transition net_union"
             ),
-            "repro.tpn.reachability": (
-                "ReachabilityGraph explore find_state "
-                "reachable_markings"
-            ),
+            "repro.tpn.reachability": "ReachabilityGraph explore",
             "repro.tpn.stateclass": (
                 "RealizedSchedule StateClass StateClassEngine "
                 "StateClassGraph build_state_class_graph "
@@ -120,12 +102,10 @@ else:
 __all__ = [
     "Action",
     "Arc",
-    "BehaviouralReport",
     "CompiledNet",
     "DISABLED",
     "FiringCandidate",
     "INF",
-    "MarkingView",
     "Place",
     "ROLE_ARRIVAL",
     "ROLE_COMPUTE",
@@ -153,20 +133,14 @@ __all__ = [
     "TimeInterval",
     "TimePetriNet",
     "Transition",
-    "behavioural_report",
     "build_state_class_graph",
     "check_invariants_on_graph",
-    "classify",
     "explore",
-    "find_state",
     "incidence_matrix",
     "invariant_value",
-    "is_conservative",
     "net_to_dot",
     "net_union",
     "place_invariants",
     "reachability_to_dot",
-    "reachable_markings",
     "realize_firing_sequence",
-    "transition_invariants",
 ]

@@ -7,9 +7,9 @@ marking and clock vectors), so there is no per-state marshalling.  It
 has two layers:
 
 * per-step entry points (``kn_successor``, ``kn_candidates``,
-  ``kn_window``, ``kn_hash``) — one foreign call per successor or
-  candidate list, used by :class:`repro.tpn.kernel.KernelEngine`'s
-  public step API;
+  ``kn_hash``) — one foreign call per successor or candidate list,
+  used by :class:`repro.tpn.kernel.KernelEngine`'s public step API
+  (``kn_candidates`` is the driver's own candidate pipeline);
 * the kernel's half of the search driver: ``kn_search_new`` roots a
   search, and the ``kn_ops`` table plugs the successor, the candidate
   pipeline (every delay and priority mode and the partial-order
@@ -39,9 +39,8 @@ int32_t kn_successor(const ez_net *net, const uint16_t *old_mark,
                      int32_t q, int32_t intermediate);
 int32_t kn_candidates(const ez_net *net, const uint16_t *clk,
                       int32_t strict, int32_t partial_order,
-                      int32_t *out, int32_t *reduced);
-int32_t kn_window(const ez_net *net, const uint16_t *clk,
-                  int32_t *out, int32_t *ceiling_out);
+                      int32_t mode, int32_t *out, int32_t cap,
+                      int32_t *reduced);
 ez_search *kn_search_new(const ez_net *net, const uint16_t *mark0,
                          const uint16_t *clk0, uint64_t key0,
                          int32_t options, int64_t max_states,
@@ -238,9 +237,10 @@ static void kn_sort(const ez_net *net, int32_t *out, int32_t n)
  * expansion (mode 0 = earliest, 1 = extremes, 2 = full) against the
  * min-DUB ceiling and the (delay, priority, index) order.  An
  * unbounded ceiling collapses to earliest-only ordering, exactly like
- * repro.scheduler.core.order_and_expand.  `out` receives up to `cap`
- * (transition, delay) pairs; returns the count, or -needed when `cap`
- * is too small (the caller grows the buffer and retries). */
+ * the reference adapter's repro.scheduler.core.order_and_expand.
+ * `out` receives up to `cap` (transition, delay) pairs; returns the
+ * count, or -needed when `cap` is too small (the caller grows the
+ * buffer and retries). */
 static int32_t kn_enumerate(const ez_net *net, const uint16_t *clk,
                             int32_t strict, int32_t partial_order,
                             int32_t mode, int32_t *out, int32_t cap,
@@ -287,7 +287,7 @@ static int32_t kn_enumerate(const ez_net *net, const uint16_t *clk,
             }
             if (ok) {
                 /* the reduced pick still goes through the delay
-                 * expansion below, like the Python pipeline */
+                 * expansion below, like the reference adapter's */
                 cand[0] = tc;
                 cand[1] = 0;
                 n = 1;
@@ -336,26 +336,15 @@ static int32_t kn_enumerate(const ez_net *net, const uint16_t *clk,
     return m;
 }
 
-/* The earliest-mode candidate list, fully ordered; `out` holds 2T
- * words.  Returns the count. */
+/* The per-step API's entry to the driver's pipeline: kn_enumerate on
+ * a caller's clock buffer, same modes, same -needed protocol. */
 int32_t kn_candidates(const ez_net *net, const uint16_t *clk,
                       int32_t strict, int32_t partial_order,
-                      int32_t *out, int32_t *reduced)
+                      int32_t mode, int32_t *out, int32_t cap,
+                      int32_t *reduced)
 {
-    return kn_enumerate(net, clk, strict, partial_order, 0, out,
-                        net->T, reduced);
-}
-
-/* Raw firing window for the delay-enumeration modes: ceiling +
- * unfiltered (transition, lower) pairs in ascending index order.
- * `ceiling_out` is -1 when no enabled transition bounds the window. */
-int32_t kn_window(const ez_net *net, const uint16_t *clk,
-                  int32_t *out, int32_t *ceiling_out)
-{
-    int32_t ceiling;
-    int32_t n = kn_scan(net, clk, out, &ceiling);
-    *ceiling_out = (ceiling == KN_INF_CEILING) ? -1 : ceiling;
-    return n;
+    return kn_enumerate(net, clk, strict, partial_order, mode, out,
+                        cap, reduced);
 }
 
 /* The kernel's state records: a fixed-stride arena of W = P + T words

@@ -1,24 +1,23 @@
-"""Structural and behavioural analysis of time Petri nets.
+"""Place invariants of time Petri nets.
 
-Supporting substrate (DESIGN.md S2): place/transition invariants via the
-incidence matrix, conservation and boundedness checks, deadlock detection
-on an explored state space, and structural classification (state machine
-/ marked graph / free choice).  These checks back the validation story
-the paper attributes to the underlying formal model ("it ensures that
-system's properties are satisfied").
+P-invariants via the incidence matrix, and their cross-check against an
+explored state space.  They back the validation story the paper
+attributes to the underlying formal model ("it ensures that system's
+properties are satisfied"): the tests use them as an oracle that is
+independent of the firing rule, checking the reference engine's
+behaviour and the composer's nets (the processor place plus every
+running-task place carries exactly one token) against linear algebra.
 
 Invariant computation uses integer Gaussian elimination over rationals
-(fractions) so results are exact; numpy is used only as an optional
-accelerator for the incidence matrix product checks.
+(fractions) so results are exact.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.tpn.net import CompiledNet, TimePetriNet
-from repro.tpn.reachability import ReachabilityGraph, explore
+from repro.tpn.net import TimePetriNet
+from repro.tpn.reachability import ReachabilityGraph
 
 
 def incidence_matrix(net: TimePetriNet) -> list[list[int]]:
@@ -124,26 +123,6 @@ def place_invariants(net: TimePetriNet) -> list[dict[str, int]]:
     return result
 
 
-def transition_invariants(net: TimePetriNet) -> list[dict[str, int]]:
-    """T-invariants: integer vectors ``x`` with ``C·x = 0``.
-
-    A T-invariant describes a firing-count vector that reproduces a
-    marking; the hyperperiod firing counts of the paper's task blocks
-    form one (firing every instance of every task returns the net to a
-    recurrent marking).
-    """
-    matrix = incidence_matrix(net)
-    basis = _nullspace_basis(matrix) if matrix else []
-    names = net.transition_names
-    result = []
-    for vec in basis:
-        ints = _integerise(vec)
-        result.append(
-            {names[i]: v for i, v in enumerate(ints) if v != 0}
-        )
-    return result
-
-
 def invariant_value(
     invariant: dict[str, int], marking: dict[str, int]
 ) -> int:
@@ -151,113 +130,6 @@ def invariant_value(
     return sum(
         coeff * marking.get(place, 0) for place, coeff in invariant.items()
     )
-
-
-def is_conservative(net: TimePetriNet) -> bool:
-    """Whether some strictly positive P-invariant covers all places.
-
-    Conservative nets are structurally bounded.  We check whether the
-    all-ones vector is an invariant (strict conservation) — sufficient
-    for the simple resource nets used in tests.
-    """
-    matrix = incidence_matrix(net)
-    for j in range(len(net.transition_names)):
-        if sum(matrix[i][j] for i in range(len(matrix))) != 0:
-            return False
-    return True
-
-
-@dataclass
-class BehaviouralReport:
-    """Summary of a bounded behavioural exploration."""
-
-    states_explored: int
-    complete: bool
-    bounded: bool
-    bound: int
-    deadlock_states: int
-    final_marking_reachable: bool | None
-
-    def __str__(self) -> str:
-        completeness = "complete" if self.complete else "truncated"
-        lines = [
-            f"states explored : {self.states_explored} ({completeness})",
-            f"k-bounded       : {self.bound if self.bounded else 'no'}",
-            f"deadlock states : {self.deadlock_states}",
-        ]
-        if self.final_marking_reachable is not None:
-            lines.append(
-                f"M_F reachable   : {self.final_marking_reachable}"
-            )
-        return "\n".join(lines)
-
-
-def behavioural_report(
-    net: CompiledNet,
-    max_states: int = 10_000,
-    earliest_only: bool = False,
-) -> BehaviouralReport:
-    """Explore the TLTS and summarise boundedness/deadlock/reachability.
-
-    Boundedness here is *observed* boundedness over the explored prefix;
-    a truncated exploration cannot prove a net bounded, and the report
-    says so via ``complete``.
-    """
-    graph = explore(
-        net, max_states=max_states, earliest_only=earliest_only
-    )
-    bound = graph.max_tokens()
-    reaches_final = None
-    if any(v is not None for v in net.final_marking):
-        reaches_final = any(
-            net.is_final(s.marking) for s in graph.states
-        )
-    return BehaviouralReport(
-        states_explored=graph.num_states,
-        complete=graph.complete,
-        bounded=graph.complete,
-        bound=bound,
-        deadlock_states=len(graph.deadlocks),
-        final_marking_reachable=reaches_final,
-    )
-
-
-def classify(net: TimePetriNet) -> dict[str, bool]:
-    """Structural classification of the untimed skeleton.
-
-    Returns flags for the classic subclasses:
-
-    * ``state_machine`` — every transition has exactly one input and one
-      output place (weights 1);
-    * ``marked_graph`` — every place has exactly one producer and one
-      consumer;
-    * ``free_choice`` — whenever two transitions share an input place,
-      their presets are identical;
-    * ``ordinary`` — all arc weights are 1.
-    """
-    ordinary = all(arc.weight == 1 for arc in net.arcs())
-    state_machine = ordinary and all(
-        len(net.preset(t)) == 1 and len(net.postset(t)) == 1
-        for t in net.transition_names
-    )
-    marked_graph = ordinary and all(
-        len(net.place_preset(p)) == 1 and len(net.place_postset(p)) == 1
-        for p in net.place_names
-    )
-    free_choice = True
-    presets = {t: frozenset(net.preset(t)) for t in net.transition_names}
-    for p in net.place_names:
-        consumers = list(net.place_postset(p))
-        for i in range(len(consumers)):
-            for j in range(i + 1, len(consumers)):
-                if presets[consumers[i]] != presets[consumers[j]]:
-                    free_choice = False
-    return {
-        "ordinary": ordinary,
-        "state_machine": state_machine,
-        "marked_graph": marked_graph,
-        "free_choice": free_choice and ordinary,
-    }
 
 
 def check_invariants_on_graph(

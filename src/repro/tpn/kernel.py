@@ -57,7 +57,6 @@ from repro.tpn._native import (
     core_for,
     search_options,
 )
-from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
 from repro.tpn.state import DISABLED, RESET_POLICIES, State
 
@@ -117,16 +116,14 @@ class _NativeCore(NativeNet):
     """Per-net handle on the compiled core: the packed net plus the
     kernel's preallocated output buffers."""
 
-    __slots__ = ("_out", "_red", "_ceil", "_hash_io")
+    __slots__ = ("_out", "_cap", "_red", "_hash_io")
 
     def __init__(self, module, net: CompiledNet):
         super().__init__(module, net)
         ffi = self.ffi
-        self._out = ffi.new(
-            "int32_t[]", 2 * max(1, net.num_transitions)
-        )
+        self._cap = max(1, net.num_transitions)
+        self._out = ffi.new("int32_t[]", 2 * self._cap)
         self._red = ffi.new("int32_t *")
-        self._ceil = ffi.new("int32_t *")
         self._hash_io = ffi.new("uint64_t *")
 
     def full_hash(self, mark: array, clk: array) -> int:
@@ -154,33 +151,28 @@ class _NativeCore(NativeNet):
         )
         return status, hio[0]
 
-    def candidates(self, clk, strict, partial_order):
-        out = self._out
-        n = self.lib.kn_candidates(
-            self.net_ptr,
-            self.ffi.from_buffer("uint16_t[]", clk),
-            strict,
-            partial_order,
-            out,
-            self._red,
-        )
+    def candidates(self, clk, strict, partial_order, mode):
+        clk_ptr = self.ffi.from_buffer("uint16_t[]", clk)
+        while True:
+            out = self._out
+            n = self.lib.kn_candidates(
+                self.net_ptr,
+                clk_ptr,
+                strict,
+                partial_order,
+                mode,
+                out,
+                self._cap,
+                self._red,
+            )
+            if n >= 0:
+                break
+            # a delay-enumerating expansion outgrew the buffer
+            self._cap = -n
+            self._out = self.ffi.new("int32_t[]", 2 * self._cap)
         return (
             [(out[2 * i], out[2 * i + 1]) for i in range(n)],
             bool(self._red[0]),
-        )
-
-    def window(self, clk):
-        out = self._out
-        n = self.lib.kn_window(
-            self.net_ptr,
-            self.ffi.from_buffer("uint16_t[]", clk),
-            out,
-            self._ceil,
-        )
-        ceiling = self._ceil[0]
-        return (
-            INF if ceiling < 0 else ceiling,
-            [(out[2 * i], out[2 * i + 1]) for i in range(n)],
         )
 
 
@@ -189,6 +181,9 @@ class _NativeCore(NativeNet):
 # DBM engine
 _OPT_EXTREMES = 8
 _OPT_FULL = 16
+
+# kn_candidates' delay-mode argument
+_MODES = {"earliest": 0, "extremes": 1, "full": 2}
 
 
 class KernelEngine:
@@ -209,9 +204,6 @@ class KernelEngine:
         "core",
         "_intermediate",
         "_pre",
-        "_lft_i",
-        "_conflict_free",
-        "_post_conflicts",
         "_num_transitions",
     )
 
@@ -232,13 +224,6 @@ class KernelEngine:
         self.reset_policy = reset_policy
         self._intermediate = reset_policy == "intermediate"
         self._pre = net.pre
-        # integer LFT vector with -1 encoding the unbounded bound, the
-        # packed analogue of the float INF convention
-        self._lft_i = tuple(
-            -1 if b == INF else int(b) for b in net.lft
-        )
-        self._conflict_free = net.conflict_free
-        self._post_conflicts = net.post_conflicts
         self._num_transitions = net.num_transitions
         self.core = _NativeCore(module, net)
 
@@ -313,51 +298,31 @@ class KernelEngine:
         )
 
     # ------------------------------------------------------------------
-    # Firing window / candidate enumeration
+    # Candidate enumeration
     # ------------------------------------------------------------------
     def candidates(
-        self, state: KernelState, strict: bool, partial_order: bool
+        self,
+        state: KernelState,
+        strict: bool,
+        partial_order: bool,
+        delay_mode: str,
     ) -> tuple[list[tuple[int, int]], bool]:
-        """Earliest-mode candidates, fully ordered, plus the
-        reduction flag.
+        """The state's ``(transition, delay)`` candidates, fully
+        ordered, plus the reduction flag.
 
-        The min-DUB ceiling, the firing window, the optional strict
-        priority filter, the forced-immediate partial-order reduction
-        and the ``(delay, priority, index)`` ordering all run inside
-        one core call; the returned flag records whether the reduction
+        One core call runs the driver's own candidate pipeline: the
+        min-DUB ceiling, the firing window, the optional strict
+        priority filter, the forced-immediate partial-order reduction,
+        the ``delay_mode`` expansion and the ``(delay, priority,
+        index)`` ordering.  The flag records whether the reduction
         collapsed the window to a single forced firing.
         """
         return self.core.candidates(
-            state.clk, 1 if strict else 0, 1 if partial_order else 0
+            state.clk,
+            1 if strict else 0,
+            1 if partial_order else 0,
+            _MODES[delay_mode],
         )
-
-    def forced_immediate(
-        self, cands: list[tuple[int, int]], clk
-    ) -> tuple[int, int] | None:
-        """Partial-order reduction pick on the packed clock buffer.
-
-        The packed analogue of
-        :func:`repro.scheduler.core.forced_immediate` (which reads
-        enabledness as ``clocks[t] >= 0`` and cannot run on the
-        ``0xFFFF``-sentinel encoding): a zero-delay, structurally
-        conflict-free candidate whose dynamic upper bound is zero and
-        whose postset feeds no enabled transition fires alone.
-        """
-        conflict_free = self._conflict_free
-        post_conflicts = self._post_conflicts
-        lft = self._lft_i
-        for t, lower in cands:
-            if lower != 0 or not conflict_free[t]:
-                continue
-            bound = lft[t]
-            if bound < 0 or bound - clk[t] > 0:
-                continue  # not forced at this instant
-            for other in post_conflicts[t]:
-                if clk[other] != DIS:
-                    break  # an enabled transition consumes from t•
-            else:
-                return (t, 0)
-        return None
 
     def open_search(
         self,
@@ -398,11 +363,3 @@ class KernelEngine:
 
     def _search_fault(self, status: int, t: int) -> None:
         self._overflow(1 if status == SEARCH_TOKENS else 2, t)
-
-    def window(
-        self, state: KernelState
-    ) -> tuple[float, list[tuple[int, int]]]:
-        """``(min DUB, raw [(t, DLB(t)), ...])`` for the
-        delay-enumeration modes — no filter, no reduction, no sort
-        beyond the ascending index order of the scan."""
-        return self.core.window(state.clk)

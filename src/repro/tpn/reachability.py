@@ -115,23 +115,3 @@ def explore(
                     frontier.append((j, succ))
                 graph.edges[i].append((cand.transition, q, j))
     return graph
-
-
-def reachable_markings(
-    net: CompiledNet, max_states: int = 10_000
-) -> set[tuple[int, ...]]:
-    """Convenience: the set of reachable markings (bounded exploration)."""
-    return explore(net, max_states=max_states).markings()
-
-
-def find_state(
-    net: CompiledNet,
-    predicate,
-    max_states: int = 10_000,
-) -> State | None:
-    """First explored state satisfying ``predicate`` or ``None``."""
-    graph = explore(net, max_states=max_states)
-    for state in graph.states:
-        if predicate(state):
-            return state
-    return None

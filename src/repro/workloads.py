@@ -258,11 +258,8 @@ def wide_interval_race_net(
     single time-shared core.  The default ``width`` is the smallest
     (in steps of 8) at which the native kernel's serial full-delay
     sweep takes at least 5× the state-class search: ~27 ms against
-    ~5 ms on a 2-vCPU x86-64 host.  One definition shared by
-    ``benchmarks/bench_parallel_dfs.py`` and
-    :func:`repro.scheduler.adaptive.bench_model_families`, so the
-    recorded winner statistics warm-start the same fingerprint a live
-    race computes.
+    ~5 ms on a 2-vCPU x86-64 host.  ``benchmarks/bench_parallel_dfs.py``
+    races this net.
     """
     return wide_interval_job_net(
         n_jobs=n_jobs,

@@ -14,6 +14,7 @@ from repro.batch import (
     BatchEngine,
     BatchJob,
     CampaignGrid,
+    JobOutcome,
     ResultCache,
     STATUS_ERROR,
     STATUS_FEASIBLE,
@@ -29,6 +30,7 @@ from repro.errors import SpecificationError
 from repro.scheduler import SchedulerConfig
 from repro.spec import fig3_precedence, fig4_exclusion, mine_pump
 from repro.spec.model import EzRTSpec, Task
+from repro.batch.engine import predict_states
 from repro.workloads import campaign_task_sets, random_task_set
 
 
@@ -663,7 +665,7 @@ class TestSchedulerMonotonicBudget:
 
 
 class TestHardestFirstOrdering:
-    """ISSUE 5 satellite: adaptive hardest-first job dispatch.
+    """Hardest-first job dispatch by :func:`predict_states`.
 
     The contract: ordering jobs by predicted states changes
     *completion order only* — outcomes, JSONL bytes and cache
@@ -718,25 +720,59 @@ class TestHardestFirstOrdering:
             hard.name,
         ]  # submission order preserved
 
-    def test_prediction_refined_by_adaptive_store(self):
-        from repro.scheduler import AdaptiveStore, spec_family
+    def test_predict_states_is_monotone_in_pressure(self):
+        easy = predict_states(random_task_set(2, 0.3, seed=0))
+        hard = predict_states(
+            random_task_set(
+                6, 0.9, seed=0, preemptive_fraction=1.0
+            )
+        )
+        assert hard > easy
 
-        spec = random_task_set(2, 0.3, seed=0)
-        store = AdaptiveStore()
-        engine = BatchEngine(max_workers=1, adaptive=store)
-        job = engine.make_job(spec)
-        heuristic = engine._predicted_states(job)
-        store.record_job(spec_family(spec), 10 * int(heuristic) + 1)
-        assert engine._predicted_states(job) > heuristic
+    #: hardest-first dispatch permutation (submission indices) of the
+    #: grid below, pinned so that an edit of :func:`predict_states`
+    #: cannot reorder which jobs the pool starts first unnoticed
+    PINNED_ORDER = [
+        29, 23, 28, 17, 27, 25, 26, 22, 21, 15, 19, 24, 10, 13, 16,
+        20, 11, 5, 4, 8, 18, 14, 6, 9, 3, 12, 2, 7, 1, 0,
+    ]
 
-    def test_run_records_outcomes_into_the_store(self):
-        from repro.scheduler import AdaptiveStore, spec_family
+    def test_dispatch_permutation_is_pinned(self, monkeypatch):
+        """Execution order on a seeded grid with mixed preemptive
+        shares (so the tenths bucketing matters) is the recorded
+        permutation; outcomes stay in submission order."""
+        import repro.batch.engine as engine_module
 
-        store = AdaptiveStore()
-        spec = fig3_precedence()
-        engine = BatchEngine(max_workers=1, adaptive=store)
-        engine.run([spec])
-        assert store.predicted_states(spec_family(spec), -1.0) > 0
+        specs = [
+            spec
+            for _params, spec in campaign_task_sets(
+                (2, 3, 4, 5, 6),
+                (0.3, 0.6, 0.9),
+                (0, 1),
+                preemptive_fraction=0.5,
+            )
+        ]
+        position = {id(spec): index for index, spec in enumerate(specs)}
+        executed: list[int] = []
+
+        def recording_execute(job):
+            executed.append(position[id(job.spec)])
+            return JobOutcome(
+                spec_name=job.spec.name,
+                status=STATUS_FEASIBLE,
+                key=job.key(),
+                n_tasks=len(job.spec.tasks),
+            )
+
+        monkeypatch.setattr(
+            engine_module, "execute_job", recording_execute
+        )
+        engine = BatchEngine(max_workers=1)
+        result = engine.run(specs)
+        assert executed == self.PINNED_ORDER
+        assert [o.spec_name for o in result.outcomes] == [
+            spec.name for spec in specs
+        ]
 
     def test_cli_flag_disables_ordering(self, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"

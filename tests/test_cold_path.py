@@ -7,7 +7,7 @@ the pipeline leaf by leaf; these tests pin the result:
 
 * each one-shot command, run in a fresh interpreter, loads none of
   the batch engine, the service, PNML, the code lint pack, the
-  parallel/adaptive/baseline schedulers, the net analysis tools, the
+  parallel and baseline schedulers, the net analysis tools, the
   dense engine or the process-pool and socket stacks;
 * ``import repro.cli`` alone loads at most 50 ``repro`` modules;
 * every layer the benchmark's traced pass wraps on ``repro.cli`` is
@@ -41,7 +41,6 @@ FORBIDDEN = (
     "repro.pnml",
     "repro.lint.coderules",
     "repro.scheduler.parallel",
-    "repro.scheduler.adaptive",
     "repro.scheduler.baselines",
     "repro.tpn.analysis",
     "repro.tpn.dbm",

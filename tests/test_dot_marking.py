@@ -1,75 +1,12 @@
-"""Tests for DOT export and the name-addressed marking view."""
+"""Tests for DOT export of nets and reachability graphs."""
 
-import pytest
-
-from repro.errors import NetConstructionError
 from repro.tpn import (
-    MarkingView,
     TimeInterval,
     TimePetriNet,
     explore,
     net_to_dot,
     reachability_to_dot,
 )
-
-
-class TestMarkingView:
-    def test_name_access(self, simple_net):
-        compiled = simple_net.compile()
-        view = MarkingView(compiled, compiled.m0)
-        assert view["p0"] == 1
-        assert view["done"] == 0
-
-    def test_mapping_protocol(self, simple_net):
-        compiled = simple_net.compile()
-        view = MarkingView(compiled, compiled.m0)
-        assert len(view) == 4
-        assert set(view) == set(compiled.place_names)
-        assert dict(view)["proc"] == 1
-
-    def test_marked_and_totals(self, simple_net):
-        compiled = simple_net.compile()
-        view = MarkingView(compiled, compiled.m0)
-        assert view.marked() == ("p0", "proc")
-        assert view.total_tokens() == 2
-
-    def test_as_dict_sparse_and_dense(self, simple_net):
-        compiled = simple_net.compile()
-        view = MarkingView(compiled, compiled.m0)
-        assert view.as_dict() == {"p0": 1, "proc": 1}
-        dense = view.as_dict(sparse=False)
-        assert dense["p1"] == 0 and len(dense) == 4
-
-    def test_from_dict(self, simple_net):
-        compiled = simple_net.compile()
-        view = MarkingView.from_dict(compiled, {"done": 2})
-        assert view.vector == (0, 0, 0, 2)
-
-    def test_from_dict_unknown_place(self, simple_net):
-        compiled = simple_net.compile()
-        with pytest.raises(NetConstructionError):
-            MarkingView.from_dict(compiled, {"ghost": 1})
-
-    def test_from_dict_negative(self, simple_net):
-        compiled = simple_net.compile()
-        with pytest.raises(NetConstructionError):
-            MarkingView.from_dict(compiled, {"done": -1})
-
-    def test_wrong_length_rejected(self, simple_net):
-        compiled = simple_net.compile()
-        with pytest.raises(NetConstructionError):
-            MarkingView(compiled, (1, 2))
-
-    def test_unknown_lookup(self, simple_net):
-        compiled = simple_net.compile()
-        view = MarkingView(compiled, compiled.m0)
-        with pytest.raises(NetConstructionError):
-            view["ghost"]
-
-    def test_repr_sparse(self, simple_net):
-        compiled = simple_net.compile()
-        view = MarkingView(compiled, compiled.m0)
-        assert "p0=1" in repr(view)
 
 
 class TestNetToDot:

@@ -10,10 +10,11 @@ ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
   ``full_hash``, under both clock-reset policies, on the paper models
   and a seeded task-set grid.
 * **Native vs spec adapters** — the same walks compare the kernel
-  adapter's candidate pipeline (filters, partial-order reduction,
-  delay expansion) with the reference adapter's, which
-  ``engine="kernel"`` runs without the core (``EZRT_PURE=1``, or a net
-  the core cannot pack).
+  adapter's candidate pipeline (the driver's C pipeline: filters,
+  partial-order reduction, delay expansion) with the reference
+  adapter's, which ``engine="kernel"`` runs without the core
+  (``EZRT_PURE=1``, or a net the core cannot pack), on every delay ×
+  priority × partial-order × reset cell.
 * **Cross-engine search fuzz** — full scheduler searches across all
   three adapters on a seeded sweep: the two discrete engines must
   agree exactly (verdict, visited counts, schedules, deterministic
@@ -34,6 +35,7 @@ import pytest
 from repro.blocks import compose
 from repro.errors import SchedulingError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
+from repro.scheduler.config import DELAY_MODES, PRIORITY_MODES
 from repro.scheduler.core import (
     KernelAdapter,
     ReferenceAdapter,
@@ -44,6 +46,7 @@ from repro.scheduler.result import SearchStats
 from repro.spec import paper_examples
 from repro.tpn import _dbmc, _kernelc, _native
 from repro.tpn.dbm import DbmEngine
+from repro.tpn.interval import TimeInterval
 from repro.tpn.kernel import DIS, MAX_CLOCK, KernelEngine
 from repro.tpn.net import TimePetriNet
 from repro.tpn.state import DISABLED, StateEngine
@@ -87,6 +90,17 @@ def _walk_nets(paper_nets):
         )
 
 
+#: names of the nets :func:`_walk_nets` yields, for parametrisation
+WALK_NET_NAMES = tuple(paper_examples()) + tuple(
+    f"rand-n{n}-s{seed}" for n, _u, seed in FUZZ_GRID[:3]
+)
+
+
+@pytest.fixture(scope="module")
+def walk_nets(paper_nets):
+    return dict(_walk_nets(paper_nets))
+
+
 def _reference_candidates(engine, state, net):
     """Reference fireable set, filtered like the adapters filter it:
     deadline-miss transitions never become candidates."""
@@ -111,8 +125,10 @@ def _lockstep_walk(net, reset_policy, seed, kernel_engine):
             ker.marking, ker.clk
         ), f"incremental hash diverged from full_hash at step {step}"
         cands = _reference_candidates(ref_engine, ref, net)
-        ker_window = sorted(kernel_engine.window(ker)[1])
-        assert ker_window == cands, step
+        ker_window, _reduced = kernel_engine.candidates(
+            ker, False, False, "earliest"
+        )
+        assert sorted(ker_window) == cands, step
         if not cands:
             return step
         t, q = rng.choice(cands)
@@ -143,61 +159,58 @@ class TestEngineDifferentialWalks:
             assert steps > 0, f"{name}: walk never started"
 
 
-#: adapter settings the native-vs-spec walks cover: (delay mode,
-#: priority mode, partial order)
-ADAPTER_SETTINGS = [
-    ("earliest", "ordered", True),
-    ("earliest", "strict", False),
-    ("extremes", "ordered", True),
-    ("full", "strict", True),
-]
-
-
 class TestNativeVsSpec:
     """The kernel adapter and its spec, the reference adapter, agree
     step by step; without the core ``engine="kernel"`` is the spec."""
 
     @native_only
+    @pytest.mark.parametrize("net_name", WALK_NET_NAMES)
     @pytest.mark.parametrize("reset_policy", RESETS)
+    @pytest.mark.parametrize("partial_order", (True, False))
+    @pytest.mark.parametrize("priority_mode", PRIORITY_MODES)
+    @pytest.mark.parametrize("delay_mode", DELAY_MODES)
     def test_identical_states_and_candidates(
-        self, paper_nets, reset_policy
+        self,
+        walk_nets,
+        delay_mode,
+        priority_mode,
+        partial_order,
+        reset_policy,
+        net_name,
     ):
-        for setting in ADAPTER_SETTINGS:
-            delay_mode, priority_mode, partial_order = setting
-            config = SchedulerConfig(
-                reset_policy=reset_policy,
-                delay_mode=delay_mode,
-                priority_mode=priority_mode,
-                partial_order=partial_order,
-            )
-            for name, net in _walk_nets(paper_nets):
-                native = KernelAdapter(net, config)
-                spec = ReferenceAdapter(net, config)
-                a, b = native.root(), spec.root()
-                stats_a, stats_b = SearchStats(), SearchStats()
-                rng = random.Random(17)
-                for step in range(WALK_STEPS):
-                    where = (setting, name, step)
-                    assert a.to_state() == b, where
-                    assert a._hash == native.engine.full_hash(
-                        a.marking, a.clk
-                    ), where
-                    ca = native.candidates_of(a, stats_a)
-                    cb = spec.candidates_of(b, stats_b)
-                    assert ca == cb, where
-                    assert stats_a.reductions == stats_b.reductions
-                    if not ca:
-                        break
-                    t, q = rng.choice(ca)
-                    b = spec.successor(b, t, q)
-                    try:
-                        a = native.successor(a, t, q)
-                    except SchedulingError:
-                        # a packed cap: the spec has none
-                        assert max(b.marking) > 0xFFFF or max(
-                            v for v in b.clocks if v != DISABLED
-                        ) > MAX_CLOCK
-                        break
+        config = SchedulerConfig(
+            reset_policy=reset_policy,
+            delay_mode=delay_mode,
+            priority_mode=priority_mode,
+            partial_order=partial_order,
+        )
+        net = walk_nets[net_name]
+        native = KernelAdapter(net, config)
+        spec = ReferenceAdapter(net, config)
+        a, b = native.root(), spec.root()
+        stats_a, stats_b = SearchStats(), SearchStats()
+        rng = random.Random(17)
+        for step in range(WALK_STEPS):
+            assert a.to_state() == b, step
+            assert a._hash == native.engine.full_hash(
+                a.marking, a.clk
+            ), step
+            ca = native.candidates_of(a, stats_a)
+            cb = spec.candidates_of(b, stats_b)
+            assert ca == cb, step
+            assert stats_a.reductions == stats_b.reductions, step
+            if not ca:
+                break
+            t, q = rng.choice(ca)
+            b = spec.successor(b, t, q)
+            try:
+                a = native.successor(a, t, q)
+            except SchedulingError:
+                # a packed cap: the spec has none
+                assert max(b.marking) > 0xFFFF or max(
+                    v for v in b.clocks if v != DISABLED
+                ) > MAX_CLOCK
+                break
 
     @pytest.mark.parametrize("reset_policy", RESETS)
     def test_pure_env_runs_the_reference(
@@ -461,7 +474,7 @@ class TestPackedRepresentation:
         net = paper_nets["fig3"]
         engine = KernelEngine(net)
         state = engine.initial()
-        cands, _ = engine.candidates(state, False, False)
+        cands, _ = engine.candidates(state, False, False, "earliest")
         assert cands
         with pytest.raises(SchedulingError, match="clock overflow"):
             engine.successor(state, cands[0][0], MAX_CLOCK + 1)
@@ -474,6 +487,32 @@ class TestPackedRepresentation:
         with pytest.raises(SchedulingError, match="token cap"):
             engine.lift(type(ref)(big, ref.clocks))
 
+    @pytest.mark.parametrize("delay_mode", DELAY_MODES)
+    def test_expansion_outgrowing_the_buffer_is_retried(
+        self, delay_mode
+    ):
+        """The candidate buffer starts at one pair per transition; a
+        full-delay expansion of a wide window needs more, which the
+        core reports as ``-needed`` and the engine grows and retries."""
+        net = TimePetriNet("wide")
+        net.add_place("p", marking=1)
+        net.add_place("q", marking=1)
+        net.add_transition("a", TimeInterval(0, 9))
+        net.add_transition("b", TimeInterval(2, 12))
+        net.add_arc("p", "a")
+        net.add_arc("q", "b")
+        compiled = net.compile()
+        config = SchedulerConfig(delay_mode=delay_mode)
+        native = KernelAdapter(compiled, config)
+        spec = ReferenceAdapter(compiled, config)
+        got = native.candidates_of(native.root(), SearchStats())
+        assert got == spec.candidates_of(spec.root(), SearchStats())
+        assert len(got) == {"earliest": 2, "extremes": 4, "full": 18}[
+            delay_mode
+        ]
+        # the grown buffer serves the next call as is
+        assert native.candidates_of(native.root(), SearchStats()) == got
+
     def test_state_identity(self, paper_nets):
         net = paper_nets["fig3"]
         engine = KernelEngine(net)
@@ -481,6 +520,6 @@ class TestPackedRepresentation:
         b = engine.initial()
         assert a == b and hash(a) == hash(b)
         assert a != object() or True  # NotImplemented path is benign
-        cands, _ = engine.candidates(a, False, True)
+        cands, _ = engine.candidates(a, False, True, "earliest")
         child = engine.successor(a, *cands[0])
         assert child != a

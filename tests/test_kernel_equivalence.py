@@ -82,11 +82,14 @@ class TestEngineEquivalence:
         for state in _walk_states(compiled, policy):
             ks = kernel.lift(state)
             _assert_key_consistent(kernel, ks)
-            ceiling, window = kernel.window(ks)
-            assert ceiling == reference.min_dub(state)
             ref_cands = reference.fireable(state, priority_filter=False)
-            assert sorted((c.transition, c.dlb) for c in ref_cands) == (
-                sorted(window)
+            # the full-delay expansion spells out the firing window and
+            # its min-DUB ceiling: every (t, q), DLB(t) <= q <= ceiling
+            full, _reduced = kernel.candidates(ks, False, False, "full")
+            assert sorted(full) == sorted(
+                (c.transition, q)
+                for c in ref_cands
+                for q in ([c.dlb] if c.dub == INF else c.delays())
             )
             for cand in ref_cands:
                 delays = (
@@ -113,11 +116,10 @@ class TestEngineEquivalence:
         rng = random.Random(17)
         ks = kernel.initial()
         for _ in range(40):
-            ceiling, window = kernel.window(ks)
-            if not window:
+            cands, _reduced = kernel.candidates(ks, False, False, "full")
+            if not cands:
                 break
-            t, lo = rng.choice(window)
-            q = lo if ceiling == INF else rng.randint(lo, int(ceiling))
+            t, q = rng.choice(cands)
             ks = kernel.successor(ks, t, q)
             _assert_key_consistent(kernel, ks)
 

@@ -10,7 +10,11 @@ The contract under test (see ``docs/scheduling.md``):
   reference engine (the :func:`validate_with_reference` gate runs
   inside ``ParallelScheduler.search``, so feasibility results in these
   tests are already reference-validated);
-* a first-win cancellation leaves no orphaned worker processes.
+* a first-win cancellation leaves no orphaned worker processes;
+* engine-aware slots (the ``[engine:]policy[:seed]`` grammar of
+  ``parse_slot``) race engines as well as orderings: a state-class
+  slot wins a wide-interval model, the winner's engine and policy are
+  recorded, and a feasible win replays through the reference engine.
 """
 
 from __future__ import annotations
@@ -28,11 +32,13 @@ from repro.scheduler import (
     default_portfolio,
     find_schedule,
     parse_policy,
+    parse_slot,
+    search,
     validate_with_reference,
 )
 from repro.scheduler.core import make_adapter
 from repro.spec import paper_examples
-from repro.workloads import random_task_set
+from repro.workloads import random_task_set, wide_interval_race_net
 
 
 def _no_ezrt_children() -> bool:
@@ -108,6 +114,48 @@ class TestPolicies:
         assert (
             first.stats.states_visited == second.stats.states_visited
         )
+
+
+# ----------------------------------------------------------------------
+# Slot grammar
+# ----------------------------------------------------------------------
+class TestParseSlot:
+    def test_plain_policy_inherits_engine(self):
+        assert parse_slot("latest") == (None, "latest")
+        assert parse_slot("random:7") == (None, "random:7")
+
+    def test_engine_prefix(self):
+        assert parse_slot("stateclass:earliest") == (
+            "stateclass",
+            "earliest",
+        )
+        assert parse_slot("kernel:random:3") == (
+            "kernel",
+            "random:3",
+        )
+        assert parse_slot("reference:min-laxity") == (
+            "reference",
+            "min-laxity",
+        )
+
+    def test_engine_without_policy_rejected(self):
+        with pytest.raises(SchedulingError):
+            parse_slot("stateclass:")
+
+    def test_unknown_policy_rejected(self):
+        with pytest.raises(SchedulingError):
+            parse_slot("stateclass:bogus")
+        with pytest.raises(SchedulingError):
+            parse_slot("bogus")
+
+    def test_config_accepts_engine_slots(self):
+        config = SchedulerConfig(
+            parallel=2,
+            portfolio=("kernel:earliest", "stateclass:earliest"),
+        )
+        assert len(config.portfolio) == 2
+        with pytest.raises(SchedulingError):
+            SchedulerConfig(portfolio=("stateclass:nope",))
 
 
 # ----------------------------------------------------------------------
@@ -371,6 +419,23 @@ class TestMergedStats:
             "earliest",
         )
 
+    def test_unseeded_random_slots_are_pinned_to_their_index(self):
+        """An unseeded random slot is named with the seed its worker
+        runs (its rotation index), so a winning slot reruns serially
+        as reported, and no two workers share a shuffle stream."""
+        net = compose(paper_examples()["fig3"]).compiled()
+        scheduler = ParallelScheduler(
+            net,
+            SchedulerConfig(
+                parallel=3, portfolio=("random", "earliest")
+            ),
+        )
+        assert scheduler.portfolio_policies() == (
+            "random:0",
+            "earliest",
+            "random:1",
+        )
+
 
 class TestNativeCoreGauges:
     """Portfolio workers search under their own metrics registry; the
@@ -488,3 +553,89 @@ class TestValidateWithReference:
             validate_with_reference(
                 model.compiled(), result.config, corrupted
             )
+
+
+# ----------------------------------------------------------------------
+# The mixed-engine portfolio race
+# ----------------------------------------------------------------------
+class TestMixedEngineRace:
+    def test_stateclass_slot_wins_wide_interval_race(self):
+        """The dense slot refutes the wide-interval model while the
+        delay-enumerating discrete slot is still sweeping integer
+        release times — and the verdict matches the serial search."""
+        net = wide_interval_race_net().compile()
+        serial = search(net, SchedulerConfig(delay_mode="full"))
+        assert not serial.feasible and not serial.exhausted
+        result = search(
+            net,
+            SchedulerConfig(
+                delay_mode="full",
+                parallel=2,
+                portfolio=(
+                    "kernel:earliest",
+                    "stateclass:earliest",
+                ),
+            ),
+        )
+        assert result.feasible == serial.feasible
+        assert not result.exhausted
+        assert result.winner_engine == "stateclass"
+        assert result.winner_policy == "earliest"
+        assert "winning engine" in result.summary()
+        assert _no_ezrt_children()
+
+    def test_mixed_feasible_winner_is_reference_validated(self):
+        """A feasible win from a mixed race replays through the
+        checked reference engine whichever engine produced it."""
+        from repro.workloads import wide_interval_job_net
+
+        net = wide_interval_job_net(
+            n_jobs=3, width=8, feasible=True
+        ).compile()
+        result = search(
+            net,
+            SchedulerConfig(
+                parallel=2,
+                portfolio=(
+                    "stateclass:earliest",
+                    "kernel:earliest",
+                ),
+            ),
+        )
+        assert result.feasible
+        assert result.winner_engine in ("stateclass", "kernel")
+        validate_with_reference(
+            net, result.config, result.firing_schedule
+        )
+        if result.winner_engine == "stateclass":
+            assert result.interval_schedule is not None
+        assert _no_ezrt_children()
+
+    @pytest.mark.parametrize("reset_policy", ("paper", "intermediate"))
+    def test_mixed_race_verdict_parity_on_paper_models(
+        self, reset_policy
+    ):
+        """Engine-aware slots keep the determinism contract on the
+        punctual paper models too."""
+        model = compose(paper_examples()["fig4"])
+        serial = search(
+            model.compiled(),
+            SchedulerConfig(reset_policy=reset_policy),
+        )
+        mixed = search(
+            model.compiled(),
+            SchedulerConfig(
+                reset_policy=reset_policy,
+                parallel=2,
+                portfolio=(
+                    "kernel:earliest",
+                    "stateclass:earliest",
+                ),
+            ),
+        )
+        assert mixed.feasible == serial.feasible
+        assert mixed.winner_engine in (
+            "kernel",
+            "stateclass",
+        )
+        assert _no_ezrt_children()

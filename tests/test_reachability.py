@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import SchedulingError
-from repro.tpn import (
-    TimeInterval,
-    TimePetriNet,
-    explore,
-    find_state,
-    reachable_markings,
-)
+from repro.tpn import TimeInterval, TimePetriNet, explore
 
 
 class TestExplore:
@@ -93,24 +87,3 @@ class TestExplore:
         net.add_arc("t", "sink", 2)
         graph = explore(net.compile())
         assert graph.max_tokens() == 6
-
-
-class TestHelpers:
-    def test_reachable_markings(self, simple_net):
-        markings = reachable_markings(simple_net.compile())
-        assert (1, 1, 0, 0) in markings
-        assert (0, 1, 0, 1) in markings
-
-    def test_find_state(self, simple_net):
-        compiled = simple_net.compile()
-        state = find_state(
-            compiled,
-            lambda s: s.marking[compiled.place_index["done"]] == 1,
-        )
-        assert state is not None
-
-    def test_find_state_none(self, simple_net):
-        compiled = simple_net.compile()
-        assert (
-            find_state(compiled, lambda s: sum(s.marking) > 99) is None
-        )

@@ -1,4 +1,4 @@
-"""Tests for structural analysis: invariants, conservation, classes."""
+"""Tests for place invariants and their cross-check on explored graphs."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,15 +6,11 @@ from hypothesis import strategies as st
 from repro.tpn import (
     TimeInterval,
     TimePetriNet,
-    behavioural_report,
     check_invariants_on_graph,
-    classify,
     explore,
     incidence_matrix,
     invariant_value,
-    is_conservative,
     place_invariants,
-    transition_invariants,
 )
 
 
@@ -67,123 +63,6 @@ class TestPlaceInvariants:
             inv for inv in invariants if "pproc_proc0" in inv
         ]
         assert proc_invariants  # the processor is conserved somewhere
-
-
-class TestTransitionInvariants:
-    def test_cycle_is_t_invariant(self):
-        net = TimePetriNet("cycle")
-        net.add_place("a", marking=1)
-        net.add_place("b")
-        net.add_transition("ab")
-        net.add_transition("ba")
-        net.add_arc("a", "ab")
-        net.add_arc("ab", "b")
-        net.add_arc("b", "ba")
-        net.add_arc("ba", "a")
-        invariants = transition_invariants(net)
-        assert any(
-            inv.get("ab") == inv.get("ba") and inv.get("ab")
-            for inv in invariants
-        )
-
-    def test_acyclic_net_has_no_t_invariant(self, simple_net):
-        assert transition_invariants(simple_net) == []
-
-
-class TestConservation:
-    def test_conservative_net(self):
-        net = TimePetriNet("cons")
-        net.add_place("a", marking=1)
-        net.add_place("b")
-        net.add_transition("t")
-        net.add_arc("a", "t")
-        net.add_arc("t", "b")
-        assert is_conservative(net)
-
-    def test_non_conservative(self):
-        net = TimePetriNet("grow")
-        net.add_place("a", marking=1)
-        net.add_place("b")
-        net.add_transition("t")
-        net.add_arc("a", "t")
-        net.add_arc("t", "b", 2)
-        assert not is_conservative(net)
-
-
-class TestClassification:
-    def test_state_machine(self):
-        net = TimePetriNet("sm")
-        net.add_place("a", marking=1)
-        net.add_place("b")
-        net.add_transition("t")
-        net.add_arc("a", "t")
-        net.add_arc("t", "b")
-        flags = classify(net)
-        assert flags["state_machine"]
-        assert flags["ordinary"]
-        assert flags["free_choice"]
-
-    def test_not_state_machine_with_sync(self, simple_net):
-        flags = classify(simple_net)
-        assert not flags["state_machine"]  # t_start has 2 inputs
-
-    def test_marked_graph(self):
-        net = TimePetriNet("mg")
-        net.add_place("a", marking=1)
-        net.add_place("b")
-        net.add_transition("t")
-        net.add_transition("u")
-        net.add_arc("a", "t")
-        net.add_arc("t", "b")
-        net.add_arc("b", "u")
-        net.add_arc("u", "a")
-        assert classify(net)["marked_graph"]
-
-    def test_non_free_choice(self):
-        net = TimePetriNet("nfc")
-        net.add_place("shared", marking=1)
-        net.add_place("extra", marking=1)
-        net.add_place("out")
-        net.add_transition("t1")
-        net.add_transition("t2")
-        net.add_arc("shared", "t1")
-        net.add_arc("shared", "t2")
-        net.add_arc("extra", "t2")
-        net.add_arc("t1", "out")
-        net.add_arc("t2", "out")
-        assert not classify(net)["free_choice"]
-
-    def test_weighted_not_ordinary(self):
-        net = TimePetriNet("weighted")
-        net.add_place("a", marking=2)
-        net.add_place("b")
-        net.add_transition("t")
-        net.add_arc("a", "t", 2)
-        net.add_arc("t", "b")
-        assert not classify(net)["ordinary"]
-
-
-class TestBehaviouralReport:
-    def test_simple_report(self, simple_net):
-        report = behavioural_report(simple_net.compile())
-        assert report.complete
-        assert report.bounded
-        assert report.bound == 1
-        assert report.deadlock_states == 1
-        assert report.final_marking_reachable is True
-        assert "k-bounded" in str(report)
-
-    def test_unreachable_final(self):
-        net = TimePetriNet("stuck")
-        net.add_place("p", marking=1)
-        net.add_place("goal")
-        net.add_place("trap")
-        net.add_transition("t")
-        net.add_arc("p", "t")
-        net.add_arc("t", "trap")
-        net.set_final_marking({"goal": 1})
-        report = behavioural_report(net.compile())
-        assert report.final_marking_reachable is False
 
 
 @st.composite
