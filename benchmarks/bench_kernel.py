@@ -53,14 +53,13 @@ an artifact.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import platform
-import time
 
 import pytest
 
+from harness import collector_free, deterministic_stats, stored_baseline
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.spec import paper_examples
@@ -88,9 +87,6 @@ LARGE_ENGINES = ("driver", "spec")
 LARGE_ROUNDS = 3
 JSON_PATH = os.path.join(
     os.path.dirname(__file__), "..", "BENCH_kernel.json"
-)
-BASELINE_PATH = os.path.join(
-    os.path.dirname(__file__), "BASELINE_scheduler.json"
 )
 
 pytestmark = pytest.mark.skipif(
@@ -167,28 +163,7 @@ def _timed_search(net, engine, limits):
     scheduler = PreRuntimeScheduler(
         net, SchedulerConfig(**limits), engine=engine
     )
-    # collector pauses scale with whatever the rest of the process has
-    # allocated (other benches in the same run), which would punish the
-    # fastest engine the hardest — time every engine collector-free
-    gc.collect()
-    reenable = gc.isenabled()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        result = scheduler.search()
-        seconds = time.perf_counter() - started
-    finally:
-        if reenable:
-            gc.enable()
-    return result, seconds
-
-
-def _deterministic_stats(result):
-    return {
-        name: value
-        for name, value in result.stats.as_dict().items()
-        if name not in ("elapsed_seconds", "states_per_second")
-    }
+    return collector_free(scheduler.search)
 
 
 def _measure(net, limits):
@@ -216,8 +191,8 @@ def _run_suite():
         assert (
             kernel.firing_schedule == ref.firing_schedule
         ), f"{name}: kernel produced a different schedule"
-        assert _deterministic_stats(kernel) == (
-            _deterministic_stats(ref)
+        assert deterministic_stats(kernel) == (
+            deterministic_stats(ref)
         ), f"{name}: kernel disagrees on search statistics"
 
         visited = ref.stats.states_visited
@@ -259,31 +234,16 @@ def _aggregate(rows, family=None):
     }
 
 
-def _baseline():
-    """The stored absolute baseline, or ``(None, None)``."""
-    path = os.path.abspath(BASELINE_PATH)
-    if not os.path.exists(path):
-        return None, None
-    with open(path, encoding="utf-8") as fh:
-        stored = json.load(fh)
-    same_python = str(stored.get("python", "")).split(".")[:2] == (
-        platform.python_version().split(".")[:2]
-    )
-    same_machine = stored.get("machine") in (None, platform.machine())
-    return stored, same_python and same_machine
-
-
 def test_kernel_throughput(report):
     rows = _run_suite()
     families = ("paper", "scaling", "grid")
     aggregates = {f: _aggregate(rows, f) for f in families}
     overall = _aggregate(rows)
-    stored_baseline, comparable = _baseline()
+    stored, comparable = stored_baseline()
     baseline_ratio = None
-    if stored_baseline is not None:
+    if stored is not None:
         baseline_ratio = (
-            overall["kernel_states_per_sec"]
-            / stored_baseline["states_per_sec"]
+            overall["kernel_states_per_sec"] / stored["states_per_sec"]
         )
 
     payload = {
@@ -379,17 +339,7 @@ def _timed_large(net, engine, limits):
         SchedulerConfig(**limits),
         engine="kernel" if engine == "driver" else "reference",
     )
-    gc.collect()
-    reenable = gc.isenabled()
-    gc.disable()
-    try:
-        started = time.perf_counter()
-        result = scheduler.search()
-        seconds = time.perf_counter() - started
-    finally:
-        if reenable:
-            gc.enable()
-    return result, seconds
+    return collector_free(scheduler.search)
 
 
 def test_driver_large_tier(report):
@@ -409,8 +359,8 @@ def test_driver_large_tier(report):
         assert driver.feasible == spec_result.feasible, name
         assert driver.exhausted == spec_result.exhausted, name
         assert driver.firing_schedule == spec_result.firing_schedule
-        assert _deterministic_stats(driver) == (
-            _deterministic_stats(spec_result)
+        assert deterministic_stats(driver) == (
+            deterministic_stats(spec_result)
         ), f"{name}: driver disagrees on search statistics"
         visited = spec_result.stats.states_visited
         row = {"workload": name, "states_visited": visited}

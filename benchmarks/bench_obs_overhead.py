@@ -42,6 +42,7 @@ import statistics
 import tempfile
 import time
 
+from harness import deterministic_stats
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.spec import paper_examples
@@ -104,14 +105,6 @@ def _timed_search(net, variant, trace_path, limits):
     return result, time.perf_counter() - started
 
 
-def _deterministic_stats(result):
-    return {
-        name: value
-        for name, value in result.stats.as_dict().items()
-        if name not in ("elapsed_seconds", "states_per_second")
-    }
-
-
 VARIANTS = ("bare", "default", "traced")
 
 
@@ -122,8 +115,8 @@ def _check_exactness(name, results):
         assert (
             other.firing_schedule == bare.firing_schedule
         ), f"{name}: {variant} run changed the schedule"
-        assert _deterministic_stats(other) == (
-            _deterministic_stats(bare)
+        assert deterministic_stats(other) == (
+            deterministic_stats(bare)
         ), f"{name}: {variant} run changed the search stats"
     # the default path must still ship the metrics snapshot home
     # (sections may be empty: the depth gauge is sampled only when a

@@ -29,10 +29,8 @@ if TYPE_CHECKING:
         task_ranks,
     )
     from repro.blocks.operators import (
-        add_interface_arc,
         merge_nets,
         merge_places,
-        relabel_interval,
         rename,
     )
     from repro.blocks.relations import (
@@ -60,10 +58,7 @@ else:
                 "ComposedModel ComposerOptions PRIORITY_POLICIES "
                 "compose task_ranks"
             ),
-            "repro.blocks.operators": (
-                "add_interface_arc merge_nets merge_places "
-                "relabel_interval rename"
-            ),
+            "repro.blocks.operators": "merge_nets merge_places rename",
             "repro.blocks.relations": (
                 "ROLE_GATE add_exclusion_relation add_message_relation "
                 "add_precedence_relation ensure_gate "
@@ -86,7 +81,6 @@ __all__ = [
     "add_bus_block",
     "add_exclusion_relation",
     "add_fork_block",
-    "add_interface_arc",
     "add_join_block",
     "add_message_relation",
     "add_precedence_relation",
@@ -100,7 +94,6 @@ __all__ = [
     "merge_places",
     "minimum_schedule_firings",
     "precedence_place_name",
-    "relabel_interval",
     "rename",
     "sanitize",
     "task_ranks",

@@ -9,9 +9,7 @@ needed by the block library are implemented here:
   into one (the classic composition operator; used e.g. to fuse every
   block's ``p_proc`` into the single processor place);
 * :func:`rename` — systematic node renaming (instantiating a generic
-  block for a concrete task);
-* :func:`relabel_interval` / :func:`add_interface_arc` — small surgical
-  helpers used when a relation sub-net plugs into existing task nets.
+  block for a concrete task).
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from typing import Callable, Iterable, Mapping
 
 from repro.errors import NetConstructionError
 from repro.tpn.net import TimePetriNet, net_union
-from repro.tpn.interval import TimeInterval
 
 #: Re-exported disjoint union (see :func:`repro.tpn.net.net_union`).
 merge_nets = net_union
@@ -140,20 +137,3 @@ def merge_places(
     result.final_marking = merged_final
     return result
 
-
-def relabel_interval(
-    net: TimePetriNet, transition: str, interval: TimeInterval
-) -> None:
-    """Replace a transition's static interval in place."""
-    net.transition(transition).interval = interval
-
-
-def add_interface_arc(
-    net: TimePetriNet, source: str, target: str, weight: int = 1
-) -> None:
-    """Add an arc between nodes of an already-composed net.
-
-    Thin wrapper over :meth:`TimePetriNet.add_arc` that exists to make
-    relation-modelling call sites read as composition steps.
-    """
-    net.add_arc(source, target, weight)

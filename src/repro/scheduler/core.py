@@ -33,13 +33,17 @@ run a net, :func:`make_adapter` hands ``engine="kernel"`` and
 ``engine="stateclass"`` to their specs.
 
 The split of responsibilities is strict: the adapter knows *states*
-(how to compute a root, successors, candidates, and how to turn a
-finished path into a schedule); the core knows *search* (the stack,
-tagging, pruning, budgets, cooperative cancellation and the policy
-reordering).  Orchestration layers — the portfolio racer, the batch
-engine — treat every engine uniformly through this protocol, the way
-Real-Time Maude and e-Motions keep one formal analysis core under
-several modeling front-ends.
+(how to compute a root, and how to turn a finished path into a
+schedule); the core knows *search* (the stack, tagging, pruning,
+budgets, cooperative cancellation and the policy reordering).  Each
+engine runs one way: a :class:`NativeAdapter` (the two packed engines)
+only opens the compiled driver, and only a :class:`SpecAdapter` (the
+two specs) has the per-step surface — successors and candidates —
+that :class:`SearchCore`'s own loop steps.  Orchestration layers — the
+portfolio racer, the batch engine — treat every engine uniformly
+through the common :class:`EngineAdapter` surface, the way Real-Time
+Maude and e-Motions keep one formal analysis core under several
+modeling front-ends.
 
 Behaviour-preserving parity is the refactor's contract: for every
 engine the core produces the same verdicts, the same visited-state
@@ -65,6 +69,7 @@ from repro.tpn._native import (
     SEARCH_POLL,
     SEARCH_REORDER,
     NativeNet,
+    NativeSearch,
     core_for,
     replay as native_replay,
 )
@@ -105,7 +110,7 @@ class _DenseView:
     """Clock-vector facade handed to reorder policies by the dense DFS.
 
     Policies only read ``state.clocks``; a state class exposes a
-    surrogate vector (see :meth:`StateClassAdapter.clocks_view`).
+    surrogate vector (see :meth:`StateClassSpecAdapter.clocks_view`).
     """
 
     __slots__ = ("clocks",)
@@ -116,17 +121,19 @@ class _DenseView:
 
 @runtime_checkable
 class EngineAdapter(Protocol):
-    """What :class:`SearchCore` needs from a successor engine.
+    """What :class:`SearchCore` needs from every engine.
 
     An adapter wraps one engine instance (plus the hoisted config and
     net vectors its candidate enumeration reads) and presents the
-    uniform surface the shared DFS loop drives:
+    surface both search paths share:
 
     * ``name`` — the engine's registry name (``"kernel"``,
       ``"reference"``, ``"stateclass"``);
     * ``engine`` — the wrapped engine instance;
     * ``native`` — whether the native driver runs the search (the
-      scheduler shell reports it on the ``*.native_core`` gauges);
+      adapter is then a :class:`NativeAdapter`, otherwise a
+      :class:`SpecAdapter`; the scheduler shell reports it on the
+      ``*.native_core`` gauges);
     * ``touches_miss`` / ``touches_final`` — the compiled
       marking-predicate skip masks (identical semantics for every
       adapter: a predicate can only change when the fired transition
@@ -149,6 +156,41 @@ class EngineAdapter(Protocol):
     def root(self):
         """The root state (the search starts at time 0)."""
 
+    def deadline_missed(self, marking) -> bool: ...
+
+    def reached_final(self, marking) -> bool: ...
+
+    def finalize_path(
+        self, actions: list[tuple[int, int, int]], stats: SearchStats
+    ) -> tuple[list[tuple[str, int, int]], list | None]:
+        """Turn the accepting path into the result payload.
+
+        ``actions`` are ``(transition, delay, absolute time)`` triples
+        in firing order.  Returns ``(firing_schedule,
+        interval_schedule)``; the dense adapters concretise the class
+        path to integer time and replay it through the checked
+        reference engine here, so a feasible dense verdict leaves the
+        core already validated.
+        """
+
+
+@runtime_checkable
+class NativeAdapter(EngineAdapter, Protocol):
+    """A packed engine's adapter: it roots the search and hands the
+    rest to the native core's compiled driver (:meth:`SearchCore._drive`).
+    It has no per-step surface."""
+
+    def open_driver(
+        self, root, reorder: bool, timed: bool
+    ) -> NativeSearch:
+        """The driver that runs the whole search from ``root``."""
+
+
+@runtime_checkable
+class SpecAdapter(EngineAdapter, Protocol):
+    """An executable spec's adapter, stepped state by state by
+    :class:`SearchCore`'s own loop."""
+
     def successor(self, state, transition: int, delay: int):
         """The child state, or ``None`` for an inconsistent dead end
         (only the dense engine can produce one; the core counts it as
@@ -161,28 +203,6 @@ class EngineAdapter(Protocol):
 
     def clocks_view(self, state):
         """The object reorder policies read ``.clocks`` from."""
-
-    def deadline_missed(self, marking) -> bool: ...
-
-    def reached_final(self, marking) -> bool: ...
-
-    def open_driver(self, root, reorder: bool, timed: bool):
-        """A compiled driver that runs the whole search from ``root``
-        (see :meth:`SearchCore._drive`), or ``None`` to run the
-        Python loop."""
-
-    def finalize_path(
-        self, actions: list[tuple[int, int, int]], stats: SearchStats
-    ) -> tuple[list[tuple[str, int, int]], list | None]:
-        """Turn the accepting path into the result payload.
-
-        ``actions`` are ``(transition, delay, absolute time)`` triples
-        in firing order.  Returns ``(firing_schedule,
-        interval_schedule)``; the dense adapter concretises the class
-        path to integer time and replays it through the checked
-        reference engine here, so a feasible dense verdict leaves the
-        core already validated.
-        """
 
 
 # ----------------------------------------------------------------------
@@ -281,7 +301,9 @@ class _AdapterBase:
     #: when ``config.trace_jsonl`` is set.
     obs = NULL_RECORDER
 
-    #: Whether :meth:`open_driver` hands the search to the native core.
+    #: Whether the native driver runs the search (a
+    #: :class:`NativeAdapter`); otherwise :class:`SearchCore`'s own
+    #: loop steps the adapter (a :class:`SpecAdapter`).
     native = False
 
     def __init__(self, net: CompiledNet, config):
@@ -299,12 +321,6 @@ class _AdapterBase:
         self.deadline_missed = net.has_missed_deadline
         self.reached_final = net.is_final
 
-    def clocks_view(self, state):
-        return state
-
-    def open_driver(self, root, reorder: bool, timed: bool):
-        return None
-
     def finalize_path(self, actions, stats):
         names = self.net.transition_names
         return [(names[t], q, at) for t, q, at in actions], None
@@ -314,16 +330,13 @@ class KernelAdapter(_AdapterBase):
     """The packed-buffer kernel over :class:`KernelEngine`.
 
     States are two flat buffers plus an incremental 64-bit Zobrist
-    key.  :meth:`open_driver` hands the whole search to the native
-    driver (see :meth:`SearchCore._drive`), so the per-state methods
-    below run only when :class:`SearchCore`'s own loop drives the
-    engine step by step (one foreign call each), the entry point the
-    tests use to check the driver's step against the spec state by
-    state.  The candidate pipeline (ceiling, window, strict filter,
-    partial-order reduction, delay expansion, ordering) is the
-    driver's own, one engine call in every delay mode.  Without the
-    native core :func:`make_adapter` builds a :class:`ReferenceAdapter`
-    instead.
+    key.  The adapter builds the root; :meth:`open_driver` hands the
+    whole search to the native driver (see :meth:`SearchCore._drive`).
+    The driver's step and candidate pipeline are also reachable one
+    call at a time through :meth:`KernelEngine.successor` and
+    :meth:`KernelEngine.candidates`, which the tests check against the
+    spec state by state.  Without the native core
+    :func:`make_adapter` builds a :class:`ReferenceAdapter` instead.
     """
 
     name = "kernel"
@@ -334,13 +347,13 @@ class KernelAdapter(_AdapterBase):
         self.engine = KernelEngine(
             net, reset_policy=config.reset_policy
         )
-        # bound method, not a wrapper: the core hoists it into a local
-        self.successor = self.engine.successor
 
     def root(self) -> KernelState:
         return self.engine.initial()
 
-    def open_driver(self, root, reorder: bool, timed: bool):
+    def open_driver(
+        self, root: KernelState, reorder: bool, timed: bool
+    ) -> NativeSearch:
         return self.engine.open_search(
             root,
             strict=self._strict,
@@ -350,19 +363,6 @@ class KernelAdapter(_AdapterBase):
             max_states=self.config.max_states,
             timed=timed,
         )
-
-    def candidates_of(
-        self, state: KernelState, stats: SearchStats
-    ) -> list[tuple[int, int]]:
-        cands, reduced = self.engine.candidates(
-            state, self._strict, self._partial_order, self._delay_mode
-        )
-        if reduced:
-            stats.reductions += 1
-        return cands
-
-    def clocks_view(self, state: KernelState):
-        return _DenseView(state.clocks_tuple())
 
 
 class ReferenceAdapter(_AdapterBase):
@@ -392,6 +392,9 @@ class ReferenceAdapter(_AdapterBase):
 
     def root(self) -> State:
         return self.engine.initial_state()
+
+    def clocks_view(self, state: State) -> State:
+        return state
 
     def candidates_of(
         self, state: State, stats: SearchStats
@@ -445,17 +448,18 @@ class StateClassAdapter(_AdapterBase):
     *every* dense firing delay of a transition; candidate delays are
     the dense lower bounds (used for ordering only).  Classes are
     packed flat buffers with precomputed 64-bit keys
-    (:class:`repro.tpn.dbm.PackedClass`); the whole firing rule and
-    the whole candidate pipeline — firability column scans, miss and
+    (:class:`repro.tpn.dbm.PackedClass`).  The adapter builds the
+    root; :meth:`open_driver` hands the whole search to the native
+    driver (see :meth:`SearchCore._drive`), whose firing rule and
+    candidate pipeline — firability column scans, miss and
     strict-priority filters, the dense forced-immediate reduction and
-    the ``(lower, priority, index)`` ordering — are one foreign call
-    each.  :meth:`open_driver` hands the whole search to the native
-    driver (see :meth:`SearchCore._drive`), so the per-class methods
-    below run only when :class:`SearchCore`'s own loop drives the
-    engine step by step.  Without the native core :func:`make_adapter`
-    builds a :class:`StateClassSpecAdapter` instead, over the
-    tuple-based Floyd–Warshall specification the packed engine is
-    differentially tested against.
+    the ``(lower, priority, index)`` ordering — the tests also reach
+    one call at a time through :meth:`~repro.tpn.dbm.DbmEngine.try_fire`
+    and :meth:`~repro.tpn.dbm.DbmEngine.candidates`.  Without the
+    native core :func:`make_adapter` builds a
+    :class:`StateClassSpecAdapter` instead, over the tuple-based
+    Floyd–Warshall specification the packed engine is differentially
+    tested against.
 
     A feasible class path is concretised back to integer firing times
     and replayed through the checked reference engine in
@@ -479,36 +483,9 @@ class StateClassAdapter(_AdapterBase):
     def root(self) -> PackedClass:
         return self.engine.initial_class()
 
-    def successor(
-        self, cls: PackedClass, transition: int, _delay: int
-    ) -> PackedClass | None:
-        # candidates are pre-checked firable; an inconsistent
-        # successor would mean a DBM bug, but the core treats the
-        # ``None`` as a dead end rather than crashing a long search
-        return self.engine.try_fire(cls, transition)
-
-    def candidates_of(
-        self, cls: PackedClass, stats: SearchStats
-    ) -> list[tuple[int, int]]:
-        """Ordered ``(transition, dense lower bound)`` pairs of a class.
-
-        Firability and windows read straight off the canonical DBM;
-        deadline-miss transitions are never scheduled, but their LFT
-        rows still cap every window, so a forced miss empties the
-        candidate list and the branch dead-ends exactly like the
-        discrete engines.  Ordering matches the discrete candidate
-        rule: ``(lower bound, priority, index)``.  The whole pipeline
-        (including the dense forced-immediate partial-order pick)
-        runs inside :meth:`repro.tpn.dbm.DbmEngine.candidates`.
-        """
-        cands, reduced = self.engine.candidates(
-            cls, self._strict, self._partial_order
-        )
-        if reduced:
-            stats.reductions += 1
-        return cands
-
-    def open_driver(self, root, reorder: bool, timed: bool):
+    def open_driver(
+        self, root: PackedClass, reorder: bool, timed: bool
+    ) -> NativeSearch:
         return self.engine.open_search(
             root,
             strict=self._strict,
@@ -517,24 +494,6 @@ class StateClassAdapter(_AdapterBase):
             max_states=self.config.max_states,
             timed=timed,
         )
-
-    def clocks_view(self, cls: PackedClass) -> _DenseView:
-        """Surrogate clock vector of a class for the reorder policies.
-
-        Reorder policies read ``state.clocks`` (min-laxity keys off
-        the deadline timer's remaining time).  A class has no single
-        clock valuation, but ``EFT(t) − lower(θ_t)`` is the time ``t``
-        has provably been enabled, which is exactly the clock the
-        policies want; disabled transitions keep the :data:`DISABLED`
-        marker.
-        """
-        clocks = [DISABLED] * self.net.num_transitions
-        eft = self._eft
-        dbm = cls.dbm
-        for var, t in enumerate(cls.enabled, start=1):
-            elapsed = eft[t] + dbm[var]  # eft − lower bound
-            clocks[t] = elapsed if elapsed > 0 else 0
-        return _DenseView(tuple(clocks))
 
     def finalize_path(self, actions, stats):
         # the replay reads the net the search already packed
@@ -578,9 +537,16 @@ class StateClassSpecAdapter(_AdapterBase):
     def candidates_of(
         self, cls: StateClass, stats: SearchStats
     ) -> list[tuple[int, int]]:
-        """Ordered ``(transition, dense lower bound)`` pairs of a
-        class: :meth:`StateClassAdapter.candidates_of`'s pipeline,
-        on the tuple matrix."""
+        """Ordered ``(transition, dense lower bound)`` pairs of a class.
+
+        Firability and windows read straight off the canonical DBM;
+        deadline-miss transitions are never scheduled, but their LFT
+        rows still cap every window, so a forced miss empties the
+        candidate list and the branch dead-ends exactly like the
+        discrete engines.  Ordering matches the discrete candidate
+        rule: ``(lower bound, priority, index)``.  The native driver
+        runs the same pipeline in C (``dc_candidates``).
+        """
         miss = self._miss
         dbm = cls.dbm
         size = len(cls.enabled) + 1
@@ -640,7 +606,16 @@ class StateClassSpecAdapter(_AdapterBase):
         return None
 
     def clocks_view(self, cls: StateClass) -> _DenseView:
-        """:meth:`StateClassAdapter.clocks_view` on the tuple matrix."""
+        """Surrogate clock vector of a class for the reorder policies.
+
+        Reorder policies read ``state.clocks`` (min-laxity keys off
+        the deadline timer's remaining time).  A class has no single
+        clock valuation, but ``EFT(t) − lower(θ_t)`` is the time ``t``
+        has provably been enabled, which is exactly the clock the
+        policies want; disabled transitions keep the :data:`DISABLED`
+        marker.  The native driver's min-laxity key reads the same
+        clock (``dc_op_laxity``).
+        """
         clocks = [DISABLED] * self.net.num_transitions
         eft = self._eft
         row0 = cls.dbm[0]
@@ -785,6 +760,39 @@ def make_adapter(engine: str, net: CompiledNet, config) -> EngineAdapter:
 # ----------------------------------------------------------------------
 # The shared loop
 # ----------------------------------------------------------------------
+class _Poll:
+    """The 1024-expansion poll both search paths share.
+
+    Each call samples the stack depth (the ``search.max_depth``
+    gauge), calls the heartbeat, checks the ``max_seconds`` deadline
+    and calls ``tick``, in that order, and returns True when the
+    search must stop (the budget ran out or ``tick`` cancelled it).
+    """
+
+    __slots__ = ("deadline", "tick", "heartbeat", "max_depth")
+
+    def __init__(self, deadline, tick, heartbeat):
+        self.deadline = deadline
+        self.tick = tick
+        self.heartbeat = heartbeat
+        self.max_depth = 1
+
+    def __call__(
+        self, visited, generated, revisits, prunes, backtracks, depth
+    ) -> bool:
+        if depth > self.max_depth:
+            self.max_depth = depth
+        if self.heartbeat is not None:
+            self.heartbeat(visited, generated, depth)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            return True
+        return self.tick is not None and bool(
+            self.tick(
+                visited, generated, revisits, prunes, backtracks, depth
+            )
+        )
+
+
 class SearchCore:
     """The depth-first search, engine-agnostic.
 
@@ -884,7 +892,7 @@ class SearchCore:
             cursor += spent_ns
 
     def _drive(
-        self, driver, stats, started, deadline, trace_t0, span_acc
+        self, driver, stats, started, poll, trace_t0, span_acc
     ) -> SchedulerResult:
         """:meth:`_run`'s loop, run by a compiled driver.
 
@@ -897,10 +905,10 @@ class SearchCore:
         step; Python runs only what :meth:`_run` runs at the same
         points:
 
-        * at every 1024-expansion poll, the depth sample, heartbeat,
-          ``max_seconds`` check and ``tick`` — only when one of them
-          asked for polling, but the driver yields there regardless,
-          so signal handlers (Ctrl-C) run within one poll interval;
+        * at every 1024-expansion poll, the same :class:`_Poll` — only
+          when something asked for polling, but the driver yields
+          there regardless, so signal handlers (Ctrl-C) run within one
+          poll interval;
         * on each new frame with more than one candidate, a reorder
           policy the driver cannot apply itself (``random``; it orders
           ``latest`` and ``min-laxity`` natively);
@@ -914,42 +922,23 @@ class SearchCore:
         ``search.visited_bytes`` / ``search.bytes_per_state`` gauges.
         """
         reorder = self.reorder
-        tick = self.tick
-        heartbeat = self.heartbeat
         metrics = self.metrics
         record = span_acc is not None
         clock_ns = time.monotonic_ns
-        monotonic = time.monotonic
-        polled = (
-            deadline is not None or tick is not None or heartbeat is not None
-        )
         counters = driver.counters
-        max_depth = 1
         reorder_ns = 0
         exhausted = False
         try:
             while True:
                 status = driver.run()
                 if status == SEARCH_POLL:
-                    if not polled:
-                        continue
-                    depth = counters.depth
-                    if depth > max_depth:
-                        max_depth = depth
-                    if heartbeat is not None:
-                        heartbeat(
-                            counters.visited, counters.generated, depth
-                        )
-                    if deadline is not None and monotonic() > deadline:
-                        exhausted = True
-                        break
-                    if tick is not None and tick(
+                    if poll is not None and poll(
                         counters.visited,
                         counters.generated,
                         counters.revisits,
                         counters.prunes,
                         counters.backtracks,
-                        depth,
+                        counters.depth,
                     ):
                         exhausted = True
                         break
@@ -959,7 +948,7 @@ class SearchCore:
                     if record:
                         reorder_ns += clock_ns() - t0
                 elif status == SEARCH_FEASIBLE:
-                    stats.elapsed_seconds = monotonic() - started
+                    stats.elapsed_seconds = time.monotonic() - started
                     schedule, windows = self.adapter.finalize_path(
                         driver.path(), stats
                     )
@@ -982,8 +971,8 @@ class SearchCore:
             stats.backtracks = counters.backtracks
             stats.reductions = counters.reductions
             if metrics is not None:
-                if polled:
-                    metrics.max_gauge("search.max_depth", max_depth)
+                if poll is not None:
+                    metrics.max_gauge("search.max_depth", poll.max_depth)
                 visited_bytes = counters.visited_bytes
                 metrics.max_gauge("search.visited_bytes", visited_bytes)
                 metrics.max_gauge(
@@ -1018,11 +1007,22 @@ class SearchCore:
         if record:
             trace_t0 = obs.now_ns()
             span_acc = {"succ": [0, 0], "cand": [0, 0]}
-        deadline = (
-            None
-            if config.max_seconds is None
-            else started + config.max_seconds
-        )
+        # the metrics registry alone never turns polling on: the bare
+        # hot loop and the registry-only default path run the same
+        # per-expansion bytecode (the <2% gate in bench_obs_overhead)
+        poll = None
+        if (
+            config.max_seconds is not None
+            or self.tick is not None
+            or self.heartbeat is not None
+        ):
+            poll = _Poll(
+                None
+                if config.max_seconds is None
+                else started + config.max_seconds,
+                self.tick,
+                self.heartbeat,
+            )
 
         s0 = adapter.root()
         if adapter.deadline_missed(s0.marking):
@@ -1045,10 +1045,14 @@ class SearchCore:
                 interval_schedule=windows,
             )
 
-        driver = adapter.open_driver(s0, self.reorder is not None, record)
-        if driver is not None:
+        if adapter.native:
             return self._drive(
-                driver, stats, started, deadline, trace_t0, span_acc
+                adapter.open_driver(s0, self.reorder is not None, record),
+                stats,
+                started,
+                poll,
+                trace_t0,
+                span_acc,
             )
 
         candidates_of = adapter.candidates_of
@@ -1103,18 +1107,8 @@ class SearchCore:
         has_missed = adapter.deadline_missed
         is_final = adapter.reached_final
         max_states = config.max_states
-        monotonic = time.monotonic
         visited_add = visited.add
-        tick = self.tick
-        heartbeat = self.heartbeat
         metrics = self.metrics
-        max_depth = 1
-        # the metrics registry alone never turns polling on: the bare
-        # hot loop and the registry-only default path run the same
-        # per-expansion bytecode (the <2% gate in bench_obs_overhead)
-        polled = (
-            deadline is not None or tick is not None or heartbeat is not None
-        )
         n_visited = 1
         n_generated = 0
         n_revisits = 0
@@ -1135,25 +1129,20 @@ class SearchCore:
                 transition, delay = candidates[index]
 
                 n_generated += 1
-                if polled and not n_generated & _TIME_CHECK_MASK:
-                    depth = len(stack)
-                    if depth > max_depth:
-                        max_depth = depth
-                    if heartbeat is not None:
-                        heartbeat(n_visited, n_generated, depth)
-                    if deadline is not None and monotonic() > deadline:
-                        exhausted = True
-                        break
-                    if tick is not None and tick(
+                if (
+                    poll is not None
+                    and not n_generated & _TIME_CHECK_MASK
+                    and poll(
                         n_visited,
                         n_generated,
                         n_revisits,
                         n_prunes,
                         n_backtracks,
-                        depth,
-                    ):
-                        exhausted = True
-                        break
+                        len(stack),
+                    )
+                ):
+                    exhausted = True
+                    break
 
                 child = successor(frame.state, transition, delay)
                 if child is None:
@@ -1181,7 +1170,7 @@ class SearchCore:
                         if f.action is not None
                     ]
                     actions.append(action)
-                    stats.elapsed_seconds = monotonic() - started
+                    stats.elapsed_seconds = time.monotonic() - started
                     schedule, windows = adapter.finalize_path(
                         actions, stats
                     )
@@ -1210,10 +1199,10 @@ class SearchCore:
             stats.revisits_skipped = n_revisits
             stats.deadline_prunes = n_prunes
             stats.backtracks = n_backtracks
-            if metrics is not None and polled:
+            if metrics is not None and poll is not None:
                 # depth is sampled at the poll cadence; without a
                 # poller nothing was sampled, so record no gauge
-                metrics.max_gauge("search.max_depth", max_depth)
+                metrics.max_gauge("search.max_depth", poll.max_depth)
             if record:
                 self._emit_spans(trace_t0, span_acc, stats)
 

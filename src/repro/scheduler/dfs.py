@@ -6,14 +6,15 @@ by the block composer and searches its timed state space for a firing
 sequence that reaches the desired final marking — that sequence *is*
 the pre-runtime schedule the code generator turns into a C table.
 Everything else in ``scheduler/`` supports this search: ``core.py``
-holds the single engine-agnostic DFS loop and the three
+holds the single engine-agnostic DFS loop and the
 :class:`~repro.scheduler.core.EngineAdapter` implementations,
 ``config.py`` the knobs, ``result.py`` the outcome/statistics
 containers, ``policies.py`` the alternative candidate orderings, and
 ``parallel.py`` races the search across worker processes.  Start reading
 at :class:`repro.scheduler.core.SearchCore` (the loop) and
-:meth:`repro.scheduler.core.KernelAdapter.candidates_of` (how one
-state's successor choices are enumerated).
+:meth:`repro.scheduler.core.ReferenceAdapter.candidates_of` (how one
+state's successor choices are enumerated; the native driver runs the
+same pipeline in C).
 
 The algorithm explores the timed labeled transition system derived from
 the composed TPN, looking for a firing sequence that reaches the desired

@@ -475,7 +475,7 @@ static int32_t dc_op_candidates(ez_search *s, uint32_t state,
 
 /* Laxity of candidate t for the min-laxity policy: LFT minus the
  * surrogate clock of its task's deadline timer, eft + dbm[0][var]
- * clamped at 0 (repro.scheduler.core.StateClassAdapter.clocks_view);
+ * clamped at 0 (repro.scheduler.core.StateClassSpecAdapter.clocks_view);
  * unbounded without an enabled, bounded timer. */
 static int64_t dc_op_laxity(const ez_search *s, uint32_t state,
                             int32_t t)

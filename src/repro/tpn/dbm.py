@@ -479,17 +479,6 @@ class DbmEngine:
     # ------------------------------------------------------------------
     # Firing rule (dense-time Definition 3.1, packed)
     # ------------------------------------------------------------------
-    def fire(self, cls: PackedClass, transition: int) -> PackedClass:
-        """Successor class after firing ``transition``."""
-        successor = self.try_fire(cls, transition)
-        if successor is None:
-            raise SchedulingError(
-                f"transition "
-                f"{self.net.transition_names[transition]!r} is not "
-                "firable from this class"
-            )
-        return successor
-
     def try_fire(
         self, cls: PackedClass, transition: int
     ) -> PackedClass | None:
@@ -572,48 +561,8 @@ class DbmEngine:
         )
 
     # ------------------------------------------------------------------
-    # Firability / windows / candidate enumeration
+    # Candidate enumeration
     # ------------------------------------------------------------------
-    def firable(self, cls: PackedClass) -> list[int]:
-        """Transitions firable from the class (column scans)."""
-        dbm = cls.dbm
-        size = cls.size
-        n = size * size
-        result = []
-        for var, t in enumerate(cls.enabled, start=1):
-            idx = var + size
-            while idx < n:
-                if dbm[idx] < 0:
-                    break
-                idx += size
-            else:
-                result.append(t)
-        return result
-
-    def fire_window(
-        self, cls: PackedClass, transition: int
-    ) -> tuple[int, Bound] | None:
-        """Dense window of relative times at which ``transition`` can
-        fire *next* from this class, or ``None`` when it cannot."""
-        var = 0
-        for v, t in enumerate(cls.enabled, start=1):
-            if t == transition:
-                var = v
-                break
-        if not var:
-            return None
-        dbm = cls.dbm
-        size = cls.size
-        upper = dbm[var * size]
-        for u in range(1, size):
-            if dbm[u * size + var] < 0:
-                return None
-            bound = dbm[u * size]
-            if bound < upper:
-                upper = bound
-        lower = -dbm[var]
-        return (lower, INF if upper >= DINF else upper)
-
     def candidates(
         self, cls: PackedClass, strict: bool, partial_order: bool
     ) -> tuple[list[tuple[int, int]], bool]:

@@ -19,8 +19,8 @@ of ``tests/test_kernel_driver.py``:
 * **every search prefix** — ``max_states=k`` over every ``k`` of a
   small search and sampled ``k`` of the perfbench ``dense`` kind;
 * **loud overflow** — the packed token cap raises the same
-  :class:`SchedulingError` text in the driver and in ``SearchCore``'s
-  loop over the per-step native engine (the spec has no caps);
+  :class:`SchedulingError` text in the driver and when the DBM engine
+  is stepped directly (the spec has no caps);
 * **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
   a pending Ctrl-C stop within one poll interval, the driver's memory
   is freed on every exit path and ``tracemalloc`` sees it.
@@ -312,19 +312,24 @@ def _token_overflow_net():
 
 class TestOverflow:
     def test_same_error_on_both_paths(self):
-        """The driver and the per-step native engine hit the cap with
-        the same message."""
+        """The driver and the DBM engine stepped down the search's
+        first path (each class's first candidate) hit the cap with the
+        same message."""
         net = _token_overflow_net()
         config = SchedulerConfig(engine="stateclass")
-        errors = []
-        for driven in (False, True):
-            scheduler = PreRuntimeScheduler(net, config)
-            if not driven:
-                scheduler.adapter.open_driver = lambda *_args: None
-            with pytest.raises(SchedulingError, match="token cap") as info:
-                scheduler.search()
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        with pytest.raises(SchedulingError, match="token cap") as driven:
+            PreRuntimeScheduler(net, config).search()
+        engine = DbmEngine(net, reset_policy=config.reset_policy)
+        cls = engine.initial_class()
+        with pytest.raises(SchedulingError, match="token cap") as stepped:
+            while True:
+                cands, _reduced = engine.candidates(
+                    cls,
+                    config.priority_mode == "strict",
+                    config.partial_order,
+                )
+                cls = engine.try_fire(cls, cands[0][0])
+        assert str(driven.value) == str(stepped.value)
 
     def test_the_spec_has_no_packed_caps(self):
         config = SchedulerConfig(engine="stateclass", max_states=200)

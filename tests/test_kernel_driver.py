@@ -16,8 +16,8 @@ executable spec, and this suite pins the two together:
   and sequence of ``tick``/``heartbeat`` arguments;
 * **every search prefix** — ``max_states=k`` over a range of ``k``;
 * **loud overflow** — the packed caps raise the same
-  :class:`SchedulingError` text in the driver and in ``SearchCore``'s
-  loop over the per-step native engine (the spec has no caps);
+  :class:`SchedulingError` text in the driver and when the kernel
+  engine is stepped directly (the spec has no caps);
 * **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
   a pending Ctrl-C stop within one poll interval, the driver's memory
   is freed on every exit path and ``tracemalloc`` sees it.
@@ -230,17 +230,25 @@ class TestOverflow:
         [("tokens", "token cap"), ("clock", "clock overflow")],
     )
     def test_same_error_on_both_paths(self, kind, message):
+        """The driver and the kernel engine stepped down the search's
+        first path (each state's first candidate) hit the cap with the
+        same message."""
         net = _overflow_net(kind)
         config = SchedulerConfig(engine="kernel")
-        errors = []
-        for driven in (False, True):
-            scheduler = PreRuntimeScheduler(net, config)
-            if not driven:
-                scheduler.adapter.open_driver = lambda *_args: None
-            with pytest.raises(SchedulingError, match=message) as info:
-                scheduler.search()
-            errors.append(str(info.value))
-        assert errors[0] == errors[1]
+        with pytest.raises(SchedulingError, match=message) as driven:
+            PreRuntimeScheduler(net, config).search()
+        engine = KernelEngine(net, reset_policy=config.reset_policy)
+        state = engine.initial()
+        with pytest.raises(SchedulingError, match=message) as stepped:
+            while True:
+                cands, _reduced = engine.candidates(
+                    state,
+                    config.priority_mode == "strict",
+                    config.partial_order,
+                    config.delay_mode,
+                )
+                state = engine.successor(state, *cands[0])
+        assert str(driven.value) == str(stepped.value)
 
     @pytest.mark.parametrize("kind", ["tokens", "clock"])
     def test_the_spec_has_no_packed_caps(self, kind):

@@ -9,12 +9,13 @@ ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
   the incremental Zobrist key must equal the from-scratch
   ``full_hash``, under both clock-reset policies, on the paper models
   and a seeded task-set grid.
-* **Native vs spec adapters** — the same walks compare the kernel
-  adapter's candidate pipeline (the driver's C pipeline: filters,
-  partial-order reduction, delay expansion) with the reference
-  adapter's, which ``engine="kernel"`` runs without the core
-  (``EZRT_PURE=1``, or a net the core cannot pack), on every delay ×
-  priority × partial-order × reset cell.
+* **Native vs spec steps** — the same walks compare the kernel
+  engine's own step and candidate pipeline (``kn_successor`` and
+  ``kn_candidates``, the driver's C pipeline: filters, partial-order
+  reduction, delay expansion) with the reference adapter's, which
+  ``engine="kernel"`` runs without the core (``EZRT_PURE=1``, or a net
+  the core cannot pack), on every delay × priority × partial-order ×
+  reset cell.
 * **Cross-engine search fuzz** — full scheduler searches across all
   three adapters on a seeded sweep: the two discrete engines must
   agree exactly (verdict, visited counts, schedules, deterministic
@@ -36,11 +37,7 @@ from repro.blocks import compose
 from repro.errors import SchedulingError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.config import DELAY_MODES, PRIORITY_MODES
-from repro.scheduler.core import (
-    KernelAdapter,
-    ReferenceAdapter,
-    make_adapter,
-)
+from repro.scheduler.core import ReferenceAdapter, make_adapter
 from repro.scheduler.parallel import ParallelScheduler
 from repro.scheduler.result import SearchStats
 from repro.spec import paper_examples
@@ -159,9 +156,25 @@ class TestEngineDifferentialWalks:
             assert steps > 0, f"{name}: walk never started"
 
 
+def _native_candidates(engine, state, config, stats):
+    """The kernel engine's candidate pipeline under ``config``, with
+    the reduction counted on ``stats`` the way the spec adapter
+    counts it."""
+    cands, reduced = engine.candidates(
+        state,
+        config.priority_mode == "strict",
+        config.partial_order,
+        config.delay_mode,
+    )
+    if reduced:
+        stats.reductions += 1
+    return cands
+
+
 class TestNativeVsSpec:
-    """The kernel adapter and its spec, the reference adapter, agree
-    step by step; without the core ``engine="kernel"`` is the spec."""
+    """The kernel engine's step and its spec, the reference adapter,
+    agree step by step; without the core ``engine="kernel"`` is the
+    spec."""
 
     @native_only
     @pytest.mark.parametrize("net_name", WALK_NET_NAMES)
@@ -185,17 +198,15 @@ class TestNativeVsSpec:
             partial_order=partial_order,
         )
         net = walk_nets[net_name]
-        native = KernelAdapter(net, config)
+        native = KernelEngine(net, reset_policy=reset_policy)
         spec = ReferenceAdapter(net, config)
-        a, b = native.root(), spec.root()
+        a, b = native.initial(), spec.root()
         stats_a, stats_b = SearchStats(), SearchStats()
         rng = random.Random(17)
         for step in range(WALK_STEPS):
             assert a.to_state() == b, step
-            assert a._hash == native.engine.full_hash(
-                a.marking, a.clk
-            ), step
-            ca = native.candidates_of(a, stats_a)
+            assert a._hash == native.full_hash(a.marking, a.clk), step
+            ca = _native_candidates(native, a, config, stats_a)
             cb = spec.candidates_of(b, stats_b)
             assert ca == cb, step
             assert stats_a.reductions == stats_b.reductions, step
@@ -503,15 +514,18 @@ class TestPackedRepresentation:
         net.add_arc("q", "b")
         compiled = net.compile()
         config = SchedulerConfig(delay_mode=delay_mode)
-        native = KernelAdapter(compiled, config)
+        native = KernelEngine(compiled)
         spec = ReferenceAdapter(compiled, config)
-        got = native.candidates_of(native.root(), SearchStats())
+        root = native.initial()
+        got = _native_candidates(native, root, config, SearchStats())
         assert got == spec.candidates_of(spec.root(), SearchStats())
         assert len(got) == {"earliest": 2, "extremes": 4, "full": 18}[
             delay_mode
         ]
         # the grown buffer serves the next call as is
-        assert native.candidates_of(native.root(), SearchStats()) == got
+        assert (
+            _native_candidates(native, root, config, SearchStats()) == got
+        )
 
     def test_state_identity(self, paper_nets):
         net = paper_nets["fig3"]

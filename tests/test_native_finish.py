@@ -45,6 +45,7 @@ from repro.tpn.dbm import DbmEngine
 from repro.tpn.interval import INF, TimeInterval
 from repro.tpn.net import TimePetriNet
 from repro.tpn.stateclass import (
+    StateClassEngine,
     _greatest_times,
     _least_times,
     _sequence_constraints,
@@ -121,9 +122,9 @@ def nets():
 
 
 def _walks(net, reset, seed, count=4, length=60):
-    """Seeded random walks over the class graph: every prefix of one
-    is a genuine class path."""
-    engine = DbmEngine(net, reset_policy=reset)
+    """Seeded random walks over the class graph (stepped on the tuple
+    spec): every prefix of one is a genuine class path."""
+    engine = StateClassEngine(net, reset_policy=reset)
     rng = random.Random(seed)
     walks = []
     for _ in range(count):
@@ -225,7 +226,7 @@ class TestConcretisation:
 
     def test_disabled_transition_raises_the_spec_error(self, nets):
         net = nets["fig3"]
-        engine = DbmEngine(net)
+        engine = StateClassEngine(net)
         root = engine.initial_class()
         disabled = next(
             t for t in range(net.num_transitions) if t not in root.enabled

@@ -36,8 +36,8 @@ from repro.scheduler import (
     search,
     validate_with_reference,
 )
-from repro.scheduler.core import make_adapter
 from repro.spec import paper_examples
+from repro.tpn.state import StateEngine
 from repro.workloads import random_task_set, wide_interval_race_net
 
 
@@ -170,14 +170,19 @@ class TestCompiledNetPickle:
         assert clone.transition_names == net.transition_names
         config = SchedulerConfig()
         result = find_schedule(model, config)
-        # the default engine's adapter: the kernel with the native
-        # core, its reference spec without
-        adapter = make_adapter(config.engine, clone, config)
-        state = adapter.root()
+        # the clone replays the schedule under the checked reference
+        # semantics, and the default engine searches it to the same
+        # schedule
+        engine = StateEngine(clone)
+        state = engine.initial_state()
         index = clone.transition_index
         for name, delay, _at in result.firing_schedule:
-            state = adapter.successor(state, index[name], delay)
+            state = engine.fire(state, index[name], delay)
         assert clone.is_final(state.marking)
+        assert (
+            search(clone, config).firing_schedule
+            == result.firing_schedule
+        )
 
     def test_pickle_is_smaller_without_source(self):
         net = compose(paper_examples()["mine-pump"]).compiled()

@@ -337,7 +337,13 @@ class TestSingleSearchLoop:
         assert source.count("while stack") == 1
 
     def test_every_engine_runs_through_the_core(self):
-        from repro.scheduler.core import ADAPTERS, SearchCore
+        from repro.scheduler.core import (
+            ADAPTERS,
+            EngineAdapter,
+            NativeAdapter,
+            SearchCore,
+            SpecAdapter,
+        )
 
         assert set(ADAPTERS) == set(ENGINES)
         net = compose(paper_examples()["fig3"]).compiled()
@@ -345,12 +351,13 @@ class TestSingleSearchLoop:
             scheduler = PreRuntimeScheduler(
                 net, SchedulerConfig(engine=engine)
             )
-            assert scheduler.adapter.name == engine
-            # the adapter satisfies the protocol surface SearchCore
-            # drives (runtime-checkable structural check)
-            from repro.scheduler.core import EngineAdapter
-
-            assert isinstance(scheduler.adapter, EngineAdapter)
-            assert SearchCore(
-                scheduler.adapter, scheduler.config
-            ).run().feasible
+            adapter = scheduler.adapter
+            assert adapter.name == engine
+            # the adapter satisfies the common surface SearchCore
+            # drives plus exactly one kind's own methods
+            # (runtime-checkable structural checks): a native adapter
+            # only opens the driver, only a spec adapter is stepped
+            assert isinstance(adapter, EngineAdapter)
+            assert isinstance(adapter, NativeAdapter) == adapter.native
+            assert isinstance(adapter, SpecAdapter) != adapter.native
+            assert SearchCore(adapter, scheduler.config).run().feasible
