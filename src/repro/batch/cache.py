@@ -42,7 +42,6 @@ import hashlib
 import json
 import os
 import tempfile
-import time
 
 from repro.blocks.composer import ComposerOptions
 from repro.scheduler.config import SchedulerConfig
@@ -159,10 +158,12 @@ class ResultCache:
     Values are plain JSON-serialisable dicts (the engine stores
     ``JobOutcome.to_dict()`` payloads).  With a ``directory`` every
     ``put`` is persisted as ``<key>.json`` via an atomic rename, so
-    concurrent campaigns sharing a directory never read torn files.
-    ``hits``/``misses`` count :meth:`get` calls and ``bytes_served``
-    sums the canonical-JSON size of every hit — the campaign report's
-    hit-rate and bytes-from-cache lines read all three.
+    concurrent campaigns sharing a directory never read torn files
+    (they may compute one fingerprint twice; the later rename wins).
+    ``hits``/``misses`` count :meth:`get` calls (:meth:`peek` reads
+    without counting) and ``bytes_served`` sums the canonical-JSON size
+    of every hit — the campaign report's hit-rate and bytes-from-cache
+    lines read all three.
     """
 
     def __init__(self, directory: str | None = None):
@@ -192,8 +193,13 @@ class ResultCache:
             self._sizes[key] = size
         return size
 
-    def get(self, key: str) -> dict | None:
-        """Stored payload for ``key``, counting the hit or miss."""
+    def peek(self, key: str) -> dict | None:
+        """Stored payload for ``key`` without counting a hit or miss.
+
+        Memory first, then disk.  A torn file reads as absent: only a
+        completed atomic rename makes an entry visible, so a writer
+        killed mid-``put`` can never serve a partial payload.
+        """
         payload = self._memory.get(key)
         if payload is None and self.directory:
             try:
@@ -205,6 +211,11 @@ class ResultCache:
                 payload = None
             if payload is not None:
                 self._memory[key] = payload
+        return payload
+
+    def get(self, key: str) -> dict | None:
+        """Stored payload for ``key``, counting the hit or miss."""
+        payload = self.peek(key)
         if payload is None:
             self.misses += 1
             return None
@@ -232,167 +243,6 @@ class ResultCache:
                 pass
             raise
 
-    # -- read-through compute ------------------------------------------
-    def _read(self, key: str) -> dict | None:
-        """Uncounted lookup (memory, then disk); torn files read as
-        absent — only a completed atomic rename makes an entry
-        visible, so a writer killed mid-``put`` can never serve a
-        partial payload."""
-        payload = self._memory.get(key)
-        if payload is None and self.directory:
-            try:
-                with open(
-                    self._path(key), "r", encoding="utf-8"
-                ) as handle:
-                    payload = json.load(handle)
-            except (OSError, ValueError):
-                payload = None
-            if payload is not None:
-                self._memory[key] = payload
-        return payload
-
-    def _lock_path(self, key: str) -> str:
-        assert self.directory is not None
-        return os.path.join(self.directory, f"{key}.lock")
-
-    def _try_lock(self, key: str) -> bool:
-        """Try to become the computing owner of ``key``.
-
-        The lock is an ``O_CREAT | O_EXCL`` file holding the owner's
-        pid — the one primitive that is atomic across processes *and*
-        threads on every platform the repo targets.
-        """
-        try:
-            fd = os.open(
-                self._lock_path(key),
-                os.O_WRONLY | os.O_CREAT | os.O_EXCL,
-                0o644,
-            )
-        except FileExistsError:
-            return False
-        try:
-            os.write(fd, str(os.getpid()).encode("ascii"))
-        finally:
-            os.close(fd)
-        return True
-
-    def _unlock(self, key: str) -> None:
-        try:
-            os.unlink(self._lock_path(key))
-        except OSError:
-            pass
-
-    def _lock_is_stale(self, key: str, stale_seconds: float) -> bool:
-        """True when the lock owner is provably dead or too old.
-
-        A crashed owner (killed mid-compute or mid-rename) would
-        otherwise starve every waiter; a dead pid or an over-age lock
-        file lets a waiter break the lock and take over the compute.
-        """
-        path = self._lock_path(key)
-        try:
-            with open(path, "r", encoding="ascii") as handle:
-                pid = int(handle.read().strip() or "0")
-        except (OSError, ValueError):
-            # vanished (owner finished) or torn mid-write: not ours to
-            # break — the retry loop re-reads the entry either way
-            return False
-        if pid > 0:
-            try:
-                os.kill(pid, 0)
-            except ProcessLookupError:
-                return True
-            except PermissionError:
-                pass  # alive, owned by someone else
-        try:
-            # Lock files are aged *across processes* by their mtime, so
-            # the only comparable clock is the filesystem's wall clock:
-            # monotonic clocks are process-local.  The age is clamped at
-            # zero because mtime can sit ahead of time.time() (clock
-            # steps, NFS server skew) and a negative age must read as
-            # "fresh", never as instantly stale.
-            # lint: allow EZC101 — cross-process lock aging needs mtime
-            age = max(0.0, time.time() - os.path.getmtime(path))
-        except OSError:
-            return False
-        return age > stale_seconds
-
-    def get_or_compute(
-        self,
-        key: str,
-        compute,
-        *,
-        poll_interval: float = 0.01,
-        stale_seconds: float = 30.0,
-        wait_timeout: float | None = None,
-    ) -> dict:
-        """Read-through lookup: return ``key``'s payload, computing it
-        exactly once across concurrent callers.
-
-        With a ``directory``, concurrency control spans *processes*: the
-        first caller to create ``<key>.lock`` runs ``compute()`` and
-        publishes the result with the usual atomic rename; every other
-        caller polls until the entry appears.  A crashed owner is
-        detected (dead pid in the lock file, or lock older than
-        ``stale_seconds``) and its lock broken, so the compute is
-        retried rather than lost — exactly-once holds for every run in
-        which the owner survives, and at-least-once with no torn reads
-        when it does not.  Without a directory the cache is process-
-        local and the same O_EXCL handshake degenerates to a
-        thread-level mutex via the memory dict.
-
-        ``wait_timeout`` bounds the total wait; on expiry the caller
-        computes inline (availability over strict once-ness — the
-        result is still published atomically).  Accounting: one hit
-        when the entry already existed, else one miss, regardless of
-        how many polls the wait took.
-        """
-        payload = self._read(key)
-        if payload is not None:
-            self.hits += 1
-            self.bytes_served += self._size_of(key, payload)
-            return payload
-        self.misses += 1
-        if not self.directory:
-            # process-local: the caller is responsible for in-process
-            # dedup (the service's submission bridge does); compute
-            # inline and publish to memory
-            payload = compute()
-            self.put(key, payload)
-            return payload
-        deadline = (
-            None
-            if wait_timeout is None
-            else time.monotonic() + wait_timeout
-        )
-        while True:
-            if self._try_lock(key):
-                try:
-                    # double-check: the previous owner may have
-                    # published between our miss and our lock
-                    payload = self._read(key)
-                    if payload is None:
-                        payload = compute()
-                        self.put(key, payload)
-                    return payload
-                finally:
-                    self._unlock(key)
-            # somebody else is computing: wait for the rename to land
-            payload = self._read(key)
-            if payload is not None:
-                return payload
-            if self._lock_is_stale(key, stale_seconds):
-                self._unlock(key)
-                continue
-            if (
-                deadline is not None
-                and time.monotonic() >= deadline
-            ):
-                payload = compute()
-                self.put(key, payload)
-                return payload
-            time.sleep(poll_interval)
-
     def __contains__(self, key: str) -> bool:
         if key in self._memory:
             return True
@@ -414,7 +264,7 @@ class ResultCache:
         self._sizes.clear()
         if self.directory:
             for name in os.listdir(self.directory):
-                if name.endswith((".json", ".lock", ".tmp")):
+                if name.endswith((".json", ".tmp")):
                     os.unlink(os.path.join(self.directory, name))
 
     def stats(self) -> dict[str, int]:

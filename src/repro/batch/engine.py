@@ -15,13 +15,20 @@ composes with the single-model parallel search
 ``cores`` budget shrinks the pool so jobs × workers stays within the
 machine.
 
-``BatchEngine.run`` takes specifications (or prepared
-:class:`~repro.batch.job.BatchJob` objects), resolves cache hits in the
-parent, ships the misses to a ``ProcessPoolExecutor`` (or runs them
-inline when ``max_workers <= 1`` — the serial baseline the throughput
-bench compares against), and returns a :class:`BatchResult` whose
+Every job, batch or service, takes one pipeline:
+:meth:`SubmissionBridge.submit` runs the pre-search lint gate, the
+cache lookup (realigning a hit to the requesting job), dedup by
+fingerprint and dispatch; its completion folds a dead worker into an
+``error`` outcome and writes non-error outcomes through to the cache.
+The service submits one job at a time to a long-lived bridge.
+``BatchEngine.run`` is a client of the same bridge: it submits every
+job (specifications or prepared :class:`~repro.batch.job.BatchJob`
+objects) with dispatch held, then releases the fresh computes — inline
+when ``max_workers <= 1`` or only one job executes (the serial
+baseline the throughput bench compares against), otherwise on one
+``ProcessPoolExecutor`` — and returns a :class:`BatchResult` whose
 outcome list preserves submission order regardless of completion order.
-Misses are dispatched **hardest-first** by default — ordered by
+Fresh computes are released **hardest-first** by default — ordered by
 :func:`predict_states`, a heuristic estimate of each job's search
 states — so one huge job starts early instead of serialising the
 pool's tail; the ordering affects completion order only, never the
@@ -49,9 +56,9 @@ from concurrent.futures import (
     CancelledError,
     Future,
     ProcessPoolExecutor,
-    as_completed,
 )
 from dataclasses import dataclass, field, replace
+from functools import partial
 from multiprocessing import get_context
 
 from repro.batch.cache import ResultCache
@@ -104,7 +111,8 @@ def predict_states(spec: EzRTSpec) -> float:
 def prelint_outcome(job: BatchJob) -> JobOutcome | None:
     """Diagnosed infeasible outcome for a trivially-infeasible job.
 
-    Runs the O(tasks) necessary-condition lint of
+    The gate of :meth:`SubmissionBridge.submit`: runs the O(tasks)
+    necessary-condition lint of
     :func:`repro.lint.specrules.presearch_diagnostics` in the *parent*
     process: when a spec provably cannot be scheduled (processor/bus
     overutilisation, a precedence chain that cannot meet its deadline)
@@ -404,7 +412,15 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
     def run(self, items) -> BatchResult:
-        """Execute every job; outcomes come back in submission order."""
+        """Execute every job; outcomes come back in submission order.
+
+        A client of :class:`SubmissionBridge`: every job is submitted,
+        in order, to a bridge whose dispatch is held, so a duplicate
+        always joins its leader and never races a finished compute
+        into the cache.  The held fresh computes are then released
+        (hardest-first unless disabled) and each outcome is realigned
+        to its own job.
+        """
         jobs = [self._normalize(item) for item in items]
         stats = BatchStats(
             total=len(jobs),
@@ -412,7 +428,6 @@ class BatchEngine:
             intra_parallel=max(1, self.scheduler_config.parallel),
             parallel_clamped=self.parallel_clamped,
         )
-        outcomes: list[JobOutcome | None] = [None] * len(jobs)
         started = time.monotonic()
         # parent-side recorder: the cache-lookup phase and the whole
         # run get spans on a "batch" track in the same JSONL sink the
@@ -432,74 +447,17 @@ class BatchEngine:
             misses_before = self.cache.misses
             bytes_before = self.cache.bytes_served
 
-        pending: list[int] = []
-        first_with_key: dict[str, int] = {}
-        followers: dict[int, list[int]] = {}
+        bridge = SubmissionBridge(self)  # never started: holds
         with obs.span("cache-lookup", cat="batch", jobs=len(jobs)):
-            for index, job in enumerate(jobs):
-                rejected = prelint_outcome(job)
-                if rejected is not None:
-                    # diagnosed in the parent: never pooled, never
-                    # cached (the diagnosis is cheaper than the cache
-                    # round-trip and must track the live lint rules)
-                    outcomes[index] = rejected
-                    stats.prelint_rejected += 1
-                    continue
-                key = job.key()
-                cached = (
-                    self.cache.get(key)
-                    if self.cache is not None
-                    else None
-                )
-                if cached is not None:
-                    outcomes[index] = self._replay(cached, job)
-                    continue
-                leader = first_with_key.get(key)
-                if leader is None:
-                    first_with_key[key] = index
-                    pending.append(index)
-                else:
-                    # duplicate point inside one batch: execute once,
-                    # fan the outcome out afterwards
-                    followers.setdefault(leader, []).append(index)
-                    stats.deduplicated += 1
-
-        if self.hardest_first and len(pending) > 1:
-            # hardest-first dispatch: predicted states per job,
-            # descending; ties keep submission order so the
-            # permutation is deterministic.  Only the *execution*
-            # order changes — `outcomes` is indexed by submission.
-            predicted = {
-                index: predict_states(jobs[index].spec)
-                for index in pending
-            }
-            pending.sort(key=lambda index: (-predicted[index], index))
-            stats.hardest_first = True
-
-        note_done = self._progress_printer(len(pending))
-        if pending:
-            if self.max_workers <= 1 or len(pending) == 1:
-                for index in pending:
-                    outcomes[index] = execute_job(jobs[index])
-                    note_done()
-            else:
-                self._run_pooled(jobs, pending, outcomes, note_done)
-
-        for index in pending:
-            outcome = outcomes[index]
-            assert outcome is not None
-            for duplicate in followers.get(index, ()):
-                outcomes[duplicate] = self._replay(
-                    outcome.to_dict(), jobs[duplicate]
-                )
-            if (
-                self.cache is not None
-                and outcome.status != STATUS_ERROR
-            ):
-                # errors are not cached: they may be environmental
-                # (killed worker, broken pool) rather than a property
-                # of the model
-                self.cache.put(outcome.key, outcome.to_dict())
+            submissions = [bridge.submit(job) for job in jobs]
+        executed = [
+            s for s in submissions if s.disposition == Submission.SUBMITTED
+        ]
+        stats.hardest_first = self.hardest_first and len(executed) > 1
+        note_done = self._progress_printer(len(executed))
+        for submission in executed:
+            submission.future.add_done_callback(lambda _f: note_done())
+        bridge.release(hardest_first=stats.hardest_first)
 
         stats.wall_seconds = time.monotonic() - started
         if self.cache is not None:
@@ -508,9 +466,30 @@ class BatchEngine:
             stats.cache_bytes = (
                 self.cache.bytes_served - bytes_before
             )
+        outcomes: list[JobOutcome] = []
+        for submission in submissions:
+            outcome = submission.future.result()
+            if submission.disposition == Submission.JOINED:
+                # a duplicate shares its leader's outcome: realign it
+                stats.deduplicated += 1
+                outcome = _replay(outcome.to_dict(), submission.job)
+            elif submission.disposition == Submission.REJECTED:
+                stats.prelint_rejected += 1
+            elif submission.disposition == Submission.SUBMITTED:
+                # cache hits replay stored elapsed times; only work
+                # actually done this run counts toward the overlap
+                stats.job_seconds += outcome.elapsed_seconds
+            if outcome.status not in STATUSES:
+                outcome.status = STATUS_ERROR
+            setattr(
+                stats,
+                outcome.status,
+                getattr(stats, outcome.status) + 1,
+            )
+            outcomes.append(outcome)
         registry = MetricsRegistry()
         registry.inc("batch.jobs.total", len(jobs))
-        registry.inc("batch.jobs.executed", len(pending))
+        registry.inc("batch.jobs.executed", len(executed))
         registry.inc("batch.jobs.deduplicated", stats.deduplicated)
         registry.inc(
             "batch.jobs.prelint_rejected", stats.prelint_rejected
@@ -527,38 +506,9 @@ class BatchEngine:
             run_t0,
             obs.now_ns(),
             cat="batch",
-            args={"jobs": len(jobs), "executed": len(pending)},
+            args={"jobs": len(jobs), "executed": len(executed)},
         )
-        executed = set(pending)
-        result_outcomes: list[JobOutcome] = []
-        for index, outcome in enumerate(outcomes):
-            assert outcome is not None
-            if outcome.status not in STATUSES:
-                outcome.status = STATUS_ERROR
-            setattr(
-                stats,
-                outcome.status,
-                getattr(stats, outcome.status) + 1,
-            )
-            if index in executed:
-                # cache hits replay stored elapsed times; only work
-                # actually done this run counts toward the overlap
-                stats.job_seconds += outcome.elapsed_seconds
-            result_outcomes.append(outcome)
-        return BatchResult(outcomes=result_outcomes, stats=stats)
-
-    @staticmethod
-    def _replay(payload: dict, job: BatchJob) -> JobOutcome:
-        """Materialise a stored/shared outcome for ``job``.
-
-        The fingerprint is name-free, so an identical task set solved
-        under another label still hits; the outcome is realigned to
-        this job's name and campaign metadata.
-        """
-        outcome = JobOutcome.from_dict(payload)
-        outcome.spec_name = job.spec.name
-        outcome.meta = dict(job.meta)
-        return outcome
+        return BatchResult(outcomes=outcomes, stats=stats)
 
     def _progress_printer(self, total: int):
         """Completion-driven ``[progress] batch`` heartbeat closure.
@@ -592,33 +542,18 @@ class BatchEngine:
         bridge.start()
         return bridge
 
-    def _run_pooled(
-        self,
-        jobs: list[BatchJob],
-        pending: list[int],
-        outcomes: list[JobOutcome | None],
-        note_done=lambda: None,
-    ) -> None:
-        workers = min(self.max_workers, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                pool.submit(execute_job, jobs[index]): index
-                for index in pending
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                try:
-                    outcomes[index] = future.result()
-                except Exception as err:  # noqa: BLE001 — dead worker
-                    outcomes[index] = JobOutcome(
-                        spec_name=jobs[index].spec.name,
-                        status=STATUS_ERROR,
-                        key=jobs[index].key(),
-                        n_tasks=len(jobs[index].spec.tasks),
-                        error=f"{type(err).__name__}: {err}",
-                        meta=dict(jobs[index].meta),
-                    )
-                note_done()
+
+def _replay(payload: dict, job: BatchJob) -> JobOutcome:
+    """Materialise a stored/shared outcome for ``job``.
+
+    The fingerprint is name-free, so an identical task set solved
+    under another label still hits; the outcome is realigned to this
+    job's name and campaign metadata.
+    """
+    outcome = JobOutcome.from_dict(payload)
+    outcome.spec_name = job.spec.name
+    outcome.meta = dict(job.meta)
+    return outcome
 
 
 @dataclass
@@ -631,7 +566,9 @@ class Submission:
     * ``"cached"`` — served from the result cache, future already done;
     * ``"joined"`` — an identical job (same content-addressed key) is
       already computing; this submission shares its future;
-    * ``"submitted"`` — shipped to a pool worker as a fresh compute;
+    * ``"submitted"`` — a fresh compute, shipped to a pool worker (or,
+      on a bridge that was never started, held until
+      :meth:`SubmissionBridge.release`);
     * ``"rejected"`` — the pre-search lint gate diagnosed the spec as
       trivially infeasible; the future is already done with an
       ``infeasible`` outcome carrying the diagnostics, and no pool
@@ -650,21 +587,24 @@ class Submission:
 
 
 class SubmissionBridge:
-    """Long-lived, one-at-a-time submission front end over the pool.
+    """The job pipeline: one-at-a-time submission over a worker pool.
 
-    :meth:`BatchEngine.run` is campaign-shaped: it blocks until one
-    fixed list of jobs is done and then tears its pool down.  A
-    *service* needs the complement — accept jobs forever, one at a
-    time, from an event loop that must never block — so the bridge owns
-    a persistent ``ProcessPoolExecutor`` and exposes exactly one
-    operation: :meth:`submit`, returning a :class:`Submission` whose
-    future an asyncio caller can wrap with ``asyncio.wrap_future``.
+    Batch and service both run every job through :meth:`submit`, which
+    returns a :class:`Submission` whose future an asyncio caller can
+    wrap with ``asyncio.wrap_future``.  A service bridge is started
+    (:meth:`start`) and owns a persistent ``ProcessPoolExecutor``: it
+    accepts jobs forever, from an event loop that must never block.  A
+    bridge that is never started (the one :meth:`BatchEngine.run`
+    builds) holds its fresh computes instead, and :meth:`release` runs
+    them once the whole batch is submitted.
 
-    The bridge keeps the engine's caching and dedup semantics, shifted
-    from batch-scope to service-scope:
+    Along the way the bridge applies, in order:
 
-    * **cache read-through** — a hit resolves instantly and never
-      touches the pool;
+    * **the pre-search lint gate** — a trivially-infeasible spec
+      resolves at once to a diagnosed ``infeasible`` outcome
+      (``"rejected"``), never cached, never counted as a compute;
+    * **cache read-through** — a hit resolves instantly, realigned to
+      the requesting job, and never touches the pool;
     * **in-flight dedup** — N concurrent submissions of one
       content-addressed key share a single compute: the first becomes
       the leader (``"submitted"``), the rest join its future
@@ -675,10 +615,11 @@ class SubmissionBridge:
       cache before waiters are woken, so an immediate resubmission of
       a just-finished job hits.
 
-    Worker death (OOM kill, segfault) is absorbed: the affected
-    submissions resolve to structured ``error`` outcomes and the broken
-    pool is transparently replaced, so the next submission computes
-    normally instead of inheriting a poisoned executor.
+    Worker death (OOM kill, segfault) is absorbed: every submission
+    still queued on the broken pool resolves to a structured ``error``
+    outcome, and a started bridge transparently replaces the pool, so
+    the next submission computes normally instead of inheriting a
+    poisoned executor.
 
     Thread-safety: ``submit`` may be called from any thread (the
     service calls it from the event-loop thread); completion runs on
@@ -694,11 +635,12 @@ class SubmissionBridge:
         self._lock = threading.Lock()
         self._inflight: dict[str, Future] = {}
         self._pool: ProcessPoolExecutor | None = None
-        self._started = False
+        #: fresh computes held, while there is no pool, for :meth:`release`
+        self._held: list[tuple[str, BatchJob, Future]] = []
         self._closed = False
 
     # ------------------------------------------------------------------
-    def _new_pool(self) -> ProcessPoolExecutor:
+    def _new_pool(self, workers: int | None = None) -> ProcessPoolExecutor:
         try:
             # match repro.scheduler.parallel: fork is cheap and lets
             # fault-injection env vars set by tests reach the workers
@@ -706,7 +648,7 @@ class SubmissionBridge:
         except ValueError:  # pragma: no cover — non-fork platforms
             context = get_context()
         return ProcessPoolExecutor(
-            max_workers=max(1, self.engine.max_workers),
+            max_workers=workers or max(1, self.engine.max_workers),
             mp_context=context,
         )
 
@@ -715,9 +657,8 @@ class SubmissionBridge:
         with self._lock:
             if self._closed:
                 raise RuntimeError("bridge is shut down")
-            if not self._started:
+            if self._pool is None:
                 self._pool = self._new_pool()
-                self._started = True
         return self
 
     @property
@@ -756,9 +697,8 @@ class SubmissionBridge:
         self.metrics.inc("bridge.submissions")
         rejected = prelint_outcome(job)
         if rejected is not None:
-            # diagnosed without the pool: resolve immediately, same
-            # parent-side gate as BatchEngine.run (never cached, never
-            # counted as a compute)
+            # diagnosed without the pool: resolve immediately (never
+            # cached, never counted as a compute)
             self.metrics.inc("bridge.rejected")
             future: Future = Future()
             future.set_result(rejected)
@@ -767,19 +707,15 @@ class SubmissionBridge:
             )
         key = job.key()
         with self._lock:
-            if self._closed or self._pool is None:
-                raise RuntimeError(
-                    "bridge is not started (or already shut down)"
-                )
+            if self._closed:
+                raise RuntimeError("bridge is shut down")
             cache = self.engine.cache
             if cache is not None:
                 cached = cache.get(key)
                 if cached is not None:
                     self.metrics.inc("bridge.cache_hits")
                     future = Future()
-                    future.set_result(
-                        BatchEngine._replay(cached, job)
-                    )
+                    future.set_result(_replay(cached, job))
                     return Submission(
                         key, job, future, Submission.CACHED
                     )
@@ -800,62 +736,94 @@ class SubmissionBridge:
                         progress_dir, f"{key}.json"
                     ),
                 )
+            if self._pool is None:
+                self._held.append((key, job, result_future))
+                return Submission(
+                    key, job, result_future, Submission.SUBMITTED
+                )
             pool_future = self._pool.submit(execute_job, job)
         pool_future.add_done_callback(
-            lambda pf: self._complete(key, job, pf, result_future)
+            partial(self._complete, key, job, result_future)
         )
         return Submission(key, job, result_future, Submission.SUBMITTED)
+
+    def release(self, *, hardest_first: bool = False) -> None:
+        """Run the held fresh computes to completion; closes the bridge.
+
+        The computes run in submission order, or with ``hardest_first``
+        in descending order of :func:`predict_states`.  They run inline
+        in this process when the engine's width is ``<= 1`` or only
+        one is held, and otherwise on one pool of
+        ``min(max_workers, held)`` workers, reaped before returning.
+        """
+        with self._lock:
+            held, self._held = self._held, []
+            self._closed = True
+        if hardest_first:
+            # the sort is stable: ties keep submission order, so the
+            # permutation is deterministic.  Only the *execution*
+            # order changes, never an outcome.
+            held.sort(key=lambda entry: -predict_states(entry[1].spec))
+        width = min(self.engine.max_workers, len(held))
+        if width <= 1:
+            for key, job, result_future in held:
+                done: Future = Future()
+                done.set_result(execute_job(job))
+                self._complete(key, job, result_future, done)
+            return
+        with self._new_pool(width) as pool:
+            for key, job, result_future in held:
+                pool.submit(execute_job, job).add_done_callback(
+                    partial(self._complete, key, job, result_future)
+                )
 
     # ------------------------------------------------------------------
     def _complete(
         self,
         key: str,
         job: BatchJob,
-        pool_future: Future,
         result_future: Future,
+        pool_future: Future,
     ) -> None:
-        """Executor callback: fold any failure into a JobOutcome,
-        write the cache through, then wake every waiter."""
+        """Fold any failure into a JobOutcome, write the cache
+        through, then wake every waiter."""
         broken = False
         try:
             outcome = pool_future.result()
-        except CancelledError:
-            outcome = self._error_outcome(
-                key, job, "CancelledError: bridge shut down"
-            )
         except BaseException as err:  # noqa: BLE001 — dead worker
             broken = isinstance(err, BrokenExecutor)
-            outcome = self._error_outcome(
-                key, job, f"{type(err).__name__}: {err}"
+            if isinstance(err, CancelledError):
+                message = "CancelledError: bridge shut down"
+            else:
+                message = f"{type(err).__name__}: {err}"
+            outcome = JobOutcome(
+                spec_name=job.spec.name,
+                status=STATUS_ERROR,
+                key=key,
+                n_tasks=len(job.spec.tasks),
+                error=message,
+                meta=dict(job.meta),
             )
         with self._lock:
             self._inflight.pop(key, None)
-            if broken and not self._closed:
+            if broken and self._pool is not None:
                 # one dead worker poisons the whole executor: replace
                 # it so the *next* submission computes instead of
                 # failing fast with BrokenProcessPool
                 dead, self._pool = self._pool, self._new_pool()
-                if dead is not None:
-                    dead.shutdown(wait=False)
-        cache = self.engine.cache
-        if cache is not None and outcome.status != STATUS_ERROR:
-            # errors stay uncached (environmental, same rule as
-            # BatchEngine.run); written before set_result so a waiter
-            # that instantly resubmits sees the hit
-            cache.put(key, outcome.to_dict())
-        self.metrics.inc(f"bridge.outcomes.{outcome.status}")
-        result_future.set_result(outcome)
-
-    @staticmethod
-    def _error_outcome(key: str, job: BatchJob, message: str) -> JobOutcome:
-        return JobOutcome(
-            spec_name=job.spec.name,
-            status=STATUS_ERROR,
-            key=key,
-            n_tasks=len(job.spec.tasks),
-            error=message,
-            meta=dict(job.meta),
-        )
+                dead.shutdown(wait=False)
+        try:
+            cache = self.engine.cache
+            if cache is not None and outcome.status != STATUS_ERROR:
+                # errors stay uncached: they may be environmental
+                # (killed worker, broken pool) rather than a property
+                # of the model.  Written before set_result so a waiter
+                # that instantly resubmits sees the hit.
+                cache.put(key, outcome.to_dict())
+            self.metrics.inc(f"bridge.outcomes.{outcome.status}")
+        finally:
+            # a failed write-through must not strand the waiters
+            result_future.set_result(outcome)
 
     # ------------------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:

@@ -16,10 +16,11 @@ Endpoints::
     GET  /jobs/{id}/events        SSE stream (queued/progress/done)
     GET  /results/{fingerprint}   content-addressed outcome, strong ETag
 
-``POST /jobs`` fast-fails trivially-infeasible specs: the pre-search
-lint gate (:mod:`repro.lint.specrules`) answers ``422`` with a
-machine-readable ``diagnostics`` list — the violated necessary
-conditions — and no job record is created, no pool worker touched.
+``POST /jobs`` fast-fails trivially-infeasible specs: the bridge's
+pre-search lint gate (:mod:`repro.lint.specrules`) rejects them, and
+the app answers ``422`` with a machine-readable ``diagnostics`` list —
+the violated necessary conditions — and no job record is created, no
+pool worker touched.
 
 Dedup is content-addressed at two layers and both are visible in the
 ``disposition`` field of a submission response: ``cached`` (the result
@@ -47,11 +48,9 @@ import threading
 
 from repro.batch.cache import ResultCache
 from repro.batch.engine import BatchEngine, SubmissionBridge
-from repro.lint.diagnostics import has_errors
-from repro.lint.specrules import presearch_diagnostics
 from repro.service import http11
 from repro.service.http11 import HttpError, Request
-from repro.service.jobs import JobManager, JobRecord
+from repro.service.jobs import JobManager, JobRecord, SubmissionRejected
 from repro.spec.dsl import DSLError
 from repro.spec.jsonio import spec_from_json
 
@@ -328,33 +327,25 @@ class SynthesisService:
             spec = spec_from_json(spec_doc)
         except DSLError as err:
             raise HttpError(422, f"invalid spec: {err}") from None
-        # pre-search lint gate: a trivially-infeasible spec is a client
-        # error, answered with the violated necessary conditions and
-        # without creating a job or touching the worker pool
-        diagnostics = presearch_diagnostics(
-            spec, engine=self.engine.scheduler_config.engine
-        )
-        if has_errors(diagnostics):
+        try:
+            record = self.manager.submit(spec, timeout=timeout)
+        except SubmissionRejected as rejected:
+            # the bridge's pre-search lint gate: a trivially-infeasible
+            # spec is a client error, answered with the violated
+            # necessary conditions; no job record, no pool worker
             self.manager.metrics.inc("service.prelint_rejected")
             raise HttpError(
                 422,
-                f"spec {spec.name!r} is trivially infeasible; "
-                "see diagnostics",
-                extra={
-                    "diagnostics": [
-                        d.to_dict() for d in diagnostics
-                    ]
-                },
-            )
-        record = self.manager.submit(spec, timeout=timeout)
-        payload = record.summary()
-        return self._json(request, 201, payload)
+                str(rejected),
+                extra={"diagnostics": rejected.outcome.diagnostics},
+            ) from None
+        return self._json(request, 201, record.summary())
 
     def _result(self, request: Request, key: str) -> bytes:
         payload = None
         cache = self.engine.cache
         if isinstance(cache, ResultCache):
-            payload = cache._read(key)
+            payload = cache.peek(key)
         if payload is None:
             payload = self.manager.outcome_for_key(key)
         if payload is None:

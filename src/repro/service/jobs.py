@@ -56,11 +56,23 @@ DISPOSITIONS = {
     Submission.SUBMITTED: "computed",
     Submission.JOINED: "deduplicated",
     Submission.CACHED: "cached",
-    # normally unreachable through POST /jobs (the app's 422 gate runs
-    # first), but a direct manager.submit of a trivially-infeasible
-    # spec still gets a coherent record instead of a KeyError
-    Submission.REJECTED: "rejected",
 }
+
+
+class SubmissionRejected(Exception):
+    """The bridge's pre-search lint gate rejected a submission.
+
+    ``outcome`` is the diagnosed ``infeasible`` outcome; its
+    ``diagnostics`` list the violated necessary conditions.  No job
+    record exists for a rejected submission.
+    """
+
+    def __init__(self, outcome: JobOutcome):
+        super().__init__(
+            f"spec {outcome.spec_name!r} is trivially infeasible; "
+            "see diagnostics"
+        )
+        self.outcome = outcome
 
 
 class AuditLog:
@@ -247,12 +259,18 @@ class JobManager:
 
     # ------------------------------------------------------------------
     def submit(self, item, *, timeout: float | None = None) -> JobRecord:
-        """Accept one spec/job on the event loop; returns its record."""
+        """Accept one spec/job on the event loop; returns its record.
+
+        Raises :class:`SubmissionRejected`, creating no record, when
+        the bridge's pre-search lint gate rejects the spec.
+        """
         assert self._loop is not None, "manager is not bound to a loop"
         started = time.monotonic()
         submission = self.bridge.submit(
             item, timeout=timeout, progress_dir=self.progress_dir
         )
+        if submission.disposition == Submission.REJECTED:
+            raise SubmissionRejected(submission.future.result())
         self._counter += 1
         disposition = DISPOSITIONS[submission.disposition]
         record = JobRecord(

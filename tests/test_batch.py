@@ -360,11 +360,57 @@ class TestBatchEngine:
         assert result.stats.wall_seconds > 0
 
     def test_pooled_run_matches_serial(self):
-        specs = [fig3_precedence(), fig4_exclusion(), broken_spec()]
-        serial = BatchEngine(max_workers=1).run(specs)
-        pooled = BatchEngine(max_workers=2).run(specs)
-        assert serial.to_jsonl() == pooled.to_jsonl()
-        assert pooled.stats.error == 1
+        """Inline and pooled runs agree on the rows and on every count,
+        through a duplicate, a prelint rejection and a cache hit."""
+        cached = random_task_set(2, 0.3, seed=0)
+        overloaded = EzRTSpec(  # U = 1.4: rejected before the search
+            "overloaded",
+            tasks=[
+                Task("A", computation=7, deadline=10, period=10),
+                Task("B", computation=7, deadline=10, period=10),
+            ],
+        )
+        specs = [
+            fig3_precedence(),
+            fig4_exclusion(),
+            broken_spec(),
+            fig3_precedence(),
+            overloaded,
+            cached,
+        ]
+        warm = BatchEngine(max_workers=1).run([cached]).outcomes[0]
+        counts = (
+            "deduplicated",
+            "prelint_rejected",
+            "cache_hits",
+            "cache_misses",
+            "feasible",
+            "infeasible",
+            "error",
+        )
+        runs = []
+        for workers in (1, 2):
+            cache = ResultCache()
+            cache.put(warm.key, warm.to_dict())
+            result = BatchEngine(max_workers=workers, cache=cache).run(
+                specs
+            )
+            runs.append(
+                (
+                    result.to_jsonl(),
+                    {name: getattr(result.stats, name) for name in counts},
+                )
+            )
+        assert runs[0] == runs[1]
+        assert runs[1][1] == {
+            "deduplicated": 1,
+            "prelint_rejected": 1,
+            "cache_hits": 1,
+            "cache_misses": 4,
+            "feasible": 4,
+            "infeasible": 1,
+            "error": 1,
+        }
 
     def test_mixed_statuses_counted(self):
         engine = BatchEngine(max_workers=1, job_timeout=1e-6)

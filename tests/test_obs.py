@@ -549,14 +549,27 @@ class TestSearchMetrics:
             "histograms",
         }
 
-    def test_progress_run_samples_depth(self):
-        # a heartbeat turns polling on, so the depth gauge is sampled
+    @pytest.mark.parametrize("engine", ["kernel", "reference"])
+    def test_progress_run_samples_depth(self, engine):
+        # a heartbeat turns polling on, so the depth gauge is sampled:
+        # 3256 expansions make three polls, each calling the heartbeat
+        # (here a recorder standing in for the progress printer), and
+        # the deepest sample is pinned (the gauge starts at 1, so a run
+        # whose polls never fire would read 1)
         model = compose(paper_examples()["mine-pump"])
+        depths: list[int] = []
         result = find_schedule(
-            model, SchedulerConfig(progress=True)
+            model,
+            SchedulerConfig(engine=engine, progress=True),
+            heartbeat=lambda _visited, _generated, depth: depths.append(
+                depth
+            ),
         )
         assert result.feasible
-        assert result.metrics["gauges"]["search.max_depth"] >= 1
+        assert result.stats.states_visited == 3256
+        assert len(depths) == 3
+        assert max(depths) == 2955
+        assert result.metrics["gauges"]["search.max_depth"] == 2955
 
     def test_portfolio_race_merges_worker_metrics(self, tmp_path):
         """--parallel 2: both workers' snapshots land on the result."""

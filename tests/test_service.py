@@ -6,13 +6,14 @@ Covers the tentpole contract of :mod:`repro.service` end to end:
   clients (fingerprint-preserving round-trips);
 * the SSE codec (canonical encode, tolerant decode, fuzzed byte-stable
   round-trips) and the bounded drop-and-flag subscriber queue;
-* the :meth:`ResultCache.get_or_compute` read-through layer under
-  multi-process hammering, including crash injection (writer killed
-  mid-publish) — exactly-once compute, no torn reads;
+* :class:`ResultCache` crash safety: a writer killed mid-publish or a
+  torn entry file reads as absent, never as a fragment;
 * the HTTP/1.1 contract (error statuses, keep-alive, HEAD, limits);
-* the jobs API: submission, dedup dispositions, SSE streams, strong
-  ETags, degradation under client disconnect / job timeout / worker
-  crash;
+* the jobs API over the one job pipeline it shares with batch runs
+  (:class:`repro.batch.SubmissionBridge`): submission, the bridge's
+  prelint gate answered as ``422``, dedup dispositions, SSE streams,
+  strong ETags, degradation under client disconnect / job timeout /
+  worker crash;
 * deterministic JSONL audit logs and verdict parity — every feasible
   schedule the service serves replays cleanly through the checked
   reference engine.
@@ -446,31 +447,11 @@ class TestEventQueue:
 
 
 # ======================================================================
-# ResultCache read-through layer (multi-process property suite)
+# ResultCache crash safety
 # ======================================================================
-def _hammer_worker(args):
-    """Pool worker: get_or_compute with a compute that leaves a marker
-    file per invocation — the exactly-once evidence."""
-    directory, markers, key, worker_id = args
-    cache = ResultCache(directory)
-
-    def compute():
-        marker = os.path.join(
-            markers, f"{key}-{worker_id}-{os.getpid()}"
-        )
-        with open(marker, "w", encoding="utf-8") as fh:
-            fh.write("computed")
-        time.sleep(0.05)  # widen the race window
-        return {"key": key, "blob": key * 5000}
-
-    return cache.get_or_compute(key, compute, poll_interval=0.002)
-
-
-def _crashing_writer(directory: str, key: str) -> None:
-    """Take the lock, write a torn temp file, die before the rename —
-    the worst-case crash point of ``put``."""
-    cache = ResultCache(directory)
-    assert cache._try_lock(key)
+def _crashing_writer(directory: str) -> None:
+    """Write a torn temp file and die before the rename — the
+    worst-case crash point of ``put``."""
     fd, _ = tempfile.mkstemp(dir=directory, suffix=".tmp")
     os.write(fd, b'{"partial": tru')
     os.close(fd)
@@ -478,78 +459,19 @@ def _crashing_writer(directory: str, key: str) -> None:
 
 
 class TestResultCacheConcurrency:
-    def test_memory_cache_computes_once_per_key(self):
-        cache = ResultCache()
-        calls = []
-        for _ in range(5):
-            cache.get_or_compute(
-                "k", lambda: calls.append(1) or {"v": 1}
-            )
-        assert len(calls) == 1
-        assert cache.hits == 4 and cache.misses == 1
-
-    def test_exactly_once_across_processes(self, tmp_path):
-        directory = str(tmp_path / "cache")
-        markers = str(tmp_path / "markers")
-        os.makedirs(markers)
-        keys = ["alpha", "beta", "gamma"]
-        # overlapping fingerprints: every worker hammers every key
-        work = [
-            (directory, markers, key, wid)
-            for wid in range(4)
-            for key in keys
-        ]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(4) as pool:
-            results = pool.map(_hammer_worker, work)
-        for key in keys:
-            computes = [
-                m for m in os.listdir(markers) if m.startswith(key)
-            ]
-            assert len(computes) == 1, (
-                f"{key} computed {len(computes)} times"
-            )
-        # no torn reads: every caller saw the one complete payload
-        for (_, _, key, _), payload in zip(work, results):
-            assert payload == {"key": key, "blob": key * 5000}
-
-    def test_stale_lock_of_dead_owner_is_broken(self, tmp_path):
-        directory = str(tmp_path)
-        cache = ResultCache(directory)
-        # a pid that provably exited: a child we already reaped
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        dead_pid = child.pid
-        child.wait(timeout=30)
-        with open(
-            cache._lock_path("k"), "w", encoding="ascii"
-        ) as fh:
-            fh.write(str(dead_pid))
-        payload = cache.get_or_compute(
-            "k", lambda: {"v": 42}, poll_interval=0.001
-        )
-        assert payload == {"v": 42}
-        assert not os.path.exists(cache._lock_path("k"))
-
     def test_writer_killed_mid_publish_recovers(self, tmp_path):
         directory = str(tmp_path)
         ctx = multiprocessing.get_context("fork")
-        crasher = ctx.Process(
-            target=_crashing_writer, args=(directory, "k")
-        )
+        crasher = ctx.Process(target=_crashing_writer, args=(directory,))
         crasher.start()
         crasher.join(timeout=30)
         assert crasher.exitcode == 1
         cache = ResultCache(directory)
-        # the torn temp file and the dead owner's lock are both on
-        # disk; the entry must read as absent, never as a fragment
-        assert cache._read("k") is None
-        payload = cache.get_or_compute(
-            "k",
-            lambda: {"v": "complete"},
-            poll_interval=0.001,
-            stale_seconds=0.0,
-        )
-        assert payload == {"v": "complete"}
+        # the torn temp file is on disk; the entry must read as
+        # absent, never as a fragment
+        assert cache.peek("k") is None
+        assert cache.get("k") is None
+        cache.put("k", {"v": "complete"})
         assert ResultCache(directory).get("k") == {"v": "complete"}
 
     def test_torn_entry_file_reads_as_absent(self, tmp_path):
@@ -558,32 +480,14 @@ class TestResultCacheConcurrency:
             cache._path("k"), "w", encoding="utf-8"
         ) as fh:
             fh.write('{"status": "feasib')  # truncated mid-write
+        assert cache.peek("k") is None
         assert cache.get("k") is None
-        payload = cache.get_or_compute("k", lambda: {"ok": True})
-        assert payload == {"ok": True}
+        cache.put("k", {"ok": True})
         assert ResultCache(str(tmp_path)).get("k") == {"ok": True}
 
-    def test_wait_timeout_computes_inline(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        assert cache._try_lock("k")  # a live owner (our own pid) ...
-        try:
-            started = time.monotonic()
-            payload = cache.get_or_compute(
-                "k",
-                lambda: {"v": "inline"},
-                poll_interval=0.001,
-                wait_timeout=0.05,
-            )
-            # ... so the waiter gives up and computes for itself
-            assert payload == {"v": "inline"}
-            assert time.monotonic() - started < 10.0
-        finally:
-            cache._unlock("k")
-
-    def test_clear_removes_lock_and_tmp_litter(self, tmp_path):
+    def test_clear_removes_tmp_litter(self, tmp_path):
         cache = ResultCache(str(tmp_path))
         cache.put("k", {"v": 1})
-        cache._try_lock("other")
         with open(
             os.path.join(str(tmp_path), "litter.tmp"), "w"
         ) as fh:
@@ -593,9 +497,12 @@ class TestResultCacheConcurrency:
 
     def test_accounting_one_hit_or_miss_per_call(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        cache.get_or_compute("k", lambda: {"v": 1})
+        assert cache.get("k") is None
         assert (cache.hits, cache.misses) == (0, 1)
-        cache.get_or_compute("k", lambda: {"v": 1})
+        cache.put("k", {"v": 1})
+        assert cache.peek("k") == {"v": 1}  # peek never counts
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert cache.get("k") == {"v": 1}
         assert (cache.hits, cache.misses) == (1, 1)
 
 
@@ -793,7 +700,7 @@ class TestJobsApi:
         assert listing["jobs"] == []
         counters = handle.service.bridge.metrics.snapshot()["counters"]
         assert counters.get("bridge.computed", 0) == 0
-        assert counters.get("bridge.submissions", 0) == 0
+        assert counters.get("bridge.rejected", 0) == 1
 
     def test_tiny_budget_times_out(self, client):
         _, _, submitted = client.submit(
