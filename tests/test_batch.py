@@ -20,6 +20,8 @@ from repro.batch import (
     STATUS_FEASIBLE,
     STATUS_INFEASIBLE,
     STATUS_TIMEOUT,
+    Submission,
+    SubmissionBridge,
     cache_key,
     execute_job,
     run_campaign,
@@ -474,6 +476,70 @@ class TestBatchEngine:
         assert "elapsed_seconds" not in json.dumps(row)
         assert row["status"] == STATUS_FEASIBLE
         assert row["search"]["states_visited"] > 0
+
+
+class _FailingCache(ResultCache):
+    """A cache whose every write fails, as on a full disk."""
+
+    def put(self, key, payload):
+        raise OSError("disk full")
+
+
+class TestSubmissionBridge:
+    """The one job pipeline, driven directly (batch and service both
+    run every job through it)."""
+
+    def test_held_duplicate_joins_its_leader(self):
+        bridge = SubmissionBridge(BatchEngine(max_workers=1))
+        leader = bridge.submit(fig3_precedence())
+        twin = bridge.submit(fig3_precedence())
+        assert leader.disposition == Submission.SUBMITTED
+        assert twin.disposition == Submission.JOINED
+        assert twin.future is leader.future
+        assert not leader.future.done()  # held until release
+        bridge.release()
+        assert leader.future.result().status == STATUS_FEASIBLE
+        counters = bridge.metrics.snapshot()["counters"]
+        assert counters["bridge.computed"] == 1
+        assert counters["bridge.dedup_joined"] == 1
+
+    def test_released_bridge_refuses_submissions(self):
+        bridge = SubmissionBridge(BatchEngine(max_workers=1))
+        bridge.release()
+        with pytest.raises(RuntimeError):
+            bridge.submit(fig3_precedence())
+
+    def test_rejected_submission_bypasses_cache_and_pool(self):
+        cache = ResultCache()
+        bridge = SubmissionBridge(BatchEngine(max_workers=1, cache=cache))
+        overloaded = EzRTSpec(  # U = 1.4: rejected before the search
+            "overloaded",
+            tasks=[
+                Task("A", computation=7, deadline=10, period=10),
+                Task("B", computation=7, deadline=10, period=10),
+            ],
+        )
+        submission = bridge.submit(overloaded)
+        assert submission.disposition == Submission.REJECTED
+        assert submission.future.done()  # resolved without release
+        outcome = submission.future.result()
+        assert outcome.status == STATUS_INFEASIBLE
+        assert outcome.diagnostics
+        assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
+        counters = bridge.metrics.snapshot()["counters"]
+        assert counters["bridge.rejected"] == 1
+        assert "bridge.computed" not in counters
+
+    def test_failed_cache_write_does_not_strand_waiters(self):
+        bridge = BatchEngine(max_workers=1, cache=_FailingCache()).bridge()
+        try:
+            submission = bridge.submit(fig3_precedence())
+            outcome = submission.future.result(timeout=120)
+        finally:
+            bridge.shutdown()
+        assert submission.disposition == Submission.SUBMITTED
+        assert outcome.status == STATUS_FEASIBLE
+        assert bridge.inflight == 0
 
 
 class TestCoreBudget:

@@ -458,6 +458,22 @@ def _crashing_writer(directory: str) -> None:
     os._exit(1)
 
 
+def _racing_writer(directory: str) -> None:
+    """Publish the same entries over and over, then exit."""
+    cache = ResultCache(directory)
+    for _ in range(100):
+        for key in _RACE_KEYS:
+            cache.put(key, _race_payload(key))
+    os._exit(0)
+
+
+_RACE_KEYS = ("alpha", "beta", "gamma")
+
+
+def _race_payload(key: str) -> dict:
+    return {"key": key, "blob": key * 5000}
+
+
 class TestResultCacheConcurrency:
     def test_writer_killed_mid_publish_recovers(self, tmp_path):
         directory = str(tmp_path)
@@ -473,6 +489,40 @@ class TestResultCacheConcurrency:
         assert cache.get("k") is None
         cache.put("k", {"v": "complete"})
         assert ResultCache(directory).get("k") == {"v": "complete"}
+
+    def test_concurrent_writers_never_tear_an_entry(self, tmp_path):
+        directory = str(tmp_path)
+        ctx = multiprocessing.get_context("fork")
+        writers = [
+            ctx.Process(target=_racing_writer, args=(directory,))
+            for _ in range(3)
+        ]
+        for writer in writers:
+            writer.start()
+        # read while the writers race, through a fresh cache each
+        # time so every read goes to disk: an entry is absent until
+        # first published, and whole from then on, even while it is
+        # being republished
+        published: set[str] = set()
+        while any(writer.is_alive() for writer in writers):
+            for key in _RACE_KEYS:
+                payload = ResultCache(directory).peek(key)
+                if key in published:
+                    assert payload == _race_payload(key)
+                elif payload is not None:
+                    assert payload == _race_payload(key)
+                    published.add(key)
+        for writer in writers:
+            writer.join(timeout=30)
+            assert writer.exitcode == 0
+        assert not [
+            name for name in os.listdir(directory)
+            if name.endswith(".tmp")
+        ]
+        cache = ResultCache(directory)
+        assert len(cache) == len(_RACE_KEYS)
+        for key in _RACE_KEYS:
+            assert cache.get(key) == _race_payload(key)
 
     def test_torn_entry_file_reads_as_absent(self, tmp_path):
         cache = ResultCache(str(tmp_path))
