@@ -15,10 +15,13 @@ campaign:
 The grid mixes a low-utilisation band (fast, feasible) with a
 high-utilisation band whose points are overwhelmingly timeout-bound —
 the shape any feasibility-frontier sweep has.
+
+Each campaign is timed once, collector-free, and both tests write
+their rows (one per worker count) and gates to ``BENCH_batch.json``
+at the repository root (:func:`harness.write_bench`).
 """
 
-import time
-
+from harness import collector_free, gate, row, write_bench
 from repro.batch import BatchEngine, CampaignGrid, ResultCache, run_campaign
 
 #: n ∈ {4, 6} × U ∈ {0.4, 0.75} × 4 seeds = 16 jobs.  At U=0.75 nearly
@@ -39,9 +42,7 @@ def _run(max_workers: int, cache: ResultCache | None):
         job_timeout=JOB_TIMEOUT,
         cache=cache,
     )
-    started = time.monotonic()
-    campaign = run_campaign(GRID, engine)
-    return campaign, time.monotonic() - started
+    return collector_free(lambda: run_campaign(GRID, engine))
 
 
 def test_pooled_beats_serial(report):
@@ -88,7 +89,19 @@ def test_pooled_beats_serial(report):
         f"{serial_wall:.2f}s vs {pooled_wall:.2f}s "
         f"({serial_wall / pooled_wall:.1f}x)",
     )
-    assert pooled_wall < serial_wall
+    write_bench(
+        "batch",
+        [
+            row(f"grid{GRID.size}:w1", "warm", "campaign",
+                seconds=serial_wall),
+            row(f"grid{GRID.size}:w{POOL_WORKERS}", "warm", "campaign",
+                seconds=pooled_wall),
+        ],
+        [
+            gate("pooled_vs_serial", 1.0, serial_wall / pooled_wall,
+                 pooled_wall < serial_wall)
+        ],
+    )
 
 
 def test_second_run_hits_cache_with_identical_rows(report, tmp_path):
@@ -104,11 +117,12 @@ def test_second_run_hits_cache_with_identical_rows(report, tmp_path):
     assert first.stats.cache_hits == 0
     assert first.stats.cache_misses == GRID.size
 
-    second = run_campaign(
-        GRID, engine, jsonl_path=str(tmp_path / "run2.jsonl")
+    second, cached_wall = collector_free(
+        lambda: run_campaign(
+            GRID, engine, jsonl_path=str(tmp_path / "run2.jsonl")
+        )
     )
     hit_rate = second.stats.hit_rate
-    assert hit_rate >= 0.9
     first_bytes = (tmp_path / "run1.jsonl").read_bytes()
     second_bytes = (tmp_path / "run2.jsonl").read_bytes()
     assert first_bytes == second_bytes
@@ -127,4 +141,15 @@ def test_second_run_hits_cache_with_identical_rows(report, tmp_path):
         cache=ResultCache(str(tmp_path / "cache")),
     )
     third = run_campaign(GRID, fresh)
-    assert third.stats.hit_rate == 1.0
+    write_bench(
+        "batch",
+        [
+            row(f"grid{GRID.size}:w{POOL_WORKERS}-cached", "warm",
+                "campaign", seconds=cached_wall)
+        ],
+        [
+            gate("rerun_hit_rate", 0.9, hit_rate, hit_rate >= 0.9),
+            gate("cold_engine_hit_rate", 1.0, third.stats.hit_rate,
+                 third.stats.hit_rate == 1.0),
+        ],
+    )

@@ -12,11 +12,15 @@ path in fresh processes with bytecode cached:
 2. **Wall time** (recorded, not gated: this host is shared and its
    speed drifts): ``python -c pass``, ``import repro.cli`` and the
    three commands, as the minimum of :data:`REPEATS` runs taken
-   strictly interleaved, plus the import's own time measured inside
-   the child (against the ≤ :data:`IMPORT_TARGET_MS` ms target).
+   strictly interleaved after a warm-up run that writes the bytecode
+   (:func:`harness.measure`), plus the import's own time measured
+   inside the child (against the ≤ :data:`IMPORT_TARGET_MS` ms
+   target).
 
 Results are written to ``BENCH_cold_start.json`` at the repository
-root.  Run it as ``PYTHONPATH=src python -m pytest
+root (:func:`harness.write_bench`): one ``cold`` row per case (layer
+``process``, the child's wall time) and one for the in-child import
+(layer ``import``); the module counts are the gates.  Run it as ``PYTHONPATH=src python -m pytest
 benchmarks/bench_cold_start.py -q``.
 """
 
@@ -24,15 +28,13 @@ from __future__ import annotations
 
 import json
 import os
-import platform
 import subprocess
 import sys
 import tempfile
-import time
 
-ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+from harness import ROOT, gate, measure, row, write_bench
+
 SRC = os.path.join(ROOT, "src")
-JSON_PATH = os.path.join(ROOT, "BENCH_cold_start.json")
 
 #: ``repro`` modules ``import repro.cli`` may load (74 before the
 #: package facades became lazy)
@@ -106,83 +108,68 @@ def _run(argv: list[str], env: dict, cwd: str) -> subprocess.CompletedProcess:
     )
 
 
-def _wall_ms(argv: list[str], env: dict, cwd: str) -> float:
-    started = time.perf_counter()
-    _run(argv, env, cwd)
-    return (time.perf_counter() - started) * 1000.0
-
-
-def _loaded_modules(code: str, argv: list[str], env: dict, cwd: str) -> set:
-    argv = [sys.executable, "-c", code, *argv]
-    return set(json.loads(_run(argv, env, cwd).stderr))
-
-
-def _module_counts(env: dict, cwd: str, cases: dict) -> dict:
-    """``repro`` modules, and all modules beyond a bare interpreter's."""
-    bare = _loaded_modules(
-        "import json, sys; print(json.dumps(sorted(sys.modules)), "
-        "file=sys.stderr)",
-        [],
-        env,
-        cwd,
-    )
-    counts = {}
-    for name, argv in cases.items():
-        loaded = _loaded_modules(_MODULE_PROBE, argv, env, cwd)
-        counts[name] = {
-            "repro": sum(1 for m in loaded if m.startswith("repro")),
-            "beyond_interpreter": len(loaded - bare),
-        }
-    return counts
+def _repro_modules(argv: list[str], env: dict, cwd: str) -> int:
+    """``repro`` modules the probe loads running ``argv``."""
+    probe = [sys.executable, "-c", _MODULE_PROBE, *argv]
+    loaded = json.loads(_run(probe, env, cwd).stderr)
+    return sum(1 for m in loaded if m.startswith("repro"))
 
 
 def test_cold_start(report):
     with tempfile.TemporaryDirectory(prefix="ezrt-cold-") as workdir:
         env = _environment(os.path.join(workdir, "pycache"))
         cases = _cases(workdir)
-        # warm-up: write the bytecode and load the native cores once
-        for argv in cases.values():
-            _run(argv, env, workdir)
-        timed_import = [sys.executable, "-c", _TIMED_IMPORT]
-        wall: dict[str, list[float]] = {name: [] for name in cases}
         import_ms: list[float] = []
-        for _ in range(REPEATS):
-            for name, argv in cases.items():
-                wall[name].append(_wall_ms(argv, env, workdir))
-            import_ms.append(float(_run(timed_import, env, workdir).stdout))
+
+        def timed_import():
+            argv = [sys.executable, "-c", _TIMED_IMPORT]
+            import_ms.append(float(_run(argv, env, workdir).stdout))
+
+        variants = {
+            name: (lambda argv=argv: _run(argv, env, workdir))
+            for name, argv in cases.items()
+        }
+        variants["timed import"] = timed_import
+        _, wall = measure(variants, REPEATS)
 
         # the probe runs each command's argv after ``-m repro.cli``
         probed = {name: cases[name][3:] for name in COMMANDS}
         probed["import repro.cli"] = []
-        modules = _module_counts(env, workdir, probed)
+        modules = {
+            name: _repro_modules(argv, env, workdir)
+            for name, argv in probed.items()
+        }
 
-    payload = {
-        "bench": "cold_start",
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cpus": os.cpu_count(),
-        "pure": os.environ.get("EZRT_PURE") == "1",
-        "repeats": REPEATS,
-        "wall_ms_min": {name: min(times) for name, times in wall.items()},
-        "import_ms_min": min(import_ms),
-        "import_target_ms": IMPORT_TARGET_MS,
-        "modules": modules,
-    }
-    with open(JSON_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
+    rows = [
+        row(name, "cold", "process", seconds=min(wall[name]))
+        for name in cases
+    ]
+    rows.append(
+        row("import repro.cli", "cold", "import",
+            seconds=min(import_ms) / 1000.0)
+    )
     report(
         "COLD1",
         "import repro.cli, in-process (ms)",
         f"<= {IMPORT_TARGET_MS:.0f}",
-        f"{payload['import_ms_min']:.1f}",
+        f"{min(import_ms):.1f}",
     )
-    for name, value in payload["wall_ms_min"].items():
-        report("COLD1", f"{name} wall (ms)", "-", f"{value:.1f}")
-    for name, counts in modules.items():
-        report("COLD1", f"{name} repro modules", "-", counts["repro"])
-
-    assert modules["import repro.cli"]["repro"] <= MAX_IMPORT_MODULES
-    for name in COMMANDS:
-        assert modules[name]["repro"] <= MAX_COMMAND_MODULES, name
+    for entry in rows[:-1]:
+        report(
+            "COLD1",
+            f"{entry['workload']} wall (ms)",
+            "-",
+            f"{entry['seconds'] * 1000.0:.1f}",
+        )
+    gates = []
+    for name, count in modules.items():
+        report("COLD1", f"{name} repro modules", "-", count)
+        bound = (
+            MAX_IMPORT_MODULES
+            if name == "import repro.cli"
+            else MAX_COMMAND_MODULES
+        )
+        gates.append(
+            gate(f"repro_modules:{name}", bound, count, count <= bound)
+        )
+    write_bench("cold_start", rows, gates)

@@ -51,29 +51,36 @@ The bench enforces, in order of importance:
    time.
 
 Timing methodology (as in ``bench_kernel``, through
-:mod:`harness`): engines run strictly interleaved, each workload takes
-the minimum of :data:`ROUNDS` rounds with the collector paused, so
-host noise hits all engines alike.
+:func:`harness.measure`): engines run strictly interleaved after a
+warm-up run, each workload takes the minimum of :data:`ROUNDS` rounds
+with the collector paused, so host noise hits all engines alike.
 
-Each row also records the driver's ``driver_bytes_per_class`` (its
-``search.bytes_per_state`` gauge: key, record, arena bytes and table
-slots per visited class, at their grown capacities) beside the times,
-and each aggregate the state-weighted mean; no gate reads them.
+Each ``search`` row of the driver also records its ``bytes`` per
+visited class (its ``search.bytes_per_state`` gauge: key, record,
+arena bytes and table slots per visited class, at their grown
+capacities); no gate reads them.  The finish layer's rows are
+``finish`` rows with engines ``driver`` (production) and ``spec``.
 
-Results are written to ``BENCH_dbm.json`` at the repository root;
-CI builds the extension eagerly, runs this bench as a gate and uploads
-the JSON as an artifact.
+Results are written to ``BENCH_dbm.json`` at the repository root
+(:func:`harness.write_bench`); CI builds the extension eagerly, runs
+this bench as a gate and uploads the JSON as an artifact.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
+from functools import partial
 
 import pytest
 
-from harness import collector_free, deterministic_stats, stored_baseline
+from harness import (
+    deterministic_stats,
+    gate,
+    measure,
+    row,
+    stored_baseline,
+    total,
+    write_bench,
+)
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.core import (
@@ -115,9 +122,6 @@ FINISH_TARGET_SPEEDUP = 10.0
 ENGINES = ("legacy", "driver")
 ROUNDS = 7
 WIDTHS = (4, 6, 8)
-JSON_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_dbm.json"
-)
 
 
 pytestmark = pytest.mark.skipif(
@@ -130,7 +134,7 @@ pytestmark = pytest.mark.skipif(
 # Workloads
 # ----------------------------------------------------------------------
 def _workloads():
-    """``(name, compiled net, family)`` triples.
+    """``(name, compiled net)`` pairs.
 
     The paper case studies pin exactness on real models (mine-pump
     dominates their timing mass); the wide-interval family is the
@@ -145,42 +149,37 @@ def _workloads():
         fig8_preemptive(),
         mine_pump(),
     ):
-        yield f"paper:{spec.name}", compose(spec).compiled(), "paper"
+        yield f"paper:{spec.name}", compose(spec).compiled()
     for label, net in wide_interval_family(widths=WIDTHS):
-        yield f"wide:{label}", net.compile(), "wide"
+        yield f"wide:{label}", net.compile()
     # the race nets scale the class-graph mass (376 → 7292 classes);
     # the larger members dominate the time-weighted wide aggregate,
     # which is exactly where the packed core's advantage compounds
     for n_jobs, width in ((4, 16), (4, 24), (5, 12), (6, 10)):
         net = wide_interval_race_net(n_jobs=n_jobs, width=width)
-        yield f"wide:race-n{n_jobs}-w{width}", net.compile(), "wide"
+        yield f"wide:race-n{n_jobs}-w{width}", net.compile()
     feasible = wide_interval_job_net(
         n_jobs=4, width=12, feasible=True
     )
-    yield "wide:feasible-n4-w12", feasible.compile(), "wide"
+    yield "wide:feasible-n4-w12", feasible.compile()
 
 
-def _scheduler(net, engine):
+def _search(net, engine):
     scheduler = PreRuntimeScheduler(
-        net, SchedulerConfig(), engine="stateclass"
+        net, SchedulerConfig(engine="stateclass")
     )
     if engine == "legacy":
         scheduler.adapter = StateClassSpecAdapter(net, scheduler.config)
-    return scheduler
+    return scheduler.search()
 
 
-def _timed_search(net, engine):
-    return collector_free(_scheduler(net, engine).search)
-
-
-def _finish_layer(net, result):
-    """Min-of-N milliseconds of a feasible search's finish layer:
-    production (``DbmEngine.realize`` + ``validate_with_reference``)
-    and its Python spec, interleaved, each checked to rebuild the
-    search's schedule first."""
+def _finish_rows(name, net, result):
+    """Min-of-N ``finish`` rows of a feasible search: production
+    (``DbmEngine.realize`` + ``validate_with_reference``) and its
+    Python spec, each checked to rebuild the search's schedule."""
     config = result.config
     index = net.transition_index
-    sequence = [index[name] for name, _d, _a in result.firing_schedule]
+    sequence = [index[t] for t, _d, _a in result.firing_schedule]
     engine = DbmEngine(net, reset_policy=config.reset_policy)
 
     def production():
@@ -195,53 +194,27 @@ def _finish_layer(net, result):
         _replay_with_reference(net, config, realized.schedule)
         return realized
 
-    for run in (production, spec):
-        realized = run()
+    first, samples = measure({"driver": production, "spec": spec}, ROUNDS)
+    for realized in first.values():
         assert realized.schedule == result.firing_schedule
         assert realized.windows == result.interval_schedule
-    best = {production: float("inf"), spec: float("inf")}
-    for _ in range(ROUNDS):
-        for run in (production, spec):
-            best[run] = min(best[run], collector_free(run)[1])
-    return {
-        "finish_ms": best[production] * 1000.0,
-        "finish_spec_ms": best[spec] * 1000.0,
-    }
-
-
-def _finish_aggregate(rows):
-    picked = [r for r in rows if "finish_ms" in r]
-    finish = sum(r["finish_ms"] for r in picked)
-    spec = sum(r["finish_spec_ms"] for r in picked)
-    return {
-        "workloads": len(picked),
-        "finish_ms": finish,
-        "finish_spec_ms": spec,
-        "spec_vs_finish": spec / finish,
-    }
-
-
-def _measure(net):
-    """Interleaved min-of-N timing for the configurations."""
-    results = {}
-    for engine in ENGINES:  # warm-up + exactness outputs
-        results[engine], _ = _timed_search(net, engine)
-    best = {engine: float("inf") for engine in ENGINES}
-    for _ in range(ROUNDS):
-        for engine in ENGINES:
-            _, seconds = _timed_search(net, engine)
-            best[engine] = min(best[engine], seconds)
-    return results, best
+    return [
+        row(name, "warm", "finish", engine, seconds=min(times))
+        for engine, times in samples.items()
+    ]
 
 
 def _run_suite():
     rows = []
-    for name, net, family in _workloads():
-        results, best = _measure(net)
+    for name, net in _workloads():
+        first, samples = measure(
+            {engine: partial(_search, net, engine) for engine in ENGINES},
+            ROUNDS,
+        )
 
         # -- exactness gate ------------------------------------------
-        legacy = results["legacy"]
-        driver = results["driver"]
+        legacy = first["legacy"]
+        driver = first["driver"]
         assert driver.feasible == legacy.feasible, (
             f"{name}: driver verdict diverged from legacy"
         )
@@ -253,58 +226,31 @@ def _run_suite():
         ), f"{name}: driver disagrees on search statistics"
 
         visited = legacy.stats.states_visited
-        row = {
-            "workload": name,
-            "family": family,
-            "transitions": net.num_transitions,
-            "places": net.num_places,
-            "feasible": legacy.feasible,
-            "states_visited": visited,
-            "driver_states_per_sec": visited / best["driver"],
-            "driver_vs_legacy": best["legacy"] / best["driver"],
-            # the driver's visited-class memory: key, record, arena
-            # bytes and table slots at their grown capacities
-            "driver_bytes_per_class": driver.metrics["gauges"][
-                "search.bytes_per_state"
-            ],
-        }
-        for engine in ENGINES:
-            row[f"{engine}_seconds"] = best[engine]
+        rows.append(
+            row(name, "warm", "search", "legacy",
+                seconds=min(samples["legacy"]), states=visited)
+        )
+        rows.append(
+            row(
+                name,
+                "warm",
+                "search",
+                "driver",
+                seconds=min(samples["driver"]),
+                states=visited,
+                bytes=driver.metrics["gauges"]["search.bytes_per_state"],
+            )
+        )
         if legacy.feasible:
-            row.update(_finish_layer(net, legacy))
-        rows.append(row)
+            rows.extend(_finish_rows(name, net, legacy))
     return rows
 
 
-def _aggregate(rows, family=None):
-    picked = [
-        r for r in rows if family is None or r["family"] == family
-    ]
-    states = sum(r["states_visited"] for r in picked)
-    seconds = {
-        engine: sum(r[f"{engine}_seconds"] for r in picked)
-        for engine in ENGINES
-    }
-    return {
-        "family": family or "all",
-        "workloads": len(picked),
-        "states_visited": states,
-        "legacy_states_per_sec": states / seconds["legacy"],
-        "driver_states_per_sec": states / seconds["driver"],
-        "driver_vs_legacy": seconds["legacy"] / seconds["driver"],
-        "driver_bytes_per_class": sum(
-            r["driver_bytes_per_class"] * r["states_visited"]
-            for r in picked
-        )
-        / states,
-    }
-
-
-def _kernel_floor():
-    """Re-measure the discrete kernel engine against its baseline.
+def _kernel_floor_row():
+    """Re-measure the discrete kernel engine for its baseline floor.
 
     The DBM core extends the same compiled translation unit the
-    kernel's hot loop lives in, so this PR must not cost the discrete
+    kernel's hot loop lives in, so it must not cost the discrete
     engine anything.  One bounded workload (``bench_kernel``'s
     scaling shape) is enough for an absolute-rate floor; the full
     sweep remains ``bench_kernel``'s job.
@@ -317,143 +263,66 @@ def _kernel_floor():
         period_grid=(20, 40, 80),
     )
     net = compose(spec).compiled()
-    limits = {"max_states": 3000}
-
-    def _timed_kernel():
-        scheduler = PreRuntimeScheduler(
-            net, SchedulerConfig(**limits), engine="kernel"
-        )
-        return collector_free(scheduler.search)
-
-    result, _ = _timed_kernel()  # warm-up
-    best = float("inf")
-    for _ in range(ROUNDS):
-        _, seconds = _timed_kernel()
-        best = min(best, seconds)
-    rate = result.stats.states_visited / best
-
-    stored, comparable = stored_baseline()
-    ratio = None
-    if stored is not None:
-        ratio = rate / stored["states_per_sec"]
-    return {
-        "workload": "scaling:n16",
-        "states_visited": result.stats.states_visited,
-        "kernel_states_per_sec": rate,
-        "baseline_states_per_sec": (
-            None if stored is None else stored["states_per_sec"]
-        ),
-        "baseline_ratio": ratio,
-        "baseline_comparable": comparable,
-    }
+    config = SchedulerConfig(engine="kernel", max_states=3000)
+    first, samples = measure(
+        {"kernel": lambda: PreRuntimeScheduler(net, config).search()},
+        ROUNDS,
+    )
+    return row(
+        "scaling:n16",
+        "warm",
+        "search",
+        "kernel",
+        seconds=min(samples["kernel"]),
+        states=first["kernel"].stats.states_visited,
+    )
 
 
 def test_dbm_throughput(report):
     rows = _run_suite()
-    families = ("paper", "wide")
-    aggregates = {f: _aggregate(rows, f) for f in families}
-    overall = _aggregate(rows)
-    finish = _finish_aggregate(rows)
-    kernel_floor = _kernel_floor()
-
-    wide = aggregates["wide"]
+    search = [r for r in rows if r["layer"] == "search"]
+    finish = [r for r in rows if r["layer"] == "finish"]
+    assert finish, "no feasible workload exercised the finish layer"
+    wide = total(search, "seconds", "legacy", "wide:") / total(
+        search, "seconds", "driver", "wide:"
+    )
     wide_target = TARGET_SPEEDUP * DRIVER_TARGET_SPEEDUP
-    payload = {
-        "bench": "dbm",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "rounds": ROUNDS,
-        "target_speedup": TARGET_SPEEDUP,
-        "max_baseline_regression": MAX_BASELINE_REGRESSION,
-        "driver_target_speedup": DRIVER_TARGET_SPEEDUP,
-        "finish_target_speedup": FINISH_TARGET_SPEEDUP,
-        "finish": finish,
-        "target_met": wide["driver_vs_legacy"] >= wide_target,
-        "kernel_floor": kernel_floor,
-        "rows": rows,
-        "aggregates": {**aggregates, "all": overall},
-    }
-    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    for row in rows:
-        report(
-            "DB1",
-            f"{row['workload']} driver vs legacy",
-            "faster",
-            f"{row['driver_vs_legacy']:.2f}x",
-        )
+    finish_speedup = total(finish, "seconds", "spec") / total(
+        finish, "seconds", "driver"
+    )
+    gates = [
+        gate("driver_vs_legacy:wide", wide_target, wide,
+             wide >= wide_target),
+        gate("finish_spec_vs_driver", FINISH_TARGET_SPEEDUP,
+             finish_speedup, finish_speedup >= FINISH_TARGET_SPEEDUP),
+    ]
     report(
         "DB1",
         "wide aggregate search driver vs legacy",
         f">= {wide_target}",
-        f"{wide['driver_vs_legacy']:.2f}x "
-        f"({wide['driver_states_per_sec']:,.0f} vs "
-        f"{wide['legacy_states_per_sec']:,.0f} states/sec, "
-        f"{wide['driver_bytes_per_class']:,.0f} B/class)",
+        f"{wide:.2f}x",
     )
     report(
         "DB1",
         "finish layer: Python spec vs production",
         f">= {FINISH_TARGET_SPEEDUP}",
-        f"{finish['spec_vs_finish']:.1f}x "
-        f"({finish['finish_ms']:.2f} vs {finish['finish_spec_ms']:.2f} ms "
-        f"over {finish['workloads']} feasible workloads)",
+        f"{finish_speedup:.1f}x over {len(finish) // 2} feasible "
+        "workloads",
     )
-    if kernel_floor["baseline_ratio"] is not None:
+
+    floor = _kernel_floor_row()
+    rows.append(floor)
+    stored, comparable = stored_baseline()
+    if stored is not None and comparable:
+        ratio = floor["states"] / floor["seconds"] / stored["states_per_sec"]
         report(
             "DB1",
             "discrete kernel floor (shared C build)",
             f">= {MAX_BASELINE_REGRESSION}x of baseline",
-            f"{kernel_floor['baseline_ratio']:.2f}x "
-            f"({kernel_floor['kernel_states_per_sec']:,.0f} "
-            "states/sec)",
+            f"{ratio:.2f}x",
         )
-
-    # -- throughput gates --------------------------------------------
-    assert wide["driver_vs_legacy"] >= wide_target, (
-        f"DBM search driver missed the {wide_target:g}x wide-interval "
-        f"target: {wide['driver_vs_legacy']:.2f}x the tuple engine"
-    )
-    assert finish["spec_vs_finish"] >= FINISH_TARGET_SPEEDUP, (
-        "the native finish missed its target: the Python spec "
-        f"takes only {finish['spec_vs_finish']:.1f}x its time"
-    )
-    if (
-        kernel_floor["baseline_comparable"]
-        and kernel_floor["baseline_ratio"] is not None
-    ):
-        assert (
-            kernel_floor["baseline_ratio"] >= MAX_BASELINE_REGRESSION
-        ), (
-            "discrete kernel states/sec fell below the stored "
-            f"baseline floor: {kernel_floor['baseline_ratio']:.2f}x "
-            "of BASELINE_scheduler.json"
+        gates.append(
+            gate("kernel_vs_baseline", MAX_BASELINE_REGRESSION, ratio,
+                 ratio >= MAX_BASELINE_REGRESSION)
         )
-
-
-def test_json_artifact_shape():
-    """The emitted artifact stays machine-readable across PRs."""
-    path = os.path.abspath(JSON_PATH)
-    entry = None
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-    if not entry or entry.get("bench") != "dbm":
-        test_dbm_throughput(lambda *a: None)
-        with open(path, encoding="utf-8") as fh:
-            entry = json.load(fh)
-    assert entry["rows"], "no benchmark rows recorded"
-    for row in entry["rows"]:
-        assert row["driver_vs_legacy"] > 0
-        assert row["driver_states_per_sec"] > 0
-        assert row["states_visited"] > 0
-        assert row["driver_bytes_per_class"] > 0
-        assert ("finish_ms" in row) == row["feasible"]
-    assert set(entry["aggregates"]) == {"paper", "wide", "all"}
-    assert any(row["feasible"] for row in entry["rows"])
-    assert entry["finish"]["workloads"] == sum(
-        row["feasible"] for row in entry["rows"]
-    )
-    assert entry["kernel_floor"]["kernel_states_per_sec"] > 0
+    write_bench("dbm", rows, gates)

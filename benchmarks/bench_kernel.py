@@ -31,35 +31,45 @@ the models are infeasible to exhaust), and a bounded campaign-grid
 family with preemption.  Bounded runs keep every engine's per-state
 work identical, so states/sec ratios compare like for like.
 
-Timing methodology: engines run strictly interleaved, each workload
-takes the minimum of :data:`ROUNDS` rounds, so host noise hits all
-engines alike.
+Timing methodology (:func:`harness.measure`): engines run strictly
+interleaved after a warm-up run, each workload takes the minimum of
+:data:`ROUNDS` collector-free rounds, so host noise hits all engines
+alike.
 
 A second, *large* tier (:func:`test_driver_large_tier`) times ≥1 s
 serial searches — the 32-task scaling net at a 60,000-state budget and
 an exhaustive 70,059-state refutation — interleaved
 min-of-:data:`LARGE_ROUNDS`: the native search driver (``kernel``)
 against :class:`~repro.scheduler.core.SearchCore` over the reference
-engine (the driver's executable spec).  It gates the driver at
+engine (the driver's executable spec); its rows are the ``large``
+tier, with engine ``kernel`` for the driver and ``reference`` for the
+spec.  It gates the driver at
 :data:`DRIVER_TARGET_SPEEDUP` × the spec in aggregate, after
 byte-identical exactness asserts.
 
 The bench measures the native core, so it skips when the core cannot
-be built (``EZRT_PURE=1`` runs every search on the spec).  Results are
-written to ``BENCH_kernel.json`` at the repository root; CI builds the
+be built (``EZRT_PURE=1`` runs every search on the spec).  Both tests
+write their rows and gates to ``BENCH_kernel.json`` at the repository
+root (:func:`harness.write_bench`); CI builds the
 extension eagerly, runs this bench as a gate and uploads the JSON as
 an artifact.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
+from functools import partial
 
 import pytest
 
-from harness import collector_free, deterministic_stats, stored_baseline
+from harness import (
+    deterministic_stats,
+    gate,
+    measure,
+    row,
+    stored_baseline,
+    total,
+    write_bench,
+)
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.spec import paper_examples
@@ -82,12 +92,9 @@ MAX_BASELINE_REGRESSION = 0.95
 DRIVER_TARGET_SPEEDUP = 8.0
 
 ENGINES = ("reference", "kernel")
+FAMILIES = ("paper", "scaling", "grid")
 ROUNDS = 7
-LARGE_ENGINES = ("driver", "spec")
 LARGE_ROUNDS = 3
-JSON_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_kernel.json"
-)
 
 pytestmark = pytest.mark.skipif(
     not _kernelc.available(),
@@ -95,27 +102,9 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def _read_artifact() -> dict:
-    """``BENCH_kernel.json``, or ``{}`` when absent or another
-    bench's."""
-    path = os.path.abspath(JSON_PATH)
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("bench") == "kernel":
-            return payload
-    return {}
-
-
-def _write_artifact(payload: dict) -> None:
-    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _workloads():
     for name, spec in paper_examples().items():
-        yield f"paper:{name}", spec, "paper", {}
+        yield f"paper:{name}", spec, {}
     # budget-bounded scaling sweep: high utilisation + tight deadlines
     # make the searches exhaust the budget, so every engine visits the
     # same `max_states` states and the timing measures the hot loop
@@ -129,7 +118,6 @@ def _workloads():
                 deadline_slack=0.7,
                 period_grid=(20, 40, 80),
             ),
-            "scaling",
             {"max_states": 3000},
         )
     yield (
@@ -140,7 +128,6 @@ def _workloads():
             seed=132,
             period_grid=(20, 40, 80),
         ),
-        "scaling",
         {"max_states": 6000},
     )
     for n, u, seed in ((8, 0.8, 5), (12, 0.7, 7)):
@@ -154,155 +141,7 @@ def _workloads():
                 deadline_slack=0.75,
                 period_grid=(10, 20, 40),
             ),
-            "grid",
             {"max_states": 4000},
-        )
-
-
-def _timed_search(net, engine, limits):
-    scheduler = PreRuntimeScheduler(
-        net, SchedulerConfig(**limits), engine=engine
-    )
-    return collector_free(scheduler.search)
-
-
-def _measure(net, limits):
-    """Interleaved min-of-N timing for the three engines on one net."""
-    results = {}
-    for engine in ENGINES:  # warm-up + exactness outputs
-        results[engine], _ = _timed_search(net, engine, limits)
-    best = {engine: float("inf") for engine in ENGINES}
-    for _ in range(ROUNDS):
-        for engine in ENGINES:
-            _, seconds = _timed_search(net, engine, limits)
-            best[engine] = min(best[engine], seconds)
-    return results, best
-
-
-def _run_suite():
-    rows = []
-    for name, spec, family, limits in _workloads():
-        net = compose(spec).compiled()
-        results, best = _measure(net, limits)
-
-        # -- exactness gate ------------------------------------------
-        ref = results["reference"]
-        kernel = results["kernel"]
-        assert (
-            kernel.firing_schedule == ref.firing_schedule
-        ), f"{name}: kernel produced a different schedule"
-        assert deterministic_stats(kernel) == (
-            deterministic_stats(ref)
-        ), f"{name}: kernel disagrees on search statistics"
-
-        visited = ref.stats.states_visited
-        rows.append(
-            {
-                "workload": name,
-                "family": family,
-                "transitions": net.num_transitions,
-                "places": net.num_places,
-                "feasible": ref.feasible,
-                "states_visited": visited,
-                "reference_seconds": best["reference"],
-                "kernel_seconds": best["kernel"],
-                "kernel_states_per_sec": visited / best["kernel"],
-                "speedup_vs_reference": best["reference"]
-                / best["kernel"],
-            }
-        )
-    return rows
-
-
-def _aggregate(rows, family=None):
-    picked = [
-        r for r in rows if family is None or r["family"] == family
-    ]
-    states = sum(r["states_visited"] for r in picked)
-    seconds = {
-        engine: sum(r[f"{engine}_seconds"] for r in picked)
-        for engine in ENGINES
-    }
-    return {
-        "family": family or "all",
-        "workloads": len(picked),
-        "states_visited": states,
-        "reference_states_per_sec": states / seconds["reference"],
-        "kernel_states_per_sec": states / seconds["kernel"],
-        "speedup_vs_reference": seconds["reference"]
-        / seconds["kernel"],
-    }
-
-
-def test_kernel_throughput(report):
-    rows = _run_suite()
-    families = ("paper", "scaling", "grid")
-    aggregates = {f: _aggregate(rows, f) for f in families}
-    overall = _aggregate(rows)
-    stored, comparable = stored_baseline()
-    baseline_ratio = None
-    if stored is not None:
-        baseline_ratio = (
-            overall["kernel_states_per_sec"] / stored["states_per_sec"]
-        )
-
-    payload = {
-        "bench": "kernel",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "rounds": ROUNDS,
-        "target_speedup": TARGET_SPEEDUP,
-        "min_family_speedup": MIN_FAMILY_SPEEDUP,
-        "target_met": overall["speedup_vs_reference"] >= TARGET_SPEEDUP,
-        "baseline_ratio": baseline_ratio,
-        "baseline_comparable": comparable,
-        "rows": rows,
-        "aggregates": {**aggregates, "all": overall},
-    }
-    large_tier = _read_artifact().get("large_tier")
-    if large_tier is not None:
-        payload["large_tier"] = large_tier
-    _write_artifact(payload)
-
-    for row in rows:
-        report(
-            "KN1",
-            f"{row['workload']} kernel vs reference",
-            "faster",
-            f"{row['speedup_vs_reference']:.2f}x",
-        )
-    for family in families:
-        agg = aggregates[family]
-        report(
-            "KN1",
-            f"{family} aggregate kernel speedup",
-            f">= {MIN_FAMILY_SPEEDUP} (target {TARGET_SPEEDUP})",
-            f"{agg['speedup_vs_reference']:.2f}x",
-        )
-    report(
-        "KN1",
-        "overall aggregate kernel vs reference",
-        f">= {TARGET_SPEEDUP}",
-        f"{overall['speedup_vs_reference']:.2f}x "
-        f"({overall['kernel_states_per_sec']:,.0f} states/sec)",
-    )
-
-    # -- throughput gates --------------------------------------------
-    assert overall["speedup_vs_reference"] >= TARGET_SPEEDUP, (
-        "kernel engine missed the 3x hot-path target: "
-        f"{overall['speedup_vs_reference']:.2f}x aggregate"
-    )
-    for family in families:
-        agg = aggregates[family]
-        assert agg["speedup_vs_reference"] >= MIN_FAMILY_SPEEDUP, (
-            f"kernel engine regressed on the {family} family: "
-            f"{agg['speedup_vs_reference']:.2f}x"
-        )
-    if baseline_ratio is not None and comparable:
-        assert baseline_ratio >= MAX_BASELINE_REGRESSION, (
-            "kernel aggregate states/sec fell below the stored "
-            f"baseline floor: {baseline_ratio:.2f}x of "
-            "BASELINE_scheduler.json"
         )
 
 
@@ -331,100 +170,116 @@ def _large_workloads():
     )
 
 
-def _timed_large(net, engine, limits):
-    """One large-tier search: the driver is the kernel engine, the spec
-    is SearchCore over the reference engine."""
-    scheduler = PreRuntimeScheduler(
-        net,
-        SchedulerConfig(**limits),
-        engine="kernel" if engine == "driver" else "reference",
+def _search(net, config):
+    return PreRuntimeScheduler(net, config).search()
+
+
+def _sweep(workloads, tier, rounds):
+    """Time every workload on both engines after the exactness gate:
+    byte-identical schedules, verdicts and deterministic counters."""
+    rows = []
+    for name, spec, limits in workloads:
+        net = compose(spec).compiled()
+        first, samples = measure(
+            {
+                engine: partial(
+                    _search, net, SchedulerConfig(engine=engine, **limits)
+                )
+                for engine in ENGINES
+            },
+            rounds,
+        )
+        ref, kernel = first["reference"], first["kernel"]
+        assert kernel.feasible == ref.feasible, name
+        assert kernel.exhausted == ref.exhausted, name
+        assert (
+            kernel.firing_schedule == ref.firing_schedule
+        ), f"{name}: kernel produced a different schedule"
+        assert deterministic_stats(kernel) == (
+            deterministic_stats(ref)
+        ), f"{name}: kernel disagrees on search statistics"
+        rows.extend(
+            row(
+                name,
+                tier,
+                "search",
+                engine,
+                seconds=min(samples[engine]),
+                states=ref.stats.states_visited,
+            )
+            for engine in ENGINES
+        )
+    return rows
+
+
+def _speedup(rows, prefix=""):
+    return total(rows, "seconds", "reference", prefix) / total(
+        rows, "seconds", "kernel", prefix
     )
-    return collector_free(scheduler.search)
+
+
+def test_kernel_throughput(report):
+    rows = _sweep(_workloads(), "warm", ROUNDS)
+    overall = _speedup(rows)
+    kernel_rate = total(rows, "states", "kernel") / total(
+        rows, "seconds", "kernel"
+    )
+    gates = [gate("kernel_vs_reference", TARGET_SPEEDUP, overall,
+                  overall >= TARGET_SPEEDUP)]
+    for family in FAMILIES:
+        speedup = _speedup(rows, f"{family}:")
+        gates.append(
+            gate(
+                f"kernel_vs_reference:{family}",
+                MIN_FAMILY_SPEEDUP,
+                speedup,
+                speedup >= MIN_FAMILY_SPEEDUP,
+            )
+        )
+        report(
+            "KN1",
+            f"{family} aggregate kernel speedup",
+            f">= {MIN_FAMILY_SPEEDUP} (target {TARGET_SPEEDUP})",
+            f"{speedup:.2f}x",
+        )
+    report(
+        "KN1",
+        "overall aggregate kernel vs reference",
+        f">= {TARGET_SPEEDUP}",
+        f"{overall:.2f}x ({kernel_rate:,.0f} states/sec)",
+    )
+    stored, comparable = stored_baseline()
+    if stored is not None and comparable:
+        ratio = kernel_rate / stored["states_per_sec"]
+        gates.append(
+            gate(
+                "kernel_vs_baseline",
+                MAX_BASELINE_REGRESSION,
+                ratio,
+                ratio >= MAX_BASELINE_REGRESSION,
+            )
+        )
+    write_bench("kernel", rows, gates)
 
 
 def test_driver_large_tier(report):
-    rows = []
-    for name, spec, limits in _large_workloads():
-        net = compose(spec).compiled()
-        best = {engine: float("inf") for engine in LARGE_ENGINES}
-        results = {}
-        for _ in range(LARGE_ROUNDS):
-            for engine in LARGE_ENGINES:
-                results[engine], seconds = _timed_large(
-                    net, engine, limits
-                )
-                best[engine] = min(best[engine], seconds)
-        spec_result = results["spec"]
-        driver = results["driver"]
-        assert driver.feasible == spec_result.feasible, name
-        assert driver.exhausted == spec_result.exhausted, name
-        assert driver.firing_schedule == spec_result.firing_schedule
-        assert deterministic_stats(driver) == (
-            deterministic_stats(spec_result)
-        ), f"{name}: driver disagrees on search statistics"
-        visited = spec_result.stats.states_visited
-        row = {"workload": name, "states_visited": visited}
-        for engine in LARGE_ENGINES:
-            row[f"{engine}_seconds"] = best[engine]
-            row[f"{engine}_states_per_sec"] = visited / best[engine]
-        rows.append(row)
-
-    states = sum(r["states_visited"] for r in rows)
-    totals = {
-        engine: sum(r[f"{engine}_seconds"] for r in rows)
-        for engine in LARGE_ENGINES
-    }
-    aggregate = {
-        f"{engine}_states_per_sec": states / totals[engine]
-        for engine in LARGE_ENGINES
-    }
-    speedup = totals["spec"] / totals["driver"]
-    aggregate["driver_vs_spec"] = speedup
-
-    payload = _read_artifact()
-    payload["bench"] = "kernel"
-    payload["large_tier"] = {
-        "rounds": LARGE_ROUNDS,
-        "target_speedup_vs_spec": DRIVER_TARGET_SPEEDUP,
-        "rows": rows,
-        "aggregate": aggregate,
-    }
-    _write_artifact(payload)
-
-    for row in rows:
-        report(
-            "KN1",
-            f"{row['workload']} states/sec",
-            "large tier",
-            ", ".join(
-                f"{engine} {row[f'{engine}_states_per_sec']:,.0f}"
-                for engine in LARGE_ENGINES
-            ),
-        )
+    rows = _sweep(_large_workloads(), "large", LARGE_ROUNDS)
+    speedup = _speedup(rows)
     report(
         "KN1",
         "large-tier driver vs reference spec",
         f">= {DRIVER_TARGET_SPEEDUP}",
         f"{speedup:.2f}x",
     )
-    assert speedup >= DRIVER_TARGET_SPEEDUP, (
-        "native search driver missed its large-tier target: "
-        f"{speedup:.2f}x the reference spec"
+    write_bench(
+        "kernel",
+        rows,
+        [
+            gate(
+                "driver_vs_spec:large",
+                DRIVER_TARGET_SPEEDUP,
+                speedup,
+                speedup >= DRIVER_TARGET_SPEEDUP,
+            )
+        ],
     )
-
-
-def test_json_artifact_shape():
-    """The emitted artifact stays machine-readable across PRs."""
-    if "rows" not in _read_artifact():
-        test_kernel_throughput(lambda *a: None)
-    entry = _read_artifact()
-    assert entry["rows"], "no benchmark rows recorded"
-    for row in entry["rows"]:
-        assert row["kernel_states_per_sec"] > 0
-        assert row["states_visited"] > 0
-    assert set(entry["aggregates"]) == {
-        "paper",
-        "scaling",
-        "grid",
-        "all",
-    }

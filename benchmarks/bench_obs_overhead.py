@@ -18,78 +18,81 @@ the trajectory is tracked PR over PR:
    path (registry nulled out, exactly the pre-obs hot loop).
 3. **Traced-path overhead** (recorded, not gated): the same aggregate
    with span recording to a JSONL sink — the price of ``--trace``.
+4. **No per-expansion calls** (hard gate, deterministic): on the
+   spec path (``engine="reference"``, :class:`SearchCore`'s Python
+   loop) the default path's metrics-registry and recorder calls do
+   not grow when ``max_states`` grows — counted by stand-ins over two
+   budgets.  Unlike a timing, this catches one stray call per
+   expansion on any host.
 
-Timing methodology: the three variants run strictly interleaved and
-each takes the *median* of several rounds, so host noise hits all
-variants alike and the median is robust against both scheduler
-preemptions (which inflate a round) and lucky cache alignments (which
-deflate one — taking the min instead let a single lucky ``default``
-round report a negative "overhead").  The aggregate overhead is
-additionally clamped at 0: the default path cannot actually be faster
-than the bare loop, so any residual negative reading is timer noise
-and would only mask a later regression by padding the gate.
+Timing methodology (:func:`harness.measure`): one repetition
+searches the *same* two workloads once each, and the variants'
+repetitions run strictly interleaved.  A timed sample is ``repeats``
+consecutive rounds, where ``repeats`` is calibrated once, with
+:data:`SAMPLE_MARGIN` headroom, so that a bare sample takes at least
+:data:`SAMPLE_SECONDS` — a single 5-20 ms search cannot support a 2%
+gate on a shared host.  A sample's overhead is the median, over its
+rounds, of the default repetition's time over the bare one's: the two
+run back to back, so a host speed phase cancels in the ratio and a
+preemption burst is outvoted.  The gate reads the median over
+:data:`ROUNDS` samples.  (Summing each sample instead read from −2.6%
+to +2.3% across runs on a shared 2-vCPU x86-64 host, because a sum
+keeps every burst.)  The overhead is additionally clamped at 0: the
+default path cannot actually be faster than the bare loop, so any
+residual negative reading is timer noise and would only mask a later
+regression by padding the gate.
 
-Results are written to ``BENCH_obs.json`` at the repository root; CI
-runs this bench as a gate and uploads the JSON as an artifact.
+Results are written to ``BENCH_obs.json`` at the repository root
+(:func:`harness.write_bench`); CI runs this bench as a gate and
+uploads the JSON as an artifact.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import os
-import platform
 import statistics
 import tempfile
-import time
+from functools import partial
 
-from harness import deterministic_stats
+from harness import deterministic_stats, gate, measure, row, write_bench
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.spec import paper_examples
 from repro.workloads import random_task_set
 
-#: Hard ceiling for the disabled-path slowdown (aggregate over the
-#: sweep): default-config search may be at most 2% slower than the
-#: bare hot loop.  ISSUE 6 acceptance criterion.
+#: Hard ceiling for the disabled-path slowdown: default-config search
+#: may be at most 2% slower than the bare hot loop.
 MAX_DISABLED_OVERHEAD = 0.02
 
 ROUNDS = 7
-JSON_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_obs.json"
-)
+#: the shortest bare sample, in seconds
+SAMPLE_SECONDS = 1.0
+#: calibration headroom: the host may run faster after the probe
+SAMPLE_MARGIN = 1.25
+VARIANTS = ("bare", "default", "traced")
 
 
-def _workloads():
-    """Timed workloads: long enough that a 2% gate beats host noise.
-
-    A sub-10ms search cannot support a 2% wall-clock gate (one timer
-    tick or cache hiccup is worth more), so timing runs only on
-    workloads in the 50ms+ range: the mine-pump case study and a
-    ``max_states``-bounded sweep of a large seeded net (the budget
-    makes the visited count — and thus the measured work — exactly
-    reproducible even though the model itself is infeasible to
-    exhaust).
-    """
-    yield "paper:mine-pump", paper_examples()["mine-pump"], {}
-    yield (
-        "bounded:n32",
-        random_task_set(
-            32,
-            total_utilization=0.4,
-            seed=132,
-            period_grid=(20, 40, 80),
-        ),
-        {"max_states": 8000},
+def _bounded_n32():
+    return random_task_set(
+        32,
+        total_utilization=0.4,
+        seed=132,
+        period_grid=(20, 40, 80),
     )
 
 
-def _exactness_workloads():
-    """Small paper models: checked for parity, not timed."""
-    for name, spec in paper_examples().items():
-        yield f"paper:{name}", spec, {}
+def _workloads():
+    """Timed workloads: mine-pump, where the instrumentation's fixed
+    per-search costs show, and a ``max_states``-bounded sweep of a
+    large seeded net (the budget makes the visited count — and thus
+    the measured work — exactly reproducible even though the model
+    itself is infeasible to exhaust)."""
+    yield "paper:mine-pump", paper_examples()["mine-pump"], {}
+    yield "bounded:n32", _bounded_n32(), {"max_states": 8000}
 
 
-def _timed_search(net, variant, trace_path, limits):
+def _search(net, variant, trace_path, limits):
     """One search under a given instrumentation variant."""
     if variant == "traced":
         config = SchedulerConfig(trace_jsonl=trace_path, **limits)
@@ -100,12 +103,12 @@ def _timed_search(net, variant, trace_path, limits):
         # exactly the pre-obs hot loop: no registry, no recorder,
         # no heartbeat reach the search core
         scheduler.metrics = None
-    started = time.perf_counter()
-    result = scheduler.search()
-    return result, time.perf_counter() - started
+    return scheduler.search()
 
 
-VARIANTS = ("bare", "default", "traced")
+def _repetition(nets, variant, trace_path):
+    """One search of every timed net; their results."""
+    return [_search(net, variant, trace_path, limits) for net, limits in nets]
 
 
 def _check_exactness(name, results):
@@ -128,127 +131,123 @@ def _check_exactness(name, results):
     }, f"{name}: default run shipped no metrics snapshot"
 
 
-def _measure(net, trace_path, limits):
-    """Interleaved median-of-N timing for the three variants."""
-    results = {}
-    for variant in VARIANTS:  # warm-up + exactness outputs
-        results[variant], _ = _timed_search(
-            net, variant, trace_path, limits
-        )
-    samples = {variant: [] for variant in VARIANTS}
-    for _ in range(ROUNDS):
-        for variant in VARIANTS:
-            _, seconds = _timed_search(
-                net, variant, trace_path, limits
-            )
-            samples[variant].append(seconds)
-    return results, {
-        variant: statistics.median(rounds)
-        for variant, rounds in samples.items()
-    }
-
-
 def test_obs_overhead(report):
     fd, trace_path = tempfile.mkstemp(
         prefix="bench-obs-", suffix=".jsonl"
     )
     os.close(fd)
-    rows = []
     try:
         # parity of the small paper models (single run each, untimed)
-        for name, spec, limits in _exactness_workloads():
+        for name, spec in paper_examples().items():
             net = compose(spec).compiled()
-            results = {
-                variant: _timed_search(
-                    net, variant, trace_path, limits
-                )[0]
-                for variant in VARIANTS
-            }
-            _check_exactness(name, results)
-
-        for name, spec, limits in _workloads():
-            net = compose(spec).compiled()
-            results, medians = _measure(net, trace_path, limits)
-            _check_exactness(name, results)
-            rows.append(
-                {
-                    "workload": name,
-                    "states_visited": results[
-                        "bare"
-                    ].stats.states_visited,
-                    "bare_seconds": medians["bare"],
-                    "default_seconds": medians["default"],
-                    "traced_seconds": medians["traced"],
-                    "disabled_overhead": medians["default"]
-                    / medians["bare"]
-                    - 1.0,
-                    "traced_overhead": medians["traced"]
-                    / medians["bare"]
-                    - 1.0,
-                }
+            _check_exactness(
+                f"paper:{name}",
+                {v: _search(net, v, trace_path, {}) for v in VARIANTS},
             )
+
+        names, nets = [], []
+        for name, spec, limits in _workloads():
+            names.append(name)
+            nets.append((compose(spec).compiled(), limits))
+        _, probe = measure(
+            {"bare": partial(_repetition, nets, "bare", trace_path)}, 3
+        )
+        repeats = math.ceil(
+            SAMPLE_MARGIN * SAMPLE_SECONDS / min(probe["bare"])
+        )
+        first, timings = measure(
+            {v: partial(_repetition, nets, v, trace_path) for v in VARIANTS},
+            ROUNDS * repeats,
+        )
     finally:
         os.unlink(trace_path)
+    for index, name in enumerate(names):
+        _check_exactness(name, {v: first[v][index] for v in VARIANTS})
 
-    total = {
-        variant: sum(r[f"{variant}_seconds"] for r in rows)
-        for variant in VARIANTS
+    samples = [
+        range(k, k + repeats)
+        for k in range(0, ROUNDS * repeats, repeats)
+    ]
+    overheads = [
+        statistics.median(
+            timings["default"][i] / timings["bare"][i] for i in sample
+        )
+        - 1.0
+        for sample in samples
+    ]
+    seconds = {
+        v: statistics.median(
+            sum(timings[v][i] for i in sample) for sample in samples
+        )
+        for v in VARIANTS
     }
+    states = repeats * sum(r.stats.states_visited for r in first["bare"])
+    workload = "+".join(names)
+    rows = [
+        row(workload, "large", "search", v, seconds=seconds[v],
+            states=states)
+        for v in VARIANTS
+    ]
     # clamp at 0: the default path cannot truly beat the bare loop,
     # so a negative reading is timer noise, not a credit the gate
     # should bank against future regressions
-    disabled_overhead = max(
-        0.0, total["default"] / total["bare"] - 1.0
-    )
-    traced_overhead = total["traced"] / total["bare"] - 1.0
-    payload = {
-        "bench": "obs_overhead",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "rounds": ROUNDS,
-        "max_disabled_overhead": MAX_DISABLED_OVERHEAD,
-        "disabled_overhead": disabled_overhead,
-        "traced_overhead": traced_overhead,
-        "rows": rows,
-    }
-    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    for row in rows:
-        report(
-            "OBS1",
-            f"{row['workload']} disabled overhead",
-            f"< {MAX_DISABLED_OVERHEAD:.0%}",
-            f"{row['disabled_overhead']:+.2%} "
-            f"(traced {row['traced_overhead']:+.2%})",
-        )
+    disabled = max(0.0, statistics.median(overheads))
+    traced = seconds["traced"] / seconds["bare"] - 1.0
     report(
         "OBS1",
-        "aggregate disabled overhead",
+        f"disabled overhead ({repeats} x {workload} per sample)",
         f"< {MAX_DISABLED_OVERHEAD:.0%}",
-        f"{disabled_overhead:+.2%}",
+        f"{statistics.median(overheads):+.2%} (traced {traced:+.2%})",
+    )
+    write_bench(
+        "obs",
+        rows,
+        [
+            gate(
+                "disabled_overhead",
+                MAX_DISABLED_OVERHEAD,
+                disabled,
+                disabled < MAX_DISABLED_OVERHEAD,
+            )
+        ],
     )
 
-    # -- the gate ----------------------------------------------------
-    assert disabled_overhead < MAX_DISABLED_OVERHEAD, (
-        "observability made the default search path "
-        f"{disabled_overhead:+.2%} slower than the bare hot loop "
-        f"(ceiling {MAX_DISABLED_OVERHEAD:.0%})"
+
+class _Counting:
+    """Stand-in forwarding to ``inner`` that counts method calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def __getattr__(self, name):
+        value = getattr(self.inner, name)
+        if not callable(value):
+            return value
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return value(*args, **kwargs)
+
+        return counted
+
+
+def _disabled_path_calls(net, max_states):
+    """``(registry calls, recorder calls)`` of one budget-bound
+    default-path search on the spec loop."""
+    scheduler = PreRuntimeScheduler(
+        net, SchedulerConfig(engine="reference", max_states=max_states)
     )
+    metrics = scheduler.metrics = _Counting(scheduler.metrics)
+    recorder = scheduler.adapter.obs = _Counting(scheduler.adapter.obs)
+    result = scheduler.search()
+    assert result.exhausted
+    assert result.stats.states_visited == max_states
+    return metrics.calls, recorder.calls
 
 
-def test_json_artifact_shape():
-    """The emitted artifact stays machine-readable across PRs."""
-    if not os.path.exists(os.path.abspath(JSON_PATH)):
-        test_obs_overhead(lambda *a: None)
-    with open(os.path.abspath(JSON_PATH), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["bench"] == "obs_overhead"
-    assert payload["rows"], "no benchmark rows recorded"
-    for row in payload["rows"]:
-        assert row["bare_seconds"] > 0
-        assert row["states_visited"] > 0
-    assert payload["disabled_overhead"] < payload[
-        "max_disabled_overhead"
-    ]
+def test_disabled_path_calls_do_not_grow_with_budget():
+    net = compose(_bounded_n32()).compiled()
+    assert _disabled_path_calls(net, 2000) == _disabled_path_calls(
+        net, 8000
+    )

@@ -26,18 +26,19 @@ The kernel's absolute throughput floor against the frozen
 ``benchmarks/BASELINE_scheduler.json`` lives in ``bench_kernel.py``
 (KN1).
 
-Results land in ``BENCH_parallel.json`` at the repository root; CI
-uploads it as an artifact, so the speedup trajectory is tracked PR
-over PR.
+Each configuration runs once as a warm-up and then :data:`ROUNDS`
+interleaved rounds (:func:`harness.measure`); a row keeps the fastest.
+Results land in ``BENCH_parallel.json`` at the repository root, one
+row per worker count (``:w1`` is the serial search) with the winning
+slot as its engine; CI uploads it as an artifact, so the speedup
+trajectory is tracked PR over PR.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-import time
+from functools import partial
 
+from harness import gate, measure, row, write_bench
 from repro.blocks import compose
 from repro.scheduler import (
     SchedulerConfig,
@@ -58,52 +59,44 @@ MIN_SPEEDUP_AT_4 = 1.8
 WORKER_CURVE = (2, 4)
 ROUNDS = 2
 
-JSON_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_parallel.json"
-)
+
+def _slot(result):
+    return f"{result.winner_engine}:{result.winner_policy}"
 
 
-def _end_to_end(spec, config):
-    """Median-free min-of-N full synthesis latency."""
-    times = []
-    result = None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        model = compose(spec)
-        result = find_schedule(model, config)
-        times.append(time.perf_counter() - started)
-    return result, min(times)
+def _synthesise(spec, config):
+    return find_schedule(compose(spec), config)
 
 
 def _portfolio_curve():
+    """Full synthesis (compose + search + replay) of the hard model:
+    the serial row, then one per :data:`WORKER_CURVE` entry."""
     spec = hard_portfolio_task_set()
-    serial, serial_s = _end_to_end(spec, SchedulerConfig())
-    rows = []
+    configs = {1: SchedulerConfig()}
+    configs.update(
+        (workers, SchedulerConfig(parallel=workers))
+        for workers in WORKER_CURVE
+    )
+    first, samples = measure(
+        {w: partial(_synthesise, spec, c) for w, c in configs.items()},
+        ROUNDS,
+    )
+    serial = first[1]
+    rows = [
+        row(f"{spec.name}:w1", "warm", "end-to-end", "kernel",
+            seconds=min(samples[1]), states=serial.stats.states_visited)
+    ]
     for workers in WORKER_CURVE:
-        result, seconds = _end_to_end(
-            spec, SchedulerConfig(parallel=workers)
-        )
+        result = first[workers]
         assert result.feasible == serial.feasible, (
             f"portfolio verdict diverged at {workers} workers"
         )
         rows.append(
-            {
-                "workers": workers,
-                "seconds": seconds,
-                "speedup": serial_s / seconds,
-                "winner_policy": result.winner_policy,
-                "states_visited": result.stats.states_visited,
-                "restarts": result.stats.restarts,
-            }
+            row(f"{spec.name}:w{workers}", "warm", "end-to-end",
+                _slot(result), seconds=min(samples[workers]),
+                states=result.stats.states_visited)
         )
-    return {
-        "model": spec.name,
-        "mode": "portfolio",
-        "serial_seconds": serial_s,
-        "serial_states_visited": serial.stats.states_visited,
-        "feasible": serial.feasible,
-        "curve": rows,
-    }
+    return rows
 
 
 def _mixed_engine_curve():
@@ -113,120 +106,72 @@ def _mixed_engine_curve():
     complete (delay-enumerating) search: the discrete engine refutes
     it by visiting every integer release time, the dense slot by a
     width-independent class sweep — first definitive verdict wins.
-    The stateclass slot must win (ISSUE 5 acceptance gate).
+    The stateclass slot must win every race (an acceptance gate);
+    returns the serial and the raced row and every race's
+    winning slot.
     """
     net = wide_interval_race_net().compile()
     serial_config = SchedulerConfig(delay_mode="full")
-    times = []
-    serial = None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        serial = search(net, serial_config)
-        times.append(time.perf_counter() - started)
-    serial_s = min(times)
-    assert not serial.feasible and not serial.exhausted
-
     config = SchedulerConfig(
         delay_mode="full",
         parallel=2,
         portfolio=("kernel:earliest", "stateclass:earliest"),
     )
-    rows = []
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
+    winners = []
+
+    def race():
         result = search(net, config)
-        seconds = time.perf_counter() - started
-        assert result.feasible == serial.feasible
-        assert not result.exhausted
-        rows.append(
-            {
-                "workers": 2,
-                "seconds": seconds,
-                "speedup": serial_s / seconds,
-                "winner_policy": result.winner_policy,
-                "winner_engine": result.winner_engine,
-                "winner_slot": (
-                    f"{result.winner_engine}:{result.winner_policy}"
-                ),
-                "states_visited": result.stats.states_visited,
-            }
-        )
-    return {
-        "model": net.name,
-        "mode": "portfolio",
-        "flavour": "mixed-engine",
-        "serial_seconds": serial_s,
-        "serial_states_visited": serial.stats.states_visited,
-        "feasible": serial.feasible,
-        "curve": rows,
-    }
+        assert not result.feasible and not result.exhausted
+        winners.append(_slot(result))
+        return result
+
+    first, samples = measure(
+        {"serial": lambda: search(net, serial_config), "race": race},
+        ROUNDS,
+    )
+    serial = first["serial"]
+    assert not serial.feasible and not serial.exhausted
+    rows = [
+        row(f"{net.name}:w1", "warm", "search", "kernel",
+            seconds=min(samples["serial"]),
+            states=serial.stats.states_visited),
+        row(f"{net.name}:w2", "warm", "search", _slot(first["race"]),
+            seconds=min(samples["race"]),
+            states=first["race"].stats.states_visited),
+    ]
+    return rows, winners
 
 
 def test_parallel_dfs(report):
     portfolio = _portfolio_curve()
-    mixed = _mixed_engine_curve()
-    at4 = next(
-        row for row in portfolio["curve"] if row["workers"] == 4
-    )
-    payload = {
-        "bench": "parallel_dfs",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "rounds": ROUNDS,
-        "min_speedup_at_4": MIN_SPEEDUP_AT_4,
-        "target_met": at4["speedup"] >= MIN_SPEEDUP_AT_4,
-        "results": [portfolio, mixed],
-    }
-    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
+    mixed, winners = _mixed_engine_curve()
+    for r in portfolio:
+        report(
+            "PD1",
+            r["workload"],
+            f"speed-up vs w1 (>= {MIN_SPEEDUP_AT_4}x at w4)",
+            f"{portfolio[0]['seconds'] / r['seconds']:.2f}x "
+            f"(won by {r['engine']})",
+        )
     report(
         "PD1",
-        f"{portfolio['model']} serial",
-        "baseline",
-        f"{portfolio['serial_seconds']:.2f}s",
+        f"mixed-engine race on {mixed[0]['workload']}",
+        "stateclass slot wins",
+        f"{', '.join(winners)} "
+        f"({mixed[0]['seconds'] / mixed[1]['seconds']:.2f}x)",
     )
-    for row in portfolio["curve"]:
-        report(
-            "PD1",
-            f"portfolio --parallel {row['workers']}",
-            f">= {MIN_SPEEDUP_AT_4}x at 4",
-            f"{row['speedup']:.2f}x (won by {row['winner_policy']})",
-        )
-    for row in mixed["curve"]:
-        report(
-            "PD1",
-            f"mixed-engine race on {mixed['model']}",
-            "stateclass slot wins",
-            f"{row['winner_slot']} ({row['speedup']:.2f}x)",
-        )
-
-    # -- gates --------------------------------------------------------
-    assert at4["speedup"] >= MIN_SPEEDUP_AT_4, (
-        f"portfolio at 4 workers managed only {at4['speedup']:.2f}x "
-        f"over serial on {portfolio['model']}"
+    # the last row is WORKER_CURVE's last entry, 4 workers
+    at4 = portfolio[0]["seconds"] / portfolio[-1]["seconds"]
+    dense_wins = sum(w.startswith("stateclass:") for w in winners)
+    write_bench(
+        "parallel",
+        portfolio + mixed,
+        [
+            gate("portfolio_speedup:w4", MIN_SPEEDUP_AT_4, at4,
+                 at4 >= MIN_SPEEDUP_AT_4),
+            # a stateclass slot must win the wide-interval
+            # race — the engine-aware portfolio's reason to exist
+            gate("mixed_race_dense_wins", len(winners), dense_wins,
+                 dense_wins == len(winners)),
+        ],
     )
-    # ISSUE 5: a stateclass slot must win the wide-interval race —
-    # the engine-aware portfolio's reason to exist
-    for row in mixed["curve"]:
-        assert row["winner_engine"] == "stateclass", (
-            f"the dense slot lost the wide-interval race to "
-            f"{row['winner_slot']}"
-        )
-
-
-def test_json_artifact_shape(report):
-    """The emitted artifact stays machine-readable across PRs."""
-    if not os.path.exists(os.path.abspath(JSON_PATH)):
-        test_parallel_dfs(report)
-    with open(os.path.abspath(JSON_PATH), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["bench"] == "parallel_dfs"
-    modes = {entry["mode"] for entry in payload["results"]}
-    assert modes == {"portfolio"}
-    for entry in payload["results"]:
-        assert entry["curve"], "empty speedup curve"
-        for row in entry["curve"]:
-            assert row["seconds"] > 0

@@ -14,24 +14,24 @@ end over the batch engine), gating three service-level promises:
   replays cleanly through the checked reference engine
   (:func:`repro.scheduler.parallel.validate_with_reference`).
 
-Results are written to ``BENCH_service.json`` at the repository root;
-CI uploads it as an artifact so the service-latency trajectory is
-recorded per commit.
+Each test writes its rows and gates to ``BENCH_service.json`` at the
+repository root (:func:`harness.write_bench`); CI uploads it as an
+artifact so the service-latency trajectory is recorded per commit.
+The client loop times its own requests: it is a load generator, not a
+min-of-N timer.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
-import os
-import platform
 import socket
-import statistics
 import threading
 import time
 
 import pytest
 
+from harness import gate, row, write_bench
 from repro.batch import BatchEngine, ResultCache
 from repro.blocks import compose
 from repro.scheduler import SchedulerConfig
@@ -51,11 +51,6 @@ MAX_P99_FIRST_EVENT = 2.5
 #: concurrent clients x submissions each for the stampede phase
 CLIENTS = 8
 PER_CLIENT = 5
-
-JSON_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_service.json"
-)
-
 
 def _loopback_available() -> bool:
     try:
@@ -154,9 +149,6 @@ def service():
     handle.stop()
 
 
-RESULTS: dict = {}
-
-
 def test_stampede_dedup_and_latency(service, report):
     """Concurrent identical traffic: one compute, ≥90% hits, fast."""
     port = service.port
@@ -217,27 +209,22 @@ def test_stampede_dedup_and_latency(service, report):
         f"{p99 * 1000:.1f}ms",
     )
 
-    RESULTS["stampede"] = {
-        "submissions": total,
-        "clients": CLIENTS,
-        "computed_dispositions": computed,
-        "hit_rate": hit_rate,
-        "pool_computes": counters["bridge.computed"],
-        "first_event_latency_ms": {
-            "p50": p50 * 1000,
-            "p99": p99 * 1000,
-            "mean": statistics.mean(latencies) * 1000,
-        },
-    }
-
-    # the gates
-    assert counters["bridge.computed"] == 1, (
-        f"stampede of {total} identical submissions computed "
-        f"{counters['bridge.computed']} times"
+    write_bench(
+        "service",
+        [
+            row("stampede:p50", "warm", "submit-first-event", seconds=p50),
+            row("stampede:p99", "warm", "submit-first-event", seconds=p99),
+        ],
+        [
+            gate("pool_computes", 1, counters["bridge.computed"],
+                 counters["bridge.computed"] == 1),
+            gate("computed_dispositions", 1, computed, computed == 1),
+            gate("stampede_hit_rate", MIN_HIT_RATE, hit_rate,
+                 hit_rate >= MIN_HIT_RATE),
+            gate("p99_first_event_seconds", MAX_P99_FIRST_EVENT, p99,
+                 p99 < MAX_P99_FIRST_EVENT),
+        ],
     )
-    assert computed == 1
-    assert hit_rate >= MIN_HIT_RATE
-    assert p99 < MAX_P99_FIRST_EVENT
 
 
 def test_served_schedules_replay_through_reference(service, report):
@@ -247,7 +234,7 @@ def test_served_schedules_replay_through_reference(service, report):
         random_task_set(4, 0.5, seed=2, name="fresh-a"),
         random_task_set(6, 0.4, seed=5, name="fresh-b"),
     ]
-    replayed = 0
+    rows = []
     statuses: dict[str, int] = {}
     for spec in specs:
         reply = _post_json(port, "/jobs", {"spec": spec_to_json(spec)})
@@ -264,35 +251,14 @@ def test_served_schedules_replay_through_reference(service, report):
         # raises SchedulingError if the served schedule is illegal
         validate_with_reference(net, SchedulerConfig(), schedule)
         assert payload["makespan"] == schedule[-1][2]
-        replayed += 1
+        rows.append(
+            row(f"served:{spec.name}", "warm", "replay",
+                states=payload["search"]["states_visited"])
+        )
 
-    report("SV1", "served schedules replayed", "all feasible", replayed)
-    assert replayed >= 3, f"too few feasible points: {statuses}"
-    RESULTS["parity"] = {
-        "specs": len(specs),
-        "statuses": statuses,
-        "replayed_clean": replayed,
-    }
-
-
-def test_write_bench_json(service):
-    """Persist the measured numbers (runs last in file order)."""
-    assert "stampede" in RESULTS and "parity" in RESULTS
-    snapshot = service.service.manager.metrics_snapshot()
-    payload = {
-        "experiment": "SV1-service",
-        "host": {
-            "python": platform.python_version(),
-            "machine": platform.machine(),
-            "cpus": os.cpu_count(),
-        },
-        "gates": {
-            "min_hit_rate": MIN_HIT_RATE,
-            "max_p99_first_event_seconds": MAX_P99_FIRST_EVENT,
-        },
-        "metrics": snapshot,
-        **RESULTS,
-    }
-    with open(JSON_PATH, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    report("SV1", "served schedules replayed", "all feasible", len(rows))
+    write_bench(
+        "service",
+        rows,
+        [gate("replayed_clean", 3, len(rows), len(rows) >= 3)],
+    )

@@ -22,17 +22,15 @@ Two properties are measured and gated:
    replay runs inside the engine — a divergence raises instead of
    returning).
 
-Results land in ``BENCH_stateclass.json`` at the repository root; CI
-uploads it as an artifact, so the reduction trajectory is tracked PR
-over PR.
+Results land in ``BENCH_stateclass.json`` at the repository root
+(:func:`harness.write_bench`: states only, the bench times nothing);
+CI uploads it as an artifact, so the reduction trajectory is tracked
+PR over PR.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import platform
-
+from harness import gate, row, write_bench
 from repro.blocks import compose
 from repro.scheduler import SchedulerConfig, find_schedule
 from repro.scheduler.dfs import search
@@ -52,14 +50,19 @@ MIN_STATES_REDUCTION = 2.0
 
 WIDTHS = (4, 6, 8)
 
-JSON_PATH = os.path.join(
-    os.path.dirname(__file__), "..", "BENCH_stateclass.json"
-)
+
+def _state_rows(workload, dense, discrete):
+    return [
+        row(workload, "warm", "search", "stateclass",
+            states=dense.stats.states_visited),
+        row(workload, "warm", "search", "kernel",
+            states=discrete.stats.states_visited),
+    ]
 
 
-def _wide_interval_rows():
-    """Exhaustive refutations: full state-space sizes, both engines."""
-    rows = []
+def test_stateclass_engine(report):
+    rows, gates = [], []
+    # exhaustive refutations: full state-space sizes, both engines
     for label, net in wide_interval_family(widths=WIDTHS):
         compiled = net.compile()
         dense = search(compiled, SchedulerConfig(engine="stateclass"))
@@ -72,23 +75,23 @@ def _wide_interval_rows():
         assert not discrete.feasible and not discrete.exhausted, (
             f"{label}: discrete refutation did not complete"
         )
-        rows.append(
-            {
-                "model": label,
-                "dense_states": dense.stats.states_visited,
-                "discrete_states": discrete.stats.states_visited,
-                "reduction": (
-                    discrete.stats.states_visited
-                    / dense.stats.states_visited
-                ),
-            }
+        rows += _state_rows(f"wide:{label}", dense, discrete)
+        reduction = (
+            discrete.stats.states_visited / dense.stats.states_visited
         )
-    return rows
+        report(
+            "SC1",
+            f"{label} states dense/discrete",
+            f">= {MIN_STATES_REDUCTION}x fewer",
+            f"{dense.stats.states_visited}/"
+            f"{discrete.stats.states_visited} ({reduction:.1f}x)",
+        )
+        gates.append(
+            gate(f"states_reduction:{label}", MIN_STATES_REDUCTION,
+                 reduction, reduction >= MIN_STATES_REDUCTION)
+        )
 
-
-def _paper_model_rows():
-    """Verdict parity + reference replay on the paper case studies."""
-    rows = []
+    # verdict parity + reference replay on the paper case studies
     for spec in (
         fig3_precedence(),
         fig4_exclusion(),
@@ -103,22 +106,13 @@ def _paper_model_rows():
         assert dense.feasible == discrete.feasible, (
             f"{spec.name}: dense verdict diverged from discrete"
         )
-        rows.append(
-            {
-                "model": spec.name,
-                "feasible": dense.feasible,
-                "dense_states": dense.stats.states_visited,
-                "discrete_states": discrete.stats.states_visited,
-                "makespan": dense.makespan,
-                "windows": len(dense.interval_schedule or []),
-            }
+        rows += _state_rows(f"paper:{spec.name}", dense, discrete)
+        report(
+            "SC1",
+            f"{spec.name} verdict parity",
+            "feasible" if dense.feasible else "infeasible",
+            f"ok ({dense.stats.states_visited} classes)",
         )
-    return rows
-
-
-def test_stateclass_engine(report):
-    wide = _wide_interval_rows()
-    paper = _paper_model_rows()
 
     # a feasible family member exercises concretisation end to end
     feasible_net = wide_interval_job_net(feasible=True).compile()
@@ -127,56 +121,4 @@ def test_stateclass_engine(report):
     )
     assert feasible.feasible and feasible.interval_schedule
 
-    worst = min(row["reduction"] for row in wide)
-    payload = {
-        "bench": "stateclass",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "min_states_reduction": MIN_STATES_REDUCTION,
-        "worst_reduction": worst,
-        "target_met": worst >= MIN_STATES_REDUCTION,
-        "wide_interval": wide,
-        "paper_models": paper,
-    }
-    with open(os.path.abspath(JSON_PATH), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    for row in wide:
-        report(
-            "SC1",
-            f"{row['model']} states dense/discrete",
-            f">= {MIN_STATES_REDUCTION}x fewer",
-            f"{row['dense_states']}/{row['discrete_states']} "
-            f"({row['reduction']:.1f}x)",
-        )
-    for row in paper:
-        report(
-            "SC1",
-            f"{row['model']} verdict parity",
-            "feasible" if row["feasible"] else "infeasible",
-            f"ok ({row['dense_states']} classes)",
-        )
-
-    # -- gates --------------------------------------------------------
-    for row in wide:
-        assert row["reduction"] >= MIN_STATES_REDUCTION, (
-            f"{row['model']}: dense search explored only "
-            f"{row['reduction']:.2f}x fewer states than the complete "
-            "discrete search"
-        )
-
-
-def test_json_artifact_shape(report):
-    """The emitted artifact stays machine-readable across PRs."""
-    if not os.path.exists(os.path.abspath(JSON_PATH)):
-        test_stateclass_engine(report)
-    with open(os.path.abspath(JSON_PATH), encoding="utf-8") as fh:
-        payload = json.load(fh)
-    assert payload["bench"] == "stateclass"
-    assert payload["wide_interval"], "empty wide-interval sweep"
-    for row in payload["wide_interval"]:
-        assert row["dense_states"] > 0
-        assert row["discrete_states"] > 0
-    assert payload["paper_models"], "empty paper-model sweep"
+    write_bench("stateclass", rows, gates)

@@ -13,12 +13,8 @@ The key is the SHA-256 hex digest of the canonical JSON encoding
     {"v": <format version>,
      "spec": <spec fingerprint>,
      "composer": {"style": ..., "priority_policy": ...},
-     "scheduler": {"engine": ..., "priority_mode": ...,
-                   "delay_mode": ..., "partial_order": ...,
-                   "reset_policy": ..., "max_states": ...,
-                   "max_seconds": ..., "policy": ...,
-                   "policy_seed": ..., "parallel": ...,
-                   "portfolio": [...]},
+     "scheduler": {<every SchedulerConfig field but
+                   trace_jsonl and progress>: ...},
      "stages": {"codegen": <target or None>, "simulate": <bool>,
                 "store_schedule": <bool>}}
 
@@ -30,6 +26,11 @@ builds of the same task set get different ``ez...`` counters) and the
 specification ``name`` (a label, not content).  Task *order* is
 preserved because the ``lex`` priority policy depends on it.
 
+The scheduler section is built from ``dataclasses.fields`` of
+:class:`~repro.scheduler.config.SchedulerConfig`, so a new search knob
+is keyed the moment it exists; only the observability knobs in
+:data:`UNKEYED_FIELDS` are left out.
+
 ``max_seconds`` in the scheduler section is the job's *effective* time
 budget (per-job timeout folded in), so the same model searched under a
 different budget is a different key: a timeout outcome must never
@@ -38,6 +39,7 @@ shadow a longer search.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -58,6 +60,10 @@ from repro.spec.model import EzRTSpec
 #: race is the only parallel search); v3 entries miss instead of
 #: matching a layout that no longer exists.
 CACHE_FORMAT_VERSION = 4
+
+#: SchedulerConfig fields left out of the fingerprint: they only
+#: observe the search and change no verdict or stat.
+UNKEYED_FIELDS = ("trace_jsonl", "progress")
 
 
 def spec_fingerprint(spec: EzRTSpec) -> dict:
@@ -114,17 +120,9 @@ def job_fingerprint(
             "priority_policy": options.priority_policy,
         },
         "scheduler": {
-            "engine": config.engine,
-            "priority_mode": config.priority_mode,
-            "delay_mode": config.delay_mode,
-            "partial_order": config.partial_order,
-            "reset_policy": config.reset_policy,
-            "max_states": config.max_states,
-            "max_seconds": config.max_seconds,
-            "policy": config.policy,
-            "policy_seed": config.policy_seed,
-            "parallel": config.parallel,
-            "portfolio": list(config.portfolio),
+            field.name: getattr(config, field.name)
+            for field in dataclasses.fields(SchedulerConfig)
+            if field.name not in UNKEYED_FIELDS
         },
         "stages": {
             "codegen": codegen_target,

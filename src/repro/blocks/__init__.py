@@ -28,11 +28,6 @@ if TYPE_CHECKING:
         compose,
         task_ranks,
     )
-    from repro.blocks.operators import (
-        merge_nets,
-        merge_places,
-        rename,
-    )
     from repro.blocks.relations import (
         ROLE_GATE,
         add_exclusion_relation,
@@ -58,7 +53,6 @@ else:
                 "ComposedModel ComposerOptions PRIORITY_POLICIES "
                 "compose task_ranks"
             ),
-            "repro.blocks.operators": "merge_nets merge_places rename",
             "repro.blocks.relations": (
                 "ROLE_GATE add_exclusion_relation add_message_relation "
                 "add_precedence_relation ensure_gate "
@@ -90,11 +84,8 @@ __all__ = [
     "ensure_gate",
     "exclusion_place_name",
     "firings_per_instance",
-    "merge_nets",
-    "merge_places",
     "minimum_schedule_firings",
     "precedence_place_name",
-    "rename",
     "sanitize",
     "task_ranks",
 ]

@@ -33,7 +33,6 @@ if TYPE_CHECKING:
     )
     from repro.lint.coderules import (
         check_fixture_dir,
-        fingerprint_drift,
         lint_file,
         lint_source,
         lint_tree,
@@ -58,8 +57,7 @@ else:
                 "format_report has_errors"
             ),
             "repro.lint.coderules": (
-                "check_fixture_dir fingerprint_drift lint_file "
-                "lint_source lint_tree"
+                "check_fixture_dir lint_file lint_source lint_tree"
             ),
             "repro.lint.specrules": (
                 "classify_problem config_diagnostics "
@@ -80,7 +78,6 @@ __all__ = [
     "config_diagnostics",
     "dbm_bound_diagnostics",
     "errors",
-    "fingerprint_drift",
     "format_report",
     "has_errors",
     "infeasibility_diagnostics",

@@ -2,9 +2,8 @@
 
 Three modes:
 
-* ``--self [--root src]`` — lint the whole source tree (per-file
-  rules plus the fingerprint drift guard); exit 1 on *any*
-  diagnostic, so CI can require a clean repo;
+* ``--self [--root src]`` — lint the whole source tree; exit 1 on
+  *any* diagnostic, so CI can require a clean repo;
 * ``--self-test DIR`` — run the seeded-violation fixture corpus:
   every ``# expect:`` marker must fire and nothing unexpected may,
   proving each rule both catches its violation and stays quiet

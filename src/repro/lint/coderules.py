@@ -12,14 +12,7 @@ decisions that live nowhere in the type system:
   ``open``/``subprocess``) lexically inside ``async def`` bodies of
   :mod:`repro.service`: one blocked coroutine stalls every connection
   on the loop;
-* **EZC103** — no mutable default arguments, repository-wide;
-* **EZC104** — the fingerprint drift guard: every
-  :class:`~repro.scheduler.config.SchedulerConfig` field must appear
-  in the cache fingerprint's ``"scheduler"`` section (or in the
-  explicit exempt list), and the section must name only real fields.
-  A config knob that silently misses the fingerprint collides cache
-  keys across semantically different searches — the PR 4 engine-field
-  bug, enforced as a rule forever.
+* **EZC103** — no mutable default arguments, repository-wide.
 
 Rules anchor on a *virtual path* (the file's path relative to the
 source root, e.g. ``repro/batch/cache.py``) so the fixture corpus
@@ -103,20 +96,11 @@ MUTABLE_FACTORIES = frozenset(
     }
 )
 
-#: SchedulerConfig fields deliberately excluded from the cache
-#: fingerprint: pure observability, no effect on any verdict or stat.
-FINGERPRINT_EXEMPT_FIELDS = frozenset({"trace_jsonl", "progress"})
-
 #: ``# lint-module: repro/...`` — fixture files impersonate a module.
 #: Anchored to the line start so prose mentioning the directive (like
 #: this comment) never triggers it.
 MODULE_DIRECTIVE = re.compile(
     r"^#\s*lint-module:\s*(\S+)", re.MULTILINE
-)
-#: ``# lint-fingerprint-config: sibling.py`` — fixture files pair a
-#: fake cache module with a fake config module for the drift rule.
-DRIFT_DIRECTIVE = re.compile(
-    r"^#\s*lint-fingerprint-config:\s*(\S+)", re.MULTILINE
 )
 #: ``# expect: EZC101, EZC103`` — seeded-violation markers.
 EXPECT_DIRECTIVE = re.compile(r"#\s*expect:\s*([A-Z0-9,\s]+)")
@@ -294,128 +278,6 @@ def lint_source(source: str, virtual_path: str) -> list[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# EZC104: the fingerprint drift guard
-# ---------------------------------------------------------------------------
-def _config_fields(tree: ast.AST, class_name: str) -> list[str]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            return [
-                statement.target.id
-                for statement in node.body
-                if isinstance(statement, ast.AnnAssign)
-                and isinstance(statement.target, ast.Name)
-                and not statement.target.id.startswith("_")
-            ]
-    return []
-
-
-def _section_keys(
-    tree: ast.AST, function_name: str, section: str
-) -> tuple[list[str], int] | None:
-    """Keys of the ``section`` dict literal inside ``function_name``."""
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.FunctionDef)
-            and node.name == function_name
-        ):
-            for inner in ast.walk(node):
-                if not isinstance(inner, ast.Dict):
-                    continue
-                for key, value in zip(inner.keys, inner.values):
-                    if (
-                        isinstance(key, ast.Constant)
-                        and key.value == section
-                        and isinstance(value, ast.Dict)
-                    ):
-                        return (
-                            [
-                                entry.value
-                                for entry in value.keys
-                                if isinstance(entry, ast.Constant)
-                            ],
-                            value.lineno,
-                        )
-    return None
-
-
-def fingerprint_drift(
-    config_path: str,
-    cache_path: str,
-    config_class: str = "SchedulerConfig",
-    fingerprint_function: str = "job_fingerprint",
-    section: str = "scheduler",
-    exempt: frozenset[str] = FINGERPRINT_EXEMPT_FIELDS,
-) -> list[Diagnostic]:
-    """Cross-check config dataclass fields against the fingerprint.
-
-    Reported against ``cache_path`` (the fingerprint is what must
-    follow the config, not the other way around).
-    """
-    with open(config_path, encoding="utf-8") as handle:
-        config_tree = ast.parse(handle.read())
-    with open(cache_path, encoding="utf-8") as handle:
-        cache_source = handle.read()
-    cache_tree = ast.parse(cache_source)
-    fields = _config_fields(config_tree, config_class)
-    found = _section_keys(cache_tree, fingerprint_function, section)
-    anchor = os.path.basename(cache_path)
-    if not fields or found is None:
-        return [
-            Diagnostic(
-                code="EZC104",
-                severity=ERROR,
-                message=(
-                    f"fingerprint drift guard cannot see "
-                    f"{config_class} fields or the "
-                    f"{fingerprint_function}() {section!r} section"
-                ),
-                hint="keep both as plain literals the guard can parse",
-                file=anchor,
-            )
-        ]
-    keys, line = found
-    diagnostics: list[Diagnostic] = []
-    for name in fields:
-        if name not in keys and name not in exempt:
-            diagnostics.append(
-                Diagnostic(
-                    code="EZC104",
-                    severity=ERROR,
-                    message=(
-                        f"{config_class}.{name} is missing from the "
-                        f"{section!r} fingerprint section: two "
-                        "configs differing only in it would collide "
-                        "on one cache key"
-                    ),
-                    hint=(
-                        "add the field to the fingerprint (and bump "
-                        "the cache format version) or exempt it "
-                        "explicitly"
-                    ),
-                    file=anchor,
-                    line=line,
-                )
-            )
-    for name in keys:
-        if name not in fields:
-            diagnostics.append(
-                Diagnostic(
-                    code="EZC104",
-                    severity=ERROR,
-                    message=(
-                        f"fingerprint {section!r} section lists "
-                        f"{name!r}, which is not a {config_class} "
-                        "field"
-                    ),
-                    hint="remove the stale key from the fingerprint",
-                    file=anchor,
-                    line=line,
-                )
-            )
-    return diagnostics
-
-
-# ---------------------------------------------------------------------------
 # File and tree drivers
 # ---------------------------------------------------------------------------
 def virtual_path_of(path: str, root: str | None = None) -> str:
@@ -431,19 +293,14 @@ def virtual_path_of(path: str, root: str | None = None) -> str:
 
 
 def lint_file(path: str, root: str | None = None) -> list[Diagnostic]:
-    """Per-file rules plus any directive-declared drift pairing."""
+    """The per-file rules on one file."""
     with open(path, encoding="utf-8") as handle:
         source = handle.read()
-    diagnostics = lint_source(source, virtual_path_of(path, root))
-    drift = DRIFT_DIRECTIVE.search(source)
-    if drift:
-        sibling = os.path.join(os.path.dirname(path), drift.group(1))
-        diagnostics.extend(fingerprint_drift(sibling, path))
-    return diagnostics
+    return lint_source(source, virtual_path_of(path, root))
 
 
 def lint_tree(root: str) -> list[Diagnostic]:
-    """Lint every ``*.py`` under ``root`` plus the repo drift guard.
+    """Lint every ``*.py`` under ``root``.
 
     ``root`` is the import root (the directory holding ``repro/``),
     so virtual paths come out as ``repro/batch/cache.py``.
@@ -455,10 +312,6 @@ def lint_tree(root: str) -> list[Diagnostic]:
                 diagnostics.extend(
                     lint_file(os.path.join(directory, name), root)
                 )
-    config_path = os.path.join(root, "repro", "scheduler", "config.py")
-    cache_path = os.path.join(root, "repro", "batch", "cache.py")
-    if os.path.exists(config_path) and os.path.exists(cache_path):
-        diagnostics.extend(fingerprint_drift(config_path, cache_path))
     return diagnostics
 
 

@@ -743,18 +743,11 @@ def make_adapter(engine: str, net: CompiledNet, config) -> EngineAdapter:
     named after the requested engine (spans, traces and batch rows
     keep naming it; ``adapter.native`` says which path runs).
     """
-    try:
-        factory = ADAPTERS[engine]
-    except KeyError:
-        raise SchedulingError(
-            f"unknown engine {engine!r}; expected one of "
-            f"{tuple(ADAPTERS)}"
-        ) from None
     if engine in SPEC_ADAPTERS and core_for(net) is None:
         adapter = SPEC_ADAPTERS[engine](net, config)
         adapter.name = engine
         return adapter
-    return factory(net, config)
+    return ADAPTERS[engine](net, config)
 
 
 # ----------------------------------------------------------------------

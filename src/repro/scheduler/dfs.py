@@ -56,12 +56,14 @@ which path ran.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.errors import InfeasibleScheduleError, SchedulingError
 from repro.blocks.composer import ComposedModel
 from repro.obs.events import JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressPrinter
-from repro.scheduler.config import ENGINES, SchedulerConfig
+from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.core import SearchCore, make_adapter
 from repro.scheduler.policies import make_reorder
 from repro.scheduler.result import SchedulerResult
@@ -93,22 +95,10 @@ class PreRuntimeScheduler:
     ):
         self.net = net
         self.config = config or SchedulerConfig()
-        if engine is None:
-            engine = self.config.engine
-        if engine not in ENGINES:
-            raise SchedulingError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        if (
-            engine == "stateclass"
-            and self.config.delay_mode != "earliest"
-        ):
-            raise SchedulingError(
-                "delay_mode has no effect on the dense-time state-class "
-                "engine (the class graph covers every dense delay); "
-                "keep the default 'earliest'"
-            )
-        self.engine_mode = engine
+        if engine is not None:
+            # SchedulerConfig.__post_init__ checks the engine rules
+            self.config = replace(self.config, engine=engine)
+        engine = self.engine_mode = self.config.engine
         self.adapter = make_adapter(engine, net, self.config)
         self._reorder = make_reorder(
             self.config.policy, net, self.config.policy_seed

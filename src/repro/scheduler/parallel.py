@@ -50,7 +50,7 @@ from multiprocessing import get_context
 from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
-from repro.scheduler.config import ENGINES, SchedulerConfig
+from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.core import validate_with_reference
 from repro.scheduler.dfs import PreRuntimeScheduler
 from repro.scheduler.policies import (
@@ -263,13 +263,10 @@ class ParallelScheduler:
     ):
         self.net = net
         self.config = config or SchedulerConfig()
-        if engine is None:
-            engine = self.config.engine
-        if engine not in ENGINES:
-            raise SchedulingError(
-                f"unknown engine {engine!r}; expected one of {ENGINES}"
-            )
-        self.engine_mode = engine
+        if engine is not None:
+            # SchedulerConfig.__post_init__ checks the engine rules
+            self.config = replace(self.config, engine=engine)
+        self.engine_mode = self.config.engine
         if self.config.parallel < 2:
             raise SchedulingError(
                 "ParallelScheduler needs config.parallel >= 2 "

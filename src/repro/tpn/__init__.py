@@ -4,7 +4,7 @@ Public surface:
 
 * :class:`TimeInterval`, :data:`INF` — static firing intervals;
 * :class:`Place`, :class:`Transition`, :class:`Arc`,
-  :class:`TimePetriNet`, :func:`net_union` — net construction;
+  :class:`TimePetriNet` — net construction;
 * :class:`CompiledNet` — frozen index-based view;
 * :class:`State`, :class:`StateEngine`, :class:`FiringCandidate` — the
   checked reference semantics (Definition 3.1,
@@ -13,8 +13,7 @@ Public surface:
   feasibility predicate (Definition 3.2);
 * :func:`explore`, :class:`ReachabilityGraph` — bounded state-space
   enumeration;
-* place invariants and their cross-check on an explored graph, and
-  DOT export.
+* place invariants and their cross-check on an explored graph.
 """
 
 from typing import TYPE_CHECKING
@@ -28,7 +27,6 @@ if TYPE_CHECKING:
         invariant_value,
         place_invariants,
     )
-    from repro.tpn.dot import net_to_dot, reachability_to_dot
     from repro.tpn.interval import INF, TimeInterval
     from repro.tpn.net import (
         Arc,
@@ -49,7 +47,6 @@ if TYPE_CHECKING:
         ROLE_RELEASE,
         TimePetriNet,
         Transition,
-        net_union,
     )
     from repro.tpn.reachability import ReachabilityGraph, explore
     from repro.tpn.stateclass import (
@@ -76,14 +73,13 @@ else:
                 "check_invariants_on_graph incidence_matrix "
                 "invariant_value place_invariants"
             ),
-            "repro.tpn.dot": "net_to_dot reachability_to_dot",
             "repro.tpn.interval": "INF TimeInterval",
             "repro.tpn.net": (
                 "Arc CompiledNet Place ROLE_ARRIVAL ROLE_COMPUTE "
                 "ROLE_DEADLINE_MISS ROLE_DEADLINE_OK ROLE_EXCLUSION "
                 "ROLE_FINISH ROLE_FORK ROLE_GRANT ROLE_JOIN "
                 "ROLE_MESSAGE ROLE_PHASE ROLE_PRECEDENCE ROLE_RELEASE "
-                "TimePetriNet Transition net_union"
+                "TimePetriNet Transition"
             ),
             "repro.tpn.reachability": "ReachabilityGraph explore",
             "repro.tpn.stateclass": (
@@ -138,9 +134,6 @@ __all__ = [
     "explore",
     "incidence_matrix",
     "invariant_value",
-    "net_to_dot",
-    "net_union",
     "place_invariants",
-    "reachability_to_dot",
     "realize_firing_sequence",
 ]

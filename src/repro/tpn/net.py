@@ -19,7 +19,7 @@ clarity; the scheduler operates on the index-based
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.errors import NetConstructionError
 from repro.tpn.interval import INF, TimeInterval
@@ -49,7 +49,7 @@ class Place:
     Attributes:
         name: unique identifier within the net.
         marking: initial token count (``m0`` restricted to this place).
-        label: human-readable label used by PNML/DOT exports.
+        label: human-readable label used by PNML exports.
         role: optional semantic tag assigned by the block library
             (e.g. ``"deadline-miss"`` for ``p_dm`` places).
         task: name of the specification task this place belongs to, when
@@ -86,7 +86,7 @@ class Transition:
             minimum).
         code: behavioural C source assigned by ``C_S`` (may be ``None``,
             the function is partial).
-        label: human-readable label used by PNML/DOT exports.
+        label: human-readable label used by PNML exports.
         role: semantic tag assigned by the block library (see the
             ``ROLE_*`` constants).
         task: name of the specification task this transition belongs to.
@@ -241,8 +241,8 @@ class TimePetriNet:
         return arc
 
     def remove_arc(self, source: str, target: str) -> None:
-        """Remove the arc between two nodes (used when composition
-        operators reroute a block's interface, e.g. inserting a
+        """Remove the arc between two nodes (used when the relation
+        blocks reroute a block's interface, e.g. inserting a
         lock/precedence gate between release and grant)."""
         if source in self._places and target in self._transitions:
             if self._pre[target].pop(source, None) is None:
@@ -680,41 +680,3 @@ class CompiledNet:
             f"CompiledNet({self.name!r}, |P|={self.num_places}, "
             f"|T|={self.num_transitions})"
         )
-
-
-def net_union(name: str, nets: Iterable[TimePetriNet]) -> TimePetriNet:
-    """Disjoint union of nets (node names must not collide).
-
-    This is the primitive behind the block composition operators; name
-    collisions raise so that accidental overlap is caught early.  Final
-    markings are merged.
-    """
-    result = TimePetriNet(name)
-    for net in nets:
-        for place in net.places:
-            result.add_place(
-                place.name,
-                marking=place.marking,
-                label=place.label,
-                role=place.role,
-                task=place.task,
-            )
-        for transition in net.transitions:
-            result.add_transition(
-                transition.name,
-                interval=transition.interval,
-                priority=transition.priority,
-                code=transition.code,
-                label=transition.label,
-                role=transition.role,
-                task=transition.task,
-            )
-        for t in net.transition_names:
-            for p, w in net.preset(t).items():
-                result.add_arc(p, t, w)
-            for p, w in net.postset(t).items():
-                result.add_arc(t, p, w)
-        merged = dict(result.final_marking)
-        merged.update(net.final_marking)
-        result.final_marking = merged
-    return result

@@ -310,6 +310,67 @@ class TestCacheKey:
         }
         assert set(_KNOB_ALTERNATIVES) == knobs
 
+    def test_paper_spec_keys_are_pinned(self):
+        """The keys of the four paper specs, under the default and a
+        non-default config, equal the ones the hand-written scheduler
+        section produced, so existing cache directories still hit."""
+        from repro.spec import paper_examples
+
+        options = ComposerOptions()
+        custom = SchedulerConfig(
+            engine="reference",
+            delay_mode="full",
+            max_states=5000,
+            max_seconds=2.5,
+            policy="random",
+            policy_seed=3,
+            parallel=2,
+            portfolio=("kernel:earliest", "stateclass:earliest"),
+            partial_order=False,
+            priority_mode="strict",
+            reset_policy="intermediate",
+        )
+        keys = {
+            name: (
+                cache_key(spec, options, SchedulerConfig()),
+                cache_key(
+                    spec,
+                    options,
+                    custom,
+                    codegen_target="hostsim",
+                    simulate=True,
+                    store_schedule=True,
+                ),
+            )
+            for name, spec in paper_examples().items()
+        }
+        assert keys == {
+            "mine-pump": (
+                "5c883916aa449fc114a70f25275736e1"
+                "1589a82113a1d9d58bb60ff2dae97bfb",
+                "f091cea1b43492707f9791835f5e8974"
+                "50a926dfd5337221efba530acfa78e8a",
+            ),
+            "fig3": (
+                "023428302e9465bdb6ac6d6a83098550"
+                "83527e0f89d91c0fcaf39fcdd6aa5f29",
+                "2ce91fb88c820c30d0160ec09b4dffb3"
+                "4caddc08f94cb513fa01d181d76a840e",
+            ),
+            "fig4": (
+                "89bd3ddd70e8529d7499dab400ec82e6"
+                "4f8989be4a95f20ec16fc8aad1153ae2",
+                "fcd0a3038d71eedf4d6fa4c7be69fbeb"
+                "4e65681e6ed94d7802b629d95a08ddd5",
+            ),
+            "fig8": (
+                "8dba723c370577cd3384060d2d65ea71"
+                "775179d8d75c3173a129e10d1f69e2cc",
+                "9ae3c2fe580750a9a4e4f7d4d5f85861"
+                "635e843d7b5e85b39e6b04bb00c3f389",
+            ),
+        }
+
     @pytest.mark.parametrize(
         "knob, value",
         [("trace_jsonl", "trace.jsonl"), ("progress", True)],

@@ -46,7 +46,6 @@ FORBIDDEN = (
     "repro.tpn.dbm",
     "repro.tpn.stateclass",
     "repro.tpn.reachability",
-    "repro.tpn.dot",
     "repro.tpn.tlts",
     "repro.workloads",
     "multiprocessing",

@@ -35,7 +35,6 @@ from repro.lint import (
     config_diagnostics,
     dbm_bound_diagnostics,
     errors,
-    fingerprint_drift,
     format_report,
     has_errors,
     infeasibility_diagnostics,
@@ -564,26 +563,6 @@ class TestCodeRules:
         )
         assert lint_source(flagged, "repro/obs/a.py") != []
         assert lint_source(allowed, "repro/obs/a.py") == []
-
-    def test_fingerprint_drift_fixture_pair(self):
-        diagnostics = fingerprint_drift(
-            os.path.join(FIXTURES, "drift_config.py"),
-            os.path.join(FIXTURES, "drift_cache.py"),
-        )
-        assert codes(diagnostics) == ["EZC104", "EZC104"]
-        messages = " ".join(d.message for d in diagnostics)
-        assert "policy" in messages
-        assert "stale_knob" in messages
-        assert all(
-            d.file.endswith("drift_cache.py") for d in diagnostics
-        )
-
-    def test_repo_fingerprint_has_not_drifted(self):
-        diagnostics = fingerprint_drift(
-            os.path.join(SRC_ROOT, "repro", "scheduler", "config.py"),
-            os.path.join(SRC_ROOT, "repro", "batch", "cache.py"),
-        )
-        assert diagnostics == []
 
     def test_virtual_path_is_rooted_at_repro(self):
         path = os.path.join(SRC_ROOT, "repro", "obs", "events.py")

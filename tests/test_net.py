@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NetConstructionError
-from repro.tpn import TimeInterval, TimePetriNet, net_union
+from repro.tpn import TimeInterval, TimePetriNet
 
 
 class TestConstruction:
@@ -231,44 +231,6 @@ class TestCompile:
         compiled = simple_net.compile()
         index = compiled.transition_index["t_start"]
         assert compiled.interval_of(index) == TimeInterval(2, 4)
-
-
-class TestUnion:
-    def test_disjoint_union(self):
-        a = TimePetriNet("a")
-        a.add_place("p", marking=1)
-        a.add_transition("t")
-        a.add_arc("p", "t")
-        b = TimePetriNet("b")
-        b.add_place("q", marking=2)
-        b.add_transition("u", TimeInterval(1, 2))
-        b.add_arc("q", "u")
-        merged = net_union("ab", [a, b])
-        assert set(merged.place_names) == {"p", "q"}
-        assert merged.transition("u").interval == TimeInterval(1, 2)
-        assert merged.input_weight("q", "u") == 1
-
-    def test_collision_rejected(self):
-        a = TimePetriNet("a")
-        a.add_place("p")
-        b = TimePetriNet("b")
-        b.add_place("p")
-        with pytest.raises(NetConstructionError):
-            net_union("ab", [a, b])
-
-    def test_final_markings_merge(self):
-        a = TimePetriNet("a")
-        a.add_place("p", marking=1)
-        a.add_transition("t")
-        a.add_arc("p", "t")
-        a.set_final_marking({"p": 0})
-        b = TimePetriNet("b")
-        b.add_place("q")
-        b.add_transition("u")
-        b.add_arc("q", "u")
-        b.set_final_marking({"q": 1})
-        merged = net_union("ab", [a, b])
-        assert merged.final_marking == {"p": 0, "q": 1}
 
 
 @st.composite

@@ -259,47 +259,3 @@ class TestComposer:
     def test_fig3_fig4_have_extra_task_for_ps500(self):
         assert compose(fig3_precedence()).schedule_period == 500
         assert compose(fig4_exclusion()).schedule_period == 500
-
-
-class TestOperators:
-    def test_rename(self, simple_net):
-        from repro.blocks import rename
-
-        renamed = rename(simple_net, {"p0": "start"})
-        assert renamed.has_place("start")
-        assert not renamed.has_place("p0")
-        assert renamed.input_weight("start", "t_start") == 1
-        assert renamed.final_marking.get("done") == 1
-
-    def test_rename_with_function(self, simple_net):
-        from repro.blocks import rename
-
-        renamed = rename(simple_net, lambda n: f"x_{n}")
-        assert renamed.has_place("x_p0")
-        assert renamed.has_transition("x_t_start")
-
-    def test_merge_places(self):
-        from repro.blocks import merge_places
-        from repro.tpn import TimePetriNet
-
-        net = TimePetriNet("m")
-        net.add_place("r1", marking=1)
-        net.add_place("r2", marking=1)
-        net.add_place("out")
-        net.add_transition("t1")
-        net.add_transition("t2")
-        net.add_arc("r1", "t1")
-        net.add_arc("r2", "t2")
-        net.add_arc("t1", "out")
-        net.add_arc("t2", "out")
-        merged = merge_places(net, [["r1", "r2"]])
-        assert not merged.has_place("r2")
-        assert merged.place("r1").marking == 1  # max, not sum
-        assert merged.input_weight("r1", "t1") == 1
-        assert merged.input_weight("r1", "t2") == 1
-
-    def test_merge_unknown_place_rejected(self, simple_net):
-        from repro.blocks import merge_places
-
-        with pytest.raises(NetConstructionError):
-            merge_places(simple_net, [["p0", "ghost"]])
