@@ -272,6 +272,21 @@ class TestEngineSelection:
                 simple_net.compile(), engine="warp-drive"
             )
 
+    def test_engine_override_obeys_the_config_rules(self, simple_net):
+        with pytest.raises(SchedulingError, match="delay_mode"):
+            PreRuntimeScheduler(
+                simple_net.compile(),
+                SchedulerConfig(delay_mode="full"),
+                engine="stateclass",
+            )
+
+    def test_engine_override_is_the_config_that_runs(self, simple_net):
+        scheduler = PreRuntimeScheduler(
+            simple_net.compile(), SchedulerConfig(), engine="reference"
+        )
+        assert scheduler.engine_mode == "reference"
+        assert scheduler.config.engine == "reference"
+
     def test_search_helper_threads_engine(self, simple_net):
         compiled = simple_net.compile()
         kernel = search(compiled, engine="kernel")

@@ -387,6 +387,13 @@ class TestMergedStats:
         with pytest.raises(SchedulingError):
             ParallelScheduler(net, SchedulerConfig(parallel=1))
 
+    def test_parallel_scheduler_rejects_unknown_engine(self):
+        net = compose(paper_examples()["fig3"]).compiled()
+        with pytest.raises(SchedulingError, match="unknown engine"):
+            ParallelScheduler(
+                net, SchedulerConfig(parallel=2), engine="warp-drive"
+            )
+
     def test_explicit_portfolio_is_padded_and_truncated(self):
         net = compose(paper_examples()["fig3"]).compiled()
         scheduler = ParallelScheduler(
