@@ -28,9 +28,17 @@ An engine plugs into the driver through an operations table
 way :class:`~repro.scheduler.core.SearchCore` is parameterised by
 :class:`~repro.scheduler.core.EngineAdapter`; each engine's
 ``*_search_new`` roots a search and returns the common handle that
-:class:`NativeSearch` wraps.  The driver's memory comes from
-``PyMem_RawMalloc``, so ``tracemalloc`` sees it, and the GIL stays
-released for the whole call.
+:class:`NativeSearch` wraps.  The GIL stays released for the whole
+call.
+
+The driver's memory comes from ``PyMem_RawMalloc``/``PyMem_RawRealloc``,
+so ``tracemalloc`` sees it, and :meth:`NativeSearch.close` hands it back
+to the allocator with ``PyMem_RawFree``, not to the OS: the freed pages
+stay warm for the next search in the same process, which reuses them
+without faulting them in again.  What the allocator keeps is bounded by
+glibc itself: a block over its dynamic mmap ceiling (32 MiB on 64-bit)
+is unmapped on free, and the heap top is trimmed past twice the mmap
+threshold.
 
 Everything degrades gracefully — :func:`core_for` asks
 :meth:`NativeCore.load` for the compiled module, and whenever the
@@ -139,9 +147,6 @@ SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 #include <time.h>
-#ifdef __GLIBC__
-#include <malloc.h>
-#endif
 
 /* CPython's raw allocator domain: thread-safe without the GIL and
  * traced by tracemalloc.  Declared here because cffi may build against
@@ -300,7 +305,6 @@ static int ez_enabled(const ez_net *net, const uint16_t *m, int32_t t)
 #define EZ_O_LAXITY 256
 
 #define EZ_POLL_MASK 0x3FF
-#define EZ_TRIM_BYTES (1 << 20)
 
 enum { EZ_PH_ROOT, EZ_PH_LOOP, EZ_PH_STEP, EZ_PH_OVER };
 
@@ -557,22 +561,12 @@ EZ_INLINE int32_t ez_push(ez_search *s, const ez_ops *ops,
 void ez_search_free(ez_search *s)
 {
     if (s) {
-        int large = s->ops->bytes(s) >= EZ_TRIM_BYTES;
         s->ops->release(s);
         PyMem_RawFree(s->keys);
         PyMem_RawFree(s->table);
         PyMem_RawFree(s->frames);
         PyMem_RawFree(s->pool);
         PyMem_RawFree(s);
-#ifdef __GLIBC__
-        /* glibc raises its mmap threshold after freeing a large mmapped
-         * block, so the next search's arena lands on the heap and stays
-         * resident once freed; hand those pages back */
-        if (large)
-            malloc_trim(0);
-#else
-        (void)large;
-#endif
     }
 }
 

@@ -23,7 +23,8 @@ of ``tests/test_kernel_driver.py``:
   is stepped directly (the spec has no caps);
 * **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
   a pending Ctrl-C stop within one poll interval, the driver's memory
-  is freed on every exit path and ``tracemalloc`` sees it.
+  is freed on every exit path and ``tracemalloc`` sees it, and a
+  repeated search reuses the memory the last one freed.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ from repro.workloads import (
     wide_interval_race_net,
 )
 from test_dbm import bound_edge_net
+from test_kernel_driver import assert_warm_repeats, glibc_only
 
 pytestmark = pytest.mark.skipif(
     _dbmc.native_module() is None,
@@ -471,4 +473,11 @@ class TestStoppingAndMemory:
         assert after - before < visited_bytes / 4
         assert gauges["search.bytes_per_state"] == pytest.approx(
             visited_bytes / result.stats.states_visited
+        )
+
+    @glibc_only
+    def test_repeated_searches_reuse_the_freed_memory(self):
+        assert_warm_repeats(
+            self._long(),
+            SchedulerConfig(engine="stateclass", max_states=8_000),
         )

@@ -20,13 +20,18 @@ executable spec, and this suite pins the two together:
   engine is stepped directly (the spec has no caps);
 * **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
   a pending Ctrl-C stop within one poll interval, the driver's memory
-  is freed on every exit path and ``tracemalloc`` sees it.
+  is freed on every exit path and ``tracemalloc`` sees it, and a
+  repeated search reuses the memory the last one freed.
 """
 
 from __future__ import annotations
 
 import _thread
+import ctypes
 import itertools
+import os
+import platform
+import resource
 import tracemalloc
 
 import pytest
@@ -201,6 +206,42 @@ class TestSearchPrefixes:
             )
 
 
+def _rss() -> int:
+    with open("/proc/self/statm") as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def _minflt() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+#: the warm-repeat checks read glibc's allocator behaviour and Linux's
+#: ``/proc``
+glibc_only = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="needs glibc"
+)
+
+
+def assert_warm_repeats(net, config, runs=10):
+    """Search ``net`` ``runs`` times in one process: from the third run
+    on the driver reuses the memory earlier runs freed (the first run's
+    big blocks are mmapped, and freeing them raises glibc's mmap
+    threshold, so the second run's land on the heap and stay there),
+    and what the allocator keeps between searches stays bounded."""
+    ctypes.CDLL(None).malloc_trim(0)  # start cold, whatever ran before
+    before = _rss()
+    faults = []
+    for _ in range(runs):
+        start = _minflt()
+        result = PreRuntimeScheduler(net, config).search()
+        faults.append(_minflt() - start)
+    held = _rss() - before
+    visited_bytes = result.metrics["gauges"]["search.visited_bytes"]
+    assert visited_bytes >= 1 << 20
+    assert all(n < 0.05 * faults[0] for n in faults[2:]), faults
+    assert held < 2 * visited_bytes, (held, visited_bytes)
+
+
 def _overflow_net(kind: str):
     """A net whose search hits the packed token or clock cap."""
     net = TimePetriNet(f"{kind}-overflow")
@@ -351,4 +392,10 @@ class TestStoppingAndMemory:
         assert after - before < visited_bytes / 4
         assert gauges["search.bytes_per_state"] == pytest.approx(
             visited_bytes / result.stats.states_visited
+        )
+
+    @glibc_only
+    def test_repeated_searches_reuse_the_freed_memory(self):
+        assert_warm_repeats(
+            self._long(), SchedulerConfig(engine="kernel", max_states=20_000)
         )
