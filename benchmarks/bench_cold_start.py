@@ -6,12 +6,13 @@ the tool is paid on every command.  This bench measures that cold
 path in fresh processes with bytecode cached:
 
 1. **Module counts** (hard gate; deterministic): ``import repro.cli``
-   loads at most :data:`MAX_IMPORT_MODULES` ``repro`` modules, and
-   ``ezrt schedule/codegen/simulate @fig3`` each at most
-   :data:`MAX_COMMAND_MODULES`.
+   loads at most :data:`MAX_IMPORT_MODULES` ``repro`` modules,
+   ``ezrt export/validate @fig3`` each at most
+   :data:`MAX_SPEC_MODULES` and ``ezrt schedule/codegen/simulate
+   @fig3`` each at most :data:`MAX_COMMAND_MODULES`.
 2. **Wall time** (recorded, not gated: this host is shared and its
    speed drifts): ``python -c pass``, ``import repro.cli`` and the
-   three commands, as the minimum of :data:`REPEATS` runs taken
+   five commands, as the minimum of :data:`REPEATS` runs taken
    strictly interleaved after a warm-up run that writes the bytecode
    (:func:`harness.measure`), plus the import's own time measured
    inside the child (against the ≤ :data:`IMPORT_TARGET_MS` ms
@@ -37,15 +38,26 @@ from harness import ROOT, gate, measure, row, write_bench
 SRC = os.path.join(ROOT, "src")
 
 #: ``repro`` modules ``import repro.cli`` may load (74 before the
-#: package facades became lazy)
-MAX_IMPORT_MODULES = 50
+#: package facades became lazy, 44 before the CLI's own names did; 4)
+MAX_IMPORT_MODULES = 5
+#: ``repro`` modules ``ezrt export/validate`` may load (the spec
+#: package only; 9-10)
+MAX_SPEC_MODULES = 12
 #: ``repro`` modules a one-shot schedule/codegen/simulate may load
-MAX_COMMAND_MODULES = 55
+#: (40-44)
+MAX_COMMAND_MODULES = 46
 #: the import-time target, reported against, never gated
 IMPORT_TARGET_MS = 50.0
 REPEATS = 15
-#: the one-shot commands, as named in :func:`_cases`
-COMMANDS = ("schedule @fig3", "codegen @fig3", "simulate @fig3")
+#: the one-shot commands, as named in :func:`_cases`, each with the
+#: ``repro`` modules it may load
+COMMANDS = {
+    "export @fig3": MAX_SPEC_MODULES,
+    "validate @fig3": MAX_SPEC_MODULES,
+    "schedule @fig3": MAX_COMMAND_MODULES,
+    "codegen @fig3": MAX_COMMAND_MODULES,
+    "simulate @fig3": MAX_COMMAND_MODULES,
+}
 
 #: prints the milliseconds ``import repro.cli`` takes inside the child
 _TIMED_IMPORT = (
@@ -84,6 +96,14 @@ def _cases(workdir: str) -> dict[str, list[str]]:
     return {
         "python -c pass": [python, "-c", "pass"],
         "import repro.cli": [python, "-c", "import repro.cli"],
+        "export @fig3": [
+            *cli,
+            "export",
+            "@fig3",
+            "-o",
+            os.path.join(workdir, "fig3.xml"),
+        ],
+        "validate @fig3": [*cli, "validate", "@fig3"],
         "schedule @fig3": [*cli, "schedule", "@fig3"],
         "codegen @fig3": [
             *cli,
@@ -161,14 +181,11 @@ def test_cold_start(report):
             "-",
             f"{entry['seconds'] * 1000.0:.1f}",
         )
+    bounds = {"import repro.cli": MAX_IMPORT_MODULES, **COMMANDS}
     gates = []
     for name, count in modules.items():
         report("COLD1", f"{name} repro modules", "-", count)
-        bound = (
-            MAX_IMPORT_MODULES
-            if name == "import repro.cli"
-            else MAX_COMMAND_MODULES
-        )
+        bound = bounds[name]
         gates.append(
             gate(f"repro_modules:{name}", bound, count, count <= bound)
         )

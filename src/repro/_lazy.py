@@ -31,22 +31,24 @@ def lazy_exports(
     """The module-level ``__getattr__`` and ``__dir__`` of ``package``.
 
     ``exports`` maps each leaf module to the space-separated names the
-    package re-exports from it.  Unknown names raise the standard
+    package re-exports from it; an entry ``alias=name`` binds the
+    leaf's ``name`` as ``alias``.  Unknown names raise the standard
     ``AttributeError``.
     """
-    owners = {
-        name: module
-        for module, names in exports.items()
-        for name in names.split()
-    }
+    owners: dict[str, tuple[str, str]] = {}
+    for module, names in exports.items():
+        for entry in names.split():
+            alias, _, name = entry.partition("=")
+            owners[alias] = (module, name or alias)
 
     def __getattr__(name: str) -> object:
-        module = owners.get(name)
-        if module is None:
+        owner = owners.get(name)
+        if owner is None:
             raise AttributeError(
                 f"module {package!r} has no attribute {name!r}"
             )
-        value = getattr(importlib.import_module(module), name)
+        module, attr = owner
+        value = getattr(importlib.import_module(module), attr)
         setattr(sys.modules[package], name, value)
         return value
 

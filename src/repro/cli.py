@@ -32,27 +32,67 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from typing import TYPE_CHECKING
 
-# The pipeline a one-shot command runs, imported leaf by leaf and bound
-# by name: the command bodies call these module globals.  Everything
-# else (batch, service, PNML, the lint pack, trace export) is imported
-# by the command that needs it, so `ezrt schedule` never pays for it.
-from repro.analysis.report import full_report, interval_slack_report
-from repro.blocks.blocks import BlockStyle
-from repro.blocks.composer import ComposerOptions, compose
-from repro.codegen.generator import generate_project
-from repro.codegen.targets import TARGETS
+from repro._lazy import lazy_exports
 from repro.errors import EzRealtimeError
-from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
-from repro.scheduler.config import DEFAULT_ENGINE, ENGINES, SchedulerConfig
-from repro.scheduler.dfs import find_schedule
-from repro.scheduler.schedule import schedule_from_result
-from repro.sim.machine import run_schedule
-from repro.sim.verifier import verify_trace
-from repro.spec.dsl import load as dsl_load
-from repro.spec.dsl import save as dsl_save
-from repro.spec.validation import validate_spec
+
+# The pipeline a one-shot command runs resolves name by name on first
+# use, so each command imports only the stages it runs: `ezrt export`
+# never loads the search, `ezrt schedule` never loads the code
+# generator or the simulator.  The command bodies read these names
+# through the module object (`_cli` below), never as bare globals, so
+# the first read resolves the name and a wrapper set on the module (as
+# the benchmark's traced pass sets) sees every call.  Everything else
+# (batch, service, PNML, the lint pack, trace export) is imported by
+# the command that needs it.
+if TYPE_CHECKING:
+    from dataclasses import replace
+
+    from repro.analysis.report import full_report, interval_slack_report
+    from repro.blocks.blocks import BlockStyle
+    from repro.blocks.composer import ComposerOptions, compose
+    from repro.codegen.generator import generate_project
+    from repro.codegen.targets import TARGETS
+    from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
+    from repro.scheduler.config import (
+        DEFAULT_ENGINE,
+        ENGINES,
+        SchedulerConfig,
+    )
+    from repro.scheduler.dfs import find_schedule
+    from repro.scheduler.schedule import schedule_from_result
+    from repro.sim.machine import run_schedule
+    from repro.sim.verifier import verify_trace
+    from repro.spec.dsl import load as dsl_load
+    from repro.spec.dsl import save as dsl_save
+    from repro.spec.validation import validate_spec
+else:
+    __getattr__, __dir__ = lazy_exports(
+        __name__,
+        {
+            "dataclasses": "replace",
+            "repro.analysis.report": "full_report interval_slack_report",
+            "repro.blocks.blocks": "BlockStyle",
+            "repro.blocks.composer": "ComposerOptions compose",
+            "repro.codegen.generator": "generate_project",
+            "repro.codegen.targets": "TARGETS",
+            "repro.obs.events": "NULL_RECORDER JsonlSink Recorder",
+            "repro.scheduler.config": (
+                "DEFAULT_ENGINE ENGINES SchedulerConfig"
+            ),
+            "repro.scheduler.dfs": "find_schedule",
+            "repro.scheduler.schedule": "schedule_from_result",
+            "repro.sim.machine": "run_schedule",
+            "repro.sim.verifier": "verify_trace",
+            "repro.spec.dsl": "dsl_load=load dsl_save=save",
+            "repro.spec.validation": "validate_spec",
+        },
+    )
+
+#: this module, also when it runs as ``python -m repro.cli`` (then
+#: named ``__main__``, where ``import repro.cli`` would load a copy)
+_cli = sys.modules[__name__]
 
 
 def _load_spec(ref: str):
@@ -68,12 +108,12 @@ def _load_spec(ref: str):
                 f"{sorted(examples)}"
             )
         return examples[name]
-    return dsl_load(ref)
+    return _cli.dsl_load(ref)
 
 
 def _composer_options(args) -> ComposerOptions:
-    return ComposerOptions(
-        style=BlockStyle(args.style),
+    return _cli.ComposerOptions(
+        style=_cli.BlockStyle(args.style),
         priority_policy=args.priorities,
     )
 
@@ -84,7 +124,7 @@ def _scheduler_config(args) -> SchedulerConfig:
         for entry in (args.portfolio or "").split(",")
         if entry.strip()
     )
-    return SchedulerConfig(
+    return _cli.SchedulerConfig(
         priority_mode=args.priority_mode,
         delay_mode=args.delay_mode,
         partial_order=not args.no_partial_order,
@@ -139,11 +179,13 @@ def _start_trace(args):
 
 def _compose_traced(spec, args, config):
     """Compose (and compile) under a ``compile`` span when tracing."""
-    obs = NULL_RECORDER
+    obs = _cli.NULL_RECORDER
     if config.trace_jsonl:
-        obs = Recorder(JsonlSink(config.trace_jsonl), track="cli")
+        obs = _cli.Recorder(
+            _cli.JsonlSink(config.trace_jsonl), track="cli"
+        )
     with obs.span("compile", cat="compile", spec=spec.name):
-        model = compose(spec, _composer_options(args))
+        model = _cli.compose(spec, _composer_options(args))
         model.compiled()
     return model
 
@@ -151,7 +193,7 @@ def _compose_traced(spec, args, config):
 def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--style",
-        choices=[s.value for s in BlockStyle],
+        choices=[s.value for s in _cli.BlockStyle],
         default="compact",
         help="block library flavour (default: compact)",
     )
@@ -166,8 +208,8 @@ def _add_model_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
+        choices=_cli.ENGINES,
+        default=_cli.DEFAULT_ENGINE,
         help=(
             "successor engine: the packed-buffer kernel (default; "
             "with its optional compiled C core the whole search runs "
@@ -262,7 +304,7 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_validate(args) -> int:
     spec = _load_spec(args.spec)
-    problems = validate_spec(spec)
+    problems = _cli.validate_spec(spec)
     if problems:
         print(f"specification {spec.name!r} is INVALID:")
         for problem in problems:
@@ -279,7 +321,7 @@ def _cmd_compile(args) -> int:
     from repro.pnml.writer import save as pnml_save
 
     spec = _load_spec(args.spec)
-    model = compose(spec, _composer_options(args))
+    model = _cli.compose(spec, _composer_options(args))
     pnml_save(model.net, args.output)
     stats = model.net.stats()
     print(
@@ -297,17 +339,19 @@ def _cmd_schedule(args) -> int:
     try:
         config = _scheduler_config(args)
         model = _compose_traced(spec, args, config)
-        result = find_schedule(model, config)
+        result = _cli.find_schedule(model, config)
         if not result.feasible:
-            print(full_report(model, result))
+            print(_cli.full_report(model, result))
             if args.profile:
                 print(
                     "\nsearch profile:\n"
                     + result.stats.profile(result.metrics)
                 )
             return 1
-        schedule = schedule_from_result(model, result)
-        print(full_report(model, result, schedule, gantt=args.gantt))
+        schedule = _cli.schedule_from_result(model, result)
+        print(
+            _cli.full_report(model, result, schedule, gantt=args.gantt)
+        )
         if args.profile:
             print(
                 "\nsearch profile:\n"
@@ -318,7 +362,7 @@ def _cmd_schedule(args) -> int:
                 # total-slack summary line (scheduling freedom left)
                 print(
                     "\ndense firing windows (stateclass engine):\n"
-                    + interval_slack_report(result, limit=40)
+                    + _cli.interval_slack_report(result, limit=40)
                 )
         return 0
     finally:
@@ -331,12 +375,12 @@ def _cmd_codegen(args) -> int:
     try:
         config = _scheduler_config(args)
         model = _compose_traced(spec, args, config)
-        result = find_schedule(model, config)
+        result = _cli.find_schedule(model, config)
         if not result.feasible:
             print("no feasible schedule; cannot generate code")
             return 1
-        schedule = schedule_from_result(model, result)
-        project = generate_project(model, schedule, args.target)
+        schedule = _cli.schedule_from_result(model, result)
+        project = _cli.generate_project(model, schedule, args.target)
         paths = project.write(args.output)
         print(f"generated {len(paths)} file(s) in {args.output}:")
         for path in paths:
@@ -352,15 +396,15 @@ def _cmd_simulate(args) -> int:
     try:
         config = _scheduler_config(args)
         model = _compose_traced(spec, args, config)
-        result = find_schedule(model, config)
+        result = _cli.find_schedule(model, config)
         if not result.feasible:
             print("no feasible schedule; nothing to simulate")
             return 1
-        schedule = schedule_from_result(model, result)
-        machine_result = run_schedule(
+        schedule = _cli.schedule_from_result(model, result)
+        machine_result = _cli.run_schedule(
             model, schedule, dispatch_overhead=args.overhead
         )
-        violations = verify_trace(model, machine_result)
+        violations = _cli.verify_trace(model, machine_result)
         print(machine_result.trace.summary())
         if violations:
             print("trace verification FAILED:")
@@ -444,7 +488,7 @@ def _run_batch(args, cache) -> int:
     # the scheduler config the jobs inherit
     engine = BatchEngine(
         composer_options=_composer_options(args),
-        scheduler_config=replace(
+        scheduler_config=_cli.replace(
             _scheduler_config(args), progress=False
         ),
         max_workers=args.jobs,
@@ -583,7 +627,7 @@ def _cmd_lint(args) -> int:
 
 def _cmd_export(args) -> int:
     spec = _load_spec(args.spec)
-    dsl_save(spec, args.output)
+    _cli.dsl_save(spec, args.output)
     print(f"wrote {args.output}")
     return 0
 
@@ -633,7 +677,7 @@ def _codegen_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--target",
         default="hostsim",
-        choices=sorted(TARGETS),
+        choices=sorted(_cli.TARGETS),
     )
     _add_model_arguments(p)
     _add_search_arguments(p)
@@ -716,7 +760,7 @@ def _batch_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--target",
         default=None,
-        choices=sorted(TARGETS),
+        choices=sorted(_cli.TARGETS),
         help="also generate code for feasible schedules",
     )
     p.add_argument(
@@ -796,8 +840,8 @@ def _lint_arguments(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--engine",
-        choices=ENGINES,
-        default=DEFAULT_ENGINE,
+        choices=_cli.ENGINES,
+        default=_cli.DEFAULT_ENGINE,
         help=(
             "engine the spec is destined for (enables engine-"
             "specific rules, e.g. the kernel token-capacity check)"
@@ -911,8 +955,9 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     # the top-level parser takes no option values, so the first bare
-    # word names the subcommand
-    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    # word names the subcommand; with none named (``ezrt --help``) no
+    # subcommand is parsed, so none gets its arguments
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
     args = build_parser(command).parse_args(argv)
     try:
         return args.func(args)

@@ -206,6 +206,10 @@ class JobManager:
         self._owns_progress_dir = progress_dir is None
         self._records: dict[str, JobRecord] = {}
         self._by_key: dict[str, JobRecord] = {}
+        #: unfinished spooling records (fresh computes and the
+        #: duplicates that joined them) per fingerprint: the spool is
+        #: removed when the last of them completes
+        self._spooling: dict[str, int] = {}
         self._counter = 0
         self._loop: asyncio.AbstractEventLoop | None = None
         self._heartbeat_task: asyncio.Task | None = None
@@ -282,6 +286,10 @@ class JobManager:
             submitted_at=started,
         )
         self._records[record.id] = record
+        if submission.disposition != Submission.CACHED:
+            self._spooling[record.key] = (
+                self._spooling.get(record.key, 0) + 1
+            )
         self.metrics.inc("service.submissions")
         self.metrics.inc(f"service.submissions.{disposition}")
         self.audit.emit(
@@ -344,19 +352,26 @@ class JobManager:
         for queue in record.subscribers:
             queue.close()
         record.done_event.set()
-        self._drop_progress_spool(record.key)
+        self._drop_progress_spool(record)
 
-    def _drop_progress_spool(self, key: str) -> None:
-        """Best-effort removal of a finished job's progress file."""
+    def _drop_progress_spool(self, record: JobRecord) -> None:
+        """Best-effort removal of a finished job's progress file.
+
+        A cache hit never spooled one; a fresh compute's file stays
+        until every duplicate that joined it has finished too.
+        """
+        if record.disposition == DISPOSITIONS[Submission.CACHED]:
+            return
+        left = self._spooling.pop(record.key) - 1
+        if left:
+            self._spooling[record.key] = left
+            return  # a joined duplicate is still streaming it
         if self.progress_dir is None:
             return
-        if any(
-            r.key == key and r.state != JOB_DONE
-            for r in self._records.values()
-        ):
-            return  # a joined duplicate is still streaming it
         try:
-            os.unlink(os.path.join(self.progress_dir, f"{key}.json"))
+            os.unlink(
+                os.path.join(self.progress_dir, f"{record.key}.json")
+            )
         except OSError:
             pass
 

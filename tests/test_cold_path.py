@@ -2,16 +2,23 @@
 
 The paper's tool chain is one ``ezrt`` process per step (model →
 schedule → code), so import is a large share of every command.  The
-package facades resolve their names lazily and ``repro.cli`` imports
-the pipeline leaf by leaf; these tests pin the result:
+package facades resolve their names lazily and so does ``repro.cli``,
+name by name on first use; these tests pin the result:
 
+* ``import repro.cli`` alone loads at most 5 ``repro`` modules and no
+  pipeline stage (spec, blocks, net, search, analysis, codegen, sim,
+  obs), nor ``dataclasses``;
 * each one-shot command, run in a fresh interpreter, loads none of
   the batch engine, the service, PNML, the code lint pack, the
   parallel and baseline schedulers, the net analysis tools, the
-  dense engine or the process-pool and socket stacks;
-* ``import repro.cli`` alone loads at most 50 ``repro`` modules;
+  dense engine or the process-pool and socket stacks, and no stage
+  it does not run: ``export``, ``validate`` and ``examples`` no
+  search, ``schedule`` neither the code generator nor the simulator,
+  ``codegen`` no simulator and ``simulate`` no code generator;
+* the pipeline runs as ``python -m repro.cli``, where the CLI module
+  is ``__main__``;
 * every layer the benchmark's traced pass wraps on ``repro.cli`` is
-  still called through the module global it wraps;
+  still called through the module attribute it wraps;
 * ``main`` builds only the named subcommand's arguments, yet every
   ``--help`` page is byte-identical to the full parser's.
 """
@@ -54,8 +61,36 @@ FORBIDDEN = (
     "socket",
 )
 
-#: ``repro`` modules ``import repro.cli`` may load
-MAX_IMPORT_MODULES = 50
+#: ``repro`` modules ``import repro.cli`` may load (it loads 4:
+#: ``repro``, ``repro._lazy``, ``repro.errors`` and itself)
+MAX_IMPORT_MODULES = 5
+
+#: the search and everything after it
+_SEARCH_STAGES = (
+    "repro.blocks",
+    "repro.tpn",
+    "repro.scheduler",
+    "repro.analysis",
+    "repro.codegen",
+    "repro.sim",
+)
+
+#: the stages (and their submodules) each command does not run, so
+#: must not load; ``None`` is the bare ``import repro.cli``
+NOT_RUN = {
+    None: (
+        "repro.spec",
+        *_SEARCH_STAGES,
+        "repro.obs",
+        "dataclasses",
+    ),
+    "export": _SEARCH_STAGES,
+    "validate": _SEARCH_STAGES,
+    "examples": _SEARCH_STAGES,
+    "schedule": ("repro.codegen", "repro.sim"),
+    "codegen": ("repro.sim",),
+    "simulate": ("repro.codegen",),
+}
 
 #: runs ``repro.cli.main`` on argv[2:] (or only imports the CLI when
 #: there are none) and writes the loaded module names to argv[1]
@@ -102,13 +137,13 @@ def _interpreter_baseline() -> frozenset[str]:
     return frozenset(done.stdout.split())
 
 
-def _forbidden(modules: set[str]) -> list[str]:
+def _forbidden(modules: set[str], banned=FORBIDDEN) -> list[str]:
     extra = modules - _interpreter_baseline()
     return sorted(
         name
         for name in extra
-        for banned in FORBIDDEN
-        if name == banned or name.startswith(banned + ".")
+        for prefix in banned
+        if name == prefix or name.startswith(prefix + ".")
     )
 
 
@@ -120,6 +155,7 @@ def _forbidden(modules: set[str]) -> list[str]:
         ("simulate", "@fig3"),
         ("validate", "@fig3"),
         ("export", "@fig3", "-o", "fig3.xml"),
+        ("examples",),
     ],
     ids=lambda argv: argv[0],
 )
@@ -127,6 +163,7 @@ def test_one_shot_command_loads_only_its_pipeline(tmp_path, argv):
     modules = _loaded_modules(tmp_path, *argv)
     assert "repro.cli" in modules
     assert _forbidden(modules) == []
+    assert _forbidden(modules, NOT_RUN[argv[0]]) == []
 
 
 def test_import_cli_module_budget(tmp_path):
@@ -134,6 +171,35 @@ def test_import_cli_module_budget(tmp_path):
     repro_modules = sorted(m for m in modules if m.startswith("repro"))
     assert len(repro_modules) <= MAX_IMPORT_MODULES, repro_modules
     assert _forbidden(modules) == []
+    assert _forbidden(modules, NOT_RUN[None]) == []
+
+
+def test_pipeline_runs_as_main_module(tmp_path):
+    # the path the benchmark's untraced ops take: each step a fresh
+    # `python -m repro.cli`, so the CLI module runs as `__main__`
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p
+    )
+
+    def ezrt(*argv: str) -> str:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.cli", *argv],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    assert ezrt("export", "@fig3", "-o", "f.xml") == "wrote f.xml\n"
+    assert "states visited" in ezrt("schedule", "f.xml")
+    assert "generated 8 file(s) in gen" in ezrt(
+        "codegen", "f.xml", "-o", "gen"
+    )
+    assert "trace verified" in ezrt("simulate", "f.xml")
 
 
 # ----------------------------------------------------------------------

@@ -40,10 +40,13 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.batch import BatchEngine, ResultCache
+from repro.batch.engine import Submission
+from repro.batch.job import BatchJob, JobOutcome
 from repro.blocks import compose
 from repro.errors import DSLError, SchedulingError
 from repro.scheduler import SchedulerConfig
@@ -56,6 +59,7 @@ from repro.service import (
     encode_event,
     run_in_thread,
 )
+from repro.service.jobs import JOB_DONE, JobManager
 from repro.spec import paper_examples
 from repro.spec.builder import SpecBuilder
 from repro.spec.examples import mine_pump
@@ -971,6 +975,105 @@ class TestDegradation:
             )
         finally:
             server.stop()
+
+
+# ======================================================================
+# Progress spool bookkeeping (no sockets: a stub bridge)
+# ======================================================================
+class _StubBridge:
+    """Hands out :class:`Submission` objects in a scripted order."""
+
+    def __init__(self, *dispositions: str):
+        self.submissions = [
+            Submission("k1", BatchJob(spec=mine_pump()), Future(), d)
+            for d in dispositions
+        ]
+        for submission in self.submissions:
+            if submission.disposition == Submission.CACHED:
+                submission.future.set_result(_stub_outcome())
+
+    def submit(self, item, *, timeout=None, progress_dir=None):
+        return self.submissions.pop(0)
+
+
+class _UnscannableRecords(dict):
+    """A record table that fails any walk over its records."""
+
+    def _walk(self, *args):
+        raise AssertionError("walked every record")
+
+    values = items = keys = __iter__ = _walk
+
+
+def _stub_outcome() -> JobOutcome:
+    return JobOutcome(
+        spec_name="mine-pump", status="feasible", key="k1", n_tasks=1
+    )
+
+
+class TestProgressSpool:
+    @pytest.fixture
+    def loop(self):
+        loop = asyncio.new_event_loop()
+        yield loop
+        loop.close()
+
+    def _manager(self, loop, tmp_path, *dispositions):
+        bridge = _StubBridge(*dispositions)
+        manager = JobManager(
+            bridge, heartbeat=0, progress_dir=str(tmp_path)
+        )
+        manager.bind(loop)
+        manager._records = _UnscannableRecords()
+        spool = tmp_path / "k1.json"
+        spool.write_text("{}")
+        return manager, list(bridge.submissions), spool
+
+    def _finish(self, loop, submission) -> None:
+        submission.future.set_result(_stub_outcome())
+        loop.run_until_complete(asyncio.sleep(0))
+
+    def test_completion_reads_no_other_record(self, loop, tmp_path):
+        manager, (leader,), spool = self._manager(
+            loop, tmp_path, Submission.SUBMITTED
+        )
+        record = manager.submit("mine-pump")
+        self._finish(loop, leader)
+        assert record.state == JOB_DONE
+        assert not spool.exists()
+
+    def test_cached_submission_unlinks_nothing(
+        self, loop, tmp_path, monkeypatch
+    ):
+        manager, _, spool = self._manager(
+            loop, tmp_path, Submission.CACHED
+        )
+        unlinked = []
+        monkeypatch.setattr(os, "unlink", unlinked.append)
+        record = manager.submit("mine-pump")
+        assert record.state == JOB_DONE
+        assert unlinked == []
+
+    def test_joined_duplicate_keeps_the_spool_until_last_done(
+        self, loop, tmp_path
+    ):
+        manager, (leader, joined, _cached), spool = self._manager(
+            loop,
+            tmp_path,
+            Submission.SUBMITTED,
+            Submission.JOINED,
+            Submission.CACHED,
+        )
+        records = [manager.submit("mine-pump") for _ in range(3)]
+        assert [r.disposition for r in records] == [
+            "computed", "deduplicated", "cached",
+        ]
+        self._finish(loop, leader)
+        assert records[0].state == JOB_DONE
+        assert spool.exists()  # the joined duplicate still streams it
+        self._finish(loop, joined)
+        assert records[1].state == JOB_DONE
+        assert not spool.exists()
 
 
 # ======================================================================
