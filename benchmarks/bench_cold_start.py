@@ -17,12 +17,19 @@ path in fresh processes with bytecode cached:
    (:func:`harness.measure`), plus the import's own time measured
    inside the child (against the ≤ :data:`IMPORT_TARGET_MS` ms
    target).
+3. **Exit** (recorded, not gated): per command, the time from
+   ``main``'s return to the parent's ``wait``, through the
+   ``repro.cli.run`` entry point.  The child prints its
+   ``time.perf_counter()`` as ``main`` returns; on Linux that clock is
+   ``CLOCK_MONOTONIC``, shared by every process, so the parent's own
+   reading after the wait is comparable.
 
 Results are written to ``BENCH_cold_start.json`` at the repository
 root (:func:`harness.write_bench`): one ``cold`` row per case (layer
-``process``, the child's wall time) and one for the in-child import
-(layer ``import``); the module counts are the gates.  Run it as ``PYTHONPATH=src python -m pytest
-benchmarks/bench_cold_start.py -q``.
+``process``, the child's wall time), one for the in-child import
+(layer ``import``) and one per command for its exit (layer
+``exit``); the module counts are the gates.  Run it as
+``PYTHONPATH=src python -m pytest benchmarks/bench_cold_start.py -q``.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 
 from harness import ROOT, gate, measure, row, write_bench
 
@@ -75,6 +83,20 @@ _MODULE_PROBE = (
     "if sys.argv[1:]:\n"
     "    assert repro.cli.main(sys.argv[1:]) == 0\n"
     "print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+)
+
+#: runs ``repro.cli.run`` on argv[1:] with ``main`` wrapped to print
+#: the ``perf_counter`` reading at its return as the last stderr line
+_EXIT_PROBE = (
+    "import sys, time\n"
+    "import repro.cli\n"
+    "main = repro.cli.main\n"
+    "def stamped(argv=None):\n"
+    "    rc = main(argv)\n"
+    "    print(repr(time.perf_counter()), file=sys.stderr, flush=True)\n"
+    "    return rc\n"
+    "repro.cli.main = stamped\n"
+    "repro.cli.run()"
 )
 
 
@@ -145,15 +167,25 @@ def test_cold_start(report):
             argv = [sys.executable, "-c", _TIMED_IMPORT]
             import_ms.append(float(_run(argv, env, workdir).stdout))
 
+        # each command's argv after ``-m repro.cli``
+        probed = {name: cases[name][3:] for name in COMMANDS}
+        exit_ms: dict[str, list[float]] = {name: [] for name in COMMANDS}
+
+        def timed_exit(name):
+            argv = [sys.executable, "-c", _EXIT_PROBE, *probed[name]]
+            stamp = _run(argv, env, workdir).stderr.splitlines()[-1]
+            waited = time.perf_counter()
+            exit_ms[name].append((waited - float(stamp)) * 1000.0)
+
         variants = {
             name: (lambda argv=argv: _run(argv, env, workdir))
             for name, argv in cases.items()
         }
         variants["timed import"] = timed_import
+        for name in COMMANDS:
+            variants[f"exit {name}"] = lambda name=name: timed_exit(name)
         _, wall = measure(variants, REPEATS)
 
-        # the probe runs each command's argv after ``-m repro.cli``
-        probed = {name: cases[name][3:] for name in COMMANDS}
         probed["import repro.cli"] = []
         modules = {
             name: _repro_modules(argv, env, workdir)
@@ -164,6 +196,13 @@ def test_cold_start(report):
         row(name, "cold", "process", seconds=min(wall[name]))
         for name in cases
     ]
+    for entry in rows:
+        report(
+            "COLD1",
+            f"{entry['workload']} wall (ms)",
+            "-",
+            f"{entry['seconds'] * 1000.0:.1f}",
+        )
     rows.append(
         row("import repro.cli", "cold", "import",
             seconds=min(import_ms) / 1000.0)
@@ -174,12 +213,13 @@ def test_cold_start(report):
         f"<= {IMPORT_TARGET_MS:.0f}",
         f"{min(import_ms):.1f}",
     )
-    for entry in rows[:-1]:
+    for name, samples in exit_ms.items():
+        rows.append(row(name, "cold", "exit", seconds=min(samples) / 1000.0))
         report(
             "COLD1",
-            f"{entry['workload']} wall (ms)",
+            f"{name} exit (ms)",
             "-",
-            f"{entry['seconds'] * 1000.0:.1f}",
+            f"{min(samples):.1f}",
         )
     bounds = {"import repro.cli": MAX_IMPORT_MODULES, **COMMANDS}
     gates = []

@@ -30,9 +30,10 @@ Subcommands mirror the stages of the ezRealtime architecture:
 from __future__ import annotations
 
 import argparse
+import atexit
 import os
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from repro._lazy import lazy_exports
 from repro.errors import EzRealtimeError
@@ -966,5 +967,54 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _other_threads_alive() -> bool:
+    """Whether a non-daemon thread besides this one is still running.
+
+    Reads ``threading`` from ``sys.modules``: a process that never
+    imported it has no other thread, and exit imports nothing.
+    """
+    threading = sys.modules.get("threading")
+    if threading is None:
+        return False
+    current = threading.current_thread()
+    return any(
+        thread is not current and not thread.daemon
+        for thread in threading.enumerate()
+    )
+
+
+def run() -> NoReturn:
+    """Process entry point: ``ezrt`` and ``python -m repro.cli``.
+
+    Runs :func:`main` and exits with its status the way CPython's own
+    forked multiprocessing children do: flush the standard streams, run
+    the ``atexit`` handlers, then ``os._exit``, which skips module
+    teardown and the final collection, work a one-shot command gains
+    nothing from.  Every file the commands write is closed before
+    ``main`` returns.  While another non-daemon thread is alive the
+    interpreter exits as usual instead (``sys.exit``), joining it
+    first.  Exceptions and ``SystemExit`` from ``main`` (``--help``,
+    usage errors) propagate unchanged.
+
+    A reader that closes the pipe early (``ezrt schedule ... | head``)
+    ends the command with status 1 and no traceback: stdout is pointed
+    at the null device so no later flush fails again (the "Note on
+    SIGPIPE" in the ``signal`` module docs).
+    """
+    try:
+        rc = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        rc = 1
+    if _other_threads_alive():
+        sys.exit(rc)
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(rc)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -206,6 +206,11 @@ class JobManager:
         self._owns_progress_dir = progress_dir is None
         self._records: dict[str, JobRecord] = {}
         self._by_key: dict[str, JobRecord] = {}
+        #: records not yet done, in submission order: the only ones
+        #: that can have live subscribers or progress to report
+        self._unfinished: dict[str, JobRecord] = {}
+        #: subscribers attached over all records (the SSE gauge)
+        self._subscribers = 0
         #: unfinished spooling records (fresh computes and the
         #: duplicates that joined them) per fingerprint: the spool is
         #: removed when the last of them completes
@@ -237,7 +242,7 @@ class JobManager:
             except asyncio.CancelledError:
                 pass
             self._heartbeat_task = None
-        for record in self._records.values():
+        for record in self._unfinished.values():
             for queue in record.subscribers:
                 queue.close()
         if self._owns_progress_dir and self.progress_dir is not None:
@@ -319,6 +324,7 @@ class JobManager:
             self._complete(record, future.result())
         else:
             record.state = JOB_RUNNING
+            self._unfinished[record.id] = record
             loop = self._loop
             future.add_done_callback(
                 lambda f: loop.call_soon_threadsafe(
@@ -333,6 +339,7 @@ class JobManager:
         if record.state == JOB_DONE:
             return
         record.state = JOB_DONE
+        self._unfinished.pop(record.id, None)
         record.finished_at = time.monotonic()
         record.outcome = outcome.to_dict()
         self._by_key.setdefault(record.key, record)
@@ -444,12 +451,14 @@ class JobManager:
             queue.close()
         else:
             record.subscribers.append(queue)
+            self._subscribers += 1
         return queue
 
     def unsubscribe(self, record: JobRecord, queue: EventQueue) -> None:
         queue.close()
         if queue in record.subscribers:
             record.subscribers.remove(queue)
+            self._subscribers -= 1
             self.metrics.inc("service.sse.disconnects")
 
     # ------------------------------------------------------------------
@@ -467,13 +476,7 @@ class JobManager:
             "service.jobs_inflight", float(self.bridge.inflight)
         )
         self.metrics.set_gauge(
-            "service.sse.subscribers",
-            float(
-                sum(
-                    len(r.subscribers)
-                    for r in self._records.values()
-                )
-            ),
+            "service.sse.subscribers", float(self._subscribers)
         )
         return MetricsRegistry.merge_snapshots(
             [self.metrics.snapshot(), self.bridge.metrics.snapshot()]
@@ -489,46 +492,44 @@ class JobManager:
         """
         while True:
             await asyncio.sleep(self.heartbeat)
-            running = [
-                record
-                for record in self._records.values()
-                if record.state == JOB_RUNNING and record.subscribers
-            ]
-            if not running:
-                continue
-            snapshot = self.metrics_snapshot()
-            counters = snapshot.get("counters", {})
-            for record in running:
-                payload = {
-                    "job": record.id,
-                    "state": record.state,
-                    "elapsed_seconds": round(record.elapsed(), 6),
-                    "submissions": counters.get(
-                        "service.submissions", 0
-                    ),
-                    "dedup_hits": counters.get(
-                        "bridge.dedup_joined", 0
-                    ),
-                    "cache_hits": counters.get(
-                        "bridge.cache_hits", 0
-                    ),
-                }
-                sample = self._read_progress_spool(record.key)
-                if sample is not None:
-                    # live counters from the worker's search loop;
-                    # the spool is keyed by fingerprint, so joined
-                    # (deduplicated) submissions see the leader's
-                    # search progress too
-                    for name in (
-                        "slot",
-                        "states_visited",
-                        "states_generated",
-                        "states_per_sec",
-                        "depth",
-                    ):
-                        if name in sample:
-                            payload[name] = sample[name]
-                self._publish(
-                    record,
-                    ServerEvent.of("progress", payload, id=record.id),
-                )
+            self._beat()
+
+    def _beat(self) -> None:
+        """One ticker beat: reads only the unfinished records."""
+        running = [
+            record
+            for record in self._unfinished.values()
+            if record.subscribers
+        ]
+        if not running:
+            return
+        snapshot = self.metrics_snapshot()
+        counters = snapshot.get("counters", {})
+        for record in running:
+            payload = {
+                "job": record.id,
+                "state": record.state,
+                "elapsed_seconds": round(record.elapsed(), 6),
+                "submissions": counters.get("service.submissions", 0),
+                "dedup_hits": counters.get("bridge.dedup_joined", 0),
+                "cache_hits": counters.get("bridge.cache_hits", 0),
+            }
+            sample = self._read_progress_spool(record.key)
+            if sample is not None:
+                # live counters from the worker's search loop;
+                # the spool is keyed by fingerprint, so joined
+                # (deduplicated) submissions see the leader's
+                # search progress too
+                for name in (
+                    "slot",
+                    "states_visited",
+                    "states_generated",
+                    "states_per_sec",
+                    "depth",
+                ):
+                    if name in sample:
+                        payload[name] = sample[name]
+            self._publish(
+                record,
+                ServerEvent.of("progress", payload, id=record.id),
+            )

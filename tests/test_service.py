@@ -49,6 +49,7 @@ from repro.batch.engine import Submission
 from repro.batch.job import BatchJob, JobOutcome
 from repro.blocks import compose
 from repro.errors import DSLError, SchedulingError
+from repro.obs.metrics import MetricsRegistry
 from repro.scheduler import SchedulerConfig
 from repro.scheduler.parallel import validate_with_reference
 from repro.service import (
@@ -983,7 +984,10 @@ class TestDegradation:
 class _StubBridge:
     """Hands out :class:`Submission` objects in a scripted order."""
 
+    inflight = 0
+
     def __init__(self, *dispositions: str):
+        self.metrics = MetricsRegistry()
         self.submissions = [
             Submission("k1", BatchJob(spec=mine_pump()), Future(), d)
             for d in dispositions
@@ -1074,6 +1078,69 @@ class TestProgressSpool:
         self._finish(loop, joined)
         assert records[1].state == JOB_DONE
         assert not spool.exists()
+
+
+class _FinishedRecord:
+    """A finished record that fails any read of its fields."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"read finished record field {name!r}")
+
+
+class TestProgressTicker:
+    """The heartbeat and the subscriber gauge cost O(live jobs)."""
+
+    FINISHED = 10_000
+
+    @pytest.fixture
+    def loop(self):
+        loop = asyncio.new_event_loop()
+        yield loop
+        loop.close()
+
+    def _manager(self, loop, tmp_path):
+        """One running job with one subscriber, among 10,000 finished
+        records that neither a walk nor a field read may touch."""
+        bridge = _StubBridge(Submission.SUBMITTED)
+        (self.submission,) = bridge.submissions
+        manager = JobManager(
+            bridge, heartbeat=0, progress_dir=str(tmp_path)
+        )
+        manager.bind(loop)
+        live = manager.submit("mine-pump")
+        queue = manager.subscribe(live)
+        table = _UnscannableRecords(manager._records)
+        for index in range(self.FINISHED):
+            table[f"done-{index}"] = _FinishedRecord()
+        manager._records = table
+        return manager, live, queue
+
+    def _events(self, queue) -> list[str]:
+        return [event.event for event, _ in queue._buffer]
+
+    def test_beat_reads_only_unfinished_records(self, loop, tmp_path):
+        manager, live, queue = self._manager(loop, tmp_path)
+        manager._beat()
+        assert self._events(queue) == ["queued", "progress"]
+        gauges = manager.metrics_snapshot()["gauges"]
+        assert gauges["service.sse.subscribers"] == 1.0
+
+    def test_subscriber_gauge_follows_unsubscribe(self, loop, tmp_path):
+        manager, live, queue = self._manager(loop, tmp_path)
+        manager.unsubscribe(live, queue)
+        gauges = manager.metrics_snapshot()["gauges"]
+        assert gauges["service.sse.subscribers"] == 0.0
+        manager._beat()  # no live subscriber: nothing to publish
+        assert self._events(queue) == ["queued"]
+
+    def test_finished_job_leaves_the_beat(self, loop, tmp_path):
+        manager, live, queue = self._manager(loop, tmp_path)
+        self.submission.future.set_result(_stub_outcome())
+        loop.run_until_complete(asyncio.sleep(0))
+        assert live.state == JOB_DONE
+        assert self._events(queue) == ["queued", "done"]
+        manager._beat()
+        assert self._events(queue) == ["queued", "done"]
 
 
 # ======================================================================
