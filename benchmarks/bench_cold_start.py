@@ -5,11 +5,15 @@ schedule → code, Fig. 6), so the cost of a fresh interpreter importing
 the tool is paid on every command.  This bench measures that cold
 path in fresh processes with bytecode cached:
 
-1. **Module counts** (hard gate; deterministic): ``import repro.cli``
-   loads at most :data:`MAX_IMPORT_MODULES` ``repro`` modules,
-   ``ezrt export/validate @fig3`` each at most
+1. **Module and dataclass counts** (hard gates; deterministic):
+   ``import repro.cli`` loads at most :data:`MAX_IMPORT_MODULES`
+   ``repro`` modules, ``ezrt export/validate @fig3`` each at most
    :data:`MAX_SPEC_MODULES` and ``ezrt schedule/codegen/simulate
-   @fig3`` each at most :data:`MAX_COMMAND_MODULES`.
+   @fig3`` each at most :data:`MAX_COMMAND_MODULES`; each command's
+   loaded ``repro`` modules define at most :data:`MAX_DATACLASSES`
+   dataclasses (``@dataclass`` builds its methods through ``exec`` at
+   import: ~20 ms a command for the 25-29 it defined before the value
+   types became slot classes).
 2. **Wall time** (recorded, not gated: this host is shared and its
    speed drifts): ``python -c pass``, ``import repro.cli`` and the
    five commands, as the minimum of :data:`REPEATS` runs taken
@@ -28,13 +32,12 @@ Results are written to ``BENCH_cold_start.json`` at the repository
 root (:func:`harness.write_bench`): one ``cold`` row per case (layer
 ``process``, the child's wall time), one for the in-child import
 (layer ``import``) and one per command for its exit (layer
-``exit``); the module counts are the gates.  Run it as
+``exit``); the module and dataclass counts are the gates.  Run it as
 ``PYTHONPATH=src python -m pytest benchmarks/bench_cold_start.py -q``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -49,11 +52,14 @@ SRC = os.path.join(ROOT, "src")
 #: package facades became lazy, 44 before the CLI's own names did; 4)
 MAX_IMPORT_MODULES = 5
 #: ``repro`` modules ``ezrt export/validate`` may load (the spec
-#: package only; 9-10)
+#: package and ``repro._record``; 10-11)
 MAX_SPEC_MODULES = 12
 #: ``repro`` modules a one-shot schedule/codegen/simulate may load
-#: (40-44)
+#: (41-45)
 MAX_COMMAND_MODULES = 46
+#: dataclasses a one-shot command's ``repro`` modules may define (the
+#: search's ``SchedulerConfig``; 25-29 before the slot classes)
+MAX_DATACLASSES = 1
 #: the import-time target, reported against, never gated
 IMPORT_TARGET_MS = 50.0
 REPEATS = 15
@@ -76,13 +82,19 @@ _TIMED_IMPORT = (
 )
 
 #: runs ``repro.cli.main`` on argv[1:] (only imports without) and
-#: prints the loaded module names as JSON on stderr
+#: prints, as the last stderr line, how many ``repro`` modules are
+#: loaded and how many dataclasses they define
 _MODULE_PROBE = (
-    "import json, sys\n"
+    "import sys\n"
     "import repro.cli\n"
     "if sys.argv[1:]:\n"
     "    assert repro.cli.main(sys.argv[1:]) == 0\n"
-    "print(json.dumps(sorted(sys.modules)), file=sys.stderr)"
+    "mods = [m for n, m in sys.modules.items() if n.startswith('repro')]\n"
+    "dc = sys.modules.get('dataclasses')\n"
+    "defined = {v for m in mods for v in vars(m).values()\n"
+    "           if dc and isinstance(v, type) and dc.is_dataclass(v)\n"
+    "           and v.__module__.startswith('repro')}\n"
+    "print(len(mods), len(defined), file=sys.stderr)"
 )
 
 #: runs ``repro.cli.run`` on argv[1:] with ``main`` wrapped to print
@@ -150,11 +162,12 @@ def _run(argv: list[str], env: dict, cwd: str) -> subprocess.CompletedProcess:
     )
 
 
-def _repro_modules(argv: list[str], env: dict, cwd: str) -> int:
-    """``repro`` modules the probe loads running ``argv``."""
+def _repro_counts(argv: list[str], env: dict, cwd: str) -> tuple[int, int]:
+    """``repro`` modules the probe loads running ``argv``, and the
+    dataclasses they define."""
     probe = [sys.executable, "-c", _MODULE_PROBE, *argv]
-    loaded = json.loads(_run(probe, env, cwd).stderr)
-    return sum(1 for m in loaded if m.startswith("repro"))
+    modules, dataclasses = _run(probe, env, cwd).stderr.split()[-2:]
+    return int(modules), int(dataclasses)
 
 
 def test_cold_start(report):
@@ -187,8 +200,8 @@ def test_cold_start(report):
         _, wall = measure(variants, REPEATS)
 
         probed["import repro.cli"] = []
-        modules = {
-            name: _repro_modules(argv, env, workdir)
+        counts = {
+            name: _repro_counts(argv, env, workdir)
             for name, argv in probed.items()
         }
 
@@ -223,10 +236,26 @@ def test_cold_start(report):
         )
     bounds = {"import repro.cli": MAX_IMPORT_MODULES, **COMMANDS}
     gates = []
-    for name, count in modules.items():
+    for name, (count, dataclasses) in counts.items():
         report("COLD1", f"{name} repro modules", "-", count)
         bound = bounds[name]
         gates.append(
             gate(f"repro_modules:{name}", bound, count, count <= bound)
+        )
+        if name not in COMMANDS:
+            continue
+        report(
+            "COLD1",
+            f"{name} dataclasses defined",
+            f"<= {MAX_DATACLASSES}",
+            dataclasses,
+        )
+        gates.append(
+            gate(
+                f"dataclasses_defined:{name}",
+                MAX_DATACLASSES,
+                dataclasses,
+                dataclasses <= MAX_DATACLASSES,
+            )
         )
     write_bench("cold_start", rows, gates)

@@ -20,31 +20,31 @@ from repro.spec import (
 
 
 def test_metamodel_matches_figure5(report):
-    # class fields, as drawn
+    # class fields (each class's slots), as drawn
     task_fields = {
         "name", "period", "phase", "energy", "release",
         "computation", "deadline", "scheduling", "identifier",
     }
-    assert task_fields <= set(Task.__dataclass_fields__)
+    assert task_fields <= set(Task.__slots__)
     assert {"name", "identifier"} <= set(
-        Processor.__dataclass_fields__
+        Processor.__slots__
     )
     message_fields = {
         "name", "bus", "grant_bus", "communication", "identifier",
     }
-    assert message_fields <= set(Message.__dataclass_fields__)
+    assert message_fields <= set(Message.__slots__)
     assert {"content", "identifier"} <= set(
-        SourceCode.__dataclass_fields__
+        SourceCode.__slots__
     )
     assert {"name", "disp_oveh", "identifier"} <= set(
-        EzRTSpec.__dataclass_fields__
+        EzRTSpec.__slots__
     )
     # relations, as drawn
     relation_fields = {
         "precedes_tasks", "excludes_tasks", "precedes_msgs",
     }
-    assert relation_fields <= set(Task.__dataclass_fields__)
-    assert "precedes" in Message.__dataclass_fields__
+    assert relation_fields <= set(Task.__slots__)
+    assert "precedes" in Message.__slots__
     # the enumeration
     assert {e.value for e in SchedulingType} == {"NP", "P"}
     report("E5", "metamodel classes", 6, 6)

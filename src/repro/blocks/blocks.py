@@ -41,9 +41,9 @@ Two *styles* are generated (see DESIGN.md, "state counting"):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 
+from repro._record import Record
 from repro.errors import NetConstructionError
 from repro.spec.model import Task
 from repro.tpn.interval import TimeInterval
@@ -102,8 +102,7 @@ def sanitize(name: str) -> str:
     return cleaned
 
 
-@dataclass
-class TaskNodes:
+class TaskNodes(Record):
     """Node names produced for one task (handles for later wiring).
 
     ``gate_input`` is the place whose token admits an instance into the
@@ -113,26 +112,72 @@ class TaskNodes:
     modelling attaches token returns/productions to it.
     """
 
-    task: str
-    start: str  # p_st
-    wait_arrival: str | None  # p_wa (absent when N == 1)
-    wait_release: str  # p_wr
-    wait_grant: str  # p_wg
-    wait_compute: str  # p_wc
-    wait_finish: str | None  # p_wf (preemptive only)
-    finished_pool: str  # p_f
-    wait_deadline: str  # p_wd
-    deadline_missed: str  # p_dm
-    phase_t: str  # t_ph
-    arrival_t: str | None  # t_a (absent when N == 1)
-    release_t: str  # t_r
-    grant_t: str  # t_g
-    compute_t: str  # t_c
-    finish_t: str | None  # t_f (None in compact non-preemptive)
-    deadline_t: str  # t_d
-    cancel_t: str | None  # t_pc (expanded only)
-    finisher: str  # transition completing an instance
-    gate_input: str  # place feeding the grant stage (reroutable)
+    __slots__ = (
+        "task",
+        "start",
+        "wait_arrival",
+        "wait_release",
+        "wait_grant",
+        "wait_compute",
+        "wait_finish",
+        "finished_pool",
+        "wait_deadline",
+        "deadline_missed",
+        "phase_t",
+        "arrival_t",
+        "release_t",
+        "grant_t",
+        "compute_t",
+        "finish_t",
+        "deadline_t",
+        "cancel_t",
+        "finisher",
+        "gate_input",
+    )
+
+    def __init__(
+        self,
+        task: str,
+        start: str,  # p_st
+        wait_arrival: str | None,  # p_wa (absent when N == 1)
+        wait_release: str,  # p_wr
+        wait_grant: str,  # p_wg
+        wait_compute: str,  # p_wc
+        wait_finish: str | None,  # p_wf (preemptive only)
+        finished_pool: str,  # p_f
+        wait_deadline: str,  # p_wd
+        deadline_missed: str,  # p_dm
+        phase_t: str,  # t_ph
+        arrival_t: str | None,  # t_a (absent when N == 1)
+        release_t: str,  # t_r
+        grant_t: str,  # t_g
+        compute_t: str,  # t_c
+        finish_t: str | None,  # t_f (None in compact non-preemptive)
+        deadline_t: str,  # t_d
+        cancel_t: str | None,  # t_pc (expanded only)
+        finisher: str,  # transition completing an instance
+        gate_input: str,  # place feeding the grant stage (reroutable)
+    ) -> None:
+        self.task = task
+        self.start = start
+        self.wait_arrival = wait_arrival
+        self.wait_release = wait_release
+        self.wait_grant = wait_grant
+        self.wait_compute = wait_compute
+        self.wait_finish = wait_finish
+        self.finished_pool = finished_pool
+        self.wait_deadline = wait_deadline
+        self.deadline_missed = deadline_missed
+        self.phase_t = phase_t
+        self.arrival_t = arrival_t
+        self.release_t = release_t
+        self.grant_t = grant_t
+        self.compute_t = compute_t
+        self.finish_t = finish_t
+        self.deadline_t = deadline_t
+        self.cancel_t = cancel_t
+        self.finisher = finisher
+        self.gate_input = gate_input
 
 
 def add_processor_block(net: TimePetriNet, processor: str) -> str:

@@ -17,8 +17,7 @@ theoretical minimum firing count).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._record import Record
 from repro.errors import NetConstructionError
 from repro.blocks.blocks import (
     BlockStyle,
@@ -48,30 +47,32 @@ from repro.tpn.net import CompiledNet, TimePetriNet
 PRIORITY_POLICIES = ("dm", "rm", "lex", "none")
 
 
-@dataclass
-class ComposerOptions:
+class ComposerOptions(Record):
     """Tunables of the spec→TPN translation.
 
     Attributes:
-        style: block library flavour (compact or expanded).
+        style: block library flavour (compact or expanded); its value
+            string is accepted too.
         priority_policy: how decision transitions are ranked.
     """
 
-    style: BlockStyle = BlockStyle.COMPACT
-    priority_policy: str = "dm"
+    __slots__ = ("style", "priority_policy")
 
-    def __post_init__(self) -> None:
-        if isinstance(self.style, str):
-            self.style = BlockStyle(self.style)
-        if self.priority_policy not in PRIORITY_POLICIES:
+    def __init__(
+        self,
+        style: BlockStyle | str = BlockStyle.COMPACT,
+        priority_policy: str = "dm",
+    ) -> None:
+        self.style = BlockStyle(style) if isinstance(style, str) else style
+        if priority_policy not in PRIORITY_POLICIES:
             raise NetConstructionError(
-                f"unknown priority policy {self.priority_policy!r}; "
+                f"unknown priority policy {priority_policy!r}; "
                 f"expected one of {PRIORITY_POLICIES}"
             )
+        self.priority_policy = priority_policy
 
 
-@dataclass
-class ComposedModel:
+class ComposedModel(Record):
     """A specification translated to a time Petri net.
 
     Attributes:
@@ -84,19 +85,38 @@ class ComposedModel:
         message_nodes: message name → transfer-block node names.
     """
 
-    spec: EzRTSpec
-    net: TimePetriNet
-    schedule_period: int
-    instances: dict[str, int]
-    nodes: dict[str, TaskNodes]
-    options: ComposerOptions
-    message_nodes: dict[str, dict[str, str]] = field(default_factory=dict)
-    #: lazily cached compiled net — every pipeline stage (schedule,
-    #: codegen, simulate, reporting) shares one compilation instead of
-    #: re-freezing the net per stage.
-    _compiled: CompiledNet | None = field(
-        default=None, init=False, repr=False, compare=False
+    __slots__ = (
+        "spec",
+        "net",
+        "schedule_period",
+        "instances",
+        "nodes",
+        "options",
+        "message_nodes",
+        "_compiled",
     )
+
+    def __init__(
+        self,
+        spec: EzRTSpec,
+        net: TimePetriNet,
+        schedule_period: int,
+        instances: dict[str, int],
+        nodes: dict[str, TaskNodes],
+        options: ComposerOptions,
+        message_nodes: dict[str, dict[str, str]] | None = None,
+    ) -> None:
+        self.spec = spec
+        self.net = net
+        self.schedule_period = schedule_period
+        self.instances = instances
+        self.nodes = nodes
+        self.options = options
+        self.message_nodes = {} if message_nodes is None else message_nodes
+        #: lazily cached compiled net — every pipeline stage (schedule,
+        #: codegen, simulate, reporting) shares one compilation instead
+        #: of re-freezing the net per stage.
+        self._compiled: CompiledNet | None = None
 
     def compiled(self) -> CompiledNet:
         """The index-based :class:`CompiledNet`, compiled once.

@@ -99,16 +99,9 @@ _cli = sys.modules[__name__]
 def _load_spec(ref: str):
     """Load a spec from a file path or a built-in ``@name``."""
     if ref.startswith("@"):
-        from repro.spec.examples import paper_examples
+        from repro.spec.examples import paper_example
 
-        examples = paper_examples()
-        name = ref[1:]
-        if name not in examples:
-            raise EzRealtimeError(
-                f"unknown built-in spec {name!r}; available: "
-                f"{sorted(examples)}"
-            )
-        return examples[name]
+        return paper_example(ref[1:])
     return _cli.dsl_load(ref)
 
 

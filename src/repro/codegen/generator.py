@@ -8,8 +8,8 @@ bodies, dispatcher + ISR, entry point, build file and a README — the
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
+from repro._record import Record
 from repro.errors import CodeGenError
 from repro.blocks.composer import ComposedModel
 from repro.codegen.dispatcher import (
@@ -26,12 +26,16 @@ from repro.codegen.targets import TargetProfile, get_target
 from repro.scheduler.schedule import TaskLevelSchedule
 
 
-@dataclass
-class GeneratedProject:
+class GeneratedProject(Record):
     """A generated scheduled-code project (file name → content)."""
 
-    target: TargetProfile
-    files: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("target", "files")
+
+    def __init__(
+        self, target: TargetProfile, files: dict[str, str] | None = None
+    ) -> None:
+        self.target = target
+        self.files = {} if files is None else files
 
     @property
     def source_files(self) -> list[str]:

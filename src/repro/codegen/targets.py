@@ -17,13 +17,11 @@ executed and verified by :mod:`repro.sim`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._record import FrozenRecord
 from repro.errors import CodeGenError
 
 
-@dataclass(frozen=True)
-class TargetProfile:
+class TargetProfile(FrozenRecord):
     """Platform-specific code idioms for the generated dispatcher.
 
     Attributes:
@@ -41,6 +39,18 @@ class TargetProfile:
             generated project with the host toolchain.
     """
 
+    __slots__ = (
+        "name",
+        "description",
+        "includes",
+        "isr_signature",
+        "timer_setup",
+        "timer_program",
+        "context_save",
+        "context_restore",
+        "idle",
+        "runnable",
+    )
     name: str
     description: str
     includes: tuple[str, ...]
@@ -50,7 +60,31 @@ class TargetProfile:
     context_save: str
     context_restore: str
     idle: str
-    runnable: bool = False
+    runnable: bool
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        includes: tuple[str, ...],
+        isr_signature: str,
+        timer_setup: str,
+        timer_program: str,
+        context_save: str,
+        context_restore: str,
+        idle: str,
+        runnable: bool = False,
+    ) -> None:
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "description", description)
+        object.__setattr__(self, "includes", includes)
+        object.__setattr__(self, "isr_signature", isr_signature)
+        object.__setattr__(self, "timer_setup", timer_setup)
+        object.__setattr__(self, "timer_program", timer_program)
+        object.__setattr__(self, "context_save", context_save)
+        object.__setattr__(self, "context_restore", context_restore)
+        object.__setattr__(self, "idle", idle)
+        object.__setattr__(self, "runnable", runnable)
 
 
 HOSTSIM = TargetProfile(

@@ -36,7 +36,8 @@ code itself is matched.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+
+from repro._record import FrozenRecord, Record
 
 ERROR = "error"
 WARNING = "warning"
@@ -46,8 +47,7 @@ SEVERITIES = (ERROR, WARNING)
 ALLOW_DIRECTIVE = re.compile(r"#\s*lint:\s*allow\s+(EZ[A-Z]\d{3})")
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(FrozenRecord):
     """One static-analysis finding.
 
     Attributes:
@@ -64,20 +64,45 @@ class Diagnostic:
         line: 1-based source line for code diagnostics, 0 otherwise.
     """
 
+    __slots__ = (
+        "code",
+        "severity",
+        "message",
+        "hint",
+        "element",
+        "file",
+        "line",
+    )
     code: str
     severity: str
     message: str
-    hint: str = ""
-    element: str = ""
-    file: str = ""
-    line: int = 0
+    hint: str
+    element: str
+    file: str
+    line: int
 
-    def __post_init__(self) -> None:
-        if self.severity not in SEVERITIES:
+    def __init__(
+        self,
+        code: str,
+        severity: str,
+        message: str,
+        hint: str = "",
+        element: str = "",
+        file: str = "",
+        line: int = 0,
+    ) -> None:
+        if severity not in SEVERITIES:
             raise ValueError(
-                f"unknown severity {self.severity!r}; expected one of "
+                f"unknown severity {severity!r}; expected one of "
                 f"{SEVERITIES}"
             )
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "hint", hint)
+        object.__setattr__(self, "element", element)
+        object.__setattr__(self, "file", file)
+        object.__setattr__(self, "line", line)
 
     @property
     def location(self) -> str:
@@ -137,11 +162,13 @@ def allowed_codes_by_line(source: str) -> dict[int, set[str]]:
     return allowed
 
 
-@dataclass
-class LintReport:
+class LintReport(Record):
     """Aggregated outcome of one runner invocation."""
 
-    diagnostics: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("diagnostics",)
+
+    def __init__(self, diagnostics: list[Diagnostic] | None = None) -> None:
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def errors(self) -> list[Diagnostic]:

@@ -36,7 +36,6 @@ to a ``tid``.
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -45,12 +44,17 @@ from contextlib import contextmanager
 class JsonlSink:
     """Append-only JSONL event file, safe across forked processes."""
 
-    __slots__ = ("path", "_fd", "_pid")
+    __slots__ = ("path", "_fd", "_pid", "_encode")
 
     def __init__(self, path: str):
+        # json loads only with a sink, so an untraced command never
+        # pays for it
+        import json
+
         self.path = path
         self._fd: int | None = None
         self._pid: int | None = None
+        self._encode = json.JSONEncoder(separators=(",", ":")).encode
 
     def emit(self, record: dict) -> None:
         """Write one event as a single atomic ``O_APPEND`` line."""
@@ -66,7 +70,7 @@ class JsonlSink:
                 0o644,
             )
             self._pid = pid
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = self._encode(record) + "\n"
         os.write(self._fd, line.encode("utf-8"))
 
     def close(self) -> None:

@@ -23,7 +23,6 @@ the one whose ``[progress]`` lines stop appearing.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import time
@@ -145,6 +144,8 @@ class ProgressFile:
             "depth": depth,
         }
         tmp = f"{self.path}.tmp.{os.getpid()}"
+        import json
+
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
                 json.dump(payload, handle, sort_keys=True)

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._record import Record
 from repro.scheduler.config import SchedulerConfig
 
 
-@dataclass
-class SearchStats:
+class SearchStats(Record):
     """Counters describing one depth-first search.
 
     ``states_visited`` counts distinct states tagged during the search —
@@ -26,14 +24,36 @@ class SearchStats:
     seeded-random restarts performed by portfolio workers.
     """
 
-    states_visited: int = 0
-    states_generated: int = 0
-    revisits_skipped: int = 0
-    deadline_prunes: int = 0
-    backtracks: int = 0
-    reductions: int = 0
-    restarts: int = 0
-    elapsed_seconds: float = 0.0
+    __slots__ = (
+        "states_visited",
+        "states_generated",
+        "revisits_skipped",
+        "deadline_prunes",
+        "backtracks",
+        "reductions",
+        "restarts",
+        "elapsed_seconds",
+    )
+
+    def __init__(
+        self,
+        states_visited: int = 0,
+        states_generated: int = 0,
+        revisits_skipped: int = 0,
+        deadline_prunes: int = 0,
+        backtracks: int = 0,
+        reductions: int = 0,
+        restarts: int = 0,
+        elapsed_seconds: float = 0.0,
+    ) -> None:
+        self.states_visited = states_visited
+        self.states_generated = states_generated
+        self.revisits_skipped = revisits_skipped
+        self.deadline_prunes = deadline_prunes
+        self.backtracks = backtracks
+        self.reductions = reductions
+        self.restarts = restarts
+        self.elapsed_seconds = elapsed_seconds
 
     #: Dict keys that depend on wall-clock time rather than the search
     #: trajectory — deterministic consumers (batch JSONL rows, caches)
@@ -88,8 +108,7 @@ class SearchStats:
         return "\n".join(lines)
 
 
-@dataclass
-class SchedulerResult:
+class SchedulerResult(Record):
     """Outcome of a pre-runtime scheduling attempt.
 
     Attributes:
@@ -140,20 +159,50 @@ class SchedulerResult:
             with no registry attached.
     """
 
-    feasible: bool
-    firing_schedule: list[tuple[str, int, int]] = field(
-        default_factory=list
+    __slots__ = (
+        "feasible",
+        "firing_schedule",
+        "stats",
+        "config",
+        "exhausted",
+        "minimum_firings",
+        "winner_policy",
+        "winner_engine",
+        "workers",
+        "interval_schedule",
+        "metrics",
+        "diagnostics",
     )
-    stats: SearchStats = field(default_factory=SearchStats)
-    config: SchedulerConfig = field(default_factory=SchedulerConfig)
-    exhausted: bool = False
-    minimum_firings: int | None = None
-    winner_policy: str | None = None
-    winner_engine: str | None = None
-    workers: int = 1
-    interval_schedule: list[tuple[str, int, float]] | None = None
-    metrics: dict = field(default_factory=dict)
-    diagnostics: list = field(default_factory=list)
+
+    def __init__(
+        self,
+        feasible: bool,
+        firing_schedule: list[tuple[str, int, int]] | None = None,
+        stats: SearchStats | None = None,
+        config: SchedulerConfig | None = None,
+        exhausted: bool = False,
+        minimum_firings: int | None = None,
+        winner_policy: str | None = None,
+        winner_engine: str | None = None,
+        workers: int = 1,
+        interval_schedule: list[tuple[str, int, float]] | None = None,
+        metrics: dict | None = None,
+        diagnostics: list | None = None,
+    ) -> None:
+        self.feasible = feasible
+        self.firing_schedule = (
+            [] if firing_schedule is None else firing_schedule
+        )
+        self.stats = SearchStats() if stats is None else stats
+        self.config = SchedulerConfig() if config is None else config
+        self.exhausted = exhausted
+        self.minimum_firings = minimum_firings
+        self.winner_policy = winner_policy
+        self.winner_engine = winner_engine
+        self.workers = workers
+        self.interval_schedule = interval_schedule
+        self.metrics = {} if metrics is None else metrics
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def schedule_length(self) -> int:

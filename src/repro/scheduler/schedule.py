@@ -27,8 +27,7 @@ under ``--engine stateclass --profile``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._record import FrozenRecord, Record
 from repro.errors import SchedulingError
 from repro.blocks.composer import ComposedModel
 from repro.scheduler.result import SchedulerResult
@@ -36,32 +35,47 @@ from repro.tpn.interval import INF
 from repro.tpn.net import ROLE_GRANT
 
 
-@dataclass(frozen=True)
-class ExecutionSegment:
+class ExecutionSegment(FrozenRecord):
     """A maximal interval during which one instance occupies the CPU."""
 
+    __slots__ = ("task", "instance", "start", "end")
     task: str
     instance: int
     start: int
     end: int
+
+    def __init__(
+        self, task: str, instance: int, start: int, end: int
+    ) -> None:
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
     @property
     def duration(self) -> int:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
-class BusSegment:
+class BusSegment(FrozenRecord):
     """A message transfer occupying a bus."""
 
+    __slots__ = ("message", "instance", "start", "end")
     message: str
     instance: int
     start: int
     end: int
 
+    def __init__(
+        self, message: str, instance: int, start: int, end: int
+    ) -> None:
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
-@dataclass(frozen=True)
-class DenseScheduleEntry:
+
+class DenseScheduleEntry(FrozenRecord):
     """One firing of a dense-time schedule with its admissible window.
 
     Attributes:
@@ -75,10 +89,19 @@ class DenseScheduleEntry:
             no enabled transition's LFT ever forces the step).
     """
 
+    __slots__ = ("transition", "at", "earliest", "latest")
     transition: str
     at: int
     earliest: int
     latest: float
+
+    def __init__(
+        self, transition: str, at: int, earliest: int, latest: float
+    ) -> None:
+        object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "at", at)
+        object.__setattr__(self, "earliest", earliest)
+        object.__setattr__(self, "latest", latest)
 
     @property
     def width(self) -> float:
@@ -164,8 +187,7 @@ def format_dense_schedule(
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class ScheduleItem:
+class ScheduleItem(FrozenRecord):
     """One row of the dispatcher's schedule table (Fig. 8).
 
     Attributes:
@@ -179,6 +201,14 @@ class ScheduleItem:
         comment: the Fig. 8 style annotation ("B1 preempts A1", ...).
     """
 
+    __slots__ = (
+        "start",
+        "preempted",
+        "task_id",
+        "task",
+        "instance",
+        "comment",
+    )
     start: int
     preempted: bool
     task_id: int
@@ -186,15 +216,39 @@ class ScheduleItem:
     instance: int
     comment: str
 
+    def __init__(
+        self,
+        start: int,
+        preempted: bool,
+        task_id: int,
+        task: str,
+        instance: int,
+        comment: str,
+    ) -> None:
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "preempted", preempted)
+        object.__setattr__(self, "task_id", task_id)
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "comment", comment)
 
-@dataclass
-class TaskLevelSchedule:
+
+class TaskLevelSchedule(Record):
     """A complete extracted schedule over one schedule period."""
 
-    segments: list[ExecutionSegment]
-    items: list[ScheduleItem]
-    bus_segments: list[BusSegment] = field(default_factory=list)
-    schedule_period: int = 0
+    __slots__ = ("segments", "items", "bus_segments", "schedule_period")
+
+    def __init__(
+        self,
+        segments: list[ExecutionSegment],
+        items: list[ScheduleItem],
+        bus_segments: list[BusSegment] | None = None,
+        schedule_period: int = 0,
+    ) -> None:
+        self.segments = segments
+        self.items = items
+        self.bus_segments = [] if bus_segments is None else bus_segments
+        self.schedule_period = schedule_period
 
     @property
     def makespan(self) -> int:

@@ -22,30 +22,40 @@ Fidelity knobs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from repro._record import Record
 from repro.errors import SimulationError
 from repro.blocks.composer import ComposedModel
 from repro.scheduler.schedule import ScheduleItem, TaskLevelSchedule
 from repro.sim.trace import Trace
 
 
-@dataclass
-class _TaskContext:
+class _TaskContext(Record):
     """Saved execution context of a preempted/running instance."""
 
-    instance: int
-    remaining: int
-    started_at: int
+    __slots__ = ("instance", "remaining", "started_at")
+
+    def __init__(
+        self, instance: int, remaining: int, started_at: int
+    ) -> None:
+        self.instance = instance
+        self.remaining = remaining
+        self.started_at = started_at
 
 
-@dataclass
-class MachineResult:
+class MachineResult(Record):
     """Outcome of one dispatcher-machine run."""
 
-    trace: Trace
-    completions: dict[tuple[str, int], int] = field(default_factory=dict)
-    errors: list[str] = field(default_factory=list)
+    __slots__ = ("trace", "completions", "errors")
+
+    def __init__(
+        self,
+        trace: Trace,
+        completions: dict[tuple[str, int], int] | None = None,
+        errors: list[str] | None = None,
+    ) -> None:
+        self.trace = trace
+        self.completions = {} if completions is None else completions
+        self.errors = [] if errors is None else errors
 
     @property
     def ok(self) -> bool:

@@ -9,9 +9,9 @@ the raw material for the trace verifier and the ASCII Gantt renderer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro._record import FrozenRecord, Record
 from repro.scheduler.schedule import ExecutionSegment
 
 #: Event kinds recorded by the dispatcher machine.
@@ -26,8 +26,7 @@ EVENT_KINDS = (
 )
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+class TraceEvent(FrozenRecord):
     """One observable action of the simulated dispatcher.
 
     Attributes:
@@ -38,11 +37,26 @@ class TraceEvent:
         detail: free-form annotation (who preempted whom, ...).
     """
 
+    __slots__ = ("time", "kind", "task", "instance", "detail")
     time: int
     kind: str
-    task: str = ""
-    instance: int = 0
-    detail: str = ""
+    task: str
+    instance: int
+    detail: str
+
+    def __init__(
+        self,
+        time: int,
+        kind: str,
+        task: str = "",
+        instance: int = 0,
+        detail: str = "",
+    ) -> None:
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "instance", instance)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self) -> str:
         label = f"{self.task}{self.instance}" if self.task else "-"
@@ -50,12 +64,16 @@ class TraceEvent:
         return f"t={self.time:>6} {self.kind:<12} {label}{detail}"
 
 
-@dataclass
-class Trace:
+class Trace(Record):
     """A complete simulation trace."""
 
-    events: list[TraceEvent] = field(default_factory=list)
-    horizon: int = 0
+    __slots__ = ("events", "horizon")
+
+    def __init__(
+        self, events: list[TraceEvent] | None = None, horizon: int = 0
+    ) -> None:
+        self.events = [] if events is None else events
+        self.horizon = horizon
 
     def record(
         self,

@@ -17,6 +17,9 @@
 
 from __future__ import annotations
 
+from typing import Callable
+
+from repro.errors import SpecificationError
 from repro.spec.builder import SpecBuilder
 from repro.spec.model import EzRTSpec
 
@@ -138,11 +141,26 @@ def fig8_preemptive() -> EzRTSpec:
     )
 
 
+#: every canned spec's short identifier (the CLI's ``@name``) and its
+#: builder, in listing order
+EXAMPLES: dict[str, Callable[[], EzRTSpec]] = {
+    "mine-pump": mine_pump,
+    "fig3": fig3_precedence,
+    "fig4": fig4_exclusion,
+    "fig8": fig8_preemptive,
+}
+
+
+def paper_example(name: str) -> EzRTSpec:
+    """Build the one canned spec named ``name``."""
+    builder = EXAMPLES.get(name)
+    if builder is None:
+        raise SpecificationError(
+            f"unknown built-in spec {name!r}; available: {sorted(EXAMPLES)}"
+        )
+    return builder()
+
+
 def paper_examples() -> dict[str, EzRTSpec]:
     """All canned specs keyed by a short identifier."""
-    return {
-        "mine-pump": mine_pump(),
-        "fig3": fig3_precedence(),
-        "fig4": fig4_exclusion(),
-        "fig8": fig8_preemptive(),
-    }
+    return {name: builder() for name, builder in EXAMPLES.items()}

@@ -26,9 +26,9 @@ when absent so any spec can round-trip through the XML DSL.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 
+from repro._record import Record
 from repro.errors import SpecificationError
 
 _id_counter = itertools.count(1)
@@ -69,38 +69,33 @@ class SchedulingType(Enum):
         return aliases[normalized]
 
 
-@dataclass
-class SourceCode:
+class SourceCode(Record):
     """Behavioural source code of a task (``C_S`` codomain element).
 
     ``content`` is a C fragment: the body that the code generator splices
     into the emitted task function.
     """
 
-    content: str
-    identifier: str = ""
+    __slots__ = ("content", "identifier")
 
-    def __post_init__(self) -> None:
-        if not self.identifier:
-            self.identifier = fresh_identifier("ezsrc")
+    def __init__(self, content: str, identifier: str = "") -> None:
+        self.content = content
+        self.identifier = identifier or fresh_identifier("ezsrc")
 
 
-@dataclass
-class Processor:
+class Processor(Record):
     """A processing resource; becomes a single-token resource place."""
 
-    name: str
-    identifier: str = ""
+    __slots__ = ("name", "identifier")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, identifier: str = "") -> None:
+        if not name:
             raise SpecificationError("processor name must be non-empty")
-        if not self.identifier:
-            self.identifier = fresh_identifier("ezproc")
+        self.name = name
+        self.identifier = identifier or fresh_identifier("ezproc")
 
 
-@dataclass
-class Message:
+class Message(Record):
     """An inter-task message carried by a bus (paper Fig. 5).
 
     Attributes:
@@ -117,31 +112,46 @@ class Message:
         identifier: DSL identifier.
     """
 
-    name: str
-    bus: str = "bus0"
-    communication: int = 0
-    grant_bus: int = 0
-    sender: str | None = None
-    precedes: str | None = None
-    identifier: str = ""
+    __slots__ = (
+        "name",
+        "bus",
+        "communication",
+        "grant_bus",
+        "sender",
+        "precedes",
+        "identifier",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        bus: str = "bus0",
+        communication: int = 0,
+        grant_bus: int = 0,
+        sender: str | None = None,
+        precedes: str | None = None,
+        identifier: str = "",
+    ) -> None:
+        if not name:
             raise SpecificationError("message name must be non-empty")
-        if self.communication < 0:
+        if communication < 0:
             raise SpecificationError(
-                f"message {self.name!r}: communication time must be >= 0"
+                f"message {name!r}: communication time must be >= 0"
             )
-        if self.grant_bus < 0:
+        if grant_bus < 0:
             raise SpecificationError(
-                f"message {self.name!r}: grantBus must be >= 0"
+                f"message {name!r}: grantBus must be >= 0"
             )
-        if not self.identifier:
-            self.identifier = fresh_identifier("ezmsg")
+        self.name = name
+        self.bus = bus
+        self.communication = communication
+        self.grant_bus = grant_bus
+        self.sender = sender
+        self.precedes = precedes
+        self.identifier = identifier or fresh_identifier("ezmsg")
 
 
-@dataclass
-class Task:
+class Task(Record):
     """A periodic hard real-time task (paper Section 3.2).
 
     Timing constraints ``(ph, r, c, d, p)``:
@@ -156,26 +166,56 @@ class Task:
     ``r + c ≤ d`` so the release interval ``[r, d − c]`` is well formed.
     """
 
-    name: str
-    computation: int
-    deadline: int
-    period: int
-    release: int = 0
-    phase: int = 0
-    scheduling: SchedulingType = SchedulingType.NON_PREEMPTIVE
-    energy: int = 0
-    processor: str = "proc0"
-    code: SourceCode | None = None
-    precedes_tasks: list[str] = field(default_factory=list)
-    excludes_tasks: list[str] = field(default_factory=list)
-    precedes_msgs: list[str] = field(default_factory=list)
-    identifier: str = ""
+    __slots__ = (
+        "name",
+        "computation",
+        "deadline",
+        "period",
+        "release",
+        "phase",
+        "scheduling",
+        "energy",
+        "processor",
+        "code",
+        "precedes_tasks",
+        "excludes_tasks",
+        "precedes_msgs",
+        "identifier",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        computation: int,
+        deadline: int,
+        period: int,
+        release: int = 0,
+        phase: int = 0,
+        scheduling: SchedulingType = SchedulingType.NON_PREEMPTIVE,
+        energy: int = 0,
+        processor: str = "proc0",
+        code: SourceCode | None = None,
+        precedes_tasks: list[str] | None = None,
+        excludes_tasks: list[str] | None = None,
+        precedes_msgs: list[str] | None = None,
+        identifier: str = "",
+    ) -> None:
+        if not name:
             raise SpecificationError("task name must be non-empty")
-        if not self.identifier:
-            self.identifier = fresh_identifier()
+        self.name = name
+        self.computation = computation
+        self.deadline = deadline
+        self.period = period
+        self.release = release
+        self.phase = phase
+        self.scheduling = scheduling
+        self.energy = energy
+        self.processor = processor
+        self.code = code
+        self.precedes_tasks = [] if precedes_tasks is None else precedes_tasks
+        self.excludes_tasks = [] if excludes_tasks is None else excludes_tasks
+        self.precedes_msgs = [] if precedes_msgs is None else precedes_msgs
+        self.identifier = identifier or fresh_identifier()
         for label, value in (
             ("computation", self.computation),
             ("deadline", self.deadline),
@@ -224,8 +264,7 @@ class Task:
         return self.deadline - self.release - self.computation
 
 
-@dataclass
-class EzRTSpec:
+class EzRTSpec(Record):
     """Root of an ezRealtime specification (metamodel class ``EzRTSpec``).
 
     Attributes:
@@ -236,16 +275,30 @@ class EzRTSpec:
         tasks / processors / messages: owned model elements.
     """
 
-    name: str
-    disp_oveh: bool = False
-    tasks: list[Task] = field(default_factory=list)
-    processors: list[Processor] = field(default_factory=list)
-    messages: list[Message] = field(default_factory=list)
-    identifier: str = ""
+    __slots__ = (
+        "name",
+        "disp_oveh",
+        "tasks",
+        "processors",
+        "messages",
+        "identifier",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.identifier:
-            self.identifier = fresh_identifier("ezspec")
+    def __init__(
+        self,
+        name: str,
+        disp_oveh: bool = False,
+        tasks: list[Task] | None = None,
+        processors: list[Processor] | None = None,
+        messages: list[Message] | None = None,
+        identifier: str = "",
+    ) -> None:
+        self.name = name
+        self.disp_oveh = disp_oveh
+        self.tasks = [] if tasks is None else tasks
+        self.processors = [] if processors is None else processors
+        self.messages = [] if messages is None else messages
+        self.identifier = identifier or fresh_identifier("ezspec")
 
     # Lookup -------------------------------------------------------------
     def task(self, name: str) -> Task:

@@ -9,10 +9,10 @@ mine-pump case study's "782 tasks' instances" is exactly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from repro._record import FrozenRecord
 from repro.errors import SpecificationError
 from repro.spec.model import EzRTSpec, Task
 
@@ -57,8 +57,7 @@ def total_instances(spec: EzRTSpec) -> int:
     return sum(instance_count(task, period) for task in spec.tasks)
 
 
-@dataclass(frozen=True)
-class TaskInstance:
+class TaskInstance(FrozenRecord):
     """One invocation of a task within the schedule period.
 
     Attributes:
@@ -71,12 +70,36 @@ class TaskInstance:
         computation: WCET (copied from the task for convenience).
     """
 
+    __slots__ = (
+        "task",
+        "index",
+        "arrival",
+        "release",
+        "deadline",
+        "computation",
+    )
     task: str
     index: int
     arrival: int
     release: int
     deadline: int
     computation: int
+
+    def __init__(
+        self,
+        task: str,
+        index: int,
+        arrival: int,
+        release: int,
+        deadline: int,
+        computation: int,
+    ) -> None:
+        object.__setattr__(self, "task", task)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "arrival", arrival)
+        object.__setattr__(self, "release", release)
+        object.__setattr__(self, "deadline", deadline)
+        object.__setattr__(self, "computation", computation)
 
 
 def expand_instances(

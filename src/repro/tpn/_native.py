@@ -72,13 +72,17 @@ extra for the cffi pin.
 
 from __future__ import annotations
 
-import hashlib
 import importlib
 import importlib.util
 import os
 import sys
 import tempfile
 from array import array
+
+try:
+    from _blake2 import blake2b
+except ImportError:  # an interpreter built without its own BLAKE2
+    from hashlib import blake2b
 
 from repro.errors import SchedulingError
 from repro.tpn.interval import INF
@@ -905,9 +909,12 @@ class NativeCore:
         )
 
     def digest(self) -> str:
+        """64-bit BLAKE2b of the unit, from the interpreter's own
+        ``_blake2``: ``hashlib`` would load OpenSSL in every process
+        only to name the cache directory."""
         cdef, source = self.unit()
         payload = (cdef + source).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:12]
+        return blake2b(payload, digest_size=8).hexdigest()
 
     def _cache_dirs(self) -> list[str]:
         """Candidate build directories, most preferred first."""

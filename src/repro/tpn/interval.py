@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 
+from repro._record import FrozenRecord
 from repro.errors import NetConstructionError
 
 #: Unbounded latest-firing-time marker.  Stored as ``math.inf`` so that
@@ -29,34 +29,64 @@ _INTERVAL_RE = re.compile(
 )
 
 
-@dataclass(frozen=True, order=True)
-class TimeInterval:
+class TimeInterval(FrozenRecord):
     """A closed static firing interval ``[eft, lft]`` in discrete time.
+
+    Intervals order as ``(eft, lft)`` tuples.
 
     Attributes:
         eft: earliest firing time (non-negative integer).
         lft: latest firing time (integer ``>= eft``) or :data:`INF`.
     """
 
+    __slots__ = ("eft", "lft")
     eft: int
     lft: float  # int in practice; float only to admit INF
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.eft, int) or isinstance(self.eft, bool):
-            raise NetConstructionError(
-                f"EFT must be an integer, got {self.eft!r}"
-            )
-        if self.eft < 0:
-            raise NetConstructionError(f"EFT must be >= 0, got {self.eft}")
-        if self.lft != INF:
-            if not isinstance(self.lft, int) or isinstance(self.lft, bool):
+    def __init__(self, eft: int, lft: float) -> None:
+        if not isinstance(eft, int) or isinstance(eft, bool):
+            raise NetConstructionError(f"EFT must be an integer, got {eft!r}")
+        if eft < 0:
+            raise NetConstructionError(f"EFT must be >= 0, got {eft}")
+        if lft != INF:
+            if not isinstance(lft, int) or isinstance(lft, bool):
                 raise NetConstructionError(
-                    f"LFT must be an integer or INF, got {self.lft!r}"
+                    f"LFT must be an integer or INF, got {lft!r}"
                 )
-            if self.lft < self.eft:
+            if lft < eft:
                 raise NetConstructionError(
-                    f"interval is inverted: EFT={self.eft} > LFT={self.lft}"
+                    f"interval is inverted: EFT={eft} > LFT={lft}"
                 )
+        object.__setattr__(self, "eft", eft)
+        object.__setattr__(self, "lft", lft)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TimeInterval):
+            return NotImplemented
+        return self.eft == other.eft and self.lft == other.lft
+
+    def __hash__(self) -> int:
+        return hash((self.eft, self.lft))
+
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, TimeInterval):
+            return NotImplemented
+        return (self.eft, self.lft) < (other.eft, other.lft)
+
+    def __le__(self, other: object) -> bool:
+        if not isinstance(other, TimeInterval):
+            return NotImplemented
+        return (self.eft, self.lft) <= (other.eft, other.lft)
+
+    def __gt__(self, other: object) -> bool:
+        if not isinstance(other, TimeInterval):
+            return NotImplemented
+        return (self.eft, self.lft) > (other.eft, other.lft)
+
+    def __ge__(self, other: object) -> bool:
+        if not isinstance(other, TimeInterval):
+            return NotImplemented
+        return (self.eft, self.lft) >= (other.eft, other.lft)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -18,9 +18,9 @@ clarity; the scheduler operates on the index-based
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
+from repro._record import FrozenRecord, Record
 from repro.errors import NetConstructionError
 from repro.tpn.interval import INF, TimeInterval
 
@@ -42,8 +42,7 @@ ROLE_EXCLUSION = "exclusion"
 ROLE_MESSAGE = "message"
 
 
-@dataclass
-class Place:
+class Place(Record):
     """A place (circle node) of a time Petri net.
 
     Attributes:
@@ -56,26 +55,31 @@ class Place:
             the place was produced by a task building block.
     """
 
-    name: str
-    marking: int = 0
-    label: str = ""
-    role: str | None = None
-    task: str | None = None
+    __slots__ = ("name", "marking", "label", "role", "task")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        marking: int = 0,
+        label: str = "",
+        role: str | None = None,
+        task: str | None = None,
+    ) -> None:
+        if not name:
             raise NetConstructionError("place name must be non-empty")
-        if not isinstance(self.marking, int) or self.marking < 0:
+        if not isinstance(marking, int) or marking < 0:
             raise NetConstructionError(
-                f"place {self.name!r}: marking must be a non-negative "
-                f"integer, got {self.marking!r}"
+                f"place {name!r}: marking must be a non-negative "
+                f"integer, got {marking!r}"
             )
-        if not self.label:
-            self.label = self.name
+        self.name = name
+        self.marking = marking
+        self.label = label or name
+        self.role = role
+        self.task = task
 
 
-@dataclass
-class Transition:
+class Transition(Record):
     """A transition (bar node) of an extended time Petri net.
 
     Attributes:
@@ -92,48 +96,81 @@ class Transition:
         task: name of the specification task this transition belongs to.
     """
 
-    name: str
-    interval: TimeInterval = field(default_factory=TimeInterval.zero)
-    priority: int = 0
-    code: str | None = None
-    label: str = ""
-    role: str | None = None
-    task: str | None = None
+    __slots__ = (
+        "name",
+        "interval",
+        "priority",
+        "code",
+        "label",
+        "role",
+        "task",
+    )
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(
+        self,
+        name: str,
+        interval: TimeInterval | None = None,
+        priority: int = 0,
+        code: str | None = None,
+        label: str = "",
+        role: str | None = None,
+        task: str | None = None,
+    ) -> None:
+        if not name:
             raise NetConstructionError("transition name must be non-empty")
-        if not isinstance(self.interval, TimeInterval):
+        if interval is None:
+            interval = TimeInterval.zero()
+        elif not isinstance(interval, TimeInterval):
             raise NetConstructionError(
-                f"transition {self.name!r}: interval must be a "
-                f"TimeInterval, got {self.interval!r}"
+                f"transition {name!r}: interval must be a "
+                f"TimeInterval, got {interval!r}"
             )
-        if not isinstance(self.priority, int):
+        if not isinstance(priority, int):
             raise NetConstructionError(
-                f"transition {self.name!r}: priority must be an integer"
+                f"transition {name!r}: priority must be an integer"
             )
-        if not self.label:
-            self.label = self.name
+        self.name = name
+        self.interval = interval
+        self.priority = priority
+        self.code = code
+        self.label = label or name
+        self.role = role
+        self.task = task
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(FrozenRecord):
     """A weighted arc of the flow relation ``F`` with weight ``W``.
 
     ``source`` and ``target`` are node names; exactly one of them is a
     place and the other a transition (checked by the net).
     """
 
+    __slots__ = ("source", "target", "weight")
     source: str
     target: str
-    weight: int = 1
+    weight: int
 
-    def __post_init__(self) -> None:
-        if self.weight < 1 or not isinstance(self.weight, int):
+    def __init__(self, source: str, target: str, weight: int = 1) -> None:
+        if weight < 1 or not isinstance(weight, int):
             raise NetConstructionError(
-                f"arc {self.source}->{self.target}: weight must be a "
-                f"positive integer, got {self.weight!r}"
+                f"arc {source}->{target}: weight must be a "
+                f"positive integer, got {weight!r}"
             )
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "weight", weight)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Arc):
+            return NotImplemented
+        return (
+            self.source == other.source
+            and self.target == other.target
+            and self.weight == other.weight
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.source, self.target, self.weight))
 
 
 class TimePetriNet:
@@ -636,7 +673,7 @@ class CompiledNet:
 
         The parallel scheduler sends one ``CompiledNet`` to every
         worker process; the ``source`` builder (name-keyed dicts of
-        dataclasses) dwarfs the compiled arrays and no engine reads it,
+        node records) dwarfs the compiled arrays and no engine reads it,
         so it is dropped from the pickle.  An unpickled net therefore
         has ``source is None`` — everything the schedulers, engines and
         schedule extraction need lives in the compiled slots.

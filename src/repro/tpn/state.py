@@ -20,9 +20,9 @@ for disabled ones, which makes states hashable and canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from repro._record import FrozenRecord
 from repro.errors import SchedulingError
 from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
@@ -43,20 +43,34 @@ DISABLED = -1
 RESET_POLICIES = ("paper", "intermediate")
 
 
-@dataclass(frozen=True)
-class State:
+class State(FrozenRecord):
     """An immutable TLTS state ``s = (m, c)``.
 
     ``marking`` is the dense token vector; ``clocks`` is the dense clock
     vector with :data:`DISABLED` for disabled transitions.
     """
 
+    __slots__ = ("marking", "clocks")
     marking: tuple[int, ...]
     clocks: tuple[int, ...]
 
+    def __init__(
+        self, marking: tuple[int, ...], clocks: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "marking", marking)
+        object.__setattr__(self, "clocks", clocks)
 
-@dataclass(frozen=True)
-class FiringCandidate:
+    # the reference engine's visited set hashes and compares every state
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, State):
+            return NotImplemented
+        return self.marking == other.marking and self.clocks == other.clocks
+
+    def __hash__(self) -> int:
+        return hash((self.marking, self.clocks))
+
+
+class FiringCandidate(FrozenRecord):
     """A fireable transition with its firing domain at some state.
 
     Attributes:
@@ -68,9 +82,15 @@ class FiringCandidate:
             transition has a finite LFT.
     """
 
+    __slots__ = ("transition", "dlb", "dub")
     transition: int
     dlb: int
     dub: float
+
+    def __init__(self, transition: int, dlb: int, dub: float) -> None:
+        object.__setattr__(self, "transition", transition)
+        object.__setattr__(self, "dlb", dlb)
+        object.__setattr__(self, "dub", dub)
 
     def delays(self) -> Sequence[int]:
         """All admissible integer delays, earliest first.

@@ -41,8 +41,28 @@ class TestValidate:
         assert "10 task(s)" in capsys.readouterr().out
 
     def test_unknown_builtin(self, capsys):
+        from repro.spec.examples import EXAMPLES
+
         assert main(["validate", "@nope"]) == 2
-        assert "unknown built-in" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unknown built-in" in err
+        for name in EXAMPLES:
+            assert repr(name) in err
+
+    def test_builtin_builds_only_the_named_spec(self, capsys, monkeypatch):
+        from repro.spec import examples
+
+        built = []
+        for name, builder in examples.EXAMPLES.items():
+
+            def counting(name=name, builder=builder):
+                built.append(name)
+                return builder()
+
+            monkeypatch.setitem(examples.EXAMPLES, name, counting)
+        assert main(["validate", "@fig3"]) == 0
+        assert built == ["fig3"]
+        assert "fig3-precedence" in capsys.readouterr().out
 
     def test_invalid_spec(self, tmp_path, capsys):
         document = """<?xml version="1.0"?>

@@ -11,10 +11,14 @@ name by name on first use; these tests pin the result:
 * each one-shot command, run in a fresh interpreter, loads none of
   the batch engine, the service, PNML, the code lint pack, the
   parallel and baseline schedulers, the net analysis tools, the
-  dense engine or the process-pool and socket stacks, and no stage
-  it does not run: ``export``, ``validate`` and ``examples`` no
-  search, ``schedule`` neither the code generator nor the simulator,
-  ``codegen`` no simulator and ``simulate`` no code generator;
+  dense engine, the process-pool and socket stacks, ``json`` or
+  ``hashlib`` (OpenSSL), and no stage it does not run: ``export``,
+  ``validate`` and ``examples`` no search, ``schedule`` neither the
+  code generator nor the simulator, ``codegen`` no simulator and
+  ``simulate`` no code generator;
+* the only dataclass such a command defines is ``SchedulerConfig``:
+  the value types it loads are slot classes (``repro._record``), so
+  no method is generated through ``exec`` at import;
 * the pipeline runs as ``python -m repro.cli``, where the CLI module
   is ``__main__``;
 * every layer the benchmark's traced pass wraps on ``repro.cli`` is
@@ -59,7 +63,14 @@ FORBIDDEN = (
     "concurrent.futures",
     "asyncio",
     "socket",
+    "json",
+    "hashlib",
+    "_hashlib",
 )
+
+#: the one dataclass a one-shot command may define: ``replace`` and
+#: ``fields`` run on it (portfolio slots, batch cache fingerprints)
+ALLOWED_DATACLASSES = {"repro.scheduler.config.SchedulerConfig"}
 
 #: ``repro`` modules ``import repro.cli`` may load (it loads 4:
 #: ``repro``, ``repro._lazy``, ``repro.errors`` and itself)
@@ -93,7 +104,9 @@ NOT_RUN = {
 }
 
 #: runs ``repro.cli.main`` on argv[2:] (or only imports the CLI when
-#: there are none) and writes the loaded module names to argv[1]
+#: there are none), then writes the loaded module names to argv[1]
+#: and the dataclasses the loaded ``repro`` modules define to
+#: argv[1] + ".dataclasses"
 _PROBE = """
 import sys
 import repro.cli
@@ -101,13 +114,26 @@ if sys.argv[2:]:
     rc = repro.cli.main(sys.argv[2:])
     assert rc == 0, rc
 loaded = sorted(sys.modules)
+dataclasses = sys.modules.get("dataclasses")
+defined = sorted(
+    f"{name}.{value.__qualname__}"
+    for name in loaded
+    if name.startswith("repro") and dataclasses is not None
+    for value in vars(sys.modules[name]).values()
+    if isinstance(value, type)
+    and value.__module__ == name
+    and dataclasses.is_dataclass(value)
+)
 with open(sys.argv[1], "w") as out:
     out.write("\\n".join(loaded))
+with open(sys.argv[1] + ".dataclasses", "w") as out:
+    out.write("\\n".join(defined))
 """
 
 
 def _loaded_modules(tmp_path, *argv: str) -> set[str]:
-    """Modules a fresh interpreter holds after the probe runs ``argv``."""
+    """Modules a fresh interpreter holds after the probe runs ``argv``
+    (the dataclasses it defined: :func:`_defined_dataclasses`)."""
     out = tmp_path / "modules.txt"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -122,6 +148,11 @@ def _loaded_modules(tmp_path, *argv: str) -> set[str]:
         timeout=120,
     )
     return set(out.read_text().split())
+
+
+def _defined_dataclasses(tmp_path) -> set[str]:
+    """Dataclasses of the ``repro`` modules the last probe loaded."""
+    return set((tmp_path / "modules.txt.dataclasses").read_text().split())
 
 
 @functools.lru_cache(maxsize=1)
@@ -164,6 +195,11 @@ def test_one_shot_command_loads_only_its_pipeline(tmp_path, argv):
     assert "repro.cli" in modules
     assert _forbidden(modules) == []
     assert _forbidden(modules, NOT_RUN[argv[0]]) == []
+    defined = _defined_dataclasses(tmp_path)
+    assert defined <= ALLOWED_DATACLASSES
+    if "repro.scheduler.config" in modules:
+        # the probe does see the dataclass the search stages define
+        assert defined == ALLOWED_DATACLASSES
 
 
 def test_import_cli_module_budget(tmp_path):
