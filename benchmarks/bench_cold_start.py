@@ -13,7 +13,8 @@ path in fresh processes with bytecode cached:
    loaded ``repro`` modules define at most :data:`MAX_DATACLASSES`
    dataclasses (``@dataclass`` builds its methods through ``exec`` at
    import: ~20 ms a command for the 25-29 it defined before the value
-   types became slot classes).
+   types became slot classes), and no command loads ``inspect``
+   (which ``dataclasses`` imports: ~9 ms with it).
 2. **Wall time** (recorded, not gated: this host is shared and its
    speed drifts): ``python -c pass``, ``import repro.cli`` and the
    five commands, as the minimum of :data:`REPEATS` runs taken
@@ -57,9 +58,9 @@ MAX_SPEC_MODULES = 12
 #: ``repro`` modules a one-shot schedule/codegen/simulate may load
 #: (41-45)
 MAX_COMMAND_MODULES = 46
-#: dataclasses a one-shot command's ``repro`` modules may define (the
-#: search's ``SchedulerConfig``; 25-29 before the slot classes)
-MAX_DATACLASSES = 1
+#: dataclasses a one-shot command's ``repro`` modules may define (25-29
+#: before the slot classes, 1 while ``SchedulerConfig`` was one)
+MAX_DATACLASSES = 0
 #: the import-time target, reported against, never gated
 IMPORT_TARGET_MS = 50.0
 REPEATS = 15
@@ -83,7 +84,8 @@ _TIMED_IMPORT = (
 
 #: runs ``repro.cli.main`` on argv[1:] (only imports without) and
 #: prints, as the last stderr line, how many ``repro`` modules are
-#: loaded and how many dataclasses they define
+#: loaded, how many dataclasses they define and whether ``inspect``
+#: is loaded (1) or not (0)
 _MODULE_PROBE = (
     "import sys\n"
     "import repro.cli\n"
@@ -94,7 +96,8 @@ _MODULE_PROBE = (
     "defined = {v for m in mods for v in vars(m).values()\n"
     "           if dc and isinstance(v, type) and dc.is_dataclass(v)\n"
     "           and v.__module__.startswith('repro')}\n"
-    "print(len(mods), len(defined), file=sys.stderr)"
+    "print(len(mods), len(defined), int('inspect' in sys.modules),\n"
+    "      file=sys.stderr)"
 )
 
 #: runs ``repro.cli.run`` on argv[1:] with ``main`` wrapped to print
@@ -162,12 +165,15 @@ def _run(argv: list[str], env: dict, cwd: str) -> subprocess.CompletedProcess:
     )
 
 
-def _repro_counts(argv: list[str], env: dict, cwd: str) -> tuple[int, int]:
-    """``repro`` modules the probe loads running ``argv``, and the
-    dataclasses they define."""
+def _repro_counts(
+    argv: list[str], env: dict, cwd: str
+) -> tuple[int, int, int]:
+    """``repro`` modules the probe loads running ``argv``, the
+    dataclasses they define, and 1 if ``inspect`` is loaded (else 0)."""
     probe = [sys.executable, "-c", _MODULE_PROBE, *argv]
-    modules, dataclasses = _run(probe, env, cwd).stderr.split()[-2:]
-    return int(modules), int(dataclasses)
+    counts = _run(probe, env, cwd).stderr.split()[-3:]
+    modules, dataclasses, inspect = (int(c) for c in counts)
+    return modules, dataclasses, inspect
 
 
 def test_cold_start(report):
@@ -236,7 +242,7 @@ def test_cold_start(report):
         )
     bounds = {"import repro.cli": MAX_IMPORT_MODULES, **COMMANDS}
     gates = []
-    for name, (count, dataclasses) in counts.items():
+    for name, (count, dataclasses, inspect) in counts.items():
         report("COLD1", f"{name} repro modules", "-", count)
         bound = bounds[name]
         gates.append(
@@ -257,5 +263,9 @@ def test_cold_start(report):
                 dataclasses,
                 dataclasses <= MAX_DATACLASSES,
             )
+        )
+        report("COLD1", f"{name} inspect loaded", "0", inspect)
+        gates.append(
+            gate(f"inspect_loaded:{name}", 0, inspect, inspect == 0)
         )
     write_bench("cold_start", rows, gates)

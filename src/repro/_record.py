@@ -20,11 +20,20 @@ The fields are the class's ``__slots__`` in order; a slot whose name
 starts with ``_`` is a cache, neither shown nor compared.  A frozen
 type's ``__init__`` takes every field positionally, in that order, and
 stores each with ``object.__setattr__``.
+
+Importing ``dataclasses`` costs a one-shot command ~9 ms more, for
+``inspect`` and what it loads, so no value type on that path is a
+dataclass, ``SchedulerConfig`` included.  A record whose callers may
+still hand it to ``dataclasses`` (``replace``, ``fields``,
+``is_dataclass``, ``asdict``: benches and user scripts derive search
+configs this way) sets ``__dataclass_fields__ = DataclassFields()``:
+only a caller that has already imported ``dataclasses`` reads that
+attribute, and its first read builds the field map.
 """
 
 from __future__ import annotations
 
-from typing import ClassVar, cast
+from typing import Any, ClassVar, cast
 
 
 class Record:
@@ -76,3 +85,38 @@ class FrozenRecord(Record):
 
     def __reduce__(self) -> tuple[type[FrozenRecord], tuple[object, ...]]:
         return (type(self), self._values())
+
+
+class DataclassFields:
+    """``__dataclass_fields__`` of a :class:`Record`, built on first read.
+
+    ``dataclasses`` treats any class with this attribute as a
+    dataclass, so ``dataclasses.replace``, ``fields``, ``is_dataclass``
+    and ``asdict`` accept the record.  The first read (from the class
+    or an instance) takes the field map from a ``make_dataclass``
+    mirror of the record's fields, with the defaults of an instance
+    built without arguments and the annotations of its ``__init__``,
+    and stores it on the class in place of this descriptor.
+    """
+
+    def __get__(
+        self, instance: object, owner: type[Record]
+    ) -> dict[str, Any]:
+        import dataclasses
+
+        default = owner()
+        annotations = owner.__init__.__annotations__
+        mirror = dataclasses.make_dataclass(
+            owner.__name__,
+            [
+                (
+                    name,
+                    annotations[name],
+                    dataclasses.field(default=getattr(default, name)),
+                )
+                for name in owner._fields
+            ],
+        )
+        fields: dict[str, Any] = getattr(mirror, "__dataclass_fields__")
+        setattr(owner, "__dataclass_fields__", fields)
+        return fields

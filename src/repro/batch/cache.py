@@ -26,7 +26,7 @@ builds of the same task set get different ``ez...`` counters) and the
 specification ``name`` (a label, not content).  Task *order* is
 preserved because the ``lex`` priority policy depends on it.
 
-The scheduler section is built from ``dataclasses.fields`` of
+The scheduler section is built from the ``_fields`` of
 :class:`~repro.scheduler.config.SchedulerConfig`, so a new search knob
 is keyed the moment it exists; only the observability knobs in
 :data:`UNKEYED_FIELDS` are left out.
@@ -39,7 +39,6 @@ shadow a longer search.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -120,9 +119,9 @@ def job_fingerprint(
             "priority_policy": options.priority_policy,
         },
         "scheduler": {
-            field.name: getattr(config, field.name)
-            for field in dataclasses.fields(SchedulerConfig)
-            if field.name not in UNKEYED_FIELDS
+            name: getattr(config, name)
+            for name in SchedulerConfig._fields
+            if name not in UNKEYED_FIELDS
         },
         "stages": {
             "codegen": codegen_target,

@@ -365,8 +365,8 @@ class BatchEngine:
                 # the pool clamping below bottoms out at 1 worker, so
                 # without this the machine would run `parallel` busy
                 # processes against a smaller `cores` promise
-                self.scheduler_config = replace(
-                    self.scheduler_config, parallel=cores
+                self.scheduler_config = self.scheduler_config.replace(
+                    parallel=cores
                 )
                 self.parallel_clamped = True
             intra = max(1, self.scheduler_config.parallel)

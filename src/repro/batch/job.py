@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.batch.cache import cache_key
 from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
@@ -100,7 +100,7 @@ class BatchJob:
         budget = self.timeout
         if self.config.max_seconds is not None:
             budget = min(budget, self.config.max_seconds)
-        return replace(self.config, max_seconds=budget)
+        return self.config.replace(max_seconds=budget)
 
     def key(self) -> str:
         """Content-addressed cache key (see :mod:`repro.batch.cache`)."""

@@ -48,8 +48,6 @@ from repro.errors import EzRealtimeError
 # (batch, service, PNML, the lint pack, trace export) is imported by
 # the command that needs it.
 if TYPE_CHECKING:
-    from dataclasses import replace
-
     from repro.analysis.report import full_report, interval_slack_report
     from repro.blocks.blocks import BlockStyle
     from repro.blocks.composer import ComposerOptions, compose
@@ -72,7 +70,6 @@ else:
     __getattr__, __dir__ = lazy_exports(
         __name__,
         {
-            "dataclasses": "replace",
             "repro.analysis.report": "full_report interval_slack_report",
             "repro.blocks.blocks": "BlockStyle",
             "repro.blocks.composer": "ComposerOptions compose",
@@ -482,9 +479,7 @@ def _run_batch(args, cache) -> int:
     # the scheduler config the jobs inherit
     engine = BatchEngine(
         composer_options=_composer_options(args),
-        scheduler_config=_cli.replace(
-            _scheduler_config(args), progress=False
-        ),
+        scheduler_config=_scheduler_config(args).replace(progress=False),
         max_workers=args.jobs,
         job_timeout=args.timeout,
         cache=cache,

@@ -580,7 +580,7 @@ def config_diagnostics(
     """Engine/configuration incompatibilities, pre-construction.
 
     Accepts raw strings (``None`` = knob not set) so callers can lint
-    a configuration *before* :class:`SchedulerConfig.__post_init__`
+    a configuration *before* the :class:`SchedulerConfig` constructor
     gets the chance to raise.
     """
     diagnostics: list[Diagnostic] = []

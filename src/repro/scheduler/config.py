@@ -56,9 +56,11 @@ the ablation benches sweep:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import Any
 
+from repro._record import DataclassFields, Record
 from repro.errors import SchedulingError
+from repro.scheduler.policies import POLICIES, parse_slot
 from repro.tpn.state import RESET_POLICIES
 
 PRIORITY_MODES = ("ordered", "strict")
@@ -76,28 +78,65 @@ ENGINES = ("kernel", "reference", "stateclass")
 DEFAULT_ENGINE = "kernel"
 
 
-@dataclass
-class SchedulerConfig:
-    """Knobs of the pre-runtime depth-first scheduler."""
+class SchedulerConfig(Record):
+    """Knobs of the pre-runtime depth-first scheduler.
 
-    priority_mode: str = "ordered"
-    delay_mode: str = "earliest"
-    partial_order: bool = True
-    reset_policy: str = "paper"
-    engine: str = DEFAULT_ENGINE
-    max_states: int = 2_000_000
-    max_seconds: float | None = None
-    policy: str = "earliest"
-    policy_seed: int = 0
-    parallel: int = 0
-    portfolio: tuple[str, ...] = field(default_factory=tuple)
-    #: observability (repro.obs): JSONL span/event sink path (None =
-    #: tracing off, the no-op recorder) and heartbeat streaming —
-    #: neither affects the search verdict or the cache fingerprint
-    trace_jsonl: str | None = None
-    progress: bool = False
+    A slot class, not a dataclass (see :mod:`repro._record`): derive a
+    variant with :meth:`replace`, list the fields with ``_fields``.
+    ``dataclasses.replace``, ``fields``, ``is_dataclass`` and
+    ``asdict`` still accept it, through ``__dataclass_fields__``.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = (
+        "priority_mode",
+        "delay_mode",
+        "partial_order",
+        "reset_policy",
+        "engine",
+        "max_states",
+        "max_seconds",
+        "policy",
+        "policy_seed",
+        "parallel",
+        "portfolio",
+        # observability (repro.obs): JSONL span/event sink path (None
+        # = tracing off, the no-op recorder) and heartbeat streaming —
+        # neither affects the search verdict or the cache fingerprint
+        "trace_jsonl",
+        "progress",
+    )
+
+    __dataclass_fields__ = DataclassFields()
+
+    def __init__(
+        self,
+        priority_mode: str = "ordered",
+        delay_mode: str = "earliest",
+        partial_order: bool = True,
+        reset_policy: str = "paper",
+        engine: str = DEFAULT_ENGINE,
+        max_states: int = 2_000_000,
+        max_seconds: float | None = None,
+        policy: str = "earliest",
+        policy_seed: int = 0,
+        parallel: int = 0,
+        portfolio: tuple[str, ...] = (),
+        trace_jsonl: str | None = None,
+        progress: bool = False,
+    ) -> None:
+        self.priority_mode = priority_mode
+        self.delay_mode = delay_mode
+        self.partial_order = partial_order
+        self.reset_policy = reset_policy
+        self.engine = engine
+        self.max_states = max_states
+        self.max_seconds = max_seconds
+        self.policy = policy
+        self.policy_seed = policy_seed
+        self.parallel = parallel
+        self.portfolio = portfolio
+        self.trace_jsonl = trace_jsonl
+        self.progress = progress
         if self.priority_mode not in PRIORITY_MODES:
             raise SchedulingError(
                 f"unknown priority mode {self.priority_mode!r}; "
@@ -131,10 +170,6 @@ class SchedulerConfig:
             raise SchedulingError("max_states must be positive")
         if self.max_seconds is not None and self.max_seconds <= 0:
             raise SchedulingError("max_seconds must be positive")
-        # deferred import: policies imports nothing from this module,
-        # but keeping config importable first avoids a cycle with dfs
-        from repro.scheduler.policies import POLICIES, parse_policy
-
         if self.policy not in POLICIES:
             raise SchedulingError(
                 f"unknown search policy {self.policy!r}; "
@@ -144,11 +179,15 @@ class SchedulerConfig:
             raise SchedulingError(
                 "parallel must be >= 0 (0/1 mean a serial search)"
             )
-        from repro.scheduler.policies import parse_slot
-
         self.portfolio = tuple(self.portfolio)
         for entry in self.portfolio:
             # raises on unknown engines/policies/bad seeds; a slot may
             # prefix its policy with an engine ("stateclass:earliest")
             # to race engines as well as orderings
             parse_slot(entry)
+
+    def replace(self, **changes: Any) -> SchedulerConfig:
+        """A copy with ``changes`` applied, validated as a new config."""
+        values = {name: getattr(self, name) for name in self._fields}
+        values.update(changes)
+        return type(self)(**values)

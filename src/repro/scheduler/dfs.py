@@ -56,8 +56,6 @@ which path ran.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from repro.errors import InfeasibleScheduleError, SchedulingError
 from repro.blocks.composer import ComposedModel
 from repro.obs.events import JsonlSink, Recorder
@@ -96,8 +94,8 @@ class PreRuntimeScheduler:
         self.net = net
         self.config = config or SchedulerConfig()
         if engine is not None:
-            # SchedulerConfig.__post_init__ checks the engine rules
-            self.config = replace(self.config, engine=engine)
+            # SchedulerConfig.replace checks the engine rules
+            self.config = self.config.replace(engine=engine)
         engine = self.engine_mode = self.config.engine
         self.adapter = make_adapter(engine, net, self.config)
         self._reorder = make_reorder(

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import queue as queue_module
 import time
-from dataclasses import replace
 from multiprocessing import get_context
 
 from repro.errors import SchedulingError
@@ -153,7 +152,7 @@ def _portfolio_worker(
             # subsumes them: with finite LFTs a delay-enumerated
             # discrete run is one realisation of some class path
             overrides["delay_mode"] = "earliest"
-        base = replace(config, **overrides)
+        base = config.replace(**overrides)
         if name == "random":
             # geometric restarts: heavy-tailed instances usually fall
             # to *some* seed quickly; doubling budgets bound the total
@@ -170,8 +169,7 @@ def _portfolio_worker(
                     if deadline is None
                     else max(0.001, deadline - time.monotonic())
                 )
-                cfg = replace(
-                    base,
+                cfg = base.replace(
                     policy_seed=seed + restarts,
                     max_states=min(budget, remaining),
                     max_seconds=seconds_left,
@@ -264,8 +262,8 @@ class ParallelScheduler:
         self.net = net
         self.config = config or SchedulerConfig()
         if engine is not None:
-            # SchedulerConfig.__post_init__ checks the engine rules
-            self.config = replace(self.config, engine=engine)
+            # SchedulerConfig.replace checks the engine rules
+            self.config = self.config.replace(engine=engine)
         self.engine_mode = self.config.engine
         if self.config.parallel < 2:
             raise SchedulingError(

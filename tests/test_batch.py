@@ -279,14 +279,12 @@ class TestCacheKey:
         """Every SchedulerConfig field except the two observability
         knobs is part of the key, so a new field cannot be left out of
         the fingerprint silently."""
-        from dataclasses import fields
-
         from repro.batch.cache import job_fingerprint
 
         document = job_fingerprint(
             fig3_precedence(), ComposerOptions(), SchedulerConfig()
         )
-        knobs = {f.name for f in fields(SchedulerConfig)} - {
+        knobs = set(SchedulerConfig._fields) - {
             "trace_jsonl",
             "progress",
         }
@@ -302,9 +300,7 @@ class TestCacheKey:
         assert cache_key(spec, options, moved) != base
 
     def test_knob_alternatives_cover_every_search_knob(self):
-        from dataclasses import fields
-
-        knobs = {f.name for f in fields(SchedulerConfig)} - {
+        knobs = set(SchedulerConfig._fields) - {
             "trace_jsonl",
             "progress",
         }

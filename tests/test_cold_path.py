@@ -11,14 +11,17 @@ name by name on first use; these tests pin the result:
 * each one-shot command, run in a fresh interpreter, loads none of
   the batch engine, the service, PNML, the code lint pack, the
   parallel and baseline schedulers, the net analysis tools, the
-  dense engine, the process-pool and socket stacks, ``json`` or
-  ``hashlib`` (OpenSSL), and no stage it does not run: ``export``,
-  ``validate`` and ``examples`` no search, ``schedule`` neither the
-  code generator nor the simulator, ``codegen`` no simulator and
-  ``simulate`` no code generator;
-* the only dataclass such a command defines is ``SchedulerConfig``:
-  the value types it loads are slot classes (``repro._record``), so
-  no method is generated through ``exec`` at import;
+  dense engine, the process-pool and socket stacks, ``json``,
+  ``hashlib`` (OpenSSL), ``dataclasses`` or ``inspect`` (with the
+  ``ast``, ``dis`` and ``tokenize`` it loads), and no stage it does
+  not run: ``export``, ``validate`` and ``examples`` no search,
+  ``schedule`` neither the code generator nor the simulator,
+  ``codegen`` no simulator and ``simulate`` no code generator;
+* such a command defines no dataclass: the value types it loads,
+  ``SchedulerConfig`` included, are slot classes (``repro._record``),
+  so no method is generated through ``exec`` at import (a command
+  that does load ``dataclasses``, ``--engine stateclass``, shows that
+  the probe counts them);
 * the pipeline runs as ``python -m repro.cli``, where the CLI module
   is ``__main__``;
 * every layer the benchmark's traced pass wraps on ``repro.cli`` is
@@ -66,11 +69,16 @@ FORBIDDEN = (
     "json",
     "hashlib",
     "_hashlib",
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+    "tokenize",
 )
 
-#: the one dataclass a one-shot command may define: ``replace`` and
-#: ``fields`` run on it (portfolio slots, batch cache fingerprints)
-ALLOWED_DATACLASSES = {"repro.scheduler.config.SchedulerConfig"}
+#: the dataclasses a one-shot command may define: none, so that it
+#: never imports ``dataclasses`` (~9 ms, most of it ``inspect``)
+ALLOWED_DATACLASSES: frozenset[str] = frozenset()
 
 #: ``repro`` modules ``import repro.cli`` may load (it loads 4:
 #: ``repro``, ``repro._lazy``, ``repro.errors`` and itself)
@@ -195,11 +203,20 @@ def test_one_shot_command_loads_only_its_pipeline(tmp_path, argv):
     assert "repro.cli" in modules
     assert _forbidden(modules) == []
     assert _forbidden(modules, NOT_RUN[argv[0]]) == []
+    assert _defined_dataclasses(tmp_path) == ALLOWED_DATACLASSES
+
+
+def test_probe_counts_the_dataclasses_a_command_defines(tmp_path):
+    # the dense engine's module still defines dataclasses, so its
+    # command loads `dataclasses`; `SchedulerConfig` then answers to
+    # `is_dataclass` through its `__dataclass_fields__` shim
+    modules = _loaded_modules(
+        tmp_path, "schedule", "@fig3", "--engine", "stateclass"
+    )
+    assert "dataclasses" in modules
     defined = _defined_dataclasses(tmp_path)
-    assert defined <= ALLOWED_DATACLASSES
-    if "repro.scheduler.config" in modules:
-        # the probe does see the dataclass the search stages define
-        assert defined == ALLOWED_DATACLASSES
+    assert "repro.tpn.stateclass.StateClass" in defined
+    assert "repro.scheduler.config.SchedulerConfig" in defined
 
 
 def test_import_cli_module_budget(tmp_path):

@@ -8,21 +8,25 @@ strings below were printed by the dataclass versions), ``==`` only
 between instances of one class, hashing by value on frozen types and
 none on mutable ones, rejected assignment on frozen types, a fresh
 default container per instance, pickling and copying, and the
-ordering of :class:`TimeInterval`.
+ordering of :class:`TimeInterval`.  :class:`SchedulerConfig` also
+keeps its validation messages and still answers to ``dataclasses``
+(``replace``, ``fields``, ``is_dataclass``, ``asdict``).
 """
 
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pickle
 
 import pytest
 
-from repro._record import FrozenRecord, Record
+from repro._record import DataclassFields, FrozenRecord, Record
 from repro.blocks.blocks import TaskNodes
 from repro.blocks.composer import ComposedModel, ComposerOptions, compose
 from repro.codegen.generator import GeneratedProject
 from repro.codegen.targets import HOSTSIM, TargetProfile
+from repro.errors import SchedulingError
 from repro.lint.diagnostics import Diagnostic, LintReport
 from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.result import SchedulerResult, SearchStats
@@ -52,6 +56,35 @@ def _target() -> TargetProfile:
     return TargetProfile(
         "t", "d", ("#include <x.h>",), "void f(void)",
         "s", "p", "cs", "cr", "i",
+    )
+
+
+#: the dataclass version's repr of ``SchedulerConfig()``
+DEFAULT_CONFIG_REPR = (
+    "SchedulerConfig(priority_mode='ordered', delay_mode='earliest', "
+    "partial_order=True, reset_policy='paper', engine='kernel', "
+    "max_states=2000000, max_seconds=None, policy='earliest', "
+    "policy_seed=0, parallel=0, portfolio=(), trace_jsonl=None, "
+    "progress=False)"
+)
+
+
+def _custom_config() -> SchedulerConfig:
+    """A config with every field off its default, built positionally."""
+    return SchedulerConfig(
+        "strict",
+        "full",
+        False,
+        "intermediate",
+        "reference",
+        5000,
+        2.5,
+        "random",
+        3,
+        2,
+        ["kernel:earliest", "stateclass:earliest"],
+        "t.jsonl",
+        True,
     )
 
 
@@ -184,7 +217,7 @@ REPRS = {
         "stats=SearchStats(states_visited=1, states_generated=0, "
         "revisits_skipped=0, deadline_prunes=0, backtracks=0, "
         "reductions=0, restarts=0, elapsed_seconds=0.0), "
-        f"config={SchedulerConfig()!r}, exhausted=False, "
+        f"config={DEFAULT_CONFIG_REPR}, exhausted=False, "
         "minimum_firings=1, winner_policy=None, winner_engine=None, "
         "workers=1, interval_schedule=None, metrics={}, diagnostics=[])",
     ),
@@ -271,6 +304,15 @@ REPRS = {
         "Trace(events=[TraceEvent(time=0, kind='idle', task='', "
         "instance=0, detail='')], horizon=3)",
     ),
+    "SchedulerConfig": (
+        _custom_config,
+        "SchedulerConfig(priority_mode='strict', delay_mode='full', "
+        "partial_order=False, reset_policy='intermediate', "
+        "engine='reference', max_states=5000, max_seconds=2.5, "
+        "policy='random', policy_seed=3, parallel=2, "
+        "portfolio=('kernel:earliest', 'stateclass:earliest'), "
+        "trace_jsonl='t.jsonl', progress=True)",
+    ),
 }
 
 
@@ -317,7 +359,7 @@ def test_composed_model_repr_hides_the_compiled_net():
 def test_every_converted_type_is_a_slot_record():
     types = {type(build()) for build, _text in REPRS.values()}
     types.add(ComposedModel)
-    assert len(types) == 30
+    assert len(types) == 31
     for cls in types:
         assert issubclass(cls, Record)
         assert "__dict__" not in dir(cls), cls
@@ -481,3 +523,184 @@ def test_time_interval_orders_as_a_tuple():
     assert TimeInterval(1, 1) >= TimeInterval(1, 1)
     with pytest.raises(TypeError):
         TimeInterval(0, 1) < (0, 1)
+
+
+# ----------------------------------------------------------------------
+# SchedulerConfig: the last type converted from a dataclass
+# ----------------------------------------------------------------------
+def test_scheduler_config_default_repr_matches_the_dataclass():
+    assert repr(SchedulerConfig()) == DEFAULT_CONFIG_REPR
+
+
+def test_scheduler_config_positional_parameters_follow_field_order():
+    assert SchedulerConfig._fields == (
+        "priority_mode",
+        "delay_mode",
+        "partial_order",
+        "reset_policy",
+        "engine",
+        "max_states",
+        "max_seconds",
+        "policy",
+        "policy_seed",
+        "parallel",
+        "portfolio",
+        "trace_jsonl",
+        "progress",
+    )
+    custom = _custom_config()
+    values = [getattr(custom, name) for name in SchedulerConfig._fields]
+    assert SchedulerConfig(*values) == custom
+    assert SchedulerConfig(
+        **dict(zip(SchedulerConfig._fields, values))
+    ) == custom
+    # the portfolio is stored as a tuple, whatever sequence it came as
+    assert custom.portfolio == ("kernel:earliest", "stateclass:earliest")
+
+
+def test_scheduler_config_equality_is_field_by_field():
+    base, custom = SchedulerConfig(), _custom_config()
+    for name in SchedulerConfig._fields:
+        assert base.replace(**{name: getattr(custom, name)}) != base
+
+    class Lookalike:
+        def __init__(self, config):
+            for name in SchedulerConfig._fields:
+                setattr(self, name, getattr(config, name))
+
+    assert base != Lookalike(base)
+    assert (base == Lookalike(base)) is False
+    assert base != tuple(getattr(base, n) for n in base._fields)
+
+
+def test_scheduler_config_pickles_at_protocol_2():
+    # worker pools (batch, portfolio race, service) ship configs so;
+    # the default protocol, hashing and copying are pinned with the
+    # other types above
+    for config in (SchedulerConfig(), _custom_config()):
+        clone = pickle.loads(pickle.dumps(config, protocol=2))
+        assert type(clone) is SchedulerConfig
+        assert clone == config
+        assert repr(clone) == repr(config)
+
+
+#: (invalid field values, the dataclass version's error message)
+INVALID_CONFIGS = [
+    (
+        {"priority_mode": "bogus"},
+        "unknown priority mode 'bogus'; expected one of "
+        "('ordered', 'strict')",
+    ),
+    (
+        {"delay_mode": "bogus"},
+        "unknown delay mode 'bogus'; expected one of "
+        "('earliest', 'extremes', 'full')",
+    ),
+    (
+        {"reset_policy": "bogus"},
+        "unknown reset policy 'bogus'; expected one of "
+        "('paper', 'intermediate')",
+    ),
+    (
+        {"engine": "bogus"},
+        "unknown engine 'bogus'; expected one of "
+        "('kernel', 'reference', 'stateclass')",
+    ),
+    (
+        {"engine": "stateclass", "delay_mode": "full"},
+        "delay_mode has no effect on the dense-time state-class engine "
+        "(the class graph covers every dense delay); keep the default "
+        "'earliest'",
+    ),
+    ({"max_states": 0}, "max_states must be positive"),
+    ({"max_seconds": 0}, "max_seconds must be positive"),
+    ({"max_seconds": -1.0}, "max_seconds must be positive"),
+    (
+        {"policy": "bogus"},
+        "unknown search policy 'bogus'; expected one of "
+        "('earliest', 'latest', 'min-laxity', 'random')",
+    ),
+    ({"parallel": -1}, "parallel must be >= 0 (0/1 mean a serial search)"),
+    (
+        {"portfolio": ("warp:earliest",)},
+        "unknown search policy 'warp'; expected one of "
+        "('earliest', 'latest', 'min-laxity', 'random')",
+    ),
+    (
+        {"portfolio": ("random:x",)},
+        "policy seed must be an integer, got 'x'",
+    ),
+    # the checks run in field order: the first bad field is reported
+    (
+        {"priority_mode": "x", "delay_mode": "y"},
+        "unknown priority mode 'x'; expected one of "
+        "('ordered', 'strict')",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "changes, message", INVALID_CONFIGS, ids=lambda v: str(v)[:40]
+)
+def test_scheduler_config_rejects_each_invalid_field(changes, message):
+    with pytest.raises(SchedulingError) as raised:
+        SchedulerConfig(**changes)
+    assert str(raised.value) == message
+    with pytest.raises(SchedulingError) as replaced:
+        SchedulerConfig().replace(**changes)
+    assert str(replaced.value) == message
+
+
+def test_scheduler_config_replace_builds_a_validated_copy():
+    base = SchedulerConfig()
+    moved = base.replace(engine="stateclass", max_states=10)
+    assert type(moved) is SchedulerConfig
+    assert (moved.engine, moved.max_states) == ("stateclass", 10)
+    assert base == SchedulerConfig()
+    assert base.replace() == base and base.replace() is not base
+    assert base.replace(portfolio=["latest"]).portfolio == ("latest",)
+    with pytest.raises(SchedulingError):
+        moved.replace(delay_mode="full")
+    with pytest.raises(TypeError):
+        base.replace(not_a_field=1)
+
+
+def test_scheduler_config_answers_to_dataclasses(monkeypatch):
+    built = []
+    make_dataclass = dataclasses.make_dataclass
+
+    def counting(*args, **kwargs):
+        built.append(args[0])
+        return make_dataclass(*args, **kwargs)
+
+    # a fresh shim, so this test sees the mirror built (saving the old
+    # value reads it, so the count starts after)
+    monkeypatch.setattr(
+        SchedulerConfig, "__dataclass_fields__", DataclassFields()
+    )
+    monkeypatch.setattr(dataclasses, "make_dataclass", counting)
+    config = _custom_config()
+    assert dataclasses.is_dataclass(SchedulerConfig)
+    assert dataclasses.is_dataclass(config)
+    fields = dataclasses.fields(SchedulerConfig)
+    assert [f.name for f in fields] == list(SchedulerConfig._fields)
+    assert [f.default for f in fields] == [
+        getattr(SchedulerConfig(), name) for name in SchedulerConfig._fields
+    ]
+    assert [f.type for f in fields][:2] == ["str", "str"]
+    assert dataclasses.fields(config) == fields
+    assert dataclasses.asdict(config) == {
+        name: getattr(config, name) for name in SchedulerConfig._fields
+    }
+    moved = dataclasses.replace(config, max_states=7)
+    assert type(moved) is SchedulerConfig
+    assert moved == config.replace(max_states=7)
+    with pytest.raises(SchedulingError, match="max_states must be"):
+        dataclasses.replace(config, max_states=0)
+    # the mirror is built once and cached on the class
+    assert built == ["SchedulerConfig"]
+    assert isinstance(SchedulerConfig.__dict__["__dataclass_fields__"], dict)
+    assert all(
+        a is b
+        for a, b in zip(dataclasses.fields(SchedulerConfig), fields)
+    )
