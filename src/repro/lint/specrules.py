@@ -42,7 +42,7 @@ from repro.scheduler.config import (
 from repro.spec.model import EzRTSpec
 from repro.spec.timing import instance_count, schedule_period
 from repro.spec.validation import validate_spec
-from repro.tpn.interval import INF
+from repro.tpn.interval import INF, MAX_BOUND
 from repro.tpn.kernel import MAX_TOKENS
 from repro.tpn.net import CompiledNet
 
@@ -349,8 +349,8 @@ def dbm_bound_diagnostics(
 
     The packed DBM core of the dense-time state-class engine stores
     difference bounds in 32-bit words with
-    :data:`repro.tpn.dbm.MAX_BOUND` as the static-interval cap — the
-    cap under which every canonical bound provably lies within
+    :data:`repro.tpn.interval.MAX_BOUND` as the static-interval cap —
+    the cap under which every canonical bound provably lies within
     ``±MAX_BOUND`` and every closure sum clear of the ``DINF``
     sentinel.  Every compiled transition interval is built from task
     timings (phases, deadlines, periods) and message transfer times,
@@ -359,10 +359,6 @@ def dbm_bound_diagnostics(
     surfaces the overflow *before* the compile, mirroring the
     EZT203 token-cap rule.
     """
-    # deferred: the pre-search gate of a discrete-time search never
-    # runs this rule, so it never loads the dense engine
-    from repro.tpn.dbm import MAX_BOUND
-
     if not spec.tasks:
         return []
     stateclass = engine == "stateclass"
@@ -476,8 +472,6 @@ def net_diagnostics(
     markable.  Transitions outside the fixpoint can never fire in any
     run (EZT201); unmarkable places are dead weight (EZT202).
     """
-    from repro.tpn.dbm import MAX_BOUND
-
     markable = {
         index for index, tokens in enumerate(net.m0) if tokens > 0
     }

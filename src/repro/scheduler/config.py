@@ -61,7 +61,7 @@ from typing import Any
 from repro._record import DataclassFields, Record
 from repro.errors import SchedulingError
 from repro.scheduler.policies import POLICIES, parse_slot
-from repro.tpn.state import RESET_POLICIES
+from repro.tpn.state import check_reset_policy
 
 PRIORITY_MODES = ("ordered", "strict")
 DELAY_MODES = ("earliest", "extremes", "full")
@@ -147,11 +147,7 @@ class SchedulerConfig(Record):
                 f"unknown delay mode {self.delay_mode!r}; "
                 f"expected one of {DELAY_MODES}"
             )
-        if self.reset_policy not in RESET_POLICIES:
-            raise SchedulingError(
-                f"unknown reset policy {self.reset_policy!r}; "
-                f"expected one of {RESET_POLICIES}"
-            )
+        check_reset_policy(self.reset_policy)
         if self.engine not in ENGINES:
             raise SchedulingError(
                 f"unknown engine {self.engine!r}; "

@@ -75,7 +75,7 @@ from repro.tpn._native import (
 )
 from repro.tpn.kernel import KernelEngine, KernelState
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import DISABLED, RESET_POLICIES, State, StateEngine
+from repro.tpn.state import DISABLED, State, StateEngine
 
 if TYPE_CHECKING:
     from repro.tpn.dbm import PackedClass
@@ -325,6 +325,28 @@ class _AdapterBase:
         names = self.net.transition_names
         return [(names[t], q, at) for t, q, at in actions], None
 
+    def _filter_and_order(
+        self, state, cands, ceiling, stats: SearchStats
+    ) -> list[tuple[int, int]]:
+        """The spec adapters' shared candidate tail on a non-empty
+        window: the strict priority filter, the engine's forced pick
+        (:meth:`_forced_pick`, counted on ``stats.reductions``), then
+        :func:`order_and_expand` against ``ceiling``."""
+        priorities = self._priority
+        if self._strict:
+            best = min(priorities[t] for t, _lo in cands)
+            cands = [
+                (t, lo) for t, lo in cands if priorities[t] == best
+            ]
+        if self._partial_order and len(cands) > 1:
+            reduced = self._forced_pick(state, cands)
+            if reduced is not None:
+                stats.reductions += 1
+                cands = [reduced]
+        return order_and_expand(
+            cands, ceiling, priorities, self._delay_mode
+        )
+
 
 class KernelAdapter(_AdapterBase):
     """The packed-buffer kernel over :class:`KernelEngine`.
@@ -424,21 +446,12 @@ class ReferenceAdapter(_AdapterBase):
                 cands.append((t, lower))
         if not cands:
             return []
+        return self._filter_and_order(state, cands, ceiling, stats)
 
-        priorities = self._priority
-        if self._strict:
-            best = min(priorities[t] for t, _lo in cands)
-            cands = [
-                (t, lo) for t, lo in cands if priorities[t] == best
-            ]
-        if self._partial_order and len(cands) > 1:
-            reduced = forced_immediate(self.net, cands, clocks)
-            if reduced is not None:
-                stats.reductions += 1
-                cands = [reduced]
-        return order_and_expand(
-            cands, ceiling, priorities, self._delay_mode
-        )
+    def _forced_pick(
+        self, state: State, cands: list[tuple[int, int]]
+    ) -> tuple[int, int] | None:
+        return forced_immediate(self.net, cands, state.clocks)
 
 
 class StateClassAdapter(_AdapterBase):
@@ -561,27 +574,11 @@ class StateClassSpecAdapter(_AdapterBase):
                 cands.append((t, int(-dbm[0][var])))
         if not cands:
             return cands
+        # a class has no discrete delays to expand: an unbounded
+        # ceiling orders the dense lower bounds, earliest-only
+        return self._filter_and_order(cls, cands, INF, stats)
 
-        priorities = self._priority
-        if self._strict:
-            best = min(priorities[t] for t, _lo in cands)
-            cands = [
-                (t, lo) for t, lo in cands if priorities[t] == best
-            ]
-
-        if self._partial_order and len(cands) > 1:
-            reduced = self._forced_immediate_dense(cls, cands)
-            if reduced is not None:
-                stats.reductions += 1
-                return [reduced]
-
-        if len(cands) == 1:
-            return cands
-        expanded = [(lower, priorities[t], t) for t, lower in cands]
-        expanded.sort()
-        return [(t, q) for q, _p, t in expanded]
-
-    def _forced_immediate_dense(
+    def _forced_pick(
         self, cls: StateClass, cands: list[tuple[int, int]]
     ) -> tuple[int, int] | None:
         """The dense partial-order pick: a conflict-free candidate
@@ -674,11 +671,9 @@ def validate_with_reference(
     own message; should it accept, the two replays disagree and that
     raises instead.
     """
-    verdict = None
-    if config.reset_policy in RESET_POLICIES:
-        verdict = native_replay(
-            net, config.reset_policy == "intermediate", schedule, packed
-        )
+    verdict = native_replay(
+        net, config.reset_policy == "intermediate", schedule, packed
+    )
     if verdict:
         return
     _replay_with_reference(net, config, schedule)

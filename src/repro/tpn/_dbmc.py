@@ -16,12 +16,21 @@ root of a search):
   partial-order reduction and the ``(lower, priority, index)``
   insertion sort, in one call.
 
+Both call the shared half's primitives (:mod:`repro.tpn._native`):
+``ez_enabled`` for the enabled-list merge and the intermediate-policy
+persistence check, ``ez_inter`` for the intermediate marking,
+``ez_strict`` and ``ez_sort`` for the priority filter and the
+``(lower, priority, index)`` order.  The column scans, the dense
+forced-immediate pick and the closure repair stay here.
+
 The DBM's half of the search driver plugs the two into the shared
-``ez_search_*`` loop: ``dc_search_new`` roots a search, and the
-``dc_ops`` table adds the min-laxity key and the class records (a
-byte arena of int32 closed bounds, enabled list and marking per class,
-confirmed on the marking and bound-matrix bytes when the keys match;
-see ``docs/scheduling.md``, "The native core").
+``ez_search_*`` loop: ``dc_search_new`` roots a search (at
+:meth:`repro.tpn.dbm.DbmEngine.initial_class`, the tuple engine's
+root, packed), and the ``dc_ops`` table adds the min-laxity key and
+the class records (a byte arena of int32 closed bounds, enabled list
+and marking per class, confirmed on the marking and bound-matrix
+bytes when the keys match; see ``docs/scheduling.md``, "The native
+core").
 
 A third entry point finishes a feasible search: ``dc_realize``
 concretises a class path to its earliest and latest integer firing
@@ -72,8 +81,9 @@ int32_t dc_realize(const ez_net *net, const uint16_t *m0,
 # the driver is locked to SearchCore over the specification by
 # tests/test_dbm_driver.py.  Bounds are int32 (DC_INF = INT32_MAX is
 # the unbounded sentinel, repro.tpn.dbm.DINF; every finite canonical
-# bound lies in [-MAX_BOUND, MAX_BOUND], see repro.tpn.dbm.MAX_BOUND)
-# and closure sums are int64; flag bit 1 (immediate) is unused here.
+# bound lies in [-MAX_BOUND, MAX_BOUND], see
+# repro.tpn.interval.MAX_BOUND) and closure sums are int64; flag bit 1
+# (immediate) is unused here.
 SOURCE = r"""
 #define DC_INF INT32_MAX
 /* DC_INF's stand-in inside int64 closure sums: any finite bound
@@ -164,6 +174,7 @@ int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
     size_t size = (size_t)(uint32_t)k + 1, new_size, i, j;
     int32_t *row_t = net->row;
     int32_t var_t = 0, u, k2 = 0, n_new = 0;
+    const uint16_t *ref = NULL;
     uint64_t h;
 
     for (u = 0; u < k; u++) {
@@ -205,13 +216,9 @@ int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
     }
     hash_io[0] = h;
 
-    /* the intermediate-marking reference m - Pre(t) */
-    if (intermediate) {
-        for (u = 0; u < net->P; u++)
-            net->inter[u] = (int32_t)old_mark[u];
-        for (u = net->pre_off[t]; u < net->pre_off[t + 1]; u++)
-            net->inter[net->pre_place[u]] -= net->pre_w[u];
-    }
+    /* the intermediate-marking reference m - W(., t) */
+    if (intermediate)
+        ref = ez_inter(net, old_mark, t, net->inter);
 
     /* the enabled list, merged from the old one and net->aff_t[t]
      * (both sorted): only an affected transition can change
@@ -238,17 +245,8 @@ int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
                     ov = ++i_old;
                 if (!ez_enabled(net, mark, u))
                     continue;
-                if (u == t)
+                if (u == t || (ov && ref && !ez_enabled(net, ref, u)))
                     ov = 0;
-                if (ov && intermediate) {
-                    int32_t b;
-                    for (b = net->pre_off[u]; b < net->pre_off[u + 1]; b++) {
-                        if (net->inter[net->pre_place[b]] < net->pre_w[b]) {
-                            ov = 0;
-                            break;
-                        }
-                    }
-                }
             }
             out_enabled[k2++] = u;
             net->pers[k2] = ov;
@@ -332,21 +330,8 @@ int32_t dc_candidates(const ez_net *net, const int32_t *enabled,
     if (n == 0)
         return 0;
 
-    if (strict) {
-        int32_t best = net->prio[out[0]];
-        int32_t m2 = 0;
-        for (m = 1; m < n; m++)
-            if (net->prio[out[2 * m]] < best)
-                best = net->prio[out[2 * m]];
-        for (m = 0; m < n; m++) {
-            if (net->prio[out[2 * m]] == best) {
-                out[2 * m2] = out[2 * m];
-                out[2 * m2 + 1] = out[2 * m + 1];
-                m2++;
-            }
-        }
-        n = m2;
-    }
+    if (strict)
+        n = ez_strict(net, out, n);
 
     if (partial_order && n > 1) {
         for (i = 0; i < k; i++)
@@ -384,30 +369,7 @@ int32_t dc_candidates(const ez_net *net, const int32_t *enabled,
             net->mask[enabled[i]] = 0;
     }
 
-    if (n > 1) {
-        /* insertion sort by (lower, priority, index); candidate
-         * lists are window-sized, typically < 16 entries */
-        for (m = 1; m < n; m++) {
-            int32_t tc = out[2 * m], lo = out[2 * m + 1];
-            int32_t pk = net->prio[tc];
-            int32_t m2 = m - 1;
-            while (m2 >= 0) {
-                int32_t tm = out[2 * m2], lm = out[2 * m2 + 1];
-                int32_t pm = net->prio[tm];
-                if (lm > lo ||
-                    (lm == lo &&
-                     (pm > pk || (pm == pk && tm > tc)))) {
-                    out[2 * m2 + 2] = tm;
-                    out[2 * m2 + 3] = lm;
-                    m2--;
-                } else {
-                    break;
-                }
-            }
-            out[2 * m2 + 2] = tc;
-            out[2 * m2 + 3] = lo;
-        }
-    }
+    ez_sort(net, out, n);
     return n;
 }
 
@@ -708,12 +670,8 @@ int32_t dc_realize(const ez_net *net, const uint16_t *m0,
             goto out;
         }
         low_e[step] = since[fired];
-        if (intermediate) {
-            /* fired is enabled, so m - W(., fired) stays >= 0 */
-            memcpy(inter, mark, (size_t)net->P * sizeof(uint16_t));
-            for (a = net->pre_off[fired]; a < net->pre_off[fired + 1]; a++)
-                inter[net->pre_place[a]] -= (uint16_t)net->pre_w[a];
-        }
+        if (intermediate)
+            ez_inter(net, mark, fired, inter);
         for (a = net->delta_off[fired]; a < net->delta_off[fired + 1]; a++) {
             int32_t v = (int32_t)mark[net->delta_place[a]] + net->delta_d[a];
             if (v > 0xFFFF) {

@@ -11,12 +11,20 @@ has two layers:
   used by :class:`repro.tpn.kernel.KernelEngine`'s public step API
   (``kn_candidates`` is the driver's own candidate pipeline);
 * the kernel's half of the search driver: ``kn_search_new`` roots a
-  search, and the ``kn_ops`` table plugs the successor, the candidate
-  pipeline (every delay and priority mode and the partial-order
-  reduction), the min-laxity key and the fixed-stride state records
-  (``P + T`` words per state, marking then clocks) into the shared
-  ``ez_search_*`` loop (see ``docs/scheduling.md``, "The native
-  core").
+  search (at :meth:`repro.tpn.kernel.KernelEngine.initial`, the
+  reference engine's root, lifted), and the ``kn_ops`` table plugs
+  the successor, the candidate pipeline (every delay and priority
+  mode and the partial-order reduction), the min-laxity key and the
+  fixed-stride state records (``P + T`` words per state, marking then
+  clocks) into the shared ``ez_search_*`` loop (see
+  ``docs/scheduling.md``, "The native core").
+
+The enabledness test, the intermediate marking, the strict priority
+filter and the ``(delay, priority, index)`` order are the shared
+half's (``ez_enabled``, ``ez_inter``, ``ez_strict``, ``ez_sort`` in
+:mod:`repro.tpn._native`); this fragment keeps the kernel's window
+scan, its forced-immediate pick, the delay expansion and the
+incremental clock and hash updates.
 
 The module also re-exports the one core's :func:`build`,
 :func:`native_module`, :func:`load`, :func:`available`,
@@ -112,27 +120,14 @@ int32_t kn_successor(const ez_net *net, const uint16_t *old_mark,
         }
     }
 
-    if (intermediate) {
-        /* enabledness transiently re-checked against m - W(., t) */
-        memcpy(net->scratch, old_mark,
-               (size_t)net->P * sizeof(uint16_t));
-        for (i = net->pre_off[t]; i < net->pre_off[t + 1]; i++)
-            net->scratch[net->pre_place[i]] -=
-                (uint16_t)net->pre_w[i];
-        ref = net->scratch;
-    }
+    /* enabledness transiently re-checked against m - W(., t) */
+    if (intermediate)
+        ref = ez_inter(net, old_mark, t, net->inter);
 
     for (i = net->aff_off[t]; i < net->aff_off[t + 1]; i++) {
         int32_t tk = net->aff_t[i];
         uint32_t oldc = old_clk[tk];
-        int enabled_now = 1;
-        for (j = net->pre_off[tk]; j < net->pre_off[tk + 1]; j++) {
-            if (mark[net->pre_place[j]] < net->pre_w[j]) {
-                enabled_now = 0;
-                break;
-            }
-        }
-        if (!enabled_now) {
+        if (!ez_enabled(net, mark, tk)) {
             if (oldc != KN_DIS) {
                 h ^= kn_zc(tk, clk[tk]) ^ kn_zc(tk, KN_DIS);
                 clk[tk] = (uint16_t)KN_DIS;
@@ -142,26 +137,15 @@ int32_t kn_successor(const ez_net *net, const uint16_t *old_mark,
              * skipped disabled entries, so clk[tk] is still DIS) */
             h ^= kn_zc(tk, KN_DIS) ^ kn_zc(tk, 0u);
             clk[tk] = 0;
-        } else {
-            int reset = (tk == t);
-            if (!reset && ref) {
-                for (j = net->pre_off[tk]; j < net->pre_off[tk + 1];
-                     j++) {
-                    if (ref[net->pre_place[j]] < net->pre_w[j]) {
-                        reset = 1;
-                        break;
-                    }
-                }
+        } else if (tk == t || (ref && !ez_enabled(net, ref, tk))) {
+            /* fired, or disabled at m - W(., t): the clock resets */
+            uint32_t cur = clk[tk];
+            if (cur) {
+                h ^= kn_zc(tk, cur) ^ kn_zc(tk, 0u);
+                clk[tk] = 0;
             }
-            if (reset) {
-                uint32_t cur = clk[tk];
-                if (cur) {
-                    h ^= kn_zc(tk, cur) ^ kn_zc(tk, 0u);
-                    clk[tk] = 0;
-                }
-            }
-            /* else persistent: the bulk advance already set it */
         }
+        /* else persistent: the bulk advance already set it */
     }
     *hash_io = h;
     return 0;
@@ -207,31 +191,6 @@ static int32_t kn_scan(const ez_net *net, const uint16_t *clk,
     return n;
 }
 
-/* Insertion sort of (transition, delay) pairs by (delay, priority,
- * index); candidate lists are window-sized, typically < 16 entries. */
-static void kn_sort(const ez_net *net, int32_t *out, int32_t n)
-{
-    int32_t k;
-    for (k = 1; k < n; k++) {
-        int32_t tc = out[2 * k], qd = out[2 * k + 1];
-        int32_t pk = net->prio[tc];
-        int32_t m = k - 1;
-        while (m >= 0) {
-            int32_t tm = out[2 * m], qm = out[2 * m + 1];
-            int32_t pm = net->prio[tm];
-            if (qm > qd || (qm == qd && (pm > pk || (pm == pk && tm > tc)))) {
-                out[2 * m + 2] = tm;
-                out[2 * m + 3] = qm;
-                m--;
-            } else {
-                break;
-            }
-        }
-        out[2 * m + 2] = tc;
-        out[2 * m + 3] = qd;
-    }
-}
-
 /* The whole candidate pipeline of one state: window, strict priority
  * filter, forced-immediate partial-order reduction, the delay-policy
  * expansion (mode 0 = earliest, 1 = extremes, 2 = full) against the
@@ -254,21 +213,8 @@ static int32_t kn_enumerate(const ez_net *net, const uint16_t *clk,
     if (n == 0)
         return 0;
 
-    if (strict) {
-        int32_t best = net->prio[cand[0]];
-        int32_t m2 = 0;
-        for (k = 1; k < n; k++)
-            if (net->prio[cand[2 * k]] < best)
-                best = net->prio[cand[2 * k]];
-        for (k = 0; k < n; k++) {
-            if (net->prio[cand[2 * k]] == best) {
-                cand[2 * m2] = cand[2 * k];
-                cand[2 * m2 + 1] = cand[2 * k + 1];
-                m2++;
-            }
-        }
-        n = m2;
-    }
+    if (strict)
+        n = ez_strict(net, cand, n);
 
     if (partial_order && n > 1) {
         for (k = 0; k < n; k++) {
@@ -301,7 +247,7 @@ static int32_t kn_enumerate(const ez_net *net, const uint16_t *clk,
         if (n > cap)
             return -n;
         memcpy(out, cand, (size_t)n * 2 * sizeof(int32_t));
-        kn_sort(net, out, n);
+        ez_sort(net, out, n);
         return n;
     }
 
@@ -332,7 +278,7 @@ static int32_t kn_enumerate(const ez_net *net, const uint16_t *clk,
             }
         }
     }
-    kn_sort(net, out, m);
+    ez_sort(net, out, m);
     return m;
 }
 

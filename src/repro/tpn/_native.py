@@ -9,8 +9,12 @@ mode into one shared object.  The unit has three parts:
 * this module's half, written once: the prelude (includes, the raw
   allocator, the splitmix ``ez_mix`` and the marking Zobrist word
   ``ez_zm``), the compiled net (``ez_net``, one struct and one
-  constructor for both engines), and the resumable depth-first search
-  driver (``ez_search_*``) — :meth:`SearchCore._run
+  constructor for both engines), the firing-rule primitives both
+  engines call — the enabledness test ``ez_enabled``, the
+  intermediate marking m − W(·, t) ``ez_inter``, the strict priority
+  filter ``ez_strict`` and the ``(delay, priority, index)`` candidate
+  order ``ez_sort`` — the resumable depth-first search driver
+  (``ez_search_*``) — :meth:`SearchCore._run
   <repro.scheduler.core.SearchCore._run>`'s loop with its frame stack,
   candidate pool, visited table, deadline and final predicates,
   ``latest`` and ``min-laxity`` orders, state budget and polls — and
@@ -23,13 +27,19 @@ mode into one shared object.  The unit has three parts:
   candidate pipeline, its variable-size class records and the
   concretisation of a class path (``dc_realize``).
 
+What stays in each fragment is what reads the engine's own state
+layout or keeps its own hash: the window scans, the forced-immediate
+pick and the marking and clock (or bound-matrix) updates.
+
 An engine plugs into the driver through an operations table
 (``ez_ops``: candidates, laxity, fire, and the state-record ops), the
 way :class:`~repro.scheduler.core.SearchCore` is parameterised by
 :class:`~repro.scheduler.core.EngineAdapter`; each engine's
-``*_search_new`` roots a search and returns the common handle that
-:class:`NativeSearch` wraps.  The GIL stays released for the whole
-call.
+``*_search_new`` roots a search — at its executable spec's root,
+packed on the Python side (:meth:`repro.tpn.kernel.KernelEngine.initial`,
+:meth:`repro.tpn.dbm.DbmEngine.initial_class`) — and returns the
+common handle that :class:`NativeSearch` wraps.  The GIL stays
+released for the whole call.
 
 The driver's memory comes from ``PyMem_RawMalloc``/``PyMem_RawRealloc``,
 so ``tracemalloc`` sees it, and :meth:`NativeSearch.close` hands it back
@@ -189,12 +199,11 @@ typedef struct ez_net {
     int32_t n_miss, n_final;
     const int32_t *miss_place, *final_place, *final_req;
     const int32_t *timer; /* deadline timer per transition, -1 = none */
+    uint16_t *inter;   /* P: the intermediate marking (ez_inter) */
     /* kernel scratch */
-    uint16_t *scratch; /* P: intermediate-marking reference */
     int32_t *cand;     /* 2(T+1): pre-expansion candidate pairs */
     /* DBM scratch */
     int32_t *row;      /* T+1: the fired variable's repaired row */
-    int32_t *inter;    /* P: intermediate-marking reference */
     int32_t *pers;     /* T+1: new variable -> old variable (0=fresh) */
     int32_t *new_vars; /* T+1: newly enabled variable list */
     uint8_t *mask;     /* T+1: enabled-membership scratch */
@@ -203,10 +212,9 @@ typedef struct ez_net {
 void ez_net_free(ez_net *net)
 {
     if (net) {
-        free(net->scratch);
+        free(net->inter);
         free(net->cand);
         free(net->row);
-        free(net->inter);
         free(net->pers);
         free(net->new_vars);
         free(net->mask);
@@ -254,20 +262,23 @@ ez_net *ez_net_new(int32_t num_places, int32_t num_transitions,
     net->final_place = final_place;
     net->final_req = final_req;
     net->timer = timer;
-    net->scratch = (uint16_t *)malloc(places * sizeof(uint16_t));
+    net->inter = (uint16_t *)malloc(places * sizeof(uint16_t));
     net->cand = (int32_t *)malloc(2 * size * sizeof(int32_t));
     net->row = (int32_t *)malloc(size * sizeof(int32_t));
-    net->inter = (int32_t *)malloc(places * sizeof(int32_t));
     net->pers = (int32_t *)malloc(size * sizeof(int32_t));
     net->new_vars = (int32_t *)malloc(size * sizeof(int32_t));
     net->mask = (uint8_t *)calloc(size, sizeof(uint8_t));
-    if (!net->scratch || !net->cand || !net->row || !net->inter ||
-        !net->pers || !net->new_vars || !net->mask) {
+    if (!net->inter || !net->cand || !net->row || !net->pers ||
+        !net->new_vars || !net->mask) {
         ez_net_free(net);
         return NULL;
     }
     return net;
 }
+
+/* ------------------------------------------------------------------
+ * The firing-rule primitives both engines share (Definition 3.1).
+ * ------------------------------------------------------------------ */
 
 /* Whether marking m enables transition t. */
 static int ez_enabled(const ez_net *net, const uint16_t *m, int32_t t)
@@ -278,6 +289,65 @@ static int ez_enabled(const ez_net *net, const uint16_t *m, int32_t t)
             return 0;
     }
     return 1;
+}
+
+/* The intermediate marking m - W(., t) into `out` (P words), the
+ * reference the "intermediate" reset policy re-checks persistence
+ * against; t is enabled by m, so no place goes negative.  Returns
+ * `out`. */
+static const uint16_t *ez_inter(const ez_net *net, const uint16_t *m,
+                                int32_t t, uint16_t *out)
+{
+    int32_t i;
+    memcpy(out, m, (size_t)net->P * sizeof(uint16_t));
+    for (i = net->pre_off[t]; i < net->pre_off[t + 1]; i++)
+        out[net->pre_place[i]] -= (uint16_t)net->pre_w[i];
+    return out;
+}
+
+/* The strict priority filter on n >= 1 (transition, delay) pairs in
+ * place: only the pairs of the best (smallest) priority stay, in
+ * order.  Returns their count. */
+static int32_t ez_strict(const ez_net *net, int32_t *pairs, int32_t n)
+{
+    int32_t best = net->prio[pairs[0]], k, m = 0;
+    for (k = 1; k < n; k++)
+        if (net->prio[pairs[2 * k]] < best)
+            best = net->prio[pairs[2 * k]];
+    for (k = 0; k < n; k++) {
+        if (net->prio[pairs[2 * k]] == best) {
+            pairs[2 * m] = pairs[2 * k];
+            pairs[2 * m + 1] = pairs[2 * k + 1];
+            m++;
+        }
+    }
+    return m;
+}
+
+/* The candidate order: an insertion sort of n (transition, delay)
+ * pairs by (delay, priority, index); candidate lists are window-sized,
+ * typically < 16 entries. */
+static void ez_sort(const ez_net *net, int32_t *pairs, int32_t n)
+{
+    int32_t k;
+    for (k = 1; k < n; k++) {
+        int32_t tc = pairs[2 * k], qd = pairs[2 * k + 1];
+        int32_t pk = net->prio[tc];
+        int32_t m = k - 1;
+        while (m >= 0) {
+            int32_t tm = pairs[2 * m], qm = pairs[2 * m + 1];
+            int32_t pm = net->prio[tm];
+            if (qm > qd || (qm == qd && (pm > pk || (pm == pk && tm > tc)))) {
+                pairs[2 * m + 2] = tm;
+                pairs[2 * m + 3] = qm;
+                m--;
+            } else {
+                break;
+            }
+        }
+        pairs[2 * m + 2] = tc;
+        pairs[2 * m + 3] = qd;
+    }
 }
 
 /* ------------------------------------------------------------------
@@ -840,12 +910,8 @@ int32_t ez_replay(const ez_net *net, const uint16_t *m0,
             goto out;
         }
 
-        if (intermediate) {
-            /* the reference marking m - W(., t); t is enabled, so >= 0 */
-            memcpy(inter, mark, (size_t)net->P * sizeof(uint16_t));
-            for (i = net->pre_off[t]; i < net->pre_off[t + 1]; i++)
-                inter[net->pre_place[i]] -= (uint16_t)net->pre_w[i];
-        }
+        if (intermediate)
+            ez_inter(net, mark, t, inter);
         for (i = net->delta_off[t]; i < net->delta_off[t + 1]; i++) {
             int32_t p = net->delta_place[i];
             int32_t v = (int32_t)mark[p] + net->delta_d[i];

@@ -66,15 +66,15 @@ from repro.tpn._native import (
     core_for,
     search_options,
 )
-from repro.tpn.interval import INF
+from repro.tpn.interval import INF, MAX_BOUND
 from repro.tpn.kernel import MAX_TOKENS
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import RESET_POLICIES
+from repro.tpn.state import check_reset_policy
 from repro.tpn.stateclass import (
     Bound,
     RealizedSchedule,
     StateClass,
-    _canonical,
+    StateClassEngine,
     realize_firing_sequence,
     realized_schedule,
 )
@@ -84,39 +84,6 @@ from repro.tpn.stateclass import (
 #: :data:`MAX_BOUND`), so ``min``/comparison logic needs no special
 #: cases.
 DINF = (1 << 31) - 1
-
-#: Largest static interval bound the packed representation accepts;
-#: with it every finite entry of a canonical class lies in
-#: ``[-MAX_BOUND, MAX_BOUND]``, so the bounds are stored as ``int32``
-#: (the C core adds them in ``int64``).  The argument, on a class
-#: ``D`` over firing delays ``θ₁..θₖ`` (``θ₀ = 0``, ``D[i][j]`` the
-#: least upper bound of ``θᵢ − θⱼ``), by induction over the firing
-#: rule from the root, the Floyd–Warshall closure of the static box
-#: ``eftᵢ ≤ θᵢ ≤ lftᵢ``:
-#:
-#: 1. **Delays are non-negative**, ``D[0][j] ≤ 0``: a newly enabled
-#:    variable starts at ``−eft ≤ 0``, and a persistent one,
-#:    ``θ'ᵤ = θᵤ − θₜ``, is bounded by the firing condition
-#:    ``θₜ ≤ θᵤ``.
-#: 2. **Every finite upper bound starts at an lft and only
-#:    tightens**: ``D[i][0] ≤ lftᵢ ≤ MAX_BOUND``, since
-#:    ``θ'ᵤ ≤ θᵤ`` by (1).  A variable with an unbounded LFT keeps an
-#:    all-:data:`DINF` row off the diagonal (the repair routes it
-#:    through its own unbounded ``D[u][t]``).
-#: 3. **Each lower bound is at most MAX_BOUND**, ``D[0][j] ≥
-#:    −MAX_BOUND``: a new variable's is its ``eft``; a persistent
-#:    one's is ``−min_v D[v][u]`` over the enabled ``v``, and
-#:    ``D[v][u] ≥ D[0][u] − D[0][v] ≥ D[0][u]`` by closure and (1).
-#:
-#: So ``D[i][j] ≥ D[0][j] − D[0][i] ≥ −min θⱼ ≥ −MAX_BOUND``, and a
-#: finite ``D[i][j] ≤ D[i][0] + D[0][j] ≤ D[i][0] ≤ MAX_BOUND``; a
-#: sum of two entries stays within ``±2³¹`` in ``int64``, clear of the
-#: sentinel.  ``tests/test_dbm.py`` asserts the bound on every class
-#: of its walks, including an edge net with ``eft = lft = MAX_BOUND``
-#: beside an unbounded LFT.  The engine raises loudly at construction
-#: when a net exceeds the cap (lint rule ``EZT204`` reports the same
-#: condition pre-search, at spec level).
-MAX_BOUND = 1 << 30
 
 #: DBM size cap (variables per class, including the zero reference).
 #: A class matrix, and each successor buffer a packed search
@@ -377,20 +344,10 @@ class DbmEngine:
     run the net (see :func:`repro.tpn._native.core_for`).
     """
 
-    __slots__ = (
-        "net",
-        "reset_policy",
-        "core",
-        "_intermediate",
-        "_pre",
-    )
+    __slots__ = ("net", "reset_policy", "core", "_intermediate")
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
-        if reset_policy not in RESET_POLICIES:
-            raise SchedulingError(
-                f"unknown reset policy {reset_policy!r}; "
-                f"expected one of {RESET_POLICIES}"
-            )
+        check_reset_policy(reset_policy)
         if net.num_transitions + 1 > MAX_VARS:
             raise SchedulingError(
                 "packed DBM engine: net has more than "
@@ -416,61 +373,36 @@ class DbmEngine:
         self.net = net
         self.reset_policy = reset_policy
         self._intermediate = reset_policy == "intermediate"
-        self._pre = net.pre
         self.core = _DbmNativeCore(module, net)
 
     # ------------------------------------------------------------------
     # Class construction
     # ------------------------------------------------------------------
-    def _enabled(self, marking) -> list[int]:
-        pre = self._pre
-        result = []
-        for t in range(self.net.num_transitions):
-            ok = True
-            for place, weight in pre[t]:
-                if marking[place] < weight:
-                    ok = False
-                    break
-            if ok:
-                result.append(t)
-        return result
-
     def initial_class(self) -> PackedClass:
-        """The root class, canonicalised by the reference
-        Floyd–Warshall closure and then packed — one O(n³) pass per
-        search guarantees the root is byte-identical to the
-        specification engine's."""
-        net = self.net
-        if any(v > MAX_TOKENS for v in net.m0):
+        """The root: the spec's
+        :meth:`StateClassEngine.initial_class
+        <repro.tpn.stateclass.StateClassEngine.initial_class>` (its
+        Floyd–Warshall closure, one O(n³) pass per search), packed —
+        so the root is byte-identical to the specification engine's."""
+        if any(v > MAX_TOKENS for v in self.net.m0):
             raise SchedulingError(
                 "packed DBM engine: initial marking exceeds the "
                 f"packed token cap ({MAX_TOKENS} per place)"
             )
-        marking = array("H", net.m0)
-        enabled = self._enabled(marking)
-        size = len(enabled) + 1
-        matrix: list[list[Bound]] = [
-            [INF] * size for _ in range(size)
-        ]
-        for i in range(size):
-            matrix[i][i] = 0
-        for var, t in enumerate(enabled, start=1):
-            matrix[var][0] = net.lft[t]
-            matrix[0][var] = -net.eft[t]
-        closed = _canonical(matrix)
-        if closed is None:
-            raise SchedulingError("initial class is inconsistent")
+        root = StateClassEngine(self.net, self.reset_policy).initial_class()
+        marking = array("H", root.marking)
+        size = len(root.enabled) + 1
         flat = array(
             "i",
             (
                 DINF if b == INF else int(b)
-                for row in closed
+                for row in root.dbm
                 for b in row
             ),
         )
         return PackedClass(
             marking,
-            array("i", enabled),
+            array("i", root.enabled),
             flat,
             size,
             *self.core.keys(marking, flat, size),

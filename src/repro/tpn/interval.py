@@ -23,6 +23,41 @@ from repro.errors import NetConstructionError
 #: comparisons against integer clocks work without special cases.
 INF = math.inf
 
+#: Largest static interval bound the packed DBM engine
+#: (:mod:`repro.tpn.dbm`) accepts; it lives here, in a module every
+#: stage loads, so lint rule ``EZT204`` reads it without loading the
+#: dense engine.  With it every finite entry of a canonical class lies
+#: in ``[-MAX_BOUND, MAX_BOUND]``, so the bounds are stored as
+#: ``int32`` (the C core adds them in ``int64``).  The argument, on a class
+#: ``D`` over firing delays ``θ₁..θₖ`` (``θ₀ = 0``, ``D[i][j]`` the
+#: least upper bound of ``θᵢ − θⱼ``), by induction over the firing
+#: rule from the root, the Floyd–Warshall closure of the static box
+#: ``eftᵢ ≤ θᵢ ≤ lftᵢ``:
+#:
+#: 1. **Delays are non-negative**, ``D[0][j] ≤ 0``: a newly enabled
+#:    variable starts at ``−eft ≤ 0``, and a persistent one,
+#:    ``θ'ᵤ = θᵤ − θₜ``, is bounded by the firing condition
+#:    ``θₜ ≤ θᵤ``.
+#: 2. **Every finite upper bound starts at an lft and only
+#:    tightens**: ``D[i][0] ≤ lftᵢ ≤ MAX_BOUND``, since
+#:    ``θ'ᵤ ≤ θᵤ`` by (1).  A variable with an unbounded LFT keeps an
+#:    all-:data:`~repro.tpn.dbm.DINF` row off the diagonal (the repair routes it
+#:    through its own unbounded ``D[u][t]``).
+#: 3. **Each lower bound is at most MAX_BOUND**, ``D[0][j] ≥
+#:    −MAX_BOUND``: a new variable's is its ``eft``; a persistent
+#:    one's is ``−min_v D[v][u]`` over the enabled ``v``, and
+#:    ``D[v][u] ≥ D[0][u] − D[0][v] ≥ D[0][u]`` by closure and (1).
+#:
+#: So ``D[i][j] ≥ D[0][j] − D[0][i] ≥ −min θⱼ ≥ −MAX_BOUND``, and a
+#: finite ``D[i][j] ≤ D[i][0] + D[0][j] ≤ D[i][0] ≤ MAX_BOUND``; a
+#: sum of two entries stays within ``±2³¹`` in ``int64``, clear of the
+#: sentinel.  ``tests/test_dbm.py`` asserts the bound on every class
+#: of its walks, including an edge net with ``eft = lft = MAX_BOUND``
+#: beside an unbounded LFT.  The engine raises loudly at construction
+#: when a net exceeds the cap (lint rule ``EZT204`` reports the same
+#: condition pre-search, at spec level).
+MAX_BOUND = 1 << 30
+
 _INTERVAL_RE = re.compile(
     r"^\s*[\[\(]\s*(\d+)\s*,\s*(\d+|inf|oo|w|∞)\s*[\]\)]\s*$",
     re.IGNORECASE,

@@ -58,7 +58,7 @@ from repro.tpn._native import (
     search_options,
 )
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import DISABLED, RESET_POLICIES, State
+from repro.tpn.state import DISABLED, State, StateEngine, check_reset_policy
 
 #: Disabled-clock sentinel in the packed ``array('H')`` clock buffer.
 DIS = 0xFFFF
@@ -198,21 +198,10 @@ class KernelEngine:
     run the net (see :func:`repro.tpn._native.core_for`).
     """
 
-    __slots__ = (
-        "net",
-        "reset_policy",
-        "core",
-        "_intermediate",
-        "_pre",
-        "_num_transitions",
-    )
+    __slots__ = ("net", "reset_policy", "core", "_intermediate")
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
-        if reset_policy not in RESET_POLICIES:
-            raise SchedulingError(
-                f"unknown reset policy {reset_policy!r}; "
-                f"expected one of {RESET_POLICIES}"
-            )
+        check_reset_policy(reset_policy)
         module = core_for(net)
         if module is None:
             raise SchedulingError(
@@ -223,8 +212,6 @@ class KernelEngine:
         self.net = net
         self.reset_policy = reset_policy
         self._intermediate = reset_policy == "intermediate"
-        self._pre = net.pre
-        self._num_transitions = net.num_transitions
         self.core = _NativeCore(module, net)
 
     def full_hash(self, mark: array, clk: array) -> int:
@@ -235,30 +222,18 @@ class KernelEngine:
     # State construction
     # ------------------------------------------------------------------
     def initial(self) -> KernelState:
-        net = self.net
-        if any(v > MAX_TOKENS for v in net.m0):
-            raise SchedulingError(
-                "kernel engine: initial marking exceeds the packed "
-                f"token cap ({MAX_TOKENS} per place)"
-            )
-        mark = array("H", net.m0)
-        pre = self._pre
-        clk = array(
-            "H",
-            (
-                0
-                if all(mark[p] >= w for p, w in pre[t])
-                else DIS
-                for t in range(self._num_transitions)
-            ),
+        """The root: the spec's :meth:`StateEngine.initial_state`,
+        packed."""
+        return self.lift(
+            StateEngine(self.net, self.reset_policy).initial_state()
         )
-        return KernelState(mark, clk, self.full_hash(mark, clk))
 
     def lift(self, state: State) -> KernelState:
         """Wrap a reference :class:`State` into packed buffers."""
         if any(v > MAX_TOKENS for v in state.marking):
             raise SchedulingError(
-                "kernel engine: marking exceeds the packed token cap"
+                "kernel engine: marking exceeds the packed token cap "
+                f"({MAX_TOKENS} per place)"
             )
         mark = array("H", state.marking)
         clk = array(

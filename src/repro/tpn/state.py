@@ -43,6 +43,31 @@ DISABLED = -1
 RESET_POLICIES = ("paper", "intermediate")
 
 
+def check_reset_policy(reset_policy: str) -> None:
+    """Raise :class:`SchedulingError` unless ``reset_policy`` is one of
+    :data:`RESET_POLICIES` (the check every engine and the scheduler
+    configuration run)."""
+    if reset_policy not in RESET_POLICIES:
+        raise SchedulingError(
+            f"unknown reset policy {reset_policy!r}; "
+            f"expected one of {RESET_POLICIES}"
+        )
+
+
+def enabled_by(net: CompiledNet, marking: Sequence[int]) -> list[int]:
+    """``ET(m)`` — indices of the transitions ``marking`` enables, in
+    index order (every engine's root and the dense spec's successors
+    read their enabled set from here)."""
+    enabled: list[int] = []
+    for t, arcs in enumerate(net.pre):
+        for place, weight in arcs:
+            if marking[place] < weight:
+                break
+        else:
+            enabled.append(t)
+    return enabled
+
+
 class State(FrozenRecord):
     """An immutable TLTS state ``s = (m, c)``.
 
@@ -122,11 +147,7 @@ class StateEngine:
     """
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
-        if reset_policy not in RESET_POLICIES:
-            raise SchedulingError(
-                f"unknown reset policy {reset_policy!r}; "
-                f"expected one of {RESET_POLICIES}"
-            )
+        check_reset_policy(reset_policy)
         self.net = net
         self.reset_policy = reset_policy
 
@@ -136,28 +157,17 @@ class StateEngine:
     def initial_state(self) -> State:
         """``s0 = (m0, c0)`` with zeroed clocks for enabled transitions."""
         marking = self.net.m0
-        clocks = tuple(
-            0 if self._enabled(marking, t) else DISABLED
-            for t in range(self.net.num_transitions)
-        )
-        return State(marking, clocks)
+        clocks = [DISABLED] * self.net.num_transitions
+        for t in enabled_by(self.net, marking):
+            clocks[t] = 0
+        return State(marking, tuple(clocks))
 
     # ------------------------------------------------------------------
     # Enabledness
     # ------------------------------------------------------------------
-    def _enabled(self, marking: tuple[int, ...], t: int) -> bool:
-        for place, weight in self.net.pre[t]:
-            if marking[place] < weight:
-                return False
-        return True
-
     def enabled_transitions(self, marking: tuple[int, ...]) -> list[int]:
         """``ET(m)`` — indices of transitions enabled by ``marking``."""
-        return [
-            t
-            for t in range(self.net.num_transitions)
-            if self._enabled(marking, t)
-        ]
+        return enabled_by(self.net, marking)
 
     def enabled_from_state(self, state: State) -> list[int]:
         """``ET(m)`` recovered from the dense clock vector (fast path)."""

@@ -43,7 +43,7 @@ from operator import sub
 from repro.errors import SchedulingError
 from repro.tpn.interval import INF
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import RESET_POLICIES
+from repro.tpn.state import check_reset_policy, enabled_by
 
 #: Matrix entries are integers or :data:`INF` (``math.inf``).  The
 #: alias admits ``float`` only for the INF sentinel: every finite bound
@@ -140,18 +140,14 @@ class StateClassEngine:
     """
 
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
-        if reset_policy not in RESET_POLICIES:
-            raise SchedulingError(
-                f"unknown reset policy {reset_policy!r}; "
-                f"expected one of {RESET_POLICIES}"
-            )
+        check_reset_policy(reset_policy)
         self.net = net
         self.reset_policy = reset_policy
 
     # ------------------------------------------------------------------
     def initial_class(self) -> StateClass:
         marking = self.net.m0
-        enabled = tuple(self._enabled(marking))
+        enabled = tuple(enabled_by(self.net, marking))
         size = len(enabled) + 1
         matrix: list[list[Bound]] = [
             [INF] * size for _ in range(size)
@@ -169,18 +165,6 @@ class StateClassEngine:
             enabled,
             tuple(tuple(row) for row in closed),
         )
-
-    def _enabled(self, marking: tuple[int, ...]) -> list[int]:
-        result = []
-        for t in range(self.net.num_transitions):
-            ok = True
-            for place, weight in self.net.pre[t]:
-                if marking[place] < weight:
-                    ok = False
-                    break
-            if ok:
-                result.append(t)
-        return result
 
     # ------------------------------------------------------------------
     def firable(self, cls: StateClass) -> list[int]:
@@ -309,7 +293,7 @@ class StateClassEngine:
         new_marking = tuple(marking)
 
         old_enabled = cls.enabled
-        new_enabled = tuple(self._enabled(new_marking))
+        new_enabled = tuple(enabled_by(self.net, new_marking))
         persistent = self._persistent(
             cls.marking, new_enabled, old_enabled, transition
         )
@@ -491,11 +475,7 @@ def _sequence_constraints(
     order (``opened`` stamps it), so the constraints come out in the
     order of a scan over every open episode.
     """
-    if reset_policy not in RESET_POLICIES:
-        raise SchedulingError(
-            f"unknown reset policy {reset_policy!r}; "
-            f"expected one of {RESET_POLICIES}"
-        )
+    check_reset_policy(reset_policy)
     pre = net.pre
     eft = net.eft
     lft = net.lft
@@ -509,11 +489,7 @@ def _sequence_constraints(
         return True
 
     marking = list(net.m0)
-    enabled_since: dict[int, int] = {
-        t: 0
-        for t in range(net.num_transitions)
-        if enabled_in(marking, t)
-    }
+    enabled_since = dict.fromkeys(enabled_by(net, marking), 0)
     # opened[u]: a counter value stamped when u's episode opened, so
     # sorting by it recovers the dict's insertion order
     opened = dict(zip(enabled_since, range(len(enabled_since))))

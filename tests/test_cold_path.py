@@ -106,6 +106,7 @@ NOT_RUN = {
     "export": _SEARCH_STAGES,
     "validate": _SEARCH_STAGES,
     "examples": _SEARCH_STAGES,
+    "lint": ("repro.codegen", "repro.sim"),
     "schedule": ("repro.codegen", "repro.sim"),
     "codegen": ("repro.sim",),
     "simulate": ("repro.codegen",),
@@ -195,6 +196,7 @@ def _forbidden(modules: set[str], banned=FORBIDDEN) -> list[str]:
         ("validate", "@fig3"),
         ("export", "@fig3", "-o", "fig3.xml"),
         ("examples",),
+        ("lint", "@fig3"),
     ],
     ids=lambda argv: argv[0],
 )

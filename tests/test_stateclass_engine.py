@@ -218,6 +218,7 @@ def _try_fire_full_closure(engine, cls, transition):
     Kept here as the executable specification the fast path is
     checked against.
     """
+    from repro.tpn.state import enabled_by
     from repro.tpn.stateclass import StateClass, _canonical
 
     if transition not in cls.enabled:
@@ -238,7 +239,7 @@ def _try_fire_full_closure(engine, cls, transition):
     new_marking = tuple(marking)
 
     old_enabled = cls.enabled
-    new_enabled = tuple(engine._enabled(new_marking))
+    new_enabled = tuple(enabled_by(engine.net, new_marking))
     persistent = engine._persistent(
         cls.marking, new_enabled, old_enabled, transition
     )
