@@ -7,8 +7,9 @@ configurations, strictly interleaved:
 * **legacy** — :class:`~repro.scheduler.core.StateClassSpecAdapter`,
   the pre-packing adapter promoted to the dense search's executable
   spec, over the tuple-of-tuples
-  :class:`~repro.tpn.stateclass.StateClassEngine`: full Floyd–Warshall
-  re-closure per firing, Python column scans per candidate list.  This
+  :class:`~repro.tpn.stateclass.StateClassEngine`: the same O(n²)
+  incremental closure repair per firing on tuple-of-tuples matrices,
+  Python column scans per candidate list.  This
   is the engine the throughput target is measured against;
 * **driver** — the production path: the whole search in the native
   core's ``dc_search_*`` driver over the packed

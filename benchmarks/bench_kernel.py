@@ -40,10 +40,10 @@ A second, *large* tier (:func:`test_driver_large_tier`) times ≥1 s
 serial searches — the 32-task scaling net at a 60,000-state budget and
 an exhaustive 70,059-state refutation — interleaved
 min-of-:data:`LARGE_ROUNDS`: the native search driver (``kernel``)
-against :class:`~repro.scheduler.core.SearchCore` over the reference
-engine (the driver's executable spec); its rows are the ``large``
-tier, with engine ``kernel`` for the driver and ``reference`` for the
-spec.  It gates the driver at
+against :class:`~repro.scheduler.dfs.PreRuntimeScheduler`'s Python
+loop over the reference engine (the driver's executable spec); its
+rows are the ``large`` tier, with engine ``kernel`` for the driver and
+``reference`` for the spec.  It gates the driver at
 :data:`DRIVER_TARGET_SPEEDUP` × the spec in aggregate, after
 byte-identical exactness asserts.
 

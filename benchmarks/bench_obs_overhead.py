@@ -19,7 +19,7 @@ the trajectory is tracked PR over PR:
 3. **Traced-path overhead** (recorded, not gated): the same aggregate
    with span recording to a JSONL sink — the price of ``--trace``.
 4. **No per-expansion calls** (hard gate, deterministic): on the
-   spec path (``engine="reference"``, :class:`SearchCore`'s Python
+   spec path (``engine="reference"``, the scheduler's Python
    loop) the default path's metrics-registry and recorder calls do
    not grow when ``max_states`` grows — counted by stand-ins over two
    budgets.  Unlike a timing, this catches one stray call per
@@ -101,7 +101,7 @@ def _search(net, variant, trace_path, limits):
     scheduler = PreRuntimeScheduler(net, config)
     if variant == "bare":
         # exactly the pre-obs hot loop: no registry, no recorder,
-        # no heartbeat reach the search core
+        # no heartbeat reach the search loop
         scheduler.metrics = None
     return scheduler.search()
 

@@ -63,7 +63,6 @@ if TYPE_CHECKING:
     )
     from repro.scheduler.baselines import simulate_runtime
     from repro.scheduler.config import SchedulerConfig
-    from repro.scheduler.core import SearchCore
     from repro.scheduler.dfs import find_schedule, require_schedule
     from repro.scheduler.parallel import ParallelScheduler
     from repro.scheduler.policies import default_portfolio
@@ -113,7 +112,6 @@ else:
             ),
             "repro.scheduler.baselines": "simulate_runtime",
             "repro.scheduler.config": "SchedulerConfig",
-            "repro.scheduler.core": "SearchCore",
             "repro.scheduler.dfs": "find_schedule require_schedule",
             "repro.scheduler.parallel": "ParallelScheduler",
             "repro.scheduler.policies": "default_portfolio",
@@ -166,7 +164,6 @@ __all__ = [
     "ParallelScheduler",
     "SchedulerConfig",
     "SchedulerResult",
-    "SearchCore",
     "SchedulingError",
     "SchedulingType",
     "SimulationError",

@@ -250,9 +250,6 @@ class BatchResult:
             handle.write(self.to_jsonl())
         return path
 
-    def by_status(self, status: str) -> list[JobOutcome]:
-        return [o for o in self.outcomes if o.status == status]
-
     def summary(self) -> str:
         """One-paragraph human summary of the run."""
         s = self.stats

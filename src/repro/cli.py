@@ -324,22 +324,31 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _cmd_schedule(args) -> int:
+def _synthesise(args, finish) -> int:
+    """The pipeline ``schedule``, ``codegen`` and ``simulate`` share.
+
+    Loads the spec, starts the trace, composes, searches and, when a
+    schedule is found, extracts it; then returns
+    ``finish(model, result, schedule)``, where ``schedule`` is
+    ``None`` for an infeasible result.  The trace is written after
+    ``finish`` returns, so it covers what ``finish`` runs too.
+    """
     spec = _load_spec(args.spec)
     finalize_trace = _start_trace(args)
     try:
         config = _scheduler_config(args)
         model = _compose_traced(spec, args, config)
         result = _cli.find_schedule(model, config)
-        if not result.feasible:
-            print(_cli.full_report(model, result))
-            if args.profile:
-                print(
-                    "\nsearch profile:\n"
-                    + result.stats.profile(result.metrics)
-                )
-            return 1
-        schedule = _cli.schedule_from_result(model, result)
+        schedule = None
+        if result.feasible:
+            schedule = _cli.schedule_from_result(model, result)
+        return finish(model, result, schedule)
+    finally:
+        finalize_trace()
+
+
+def _cmd_schedule(args) -> int:
+    def report(model, result, schedule) -> int:
         print(
             _cli.full_report(model, result, schedule, gantt=args.gantt)
         )
@@ -355,43 +364,31 @@ def _cmd_schedule(args) -> int:
                     "\ndense firing windows (stateclass engine):\n"
                     + _cli.interval_slack_report(result, limit=40)
                 )
-        return 0
-    finally:
-        finalize_trace()
+        return 1 if schedule is None else 0
+
+    return _synthesise(args, report)
 
 
 def _cmd_codegen(args) -> int:
-    spec = _load_spec(args.spec)
-    finalize_trace = _start_trace(args)
-    try:
-        config = _scheduler_config(args)
-        model = _compose_traced(spec, args, config)
-        result = _cli.find_schedule(model, config)
-        if not result.feasible:
+    def emit(model, _result, schedule) -> int:
+        if schedule is None:
             print("no feasible schedule; cannot generate code")
             return 1
-        schedule = _cli.schedule_from_result(model, result)
         project = _cli.generate_project(model, schedule, args.target)
         paths = project.write(args.output)
         print(f"generated {len(paths)} file(s) in {args.output}:")
         for path in paths:
             print(f"  {path}")
         return 0
-    finally:
-        finalize_trace()
+
+    return _synthesise(args, emit)
 
 
 def _cmd_simulate(args) -> int:
-    spec = _load_spec(args.spec)
-    finalize_trace = _start_trace(args)
-    try:
-        config = _scheduler_config(args)
-        model = _compose_traced(spec, args, config)
-        result = _cli.find_schedule(model, config)
-        if not result.feasible:
+    def simulate(model, _result, schedule) -> int:
+        if schedule is None:
             print("no feasible schedule; nothing to simulate")
             return 1
-        schedule = _cli.schedule_from_result(model, result)
         machine_result = _cli.run_schedule(
             model, schedule, dispatch_overhead=args.overhead
         )
@@ -407,8 +404,8 @@ def _cmd_simulate(args) -> int:
             "instance completions, all constraints met"
         )
         return 0
-    finally:
-        finalize_trace()
+
+    return _synthesise(args, simulate)
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:

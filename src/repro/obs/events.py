@@ -112,7 +112,7 @@ class Recorder:
     ) -> None:
         """Record a completed span from explicit timestamps.
 
-        The search core uses this for its *aggregate* spans: the
+        The search uses this for its *aggregate* spans: the
         per-call successor/candidate costs are accumulated in plain
         nanosecond counters inside the loop and emitted as one span
         each at search end, so the hot path never formats an event.

@@ -1,4 +1,4 @@
-"""Progress heartbeats over the search core's polling hook.
+"""Progress heartbeats over the search's polling hook.
 
 The search loop already polls a cooperative ``tick`` every 1024
 expansions (first-win cancellation, shared budgets); progress streaming

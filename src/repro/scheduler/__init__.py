@@ -24,7 +24,6 @@ if TYPE_CHECKING:
     from repro.scheduler.core import (
         EngineAdapter,
         ReferenceAdapter,
-        SearchCore,
         StateClassAdapter,
         make_adapter,
         validate_with_reference,
@@ -70,8 +69,8 @@ else:
                 "SchedulerConfig"
             ),
             "repro.scheduler.core": (
-                "EngineAdapter ReferenceAdapter SearchCore "
-                "StateClassAdapter make_adapter validate_with_reference"
+                "EngineAdapter ReferenceAdapter StateClassAdapter "
+                "make_adapter validate_with_reference"
             ),
             "repro.scheduler.dfs": (
                 "PreRuntimeScheduler find_schedule require_schedule "
@@ -106,7 +105,6 @@ __all__ = [
     "PRIORITY_MODES",
     "PreRuntimeScheduler",
     "ReferenceAdapter",
-    "SearchCore",
     "StateClassAdapter",
     "RUNTIME_POLICIES",
     "RuntimeOutcome",

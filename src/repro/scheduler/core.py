@@ -1,12 +1,9 @@
-"""Generic depth-first search core: one loop, one adapter per engine.
+"""Engine adapters: the per-engine half of the depth-first search.
 
-**Overview for new contributors.**  Before this module existed the
-repository implemented the paper's pre-runtime search three times —
-once per successor engine, each copy re-stating the tagging, deadline
-pruning, budget/tick polling and policy reordering.  The duplication
-is gone: :class:`SearchCore` is the *single* DFS loop, parameterized
-over the :class:`EngineAdapter` protocol, and the three engines plug
-in through thin adapters:
+**Overview for new contributors.**  The paper's pre-runtime search is
+one loop, :class:`repro.scheduler.dfs.PreRuntimeScheduler`,
+parameterized over the :class:`EngineAdapter` protocol defined here;
+the engines plug in through thin adapters:
 
 * :class:`KernelAdapter` — the packed-buffer kernel over
   :class:`~repro.tpn.kernel.KernelEngine` (flat ``array('H')``
@@ -20,54 +17,51 @@ in through thin adapters:
   native-width buffers; feasible paths are concretised back to
   integer time and replayed through the reference engine);
 * :class:`StateClassSpecAdapter` — its executable spec over the tuple
-  :class:`~repro.tpn.stateclass.StateClassEngine` (full Floyd–Warshall
-  re-closure per firing).
+  :class:`~repro.tpn.stateclass.StateClassEngine` (tuple-of-tuples
+  matrices, the same O(n²) incremental closure repair per firing as
+  the packed engine).
 
 Each time semantics thus has two implementations: the optional native
 core (:mod:`repro.tpn._native`, one cffi extension), which runs the
-whole search of both packed engines in its one C driver — this
-module's loop parameterised by a per-engine operations table instead
-of an adapter (see :meth:`SearchCore._drive`) — and the executable
-spec, which :class:`SearchCore`'s own loop runs.  When the core cannot
-run a net, :func:`make_adapter` hands ``engine="kernel"`` and
-``engine="stateclass"`` to their specs.
+whole search of both packed engines in its one C driver — the
+scheduler's loop parameterised by a per-engine operations table
+instead of an adapter (see
+:meth:`~repro.scheduler.dfs.PreRuntimeScheduler._drive`) — and the
+executable spec, which the scheduler's own Python loop runs.  When the
+core cannot run a net, :func:`make_adapter` hands ``engine="kernel"``
+and ``engine="stateclass"`` to their specs.
 
 The split of responsibilities is strict: the adapter knows *states*
 (how to compute a root, and how to turn a finished path into a
-schedule); the core knows *search* (the stack, tagging, pruning,
+schedule); the scheduler knows *search* (the stack, tagging, pruning,
 budgets, cooperative cancellation and the policy reordering).  Each
 engine runs one way: a :class:`NativeAdapter` (the two packed engines)
 only opens the compiled driver, and only a :class:`SpecAdapter` (the
 two specs) has the per-step surface — successors and candidates —
-that :class:`SearchCore`'s own loop steps.  Orchestration layers — the
-portfolio racer, the batch engine — treat every engine uniformly
-through the common :class:`EngineAdapter` surface, the way Real-Time
-Maude and e-Motions keep one formal analysis core under several
-modeling front-ends.
+that the Python loop steps.  Orchestration layers — the portfolio
+racer, the batch engine — treat every engine uniformly through the
+common :class:`EngineAdapter` surface, the way Real-Time Maude and
+e-Motions keep one formal analysis core under several modeling
+front-ends.
 
-Behaviour-preserving parity is the refactor's contract: for every
-engine the core produces the same verdicts, the same visited-state
-counts and the same deterministic :class:`SearchStats` counters as the
-three pre-refactor loops (pinned by ``tests/test_refactor_parity.py``
-on the paper models and a seeded task-set grid, under both clock-reset
-policies).
+Behaviour-preserving parity is the contract: for every engine the
+search produces the same verdicts, the same visited-state counts and
+the same deterministic :class:`SearchStats` counters as the three
+engine-specific loops it replaced (pinned by
+``tests/test_refactor_parity.py`` on the paper models and a seeded
+task-set grid, under both clock-reset policies).
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER
 from repro.scheduler.config import SchedulerConfig
-from repro.scheduler.result import SchedulerResult, SearchStats
+from repro.scheduler.result import SearchStats
 from repro.tpn.interval import INF
 from repro.tpn._native import (
-    SEARCH_BUDGET,
-    SEARCH_FEASIBLE,
-    SEARCH_POLL,
-    SEARCH_REORDER,
     NativeNet,
     NativeSearch,
     core_for,
@@ -80,31 +74,6 @@ from repro.tpn.state import DISABLED, State, StateEngine
 if TYPE_CHECKING:
     from repro.tpn.dbm import PackedClass
     from repro.tpn.stateclass import StateClass
-
-# check the wall clock every 1024 expansions; the budget is measured
-# on time.monotonic() — never the adjustable system clock — matching
-# the batch engine's timing
-_TIME_CHECK_MASK = 0x3FF
-
-
-class _Frame:
-    """One DFS stack entry (slotted: the stack is the hot data path)."""
-
-    __slots__ = ("state", "now", "candidates", "index", "action")
-
-    def __init__(
-        self,
-        state: object,
-        now: int,
-        candidates: list[tuple[int, int]],
-        action: tuple[int, int, int] | None = None,
-    ):
-        self.state = state
-        self.now = now
-        self.candidates = candidates
-        self.index = 0
-        self.action = action
-
 
 class _DenseView:
     """Clock-vector facade handed to reorder policies by the dense DFS.
@@ -121,7 +90,8 @@ class _DenseView:
 
 @runtime_checkable
 class EngineAdapter(Protocol):
-    """What :class:`SearchCore` needs from every engine.
+    """What :class:`~repro.scheduler.dfs.PreRuntimeScheduler` needs
+    from every engine.
 
     An adapter wraps one engine instance (plus the hoisted config and
     net vectors its candidate enumeration reads) and presents the
@@ -132,7 +102,7 @@ class EngineAdapter(Protocol):
     * ``engine`` — the wrapped engine instance;
     * ``native`` — whether the native driver runs the search (the
       adapter is then a :class:`NativeAdapter`, otherwise a
-      :class:`SpecAdapter`; the scheduler shell reports it on the
+      :class:`SpecAdapter`; the scheduler reports it on the
       ``*.native_core`` gauges);
     * ``touches_miss`` / ``touches_final`` — the compiled
       marking-predicate skip masks (identical semantics for every
@@ -142,7 +112,7 @@ class EngineAdapter(Protocol):
     * ``deadline_missed(marking)`` / ``reached_final(marking)`` — the
       compiled marking predicates themselves.
 
-    States are opaque to the core; the only requirements are hashable
+    States are opaque to the loop; the only requirements are hashable
     identity (for the visited set) and a ``.marking`` attribute (for
     the two predicates).
     """
@@ -170,15 +140,16 @@ class EngineAdapter(Protocol):
         interval_schedule)``; the dense adapters concretise the class
         path to integer time and replay it through the checked
         reference engine here, so a feasible dense verdict leaves the
-        core already validated.
+        search already validated.
         """
 
 
 @runtime_checkable
 class NativeAdapter(EngineAdapter, Protocol):
     """A packed engine's adapter: it roots the search and hands the
-    rest to the native core's compiled driver (:meth:`SearchCore._drive`).
-    It has no per-step surface."""
+    rest to the native core's compiled driver
+    (:meth:`~repro.scheduler.dfs.PreRuntimeScheduler._drive`).  It has
+    no per-step surface."""
 
     def open_driver(
         self, root, reorder: bool, timed: bool
@@ -188,12 +159,13 @@ class NativeAdapter(EngineAdapter, Protocol):
 
 @runtime_checkable
 class SpecAdapter(EngineAdapter, Protocol):
-    """An executable spec's adapter, stepped state by state by
-    :class:`SearchCore`'s own loop."""
+    """An executable spec's adapter, stepped state by state by the
+    scheduler's own loop
+    (:meth:`~repro.scheduler.dfs.PreRuntimeScheduler._run`)."""
 
     def successor(self, state, transition: int, delay: int):
         """The child state, or ``None`` for an inconsistent dead end
-        (only the dense engine can produce one; the core counts it as
+        (only the dense engine can produce one; the loop counts it as
         a deadline prune rather than crashing a long search)."""
 
     def candidates_of(self, state, stats: SearchStats) -> list:
@@ -297,13 +269,13 @@ class _AdapterBase:
 
     #: Span recorder for adapter-side phases (the state-class adapter's
     #: concretisation and reference replay).  The class default is the
-    #: shared no-op recorder; the scheduler shell swaps in a live one
+    #: shared no-op recorder; the scheduler swaps in a live one
     #: when ``config.trace_jsonl`` is set.
     obs = NULL_RECORDER
 
     #: Whether the native driver runs the search (a
-    #: :class:`NativeAdapter`); otherwise :class:`SearchCore`'s own
-    #: loop steps the adapter (a :class:`SpecAdapter`).
+    #: :class:`NativeAdapter`); otherwise the scheduler's own loop
+    #: steps the adapter (a :class:`SpecAdapter`).
     native = False
 
     def __init__(self, net: CompiledNet, config):
@@ -353,7 +325,8 @@ class KernelAdapter(_AdapterBase):
 
     States are two flat buffers plus an incremental 64-bit Zobrist
     key.  The adapter builds the root; :meth:`open_driver` hands the
-    whole search to the native driver (see :meth:`SearchCore._drive`).
+    whole search to the native driver (see
+    :meth:`~repro.scheduler.dfs.PreRuntimeScheduler._drive`).
     The driver's step and candidate pipeline are also reachable one
     call at a time through :meth:`KernelEngine.successor` and
     :meth:`KernelEngine.candidates`, which the tests check against the
@@ -397,7 +370,7 @@ class ReferenceAdapter(_AdapterBase):
     O(|T|·|P|) firing rule — this is the honest
     baseline the kernel bench measures the kernel against, and the
     fixed point the equivalence suites compare to.  It shares the
-    core's loop mechanics (slotted frames, marking-predicate skip
+    scheduler's loop mechanics (slotted frames, marking-predicate skip
     masks), so the engines differ only in their cost model and the
     speedup the bench reports is the successor/candidate asymptotics,
     not incidental loop-body differences.
@@ -463,7 +436,7 @@ class StateClassAdapter(_AdapterBase):
     packed flat buffers with precomputed 64-bit keys
     (:class:`repro.tpn.dbm.PackedClass`).  The adapter builds the
     root; :meth:`open_driver` hands the whole search to the native
-    driver (see :meth:`SearchCore._drive`), whose firing rule and
+    driver (see :meth:`~repro.scheduler.dfs.PreRuntimeScheduler._drive`), whose firing rule and
     candidate pipeline — firability column scans, miss and
     strict-priority filters, the dense forced-immediate reduction and
     the ``(lower, priority, index)`` ordering — the tests also reach
@@ -471,8 +444,8 @@ class StateClassAdapter(_AdapterBase):
     and :meth:`~repro.tpn.dbm.DbmEngine.candidates`.  Without the
     native core :func:`make_adapter` builds a
     :class:`StateClassSpecAdapter` instead, over the tuple-based
-    Floyd–Warshall specification the packed engine is differentially
-    tested against.
+    specification the packed engine is differentially tested
+    against.
 
     A feasible class path is concretised back to integer firing times
     and replayed through the checked reference engine in
@@ -520,9 +493,10 @@ class StateClassSpecAdapter(_AdapterBase):
     :class:`~repro.tpn.stateclass.StateClassEngine`.
 
     It runs ``engine="stateclass"`` whenever the native core cannot
-    run the net: tuple-of-tuples classes (full Floyd–Warshall
-    re-closure per firing), Python column scans and filters per
-    candidate list.  Same verdicts, schedules, windows and
+    run the net: tuple-of-tuples classes (the same O(n²)
+    incremental closure repair per firing as the packed engine's
+    ``dc_fire``), Python column scans and filters per candidate
+    list.  Same verdicts, schedules, windows and
     :class:`SearchStats` counters as the native driver
     (``tests/test_dbm_driver.py``); ``bench_dbm`` measures the packed
     engine against it.
@@ -743,461 +717,3 @@ def make_adapter(engine: str, net: CompiledNet, config) -> EngineAdapter:
         adapter.name = engine
         return adapter
     return ADAPTERS[engine](net, config)
-
-
-# ----------------------------------------------------------------------
-# The shared loop
-# ----------------------------------------------------------------------
-class _Poll:
-    """The 1024-expansion poll both search paths share.
-
-    Each call samples the stack depth (the ``search.max_depth``
-    gauge), calls the heartbeat, checks the ``max_seconds`` deadline
-    and calls ``tick``, in that order, and returns True when the
-    search must stop (the budget ran out or ``tick`` cancelled it).
-    """
-
-    __slots__ = ("deadline", "tick", "heartbeat", "max_depth")
-
-    def __init__(self, deadline, tick, heartbeat):
-        self.deadline = deadline
-        self.tick = tick
-        self.heartbeat = heartbeat
-        self.max_depth = 1
-
-    def __call__(
-        self, visited, generated, revisits, prunes, backtracks, depth
-    ) -> bool:
-        if depth > self.max_depth:
-            self.max_depth = depth
-        if self.heartbeat is not None:
-            self.heartbeat(visited, generated, depth)
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            return True
-        return self.tick is not None and bool(
-            self.tick(
-                visited, generated, revisits, prunes, backtracks, depth
-            )
-        )
-
-
-class SearchCore:
-    """The depth-first search, engine-agnostic.
-
-    Search structure (matching the paper's description):
-
-    * depth-first, with *tagging* of visited states so no state is
-      expanded twice (revisits backtrack immediately);
-    * *undesirable states are removed*: candidates that fire a
-      deadline-miss transition are never taken, and successors whose
-      marking contains a token in a deadline-missed place are pruned —
-      when the model forces a miss, the branch dead-ends and the
-      search backtracks to the previous scheduling decision;
-    * *partial-order state-space minimisation* (the paper cites
-      Lilius), applied inside the adapters' candidate enumeration;
-    * candidates are ordered by ``(delay, priority, index)`` unless a
-      reorder policy overrides it; the stop criterion is reaching
-      ``M_F``.
-
-    One injection point serves the parallel scheduler's workers (a
-    no-op for a plain serial search): ``tick`` is a cooperative
-    callback polled every 1024 expansions with the live counters plus
-    the current stack depth (returning True aborts the search —
-    first-win cancellation).
-
-    Three more injection points serve :mod:`repro.obs` (all ``None``
-    by default, costing the loop nothing): ``obs`` is a span recorder —
-    when enabled, the hoisted successor/candidate locals are wrapped in
-    nanosecond-accumulating closures and emitted as aggregate child
-    spans of the ``search`` span at exit; ``metrics`` is a registry
-    whose snapshot lands on ``SchedulerResult.metrics``; ``heartbeat``
-    is a progress callback sharing ``tick``'s 1024-expansion poll.
-    The registry alone never turns polling on — the ``search.max_depth``
-    gauge is sampled at the poll cadence, so it is recorded only when
-    a deadline, tick or heartbeat already pays for the poll.
-    """
-
-    def __init__(
-        self,
-        adapter: EngineAdapter,
-        config,
-        reorder=None,
-        tick=None,
-        obs=None,
-        metrics=None,
-        heartbeat=None,
-    ):
-        self.adapter = adapter
-        self.config = config
-        self.reorder = reorder
-        self.tick = tick
-        self.obs = obs
-        self.metrics = metrics
-        self.heartbeat = heartbeat
-
-    def run(self) -> SchedulerResult:
-        result = self._run()
-        if self.metrics is not None:
-            result.metrics = self.metrics.snapshot()
-        return result
-
-    def _emit_spans(self, start_ns: int, span_acc, stats) -> None:
-        """Emit the ``search`` span plus its aggregate phase children.
-
-        The per-call successor/candidate costs were accumulated as
-        plain nanosecond counters inside the loop (never formatting an
-        event on the hot path); here they become two child spans laid
-        out back-to-back from the search start — a valid Chrome
-        nesting that reads as "of this search, X µs went to successor
-        generation and Y µs to candidate enumeration".
-        """
-        obs = self.obs
-        obs.record_span(
-            "search",
-            start_ns,
-            obs.now_ns(),
-            cat="search",
-            args={
-                "engine": self.adapter.name,
-                "states_visited": stats.states_visited,
-                "states_generated": stats.states_generated,
-            },
-        )
-        cursor = start_ns
-        for name, (spent_ns, calls) in (
-            ("successor-generation", span_acc["succ"]),
-            ("candidate-enumeration", span_acc["cand"]),
-        ):
-            if not calls:
-                continue
-            obs.record_span(
-                name,
-                cursor,
-                cursor + spent_ns,
-                cat="search",
-                args={"aggregate": True, "calls": calls},
-            )
-            cursor += spent_ns
-
-    def _drive(
-        self, driver, stats, started, poll, trace_t0, span_acc
-    ) -> SchedulerResult:
-        """:meth:`_run`'s loop, run by a compiled driver.
-
-        The driver — the native core's one ``ez_search_*`` loop,
-        rooted by the kernel's ``kn_search_new``
-        (:meth:`KernelAdapter.open_driver`) or the DBM engine's
-        ``dc_search_new`` (:meth:`StateClassAdapter.open_driver`),
-        behind one :class:`~repro.tpn._native.NativeSearch` handle —
-        owns the stack, the visited states and every per-expansion
-        step; Python runs only what :meth:`_run` runs at the same
-        points:
-
-        * at every 1024-expansion poll, the same :class:`_Poll` — only
-          when something asked for polling, but the driver yields
-          there regardless, so signal handlers (Ctrl-C) run within one
-          poll interval;
-        * on each new frame with more than one candidate, a reorder
-          policy the driver cannot apply itself (``random``; it orders
-          ``latest`` and ``min-laxity`` natively);
-        * on a win, :meth:`EngineAdapter.finalize_path`.
-
-        Verdicts, schedules, every :class:`SearchStats` counter and
-        the tick/heartbeat arguments equal :meth:`_run`'s over the
-        engine's executable spec (``tests/test_kernel_driver.py``,
-        ``tests/test_dbm_driver.py``).  The driver's
-        memory is freed on every exit path; its size lands on the
-        ``search.visited_bytes`` / ``search.bytes_per_state`` gauges.
-        """
-        reorder = self.reorder
-        metrics = self.metrics
-        record = span_acc is not None
-        clock_ns = time.monotonic_ns
-        counters = driver.counters
-        reorder_ns = 0
-        exhausted = False
-        try:
-            while True:
-                status = driver.run()
-                if status == SEARCH_POLL:
-                    if poll is not None and poll(
-                        counters.visited,
-                        counters.generated,
-                        counters.revisits,
-                        counters.prunes,
-                        counters.backtracks,
-                        counters.depth,
-                    ):
-                        exhausted = True
-                        break
-                elif status == SEARCH_REORDER:
-                    t0 = clock_ns() if record else 0
-                    driver.reorder(reorder)
-                    if record:
-                        reorder_ns += clock_ns() - t0
-                elif status == SEARCH_FEASIBLE:
-                    stats.elapsed_seconds = time.monotonic() - started
-                    schedule, windows = self.adapter.finalize_path(
-                        driver.path(), stats
-                    )
-                    return SchedulerResult(
-                        feasible=True,
-                        firing_schedule=schedule,
-                        stats=stats,
-                        config=self.config,
-                        interval_schedule=windows,
-                    )
-                else:
-                    exhausted = status == SEARCH_BUDGET
-                    break
-        finally:
-            driver.close()
-            stats.states_visited = counters.visited
-            stats.states_generated = counters.generated
-            stats.revisits_skipped = counters.revisits
-            stats.deadline_prunes = counters.prunes
-            stats.backtracks = counters.backtracks
-            stats.reductions = counters.reductions
-            if metrics is not None:
-                if poll is not None:
-                    metrics.max_gauge("search.max_depth", poll.max_depth)
-                visited_bytes = counters.visited_bytes
-                metrics.max_gauge("search.visited_bytes", visited_bytes)
-                metrics.max_gauge(
-                    "search.bytes_per_state",
-                    visited_bytes / max(1, counters.visited),
-                )
-            if record:
-                span_acc["succ"] = [counters.succ_ns, counters.succ_calls]
-                span_acc["cand"] = [
-                    counters.cand_ns + reorder_ns,
-                    counters.cand_calls,
-                ]
-                self._emit_spans(trace_t0, span_acc, stats)
-
-        stats.elapsed_seconds = time.monotonic() - started
-        return SchedulerResult(
-            feasible=False,
-            stats=stats,
-            config=self.config,
-            exhausted=exhausted,
-        )
-
-    def _run(self) -> SchedulerResult:
-        adapter = self.adapter
-        config = self.config
-        stats = SearchStats()
-        started = time.monotonic()
-        obs = self.obs
-        record = obs is not None and obs.enabled
-        span_acc = None
-        trace_t0 = 0
-        if record:
-            trace_t0 = obs.now_ns()
-            span_acc = {"succ": [0, 0], "cand": [0, 0]}
-        # the metrics registry alone never turns polling on: the bare
-        # hot loop and the registry-only default path run the same
-        # per-expansion bytecode (the <2% gate in bench_obs_overhead)
-        poll = None
-        if (
-            config.max_seconds is not None
-            or self.tick is not None
-            or self.heartbeat is not None
-        ):
-            poll = _Poll(
-                None
-                if config.max_seconds is None
-                else started + config.max_seconds,
-                self.tick,
-                self.heartbeat,
-            )
-
-        s0 = adapter.root()
-        if adapter.deadline_missed(s0.marking):
-            raise SchedulingError(
-                "initial marking already contains a missed deadline"
-            )
-        visited = {s0}
-        stats.states_visited = 1
-
-        if adapter.reached_final(s0.marking):
-            stats.elapsed_seconds = time.monotonic() - started
-            schedule, windows = adapter.finalize_path([], stats)
-            if record:
-                self._emit_spans(trace_t0, span_acc, stats)
-            return SchedulerResult(
-                feasible=True,
-                firing_schedule=schedule,
-                stats=stats,
-                config=config,
-                interval_schedule=windows,
-            )
-
-        if adapter.native:
-            return self._drive(
-                adapter.open_driver(s0, self.reorder is not None, record),
-                stats,
-                started,
-                poll,
-                trace_t0,
-                span_acc,
-            )
-
-        candidates_of = adapter.candidates_of
-        reorder = self.reorder
-        if reorder is not None:
-            base_candidates = candidates_of
-            clocks_view = adapter.clocks_view
-
-            def candidates_of(state, stats):
-                return reorder(
-                    base_candidates(state, stats), clocks_view(state)
-                )
-
-        if record:
-            # tracing wraps the hoisted callables in ns-accumulating
-            # closures; when disabled these lines never run and the
-            # loop is byte-for-byte the untraced one
-            clock_ns = time.monotonic_ns
-            cand_cell = span_acc["cand"]
-            traced_candidates = candidates_of
-
-            def candidates_of(state, stats):
-                t0 = clock_ns()
-                cands = traced_candidates(state, stats)
-                cand_cell[0] += clock_ns() - t0
-                cand_cell[1] += 1
-                return cands
-
-        stack: list[_Frame] = [
-            _Frame(s0, 0, candidates_of(s0, stats))
-        ]
-        exhausted = False
-
-        # Hot-loop locals: the marking predicates re-run only when the
-        # fired transition can change their verdict (parents on the
-        # stack already passed both checks), and the per-expansion
-        # counters stay in locals, folded back into `stats` on exit.
-        successor = adapter.successor
-        if record:
-            succ_cell = span_acc["succ"]
-            traced_successor = successor
-
-            def successor(state, transition, delay):
-                t0 = clock_ns()
-                child = traced_successor(state, transition, delay)
-                succ_cell[0] += clock_ns() - t0
-                succ_cell[1] += 1
-                return child
-
-        touches_miss = adapter.touches_miss
-        touches_final = adapter.touches_final
-        has_missed = adapter.deadline_missed
-        is_final = adapter.reached_final
-        max_states = config.max_states
-        visited_add = visited.add
-        metrics = self.metrics
-        n_visited = 1
-        n_generated = 0
-        n_revisits = 0
-        n_prunes = 0
-        n_backtracks = 0
-
-        try:
-            while stack:
-                frame = stack[-1]
-                index = frame.index
-                candidates = frame.candidates
-                if index >= len(candidates):
-                    stack.pop()
-                    if stack:
-                        n_backtracks += 1
-                    continue
-                frame.index = index + 1
-                transition, delay = candidates[index]
-
-                n_generated += 1
-                if (
-                    poll is not None
-                    and not n_generated & _TIME_CHECK_MASK
-                    and poll(
-                        n_visited,
-                        n_generated,
-                        n_revisits,
-                        n_prunes,
-                        n_backtracks,
-                        len(stack),
-                    )
-                ):
-                    exhausted = True
-                    break
-
-                child = successor(frame.state, transition, delay)
-                if child is None:
-                    n_prunes += 1
-                    continue
-                if touches_miss[transition] and has_missed(
-                    child.marking
-                ):
-                    n_prunes += 1
-                    continue
-                if child in visited:
-                    n_revisits += 1
-                    continue
-                visited_add(child)
-                n_visited += 1
-                now = frame.now
-                action = (transition, delay, now + delay)
-
-                if touches_final[transition] and is_final(
-                    child.marking
-                ):
-                    actions = [
-                        f.action
-                        for f in stack[1:]
-                        if f.action is not None
-                    ]
-                    actions.append(action)
-                    stats.elapsed_seconds = time.monotonic() - started
-                    schedule, windows = adapter.finalize_path(
-                        actions, stats
-                    )
-                    return SchedulerResult(
-                        feasible=True,
-                        firing_schedule=schedule,
-                        stats=stats,
-                        config=config,
-                        interval_schedule=windows,
-                    )
-
-                if n_visited >= max_states:
-                    exhausted = True
-                    break
-                stack.append(
-                    _Frame(
-                        child,
-                        now + delay,
-                        candidates_of(child, stats),
-                        action,
-                    )
-                )
-        finally:
-            stats.states_visited = n_visited
-            stats.states_generated = n_generated
-            stats.revisits_skipped = n_revisits
-            stats.deadline_prunes = n_prunes
-            stats.backtracks = n_backtracks
-            if metrics is not None and poll is not None:
-                # depth is sampled at the poll cadence; without a
-                # poller nothing was sampled, so record no gauge
-                metrics.max_gauge("search.max_depth", poll.max_depth)
-            if record:
-                self._emit_spans(trace_t0, span_acc, stats)
-
-        stats.elapsed_seconds = time.monotonic() - started
-        return SchedulerResult(
-            feasible=False,
-            stats=stats,
-            config=config,
-            exhausted=exhausted,
-        )

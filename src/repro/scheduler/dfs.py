@@ -5,13 +5,14 @@ the synthesis pipeline: it takes the compiled time Petri net produced
 by the block composer and searches its timed state space for a firing
 sequence that reaches the desired final marking — that sequence *is*
 the pre-runtime schedule the code generator turns into a C table.
-Everything else in ``scheduler/`` supports this search: ``core.py``
-holds the single engine-agnostic DFS loop and the
-:class:`~repro.scheduler.core.EngineAdapter` implementations,
-``config.py`` the knobs, ``result.py`` the outcome/statistics
-containers, ``policies.py`` the alternative candidate orderings, and
-``parallel.py`` races the search across worker processes.  Start reading
-at :class:`repro.scheduler.core.SearchCore` (the loop) and
+:class:`PreRuntimeScheduler` is the search: the single engine-agnostic
+DFS loop.  Everything else in ``scheduler/`` supports it: ``core.py``
+holds the :class:`~repro.scheduler.core.EngineAdapter`
+implementations the loop runs over, ``config.py`` the knobs,
+``result.py`` the outcome/statistics containers, ``policies.py`` the
+alternative candidate orderings, and ``parallel.py`` races the search
+across worker processes.  Start reading at
+:meth:`PreRuntimeScheduler._run` (the loop) and
 :meth:`repro.scheduler.core.ReferenceAdapter.candidates_of` (how one
 state's successor choices are enumerated; the native driver runs the
 same pipeline in C).
@@ -23,7 +24,7 @@ feasible pre-runtime schedule, and finding one proves the task set
 schedulable under the searched policy.
 
 Three successor engines drive the expansion, each wrapped by a thin
-adapter behind the shared loop:
+adapter behind the shared loop; ``config.engine`` picks one:
 
 * ``engine="kernel"`` (default) — the packed-buffer
   :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
@@ -56,78 +57,156 @@ which path ran.
 
 from __future__ import annotations
 
+import time
+
 from repro.errors import InfeasibleScheduleError, SchedulingError
 from repro.blocks.composer import ComposedModel
 from repro.obs.events import JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressPrinter
 from repro.scheduler.config import SchedulerConfig
-from repro.scheduler.core import SearchCore, make_adapter
+from repro.scheduler.core import make_adapter
 from repro.scheduler.policies import make_reorder
-from repro.scheduler.result import SchedulerResult
+from repro.scheduler.result import SchedulerResult, SearchStats
+from repro.tpn._native import (
+    SEARCH_BUDGET,
+    SEARCH_FEASIBLE,
+    SEARCH_POLL,
+    SEARCH_REORDER,
+)
 from repro.tpn.net import CompiledNet
 
 #: Which path a native engine's search ran, per engine: the result
 #: gauge and the trace instant (1.0 / ``native=True``: the native
-#: driver; 0.0 / ``False``: ``SearchCore`` over the executable spec).
+#: driver; 0.0 / ``False``: the Python loop over the executable spec).
 _CORE_SIGNALS = {
     "kernel": ("kernel.native_core", "kernel-core"),
     "stateclass": ("dbm.native_core", "dbm-core"),
 }
 
+# check the wall clock every 1024 expansions; the budget is measured
+# on time.monotonic() — never the adjustable system clock — matching
+# the batch engine's timing
+_TIME_CHECK_MASK = 0x3FF
 
-class PreRuntimeScheduler:
-    """Depth-first schedule synthesiser over a compiled net.
 
-    A thin shell around :class:`repro.scheduler.core.SearchCore`: it
-    validates the configuration, builds the engine adapter and the
-    policy reorder function, and exposes the injection point the
-    parallel scheduler's workers use (``tick``).
-    """
+class _Frame:
+    """One DFS stack entry (slotted: the stack is the hot data path)."""
+
+    __slots__ = ("state", "now", "candidates", "index", "action")
 
     def __init__(
         self,
-        net: CompiledNet,
-        config: SchedulerConfig | None = None,
-        engine: str | None = None,
+        state: object,
+        now: int,
+        candidates: list[tuple[int, int]],
+        action: tuple[int, int, int] | None = None,
+    ):
+        self.state = state
+        self.now = now
+        self.candidates = candidates
+        self.index = 0
+        self.action = action
+
+
+class _Poll:
+    """The 1024-expansion poll both search paths share.
+
+    Each call samples the stack depth (the ``search.max_depth``
+    gauge), calls the heartbeat, checks the ``max_seconds`` deadline
+    and calls ``tick``, in that order, and returns True when the
+    search must stop (the budget ran out or ``tick`` cancelled it).
+    """
+
+    __slots__ = ("deadline", "tick", "heartbeat", "max_depth")
+
+    def __init__(self, deadline, tick, heartbeat):
+        self.deadline = deadline
+        self.tick = tick
+        self.heartbeat = heartbeat
+        self.max_depth = 1
+
+    def __call__(
+        self, visited, generated, revisits, prunes, backtracks, depth
+    ) -> bool:
+        if depth > self.max_depth:
+            self.max_depth = depth
+        if self.heartbeat is not None:
+            self.heartbeat(visited, generated, depth)
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            return True
+        return self.tick is not None and bool(
+            self.tick(
+                visited, generated, revisits, prunes, backtracks, depth
+            )
+        )
+
+
+class PreRuntimeScheduler:
+    """The depth-first schedule synthesiser over a compiled net.
+
+    Search structure (matching the paper's description):
+
+    * depth-first, with *tagging* of visited states so no state is
+      expanded twice (revisits backtrack immediately);
+    * *undesirable states are removed*: candidates that fire a
+      deadline-miss transition are never taken, and successors whose
+      marking contains a token in a deadline-missed place are pruned —
+      when the model forces a miss, the branch dead-ends and the
+      search backtracks to the previous scheduling decision;
+    * *partial-order state-space minimisation* (the paper cites
+      Lilius), applied inside the adapters' candidate enumeration;
+    * candidates are ordered by ``(delay, priority, index)`` unless a
+      reorder policy overrides it; the stop criterion is reaching
+      ``M_F``.
+
+    The constructor builds the adapter of ``config.engine``
+    (:func:`~repro.scheduler.core.make_adapter`) and the policy
+    reorder function; :meth:`search` runs the loop — in Python over a
+    spec adapter (:meth:`_run`), or in the native core's compiled
+    driver over a native one (:meth:`_drive`).
+
+    Four attributes are injection points a caller may replace before
+    :meth:`search`.  ``tick`` serves the parallel scheduler's workers
+    (``None`` for a plain serial search): a cooperative callback
+    polled every 1024 expansions with the live counters plus the
+    current stack depth (returning True aborts the search — first-win
+    cancellation).  The other three serve :mod:`repro.obs`: ``obs`` is
+    a span recorder (built only when ``config.trace_jsonl`` is set) —
+    when enabled, the hoisted successor/candidate locals are wrapped
+    in nanosecond-accumulating closures and emitted as aggregate child
+    spans of the ``search`` span at exit; ``metrics`` is a registry
+    (always built; ``None`` turns it off) whose snapshot lands on
+    ``SchedulerResult.metrics`` — portfolio workers swap in their own;
+    ``heartbeat`` is a progress callback (built when
+    ``config.progress`` is set) sharing ``tick``'s 1024-expansion
+    poll.  The registry alone never turns polling on — the
+    ``search.max_depth`` gauge is sampled at the poll cadence, so it
+    is recorded only when a deadline, tick or heartbeat already pays
+    for the poll.
+    """
+
+    def __init__(
+        self, net: CompiledNet, config: SchedulerConfig | None = None
     ):
         self.net = net
-        self.config = config or SchedulerConfig()
-        if engine is not None:
-            # SchedulerConfig.replace checks the engine rules
-            self.config = self.config.replace(engine=engine)
-        engine = self.engine_mode = self.config.engine
-        self.adapter = make_adapter(engine, net, self.config)
+        self.config = config = config or SchedulerConfig()
+        engine = config.engine
+        self.adapter = make_adapter(engine, net, config)
         self._reorder = make_reorder(
-            self.config.policy, net, self.config.policy_seed
+            config.policy, net, config.policy_seed
         )
-        #: Injection point for the parallel scheduler's workers (a
-        #: no-op for a plain serial search): cooperative callback,
-        #: polled every 1024 expansions with the live counters;
-        #: returning True aborts the search (first-win cancellation).
         self.tick = None
-        # Observability (repro.obs).  The metrics registry is always
-        # on — a few dict writes per search, snapshotted onto
-        # ``SchedulerResult.metrics``; portfolio workers swap in their
-        # own registry (carrying over the gauges below) so every
-        # worker's counters ship home.  The span recorder and the
-        # progress heartbeat exist only when their config knobs ask for
-        # them (otherwise the core's hot loop never sees them).
         self.metrics = MetricsRegistry()
-        if engine in _CORE_SIGNALS:
-            self.metrics.set_gauge(
-                _CORE_SIGNALS[engine][0],
-                1.0 if self.adapter.native else 0.0,
-            )
         self.obs = None
-        if self.config.trace_jsonl:
+        if config.trace_jsonl:
             self.obs = Recorder(
-                JsonlSink(self.config.trace_jsonl),
+                JsonlSink(config.trace_jsonl),
                 track=f"search:{engine}",
             )
             self.adapter.obs = self.obs
         self.heartbeat = None
-        if self.config.progress:
+        if config.progress:
             self.heartbeat = ProgressPrinter(
                 label=f"search:{engine}",
                 recorder=self.obs,
@@ -142,28 +221,383 @@ class PreRuntimeScheduler:
     # ------------------------------------------------------------------
     def search(self) -> SchedulerResult:
         """Run the DFS; returns a result whether or not it succeeds."""
-        engine = self.engine_mode
-        if self.obs is not None and engine in _CORE_SIGNALS:
-            self.obs.instant(
-                _CORE_SIGNALS[engine][1],
-                cat=engine,
-                native=self.adapter.native,
+        engine = self.config.engine
+        if engine in _CORE_SIGNALS:
+            gauge, instant = _CORE_SIGNALS[engine]
+            native = self.adapter.native
+            if self.metrics is not None:
+                self.metrics.set_gauge(gauge, 1.0 if native else 0.0)
+            if self.obs is not None:
+                self.obs.instant(instant, cat=engine, native=native)
+        result = self._run()
+        if self.metrics is not None:
+            result.metrics = self.metrics.snapshot()
+        return result
+
+    def _emit_spans(self, start_ns: int, span_acc, stats) -> None:
+        """Emit the ``search`` span plus its aggregate phase children.
+
+        The per-call successor/candidate costs were accumulated as
+        plain nanosecond counters inside the loop (never formatting an
+        event on the hot path); here they become two child spans laid
+        out back-to-back from the search start — a valid Chrome
+        nesting that reads as "of this search, X µs went to successor
+        generation and Y µs to candidate enumeration".
+        """
+        obs = self.obs
+        obs.record_span(
+            "search",
+            start_ns,
+            obs.now_ns(),
+            cat="search",
+            args={
+                "engine": self.adapter.name,
+                "states_visited": stats.states_visited,
+                "states_generated": stats.states_generated,
+            },
+        )
+        cursor = start_ns
+        for name, (spent_ns, calls) in (
+            ("successor-generation", span_acc["succ"]),
+            ("candidate-enumeration", span_acc["cand"]),
+        ):
+            if not calls:
+                continue
+            obs.record_span(
+                name,
+                cursor,
+                cursor + spent_ns,
+                cat="search",
+                args={"aggregate": True, "calls": calls},
             )
-        return SearchCore(
-            self.adapter,
-            self.config,
-            reorder=self._reorder,
-            tick=self.tick,
-            obs=self.obs,
-            metrics=self.metrics,
-            heartbeat=self.heartbeat,
-        ).run()
+            cursor += spent_ns
+
+    def _drive(
+        self, driver, stats, started, poll, trace_t0, span_acc
+    ) -> SchedulerResult:
+        """:meth:`_run`'s loop, run by a compiled driver.
+
+        The driver — the native core's one ``ez_search_*`` loop,
+        rooted by the kernel's ``kn_search_new`` or the DBM engine's
+        ``dc_search_new`` (the native adapters' ``open_driver``),
+        behind one :class:`~repro.tpn._native.NativeSearch` handle —
+        owns the stack, the visited states and every per-expansion
+        step; Python runs only what :meth:`_run` runs at the same
+        points:
+
+        * at every 1024-expansion poll, the same :class:`_Poll` — only
+          when something asked for polling, but the driver yields
+          there regardless, so signal handlers (Ctrl-C) run within one
+          poll interval;
+        * on each new frame with more than one candidate, a reorder
+          policy the driver cannot apply itself (``random``; it orders
+          ``latest`` and ``min-laxity`` natively);
+        * on a win, the adapter's ``finalize_path``.
+
+        Verdicts, schedules, every :class:`SearchStats` counter and
+        the tick/heartbeat arguments equal :meth:`_run`'s over the
+        engine's executable spec (``tests/test_kernel_driver.py``,
+        ``tests/test_dbm_driver.py``).  The driver's
+        memory is freed on every exit path; its size lands on the
+        ``search.visited_bytes`` / ``search.bytes_per_state`` gauges.
+        """
+        reorder = self._reorder
+        metrics = self.metrics
+        record = span_acc is not None
+        clock_ns = time.monotonic_ns
+        counters = driver.counters
+        reorder_ns = 0
+        exhausted = False
+        try:
+            while True:
+                status = driver.run()
+                if status == SEARCH_POLL:
+                    if poll is not None and poll(
+                        counters.visited,
+                        counters.generated,
+                        counters.revisits,
+                        counters.prunes,
+                        counters.backtracks,
+                        counters.depth,
+                    ):
+                        exhausted = True
+                        break
+                elif status == SEARCH_REORDER:
+                    t0 = clock_ns() if record else 0
+                    driver.reorder(reorder)
+                    if record:
+                        reorder_ns += clock_ns() - t0
+                elif status == SEARCH_FEASIBLE:
+                    stats.elapsed_seconds = time.monotonic() - started
+                    schedule, windows = self.adapter.finalize_path(
+                        driver.path(), stats
+                    )
+                    return SchedulerResult(
+                        feasible=True,
+                        firing_schedule=schedule,
+                        stats=stats,
+                        config=self.config,
+                        interval_schedule=windows,
+                    )
+                else:
+                    exhausted = status == SEARCH_BUDGET
+                    break
+        finally:
+            driver.close()
+            stats.states_visited = counters.visited
+            stats.states_generated = counters.generated
+            stats.revisits_skipped = counters.revisits
+            stats.deadline_prunes = counters.prunes
+            stats.backtracks = counters.backtracks
+            stats.reductions = counters.reductions
+            if metrics is not None:
+                if poll is not None:
+                    metrics.max_gauge("search.max_depth", poll.max_depth)
+                visited_bytes = counters.visited_bytes
+                metrics.max_gauge("search.visited_bytes", visited_bytes)
+                metrics.max_gauge(
+                    "search.bytes_per_state",
+                    visited_bytes / max(1, counters.visited),
+                )
+            if record:
+                span_acc["succ"] = [counters.succ_ns, counters.succ_calls]
+                span_acc["cand"] = [
+                    counters.cand_ns + reorder_ns,
+                    counters.cand_calls,
+                ]
+                self._emit_spans(trace_t0, span_acc, stats)
+
+        stats.elapsed_seconds = time.monotonic() - started
+        return SchedulerResult(
+            feasible=False,
+            stats=stats,
+            config=self.config,
+            exhausted=exhausted,
+        )
+
+    def _run(self) -> SchedulerResult:
+        adapter = self.adapter
+        config = self.config
+        stats = SearchStats()
+        started = time.monotonic()
+        obs = self.obs
+        record = obs is not None and obs.enabled
+        span_acc = None
+        trace_t0 = 0
+        if record:
+            trace_t0 = obs.now_ns()
+            span_acc = {"succ": [0, 0], "cand": [0, 0]}
+        # the metrics registry alone never turns polling on: the bare
+        # hot loop and the registry-only default path run the same
+        # per-expansion bytecode (the <2% gate in bench_obs_overhead)
+        poll = None
+        if (
+            config.max_seconds is not None
+            or self.tick is not None
+            or self.heartbeat is not None
+        ):
+            poll = _Poll(
+                None
+                if config.max_seconds is None
+                else started + config.max_seconds,
+                self.tick,
+                self.heartbeat,
+            )
+
+        s0 = adapter.root()
+        if adapter.deadline_missed(s0.marking):
+            raise SchedulingError(
+                "initial marking already contains a missed deadline"
+            )
+        visited = {s0}
+        stats.states_visited = 1
+
+        if adapter.reached_final(s0.marking):
+            stats.elapsed_seconds = time.monotonic() - started
+            schedule, windows = adapter.finalize_path([], stats)
+            if record:
+                self._emit_spans(trace_t0, span_acc, stats)
+            return SchedulerResult(
+                feasible=True,
+                firing_schedule=schedule,
+                stats=stats,
+                config=config,
+                interval_schedule=windows,
+            )
+
+        if adapter.native:
+            return self._drive(
+                adapter.open_driver(s0, self._reorder is not None, record),
+                stats,
+                started,
+                poll,
+                trace_t0,
+                span_acc,
+            )
+
+        candidates_of = adapter.candidates_of
+        reorder = self._reorder
+        if reorder is not None:
+            base_candidates = candidates_of
+            clocks_view = adapter.clocks_view
+
+            def candidates_of(state, stats):
+                return reorder(
+                    base_candidates(state, stats), clocks_view(state)
+                )
+
+        if record:
+            # tracing wraps the hoisted callables in ns-accumulating
+            # closures; when disabled these lines never run and the
+            # loop is byte-for-byte the untraced one
+            clock_ns = time.monotonic_ns
+            cand_cell = span_acc["cand"]
+            traced_candidates = candidates_of
+
+            def candidates_of(state, stats):
+                t0 = clock_ns()
+                cands = traced_candidates(state, stats)
+                cand_cell[0] += clock_ns() - t0
+                cand_cell[1] += 1
+                return cands
+
+        stack: list[_Frame] = [
+            _Frame(s0, 0, candidates_of(s0, stats))
+        ]
+        exhausted = False
+
+        # Hot-loop locals: the marking predicates re-run only when the
+        # fired transition can change their verdict (parents on the
+        # stack already passed both checks), and the per-expansion
+        # counters stay in locals, folded back into `stats` on exit.
+        successor = adapter.successor
+        if record:
+            succ_cell = span_acc["succ"]
+            traced_successor = successor
+
+            def successor(state, transition, delay):
+                t0 = clock_ns()
+                child = traced_successor(state, transition, delay)
+                succ_cell[0] += clock_ns() - t0
+                succ_cell[1] += 1
+                return child
+
+        touches_miss = adapter.touches_miss
+        touches_final = adapter.touches_final
+        has_missed = adapter.deadline_missed
+        is_final = adapter.reached_final
+        max_states = config.max_states
+        visited_add = visited.add
+        metrics = self.metrics
+        n_visited = 1
+        n_generated = 0
+        n_revisits = 0
+        n_prunes = 0
+        n_backtracks = 0
+
+        try:
+            while stack:
+                frame = stack[-1]
+                index = frame.index
+                candidates = frame.candidates
+                if index >= len(candidates):
+                    stack.pop()
+                    if stack:
+                        n_backtracks += 1
+                    continue
+                frame.index = index + 1
+                transition, delay = candidates[index]
+
+                n_generated += 1
+                if (
+                    poll is not None
+                    and not n_generated & _TIME_CHECK_MASK
+                    and poll(
+                        n_visited,
+                        n_generated,
+                        n_revisits,
+                        n_prunes,
+                        n_backtracks,
+                        len(stack),
+                    )
+                ):
+                    exhausted = True
+                    break
+
+                child = successor(frame.state, transition, delay)
+                if child is None:
+                    n_prunes += 1
+                    continue
+                if touches_miss[transition] and has_missed(
+                    child.marking
+                ):
+                    n_prunes += 1
+                    continue
+                if child in visited:
+                    n_revisits += 1
+                    continue
+                visited_add(child)
+                n_visited += 1
+                now = frame.now
+                action = (transition, delay, now + delay)
+
+                if touches_final[transition] and is_final(
+                    child.marking
+                ):
+                    actions = [
+                        f.action
+                        for f in stack[1:]
+                        if f.action is not None
+                    ]
+                    actions.append(action)
+                    stats.elapsed_seconds = time.monotonic() - started
+                    schedule, windows = adapter.finalize_path(
+                        actions, stats
+                    )
+                    return SchedulerResult(
+                        feasible=True,
+                        firing_schedule=schedule,
+                        stats=stats,
+                        config=config,
+                        interval_schedule=windows,
+                    )
+
+                if n_visited >= max_states:
+                    exhausted = True
+                    break
+                stack.append(
+                    _Frame(
+                        child,
+                        now + delay,
+                        candidates_of(child, stats),
+                        action,
+                    )
+                )
+        finally:
+            stats.states_visited = n_visited
+            stats.states_generated = n_generated
+            stats.revisits_skipped = n_revisits
+            stats.deadline_prunes = n_prunes
+            stats.backtracks = n_backtracks
+            if metrics is not None and poll is not None:
+                # depth is sampled at the poll cadence; without a
+                # poller nothing was sampled, so record no gauge
+                metrics.max_gauge("search.max_depth", poll.max_depth)
+            if record:
+                self._emit_spans(trace_t0, span_acc, stats)
+
+        stats.elapsed_seconds = time.monotonic() - started
+        return SchedulerResult(
+            feasible=False,
+            stats=stats,
+            config=config,
+            exhausted=exhausted,
+        )
 
 
 def search(
     net: CompiledNet,
     config: SchedulerConfig | None = None,
-    engine: str | None = None,
     heartbeat=None,
 ) -> SchedulerResult:
     """Synthesise a schedule for a compiled net.
@@ -172,11 +606,9 @@ def search(
     in-process, ``>= 2`` hand the net to the
     :class:`~repro.scheduler.parallel.ParallelScheduler` (a portfolio
     race across worker processes).
-    ``engine=None`` uses ``config.engine``; an explicit argument
-    overrides it for this call.
 
-    ``heartbeat`` is an optional progress callback with the search
-    core's ``(visited, generated, depth)`` signature (e.g. a
+    ``heartbeat`` is an optional progress callback with the
+    scheduler's ``(visited, generated, depth)`` signature (e.g. a
     :class:`repro.obs.progress.ProgressFile` spooling live counters
     for SSE streaming); it overrides the ``config.progress`` printer
     on the serial path.  Parallel searches run their workers in other
@@ -187,8 +619,8 @@ def search(
         # deferred import: parallel imports this module for its workers
         from repro.scheduler.parallel import ParallelScheduler
 
-        return ParallelScheduler(net, config, engine=engine).search()
-    scheduler = PreRuntimeScheduler(net, config, engine=engine)
+        return ParallelScheduler(net, config).search()
+    scheduler = PreRuntimeScheduler(net, config)
     if heartbeat is not None:
         scheduler.heartbeat = heartbeat
     return scheduler.search()
@@ -197,7 +629,6 @@ def search(
 def find_schedule(
     model: ComposedModel,
     config: SchedulerConfig | None = None,
-    engine: str | None = None,
     prelint: bool = True,
     heartbeat=None,
 ) -> SchedulerResult:
@@ -227,7 +658,7 @@ def find_schedule(
         from repro.lint.specrules import presearch_diagnostics
 
         diagnostics = presearch_diagnostics(
-            model.spec, engine=engine or config.engine
+            model.spec, engine=config.engine
         )
         if has_errors(diagnostics):
             result = SchedulerResult(
@@ -238,9 +669,7 @@ def find_schedule(
             )
             result.minimum_firings = model.minimum_firings()
             return result
-    result = search(
-        model.compiled(), config, engine=engine, heartbeat=heartbeat
-    )
+    result = search(model.compiled(), config, heartbeat=heartbeat)
     result.minimum_firings = model.minimum_firings()
     if diagnostics:
         result.diagnostics = diagnostics

@@ -89,7 +89,6 @@ def _portfolio_worker(
     slot_text: str,
     net: CompiledNet,
     config: SchedulerConfig,
-    default_engine: str,
     results,
     cancel,
     start,
@@ -98,11 +97,11 @@ def _portfolio_worker(
 
     A slot is ``[engine:]policy[:seed]`` — the engine prefix races
     successor engines as well as orderings; without one the slot
-    inherits ``default_engine`` (the scheduler's configured engine).
+    inherits ``config.engine``.
     """
     engine, policy_text = parse_slot(slot_text)
     if engine is None:
-        engine = default_engine
+        engine = config.engine
     name, seed = parse_policy(policy_text)
     if seed is None:
         seed = index
@@ -125,11 +124,8 @@ def _portfolio_worker(
             return cancel.is_set()
 
         def run_once(cfg: SchedulerConfig) -> SchedulerResult:
-            scheduler = PreRuntimeScheduler(net, cfg, engine=engine)
+            scheduler = PreRuntimeScheduler(net, cfg)
             scheduler.tick = tick
-            # keep the native-core gauge the constructor set on the
-            # scheduler's own registry before swapping in the worker's
-            metrics.merge_snapshot(scheduler.metrics.snapshot())
             scheduler.metrics = metrics
             if scheduler.obs is not None:
                 # one trace track per portfolio worker slot
@@ -140,6 +136,7 @@ def _portfolio_worker(
             return scheduler.search()
 
         overrides = dict(
+            engine=engine,
             parallel=0,
             portfolio=(),
             policy=name,
@@ -240,7 +237,7 @@ def _portfolio_worker(
 class ParallelScheduler:
     """Race the pre-runtime DFS across worker processes.
 
-    Construct with the same ``(net, config, engine)`` triple as
+    Construct with the same ``(net, config)`` pair as
     :class:`PreRuntimeScheduler`; ``config.parallel`` (>= 2) is the
     worker count.
     :meth:`search` blocks until a verdict is reached and every worker
@@ -254,17 +251,10 @@ class ParallelScheduler:
     """
 
     def __init__(
-        self,
-        net: CompiledNet,
-        config: SchedulerConfig | None = None,
-        engine: str | None = None,
+        self, net: CompiledNet, config: SchedulerConfig | None = None
     ):
         self.net = net
         self.config = config or SchedulerConfig()
-        if engine is not None:
-            # SchedulerConfig.replace checks the engine rules
-            self.config = self.config.replace(engine=engine)
-        self.engine_mode = self.config.engine
         if self.config.parallel < 2:
             raise SchedulingError(
                 "ParallelScheduler needs config.parallel >= 2 "
@@ -341,7 +331,6 @@ class ParallelScheduler:
                     policy,
                     self.net,
                     config,
-                    self.engine_mode,
                     results,
                     cancel,
                     start,
@@ -395,7 +384,7 @@ class ParallelScheduler:
         kind, _index, slot, _slot_stats, payload = winner
         slot_engine, policy = parse_slot(slot)
         if slot_engine is None:
-            slot_engine = self.engine_mode
+            slot_engine = config.engine
         if kind == "feasible":
             raw_schedule, windows = payload
             schedule = [tuple(entry) for entry in raw_schedule]

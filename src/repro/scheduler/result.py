@@ -155,8 +155,8 @@ class SchedulerResult(Record):
             ``search.max_depth`` gauge); a parallel search carries the
             queue-drained merge of every worker's snapshot (per-slot
             wall-clock gauges, steal counts, frontier size).  Empty
-            for a bare :class:`~repro.scheduler.core.SearchCore` run
-            with no registry attached.
+            when the scheduler's ``metrics`` registry is set to
+            ``None``.
     """
 
     __slots__ = (

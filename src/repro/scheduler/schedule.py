@@ -108,11 +108,6 @@ class DenseScheduleEntry(FrozenRecord):
         """Slack of the firing: ``latest − earliest`` (may be INF)."""
         return self.latest - self.earliest
 
-    @property
-    def is_rigid(self) -> bool:
-        """True when the dense run admits exactly one firing time."""
-        return self.latest == self.earliest
-
 
 def dense_schedule_entries(
     result: SchedulerResult,

@@ -75,10 +75,12 @@ int32_t dc_realize(const ez_net *net, const uint16_t *m0,
 """
 
 # The dense-time firing rule and candidate pipeline over the packed
-# buffers.  Semantics are those of the tuple-based Floyd-Warshall
-# specification of repro.tpn.stateclass; the two are locked together
-# class by class by the differential suite in tests/test_dbm.py, and
-# the driver is locked to SearchCore over the specification by
+# buffers.  Semantics are those of the tuple-based specification of
+# repro.tpn.stateclass, whose firing rule makes the same O(n^2)
+# incremental closure repair as dc_fire (only the root is closed by a
+# full Floyd-Warshall pass); the two are locked together class by class
+# by the differential suite in tests/test_dbm.py, and the driver is
+# locked to the scheduler's Python loop over the specification by
 # tests/test_dbm_driver.py.  Bounds are int32 (DC_INF = INT32_MAX is
 # the unbounded sentinel, repro.tpn.dbm.DINF; every finite canonical
 # bound lies in [-MAX_BOUND, MAX_BOUND], see

@@ -59,7 +59,8 @@ ez_search *kn_search_new(const ez_net *net, const uint16_t *mark0,
 # Semantics are those of the checked reference engine of
 # repro.tpn.state; the two are locked together step by step by the
 # differential walks in tests/test_kernel_engine.py, and the driver is
-# locked to SearchCore over the reference by tests/test_kernel_driver.py.
+# locked to the scheduler's Python loop over the reference by
+# tests/test_kernel_driver.py.
 # DIS (0xFFFF) marks a disabled transition's clock.
 SOURCE = r"""
 #define KN_DIS 0xFFFFu

@@ -14,8 +14,8 @@ mode into one shared object.  The unit has three parts:
   intermediate marking m − W(·, t) ``ez_inter``, the strict priority
   filter ``ez_strict`` and the ``(delay, priority, index)`` candidate
   order ``ez_sort`` — the resumable depth-first search driver
-  (``ez_search_*``) — :meth:`SearchCore._run
-  <repro.scheduler.core.SearchCore._run>`'s loop with its frame stack,
+  (``ez_search_*``) — :meth:`PreRuntimeScheduler._run
+  <repro.scheduler.dfs.PreRuntimeScheduler._run>`'s loop with its frame stack,
   candidate pool, visited table, deadline and final predicates,
   ``latest`` and ``min-laxity`` orders, state budget and polls — and
   the reference replay (``ez_replay``, :func:`replay`), Definition 3.1
@@ -33,7 +33,7 @@ pick and the marking and clock (or bound-matrix) updates.
 
 An engine plugs into the driver through an operations table
 (``ez_ops``: candidates, laxity, fire, and the state-record ops), the
-way :class:`~repro.scheduler.core.SearchCore` is parameterised by
+way :class:`~repro.scheduler.dfs.PreRuntimeScheduler` is parameterised by
 :class:`~repro.scheduler.core.EngineAdapter`; each engine's
 ``*_search_new`` roots a search — at its executable spec's root,
 packed on the Python side (:meth:`repro.tpn.kernel.KernelEngine.initial`,
@@ -149,7 +149,7 @@ int32_t ez_replay(const ez_net *net, const uint16_t *m0,
 """
 
 # The prelude, the compiled net and the search driver.  The driver is
-# SearchCore._run's loop; tests/test_kernel_driver.py and
+# PreRuntimeScheduler._run's loop; tests/test_kernel_driver.py and
 # tests/test_dbm_driver.py lock it to that loop over each engine's
 # executable spec.
 # lft < 0 encodes an unbounded LFT; flag bits: 1 = immediate [0,0],
@@ -351,11 +351,11 @@ static void ez_sort(const ez_net *net, int32_t *pairs, int32_t n)
 }
 
 /* ------------------------------------------------------------------
- * The search driver: SearchCore's depth-first loop, resumable.
+ * The search driver: the scheduler's depth-first loop, resumable.
  *
  * ez_search_run runs until one of the statuses below and saves where
  * it stopped, so the next call resumes exactly there.  Every counter
- * is SearchCore's, updated at the same points of the loop.
+ * is the scheduler's, updated at the same points of the loop.
  * ------------------------------------------------------------------ */
 #define EZ_S_DONE 0     /* stack empty: space exhausted, no schedule */
 #define EZ_S_POLL 1     /* 1024-expansion poll; resume to continue */
@@ -746,7 +746,7 @@ EZ_INLINE int32_t ez_run(ez_search *s, const ez_ops *ops)
             c->succ_calls++;
         }
         if (status == EZ_DEAD) {
-            /* SearchCore prunes a None successor */
+            /* the scheduler prunes a None successor */
             c->prunes++;
             continue;
         }
@@ -1286,7 +1286,7 @@ class NativeSearch:
     """One resumable depth-first search in the compiled core.
 
     The ``ez_search_*`` driver runs
-    :class:`repro.scheduler.core.SearchCore`'s loop over a state store
+    :class:`repro.scheduler.dfs.PreRuntimeScheduler`'s loop over a state store
     and visited table it owns; :meth:`run` advances it to its next stop
     and returns the status:
 
@@ -1300,7 +1300,7 @@ class NativeSearch:
 
     Packed-cap overflows go to ``fault(status, transition)``, which
     raises the engine's :class:`~repro.errors.SchedulingError`.
-    ``counters`` is the live ``ez_counters`` struct (SearchCore's
+    ``counters`` is the live ``ez_counters`` struct (the scheduler's
     counters plus span timings and the visited-state bytes).  The
     driver's memory is released by :meth:`close`, or at collection.
     """

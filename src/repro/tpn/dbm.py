@@ -41,7 +41,8 @@ class from scratch.  The engine needs that core.  When the core is off
 places or no transitions), :func:`repro.scheduler.core.make_adapter`
 runs ``engine="stateclass"`` on the tuple
 :class:`repro.tpn.stateclass.StateClassEngine` instead, the
-Floyd–Warshall executable spec; ``tests/test_dbm.py`` walks the two in
+executable spec (the same O(n²) incremental closure repair per
+firing); ``tests/test_dbm.py`` walks the two in
 lockstep, class by class, under both reset policies.  The token,
 :data:`MAX_BOUND` and :data:`MAX_VARS` caps are limits of the packed
 representation only: the spec has none.
@@ -50,7 +51,7 @@ Searches do not step through this module class by class:
 :meth:`DbmEngine.open_search` roots the native core's resumable
 depth-first search driver on the DBM engine's operations table
 (``dc_search_new``), which
-:meth:`repro.scheduler.core.SearchCore._drive` runs to a verdict
+:meth:`repro.scheduler.dfs.PreRuntimeScheduler._drive` runs to a verdict
 (``tests/test_dbm_driver.py`` locks it to the search loop over the
 tuple engine).
 """

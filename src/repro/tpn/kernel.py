@@ -40,7 +40,7 @@ Searches do not step through this module state by state:
 :meth:`KernelEngine.open_search` roots the native core's resumable
 depth-first search driver on the kernel's operations table
 (``kn_search_new``) and returns its :class:`NativeSearch` handle,
-which :meth:`repro.scheduler.core.SearchCore._drive` runs to a
+which :meth:`repro.scheduler.dfs.PreRuntimeScheduler._drive` runs to a
 verdict (``tests/test_kernel_driver.py`` locks it to the search loop
 over the reference engine).
 """

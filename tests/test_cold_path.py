@@ -140,18 +140,47 @@ with open(sys.argv[1] + ".dataclasses", "w") as out:
 """
 
 
-def _loaded_modules(tmp_path, *argv: str) -> set[str]:
-    """Modules a fresh interpreter holds after the probe runs ``argv``
-    (the dataclasses it defined: :func:`_defined_dataclasses`)."""
-    out = tmp_path / "modules.txt"
+def _probe_env() -> dict[str, str]:
+    """The environment of a fresh ``ezrt`` process: this one's, with
+    ``src/`` first on the path (``EZRT_KERNEL_CACHE`` carried over)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p
     )
+    return env
+
+
+@pytest.fixture(scope="module", autouse=True)
+def _native_core_built():
+    """Build the native core before any probe runs.
+
+    On a cold cache the first probe's ``ezrt schedule`` would compile
+    the core through cffi, which loads ``ast`` and more modules the
+    pins forbid; a one-shot command on a built core loads none of
+    them.  The build runs once, in a fresh interpreter with the
+    probes' environment, so it fills the cache they read.
+    """
+    subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "from repro.tpn._native import CORE; CORE.load()",
+        ],
+        env=_probe_env(),
+        check=True,
+        capture_output=True,
+        timeout=600,
+    )
+
+
+def _loaded_modules(tmp_path, *argv: str) -> set[str]:
+    """Modules a fresh interpreter holds after the probe runs ``argv``
+    (the dataclasses it defined: :func:`_defined_dataclasses`)."""
+    out = tmp_path / "modules.txt"
     subprocess.run(
         [sys.executable, "-c", _PROBE, str(out), *argv],
         cwd=tmp_path,
-        env=env,
+        env=_probe_env(),
         check=True,
         capture_output=True,
         timeout=120,
@@ -232,10 +261,7 @@ def test_import_cli_module_budget(tmp_path):
 def test_pipeline_runs_as_main_module(tmp_path):
     # the path the benchmark's untraced ops take: each step a fresh
     # `python -m repro.cli`, so the CLI module runs as `__main__`
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (SRC, env.get("PYTHONPATH")) if p
-    )
+    env = _probe_env()
 
     def ezrt(*argv: str) -> str:
         done = subprocess.run(

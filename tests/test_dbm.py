@@ -3,9 +3,10 @@
 Two engines implement the Berthomieu–Diaz firing rule:
 
 * the tuple-of-tuples :class:`repro.tpn.stateclass.StateClassEngine`,
-  whose full Floyd–Warshall re-closure (``_canonical``) is the
-  executable specification (and the ``engine="stateclass"`` path
-  without the native core);
+  the executable specification (and the ``engine="stateclass"`` path
+  without the native core): the same O(n²) incremental closure repair
+  per firing, with a full Floyd–Warshall closure (``_canonical``)
+  only at the root;
 * :class:`repro.tpn.dbm.DbmEngine` — incremental closure repair over
   flat ``array('q')`` buffers in the compiled C core
   (:mod:`repro.tpn._dbmc`).
@@ -158,7 +159,7 @@ def _walk(net, reset_policy, check, limit=600):
 
 
 class TestClosureBitIdentity:
-    """Native vs Floyd–Warshall spec, across both policies."""
+    """Native vs the tuple spec, across both policies."""
 
     @pytest.mark.parametrize("reset_policy", RESETS)
     @pytest.mark.parametrize("name", sorted(_nets()))

@@ -1,9 +1,9 @@
-"""Dense search driver suite: the C state-class DFS in lockstep with SearchCore.
+"""Dense search driver suite: the C state-class DFS in lockstep with the Python loop.
 
 With the DBM engine's compiled core live, ``engine="stateclass"``
 searches run entirely inside the ``dc_search_*`` driver of
-:mod:`repro.tpn._dbmc` (see :meth:`repro.scheduler.core.SearchCore._drive`).
-:class:`~repro.scheduler.core.SearchCore`'s own loop over the tuple
+:mod:`repro.tpn._dbmc` (see :meth:`repro.scheduler.dfs.PreRuntimeScheduler._drive`).
+:class:`~repro.scheduler.dfs.PreRuntimeScheduler`'s own loop over the tuple
 :class:`~repro.tpn.stateclass.StateClassEngine`
 (:class:`~repro.scheduler.core.StateClassSpecAdapter`, which
 ``engine="stateclass"`` runs without the core) is the driver's

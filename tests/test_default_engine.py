@@ -102,7 +102,7 @@ def test_default_matches_reference(nets, setting):
     )
     for name, net in nets.items():
         default = PreRuntimeScheduler(net, SchedulerConfig(**knobs))
-        assert default.engine_mode == "kernel"
+        assert default.adapter.name == "kernel"
         reference = PreRuntimeScheduler(
             net, SchedulerConfig(engine="reference", **knobs)
         )

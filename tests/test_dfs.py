@@ -269,26 +269,45 @@ class TestEngineSelection:
     def test_unknown_engine_rejected(self, simple_net):
         with pytest.raises(SchedulingError, match="unknown engine"):
             PreRuntimeScheduler(
-                simple_net.compile(), engine="warp-drive"
+                simple_net.compile(), SchedulerConfig(engine="warp-drive")
             )
+
+    def test_the_config_is_the_only_engine_setting(
+        self, simple_net, fig3_model
+    ):
+        from repro.scheduler import ParallelScheduler
+
+        compiled = simple_net.compile()
+        for call in (
+            lambda: PreRuntimeScheduler(compiled, engine="reference"),
+            lambda: ParallelScheduler(
+                compiled, SchedulerConfig(parallel=2), engine="reference"
+            ),
+            lambda: search(compiled, engine="reference"),
+            lambda: find_schedule(fig3_model, engine="reference"),
+        ):
+            with pytest.raises(TypeError, match="engine"):
+                call()
 
     def test_engine_override_obeys_the_config_rules(self, simple_net):
         with pytest.raises(SchedulingError, match="delay_mode"):
             PreRuntimeScheduler(
                 simple_net.compile(),
-                SchedulerConfig(delay_mode="full"),
-                engine="stateclass",
+                SchedulerConfig(delay_mode="full").replace(
+                    engine="stateclass"
+                ),
             )
 
     def test_engine_override_is_the_config_that_runs(self, simple_net):
         scheduler = PreRuntimeScheduler(
-            simple_net.compile(), SchedulerConfig(), engine="reference"
+            simple_net.compile(),
+            SchedulerConfig().replace(engine="reference"),
         )
-        assert scheduler.engine_mode == "reference"
         assert scheduler.config.engine == "reference"
+        assert scheduler.adapter.name == "reference"
 
     def test_search_helper_threads_engine(self, simple_net):
         compiled = simple_net.compile()
-        kernel = search(compiled, engine="kernel")
-        ref = search(compiled, engine="reference")
+        kernel = search(compiled, SchedulerConfig(engine="kernel"))
+        ref = search(compiled, SchedulerConfig(engine="reference"))
         assert kernel.firing_schedule == ref.firing_schedule

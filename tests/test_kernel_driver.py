@@ -1,9 +1,9 @@
-"""Native search driver suite: the C DFS in lockstep with SearchCore.
+"""Native search driver suite: the C DFS in lockstep with the Python loop.
 
 With the kernel's compiled core live, ``engine="kernel"`` searches run
 entirely inside the ``kn_search_*`` driver of :mod:`repro.tpn._kernelc`
-(see :meth:`repro.scheduler.core.SearchCore._drive`).
-:class:`~repro.scheduler.core.SearchCore`'s own loop over the reference
+(see :meth:`repro.scheduler.dfs.PreRuntimeScheduler._drive`).
+:class:`~repro.scheduler.dfs.PreRuntimeScheduler`'s own loop over the reference
 :class:`~repro.tpn.state.StateEngine` (``engine="reference"``, which
 ``engine="kernel"`` also runs without the core) is the driver's
 executable spec, and this suite pins the two together:
@@ -113,7 +113,7 @@ def _search(net, config, native, polled=True, tick=None):
     """One search, on the native driver or on the reference spec;
     returns (result, [("tick"|"heartbeat", args)])."""
     scheduler = PreRuntimeScheduler(
-        net, config, engine=None if native else "reference"
+        net, config if native else config.replace(engine="reference")
     )
     assert scheduler.adapter.native == native
     calls: list = []

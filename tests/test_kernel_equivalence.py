@@ -208,14 +208,13 @@ class TestSchedulerEquivalence:
     @staticmethod
     def _assert_same_search(monkeypatch, net, config):
         ref = PreRuntimeScheduler(
-            net, config, engine="reference"
+            net, config.replace(engine="reference")
         ).search()
-        runs = [PreRuntimeScheduler(net, config, engine="kernel")]
+        kernel = config.replace(engine="kernel")
+        runs = [PreRuntimeScheduler(net, kernel)]
         with monkeypatch.context() as patch:
             patch.setenv(_kernelc.PURE_ENV, "1")
-            runs.append(
-                PreRuntimeScheduler(net, config, engine="kernel")
-            )
+            runs.append(PreRuntimeScheduler(net, kernel))
         assert not runs[1].adapter.native
         assert runs[1].adapter.name == "kernel"
         ref_stats = ref.stats.as_dict()

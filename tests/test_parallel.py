@@ -391,7 +391,7 @@ class TestMergedStats:
         net = compose(paper_examples()["fig3"]).compiled()
         with pytest.raises(SchedulingError, match="unknown engine"):
             ParallelScheduler(
-                net, SchedulerConfig(parallel=2), engine="warp-drive"
+                net, SchedulerConfig(parallel=2, engine="warp-drive")
             )
 
     def test_explicit_portfolio_is_padded_and_truncated(self):

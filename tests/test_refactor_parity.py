@@ -1,8 +1,8 @@
 """Refactor-parity suite: the EngineAdapter core vs the old loops.
 
-ISSUE 5 replaced the three engine-specific DFS loops
-(``_search_reference`` / ``_search_fast`` / ``_search_stateclass``)
-with one :class:`repro.scheduler.core.SearchCore` driving three
+The three engine-specific DFS loops (``_search_reference`` /
+``_search_fast`` / ``_search_stateclass``) were replaced by one loop,
+:class:`repro.scheduler.dfs.PreRuntimeScheduler`, driving three
 adapters.  Behaviour preservation is the refactor's contract, and this
 suite pins it:
 
@@ -17,11 +17,12 @@ suite pins it:
   the deleted ``_search_reference`` baseline loop used to embody (its
   unique property, folded into tests per the issue);
 * a source-inspection test asserts the structural acceptance
-  criterion: exactly one search loop, living in ``core.py``, with the
+  criterion: exactly one search loop in the scheduler package, living
+  in :class:`~repro.scheduler.dfs.PreRuntimeScheduler`, with the
   duplicated ``_search_*``/``_candidates_*``/``_independent_immediate*``
-  helpers gone from ``dfs.py``.
+  helpers gone.
 
-ISSUE 7 added the packed ``kernel`` adapter; as a discrete engine it
+The packed ``kernel`` adapter came later; as a discrete engine it
 is pinned to the *same* pre-refactor expectations as the reference
 adapter on every workload (its deeper native-vs-spec and fuzzing
 coverage lives in ``tests/test_kernel_engine.py``).  The kernel and
@@ -134,7 +135,7 @@ def _run(net, engine, reset_policy, **config_kwargs):
 def _run_pure(
     monkeypatch, net, reset_policy, engine="kernel", **config_kwargs
 ):
-    """An ``engine`` search with ``EZRT_PURE=1``: ``SearchCore`` over
+    """An ``engine`` search with ``EZRT_PURE=1``: the Python loop over
     the engine's executable spec, the native driver's fallback."""
     monkeypatch.setenv(_kernelc.PURE_ENV, "1")
     config = SchedulerConfig(
@@ -307,18 +308,22 @@ class TestSeededGridPins:
 
 
 class TestSingleSearchLoop:
-    """Structural acceptance criterion: one loop, in core.py."""
+    """Structural acceptance criterion: one loop, in PreRuntimeScheduler."""
 
-    def _source(self, name: str) -> str:
+    def _sources(self) -> dict[str, str]:
         import repro.scheduler as pkg
 
-        path = os.path.join(os.path.dirname(pkg.__file__), name)
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
+        folder = os.path.dirname(pkg.__file__)
+        sources = {}
+        for name in sorted(os.listdir(folder)):
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    sources[name] = handle.read()
+        return sources
 
-    def test_dfs_has_no_search_loop(self):
-        source = self._source("dfs.py")
-        assert "while stack" not in source
+    def test_no_duplicated_search_helpers(self):
+        sources = self._sources()
         for relic in (
             "_search_fast",
             "_search_reference",
@@ -327,21 +332,30 @@ class TestSingleSearchLoop:
             "_candidates_ref",
             "_candidates_stateclass",
             "_independent_immediate",
+            "SearchCore",
         ):
-            assert relic not in source, (
-                f"duplicated helper {relic} resurfaced in dfs.py"
-            )
+            for name, source in sources.items():
+                assert relic not in source, (
+                    f"duplicated helper {relic} resurfaced in {name}"
+                )
 
-    def test_core_has_exactly_one_search_loop(self):
-        source = self._source("core.py")
-        assert source.count("while stack") == 1
+    def test_scheduler_has_exactly_one_search_loop(self):
+        import inspect
 
-    def test_every_engine_runs_through_the_core(self):
+        counts = {
+            name: source.count("while stack")
+            for name, source in self._sources().items()
+        }
+        assert sum(counts.values()) == 1, counts
+        assert inspect.getsource(PreRuntimeScheduler).count(
+            "while stack"
+        ) == 1
+
+    def test_every_engine_runs_through_the_scheduler(self):
         from repro.scheduler.core import (
             ADAPTERS,
             EngineAdapter,
             NativeAdapter,
-            SearchCore,
             SpecAdapter,
         )
 
@@ -353,11 +367,11 @@ class TestSingleSearchLoop:
             )
             adapter = scheduler.adapter
             assert adapter.name == engine
-            # the adapter satisfies the common surface SearchCore
+            # the adapter satisfies the common surface the scheduler
             # drives plus exactly one kind's own methods
             # (runtime-checkable structural checks): a native adapter
             # only opens the driver, only a spec adapter is stepped
             assert isinstance(adapter, EngineAdapter)
             assert isinstance(adapter, NativeAdapter) == adapter.native
             assert isinstance(adapter, SpecAdapter) != adapter.native
-            assert SearchCore(adapter, scheduler.config).run().feasible
+            assert scheduler.search().feasible

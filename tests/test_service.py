@@ -840,41 +840,51 @@ class TestSseStream:
             assert payload["submissions"] >= 1
             assert "elapsed_seconds" in payload
 
-    def test_progress_events_carry_live_search_counters(
-        self, client, handle
-    ):
+    def test_progress_events_carry_live_search_counters(self):
         """A running job's ``progress`` events forward the worker's
         spooled search counters (states visited, states/sec, engine
         slot) once the first heartbeat sample lands."""
-        doc = spec_to_json(random_task_set(**HARD_KWARGS))
-        _, _, submitted = client.submit(doc, timeout=8.0)
-        events = client.sse(f"/jobs/{submitted['job']}/events")
-        live = [
-            e.payload()
-            for e in events
-            if e.event == "progress"
-            and "states_visited" in e.payload()
-        ]
-        # the hard instance searches for seconds while both the spool
-        # (0.25s) and the ticker (0.25s) sample much faster, so live
-        # samples must appear in the stream
-        assert live
-        sample = live[-1]
-        assert sample["states_visited"] > 0
-        assert sample["states_per_sec"] >= 0
-        assert sample["depth"] >= 0
-        assert sample["slot"] == SchedulerConfig().engine
-        # monotone within the stream: later events never report fewer
-        # visited states than earlier ones
-        visited = [s["states_visited"] for s in live]
-        assert visited == sorted(visited)
-        # terminal cleanup: the spool file is gone once the job is done
-        client.wait_done(submitted["job"])
-        spool_dir = handle.service.manager.progress_dir
-        assert spool_dir is not None
-        assert f"{submitted['fingerprint']}.json" not in os.listdir(
-            spool_dir
+        # the hard instance searches for ~0.6 s and the worker spools
+        # its first sample 0.25 s in; a 0.05 s ticker reads the spool
+        # several times before the job ends, where the default 0.25 s
+        # ticker gets one read at best and none when a beat slips
+        server = run_in_thread(
+            BatchEngine(
+                store_schedules=True, cache=ResultCache(), max_workers=2
+            ),
+            heartbeat=0.05,
         )
+        try:
+            client = Client(server.port)
+            doc = spec_to_json(random_task_set(**HARD_KWARGS))
+            _, _, submitted = client.submit(doc, timeout=8.0)
+            events = client.sse(f"/jobs/{submitted['job']}/events")
+            live = [
+                e.payload()
+                for e in events
+                if e.event == "progress"
+                and "states_visited" in e.payload()
+            ]
+            assert live
+            sample = live[-1]
+            assert sample["states_visited"] > 0
+            assert sample["states_per_sec"] >= 0
+            assert sample["depth"] >= 0
+            assert sample["slot"] == SchedulerConfig().engine
+            # monotone within the stream: later events never report
+            # fewer visited states than earlier ones
+            visited = [s["states_visited"] for s in live]
+            assert visited == sorted(visited)
+            # terminal cleanup: the spool file is gone once the job is
+            # done
+            client.wait_done(submitted["job"])
+            spool_dir = server.service.manager.progress_dir
+            assert spool_dir is not None
+            assert f"{submitted['fingerprint']}.json" not in os.listdir(
+                spool_dir
+            )
+        finally:
+            server.stop()
 
     def test_disconnect_removes_subscriber(self, client, handle):
         doc = spec_to_json(random_task_set(**HARD_KWARGS))

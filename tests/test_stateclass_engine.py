@@ -578,14 +578,7 @@ class TestEngineConfiguration:
         scheduler = PreRuntimeScheduler(
             net, SchedulerConfig(engine="stateclass")
         )
-        assert scheduler.engine_mode == "stateclass"
-        # an explicit argument overrides the config for the call
-        scheduler = PreRuntimeScheduler(
-            net,
-            SchedulerConfig(engine="stateclass"),
-            engine="kernel",
-        )
-        assert scheduler.engine_mode == "kernel"
+        assert scheduler.adapter.name == "stateclass"
 
 class TestSearchHooks:
     def test_budget_exhaustion_reports_exhausted(self):
