@@ -1,13 +1,14 @@
 """Experiment KN1 — packed kernel throughput: the 3× hot-path target.
 
-Acceptance benchmark of the packed search kernel (ISSUE 7,
-:mod:`repro.tpn.kernel`).  Every workload runs on the reference and
-the kernel engine, strictly interleaved, and the bench enforces in
-order of importance:
+Acceptance benchmark of the packed search kernel
+(:mod:`repro.tpn.kernel`).  Every workload runs ``engine="kernel"`` on
+the native core and on the reference engine, its executable spec
+(``EZRT_PURE=1`` set around those runs only, :func:`harness.on_spec`),
+strictly interleaved, and the bench enforces in order of importance:
 
 1. **Exactness** (hard gate): byte-identical firing schedules and
    identical deterministic ``SearchStats`` counters across both
-   discrete engines on every workload.  A perf win that changes the
+   discrete implementations on every workload.  A perf win that changes the
    search is a bug.
 2. **The 3× target** (hard gate): aggregate states/sec of the kernel
    engine over the whole paper + scaling + grid sweep at least :data:`TARGET_SPEEDUP` times the reference
@@ -65,6 +66,7 @@ from harness import (
     deterministic_stats,
     gate,
     measure,
+    on_spec,
     row,
     stored_baseline,
     total,
@@ -91,6 +93,7 @@ MAX_BASELINE_REGRESSION = 0.95
 #: reference's time, so 5.8 / 0.73 (rounded up) keeps it no looser.
 DRIVER_TARGET_SPEEDUP = 8.0
 
+#: Row labels: the kernel's spec and the kernel on the native core.
 ENGINES = ("reference", "kernel")
 FAMILIES = ("paper", "scaling", "grid")
 ROUNDS = 7
@@ -180,12 +183,11 @@ def _sweep(workloads, tier, rounds):
     rows = []
     for name, spec, limits in workloads:
         net = compose(spec).compiled()
+        config = SchedulerConfig(engine="kernel", **limits)
         first, samples = measure(
             {
-                engine: partial(
-                    _search, net, SchedulerConfig(engine=engine, **limits)
-                )
-                for engine in ENGINES
+                "reference": partial(on_spec, _search, net, config),
+                "kernel": partial(_search, net, config),
             },
             rounds,
         )

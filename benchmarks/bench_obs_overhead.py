@@ -19,10 +19,10 @@ the trajectory is tracked PR over PR:
 3. **Traced-path overhead** (recorded, not gated): the same aggregate
    with span recording to a JSONL sink — the price of ``--trace``.
 4. **No per-expansion calls** (hard gate, deterministic): on the
-   spec path (``engine="reference"``, the scheduler's Python
-   loop) the default path's metrics-registry and recorder calls do
-   not grow when ``max_states`` grows — counted by stand-ins over two
-   budgets.  Unlike a timing, this catches one stray call per
+   spec path (``engine="kernel"`` under ``EZRT_PURE=1``, the
+   scheduler's Python loop) the default path's metrics-registry and
+   recorder calls do not grow when ``max_states`` grows — counted by
+   stand-ins over two budgets.  Unlike a timing, this catches one stray call per
    expansion on any host.
 
 Timing methodology (:func:`harness.measure`): one repetition
@@ -55,7 +55,14 @@ import statistics
 import tempfile
 from functools import partial
 
-from harness import deterministic_stats, gate, measure, row, write_bench
+from harness import (
+    deterministic_stats,
+    gate,
+    measure,
+    on_spec,
+    row,
+    write_bench,
+)
 from repro.blocks import compose
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.spec import paper_examples
@@ -235,8 +242,12 @@ class _Counting:
 def _disabled_path_calls(net, max_states):
     """``(registry calls, recorder calls)`` of one budget-bound
     default-path search on the spec loop."""
+    return on_spec(_count_calls, net, max_states)
+
+
+def _count_calls(net, max_states):
     scheduler = PreRuntimeScheduler(
-        net, SchedulerConfig(engine="reference", max_states=max_states)
+        net, SchedulerConfig(engine="kernel", max_states=max_states)
     )
     metrics = scheduler.metrics = _Counting(scheduler.metrics)
     recorder = scheduler.adapter.obs = _Counting(scheduler.adapter.obs)

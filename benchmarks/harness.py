@@ -37,7 +37,8 @@ Recording
 
 Shared pieces
     :func:`deterministic_stats` (the ``SearchStats`` counters two runs
-    of one search must agree on), :func:`total` (a column summed over
+    of one search must agree on), :func:`on_spec` (a call run on the
+    engines' executable specs), :func:`total` (a column summed over
     an engine's rows) and :func:`stored_baseline` (the frozen hot-path
     baseline in ``benchmarks/BASELINE_scheduler.json``).
 """
@@ -49,6 +50,7 @@ import json
 import os
 import platform
 import time
+from unittest import mock
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 BASELINE_PATH = os.path.join(
@@ -234,6 +236,13 @@ def deterministic_stats(result):
         for name, value in result.stats.as_dict().items()
         if name not in ("elapsed_seconds", "states_per_second")
     }
+
+
+def on_spec(run, *args):
+    """``run(*args)`` on the engines' executable specs: ``EZRT_PURE=1``
+    is set for this call only."""
+    with mock.patch.dict(os.environ, EZRT_PURE="1"):
+        return run(*args)
 
 
 def stored_baseline():

@@ -202,13 +202,13 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         choices=_cli.ENGINES,
         default=_cli.DEFAULT_ENGINE,
         help=(
-            "successor engine: the packed-buffer kernel (default; "
-            "with its optional compiled C core the whole search runs "
-            "in C, else on the reference semantics), the checked "
-            "reference semantics, or the "
-            "dense-time state-class engine (searches Berthomieu-Diaz "
-            "classes and concretises the schedule back to integer "
-            "time)"
+            "time semantics: the discrete-time kernel (default) or "
+            "the dense-time state-class engine (searches "
+            "Berthomieu-Diaz classes and concretises the schedule "
+            "back to integer time); with the optional compiled C "
+            "core the whole search runs in C, else, or when the net "
+            "outgrows the packed representation, on the engine's "
+            "executable spec"
         ),
     )
     parser.add_argument(

@@ -48,6 +48,15 @@ class SchedulingError(EzRealtimeError):
     """
 
 
+class PackedCapError(SchedulingError):
+    """A net outgrows a packed engine's fixed-width representation.
+
+    The kernel and DBM engines store tokens, clocks and bounds in
+    fixed-width words; the search then restarts on the engine's
+    executable spec, which has no such caps.
+    """
+
+
 class InfeasibleScheduleError(SchedulingError):
     """Raised by convenience wrappers that promise a feasible schedule."""
 

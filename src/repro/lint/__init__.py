@@ -38,7 +38,6 @@ if TYPE_CHECKING:
         lint_tree,
     )
     from repro.lint.specrules import (
-        classify_problem,
         config_diagnostics,
         dbm_bound_diagnostics,
         infeasibility_diagnostics,
@@ -60,7 +59,7 @@ else:
                 "check_fixture_dir lint_file lint_source lint_tree"
             ),
             "repro.lint.specrules": (
-                "classify_problem config_diagnostics "
+                "config_diagnostics "
                 "dbm_bound_diagnostics infeasibility_diagnostics "
                 "lint_spec net_diagnostics presearch_diagnostics "
                 "token_cap_diagnostics validation_diagnostics"
@@ -74,7 +73,6 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "check_fixture_dir",
-    "classify_problem",
     "config_diagnostics",
     "dbm_bound_diagnostics",
     "errors",

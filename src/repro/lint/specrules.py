@@ -41,7 +41,7 @@ from repro.scheduler.config import (
 )
 from repro.spec.model import EzRTSpec
 from repro.spec.timing import instance_count, schedule_period
-from repro.spec.validation import validate_spec
+from repro.spec.validation import coded_problems, validate_spec
 from repro.tpn.interval import INF, MAX_BOUND
 from repro.tpn.kernel import MAX_TOKENS
 from repro.tpn.net import CompiledNet
@@ -50,65 +50,21 @@ from repro.tpn.net import CompiledNet
 #: (mirrors :func:`repro.analysis.utilization.necessary_feasible`).
 _EPSILON = 1e-12
 
-#: Generic "specification invalid" fallback for validator messages the
-#: classifier has no dedicated code for (future validator rules land
-#: here until they get one).
-GENERIC_INVALID = "EZS100"
-
-
 # ---------------------------------------------------------------------------
-# Validation bridge: stable codes for repro.spec.validation messages
+# Validation bridge: repro.spec.validation problems as diagnostics
 # ---------------------------------------------------------------------------
-def classify_problem(problem: str) -> str:
-    """Map a :func:`repro.spec.validation.validate_spec` message to its
-    stable diagnostic code.
-
-    The mapping is by message shape; ``tests/test_validation.py``
-    asserts every validator error path classifies to the right code,
-    so validator wording and lint codes cannot drift apart.
-    """
-    if "requires c <= d <= p" in problem:
-        return "EZS103"
-    if "release window" in problem:
-        return "EZS104"
-    if problem.startswith("duplicate"):
-        return "EZS107"
-    if (
-        "precedes unknown task" in problem
-        or "precedes itself" in problem
-        or "excludes unknown task" in problem
-        or "excludes itself" in problem
-        or "is not symmetric" in problem
-    ):
-        return "EZS108"
-    if "precedence cycle" in problem or (
-        problem.startswith("precedence")
-        and "different periods" in problem
-    ):
-        return "EZS109"
-    if (
-        problem.startswith("message")
-        or "unknown sender" in problem
-        or "unknown receiver" in problem
-        or "precedes unknown message" in problem
-    ):
-        return "EZS110"
-    if "undeclared processor" in problem:
-        return "EZS111"
-    return GENERIC_INVALID
-
-
 def validation_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
-    """Well-formedness problems as coded diagnostics (all errors)."""
+    """Well-formedness problems as coded diagnostics (all errors); the
+    validator's checks name each problem's code."""
     return [
         Diagnostic(
-            code=classify_problem(problem),
+            code=code,
             severity=ERROR,
             message=problem,
             hint="fix the specification; see docs/linting.md",
             element=f"spec {spec.name!r}",
         )
-        for problem in validate_spec(spec)
+        for code, problem in coded_problems(spec)
     ]
 
 
@@ -297,23 +253,19 @@ def infeasibility_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
     return diagnostics
 
 
-def token_cap_diagnostics(
-    spec: EzRTSpec, engine: str | None = None
-) -> list[Diagnostic]:
-    """EZT203 (spec level): instance counts near the kernel token cap.
+def token_cap_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
+    """EZT203 (spec level): instance counts past the packed token cap.
 
     A task with ``N = PS / p`` instances marks instance-counting
     places with up to ``N`` tokens over the hyper-period; the packed
-    kernel engine stores markings as ``uint16`` words and refuses
-    loudly mid-search past :data:`repro.tpn.kernel.MAX_TOKENS`.  This
-    surfaces the overflow *before* the search (and before a compile
-    that would unroll the instances).  ``engine=None`` means
-    :data:`~repro.scheduler.config.DEFAULT_ENGINE`.
+    engines store markings as ``uint16`` words, so past
+    :data:`repro.tpn.kernel.MAX_TOKENS` the search runs on the slower
+    executable spec.  This surfaces that *before* the search (and
+    before a compile that would unroll the instances).
     """
     if not spec.tasks:
         return []
     period = schedule_period(spec)
-    kernel = (engine or DEFAULT_ENGINE) == "kernel"
     diagnostics: list[Diagnostic] = []
     for task in spec.tasks:
         instances = instance_count(task, period)
@@ -325,16 +277,12 @@ def token_cap_diagnostics(
                     message=(
                         f"task {task.name!r} has {instances} instances "
                         f"in the hyper-period {period}, beyond the "
-                        f"packed kernel's {MAX_TOKENS}-token place cap"
-                        + (
-                            "; the kernel engine will abort mid-search"
-                            if kernel
-                            else ""
-                        )
+                        f"packed {MAX_TOKENS}-token place cap, so the "
+                        "search runs on the slower executable spec"
                     ),
                     hint=(
                         "harmonise the periods to shrink the "
-                        "hyper-period, or use a non-kernel engine"
+                        "hyper-period"
                     ),
                     element=f"task {task.name!r}",
                 )
@@ -342,10 +290,8 @@ def token_cap_diagnostics(
     return diagnostics
 
 
-def dbm_bound_diagnostics(
-    spec: EzRTSpec, engine: str | None = None
-) -> list[Diagnostic]:
-    """EZT204 (spec level): timing magnitudes near the DBM bound cap.
+def dbm_bound_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
+    """EZT204 (spec level): timing magnitudes past the DBM bound cap.
 
     The packed DBM core of the dense-time state-class engine stores
     difference bounds in 32-bit words with
@@ -354,22 +300,18 @@ def dbm_bound_diagnostics(
     ``±MAX_BOUND`` and every closure sum clear of the ``DINF``
     sentinel.  Every compiled transition interval is built from task
     timings (phases, deadlines, periods) and message transfer times,
-    so a spec field past the cap compiles into an interval the
-    :class:`~repro.tpn.dbm.DbmEngine` refuses at construction.  This
-    surfaces the overflow *before* the compile, mirroring the
+    so past the cap a state-class search runs on the slower executable
+    spec.  This surfaces that *before* the compile, mirroring the
     EZT203 token-cap rule.
     """
     if not spec.tasks:
         return []
-    stateclass = engine == "stateclass"
     tail = (
-        "; the state-class engine will refuse the net"
-        if stateclass
-        else ""
+        f", beyond the packed DBM's {MAX_BOUND} bound cap, so a "
+        "state-class search runs on the slower executable spec"
     )
     hint = (
-        "rescale the time unit (divide all timings by a common "
-        "factor) or use a discrete-time engine"
+        "rescale the time unit (divide all timings by a common factor)"
     )
     diagnostics: list[Diagnostic] = []
     for task in spec.tasks:
@@ -381,8 +323,7 @@ def dbm_bound_diagnostics(
                     severity=WARNING,
                     message=(
                         f"task {task.name!r} has timing magnitude "
-                        f"{worst}, beyond the packed DBM's "
-                        f"{MAX_BOUND} bound cap" + tail
+                        f"{worst}" + tail
                     ),
                     hint=hint,
                     element=f"task {task.name!r}",
@@ -397,8 +338,7 @@ def dbm_bound_diagnostics(
                     severity=WARNING,
                     message=(
                         f"message {message.name!r} has transfer time "
-                        f"{transfer}, beyond the packed DBM's "
-                        f"{MAX_BOUND} bound cap" + tail
+                        f"{transfer}" + tail
                     ),
                     hint=hint,
                     element=f"message {message.name!r}",
@@ -414,13 +354,10 @@ def dbm_bound_diagnostics(
                 Diagnostic(
                     code="EZT204",
                     severity=WARNING,
-                    message=(
-                        f"hyper-period {period} exceeds the packed "
-                        f"DBM's {MAX_BOUND} bound cap" + tail
-                    ),
+                    message=f"hyper-period {period}" + tail,
                     hint=(
                         "harmonise the periods to shrink the "
-                        "hyper-period, or use a discrete-time engine"
+                        "hyper-period"
                     ),
                     element=f"spec {spec.name!r}",
                 )
@@ -449,21 +386,18 @@ def presearch_diagnostics(
     if validate_spec(spec):
         return []
     diagnostics = infeasibility_diagnostics(spec)
-    engine = engine or DEFAULT_ENGINE
-    if engine == "kernel":
-        diagnostics.extend(token_cap_diagnostics(spec, engine=engine))
-    elif engine == "stateclass":
-        diagnostics.extend(dbm_bound_diagnostics(spec, engine=engine))
+    if (engine or DEFAULT_ENGINE) == "kernel":
+        diagnostics.extend(token_cap_diagnostics(spec))
+    else:
+        diagnostics.extend(dbm_bound_diagnostics(spec))
     return diagnostics
 
 
 # ---------------------------------------------------------------------------
 # Net rules (EZT2xx): structural checks on a compiled TPN
 # ---------------------------------------------------------------------------
-def net_diagnostics(
-    net: CompiledNet, engine: str | None = None
-) -> list[Diagnostic]:
-    """Structurally dead transitions, unreachable places, token caps.
+def net_diagnostics(net: CompiledNet) -> list[Diagnostic]:
+    """Structurally dead transitions, unreachable places, packed caps.
 
     Potential reachability is the usual monotone over-approximation:
     a place is *potentially markable* if initially marked or in the
@@ -524,16 +458,14 @@ def net_diagnostics(
             diagnostics.append(
                 Diagnostic(
                     code="EZT203",
-                    severity=ERROR if engine == "kernel" else WARNING,
+                    severity=WARNING,
                     message=(
                         f"place {net.place_names[index]!r} starts with "
-                        f"{tokens} tokens, beyond the packed kernel's "
-                        f"{MAX_TOKENS}-token cap"
+                        f"{tokens} tokens, beyond the packed "
+                        f"{MAX_TOKENS}-token cap, so the search runs "
+                        "on the slower executable spec"
                     ),
-                    hint=(
-                        "shrink the initial marking or use a "
-                        "non-kernel engine"
-                    ),
+                    hint="shrink the initial marking",
                     element=f"place {net.place_names[index]!r}",
                 )
             )
@@ -546,18 +478,14 @@ def net_diagnostics(
             diagnostics.append(
                 Diagnostic(
                     code="EZT204",
-                    severity=(
-                        ERROR if engine == "stateclass" else WARNING
-                    ),
+                    severity=WARNING,
                     message=(
                         f"transition {name!r} has static interval "
                         f"bound {worst}, beyond the packed DBM's "
-                        f"{MAX_BOUND} bound cap"
+                        f"{MAX_BOUND} bound cap, so a state-class "
+                        "search runs on the slower executable spec"
                     ),
-                    hint=(
-                        "rescale the time unit or use a "
-                        "discrete-time engine"
-                    ),
+                    hint="rescale the time unit",
                     element=f"transition {name!r}",
                 )
             )
@@ -631,15 +559,13 @@ def lint_spec(
     diagnostics = validation_diagnostics(spec)
     if not has_errors(diagnostics):
         diagnostics.extend(infeasibility_diagnostics(spec))
-        cap = token_cap_diagnostics(spec, engine=engine)
+        cap = token_cap_diagnostics(spec)
         diagnostics.extend(cap)
-        diagnostics.extend(dbm_bound_diagnostics(spec, engine=engine))
+        diagnostics.extend(dbm_bound_diagnostics(spec))
         if compile_net and not cap and not has_errors(diagnostics):
             from repro.blocks.composer import compose
 
-            diagnostics.extend(
-                net_diagnostics(compose(spec).compiled(), engine=engine)
-            )
+            diagnostics.extend(net_diagnostics(compose(spec).compiled()))
     diagnostics.extend(
         config_diagnostics(engine=engine, delay_mode=delay_mode)
     )

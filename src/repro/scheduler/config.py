@@ -21,17 +21,18 @@ the ablation benches sweep:
   branching;
 * ``reset_policy`` — clock-reset semantics (see
   :mod:`repro.tpn.state`);
-* ``engine`` — the successor engine driving the search:
-  ``"kernel"`` (:data:`DEFAULT_ENGINE`: the packed-buffer kernel of
-  :mod:`repro.tpn.kernel` — flat marking/clock buffers, incremental
-  64-bit state keys, and an optional compiled C core that runs the
-  whole search; without that core the reference engine runs it),
-  ``"reference"`` (the checked discrete semantics, the kernel's
-  executable spec) or
-  ``"stateclass"`` (the dense-time Berthomieu–Diaz state-class
-  engine of :mod:`repro.tpn.stateclass`, which searches difference-
-  bound classes instead of integer clock valuations and concretises
-  any feasible dense schedule back to integer firing times);
+* ``engine`` — the time semantics of the search, one engine each:
+  ``"kernel"`` (:data:`DEFAULT_ENGINE`, discrete time: the
+  packed-buffer kernel of :mod:`repro.tpn.kernel` — flat
+  marking/clock buffers, incremental 64-bit state keys, and an
+  optional compiled C core that runs the whole search) or
+  ``"stateclass"`` (dense time: the Berthomieu–Diaz state-class
+  engine of :mod:`repro.tpn.dbm`, which searches difference-bound
+  classes instead of integer clock valuations and concretises any
+  feasible dense schedule back to integer firing times).  Each runs
+  on its executable spec (:mod:`repro.tpn.state`,
+  :mod:`repro.tpn.stateclass`) when the core is off or the net
+  outgrows the packed representation;
 * resource limits (``max_states``, ``max_seconds``);
 * ``policy`` — the candidate *ordering* used by a serial search (see
   :mod:`repro.scheduler.policies`); orderings never change the verdict,
@@ -66,12 +67,10 @@ from repro.tpn.state import check_reset_policy
 PRIORITY_MODES = ("ordered", "strict")
 DELAY_MODES = ("earliest", "extremes", "full")
 
-#: Successor engines the scheduler can run on.  ``kernel`` and
-#: ``reference`` share the discrete-time TLTS semantics (``kernel``
-#: over packed buffers with an optional compiled core, ``reference``
-#: its executable spec); ``stateclass`` searches the dense-time
-#: state-class graph.
-ENGINES = ("kernel", "reference", "stateclass")
+#: Successor engines the scheduler can run on, one per time
+#: semantics: ``kernel`` searches the discrete-time TLTS,
+#: ``stateclass`` the dense-time state-class graph.
+ENGINES = ("kernel", "stateclass")
 
 #: The engine every entry point (config, CLI, batch, service, lint)
 #: uses unless told otherwise: the fastest discrete engine.

@@ -2,52 +2,54 @@
 
 **Overview for new contributors.**  The paper's pre-runtime search is
 one loop, :class:`repro.scheduler.dfs.PreRuntimeScheduler`,
-parameterized over the :class:`EngineAdapter` protocol defined here;
-the engines plug in through thin adapters:
+parameterized over the :class:`EngineAdapter` protocol defined here.
+Each time semantics is one engine with two implementations, a packed
+production adapter and an executable spec (:data:`ADAPTERS`):
 
-* :class:`KernelAdapter` — the packed-buffer kernel over
-  :class:`~repro.tpn.kernel.KernelEngine` (flat ``array('H')``
-  marking/clock state buffers and incremental 64-bit Zobrist state
-  keys — by far the fastest engine);
-* :class:`ReferenceAdapter` — the kernel's executable spec over the
-  checked :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|)
-  rescans, dense candidate scans over all of T);
-* :class:`StateClassAdapter` — the dense-time engine over the packed
-  :class:`~repro.tpn.dbm.DbmEngine` (Berthomieu–Diaz classes on flat
-  native-width buffers; feasible paths are concretised back to
-  integer time and replayed through the reference engine);
-* :class:`StateClassSpecAdapter` — its executable spec over the tuple
+* ``engine="kernel"`` (discrete time) — :class:`KernelAdapter`, the
+  packed-buffer kernel over :class:`~repro.tpn.kernel.KernelEngine`
+  (flat ``array('H')`` marking/clock state buffers and incremental
+  64-bit Zobrist state keys — by far the fastest engine), and
+  :class:`ReferenceAdapter`, its spec over the checked
+  :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|) rescans,
+  dense candidate scans over all of T);
+* ``engine="stateclass"`` (dense time) — :class:`StateClassAdapter`
+  over the packed :class:`~repro.tpn.dbm.DbmEngine` (Berthomieu–Diaz
+  classes on flat native-width buffers; feasible paths are
+  concretised back to integer time and replayed through the reference
+  engine), and :class:`StateClassSpecAdapter`, its spec over the tuple
   :class:`~repro.tpn.stateclass.StateClassEngine` (tuple-of-tuples
   matrices, the same O(n²) incremental closure repair per firing as
   the packed engine).
 
-Each time semantics thus has two implementations: the optional native
-core (:mod:`repro.tpn._native`, one cffi extension), which runs the
-whole search of both packed engines in its one C driver — the
-scheduler's loop parameterised by a per-engine operations table
+The packed adapters run the whole search in the optional native core
+(:mod:`repro.tpn._native`, one cffi extension), whose one C driver is
+the scheduler's loop parameterised by a per-engine operations table
 instead of an adapter (see
-:meth:`~repro.scheduler.dfs.PreRuntimeScheduler._drive`) — and the
-executable spec, which the scheduler's own Python loop runs.  When the
-core cannot run a net, :func:`make_adapter` hands ``engine="kernel"``
-and ``engine="stateclass"`` to their specs.
+:meth:`~repro.scheduler.dfs.PreRuntimeScheduler._drive`); the specs
+run in the scheduler's own Python loop.  The user picks the engine and
+the code picks the implementation: :func:`make_adapter` hands a net
+the core cannot run to the spec, and a net past a packed cap
+(:class:`~repro.errors.PackedCapError`, raised by the packed root or
+the driver) restarts on the spec inside
+:meth:`~repro.scheduler.dfs.PreRuntimeScheduler.search`.
 
 The split of responsibilities is strict: the adapter knows *states*
 (how to compute a root, and how to turn a finished path into a
 schedule); the scheduler knows *search* (the stack, tagging, pruning,
 budgets, cooperative cancellation and the policy reordering).  Each
-engine runs one way: a :class:`NativeAdapter` (the two packed engines)
-only opens the compiled driver, and only a :class:`SpecAdapter` (the
-two specs) has the per-step surface — successors and candidates —
-that the Python loop steps.  Orchestration layers — the portfolio
-racer, the batch engine — treat every engine uniformly through the
-common :class:`EngineAdapter` surface, the way Real-Time Maude and
-e-Motions keep one formal analysis core under several modeling
-front-ends.
+implementation runs one way: a :class:`NativeAdapter` only opens the
+compiled driver, and only a :class:`SpecAdapter` has the per-step
+surface — successors and candidates — that the Python loop steps.
+Orchestration layers — the portfolio racer, the batch engine — treat
+every engine uniformly through the common :class:`EngineAdapter`
+surface, the way Real-Time Maude and e-Motions keep one formal
+analysis core under several modeling front-ends.
 
-Behaviour-preserving parity is the contract: for every engine the
-search produces the same verdicts, the same visited-state counts and
-the same deterministic :class:`SearchStats` counters as the three
-engine-specific loops it replaced (pinned by
+Behaviour-preserving parity is the contract: for every engine both
+implementations produce the same verdicts, the same visited-state
+counts and the same deterministic :class:`SearchStats` counters as the
+engine-specific loops they replaced (pinned by
 ``tests/test_refactor_parity.py`` on the paper models and a seeded
 task-set grid, under both clock-reset policies).
 """
@@ -97,9 +99,10 @@ class EngineAdapter(Protocol):
     net vectors its candidate enumeration reads) and presents the
     surface both search paths share:
 
-    * ``name`` — the engine's registry name (``"kernel"``,
-      ``"reference"``, ``"stateclass"``);
-    * ``engine`` — the wrapped engine instance;
+    * ``name`` — the engine's registry name (``"kernel"`` or
+      ``"stateclass"``, for both implementations);
+    * ``engine`` — the wrapped engine instance (a packed adapter
+      builds it with the root);
     * ``native`` — whether the native driver runs the search (the
       adapter is then a :class:`NativeAdapter`, otherwise a
       :class:`SpecAdapter`; the scheduler reports it on the
@@ -330,8 +333,7 @@ class KernelAdapter(_AdapterBase):
     The driver's step and candidate pipeline are also reachable one
     call at a time through :meth:`KernelEngine.successor` and
     :meth:`KernelEngine.candidates`, which the tests check against the
-    spec state by state.  Without the native core
-    :func:`make_adapter` builds a :class:`ReferenceAdapter` instead.
+    spec state by state.  Its spec is :class:`ReferenceAdapter`.
     """
 
     name = "kernel"
@@ -363,11 +365,11 @@ class KernelAdapter(_AdapterBase):
 class ReferenceAdapter(_AdapterBase):
     """The executable spec and baseline over the checked :class:`StateEngine`.
 
-    It runs ``engine="reference"``, and ``engine="kernel"`` whenever
-    the native core cannot run the net.  Candidate enumeration is
-    deliberately kept as two dense passes over the whole transition
-    set per expansion, and successors pay the engine's dense
-    O(|T|·|P|) firing rule — this is the honest
+    It runs ``engine="kernel"`` whenever the native core cannot run
+    the net or the net outgrows the packed kernel.  Candidate
+    enumeration is deliberately kept as two dense passes over the
+    whole transition set per expansion, and successors pay the
+    engine's dense O(|T|·|P|) firing rule — this is the honest
     baseline the kernel bench measures the kernel against, and the
     fixed point the equivalence suites compare to.  It shares the
     scheduler's loop mechanics (slotted frames, marking-predicate skip
@@ -376,7 +378,7 @@ class ReferenceAdapter(_AdapterBase):
     not incidental loop-body differences.
     """
 
-    name = "reference"
+    name = "kernel"
 
     def __init__(self, net: CompiledNet, config):
         super().__init__(net, config)
@@ -441,11 +443,9 @@ class StateClassAdapter(_AdapterBase):
     strict-priority filters, the dense forced-immediate reduction and
     the ``(lower, priority, index)`` ordering — the tests also reach
     one call at a time through :meth:`~repro.tpn.dbm.DbmEngine.try_fire`
-    and :meth:`~repro.tpn.dbm.DbmEngine.candidates`.  Without the
-    native core :func:`make_adapter` builds a
-    :class:`StateClassSpecAdapter` instead, over the tuple-based
-    specification the packed engine is differentially tested
-    against.
+    and :meth:`~repro.tpn.dbm.DbmEngine.candidates`.  Its spec is
+    :class:`StateClassSpecAdapter`, over the tuple-based engine the
+    packed one is differentially tested against.
 
     A feasible class path is concretised back to integer firing times
     and replayed through the checked reference engine in
@@ -456,17 +456,17 @@ class StateClassAdapter(_AdapterBase):
 
     name = "stateclass"
     native = True
-
-    def __init__(self, net: CompiledNet, config):
-        # the dense engine loads only when a state-class search runs
-        from repro.tpn.dbm import DbmEngine
-
-        super().__init__(net, config)
-        self.engine = DbmEngine(
-            net, reset_policy=config.reset_policy
-        )
+    #: The packed engine, built with the root (see :meth:`root`).
+    engine = None
 
     def root(self) -> PackedClass:
+        # the dense engine loads only when a state-class search runs,
+        # and its static cap checks raise inside the search
+        from repro.tpn.dbm import DbmEngine
+
+        self.engine = DbmEngine(
+            self.net, reset_policy=self.config.reset_policy
+        )
         return self.engine.initial_class()
 
     def open_driver(
@@ -493,10 +493,10 @@ class StateClassSpecAdapter(_AdapterBase):
     :class:`~repro.tpn.stateclass.StateClassEngine`.
 
     It runs ``engine="stateclass"`` whenever the native core cannot
-    run the net: tuple-of-tuples classes (the same O(n²)
-    incremental closure repair per firing as the packed engine's
-    ``dc_fire``), Python column scans and filters per candidate
-    list.  Same verdicts, schedules, windows and
+    run the net or the net outgrows the packed DBM: tuple-of-tuples
+    classes (the same O(n²) incremental closure repair per firing as
+    the packed engine's ``dc_fire``), Python column scans and filters
+    per candidate list.  Same verdicts, schedules, windows and
     :class:`SearchStats` counters as the native driver
     (``tests/test_dbm_driver.py``); ``bench_dbm`` measures the packed
     engine against it.
@@ -687,33 +687,27 @@ def _replay_with_reference(
         )
 
 
-#: Adapter registry, keyed by the engine names of
-#: :data:`repro.scheduler.config.ENGINES`.
+#: Each engine's two implementations, keyed by the engine names of
+#: :data:`repro.scheduler.config.ENGINES`: the packed adapter the
+#: native core runs and the executable spec the Python loop steps.
 ADAPTERS = {
-    "kernel": KernelAdapter,
-    "reference": ReferenceAdapter,
-    "stateclass": StateClassAdapter,
-}
-
-#: The executable spec each native engine runs on when the native
-#: core cannot run a net.
-SPEC_ADAPTERS = {
-    "kernel": ReferenceAdapter,
-    "stateclass": StateClassSpecAdapter,
+    "kernel": (KernelAdapter, ReferenceAdapter),
+    "stateclass": (StateClassAdapter, StateClassSpecAdapter),
 }
 
 
 def make_adapter(engine: str, net: CompiledNet, config) -> EngineAdapter:
-    """Build the adapter for ``engine`` over ``net``.
+    """Build ``engine``'s adapter over ``net``.
 
-    ``engine="kernel"`` and ``engine="stateclass"`` need the native
-    core; when :func:`~repro.tpn._native.core_for` says it cannot run
-    ``net`` they get their :data:`SPEC_ADAPTERS` entry instead, still
-    named after the requested engine (spans, traces and batch rows
-    keep naming it; ``adapter.native`` says which path runs).
+    The packed adapter when :func:`~repro.tpn._native.core_for` says
+    the core can run ``net`` (the core is live and the net has places
+    and transitions), otherwise the engine's executable spec.  Both
+    carry the engine's name (spans, traces and batch rows keep naming
+    it; ``adapter.native`` says which path runs).  Whether the net fits
+    the packed representation shows when the packed root or driver
+    raises :class:`~repro.errors.PackedCapError`;
+    :meth:`~repro.scheduler.dfs.PreRuntimeScheduler.search` then
+    restarts on the spec.
     """
-    if engine in SPEC_ADAPTERS and core_for(net) is None:
-        adapter = SPEC_ADAPTERS[engine](net, config)
-        adapter.name = engine
-        return adapter
-    return ADAPTERS[engine](net, config)
+    native, spec = ADAPTERS[engine]
+    return native(net, config) if core_for(net) else spec(net, config)

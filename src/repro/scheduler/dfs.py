@@ -23,20 +23,19 @@ final marking ``M_F`` — by Definition 3.2 such a sequence *is* a
 feasible pre-runtime schedule, and finding one proves the task set
 schedulable under the searched policy.
 
-Three successor engines drive the expansion, each wrapped by a thin
-adapter behind the shared loop; ``config.engine`` picks one:
+Two engines drive the expansion, one per time semantics; each runs
+on a packed production adapter or on its executable spec, behind the
+shared loop, and ``config.engine`` picks the engine:
 
-* ``engine="kernel"`` (default) — the packed-buffer
+* ``engine="kernel"`` (default) — discrete time over the packed-buffer
   :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
   flat byte/word buffers with an incrementally maintained 64-bit
   Zobrist state key, and the whole depth-first search runs in the
-  optional native core's C driver (:mod:`repro.tpn._native`) — the one
-  production discrete engine;
-* ``engine="reference"`` — the checked-semantics
-  :class:`~repro.tpn.state.StateEngine` with dense O(|T|·|P|) rescans,
-  kept as the kernel's executable spec and the baseline the benchmarks
-  and the CI smoke job cross-validate against (identical schedules,
-  identical state counts);
+  optional native core's C driver (:mod:`repro.tpn._native`).  Its
+  spec is the checked-semantics :class:`~repro.tpn.state.StateEngine`
+  with dense O(|T|·|P|) rescans, the baseline the benchmarks and the
+  CI smoke job cross-validate against (identical schedules, identical
+  state counts);
 * ``engine="stateclass"`` — dense time over the packed
   :class:`~repro.tpn.dbm.DbmEngine`, again searched by the native
   driver: states are Berthomieu–Diaz state classes (marking +
@@ -45,27 +44,32 @@ adapter behind the shared loop; ``config.engine`` picks one:
   A feasible class path is *concretised* back to integer firing times
   and replayed through the checked reference engine before being
   returned — the same contract the parallel scheduler applies to
-  worker wins.
+  worker wins.  Its spec is the tuple
+  :class:`~repro.tpn.stateclass.StateClassEngine`.
 
 Without the native core (``EZRT_PURE=1``, no cffi, a failed build, or
-a net with no places or no transitions) ``engine="kernel"`` runs on the
-reference engine and ``engine="stateclass"`` on the tuple
-:class:`~repro.tpn.stateclass.StateClassEngine`, their executable
-specs; the ``kernel.native_core`` / ``dbm.native_core`` gauges say
-which path ran.
+a net with no places or no transitions) each engine runs on its spec
+from the start; a net past a packed cap (a token count, clock or
+static bound too wide for the packed words) restarts on it.  The
+``kernel.native_core`` / ``dbm.native_core`` gauges say which path
+ran.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.errors import InfeasibleScheduleError, SchedulingError
+from repro.errors import (
+    InfeasibleScheduleError,
+    PackedCapError,
+    SchedulingError,
+)
 from repro.blocks.composer import ComposedModel
 from repro.obs.events import JsonlSink, Recorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressPrinter
 from repro.scheduler.config import SchedulerConfig
-from repro.scheduler.core import make_adapter
+from repro.scheduler.core import ADAPTERS, make_adapter
 from repro.scheduler.policies import make_reorder
 from repro.scheduler.result import SchedulerResult, SearchStats
 from repro.tpn._native import (
@@ -76,9 +80,9 @@ from repro.tpn._native import (
 )
 from repro.tpn.net import CompiledNet
 
-#: Which path a native engine's search ran, per engine: the result
-#: gauge and the trace instant (1.0 / ``native=True``: the native
-#: driver; 0.0 / ``False``: the Python loop over the executable spec).
+#: Which path an engine's search ran: the result gauge and the trace
+#: instant (1.0 / ``native=True``: the native driver; 0.0 /
+#: ``False``: the Python loop over the executable spec).
 _CORE_SIGNALS = {
     "kernel": ("kernel.native_core", "kernel-core"),
     "stateclass": ("dbm.native_core", "dbm-core"),
@@ -164,7 +168,8 @@ class PreRuntimeScheduler:
     (:func:`~repro.scheduler.core.make_adapter`) and the policy
     reorder function; :meth:`search` runs the loop — in Python over a
     spec adapter (:meth:`_run`), or in the native core's compiled
-    driver over a native one (:meth:`_drive`).
+    driver over a native one (:meth:`_drive`), falling back to the
+    spec when the net outgrows the packed engine.
 
     Four attributes are injection points a caller may replace before
     :meth:`search`.  ``tick`` serves the parallel scheduler's workers
@@ -220,16 +225,21 @@ class PreRuntimeScheduler:
 
     # ------------------------------------------------------------------
     def search(self) -> SchedulerResult:
-        """Run the DFS; returns a result whether or not it succeeds."""
-        engine = self.config.engine
-        if engine in _CORE_SIGNALS:
-            gauge, instant = _CORE_SIGNALS[engine]
-            native = self.adapter.native
-            if self.metrics is not None:
-                self.metrics.set_gauge(gauge, 1.0 if native else 0.0)
-            if self.obs is not None:
-                self.obs.instant(instant, cat=engine, native=native)
-        result = self._run()
+        """Run the DFS; returns a result whether or not it succeeds.
+
+        When the packed root or the native driver meets a packed cap
+        (:class:`~repro.errors.PackedCapError`), the search runs again
+        from the start on the engine's executable spec, which has no
+        caps; its result equals a search begun there.
+        """
+        try:
+            result = self._run()
+        except PackedCapError:
+            config = self.config
+            spec = ADAPTERS[config.engine][1](self.net, config)
+            spec.obs = self.adapter.obs
+            self.adapter = spec
+            result = self._run()
         if self.metrics is not None:
             result.metrics = self.metrics.snapshot()
         return result
@@ -342,6 +352,12 @@ class PreRuntimeScheduler:
                 else:
                     exhausted = status == SEARCH_BUDGET
                     break
+        except PackedCapError:
+            # the search restarts on the spec, which records its own
+            # gauges and spans (see search)
+            metrics = None
+            record = False
+            raise
         finally:
             driver.close()
             stats.states_visited = counters.visited
@@ -405,6 +421,12 @@ class PreRuntimeScheduler:
             )
 
         s0 = adapter.root()
+        engine = config.engine
+        gauge, instant = _CORE_SIGNALS[engine]
+        if self.metrics is not None:
+            self.metrics.set_gauge(gauge, 1.0 if adapter.native else 0.0)
+        if obs is not None:
+            obs.instant(instant, cat=engine, native=adapter.native)
         if adapter.deadline_missed(s0.marking):
             raise SchedulingError(
                 "initial marking already contains a missed deadline"

@@ -71,19 +71,6 @@ _DRAIN_GRACE = 2.0
 # ----------------------------------------------------------------------
 # Worker processes
 # ----------------------------------------------------------------------
-def _stats_payload(stats: SearchStats) -> dict:
-    payload = stats.as_dict()
-    payload.pop("states_per_second", None)
-    return payload
-
-
-def _accumulate(total: dict, payload: dict) -> None:
-    for key, value in payload.items():
-        if key == "elapsed_seconds":
-            continue
-        total[key] = total.get(key, 0) + value
-
-
 def _portfolio_worker(
     index: int,
     slot_text: str,
@@ -97,7 +84,9 @@ def _portfolio_worker(
 
     A slot is ``[engine:]policy[:seed]`` — the engine prefix races
     successor engines as well as orderings; without one the slot
-    inherits ``config.engine``.
+    inherits ``config.engine``.  The message is ``(kind, index, slot,
+    stats, metrics snapshot, payload)``: ``stats`` sums the slot's
+    restarts.
     """
     engine, policy_text = parse_slot(slot_text)
     if engine is None:
@@ -105,10 +94,10 @@ def _portfolio_worker(
     name, seed = parse_policy(policy_text)
     if seed is None:
         seed = index
-    merged: dict = {}
+    total = SearchStats()
     restarts = 0
     # one registry for the worker's whole lifetime (shared across
-    # restarts); its snapshot rides home on the stats payload and the
+    # restarts); its snapshot rides home beside the stats and the
     # parent merges every worker's snapshot onto result.metrics
     metrics = MetricsRegistry()
     start.wait()  # every slot enters the race at the same moment
@@ -172,7 +161,7 @@ def _portfolio_worker(
                     max_seconds=seconds_left,
                 )
                 attempt = run_once(cfg)
-                _accumulate(merged, _stats_payload(attempt.stats))
+                total.add(attempt.stats)
                 spent += attempt.stats.states_visited
                 result = attempt
                 if cancel.is_set():
@@ -185,9 +174,9 @@ def _portfolio_worker(
                 budget *= 2
         else:
             result = run_once(base)
-            _accumulate(merged, _stats_payload(result.stats))
+            total.add(result.stats)
 
-        merged["restarts"] = restarts
+        total.restarts = restarts
         if cancel.is_set():
             kind = "cancelled"
         elif result is None or (not result.feasible and result.exhausted):
@@ -207,9 +196,6 @@ def _portfolio_worker(
         metrics.inc(f"slot.{slot_text}.{kind}")
         if restarts:
             metrics.inc(f"slot.{slot_text}.restarts", restarts)
-        # after the last _accumulate: that helper does numeric addition
-        # over the payload and must never see the nested snapshot
-        merged["metrics"] = metrics.snapshot()
         # feasible payload: the schedule plus the dense windows the
         # stateclass engine attaches (None for the discrete engines)
         payload = (
@@ -217,15 +203,17 @@ def _portfolio_worker(
             if result is not None and result.feasible
             else None
         )
-        results.put((kind, index, slot_text, merged, payload))
+        results.put(
+            (kind, index, slot_text, total, metrics.snapshot(), payload)
+        )
     except Exception as error:  # noqa: BLE001 — workers must not die silently
-        merged["metrics"] = metrics.snapshot()
         results.put(
             (
                 "error",
                 index,
                 slot_text,
-                merged,
+                total,
+                metrics.snapshot(),
                 f"{type(error).__name__}: {error}",
             )
         )
@@ -351,10 +339,12 @@ class ParallelScheduler:
             if message[0] in ("feasible", "infeasible"):
                 winner = message
                 break
-        merged = self._merge_stats(messages)
+        merged = SearchStats()
+        for message in messages:
+            merged.add(message[3])
         merged.elapsed_seconds = time.monotonic() - started
         race_metrics = MetricsRegistry.merge_snapshots(
-            (m[3] or {}).get("metrics") for m in messages
+            m[4] for m in messages
         )
         obs.record_span(
             "portfolio-race",
@@ -367,7 +357,7 @@ class ParallelScheduler:
             errors = [m for m in messages if m[0] == "error"]
             if len(errors) == len(workers) and errors:
                 raise SchedulingError(
-                    f"every portfolio worker failed; first: {errors[0][4]}"
+                    f"every portfolio worker failed; first: {errors[0][5]}"
                 )
             if not messages:
                 raise SchedulingError(
@@ -381,7 +371,7 @@ class ParallelScheduler:
                 workers=len(workers),
                 metrics=race_metrics,
             )
-        kind, _index, slot, _slot_stats, payload = winner
+        kind, _index, slot, _stats, _metrics, payload = winner
         slot_engine, policy = parse_slot(slot)
         if slot_engine is None:
             slot_engine = config.engine
@@ -496,15 +486,3 @@ class ParallelScheduler:
             results.cancel_join_thread()
             results.close()
         return messages
-
-    @staticmethod
-    def _merge_stats(messages: list[tuple]) -> SearchStats:
-        """Sum the per-worker counters into one :class:`SearchStats`."""
-        merged = SearchStats()
-        for message in messages:
-            payload = message[3] or {}
-            for key, value in payload.items():
-                if not hasattr(merged, key):
-                    continue
-                setattr(merged, key, getattr(merged, key) + value)
-        return merged

@@ -60,6 +60,14 @@ class SearchStats(Record):
     #: filter these out.
     WALL_CLOCK_KEYS = ("elapsed_seconds", "states_per_second")
 
+    def add(self, other: SearchStats) -> None:
+        """Add ``other``'s counters to these (a portfolio summing its
+        restarts and its workers); ``elapsed_seconds`` stays."""
+        for name in self._fields:
+            if name != "elapsed_seconds":
+                mine = getattr(self, name)
+                setattr(self, name, mine + getattr(other, name))
+
     @property
     def states_per_second(self) -> float:
         """Search throughput: distinct states tagged per wall second."""
@@ -130,8 +138,8 @@ class SchedulerResult(Record):
             produced the verdict (e.g. ``"random:1"``); ``None`` for
             serial searches.
         winner_engine: in a portfolio race, the successor engine of
-            the winning slot (``"kernel"``, ``"reference"`` or
-            ``"stateclass"``); with engine-aware slots this can differ
+            the winning slot (``"kernel"`` or ``"stateclass"``); with
+            engine-aware slots this can differ
             from ``config.engine``.  ``None`` outside portfolio races.
         workers: worker processes used (1 for a serial search).
         interval_schedule: dense-time companion of

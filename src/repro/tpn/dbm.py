@@ -45,7 +45,8 @@ executable spec (the same O(n²) incremental closure repair per
 firing); ``tests/test_dbm.py`` walks the two in
 lockstep, class by class, under both reset policies.  The token,
 :data:`MAX_BOUND` and :data:`MAX_VARS` caps are limits of the packed
-representation only: the spec has none.
+representation only: the spec has none, and a search that meets one
+(:class:`~repro.errors.PackedCapError`) restarts on it.
 
 Searches do not step through this module class by class:
 :meth:`DbmEngine.open_search` roots the native core's resumable
@@ -60,7 +61,7 @@ from __future__ import annotations
 
 from array import array
 
-from repro.errors import SchedulingError
+from repro.errors import PackedCapError, SchedulingError
 from repro.tpn._native import (
     NativeNet,
     NativeSearch,
@@ -350,7 +351,7 @@ class DbmEngine:
     def __init__(self, net: CompiledNet, reset_policy: str = "paper"):
         check_reset_policy(reset_policy)
         if net.num_transitions + 1 > MAX_VARS:
-            raise SchedulingError(
+            raise PackedCapError(
                 "packed DBM engine: net has more than "
                 f"{MAX_VARS - 1} transitions"
             )
@@ -359,7 +360,7 @@ class DbmEngine:
             if net.eft[t] > MAX_BOUND or (
                 lft != INF and lft > MAX_BOUND
             ):
-                raise SchedulingError(
+                raise PackedCapError(
                     "packed DBM engine: static interval of "
                     f"{net.transition_names[t]!r} exceeds the bound "
                     f"cap ({MAX_BOUND}); see lint rule EZT204"
@@ -386,7 +387,7 @@ class DbmEngine:
         Floyd–Warshall closure, one O(n³) pass per search), packed —
         so the root is byte-identical to the specification engine's."""
         if any(v > MAX_TOKENS for v in self.net.m0):
-            raise SchedulingError(
+            raise PackedCapError(
                 "packed DBM engine: initial marking exceeds the "
                 f"packed token cap ({MAX_TOKENS} per place)"
             )
@@ -487,7 +488,7 @@ class DbmEngine:
         self._overflow(transition)
 
     def _overflow(self, transition: int) -> None:
-        raise SchedulingError(
+        raise PackedCapError(
             "packed DBM engine: firing "
             f"{self.net.transition_names[transition]!r} overflows "
             f"the packed token cap ({MAX_TOKENS} per place)"

@@ -4,14 +4,14 @@
 represents a state as Python tuples
 (:class:`repro.tpn.state.State`); every successor allocates fresh
 tuples and every comparison walks boxed ints.  This module is the
-production discrete engine (``PreRuntimeScheduler(engine="kernel")``,
-the default): the same Definition 3.1 semantics over *packed flat
-buffers* —
+production discrete engine (``engine="kernel"``, the default): the
+same Definition 3.1 semantics over *packed flat buffers* —
 
 * the marking is an ``array('H')``, one unsigned 16-bit word per place
   (token counts are capped at 65535 — comfortably past the paper
-  models' tick-counter places; the engine raises loudly on overflow
-  instead of silently wrapping);
+  models' tick-counter places; the engine raises
+  :class:`~repro.errors.PackedCapError` on overflow instead of
+  silently wrapping);
 * the clock vector is an ``array('H')`` of unsigned 16-bit words with
   :data:`DIS` (``0xFFFF``) marking disabled transitions (clocks are
   capped at 65534 — a search that deep raises rather than corrupting
@@ -34,7 +34,9 @@ off (``EZRT_PURE=1``, no cffi, a failed build) or cannot pack a net
 the reference :class:`~repro.tpn.state.StateEngine` instead, the
 kernel's executable spec; ``tests/test_kernel_engine.py`` walks the
 two in lockstep.  The token and clock caps above are limits of the
-packed representation only: the spec has none.
+packed representation only: the spec has none, and
+:meth:`repro.scheduler.dfs.PreRuntimeScheduler.search` restarts a
+search that meets one on it.
 
 Searches do not step through this module state by state:
 :meth:`KernelEngine.open_search` roots the native core's resumable
@@ -49,7 +51,7 @@ from __future__ import annotations
 
 from array import array
 
-from repro.errors import SchedulingError
+from repro.errors import PackedCapError, SchedulingError
 from repro.tpn._native import (
     SEARCH_TOKENS,
     NativeNet,
@@ -231,7 +233,7 @@ class KernelEngine:
     def lift(self, state: State) -> KernelState:
         """Wrap a reference :class:`State` into packed buffers."""
         if any(v > MAX_TOKENS for v in state.marking):
-            raise SchedulingError(
+            raise PackedCapError(
                 "kernel engine: marking exceeds the packed token cap "
                 f"({MAX_TOKENS} per place)"
             )
@@ -262,14 +264,13 @@ class KernelEngine:
     def _overflow(self, status: int, t: int) -> None:
         name = self.net.transition_names[t]
         if status == 1:
-            raise SchedulingError(
+            raise PackedCapError(
                 f"kernel engine: firing {name!r} overflows the packed "
                 f"token cap ({MAX_TOKENS} per place)"
             )
-        raise SchedulingError(
+        raise PackedCapError(
             f"kernel engine: clock overflow past {MAX_CLOCK} while "
-            f"firing {name!r} (use another engine for searches this "
-            "deep in time)"
+            f"firing {name!r}"
         )
 
     # ------------------------------------------------------------------

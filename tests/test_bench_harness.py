@@ -236,3 +236,9 @@ class TestMeasure:
         ]
         assert harness.total(rows, "states", "kernel") == 30
         assert harness.total(rows, "states", "kernel", "fig4") == 20
+
+
+def test_on_spec_sets_the_pure_switch_for_the_call_only(monkeypatch):
+    monkeypatch.setenv("EZRT_PURE", "0")
+    assert harness.on_spec(os.environ.get, "EZRT_PURE") == "1"
+    assert os.environ["EZRT_PURE"] == "0"

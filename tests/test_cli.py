@@ -136,18 +136,13 @@ class TestSchedule:
         assert "throughput" in out
 
     def test_engine_flag_reference(self, capsys, small_spec_file):
-        assert (
-            main(
-                [
-                    "schedule",
-                    small_spec_file,
-                    "--engine",
-                    "reference",
-                ]
-            )
-            == 0
-        )
-        assert "feasible" in capsys.readouterr().out
+        """The kernel's spec is no engine of its own: ``EZRT_PURE=1``
+        runs it, and ``--engine reference`` is an argparse error."""
+        for command in ("schedule", "lint"):
+            with pytest.raises(SystemExit) as exit_info:
+                main([command, small_spec_file, "--engine", "reference"])
+            assert exit_info.value.code == 2
+            assert "invalid choice: 'reference'" in capsys.readouterr().err
 
     def test_engine_flag_stateclass(self, capsys, small_spec_file):
         assert (

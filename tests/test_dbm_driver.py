@@ -19,8 +19,9 @@ of ``tests/test_kernel_driver.py``:
 * **every search prefix** — ``max_states=k`` over every ``k`` of a
   small search and sampled ``k`` of the perfbench ``dense`` kind;
 * **loud overflow** — the packed token cap raises the same
-  :class:`SchedulingError` text in the driver and when the DBM engine
-  is stepped directly (the spec has no caps);
+  :class:`PackedCapError` text in the driver and when the DBM engine
+  is stepped directly (the spec has no caps, and the scheduler falls
+  back to it);
 * **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
   a pending Ctrl-C stop within one poll interval, the driver's memory
   is freed on every exit path and ``tracemalloc`` sees it, and a
@@ -36,7 +37,7 @@ import tracemalloc
 import pytest
 
 from repro.blocks import compose
-from repro.errors import SchedulingError
+from repro.errors import PackedCapError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.config import PRIORITY_MODES
 from repro.scheduler.core import StateClassSpecAdapter
@@ -319,11 +320,21 @@ class TestOverflow:
         same message."""
         net = _token_overflow_net()
         config = SchedulerConfig(engine="stateclass")
-        with pytest.raises(SchedulingError, match="token cap") as driven:
-            PreRuntimeScheduler(net, config).search()
         engine = DbmEngine(net, reset_policy=config.reset_policy)
+        driver = engine.open_search(
+            engine.initial_class(),
+            strict=config.priority_mode == "strict",
+            partial_order=config.partial_order,
+            policy="earliest",
+            max_states=config.max_states,
+            timed=False,
+        )
+        with pytest.raises(PackedCapError, match="token cap") as driven:
+            while driver.run() == SEARCH_POLL:
+                pass
+        driver.close()
         cls = engine.initial_class()
-        with pytest.raises(SchedulingError, match="token cap") as stepped:
+        with pytest.raises(PackedCapError, match="token cap") as stepped:
             while True:
                 cands, _reduced = engine.candidates(
                     cls,
@@ -400,12 +411,23 @@ class TestStoppingAndMemory:
         assert spy.searches[0]._ptr is None  # freed on the way out
 
     def test_memory_is_freed_after_errors(self, monkeypatch):
+        """A packed-cap fault frees the driver before the search
+        restarts on the spec."""
         spy = _Spy(monkeypatch)
-        with pytest.raises(SchedulingError, match="token cap"):
-            PreRuntimeScheduler(
-                _token_overflow_net(), SchedulerConfig(engine="stateclass")
-            ).search()
-        assert spy.searches and spy.searches[0]._ptr is None
+        freed = []
+        spec_root = StateClassSpecAdapter.root
+
+        def root(adapter):
+            freed.append(spy.searches[0]._ptr is None)
+            return spec_root(adapter)
+
+        monkeypatch.setattr(StateClassSpecAdapter, "root", root)
+        result = PreRuntimeScheduler(
+            _token_overflow_net(),
+            SchedulerConfig(engine="stateclass", max_states=200),
+        ).search()
+        assert result.exhausted
+        assert freed == [True]
 
     def test_visited_bytes_follow_the_documented_layout(self, nets):
         """``visited_bytes`` of a refutation, rebuilt from the layout in

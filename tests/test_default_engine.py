@@ -1,4 +1,4 @@
-"""The default discrete engine: ``kernel``, equivalent to ``reference``.
+"""The default engine: ``kernel``, equivalent to its executable spec.
 
 Every entry point (``SchedulerConfig``, the CLI ``--engine`` flags,
 ``ezrt lint``, the batch engine, the service and unprefixed portfolio
@@ -9,8 +9,8 @@ engine is its executable spec, and this suite pins the two together:
 * **settings matrix** — every delay mode × priority mode ×
   ``partial_order`` × reset policy, on the four paper models and
   seeded ``random_task_set`` / ``random_task_set_with_relations``
-  inputs: ``SchedulerConfig()`` and ``SchedulerConfig(engine=
-  "reference")`` give the same verdict, ``exhausted``, every
+  inputs: ``SchedulerConfig()`` and the same config under
+  ``EZRT_PURE=1`` give the same verdict, ``exhausted``, every
   :class:`~repro.scheduler.result.SearchStats` counter and the same
   firing schedule;
 * **entry points** — the config, the CLI parsers, the batch engine and
@@ -36,6 +36,7 @@ from repro.scheduler import (
 )
 from repro.scheduler.config import DELAY_MODES, PRIORITY_MODES
 from repro.spec import paper_examples
+from repro.tpn._native import PURE_ENV
 from repro.workloads import random_task_set, random_task_set_with_relations
 
 RESETS = ("paper", "intermediate")
@@ -91,7 +92,7 @@ def test_default_engine_is_the_kernel():
 @pytest.mark.parametrize(
     "setting", SETTINGS, ids=lambda s: "-".join(map(str, s))
 )
-def test_default_matches_reference(nets, setting):
+def test_default_matches_reference(nets, monkeypatch, setting):
     delay_mode, priority_mode, partial_order, reset = setting
     knobs = dict(
         delay_mode=delay_mode,
@@ -103,9 +104,10 @@ def test_default_matches_reference(nets, setting):
     for name, net in nets.items():
         default = PreRuntimeScheduler(net, SchedulerConfig(**knobs))
         assert default.adapter.name == "kernel"
-        reference = PreRuntimeScheduler(
-            net, SchedulerConfig(engine="reference", **knobs)
-        )
+        with monkeypatch.context() as pure:
+            pure.setenv(PURE_ENV, "1")
+            reference = PreRuntimeScheduler(net, SchedulerConfig(**knobs))
+        assert not reference.adapter.native
         assert _outcome(default.search()) == _outcome(
             reference.search()
         ), name

@@ -279,12 +279,12 @@ class TestEngineSelection:
 
         compiled = simple_net.compile()
         for call in (
-            lambda: PreRuntimeScheduler(compiled, engine="reference"),
+            lambda: PreRuntimeScheduler(compiled, engine="stateclass"),
             lambda: ParallelScheduler(
-                compiled, SchedulerConfig(parallel=2), engine="reference"
+                compiled, SchedulerConfig(parallel=2), engine="stateclass"
             ),
-            lambda: search(compiled, engine="reference"),
-            lambda: find_schedule(fig3_model, engine="reference"),
+            lambda: search(compiled, engine="stateclass"),
+            lambda: find_schedule(fig3_model, engine="stateclass"),
         ):
             with pytest.raises(TypeError, match="engine"):
                 call()
@@ -301,13 +301,16 @@ class TestEngineSelection:
     def test_engine_override_is_the_config_that_runs(self, simple_net):
         scheduler = PreRuntimeScheduler(
             simple_net.compile(),
-            SchedulerConfig().replace(engine="reference"),
+            SchedulerConfig().replace(engine="stateclass"),
         )
-        assert scheduler.config.engine == "reference"
-        assert scheduler.adapter.name == "reference"
+        assert scheduler.config.engine == "stateclass"
+        assert scheduler.adapter.name == "stateclass"
 
     def test_search_helper_threads_engine(self, simple_net):
         compiled = simple_net.compile()
         kernel = search(compiled, SchedulerConfig(engine="kernel"))
-        ref = search(compiled, SchedulerConfig(engine="reference"))
-        assert kernel.firing_schedule == ref.firing_schedule
+        dense = search(compiled, SchedulerConfig(engine="stateclass"))
+        # only the dense engine attaches firing windows
+        assert kernel.interval_schedule is None
+        assert dense.interval_schedule is not None
+        assert kernel.feasible and dense.feasible

@@ -4,9 +4,9 @@ With the kernel's compiled core live, ``engine="kernel"`` searches run
 entirely inside the ``kn_search_*`` driver of :mod:`repro.tpn._kernelc`
 (see :meth:`repro.scheduler.dfs.PreRuntimeScheduler._drive`).
 :class:`~repro.scheduler.dfs.PreRuntimeScheduler`'s own loop over the reference
-:class:`~repro.tpn.state.StateEngine` (``engine="reference"``, which
-``engine="kernel"`` also runs without the core) is the driver's
-executable spec, and this suite pins the two together:
+:class:`~repro.tpn.state.StateEngine` (which ``engine="kernel"`` runs
+under ``EZRT_PURE=1``) is the driver's executable spec, and this suite
+pins the two together:
 
 * **settings matrix** — every delay mode × priority mode ×
   ``partial_order`` × reset policy × reorder policy, on the paper
@@ -16,8 +16,9 @@ executable spec, and this suite pins the two together:
   and sequence of ``tick``/``heartbeat`` arguments;
 * **every search prefix** — ``max_states=k`` over a range of ``k``;
 * **loud overflow** — the packed caps raise the same
-  :class:`SchedulingError` text in the driver and when the kernel
-  engine is stepped directly (the spec has no caps);
+  :class:`PackedCapError` text in the driver and when the kernel
+  engine is stepped directly (the spec has no caps, and the scheduler
+  falls back to it);
 * **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
   a pending Ctrl-C stop within one poll interval, the driver's memory
   is freed on every exit path and ``tracemalloc`` sees it, and a
@@ -37,9 +38,10 @@ import tracemalloc
 import pytest
 
 from repro.blocks import compose
-from repro.errors import SchedulingError
+from repro.errors import PackedCapError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
 from repro.scheduler.config import DELAY_MODES, PRIORITY_MODES
+from repro.scheduler.core import ReferenceAdapter
 from repro.spec import paper_examples
 from repro.tpn import _kernelc
 from repro.tpn._native import SEARCH_POLL, NativeSearch
@@ -57,7 +59,7 @@ pytestmark = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _compiled_core(monkeypatch):
     """Run the driver even in the ``EZRT_PURE=1`` test lane: the spec
-    side asks for the reference engine explicitly."""
+    side sets it explicitly."""
     monkeypatch.delenv(_kernelc.PURE_ENV, raising=False)
 
 RESETS = ("paper", "intermediate")
@@ -112,9 +114,10 @@ def _config(setting, **extra):
 def _search(net, config, native, polled=True, tick=None):
     """One search, on the native driver or on the reference spec;
     returns (result, [("tick"|"heartbeat", args)])."""
-    scheduler = PreRuntimeScheduler(
-        net, config if native else config.replace(engine="reference")
-    )
+    with pytest.MonkeyPatch.context() as env:
+        if not native:
+            env.setenv(_kernelc.PURE_ENV, "1")
+        scheduler = PreRuntimeScheduler(net, config)
     assert scheduler.adapter.native == native
     calls: list = []
     if polled:
@@ -276,11 +279,22 @@ class TestOverflow:
         same message."""
         net = _overflow_net(kind)
         config = SchedulerConfig(engine="kernel")
-        with pytest.raises(SchedulingError, match=message) as driven:
-            PreRuntimeScheduler(net, config).search()
         engine = KernelEngine(net, reset_policy=config.reset_policy)
+        driver = engine.open_search(
+            engine.initial(),
+            strict=config.priority_mode == "strict",
+            partial_order=config.partial_order,
+            delay_mode=config.delay_mode,
+            policy="earliest",
+            max_states=config.max_states,
+            timed=False,
+        )
+        with pytest.raises(PackedCapError, match=message) as driven:
+            while driver.run() == SEARCH_POLL:
+                pass
+        driver.close()
         state = engine.initial()
-        with pytest.raises(SchedulingError, match=message) as stepped:
+        with pytest.raises(PackedCapError, match=message) as stepped:
             while True:
                 cands, _reduced = engine.candidates(
                     state,
@@ -295,8 +309,10 @@ class TestOverflow:
     def test_the_spec_has_no_packed_caps(self, kind):
         """The reference engine searches past the packed caps: the
         caps are limits of the packed representation only."""
-        config = SchedulerConfig(engine="reference", max_states=3_000)
-        result = PreRuntimeScheduler(_overflow_net(kind), config).search()
+        config = SchedulerConfig(engine="kernel", max_states=3_000)
+        result, _ = _search(
+            _overflow_net(kind), config, False, polled=False
+        )
         assert result.stats.states_visited > 1
 
 
@@ -365,12 +381,23 @@ class TestStoppingAndMemory:
         assert spy.searches[0]._ptr is None  # freed on the way out
 
     def test_memory_is_freed_after_errors(self, monkeypatch):
+        """A packed-cap fault frees the driver before the search
+        restarts on the spec."""
         spy = _Spy(monkeypatch)
-        with pytest.raises(SchedulingError):
-            PreRuntimeScheduler(
-                _overflow_net("tokens"), SchedulerConfig(engine="kernel")
-            ).search()
-        assert spy.searches and spy.searches[0]._ptr is None
+        freed = []
+        spec_root = ReferenceAdapter.root
+
+        def root(adapter):
+            freed.append(spy.searches[0]._ptr is None)
+            return spec_root(adapter)
+
+        monkeypatch.setattr(ReferenceAdapter, "root", root)
+        result = PreRuntimeScheduler(
+            _overflow_net("tokens"),
+            SchedulerConfig(engine="kernel", max_states=1_000),
+        ).search()
+        assert result.exhausted
+        assert freed == [True]
 
     def test_tracemalloc_sees_the_visited_states(self):
         net = self._long()

@@ -16,10 +16,11 @@ ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
   ``engine="kernel"`` runs without the core (``EZRT_PURE=1``, or a net
   the core cannot pack), on every delay × priority × partial-order ×
   reset cell.
-* **Cross-engine search fuzz** — full scheduler searches across all
-  three adapters on a seeded sweep: the two discrete engines must
-  agree exactly (verdict, visited counts, schedules, deterministic
-  counters) and the dense state-class engine must agree on the verdict.
+* **Cross-engine search fuzz** — full scheduler searches across the
+  kernel, its spec (``EZRT_PURE=1``) and the state-class engine on a
+  seeded sweep: the two discrete paths must agree exactly (verdict,
+  visited counts, schedules, deterministic counters) and the dense
+  state-class engine must agree on the verdict.
 * **Packed-representation edges** — export/revive round-trips, the
   loud token/clock overflow errors, ``KernelState`` identity.
 """
@@ -50,6 +51,7 @@ from repro.tpn.state import DISABLED, StateEngine
 from repro.workloads import random_task_set
 
 RESETS = ("paper", "intermediate")
+#: the kernel's two paths: its spec (``EZRT_PURE=1``) and the kernel
 DISCRETE_ENGINES = ("reference", "kernel")
 
 native_only = pytest.mark.skipif(
@@ -58,6 +60,16 @@ native_only = pytest.mark.skipif(
 )
 
 WALK_STEPS = 60
+
+
+def _discrete_search(monkeypatch, net, path, **knobs):
+    """An ``engine="kernel"`` search on one of :data:`DISCRETE_ENGINES`:
+    ``"reference"`` runs it on the spec."""
+    with monkeypatch.context() as env:
+        if path == "reference":
+            env.setenv(_native.PURE_ENV, "1")
+        config = SchedulerConfig(engine="kernel", **knobs)
+        return PreRuntimeScheduler(net, config).search()
 WALK_SEEDS = (0, 1, 2)
 
 FUZZ_GRID = [
@@ -269,8 +281,9 @@ class TestNetsTheCoreCannotPack:
         result = PreRuntimeScheduler(
             net, SchedulerConfig(engine=engine)
         ).search()
+        monkeypatch.setenv(_native.PURE_ENV, "1")
         reference = PreRuntimeScheduler(
-            net, SchedulerConfig(engine="reference")
+            net, SchedulerConfig(engine="kernel")
         ).search()
         assert result.feasible == reference.feasible == feasible
         assert result.exhausted == reference.exhausted
@@ -348,23 +361,28 @@ class TestOneExtension:
 
 
 class TestCrossEngineSearchFuzz:
-    """Full searches: the three adapters on a seeded sweep."""
+    """Full searches: the kernel, its spec and the dense engine on a
+    seeded sweep."""
 
     @pytest.mark.parametrize("reset_policy", RESETS)
     @pytest.mark.parametrize("case", FUZZ_GRID)
-    def test_discrete_engines_agree_exactly(self, case, reset_policy):
+    def test_discrete_engines_agree_exactly(
+        self, monkeypatch, case, reset_policy
+    ):
         n, u, seed = case
         net = compose(
             random_task_set(n, u, seed=seed, deadline_slack=0.9)
         ).compiled()
-        results = {}
-        for engine in DISCRETE_ENGINES:
-            cfg = SchedulerConfig(
-                engine=engine,
+        results = {
+            path: _discrete_search(
+                monkeypatch,
+                net,
+                path,
                 reset_policy=reset_policy,
                 max_states=100_000,
             )
-            results[engine] = PreRuntimeScheduler(net, cfg).search()
+            for path in DISCRETE_ENGINES
+        }
         ref = results["reference"]
         other = results["kernel"]
         assert other.feasible == ref.feasible
@@ -406,18 +424,18 @@ class TestCrossEngineSearchFuzz:
         ],
     )
     def test_kernel_matches_reference_across_modes(
-        self, paper_nets, delay_mode, priority_mode
+        self, paper_nets, monkeypatch, delay_mode, priority_mode
     ):
-        net = paper_nets["fig4"]
-        results = []
-        for engine in ("reference", "kernel"):
-            cfg = SchedulerConfig(
-                engine=engine,
+        ref, ker = (
+            _discrete_search(
+                monkeypatch,
+                paper_nets["fig4"],
+                path,
                 delay_mode=delay_mode,
                 priority_mode=priority_mode,
             )
-            results.append(PreRuntimeScheduler(net, cfg).search())
-        ref, ker = results
+            for path in DISCRETE_ENGINES
+        )
         assert ker.feasible == ref.feasible
         assert ker.firing_schedule == ref.firing_schedule
         assert (
@@ -456,11 +474,11 @@ class TestSchedulerIntegration:
     def test_kernel_portfolio_slot(self, paper_nets):
         cfg = SchedulerConfig(
             parallel=2,
-            portfolio=("kernel:earliest", "reference:latest"),
+            portfolio=("kernel:earliest", "stateclass:latest"),
         )
         result = ParallelScheduler(paper_nets["fig3"], cfg).search()
         assert result.feasible
-        assert result.winner_engine in ("kernel", "reference")
+        assert result.winner_engine in ("kernel", "stateclass")
 
 @native_only
 class TestPackedRepresentation:

@@ -319,16 +319,12 @@ class TestNetRules:
         net.add_transition("t0")
         net.add_arc("p0", "t0")
         net.add_arc("t0", "p1")
-        compiled = net.compile()
-        for_kernel = [
-            d for d in net_diagnostics(compiled, engine="kernel")
-            if d.code == "EZT203"
+        found = [
+            d for d in net_diagnostics(net.compile()) if d.code == "EZT203"
         ]
-        assert for_kernel and for_kernel[0].severity == ERROR
-        generic = [
-            d for d in net_diagnostics(compiled) if d.code == "EZT203"
-        ]
-        assert generic and generic[0].severity == WARNING
+        # the search falls back to the spec, so this is no error
+        assert found and found[0].severity == WARNING
+        assert "runs on the slower executable spec" in found[0].message
 
     def test_spec_level_token_cap(self):
         # lcm(1, MAX_TOKENS + 2) instances of the fast task overflow a
@@ -346,10 +342,12 @@ class TestNetRules:
                 ),
             ],
         )
-        diagnostics = token_cap_diagnostics(spec, engine="kernel")
+        diagnostics = token_cap_diagnostics(spec)
         assert codes(diagnostics) == ["EZT203"]
         assert diagnostics[0].severity == WARNING
-        assert "kernel" in diagnostics[0].message
+        assert "runs on the slower executable spec" in (
+            diagnostics[0].message
+        )
         # presearch includes it only when targeting the kernel engine,
         # which is also what an unset engine means (the default)
         assert "EZT203" in codes(
@@ -357,11 +355,11 @@ class TestNetRules:
         )
         assert "EZT203" in codes(presearch_diagnostics(spec))
         assert "EZT203" not in codes(
-            presearch_diagnostics(spec, engine="reference")
+            presearch_diagnostics(spec, engine="stateclass")
         )
 
     def test_small_spec_has_no_token_cap_finding(self):
-        assert token_cap_diagnostics(mine_pump(), engine="kernel") == []
+        assert token_cap_diagnostics(mine_pump()) == []
 
     def test_net_interval_over_dbm_bound_cap(self):
         net = TimePetriNet("wide")
@@ -372,18 +370,13 @@ class TestNetRules:
         )
         net.add_arc("p0", "t0")
         net.add_arc("t0", "p1")
-        compiled = net.compile()
-        for_stateclass = [
-            d for d in net_diagnostics(compiled, engine="stateclass")
-            if d.code == "EZT204"
+        found = [
+            d for d in net_diagnostics(net.compile()) if d.code == "EZT204"
         ]
-        assert for_stateclass
-        assert for_stateclass[0].severity == ERROR
-        assert "t0" in for_stateclass[0].element
-        generic = [
-            d for d in net_diagnostics(compiled) if d.code == "EZT204"
-        ]
-        assert generic and generic[0].severity == WARNING
+        # the search falls back to the spec, so this is no error
+        assert found and found[0].severity == WARNING
+        assert "t0" in found[0].element
+        assert "runs on the slower executable spec" in found[0].message
 
     def test_net_unbounded_interval_checks_eft_only(self):
         # lft = INF is the DBM's sentinel, not a magnitude — only a
@@ -396,9 +389,7 @@ class TestNetRules:
         net.add_arc("t0", "p1")
         diagnostics = [
             d
-            for d in net_diagnostics(
-                net.compile(), engine="stateclass"
-            )
+            for d in net_diagnostics(net.compile())
             if d.code == "EZT204"
         ]
         assert diagnostics == []
@@ -415,10 +406,12 @@ class TestNetRules:
                 )
             ],
         )
-        diagnostics = dbm_bound_diagnostics(spec, engine="stateclass")
+        diagnostics = dbm_bound_diagnostics(spec)
         assert codes(diagnostics) == ["EZT204"]
         assert diagnostics[0].severity == WARNING
-        assert "state-class" in diagnostics[0].message
+        assert "state-class search runs on the slower executable spec" in (
+            diagnostics[0].message
+        )
         # presearch includes it only when targeting the dense engine
         assert "EZT204" in codes(
             presearch_diagnostics(spec, engine="stateclass")
@@ -444,10 +437,7 @@ class TestNetRules:
         assert "hyper-period" in diagnostics[0].message
 
     def test_small_spec_has_no_dbm_bound_finding(self):
-        assert (
-            dbm_bound_diagnostics(mine_pump(), engine="stateclass")
-            == []
-        )
+        assert dbm_bound_diagnostics(mine_pump()) == []
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +446,9 @@ class TestNetRules:
 class TestConfigRules:
     def test_defaults_are_clean(self):
         assert config_diagnostics() == []
-        assert config_diagnostics(engine="reference") == []
+        assert config_diagnostics(engine="stateclass") == []
+        # the kernel's spec is no engine of its own (EZRT_PURE=1 runs it)
+        assert codes(config_diagnostics(engine="reference")) == ["EZG303"]
 
     def test_unknown_engine(self):
         diagnostics = config_diagnostics(engine="quantum")

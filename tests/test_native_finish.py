@@ -439,7 +439,8 @@ class TestReplay:
         result = scheduler.search()
         assert result.feasible
         assert calls == [(scheduler.adapter.engine.core, True)]
-        assert packs == []  # nothing packed after the engine's own net
+        # the engine packs its own net with the root, and only that
+        assert len(packs) == 1
         assert replay(net, False, result.firing_schedule) is True
 
     def test_a_false_rejection_is_a_disagreement(self, nets, monkeypatch):

@@ -250,15 +250,18 @@ class TestChromeTrace:
 
         assert structure(1) == structure(2)
 
-    def test_serial_trace_covers_the_pipeline(self, tmp_path):
+    def test_serial_trace_covers_the_pipeline(self, tmp_path, monkeypatch):
         # the kernel engine runs its search in the native driver, which
-        # times the two phases in C when tracing is on
-        for engine in ("reference", "kernel"):
-            jsonl = str(tmp_path / f"events-{engine}.jsonl")
+        # times the two phases in C when tracing is on; its spec
+        # (EZRT_PURE=1) times them in the Python loop
+        for pure in (True, False):
+            if pure:
+                monkeypatch.setenv(_dbmc.PURE_ENV, "1")
+            else:
+                monkeypatch.delenv(_dbmc.PURE_ENV, raising=False)
+            jsonl = str(tmp_path / f"events-{pure}.jsonl")
             model = compose(paper_examples()["fig4"])
-            find_schedule(
-                model, SchedulerConfig(engine=engine, trace_jsonl=jsonl)
-            )
+            find_schedule(model, SchedulerConfig(trace_jsonl=jsonl))
             events = read_events(jsonl)
             names = {e["name"] for e in events}
             assert {
@@ -267,7 +270,7 @@ class TestChromeTrace:
                 "candidate-enumeration",
             } <= names
             search_span = next(e for e in events if e["name"] == "search")
-            assert search_span["args"]["engine"] == engine
+            assert search_span["args"]["engine"] == "kernel"
             assert search_span["args"]["states_visited"] > 0
             # aggregate child spans nest inside the search span
             for child in (
@@ -550,7 +553,11 @@ class TestSearchMetrics:
         }
 
     @pytest.mark.parametrize("engine", ["kernel", "reference"])
-    def test_progress_run_samples_depth(self, engine):
+    def test_progress_run_samples_depth(self, monkeypatch, engine):
+        # "reference" is the kernel's spec (EZRT_PURE=1)
+        if engine == "reference":
+            monkeypatch.setenv(_dbmc.PURE_ENV, "1")
+            engine = "kernel"
         # a heartbeat turns polling on, so the depth gauge is sampled:
         # 3256 expansions make three polls, each calling the heartbeat
         # (here a recorder standing in for the progress printer), and

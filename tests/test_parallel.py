@@ -133,10 +133,14 @@ class TestParseSlot:
             "kernel",
             "random:3",
         )
-        assert parse_slot("reference:min-laxity") == (
-            "reference",
+        assert parse_slot("stateclass:min-laxity") == (
+            "stateclass",
             "min-laxity",
         )
+
+    def test_reference_prefix_rejected(self):
+        with pytest.raises(SchedulingError, match="unknown search policy"):
+            parse_slot("reference:earliest")
 
     def test_engine_without_policy_rejected(self):
         with pytest.raises(SchedulingError):

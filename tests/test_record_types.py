@@ -70,13 +70,14 @@ DEFAULT_CONFIG_REPR = (
 
 
 def _custom_config() -> SchedulerConfig:
-    """A config with every field off its default, built positionally."""
+    """A config with every field but ``engine`` off its default, built
+    positionally (the only other engine refuses ``delay_mode="full"``)."""
     return SchedulerConfig(
         "strict",
         "full",
         False,
         "intermediate",
-        "reference",
+        "kernel",
         5000,
         2.5,
         "random",
@@ -308,7 +309,7 @@ REPRS = {
         _custom_config,
         "SchedulerConfig(priority_mode='strict', delay_mode='full', "
         "partial_order=False, reset_policy='intermediate', "
-        "engine='reference', max_states=5000, max_seconds=2.5, "
+        "engine='kernel', max_states=5000, max_seconds=2.5, "
         "policy='random', policy_seed=3, parallel=2, "
         "portfolio=('kernel:earliest', 'stateclass:earliest'), "
         "trace_jsonl='t.jsonl', progress=True)",
@@ -561,7 +562,9 @@ def test_scheduler_config_positional_parameters_follow_field_order():
 def test_scheduler_config_equality_is_field_by_field():
     base, custom = SchedulerConfig(), _custom_config()
     for name in SchedulerConfig._fields:
-        assert base.replace(**{name: getattr(custom, name)}) != base
+        # the custom config keeps the default engine
+        value = "stateclass" if name == "engine" else getattr(custom, name)
+        assert base.replace(**{name: value}) != base
 
     class Lookalike:
         def __init__(self, config):
@@ -604,7 +607,7 @@ INVALID_CONFIGS = [
     (
         {"engine": "bogus"},
         "unknown engine 'bogus'; expected one of "
-        "('kernel', 'reference', 'stateclass')",
+        "('kernel', 'stateclass')",
     ),
     (
         {"engine": "stateclass", "delay_mode": "full"},

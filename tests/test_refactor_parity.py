@@ -25,10 +25,12 @@ suite pins it:
 The packed ``kernel`` adapter came later; as a discrete engine it
 is pinned to the *same* pre-refactor expectations as the reference
 adapter on every workload (its deeper native-vs-spec and fuzzing
-coverage lives in ``tests/test_kernel_engine.py``).  The kernel and
-stateclass engines meet the pins twice: through their native search
-drivers and, under ``EZRT_PURE=1``, on the executable specs
-``make_adapter`` routes them to without the core.
+coverage lives in ``tests/test_kernel_engine.py``).  The ``reference``
+rows pin the kernel's executable spec, run as ``engine="kernel"``
+under ``EZRT_PURE=1``.  The kernel and stateclass engines meet the
+pins twice: through their native search drivers and, under
+``EZRT_PURE=1``, on the executable specs ``make_adapter`` routes them
+to without the core.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from repro.tpn import _kernelc
 from repro.workloads import random_task_set, wide_interval_job_net
 
 RESETS = ("paper", "intermediate")
+#: Pin rows: the two engines plus ``reference``, the kernel's spec.
 ENGINES = ("reference", "kernel", "stateclass")
 
 #: Deterministic outcome of one pre-refactor search:
@@ -125,9 +128,13 @@ WIDE_PIN = {
 }
 
 
-def _run(net, engine, reset_policy, **config_kwargs):
+def _run(monkeypatch, net, row, reset_policy, **config_kwargs):
+    """A search for pin row ``row``: ``reference`` is the kernel's
+    executable spec, the other rows name their engine."""
+    if row == "reference":
+        return _run_pure(monkeypatch, net, reset_policy, **config_kwargs)
     config = SchedulerConfig(
-        reset_policy=reset_policy, engine=engine, **config_kwargs
+        reset_policy=reset_policy, engine=row, **config_kwargs
     )
     return PreRuntimeScheduler(net, config).search()
 
@@ -191,9 +198,9 @@ class TestPaperModelPins:
         "model", ("fig3", "fig4", "fig8", "mine-pump")
     )
     def test_counters_match_pre_refactor(
-        self, paper_nets, model, engine, reset_policy
+        self, paper_nets, monkeypatch, model, engine, reset_policy
     ):
-        result = _run(paper_nets[model], engine, reset_policy)
+        result = _run(monkeypatch, paper_nets[model], engine, reset_policy)
         assert _paper_outcome(result) == PAPER_PIN[(model, engine)], (
             f"{model}/{engine}/{reset_policy} diverged from the "
             "pre-refactor loop"
@@ -239,13 +246,13 @@ class TestPaperModelPins:
         "model", ("fig3", "fig4", "fig8", "mine-pump")
     )
     def test_discrete_adapters_agree_exactly(
-        self, paper_nets, model, reset_policy
+        self, paper_nets, monkeypatch, model, reset_policy
     ):
         """The deleted baseline loop's exactness property, kept alive:
         the reference and kernel adapters produce byte-identical
         schedules and deterministic counters."""
-        ref = _run(paper_nets[model], "reference", reset_policy)
-        other = _run(paper_nets[model], "kernel", reset_policy)
+        other = _run(monkeypatch, paper_nets[model], "kernel", reset_policy)
+        ref = _run(monkeypatch, paper_nets[model], "reference", reset_policy)
         assert ref.firing_schedule == other.firing_schedule
         ref_stats = ref.stats.as_dict()
         other_stats = other.stats.as_dict()
@@ -259,13 +266,13 @@ class TestSeededGridPins:
     @pytest.mark.parametrize("reset_policy", RESETS)
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("case", sorted(GRID_CASES))
-    def test_grid_point(self, case, engine, reset_policy):
+    def test_grid_point(self, monkeypatch, case, engine, reset_policy):
         n, u, seed = GRID_CASES[case]
         net = compose(
             random_task_set(n, u, seed=seed, deadline_slack=0.8)
         ).compiled()
         result = _run(
-            net, engine, reset_policy, max_states=200_000
+            monkeypatch, net, engine, reset_policy, max_states=200_000
         )
         assert _grid_outcome(result) == GRID_PIN[(case, engine)], (
             f"{case}/{engine}/{reset_policy} diverged from the "
@@ -292,9 +299,11 @@ class TestSeededGridPins:
     @pytest.mark.parametrize("reset_policy", RESETS)
     @pytest.mark.parametrize("engine", ENGINES)
     @pytest.mark.parametrize("feasible", (True, False))
-    def test_wide_interval_nets(self, feasible, engine, reset_policy):
+    def test_wide_interval_nets(
+        self, monkeypatch, feasible, engine, reset_policy
+    ):
         net = wide_interval_job_net(feasible=feasible).compile()
-        result = _run(net, engine, reset_policy)
+        result = _run(monkeypatch, net, engine, reset_policy)
         assert _grid_outcome(result) == WIDE_PIN[(feasible, engine)]
 
     @pytest.mark.parametrize("reset_policy", RESETS)
@@ -351,7 +360,8 @@ class TestSingleSearchLoop:
             "while stack"
         ) == 1
 
-    def test_every_engine_runs_through_the_scheduler(self):
+    def test_every_engine_runs_through_the_scheduler(self, monkeypatch):
+        from repro.scheduler.config import ENGINES as CONFIG_ENGINES
         from repro.scheduler.core import (
             ADAPTERS,
             EngineAdapter,
@@ -359,19 +369,28 @@ class TestSingleSearchLoop:
             SpecAdapter,
         )
 
-        assert set(ADAPTERS) == set(ENGINES)
+        assert set(ADAPTERS) == set(CONFIG_ENGINES)
         net = compose(paper_examples()["fig3"]).compiled()
-        for engine in ENGINES:
-            scheduler = PreRuntimeScheduler(
-                net, SchedulerConfig(engine=engine)
-            )
-            adapter = scheduler.adapter
-            assert adapter.name == engine
-            # the adapter satisfies the common surface the scheduler
-            # drives plus exactly one kind's own methods
-            # (runtime-checkable structural checks): a native adapter
-            # only opens the driver, only a spec adapter is stepped
-            assert isinstance(adapter, EngineAdapter)
-            assert isinstance(adapter, NativeAdapter) == adapter.native
-            assert isinstance(adapter, SpecAdapter) != adapter.native
-            assert scheduler.search().feasible
+        # each engine's packed adapter (the native core, when built)
+        # and its executable spec (EZRT_PURE=1)
+        for pure in (False, True):
+            if pure:
+                monkeypatch.setenv(_kernelc.PURE_ENV, "1")
+            for engine in CONFIG_ENGINES:
+                scheduler = PreRuntimeScheduler(
+                    net, SchedulerConfig(engine=engine)
+                )
+                adapter = scheduler.adapter
+                assert adapter.name == engine
+                assert type(adapter) is ADAPTERS[engine][
+                    not adapter.native
+                ]
+                # the adapter satisfies the common surface the
+                # scheduler drives plus exactly one kind's own methods
+                # (runtime-checkable structural checks): a native
+                # adapter only opens the driver, only a spec adapter
+                # is stepped
+                assert isinstance(adapter, EngineAdapter)
+                assert isinstance(adapter, NativeAdapter) == adapter.native
+                assert isinstance(adapter, SpecAdapter) != adapter.native
+                assert scheduler.search().feasible

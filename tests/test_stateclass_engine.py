@@ -27,6 +27,7 @@ from repro.scheduler import (
 )
 from repro.scheduler.dfs import PreRuntimeScheduler, search
 from repro.spec import fig3_precedence, fig4_exclusion, fig8_preemptive
+from repro.tpn._native import PURE_ENV
 from repro.tpn import (
     INF,
     StateClassEngine,
@@ -50,10 +51,12 @@ def _verdicts(model, reset_policy):
     kernel = find_schedule(
         model, SchedulerConfig(reset_policy=reset_policy)
     )
-    reference = find_schedule(
-        model,
-        SchedulerConfig(engine="reference", reset_policy=reset_policy),
-    )
+    with pytest.MonkeyPatch.context() as pure:
+        # the kernel's executable spec, the reference engine
+        pure.setenv(PURE_ENV, "1")
+        reference = find_schedule(
+            model, SchedulerConfig(reset_policy=reset_policy)
+        )
     return dense, kernel, reference
 
 
