@@ -555,7 +555,6 @@ def _cmd_serve(args) -> int:
         max_workers=args.jobs,
         job_timeout=args.timeout,
         cache=cache,
-        cores=args.cores,
         store_schedules=True,
     )
     try:
@@ -783,15 +782,6 @@ def _serve_arguments(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker pool width (default: one per CPU)",
-    )
-    p.add_argument(
-        "--cores",
-        type=int,
-        default=None,
-        help=(
-            "total core budget: the worker pool shrinks so jobs x "
-            "intra-job workers stays within it"
-        ),
     )
     p.add_argument(
         "--timeout",

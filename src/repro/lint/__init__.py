@@ -38,6 +38,7 @@ if TYPE_CHECKING:
         lint_tree,
     )
     from repro.lint.specrules import (
+        clock_cap_diagnostics,
         config_diagnostics,
         dbm_bound_diagnostics,
         infeasibility_diagnostics,
@@ -59,7 +60,7 @@ else:
                 "check_fixture_dir lint_file lint_source lint_tree"
             ),
             "repro.lint.specrules": (
-                "config_diagnostics "
+                "clock_cap_diagnostics config_diagnostics "
                 "dbm_bound_diagnostics infeasibility_diagnostics "
                 "lint_spec net_diagnostics presearch_diagnostics "
                 "token_cap_diagnostics validation_diagnostics"
@@ -73,6 +74,7 @@ __all__ = [
     "Diagnostic",
     "LintReport",
     "check_fixture_dir",
+    "clock_cap_diagnostics",
     "config_diagnostics",
     "dbm_bound_diagnostics",
     "errors",

@@ -11,8 +11,8 @@ Three rule families, all pure functions returning
   classical bounds of :mod:`repro.analysis.utilization`;
 * **net rules** (``EZT2xx``) — structural checks on a compiled time
   Petri net: transitions that can never fire, places that can never be
-  marked, token counts that threaten the packed kernel engine's
-  ``uint16`` cap;
+  marked, token counts and static bounds past the packed engines'
+  caps;
 * **configuration rules** (``EZG3xx``) — engine/knob combinations the
   scheduler would reject at construction time, checkable on raw
   strings *before* a :class:`~repro.scheduler.config.SchedulerConfig`
@@ -43,7 +43,7 @@ from repro.spec.model import EzRTSpec
 from repro.spec.timing import instance_count, schedule_period
 from repro.spec.validation import coded_problems, validate_spec
 from repro.tpn.interval import INF, MAX_BOUND
-from repro.tpn.kernel import MAX_TOKENS
+from repro.tpn.kernel import MAX_CLOCK, MAX_TOKENS
 from repro.tpn.net import CompiledNet
 
 #: Utilisation slack below which ``U > capacity`` is treated as noise
@@ -253,6 +253,71 @@ def infeasibility_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
     return diagnostics
 
 
+#: The packed engines' static-bound caps: (code, cap, the tail of a
+#: finding past the cap).
+_CLOCK_CAP = (
+    "EZT203",
+    MAX_CLOCK,
+    f", beyond the packed kernel's {MAX_CLOCK} clock cap, so a kernel "
+    "search runs on the slower executable spec",
+)
+_DBM_CAP = (
+    "EZT204",
+    MAX_BOUND,
+    f", beyond the packed DBM's {MAX_BOUND} bound cap, so a "
+    "state-class search runs on the slower executable spec",
+)
+
+
+def _timing_diagnostics(
+    spec: EzRTSpec, bound_cap: tuple[str, int, str]
+) -> list[Diagnostic]:
+    """The task timings and message transfer times past ``bound_cap``:
+    every compiled transition interval is built from them."""
+    code, cap, tail = bound_cap
+    magnitudes = [
+        (
+            f"task {task.name!r}",
+            "timing magnitude",
+            max(task.period, task.phase + task.deadline),
+        )
+        for task in spec.tasks
+    ] + [
+        (
+            f"message {message.name!r}",
+            "transfer time",
+            message.communication + message.grant_bus,
+        )
+        for message in spec.messages
+    ]
+    return [
+        Diagnostic(
+            code=code,
+            severity=WARNING,
+            message=f"{element} has {what} {magnitude}" + tail,
+            hint=(
+                "rescale the time unit (divide all timings by a "
+                "common factor)"
+            ),
+            element=element,
+        )
+        for element, what, magnitude in magnitudes
+        if magnitude > cap
+    ]
+
+
+def clock_cap_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
+    """EZT203 (spec level): timing magnitudes past the kernel's clock cap.
+
+    The packed kernel stores clocks as ``uint16`` words, so a clock
+    that must count past :data:`repro.tpn.kernel.MAX_CLOCK` overflows
+    it and the search runs on the slower executable spec.  The compiled
+    transition intervals are built from the magnitudes EZT204 checks
+    (:func:`dbm_bound_diagnostics`).
+    """
+    return _timing_diagnostics(spec, _CLOCK_CAP)
+
+
 def token_cap_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
     """EZT203 (spec level): instance counts past the packed token cap.
 
@@ -306,44 +371,7 @@ def dbm_bound_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
     """
     if not spec.tasks:
         return []
-    tail = (
-        f", beyond the packed DBM's {MAX_BOUND} bound cap, so a "
-        "state-class search runs on the slower executable spec"
-    )
-    hint = (
-        "rescale the time unit (divide all timings by a common factor)"
-    )
-    diagnostics: list[Diagnostic] = []
-    for task in spec.tasks:
-        worst = max(task.period, task.phase + task.deadline)
-        if worst > MAX_BOUND:
-            diagnostics.append(
-                Diagnostic(
-                    code="EZT204",
-                    severity=WARNING,
-                    message=(
-                        f"task {task.name!r} has timing magnitude "
-                        f"{worst}" + tail
-                    ),
-                    hint=hint,
-                    element=f"task {task.name!r}",
-                )
-            )
-    for message in spec.messages:
-        transfer = message.communication + message.grant_bus
-        if transfer > MAX_BOUND:
-            diagnostics.append(
-                Diagnostic(
-                    code="EZT204",
-                    severity=WARNING,
-                    message=(
-                        f"message {message.name!r} has transfer time "
-                        f"{transfer}" + tail
-                    ),
-                    hint=hint,
-                    element=f"message {message.name!r}",
-                )
-            )
+    diagnostics = _timing_diagnostics(spec, _DBM_CAP)
     if not diagnostics:
         # individually-small periods can still multiply into a
         # hyper-period past the cap (co-prime periods); the unrolled
@@ -354,7 +382,7 @@ def dbm_bound_diagnostics(spec: EzRTSpec) -> list[Diagnostic]:
                 Diagnostic(
                     code="EZT204",
                     severity=WARNING,
-                    message=f"hyper-period {period}" + tail,
+                    message=f"hyper-period {period}" + _DBM_CAP[2],
                     hint=(
                         "harmonise the periods to shrink the "
                         "hyper-period"
@@ -388,6 +416,7 @@ def presearch_diagnostics(
     diagnostics = infeasibility_diagnostics(spec)
     if (engine or DEFAULT_ENGINE) == "kernel":
         diagnostics.extend(token_cap_diagnostics(spec))
+        diagnostics.extend(clock_cap_diagnostics(spec))
     else:
         diagnostics.extend(dbm_bound_diagnostics(spec))
     return diagnostics
@@ -474,21 +503,20 @@ def net_diagnostics(net: CompiledNet) -> list[Diagnostic]:
         worst = net.eft[index] if lft == INF else max(
             net.eft[index], int(lft)
         )
-        if worst > MAX_BOUND:
-            diagnostics.append(
-                Diagnostic(
-                    code="EZT204",
-                    severity=WARNING,
-                    message=(
-                        f"transition {name!r} has static interval "
-                        f"bound {worst}, beyond the packed DBM's "
-                        f"{MAX_BOUND} bound cap, so a state-class "
-                        "search runs on the slower executable spec"
-                    ),
-                    hint="rescale the time unit",
-                    element=f"transition {name!r}",
-                )
+        diagnostics.extend(
+            Diagnostic(
+                code=code,
+                severity=WARNING,
+                message=(
+                    f"transition {name!r} has static interval bound "
+                    f"{worst}" + tail
+                ),
+                hint="rescale the time unit",
+                element=f"transition {name!r}",
             )
+            for code, cap, tail in (_CLOCK_CAP, _DBM_CAP)
+            if worst > cap
+        )
     return diagnostics
 
 
@@ -561,6 +589,7 @@ def lint_spec(
         diagnostics.extend(infeasibility_diagnostics(spec))
         cap = token_cap_diagnostics(spec)
         diagnostics.extend(cap)
+        diagnostics.extend(clock_cap_diagnostics(spec))
         diagnostics.extend(dbm_bound_diagnostics(spec))
         if compile_net and not cap and not has_errors(diagnostics):
             from repro.blocks.composer import compose

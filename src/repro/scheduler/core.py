@@ -154,10 +154,9 @@ class NativeAdapter(EngineAdapter, Protocol):
     (:meth:`~repro.scheduler.dfs.PreRuntimeScheduler._drive`).  It has
     no per-step surface."""
 
-    def open_driver(
-        self, root, reorder: bool, timed: bool
-    ) -> NativeSearch:
-        """The driver that runs the whole search from ``root``."""
+    def open_driver(self, root, timed: bool) -> NativeSearch:
+        """The driver that runs the whole search from ``root``, in
+        the order of ``config.policy`` and ``config.policy_seed``."""
 
 
 @runtime_checkable
@@ -348,15 +347,14 @@ class KernelAdapter(_AdapterBase):
     def root(self) -> KernelState:
         return self.engine.initial()
 
-    def open_driver(
-        self, root: KernelState, reorder: bool, timed: bool
-    ) -> NativeSearch:
+    def open_driver(self, root: KernelState, timed: bool) -> NativeSearch:
         return self.engine.open_search(
             root,
             strict=self._strict,
             partial_order=self._partial_order,
             delay_mode=self._delay_mode,
-            policy=self.config.policy if reorder else "earliest",
+            policy=self.config.policy,
+            seed=self.config.policy_seed,
             max_states=self.config.max_states,
             timed=timed,
         )
@@ -469,14 +467,13 @@ class StateClassAdapter(_AdapterBase):
         )
         return self.engine.initial_class()
 
-    def open_driver(
-        self, root: PackedClass, reorder: bool, timed: bool
-    ) -> NativeSearch:
+    def open_driver(self, root: PackedClass, timed: bool) -> NativeSearch:
         return self.engine.open_search(
             root,
             strict=self._strict,
             partial_order=self._partial_order,
-            policy=self.config.policy if reorder else "earliest",
+            policy=self.config.policy,
+            seed=self.config.policy_seed,
             max_states=self.config.max_states,
             timed=timed,
         )

@@ -76,7 +76,6 @@ from repro.tpn._native import (
     SEARCH_BUDGET,
     SEARCH_FEASIBLE,
     SEARCH_POLL,
-    SEARCH_REORDER,
 )
 from repro.tpn.net import CompiledNet
 
@@ -165,11 +164,12 @@ class PreRuntimeScheduler:
       ``M_F``.
 
     The constructor builds the adapter of ``config.engine``
-    (:func:`~repro.scheduler.core.make_adapter`) and the policy
-    reorder function; :meth:`search` runs the loop — in Python over a
-    spec adapter (:meth:`_run`), or in the native core's compiled
-    driver over a native one (:meth:`_drive`), falling back to the
-    spec when the net outgrows the packed engine.
+    (:func:`~repro.scheduler.core.make_adapter`); :meth:`search` runs
+    the loop — in Python over a spec adapter (:meth:`_run`, which
+    builds the policy's reorder function afresh, so every search
+    starts at its seed), or in the native core's compiled driver over
+    a native one (:meth:`_drive`), falling back to the spec when the
+    net outgrows the packed engine.
 
     Four attributes are injection points a caller may replace before
     :meth:`search`.  ``tick`` serves the parallel scheduler's workers
@@ -198,9 +198,6 @@ class PreRuntimeScheduler:
         self.config = config = config or SchedulerConfig()
         engine = config.engine
         self.adapter = make_adapter(engine, net, config)
-        self._reorder = make_reorder(
-            config.policy, net, config.policy_seed
-        )
         self.tick = None
         self.metrics = MetricsRegistry()
         self.obs = None
@@ -230,16 +227,20 @@ class PreRuntimeScheduler:
         When the packed root or the native driver meets a packed cap
         (:class:`~repro.errors.PackedCapError`), the search runs again
         from the start on the engine's executable spec, which has no
-        caps; its result equals a search begun there.
+        caps; its result equals a search begun there.  The rerun keeps
+        the first attempt's start: ``max_seconds`` runs out at the
+        same deadline and ``elapsed_seconds`` counts both attempts
+        (the state budget restarts with the search).
         """
+        started = time.monotonic()
         try:
-            result = self._run()
+            result = self._run(started)
         except PackedCapError:
             config = self.config
             spec = ADAPTERS[config.engine][1](self.net, config)
             spec.obs = self.adapter.obs
             self.adapter = spec
-            result = self._run()
+            result = self._run(started)
         if self.metrics is not None:
             result.metrics = self.metrics.snapshot()
         return result
@@ -299,10 +300,9 @@ class PreRuntimeScheduler:
           when something asked for polling, but the driver yields
           there regardless, so signal handlers (Ctrl-C) run within one
           poll interval;
-        * on each new frame with more than one candidate, a reorder
-          policy the driver cannot apply itself (``random``; it orders
-          ``latest`` and ``min-laxity`` natively);
         * on a win, the adapter's ``finalize_path``.
+
+        The driver orders every policy itself, ``random`` included.
 
         Verdicts, schedules, every :class:`SearchStats` counter and
         the tick/heartbeat arguments equal :meth:`_run`'s over the
@@ -311,12 +311,9 @@ class PreRuntimeScheduler:
         memory is freed on every exit path; its size lands on the
         ``search.visited_bytes`` / ``search.bytes_per_state`` gauges.
         """
-        reorder = self._reorder
         metrics = self.metrics
         record = span_acc is not None
-        clock_ns = time.monotonic_ns
         counters = driver.counters
-        reorder_ns = 0
         exhausted = False
         try:
             while True:
@@ -332,11 +329,6 @@ class PreRuntimeScheduler:
                     ):
                         exhausted = True
                         break
-                elif status == SEARCH_REORDER:
-                    t0 = clock_ns() if record else 0
-                    driver.reorder(reorder)
-                    if record:
-                        reorder_ns += clock_ns() - t0
                 elif status == SEARCH_FEASIBLE:
                     stats.elapsed_seconds = time.monotonic() - started
                     schedule, windows = self.adapter.finalize_path(
@@ -377,10 +369,7 @@ class PreRuntimeScheduler:
                 )
             if record:
                 span_acc["succ"] = [counters.succ_ns, counters.succ_calls]
-                span_acc["cand"] = [
-                    counters.cand_ns + reorder_ns,
-                    counters.cand_calls,
-                ]
+                span_acc["cand"] = [counters.cand_ns, counters.cand_calls]
                 self._emit_spans(trace_t0, span_acc, stats)
 
         stats.elapsed_seconds = time.monotonic() - started
@@ -391,11 +380,10 @@ class PreRuntimeScheduler:
             exhausted=exhausted,
         )
 
-    def _run(self) -> SchedulerResult:
+    def _run(self, started: float) -> SchedulerResult:
         adapter = self.adapter
         config = self.config
         stats = SearchStats()
-        started = time.monotonic()
         obs = self.obs
         record = obs is not None and obs.enabled
         span_acc = None
@@ -449,7 +437,7 @@ class PreRuntimeScheduler:
 
         if adapter.native:
             return self._drive(
-                adapter.open_driver(s0, self._reorder is not None, record),
+                adapter.open_driver(s0, record),
                 stats,
                 started,
                 poll,
@@ -458,7 +446,7 @@ class PreRuntimeScheduler:
             )
 
         candidates_of = adapter.candidates_of
-        reorder = self._reorder
+        reorder = make_reorder(config.policy, self.net, config.policy_seed)
         if reorder is not None:
             base_candidates = candidates_of
             clocks_view = adapter.clocks_view

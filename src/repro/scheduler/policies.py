@@ -27,7 +27,9 @@ each other (first definitive verdict wins):
 * ``random`` — a seeded per-node shuffle.  Different seeds sample
   independent orderings, which is what makes racing several of them
   effective on heavy-tailed instances; the portfolio worker couples
-  this with geometric restarts (see ``dfs`` docs).
+  this with geometric restarts (see ``dfs`` docs).  The shuffle is
+  Fisher–Yates from the back over one splitmix64 stream per search
+  (:func:`make_reorder`), which the native driver computes too.
 
 A policy is represented as a *reorder function* applied to the
 candidate list the scheduler computed for one state; ``None`` means
@@ -37,7 +39,6 @@ case.
 
 from __future__ import annotations
 
-import random
 from typing import Callable
 
 from repro.errors import SchedulingError
@@ -53,6 +54,19 @@ POLICIES = ("earliest", "latest", "min-laxity", "random")
 #: list and ``state`` exposes ``.clocks``.
 Reorder = Callable[[list, object], list]
 
+#: splitmix64's increment and word mask: the k-th draw of a ``random``
+#: search is ``_mix(seed + k * _GOLDEN)``, seeds taken mod 2**64.
+_GOLDEN = 0x9E3779B97F4A7C15
+_MASK = (1 << 64) - 1
+
+
+def _mix(x: int) -> int:
+    """The splitmix64 word of ``x`` (the native core's ``ez_mix``)."""
+    x = (x + _GOLDEN) & _MASK
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
 
 def parse_slot(text: str) -> tuple[str | None, str]:
     """Parse a portfolio slot ``"[engine:]policy[:seed]"``.
@@ -61,15 +75,21 @@ def parse_slot(text: str) -> tuple[str | None, str]:
     (``"stateclass:earliest"``, ``"kernel:random:3"``); without a
     prefix the slot inherits the scheduler's engine, signalled by
     ``None``.  Engine and policy names are disjoint, so the grammar is
-    unambiguous; the policy part is validated by :func:`parse_policy`
-    (raising on unknown names or misplaced seeds).
+    unambiguous; a head that is neither raises one error listing both,
+    and the policy part is validated by :func:`parse_policy` (raising
+    on unknown names or misplaced seeds).
     """
     # deferred import: config's validation imports this module
     from repro.scheduler.config import ENGINES
 
-    head, sep, rest = text.partition(":")
+    head, _sep, rest = text.partition(":")
     head = head.strip()
-    if sep and head in ENGINES:
+    if head not in ENGINES and head not in POLICIES:
+        raise SchedulingError(
+            f"portfolio slot {text!r}: {head!r} is neither an engine "
+            f"{ENGINES} nor a search policy {POLICIES}"
+        )
+    if head in ENGINES:
         policy = rest.strip()
         if not policy:
             raise SchedulingError(
@@ -137,7 +157,10 @@ def make_reorder(
     zero-overhead default path.  The returned callables are
     deterministic given ``(policy, seed)`` and the sequence of states
     they are applied to (the DFS expansion order), which is what makes
-    a portfolio win exactly replayable.
+    a portfolio win exactly replayable.  ``random`` shuffles Fisher–Yates
+    from the back, position ``i`` swapping with ``draw mod (i + 1)``:
+    the native driver's spec.  Build one per search (draws start at
+    ``seed``).
     """
     if policy == "earliest":
         return None
@@ -148,11 +171,14 @@ def make_reorder(
     if policy == "min-laxity":
         return _make_min_laxity(net)
     if policy == "random":
-        rng = random.Random(seed)
-        shuffle = rng.shuffle
+        draw = seed & _MASK
         def shuffled(cands: list, _state: object) -> list:
+            nonlocal draw
             cands = list(cands)
-            shuffle(cands)
+            for i in range(len(cands) - 1, 0, -1):
+                j = _mix(draw) % (i + 1)
+                draw = (draw + _GOLDEN) & _MASK
+                cands[i], cands[j] = cands[j], cands[i]
             return cands
         return shuffled
     raise SchedulingError(

@@ -23,7 +23,7 @@ Quick start::
     ...                               # http.client against handle.base_url
     handle.stop()                     # drains, reaps the worker pool
 
-or, from the shell: ``ezrt serve --port 8787 --cores 4``.
+or, from the shell: ``ezrt serve --port 8787 --jobs 4``.
 
 See ``docs/service.md`` for the endpoint contract, the SSE event
 schema and dedup semantics.

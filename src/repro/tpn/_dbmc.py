@@ -67,7 +67,7 @@ int32_t dc_candidates(const ez_net *net, const int32_t *enabled,
 ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
                          const int32_t *enabled0, int32_t k0,
                          const int32_t *dbm0, uint64_t mhash0,
-                         uint64_t key0, int32_t options,
+                         uint64_t key0, int32_t options, uint64_t seed,
                          int64_t max_states, ez_counters *counters);
 int32_t dc_realize(const ez_net *net, const uint16_t *m0,
                    const int32_t *seq, int32_t n, int32_t intermediate,
@@ -571,11 +571,11 @@ static int32_t dc_run(ez_search *s)
 }
 
 /* A search rooted at class (mark0, enabled0, dbm0) with marking hash
- * mhash0 and key key0. */
+ * mhash0 and key key0; `seed` starts the random order's draws. */
 ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
                          const int32_t *enabled0, int32_t k0,
                          const int32_t *dbm0, uint64_t mhash0,
-                         uint64_t key0, int32_t options,
+                         uint64_t key0, int32_t options, uint64_t seed,
                          int64_t max_states, ez_counters *counters)
 {
     dc_search *d = (dc_search *)PyMem_RawCalloc(1, sizeof(dc_search));
@@ -586,8 +586,9 @@ ez_search *dc_search_new(const ez_net *net, const uint16_t *mark0,
         (net->P ? (size_t)net->P : 1) * sizeof(uint16_t));
     d->cenb = (int32_t *)PyMem_RawMalloc(size * sizeof(int32_t));
     d->cdbm = (int32_t *)PyMem_RawMalloc(size * size * sizeof(int32_t));
-    if (!ez_search_init(&d->base, net, &dc_ops, options, max_states,
-                        counters) || !d->cmark || !d->cenb || !d->cdbm) {
+    if (!ez_search_init(&d->base, net, &dc_ops, options, seed,
+                        max_states, counters) || !d->cmark || !d->cenb
+        || !d->cdbm) {
         ez_search_free(&d->base);
         return NULL;
     }

@@ -51,8 +51,8 @@ int32_t kn_candidates(const ez_net *net, const uint16_t *clk,
                       int32_t *reduced);
 ez_search *kn_search_new(const ez_net *net, const uint16_t *mark0,
                          const uint16_t *clk0, uint64_t key0,
-                         int32_t options, int64_t max_states,
-                         ez_counters *counters);
+                         int32_t options, uint64_t seed,
+                         int64_t max_states, ez_counters *counters);
 """
 
 # The successor/firable/min-DUB inner loop over the packed buffers.
@@ -397,11 +397,12 @@ static int32_t kn_run(ez_search *s)
     return ez_run(s, &kn_ops);
 }
 
-/* A search rooted at state (mark0, clk0) with key key0. */
+/* A search rooted at state (mark0, clk0) with key key0; `seed` starts
+ * the random order's draws. */
 ez_search *kn_search_new(const ez_net *net, const uint16_t *mark0,
                          const uint16_t *clk0, uint64_t key0,
-                         int32_t options, int64_t max_states,
-                         ez_counters *counters)
+                         int32_t options, uint64_t seed,
+                         int64_t max_states, ez_counters *counters)
 {
     kn_search *k = (kn_search *)PyMem_RawCalloc(1, sizeof(kn_search));
     size_t W = (size_t)net->P + (size_t)net->T;
@@ -410,8 +411,8 @@ ez_search *kn_search_new(const ez_net *net, const uint16_t *mark0,
     k->W = (int32_t)W;
     k->mode = (options & EZ_O_FULL) ? 2 : (options & EZ_O_EXTREMES) ? 1 : 0;
     k->child = (uint16_t *)PyMem_RawMalloc((W ? W : 1) * sizeof(uint16_t));
-    if (!ez_search_init(&k->base, net, &kn_ops, options, max_states,
-                        counters) || !k->child) {
+    if (!ez_search_init(&k->base, net, &kn_ops, options, seed,
+                        max_states, counters) || !k->child) {
         ez_search_free(&k->base);
         return NULL;
     }

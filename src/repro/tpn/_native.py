@@ -17,7 +17,7 @@ mode into one shared object.  The unit has three parts:
   (``ez_search_*``) — :meth:`PreRuntimeScheduler._run
   <repro.scheduler.dfs.PreRuntimeScheduler._run>`'s loop with its frame stack,
   candidate pool, visited table, deadline and final predicates,
-  ``latest`` and ``min-laxity`` orders, state budget and polls — and
+  every policy's candidate order, state budget and polls — and
   the reference replay (``ez_replay``, :func:`replay`), Definition 3.1
   checked naively step by step, the C twin of
   :func:`repro.scheduler.core.validate_with_reference`'s Python loop;
@@ -94,7 +94,6 @@ try:
 except ImportError:  # an interpreter built without its own BLAKE2
     from hashlib import blake2b
 
-from repro.errors import SchedulingError
 from repro.tpn.interval import INF
 
 #: Environment variable that force-disables the compiled core (one
@@ -141,7 +140,6 @@ typedef struct {
 } ez_counters;
 typedef struct ez_search ez_search;
 int32_t ez_search_run(ez_search *s);
-int32_t *ez_search_pending(ez_search *s);
 void ez_search_path(const ez_search *s, int64_t *out);
 void ez_search_free(ez_search *s);
 int32_t ez_replay(const ez_net *net, const uint16_t *m0,
@@ -359,7 +357,6 @@ static void ez_sort(const ez_net *net, int32_t *pairs, int32_t n)
  * ------------------------------------------------------------------ */
 #define EZ_S_DONE 0     /* stack empty: space exhausted, no schedule */
 #define EZ_S_POLL 1     /* 1024-expansion poll; resume to continue */
-#define EZ_S_REORDER 2  /* top frame awaits a Python reorder */
 #define EZ_S_FEASIBLE 3 /* final marking reached; see ez_search_path */
 #define EZ_S_BUDGET 4   /* max_states reached */
 #define EZ_S_TOKENS 5   /* token overflow firing counters->fault */
@@ -373,7 +370,7 @@ static void ez_sort(const ez_net *net, int32_t *pairs, int32_t n)
 #define EZ_O_PARTIAL_ORDER 4
 #define EZ_O_EXTREMES 8 /* kernel delay modes */
 #define EZ_O_FULL 16
-#define EZ_O_REORDER 32
+#define EZ_O_RANDOM 32
 #define EZ_O_TIMED 64
 #define EZ_O_LATEST 128
 #define EZ_O_LAXITY 256
@@ -387,8 +384,7 @@ typedef struct {
     int64_t reductions, depth;
     int64_t succ_ns, succ_calls, cand_ns, cand_calls;
     int64_t visited_bytes;
-    int32_t pending; /* frame's candidates (REORDER), path length
-                        (FEASIBLE) */
+    int32_t pending; /* path length (FEASIBLE) */
     int32_t fault;   /* transition whose firing overflowed */
 } ez_counters;
 
@@ -462,6 +458,7 @@ struct ez_search {
     const uint16_t *cmark; /* the child's marking */
     int32_t pend_t, pend_q;
     int64_t pend_now;
+    uint64_t draw; /* the random order's next splitmix input */
 };
 
 static int64_t ez_now_ns(void)
@@ -551,19 +548,33 @@ EZ_INLINE int ez_visit(ez_search *s, const ez_ops *ops, uint64_t key)
     return 0;
 }
 
-/* The latest and min-laxity policies of repro.scheduler.policies on
- * n (transition, delay) pairs in place: latest reverses them,
- * min-laxity sorts them by (delay, laxity, index). */
-EZ_INLINE void ez_order(const ez_search *s, const ez_ops *ops,
+/* Swap pairs k and m of a candidate list. */
+static void ez_swap(int32_t *out, int32_t k, int32_t m)
+{
+    int32_t pair[2];
+    memcpy(pair, out + 2 * k, sizeof pair);
+    memcpy(out + 2 * k, out + 2 * m, sizeof pair);
+    memcpy(out + 2 * m, pair, sizeof pair);
+}
+
+/* The latest, random and min-laxity policies of repro.scheduler.policies
+ * on n (transition, delay) pairs in place: latest reverses them, random
+ * shuffles them (make_reorder's splitmix64 Fisher-Yates), min-laxity
+ * sorts them by (delay, laxity, index). */
+EZ_INLINE void ez_order(ez_search *s, const ez_ops *ops,
                         uint32_t state, int32_t *out, int32_t n)
 {
     int32_t k, m;
     if (s->options & EZ_O_LATEST) {
-        for (k = 0, m = n - 1; k < m; k++, m--) {
-            int32_t pair[2];
-            memcpy(pair, out + 2 * k, sizeof pair);
-            memcpy(out + 2 * k, out + 2 * m, sizeof pair);
-            memcpy(out + 2 * m, pair, sizeof pair);
+        for (k = 0, m = n - 1; k < m; k++, m--)
+            ez_swap(out, k, m);
+        return;
+    }
+    if (s->options & EZ_O_RANDOM) {
+        for (k = n - 1; k > 0; k--) {
+            m = (int32_t)(ez_mix(s->draw) % (uint64_t)(k + 1));
+            s->draw += 0x9E3779B97F4A7C15ULL;
+            ez_swap(out, k, m);
         }
         return;
     }
@@ -609,7 +620,7 @@ EZ_INLINE int32_t ez_push(ez_search *s, const ez_ops *ops,
                             (int32_t)((s->pool_cap - s->pool_len) / 2),
                             &reduced);
         if (n >= 0) {
-            if (s->options & (EZ_O_LATEST | EZ_O_LAXITY))
+            if (s->options & (EZ_O_LATEST | EZ_O_RANDOM | EZ_O_LAXITY))
                 ez_order(s, ops, state, s->pool + s->pool_len, n);
             break;
         }
@@ -645,11 +656,13 @@ void ez_search_free(ez_search *s)
 }
 
 /* Set up the common half of a search an engine's *_search_new has
- * allocated; 0 on allocation failure.  `counters` stays owned by the
- * caller and is written until ez_search_free. */
+ * allocated, its random order drawing from `seed`; 0 on allocation
+ * failure.  `counters` stays owned by the caller and is written until
+ * ez_search_free. */
 static int ez_search_init(ez_search *s, const ez_net *net,
                           const ez_ops *ops, int32_t options,
-                          int64_t max_states, ez_counters *counters)
+                          uint64_t seed, int64_t max_states,
+                          ez_counters *counters)
 {
     memset(counters, 0, sizeof(ez_counters));
     s->net = net;
@@ -658,6 +671,7 @@ static int ez_search_init(ez_search *s, const ez_net *net,
     s->options = options;
     s->phase = EZ_PH_ROOT;
     s->max_states = max_states;
+    s->draw = seed;
     s->table_cap = 1024;
     s->table = (uint32_t *)PyMem_RawCalloc(s->table_cap, sizeof(uint32_t));
     return s->table != NULL;
@@ -682,21 +696,15 @@ EZ_INLINE int32_t ez_run(ez_search *s, const ez_ops *ops)
     const ez_net *net = s->net;
     ez_counters *c = s->c;
     const uint8_t *flags = net->flags;
-    int32_t reorder = s->options & EZ_O_REORDER;
     int32_t timed = s->options & EZ_O_TIMED;
-    int32_t t = 0, q = 0, n, status, i;
+    int32_t t = 0, q = 0, status, i;
     ez_frame *f;
 
     switch (s->phase) {
     case EZ_PH_ROOT:
-        n = ez_push(s, ops, 0, 0, -1, 0);
-        if (n < 0)
+        if (ez_push(s, ops, 0, 0, -1, 0) < 0)
             goto nomem;
         s->phase = EZ_PH_LOOP;
-        if (reorder && n > 1) {
-            c->pending = n;
-            return EZ_S_REORDER;
-        }
         break;
     case EZ_PH_LOOP:
         break;
@@ -798,13 +806,8 @@ EZ_INLINE int32_t ez_run(ez_search *s, const ez_ops *ops)
             s->phase = EZ_PH_OVER;
             return EZ_S_BUDGET;
         }
-        n = ez_push(s, ops, (uint32_t)(s->n_states - 1), now, t, q);
-        if (n < 0)
+        if (ez_push(s, ops, (uint32_t)(s->n_states - 1), now, t, q) < 0)
             goto nomem;
-        if (reorder && n > 1) {
-            c->pending = n;
-            return EZ_S_REORDER;
-        }
     }
 
 nomem:
@@ -815,13 +818,6 @@ nomem:
 int32_t ez_search_run(ez_search *s)
 {
     return s->ops->run(s);
-}
-
-/* The candidate pairs of the frame awaiting a reorder (REORDER);
- * the caller permutes them in place before resuming. */
-int32_t *ez_search_pending(ez_search *s)
-{
-    return s->pool + s->frames[s->n_frames - 1].off;
 }
 
 /* After FEASIBLE: the accepting path as counters->pending
@@ -1239,7 +1235,6 @@ def replay(
 #: :meth:`NativeSearch.run` statuses (the driver's ``EZ_S_*``).
 SEARCH_DONE = 0
 SEARCH_POLL = 1
-SEARCH_REORDER = 2
 SEARCH_FEASIBLE = 3
 SEARCH_BUDGET = 4
 SEARCH_TOKENS = 5
@@ -1251,16 +1246,19 @@ SEARCH_NOMEM = 7
 _OPT_INTERMEDIATE = 1
 _OPT_STRICT = 2
 _OPT_PARTIAL_ORDER = 4
-_OPT_REORDER = 32
+_OPT_RANDOM = 32
 _OPT_TIMED = 64
 _OPT_LATEST = 128
 _OPT_LAXITY = 256
 
-#: Search policies the driver orders natively; any other non-default
-#: policy stops it at :data:`SEARCH_REORDER` for Python.
-_NATIVE_POLICIES = {
+#: The driver's draw words are 64-bit: seeds are taken mod 2**64.
+SEED_MASK = (1 << 64) - 1
+
+#: The option bit of each search policy (the driver orders them all).
+_POLICY_OPTIONS = {
     "earliest": 0,
     "latest": _OPT_LATEST,
+    "random": _OPT_RANDOM,
     "min-laxity": _OPT_LAXITY,
 }
 
@@ -1277,7 +1275,7 @@ def search_options(
         (_OPT_INTERMEDIATE if intermediate else 0)
         | (_OPT_STRICT if strict else 0)
         | (_OPT_PARTIAL_ORDER if partial_order else 0)
-        | _NATIVE_POLICIES.get(policy, _OPT_REORDER)
+        | _POLICY_OPTIONS[policy]
         | (_OPT_TIMED if timed else 0)
     )
 
@@ -1291,8 +1289,6 @@ class NativeSearch:
     and returns the status:
 
     * :data:`SEARCH_POLL` — the 1024-expansion poll (resume to go on);
-    * :data:`SEARCH_REORDER` — a new frame waits for :meth:`reorder`
-      (only under a policy the driver cannot order itself: ``random``);
     * :data:`SEARCH_FEASIBLE` — the final marking is reached
       (:meth:`path`);
     * :data:`SEARCH_BUDGET` — ``max_states`` states are tagged;
@@ -1332,21 +1328,6 @@ class NativeSearch:
                 )
             self._fault(status, self.counters.fault)
         return status
-
-    def reorder(self, policy) -> None:
-        """Order the pending frame's candidates with a reorder policy
-        (``policy(candidates, state) -> candidates``, a permutation).
-        The policies that read the state run natively, so ``state``
-        is ``None`` here."""
-        n = self.counters.pending
-        pairs = self._lib.ez_search_pending(self._ptr)
-        flat = self._ffi.unpack(pairs, 2 * n)
-        ordered = policy(list(zip(flat[0::2], flat[1::2])), None)
-        if len(ordered) != n:
-            raise SchedulingError(
-                "a reorder policy must permute the candidate list"
-            )
-        pairs[0 : 2 * n] = [v for pair in ordered for v in pair]
 
     def path(self) -> list[tuple[int, int, int]]:
         """The accepting path as ``(transition, delay, absolute time)``

@@ -63,6 +63,7 @@ from array import array
 
 from repro.errors import PackedCapError, SchedulingError
 from repro.tpn._native import (
+    SEED_MASK,
     NativeNet,
     NativeSearch,
     core_for,
@@ -439,12 +440,14 @@ class DbmEngine:
         strict: bool,
         partial_order: bool,
         policy: str,
+        seed: int,
         max_states: int,
         timed: bool,
     ) -> NativeSearch:
         """A native driver search from ``root`` under search
-        ``policy``.  ``root`` counts as visited; the caller has checked
-        its marking predicates."""
+        ``policy`` (``seed`` picks the ``random`` order's stream).
+        ``root`` counts as visited; the caller has checked its marking
+        predicates."""
         core = self.core
         ffi = core.ffi
         return NativeSearch(
@@ -461,6 +464,7 @@ class DbmEngine:
                     self._intermediate, strict, partial_order, policy,
                     timed,
                 ),
+                seed & SEED_MASK,
                 max_states,
             ),
             "DBM",

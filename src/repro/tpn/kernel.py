@@ -54,6 +54,7 @@ from array import array
 from repro.errors import PackedCapError, SchedulingError
 from repro.tpn._native import (
     SEARCH_TOKENS,
+    SEED_MASK,
     NativeNet,
     NativeSearch,
     core_for,
@@ -308,12 +309,14 @@ class KernelEngine:
         partial_order: bool,
         delay_mode: str,
         policy: str,
+        seed: int,
         max_states: int,
         timed: bool,
     ) -> NativeSearch:
         """A native driver search from ``root`` under search
-        ``policy``.  ``root`` counts as visited; the caller has checked
-        its marking predicates."""
+        ``policy`` (``seed`` picks the ``random`` order's stream).
+        ``root`` counts as visited; the caller has checked its marking
+        predicates."""
         options = (
             search_options(
                 self._intermediate, strict, partial_order, policy, timed
@@ -331,6 +334,7 @@ class KernelEngine:
                 ffi.from_buffer("uint16_t[]", root.clk),
                 root._hash,
                 options,
+                seed & SEED_MASK,
                 max_states,
             ),
             "kernel",

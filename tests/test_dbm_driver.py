@@ -70,7 +70,9 @@ def _compiled_core(monkeypatch):
 
 
 RESETS = ("paper", "intermediate")
-POLICIES = ("earliest", "latest", "min-laxity", "random:1")
+POLICIES = (
+    "earliest", "latest", "min-laxity", "random:1", "random:0", "random:-3"
+)
 SETTINGS = list(
     itertools.product(PRIORITY_MODES, (True, False), RESETS, POLICIES)
 )
@@ -326,6 +328,7 @@ class TestOverflow:
             strict=config.priority_mode == "strict",
             partial_order=config.partial_order,
             policy="earliest",
+            seed=0,
             max_states=config.max_states,
             timed=False,
         )

@@ -63,7 +63,9 @@ def _compiled_core(monkeypatch):
     monkeypatch.delenv(_kernelc.PURE_ENV, raising=False)
 
 RESETS = ("paper", "intermediate")
-POLICIES = ("earliest", "latest", "min-laxity", "random:1")
+POLICIES = (
+    "earliest", "latest", "min-laxity", "random:1", "random:0", "random:-3"
+)
 SETTINGS = list(
     itertools.product(
         DELAY_MODES, PRIORITY_MODES, (True, False), RESETS, POLICIES
@@ -286,6 +288,7 @@ class TestOverflow:
             partial_order=config.partial_order,
             delay_mode=config.delay_mode,
             policy="earliest",
+            seed=0,
             max_states=config.max_states,
             timed=False,
         )

@@ -32,6 +32,7 @@ from repro.lint import (
     Diagnostic,
     LintReport,
     check_fixture_dir,
+    clock_cap_diagnostics,
     config_diagnostics,
     dbm_bound_diagnostics,
     errors,
@@ -66,7 +67,7 @@ from repro.spec import (
 from repro.spec.model import EzRTSpec, Task
 from repro.tpn.dbm import MAX_BOUND
 from repro.tpn.interval import INF, TimeInterval
-from repro.tpn.kernel import MAX_TOKENS
+from repro.tpn.kernel import MAX_CLOCK, MAX_TOKENS
 from repro.tpn.net import TimePetriNet
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -360,6 +361,61 @@ class TestNetRules:
 
     def test_small_spec_has_no_token_cap_finding(self):
         assert token_cap_diagnostics(mine_pump()) == []
+
+    @pytest.mark.parametrize(
+        "interval,found",
+        [
+            (TimeInterval(MAX_CLOCK + 1, INF), True),
+            (TimeInterval(0, MAX_CLOCK + 1), True),
+            (TimeInterval(MAX_CLOCK, MAX_CLOCK), False),
+            (TimeInterval(1, INF), False),
+        ],
+    )
+    def test_net_interval_over_kernel_clock_cap(self, interval, found):
+        # a static EFT or a finite LFT past the kernel's uint16 clocks;
+        # an unbounded LFT is no magnitude
+        net = TimePetriNet("slow")
+        net.add_place("p0", marking=1)
+        net.add_place("p1")
+        net.add_transition("t0", interval=interval)
+        net.add_arc("p0", "t0")
+        net.add_arc("t0", "p1")
+        diagnostics = [
+            d for d in net_diagnostics(net.compile()) if d.code == "EZT203"
+        ]
+        assert bool(diagnostics) == found
+        if found:
+            assert diagnostics[0].severity == WARNING
+            assert "t0" in diagnostics[0].element
+            assert "clock cap" in diagnostics[0].message
+            assert "runs on the slower executable spec" in (
+                diagnostics[0].message
+            )
+
+    def test_spec_level_kernel_clock_cap(self):
+        # two tasks whose periods take the kernel's clocks past
+        # MAX_CLOCK: lint warns, and the kernel search falls back
+        spec = EzRTSpec(
+            "long",
+            tasks=[
+                Task("a", computation=2, deadline=140_000, period=140_000),
+                Task("b", computation=3, deadline=70_000, period=70_000),
+            ],
+        )
+        diagnostics = clock_cap_diagnostics(spec)
+        assert codes(diagnostics) == ["EZT203", "EZT203"]
+        assert all(d.severity == WARNING for d in diagnostics)
+        assert "runs on the slower executable spec" in (
+            diagnostics[0].message
+        )
+        assert "EZT203" in codes(
+            presearch_diagnostics(spec, engine="kernel")
+        )
+        assert "EZT203" not in codes(
+            presearch_diagnostics(spec, engine="stateclass")
+        )
+        assert "EZT203" in codes(lint_spec(spec))
+        assert clock_cap_diagnostics(mine_pump()) == []
 
     def test_net_interval_over_dbm_bound_cap(self):
         net = TimePetriNet("wide")

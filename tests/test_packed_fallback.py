@@ -9,18 +9,22 @@ the search again from the start on the engine's spec.  This suite pins
 that the fallback's result — verdict, schedule, windows, every
 deterministic counter and the metrics, whose ``*.native_core`` gauge
 reads 0 — equals an ``EZRT_PURE=1`` run, through the library and
-through ``ezrt schedule``, and that faults of other kinds still
-propagate.
+through ``ezrt schedule``, under the seeded ``random`` order too; that
+the rerun keeps the first attempt's time budget; and that faults of
+other kinds still propagate.
 """
 
 from __future__ import annotations
+
+import time
 
 import pytest
 
 from repro.blocks import compose
 from repro.cli import main
-from repro.errors import SchedulingError
+from repro.errors import PackedCapError, SchedulingError
 from repro.scheduler import PreRuntimeScheduler, SchedulerConfig
+from repro.scheduler.core import KernelAdapter
 from repro.scheduler.dfs import find_schedule
 from repro.spec import paper_examples
 from repro.spec.dsl import loads
@@ -28,6 +32,7 @@ from repro.tpn import _native
 from repro.tpn._native import NativeSearch
 from repro.tpn.interval import MAX_BOUND, TimeInterval
 from repro.tpn.net import TimePetriNet
+from repro.workloads import random_task_set
 from test_dbm_driver import _token_overflow_net
 from test_kernel_driver import _overflow_net
 
@@ -81,6 +86,10 @@ NETS = {
 }
 
 
+def _long_net():
+    return compose(loads(LONG_XML)).compiled()
+
+
 def _outcome(result):
     stats = result.stats.as_dict()
     for key in result.stats.WALL_CLOCK_KEYS:
@@ -120,6 +129,54 @@ def test_fallback_equals_a_spec_run(monkeypatch, case):
     assert fallback.stats.states_visited > 1
 
 
+@pytest.mark.parametrize("case", ["long", *sorted(NETS)])
+def test_random_fallback_equals_a_spec_run(monkeypatch, case):
+    """Under ``random`` the fallback's order starts at its seed, as a
+    search begun on the spec does: the packed attempt's draws are not
+    carried over."""
+    factory, engine, max_states = NETS.get(
+        case, (_long_net, "kernel", 2_000)
+    )
+    net = factory()
+    for seed in range(20):
+        config = SchedulerConfig(
+            engine=engine,
+            max_states=max_states,
+            policy="random",
+            policy_seed=seed,
+        )
+        scheduler = PreRuntimeScheduler(net, config)
+        fallback = scheduler.search()
+        assert not scheduler.adapter.native
+        spec = _pure(
+            monkeypatch, lambda: PreRuntimeScheduler(net, config).search()
+        )
+        assert _outcome(fallback) == _outcome(spec), seed
+
+
+def test_fallback_keeps_the_time_budget(monkeypatch):
+    """A packed attempt's time counts against ``max_seconds``: the spec
+    rerun stops at the first attempt's deadline (its first poll), and
+    ``elapsed_seconds`` includes the packed attempt."""
+    spent = 0.3
+
+    def open_driver(_adapter, _root, _timed):
+        time.sleep(spent)
+        raise PackedCapError("a packed cap, after a slow packed attempt")
+
+    monkeypatch.setattr(KernelAdapter, "open_driver", open_driver)
+    net = compose(
+        random_task_set(
+            32, total_utilization=0.4, seed=132, period_grid=(20, 40, 80)
+        )
+    ).compiled()
+    config = SchedulerConfig(engine="kernel", max_seconds=spent / 2)
+    result = PreRuntimeScheduler(net, config).search()
+    assert result.exhausted and not result.feasible
+    assert result.stats.states_generated == 1024
+    assert result.stats.elapsed_seconds >= spent
+
+
 def test_long_spec_through_find_schedule(monkeypatch):
     config = SchedulerConfig(engine="kernel")
     fallback = find_schedule(compose(loads(LONG_XML)), config)
@@ -151,17 +208,17 @@ def test_long_spec_through_the_cli(monkeypatch, capsys, tmp_path):
 
 
 def test_other_scheduling_errors_propagate(monkeypatch):
-    """A reorder policy that does not permute the candidates is a
-    fault of the caller, not a packed cap: no fallback hides it."""
-    from repro.scheduler import dfs
+    """A scheduling error of the native search that is not a packed
+    cap is no reason to rerun the search: no fallback hides it."""
+    def run(_search):
+        raise SchedulingError("kernel search driver: some other fault")
 
-    monkeypatch.setattr(
-        dfs, "make_reorder", lambda *_args: lambda cands, _state: []
-    )
-    config = SchedulerConfig(policy="random")
+    monkeypatch.setattr(NativeSearch, "run", run)
     net = compose(paper_examples()["fig3"]).compiled()
-    with pytest.raises(SchedulingError, match="must permute"):
-        PreRuntimeScheduler(net, config).search()
+    scheduler = PreRuntimeScheduler(net, SchedulerConfig())
+    with pytest.raises(SchedulingError, match="some other fault"):
+        scheduler.search()
+    assert scheduler.adapter.native
 
 
 def test_memory_errors_propagate(monkeypatch):

@@ -36,6 +36,8 @@ from repro.scheduler import (
     search,
     validate_with_reference,
 )
+from repro.scheduler.config import ENGINES
+from repro.scheduler.policies import POLICIES
 from repro.spec import paper_examples
 from repro.tpn.state import StateEngine
 from repro.workloads import random_task_set, wide_interval_race_net
@@ -138,9 +140,16 @@ class TestParseSlot:
             "min-laxity",
         )
 
-    def test_reference_prefix_rejected(self):
-        with pytest.raises(SchedulingError, match="unknown search policy"):
-            parse_slot("reference:earliest")
+    def test_unknown_prefix_names_engines_and_policies(self):
+        """A head that is neither an engine nor a policy gets one
+        error naming the slot and listing both."""
+        for slot in ("reference:earliest", "bogus"):
+            with pytest.raises(SchedulingError) as raised:
+                parse_slot(slot)
+            message = str(raised.value)
+            assert repr(slot) in message
+            assert str(ENGINES) in message
+            assert str(POLICIES) in message
 
     def test_engine_without_policy_rejected(self):
         with pytest.raises(SchedulingError):

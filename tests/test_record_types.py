@@ -626,7 +626,8 @@ INVALID_CONFIGS = [
     ({"parallel": -1}, "parallel must be >= 0 (0/1 mean a serial search)"),
     (
         {"portfolio": ("warp:earliest",)},
-        "unknown search policy 'warp'; expected one of "
+        "portfolio slot 'warp:earliest': 'warp' is neither an engine "
+        "('kernel', 'stateclass') nor a search policy "
         "('earliest', 'latest', 'min-laxity', 'random')",
     ),
     (
