@@ -126,13 +126,7 @@ def campaign_report(rows: list[dict], stats: dict) -> str:
     """
     lines = [
         f"jobs             : {stats.get('total', len(rows))} "
-        f"({stats.get('workers', 1)} worker(s))"
-        + (
-            f" x {stats['intra_parallel']} intra-job worker(s), "
-            "clamped to the cores budget"
-            if stats.get("parallel_clamped")
-            else ""
-        ),
+        f"({stats.get('workers', 1)} worker(s))",
         f"outcomes         : {stats.get('feasible', 0)} feasible, "
         f"{stats.get('infeasible', 0)} infeasible, "
         f"{stats.get('timeout', 0)} timeout, "

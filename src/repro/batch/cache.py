@@ -58,7 +58,11 @@ from repro.spec.model import EzRTSpec
 #: v4: scheduler section lost the parallel-mode knob (the portfolio
 #: race is the only parallel search); v3 entries miss instead of
 #: matching a layout that no longer exists.
-CACHE_FORMAT_VERSION = 4
+#: v5: ``random`` portfolio slots restart under seeds derived from
+#: (seed, attempt) and the ``random`` order is computed in the native
+#: core; rows of ``random`` searches stored under v4 hold the old
+#: streams' results, so every v4 entry misses.
+CACHE_FORMAT_VERSION = 5
 
 #: SchedulerConfig fields left out of the fingerprint: they only
 #: observe the search and change no verdict or stat.

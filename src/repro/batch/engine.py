@@ -8,12 +8,11 @@ answers "is this one model schedulable?", this package answers it for
 optional codegen/simulate) and its structured outcome, ``cache.py``
 fingerprints jobs so solved points are never recomputed, this module
 schedules jobs over worker processes, and ``campaign.py`` sweeps
-parameter grids into JSONL result files.  Batch-level parallelism
-composes with the single-model parallel search
-(:mod:`repro.scheduler.parallel`): a job whose scheduler config sets
-``parallel >= 2`` spawns its own intra-job workers, and the engine's
-``cores`` budget shrinks the pool so jobs × workers stays within the
-machine.
+parameter grids into JSONL result files.  A job whose scheduler
+config sets ``parallel >= 2`` runs its portfolio
+(:mod:`repro.scheduler.parallel`) inside its worker, in one process:
+a pool worker never forks lanes, so the pool width is the whole
+process budget.
 
 Every job, batch or service, takes one pipeline:
 :meth:`SubmissionBridge.submit` runs the pre-search lint gate, the
@@ -164,12 +163,6 @@ class BatchStats:
     wall_seconds: float = 0.0
     job_seconds: float = 0.0
     workers: int = 1
-    #: worker processes each job's search spawns (1 = serial search),
-    #: after the `cores` budget clamp
-    intra_parallel: int = 1
-    #: True when the requested intra-job `parallel` exceeded the
-    #: `cores` budget and was clamped down to it
-    parallel_clamped: bool = False
     #: True when executed jobs were dispatched hardest-first (ordered
     #: by predicted states per model-family fingerprint); ordering
     #: changes completion order only, never outcomes or JSONL content
@@ -217,8 +210,6 @@ class BatchStats:
             "jobs_per_second": self.jobs_per_second,
             "speedup": self.speedup,
             "workers": self.workers,
-            "intra_parallel": self.intra_parallel,
-            "parallel_clamped": self.parallel_clamped,
             "hardest_first": self.hardest_first,
         }
 
@@ -281,11 +272,6 @@ class BatchResult:
                 f"rejected {s.prelint_rejected} trivially-infeasible "
                 "job(s) by pre-search diagnosis (no search run)"
             )
-        if s.parallel_clamped:
-            parts.append(
-                f"intra-job parallel clamped to {s.intra_parallel} "
-                "worker(s) to respect the cores budget"
-            )
         if s.hardest_first:
             parts.append(
                 "jobs dispatched hardest-first (predicted states)"
@@ -307,19 +293,6 @@ class BatchEngine:
         cache: a :class:`ResultCache`; ``None`` disables caching.
         codegen_target / simulate / store_schedules: defaults for the
             optional downstream stages of jobs built from bare specs.
-        cores: total core budget shared between the pool and intra-job
-            parallel search.  When the scheduler config opts into
-            ``parallel >= 2`` worker processes *per job*, the pool
-            width shrinks to ``cores // parallel`` (at least 1) so the
-            machine runs ~``cores`` busy processes, not
-            ``jobs × workers`` — and when even a single job would
-            oversubscribe the budget (``parallel > cores``) the
-            intra-job ``parallel`` itself is clamped down to
-            ``cores`` (surfaced as ``BatchStats.parallel_clamped``).
-            ``None`` leaves ``max_workers`` untouched.  The clamp
-            applies to jobs built from bare specifications through
-            this engine's config; prepared :class:`BatchJob` objects
-            carry their own configs unchanged.
         hardest_first: dispatch executed jobs in descending order of
             predicted search states (:func:`predict_states`).  Starting
             the stragglers first stops one huge job from serialising
@@ -343,7 +316,6 @@ class BatchEngine:
         codegen_target: str | None = None,
         simulate: bool = False,
         store_schedules: bool = False,
-        cores: int | None = None,
         hardest_first: bool = True,
         progress: bool = False,
     ):
@@ -352,24 +324,6 @@ class BatchEngine:
         self.max_workers = (
             default_workers() if max_workers is None else max_workers
         )
-        self.cores = cores
-        self.parallel_clamped = False
-        if cores is not None:
-            if cores < 1:
-                raise ValueError("cores budget must be >= 1")
-            if self.scheduler_config.parallel > cores:
-                # a single job may not oversubscribe the budget either:
-                # the pool clamping below bottoms out at 1 worker, so
-                # without this the machine would run `parallel` busy
-                # processes against a smaller `cores` promise
-                self.scheduler_config = self.scheduler_config.replace(
-                    parallel=cores
-                )
-                self.parallel_clamped = True
-            intra = max(1, self.scheduler_config.parallel)
-            self.max_workers = max(
-                1, min(self.max_workers, cores // intra)
-            )
         self.job_timeout = job_timeout
         self.cache = cache
         self.codegen_target = codegen_target
@@ -422,8 +376,6 @@ class BatchEngine:
         stats = BatchStats(
             total=len(jobs),
             workers=max(1, self.max_workers),
-            intra_parallel=max(1, self.scheduler_config.parallel),
-            parallel_clamped=self.parallel_clamped,
         )
         started = time.monotonic()
         # parent-side recorder: the cache-lookup phase and the whole

@@ -6,8 +6,8 @@ Subcommands mirror the stages of the ezRealtime architecture:
 * ``ezrt compile spec.xml -o model.pnml`` — translate the spec to its
   time Petri net and export PNML;
 * ``ezrt schedule spec.xml`` — synthesise a pre-runtime schedule and
-  print the Section-5 style report; ``--parallel N`` races search
-  policies across worker processes, ``--policy``/``--engine``/
+  print the Section-5 style report; ``--parallel N`` runs a
+  portfolio of search policies, ``--policy``/``--engine``/
   ``--profile`` control and expose the serial search;
 * ``ezrt codegen spec.xml -o out/ --target hostsim`` — full synthesis:
   schedule + generated C project;
@@ -256,9 +256,10 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="N",
         help=(
-            "race N worker processes over one model, each under its "
-            "own --portfolio slot; the first definitive verdict wins "
-            "(0/1 = serial)"
+            "run N portfolio slots over one model, each under its "
+            "own --portfolio entry, in turns in one process (forking "
+            "one lane per usable CPU once a search outlives 0.1 s); "
+            "the first definitive verdict wins (0/1 = serial)"
         ),
     )
     parser.add_argument(
@@ -266,9 +267,9 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="S1,S2,...",
         help=(
-            "comma-separated slots to race, each [engine:]policy"
+            "comma-separated portfolio slots, each [engine:]policy"
             "[:seed] (e.g. earliest,random:1,stateclass:earliest); "
-            "an engine prefix races successor engines as well as "
+            "an engine prefix mixes successor engines as well as "
             "orderings, unprefixed slots inherit --engine; default: "
             "a built-in rotation sized to --parallel"
         ),
@@ -280,7 +281,7 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "record compile/search/cache spans and write a Chrome "
             "trace-event file (open in Perfetto or chrome://tracing); "
-            "portfolio and pool workers get one track each"
+            "portfolio slots and pool workers get one track each"
         ),
     )
     parser.add_argument(
@@ -482,7 +483,6 @@ def _run_batch(args, cache) -> int:
         cache=cache,
         codegen_target=args.target,
         simulate=args.simulate,
-        cores=args.cores,
         hardest_first=not args.no_hardest_first,
         progress=args.progress,
     )
@@ -702,16 +702,6 @@ def _batch_arguments(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help="worker processes (default: CPU count; 1 = in-process)",
-    )
-    p.add_argument(
-        "--cores",
-        type=int,
-        default=None,
-        help=(
-            "total core budget shared between the job pool and "
-            "intra-job --parallel workers: the pool width shrinks to "
-            "cores // parallel so jobs x workers stays within budget"
-        ),
     )
     p.add_argument(
         "--timeout",

@@ -520,6 +520,25 @@ def net_diagnostics(net: CompiledNet) -> list[Diagnostic]:
     return diagnostics
 
 
+def _uncovered(net_findings, model, spec_findings) -> list[Diagnostic]:
+    """``net_findings`` minus those on a transition derived from a
+    task or message that already has a spec-level finding of the same
+    code (EZT203/EZT204): one finding per task, not per transition."""
+    owner = {}
+    for task, nodes in model.nodes.items():
+        for name in nodes._values():
+            owner[f"transition {name!r}"] = f"task {task!r}"
+    for message, nodes in model.message_nodes.items():
+        for name in nodes.values():
+            owner[f"transition {name!r}"] = f"message {message!r}"
+    covered = {(d.code, d.element) for d in spec_findings}
+    return [
+        d
+        for d in net_findings
+        if (d.code, owner.get(d.element)) not in covered
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Configuration rules (EZG3xx): engine/knob compatibility on raw strings
 # ---------------------------------------------------------------------------
@@ -594,7 +613,12 @@ def lint_spec(
         if compile_net and not cap and not has_errors(diagnostics):
             from repro.blocks.composer import compose
 
-            diagnostics.extend(net_diagnostics(compose(spec).compiled()))
+            model = compose(spec)
+            diagnostics.extend(
+                _uncovered(
+                    net_diagnostics(model.compiled()), model, diagnostics
+                )
+            )
     diagnostics.extend(
         config_diagnostics(engine=engine, delay_mode=delay_mode)
     )

@@ -14,14 +14,13 @@ traces: as first-class analysis artifacts, not debug prints.
   tracing is off (gated <2% by ``benchmarks/bench_obs_overhead.py``);
 * :mod:`repro.obs.trace` — converts recorded JSONL events into Chrome
   trace-event JSON viewable in Perfetto / ``chrome://tracing``, one
-  thread track per portfolio worker;
+  thread track per portfolio slot;
 * :mod:`repro.obs.metrics` — a registry of counters/gauges/histograms
-  whose snapshots ship over the parallel scheduler's results queue and
-  merge in the parent (landing on ``SchedulerResult.metrics`` and
-  ``BatchStats.metrics``);
-* :mod:`repro.obs.progress` — heartbeat streaming over the search
-  core's existing ``tick``-style polling (``ezrt schedule --progress``
-  / ``ezrt batch --progress``).
+  whose snapshots merge across portfolio slots and batch workers
+  (landing on ``SchedulerResult.metrics`` and ``BatchStats.metrics``);
+* :mod:`repro.obs.progress` — heartbeat streaming at the search's
+  existing 1024-expansion poll (``ezrt schedule --progress`` /
+  ``ezrt batch --progress``).
 
 See ``docs/observability.md`` for the span and metric reference.
 """

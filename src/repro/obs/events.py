@@ -84,10 +84,10 @@ class Recorder:
     """Live span/instant/counter recorder bound to one sink and track.
 
     ``track`` is the logical timeline label: the serial scheduler uses
-    one per engine, the portfolio racer one per worker slot
-    (``"w0:earliest"``), the batch engine one per job.  Reassigning
-    ``recorder.track`` re-labels subsequent events — the parallel
-    workers do exactly that after fork.
+    one per engine, the portfolio one per slot (``"w0:earliest"``),
+    the batch engine one per job.  Reassigning ``recorder.track``
+    re-labels subsequent events — each portfolio slot does exactly
+    that before its search starts.
     """
 
     enabled = True

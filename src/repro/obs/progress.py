@@ -1,11 +1,11 @@
 """Progress heartbeats over the search's polling hook.
 
-The search loop already polls a cooperative ``tick`` every 1024
-expansions (first-win cancellation, shared budgets); progress streaming
-reuses exactly that cadence rather than adding a thread or a timer: the
-core calls the heartbeat with the live counters, and the heartbeat
-rate-limits itself on wall-clock, so the cost between samples is one
-monotonic read and a comparison per 1024 expansions.
+The search already pauses at a poll every 1024 expansions (the
+``max_seconds`` budget, the portfolio's turns between slots); progress
+streaming reuses exactly that cadence rather than adding a thread or a
+timer: the poll calls the heartbeat with the live counters, and the
+heartbeat rate-limits itself on wall-clock, so the cost between
+samples is one monotonic read and a comparison per 1024 expansions.
 
 A sample does three things, each optional:
 
@@ -16,7 +16,7 @@ A sample does three things, each optional:
 * tracks the maximum observed stack depth into a
   :class:`~repro.obs.metrics.MetricsRegistry` gauge.
 
-Per-slot liveness in a portfolio race falls out for free: every worker
+Per-slot liveness in a portfolio falls out for free: every slot
 carries its own printer labelled with its slot, so a stalled slot is
 the one whose ``[progress]`` lines stop appearing.
 """

@@ -37,10 +37,10 @@ the ablation benches sweep:
 * ``policy`` — the candidate *ordering* used by a serial search (see
   :mod:`repro.scheduler.policies`); orderings never change the verdict,
   only how fast a feasible schedule is found;
-* the parallel knobs — ``parallel`` (worker count; ``0``/``1`` keep
-  the search serial; ``>= 2`` races independent policies and the
-  first definitive verdict wins) and ``portfolio`` (explicit slot
-  list for the race; empty picks the default rotation of
+* the parallel knobs — ``parallel`` (slot count; ``0``/``1`` keep
+  the search serial; ``>= 2`` runs a portfolio of independent
+  policies and the first definitive verdict wins) and ``portfolio``
+  (explicit slot list; empty picks the default rotation of
   :func:`repro.scheduler.policies.default_portfolio`).
   A portfolio slot is ``"[engine:]policy[:seed]"`` — prefixing a
   policy with an engine name races successor *engines* as well as

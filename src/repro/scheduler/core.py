@@ -71,7 +71,7 @@ from repro.tpn._native import (
 )
 from repro.tpn.kernel import KernelEngine, KernelState
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import DISABLED, State, StateEngine
+from repro.tpn.state import DISABLED, State, StateEngine, replay_firings
 
 if TYPE_CHECKING:
     from repro.tpn.dbm import PackedClass
@@ -628,8 +628,8 @@ def validate_with_reference(
 
     Every firing is validated against Definition 3.1 (enabledness,
     admissible delay window under strong semantics) by
-    :meth:`StateEngine.fire`, and the final marking must satisfy
-    ``M_F``.  Raises :class:`SchedulingError` when the schedule is not
+    :func:`~repro.tpn.state.replay_firings`, and the final marking
+    must satisfy ``M_F``.  Raises :class:`SchedulingError` when the schedule is not
     a legal feasible run — which would mean the producing search (a
     parallel worker, or the dense state-class concretisation, which
     shares this gate) returned garbage, so the error is loud rather
@@ -660,18 +660,15 @@ def _replay_with_reference(
     config: SchedulerConfig,
     schedule: list[tuple[str, int, int]],
 ) -> None:
-    """The Python replay: :func:`validate_with_reference`'s spec."""
+    """The Python replay: :func:`validate_with_reference`'s spec, a
+    walk through :func:`~repro.tpn.state.replay_firings` that also
+    checks every recorded timestamp and the final marking."""
     engine = StateEngine(net, reset_policy=config.reset_policy)
     state = engine.initial_state()
-    index = net.transition_index
-    now = 0
-    for name, delay, at in schedule:
-        if name not in index:
-            raise SchedulingError(
-                f"schedule fires unknown transition {name!r}"
-            )
-        state = engine.fire(state, index[name], delay)
-        now += delay
+    firings = ((name, delay) for name, delay, _at in schedule)
+    for (name, _delay, at), (_t, _q, now, state) in zip(
+        schedule, replay_firings(engine, firings)
+    ):
         if now != at:
             raise SchedulingError(
                 f"schedule timestamp mismatch at {name!r}: "

@@ -10,8 +10,8 @@ DFS loop.  Everything else in ``scheduler/`` supports it: ``core.py``
 holds the :class:`~repro.scheduler.core.EngineAdapter`
 implementations the loop runs over, ``config.py`` the knobs,
 ``result.py`` the outcome/statistics containers, ``policies.py`` the
-alternative candidate orderings, and ``parallel.py`` races the search
-across worker processes.  Start reading at
+alternative candidate orderings, and ``parallel.py`` runs a portfolio
+of searches, stepped in turns at their poll.  Start reading at
 :meth:`PreRuntimeScheduler._run` (the loop) and
 :meth:`repro.scheduler.core.ReferenceAdapter.candidates_of` (how one
 state's successor choices are enumerated; the native driver runs the
@@ -43,8 +43,8 @@ shared loop, and ``config.engine`` picks the engine:
   transition is one search edge instead of one edge per integer delay.
   A feasible class path is *concretised* back to integer firing times
   and replayed through the checked reference engine before being
-  returned — the same contract the parallel scheduler applies to
-  worker wins.  Its spec is the tuple
+  returned — the same contract the portfolio applies to its
+  winner.  Its spec is the tuple
   :class:`~repro.tpn.stateclass.StateClassEngine`.
 
 Without the native core (``EZRT_PURE=1``, no cffi, a failed build, or
@@ -112,39 +112,6 @@ class _Frame:
         self.action = action
 
 
-class _Poll:
-    """The 1024-expansion poll both search paths share.
-
-    Each call samples the stack depth (the ``search.max_depth``
-    gauge), calls the heartbeat, checks the ``max_seconds`` deadline
-    and calls ``tick``, in that order, and returns True when the
-    search must stop (the budget ran out or ``tick`` cancelled it).
-    """
-
-    __slots__ = ("deadline", "tick", "heartbeat", "max_depth")
-
-    def __init__(self, deadline, tick, heartbeat):
-        self.deadline = deadline
-        self.tick = tick
-        self.heartbeat = heartbeat
-        self.max_depth = 1
-
-    def __call__(
-        self, visited, generated, revisits, prunes, backtracks, depth
-    ) -> bool:
-        if depth > self.max_depth:
-            self.max_depth = depth
-        if self.heartbeat is not None:
-            self.heartbeat(visited, generated, depth)
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            return True
-        return self.tick is not None and bool(
-            self.tick(
-                visited, generated, revisits, prunes, backtracks, depth
-            )
-        )
-
-
 class PreRuntimeScheduler:
     """The depth-first schedule synthesiser over a compiled net.
 
@@ -164,31 +131,27 @@ class PreRuntimeScheduler:
       ``M_F``.
 
     The constructor builds the adapter of ``config.engine``
-    (:func:`~repro.scheduler.core.make_adapter`); :meth:`search` runs
-    the loop — in Python over a spec adapter (:meth:`_run`, which
-    builds the policy's reorder function afresh, so every search
-    starts at its seed), or in the native core's compiled driver over
-    a native one (:meth:`_drive`), falling back to the spec when the
-    net outgrows the packed engine.
+    (:func:`~repro.scheduler.core.make_adapter`); :meth:`steps` is
+    the search, resumable at its 1024-expansion poll, and
+    :meth:`search` runs it to the end.  The loop runs in Python over a
+    spec adapter (:meth:`_run`, which builds the policy's reorder
+    function afresh, so every search starts at its seed), or in the
+    native core's compiled driver over a native one (:meth:`_drive`),
+    falling back to the spec when the net outgrows the packed engine.
 
-    Four attributes are injection points a caller may replace before
-    :meth:`search`.  ``tick`` serves the parallel scheduler's workers
-    (``None`` for a plain serial search): a cooperative callback
-    polled every 1024 expansions with the live counters plus the
-    current stack depth (returning True aborts the search — first-win
-    cancellation).  The other three serve :mod:`repro.obs`: ``obs`` is
-    a span recorder (built only when ``config.trace_jsonl`` is set) —
-    when enabled, the hoisted successor/candidate locals are wrapped
-    in nanosecond-accumulating closures and emitted as aggregate child
-    spans of the ``search`` span at exit; ``metrics`` is a registry
-    (always built; ``None`` turns it off) whose snapshot lands on
-    ``SchedulerResult.metrics`` — portfolio workers swap in their own;
-    ``heartbeat`` is a progress callback (built when
-    ``config.progress`` is set) sharing ``tick``'s 1024-expansion
+    Three attributes serve :mod:`repro.obs` and may be replaced before
+    the search starts: ``obs`` is a span recorder (built only when
+    ``config.trace_jsonl`` is set) — when enabled, the hoisted
+    successor/candidate locals are wrapped in nanosecond-accumulating
+    closures and emitted as aggregate child spans of the ``search``
+    span at exit; ``metrics`` is a registry (always built; ``None``
+    turns it off) whose snapshot lands on ``SchedulerResult.metrics``
+    — portfolio slots swap in their own; ``heartbeat`` is a progress
+    callback (built when ``config.progress`` is set) called at the
     poll.  The registry alone never turns polling on — the
     ``search.max_depth`` gauge is sampled at the poll cadence, so it
-    is recorded only when a deadline, tick or heartbeat already pays
-    for the poll.
+    is recorded only when a deadline, heartbeat or resumable caller
+    already pays for the poll.
     """
 
     def __init__(
@@ -198,7 +161,6 @@ class PreRuntimeScheduler:
         self.config = config = config or SchedulerConfig()
         engine = config.engine
         self.adapter = make_adapter(engine, net, config)
-        self.tick = None
         self.metrics = MetricsRegistry()
         self.obs = None
         if config.trace_jsonl:
@@ -222,27 +184,69 @@ class PreRuntimeScheduler:
 
     # ------------------------------------------------------------------
     def search(self) -> SchedulerResult:
-        """Run the DFS; returns a result whether or not it succeeds.
+        """Run the DFS; returns a result whether or not it succeeds."""
+        steps = self.steps()
+        while True:
+            try:
+                next(steps)
+            except StopIteration as done:
+                return done.value
 
-        When the packed root or the native driver meets a packed cap
-        (:class:`~repro.errors.PackedCapError`), the search runs again
-        from the start on the engine's executable spec, which has no
-        caps; its result equals a search begun there.  The rerun keeps
-        the first attempt's start: ``max_seconds`` runs out at the
-        same deadline and ``elapsed_seconds`` counts both attempts
-        (the state budget restarts with the search).
+    def steps(self, resumable: bool = False):
+        """The search as a generator that pauses at its poll.
+
+        Every 1024 expansions the loop hands its live counters
+        ``(visited, generated, revisits, prunes, backtracks, depth)``
+        to the poll here (the ``search.max_depth`` gauge, the
+        heartbeat, the ``max_seconds`` deadline), then yields them;
+        sending a true value back stops the search as a budget stop.
+        The generator returns the :class:`SchedulerResult`.  The loop
+        pauses only when a deadline, a heartbeat or a ``resumable``
+        caller (the portfolio) polls it.
+
+        A net past a packed cap (:class:`~repro.errors.PackedCapError`
+        from the packed root or the native driver) searches again from
+        the start on the engine's executable spec, which has no caps,
+        under the first attempt's deadline and start.
         """
+        config = self.config
         started = time.monotonic()
-        try:
-            result = self._run(started)
-        except PackedCapError:
-            config = self.config
-            spec = ADAPTERS[config.engine][1](self.net, config)
-            spec.obs = self.adapter.obs
-            self.adapter = spec
-            result = self._run(started)
-        if self.metrics is not None:
-            result.metrics = self.metrics.snapshot()
+        deadline = None
+        if config.max_seconds is not None:
+            deadline = started + config.max_seconds
+        heartbeat = self.heartbeat
+        polled = resumable or deadline is not None or heartbeat is not None
+        attempt = self._run(started, polled)
+        stop = None
+        max_depth = 1
+        while True:
+            try:
+                counters = attempt.send(stop)
+            except StopIteration as done:
+                result = done.value
+                break
+            except PackedCapError:
+                spec = ADAPTERS[config.engine][1](self.net, config)
+                spec.obs = self.adapter.obs
+                self.adapter = spec
+                max_depth = 1
+                attempt = self._run(started, polled)
+                stop = None
+                continue
+            visited, generated, _, _, _, depth = counters
+            max_depth = max(max_depth, depth)
+            if heartbeat is not None:
+                heartbeat(visited, generated, depth)
+            stop = (
+                deadline is not None and time.monotonic() > deadline
+            ) or bool((yield counters))
+        metrics = self.metrics
+        if metrics is not None:
+            if polled:
+                # depth is sampled at the poll cadence; without a
+                # poller nothing was sampled, so record no gauge
+                metrics.max_gauge("search.max_depth", max_depth)
+            result.metrics = metrics.snapshot()
         return result
 
     def _emit_spans(self, start_ns: int, span_acc, stats) -> None:
@@ -253,9 +257,13 @@ class PreRuntimeScheduler:
         event on the hot path); here they become two child spans laid
         out back-to-back from the search start — a valid Chrome
         nesting that reads as "of this search, X µs went to successor
-        generation and Y µs to candidate enumeration".
+        generation and Y µs to candidate enumeration".  A portfolio
+        that hands its searches to forked lanes clears ``obs`` on the
+        copies it closes, so only the lane's copy records them.
         """
         obs = self.obs
+        if obs is None:
+            return
         obs.record_span(
             "search",
             start_ns,
@@ -283,9 +291,7 @@ class PreRuntimeScheduler:
             )
             cursor += spent_ns
 
-    def _drive(
-        self, driver, stats, started, poll, trace_t0, span_acc
-    ) -> SchedulerResult:
+    def _drive(self, driver, stats, started, polled, trace_t0, span_acc):
         """:meth:`_run`'s loop, run by a compiled driver.
 
         The driver — the native core's one ``ez_search_*`` loop,
@@ -296,17 +302,17 @@ class PreRuntimeScheduler:
         step; Python runs only what :meth:`_run` runs at the same
         points:
 
-        * at every 1024-expansion poll, the same :class:`_Poll` — only
-          when something asked for polling, but the driver yields
-          there regardless, so signal handlers (Ctrl-C) run within one
-          poll interval;
+        * at every 1024-expansion poll, the same yield of the live
+          counters — only when ``polled``, but the driver returns
+          there regardless, so signal handlers (Ctrl-C) run within
+          one poll interval;
         * on a win, the adapter's ``finalize_path``.
 
         The driver orders every policy itself, ``random`` included.
 
         Verdicts, schedules, every :class:`SearchStats` counter and
-        the tick/heartbeat arguments equal :meth:`_run`'s over the
-        engine's executable spec (``tests/test_kernel_driver.py``,
+        the counters yielded at each poll equal :meth:`_run`'s over
+        the engine's executable spec (``tests/test_kernel_driver.py``,
         ``tests/test_dbm_driver.py``).  The driver's
         memory is freed on every exit path; its size lands on the
         ``search.visited_bytes`` / ``search.bytes_per_state`` gauges.
@@ -319,13 +325,15 @@ class PreRuntimeScheduler:
             while True:
                 status = driver.run()
                 if status == SEARCH_POLL:
-                    if poll is not None and poll(
-                        counters.visited,
-                        counters.generated,
-                        counters.revisits,
-                        counters.prunes,
-                        counters.backtracks,
-                        counters.depth,
+                    if polled and (
+                        yield (
+                            counters.visited,
+                            counters.generated,
+                            counters.revisits,
+                            counters.prunes,
+                            counters.backtracks,
+                            counters.depth,
+                        )
                     ):
                         exhausted = True
                         break
@@ -359,8 +367,6 @@ class PreRuntimeScheduler:
             stats.backtracks = counters.backtracks
             stats.reductions = counters.reductions
             if metrics is not None:
-                if poll is not None:
-                    metrics.max_gauge("search.max_depth", poll.max_depth)
                 visited_bytes = counters.visited_bytes
                 metrics.max_gauge("search.visited_bytes", visited_bytes)
                 metrics.max_gauge(
@@ -380,7 +386,11 @@ class PreRuntimeScheduler:
             exhausted=exhausted,
         )
 
-    def _run(self, started: float) -> SchedulerResult:
+    def _run(self, started: float, polled: bool):
+        """The depth-first loop, a generator :meth:`steps` drives:
+        when ``polled`` it yields the live counters every 1024
+        expansions and stops as a budget stop when sent a true
+        value; it returns the result."""
         adapter = self.adapter
         config = self.config
         stats = SearchStats()
@@ -391,22 +401,6 @@ class PreRuntimeScheduler:
         if record:
             trace_t0 = obs.now_ns()
             span_acc = {"succ": [0, 0], "cand": [0, 0]}
-        # the metrics registry alone never turns polling on: the bare
-        # hot loop and the registry-only default path run the same
-        # per-expansion bytecode (the <2% gate in bench_obs_overhead)
-        poll = None
-        if (
-            config.max_seconds is not None
-            or self.tick is not None
-            or self.heartbeat is not None
-        ):
-            poll = _Poll(
-                None
-                if config.max_seconds is None
-                else started + config.max_seconds,
-                self.tick,
-                self.heartbeat,
-            )
 
         s0 = adapter.root()
         engine = config.engine
@@ -436,13 +430,15 @@ class PreRuntimeScheduler:
             )
 
         if adapter.native:
-            return self._drive(
-                adapter.open_driver(s0, record),
-                stats,
-                started,
-                poll,
-                trace_t0,
-                span_acc,
+            return (
+                yield from self._drive(
+                    adapter.open_driver(s0, record),
+                    stats,
+                    started,
+                    polled,
+                    trace_t0,
+                    span_acc,
+                )
             )
 
         candidates_of = adapter.candidates_of
@@ -520,15 +516,17 @@ class PreRuntimeScheduler:
 
                 n_generated += 1
                 if (
-                    poll is not None
+                    polled
                     and not n_generated & _TIME_CHECK_MASK
-                    and poll(
-                        n_visited,
-                        n_generated,
-                        n_revisits,
-                        n_prunes,
-                        n_backtracks,
-                        len(stack),
+                    and (
+                        yield (
+                            n_visited,
+                            n_generated,
+                            n_revisits,
+                            n_prunes,
+                            n_backtracks,
+                            len(stack),
+                        )
                     )
                 ):
                     exhausted = True
@@ -589,10 +587,6 @@ class PreRuntimeScheduler:
             stats.revisits_skipped = n_revisits
             stats.deadline_prunes = n_prunes
             stats.backtracks = n_backtracks
-            if metrics is not None and poll is not None:
-                # depth is sampled at the poll cadence; without a
-                # poller nothing was sampled, so record no gauge
-                metrics.max_gauge("search.max_depth", poll.max_depth)
             if record:
                 self._emit_spans(trace_t0, span_acc, stats)
 
@@ -615,18 +609,18 @@ def search(
     Dispatches on ``config.parallel``: ``0``/``1`` run the serial DFS
     in-process, ``>= 2`` hand the net to the
     :class:`~repro.scheduler.parallel.ParallelScheduler` (a portfolio
-    race across worker processes).
+    of searches, one process unless a long search forks lanes).
 
     ``heartbeat`` is an optional progress callback with the
     scheduler's ``(visited, generated, depth)`` signature (e.g. a
     :class:`repro.obs.progress.ProgressFile` spooling live counters
     for SSE streaming); it overrides the ``config.progress`` printer
-    on the serial path.  Parallel searches run their workers in other
-    processes and ignore it.
+    on the serial path.  Portfolio searches ignore it: their slots
+    interleave, so one counter stream would mix several searches.
     """
     config = config or SchedulerConfig()
     if config.parallel >= 2:
-        # deferred import: parallel imports this module for its workers
+        # deferred import: parallel imports this module for its slots
         from repro.scheduler.parallel import ParallelScheduler
 
         return ParallelScheduler(net, config).search()

@@ -1,50 +1,43 @@
-"""Parallel pre-runtime search: a portfolio race.
+"""Portfolio search: several slots over one net, first verdict wins.
 
-**Overview for new contributors.**  ``repro.batch`` already
-parallelises *across* models (one process per specification); this
-module parallelises *within* one hard model, the ROADMAP's "a single
-hard model should also scale" item.  Every worker runs a complete,
-independent DFS over the same state space, each under a different
-*(engine, policy)* slot: a candidate ordering from
-:mod:`repro.scheduler.policies` (the serial default, latest-first,
-min-laxity, seeded-random with geometric restarts), optionally on a
-different successor engine (``"stateclass:earliest"`` races the dense
-state-class search against the discrete hot path — the win on
-wide-interval models).  Neither orderings nor engines change the
-verdict, only the time to reach it, and combinatorial search times are
-heavy-tailed — so the *first* definitive verdict wins the race and
-cancels the rest.  This wins even on a single core: a 4-way race
-time-shared on one CPU still finishes ~N/4× faster whenever some slot
-needs N× fewer states than the default.
+``repro.batch`` parallelises *across* models; this module runs
+several searches of *one* hard model.  Each *slot* is a complete DFS
+under its own ``[engine:]policy[:seed]``: a candidate ordering from
+:mod:`repro.scheduler.policies`, optionally on the other engine
+(``"stateclass:earliest"`` beside the discrete search wins on
+wide-interval models).  Search times are heavy-tailed, so some slot
+often needs far fewer states than the default.
 
-Determinism contract:
+* **One process first.**  Every search pauses at its 1024-expansion
+  poll (:meth:`~repro.scheduler.dfs.PreRuntimeScheduler.steps`), so
+  the slots take turns in the calling process, one poll quantum each,
+  and the first definitive verdict in slot order wins: the same input
+  picks the same winner and schedule every run.
+* **Lanes for long searches.**  A portfolio still running after
+  :data:`LANE_THRESHOLD_SECONDS` forks one lane per usable CPU
+  (:func:`_lane_count` says when); lane ``i`` inherits the running
+  searches through fork and steps ``running[i::L]`` until a lane's
+  verdict cancels the rest.  Which lane wins is timing-dependent;
+  when several slots end definitive, a feasible one wins.
 
-* the returned *verdict* (feasible / infeasible) matches the serial
-  search on the same configuration — orderings change which schedule
-  is found and how fast, never whether one exists;
-* every feasible schedule is replayed through the **reference engine**
-  (:class:`repro.tpn.state.StateEngine`, checked firing rule) before
-  being returned, so a parallel win is independently proven legal;
-* the winning policy is recorded on the result
-  (``result.winner_policy``) and rerunning that policy serially
-  (``SchedulerConfig(policy=..., policy_seed=...)``) reproduces the
-  winner's search deterministically.
-
-Cancellation is cooperative-first: workers poll a shared event every
-1024 expansions (the scheduler's ``tick`` hook; the worker reaching a
-definitive verdict sets it itself) and report their final counters
-before exiting, so the merged :class:`SearchStats` accounts for the
-whole race; ``terminate()`` is only the backstop for a worker
-stuck outside the search loop.  :meth:`ParallelScheduler.search` does
-not return until every worker process has been joined or killed — no
-orphans survive a win.
+A feasible verdict holds whichever slot found it, and its schedule is
+replayed through the reference engine (:func:`validate_with_reference`)
+before it is returned.  An infeasible verdict is as strong as the
+winning slot's search: a dense or ``delay_mode="full"`` refutation
+covers every firing time, a kernel ``earliest`` refutation only what
+that delay policy reaches.  ``result.winner_engine`` and
+``result.winner_policy`` (the seed of the attempt that won) rerun
+serially to the same schedule byte for byte.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import queue as queue_module
+import threading
 import time
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context, parent_process
 
 from repro.errors import SchedulingError
 from repro.obs.events import NULL_RECORDER, JsonlSink, Recorder
@@ -53,6 +46,7 @@ from repro.scheduler.config import SchedulerConfig
 from repro.scheduler.core import validate_with_reference
 from repro.scheduler.dfs import PreRuntimeScheduler
 from repro.scheduler.policies import (
+    _mix,
     default_portfolio,
     parse_policy,
     parse_slot,
@@ -64,178 +58,262 @@ from repro.tpn.net import CompiledNet
 #: policy, doubled on every restart (geometric / Luby-style schedule).
 RESTART_BASE_STATES = 4096
 
-#: Seconds the parent keeps draining stats messages after a win.
+#: Seconds a portfolio runs in one process before it may fork lanes.
+#: A forked search process costs ~8 ms before it searches anything
+#: (fig3 took 16.2 ms at ``parallel=2`` against 0.8 ms serial, on a
+#: 2-vCPU x86-64 VM with Python 3.11), so 0.1 s is ~10x that cost: a
+#: search still running then is long enough for a second CPU to pay.
+LANE_THRESHOLD_SECONDS = 0.1
+
+#: Seconds the parent keeps collecting lane reports after a cancel.
 _DRAIN_GRACE = 2.0
 
+#: Slot outcomes that end the portfolio.
+_DEFINITIVE = ("feasible", "infeasible")
 
-# ----------------------------------------------------------------------
-# Worker processes
-# ----------------------------------------------------------------------
-def _portfolio_worker(
-    index: int,
-    slot_text: str,
-    net: CompiledNet,
-    config: SchedulerConfig,
-    results,
-    cancel,
-    start,
-) -> None:
-    """Run one complete search under one slot; report the outcome.
+#: The slot fields a lane reports home.
+_REPORTED = ("kind", "total", "metrics", "payload", "attempt", "error")
 
-    A slot is ``[engine:]policy[:seed]`` — the engine prefix races
-    successor engines as well as orderings; without one the slot
-    inherits ``config.engine``.  The message is ``(kind, index, slot,
-    stats, metrics snapshot, payload)``: ``stats`` sums the slot's
-    restarts.
+
+def usable_cpus(cpu_max: str = "/sys/fs/cgroup/cpu.max") -> int:
+    """CPUs this process may keep busy at once.
+
+    The affinity mask (``os.sched_getaffinity``), capped by this
+    cgroup's v2 ``cpu.max`` quota when one is set: ``"150000 100000"``
+    allows 1.5 CPUs of time, which rounds up to 2; ``"max ..."`` sets
+    no cap.
     """
-    engine, policy_text = parse_slot(slot_text)
-    if engine is None:
-        engine = config.engine
-    name, seed = parse_policy(policy_text)
-    if seed is None:
-        seed = index
-    total = SearchStats()
-    restarts = 0
-    # one registry for the worker's whole lifetime (shared across
-    # restarts); its snapshot rides home beside the stats and the
-    # parent merges every worker's snapshot onto result.metrics
-    metrics = MetricsRegistry()
-    start.wait()  # every slot enters the race at the same moment
-    worker_started = time.monotonic()
     try:
-        deadline = (
-            None
-            if config.max_seconds is None
-            else time.monotonic() + config.max_seconds
-        )
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    try:
+        with open(cpu_max, encoding="ascii") as handle:
+            quota, period = handle.read().split()[:2]
+        return max(1, min(cpus, math.ceil(int(quota) / int(period))))
+    except (OSError, ValueError):  # no cgroup v2 file, or "max"
+        return cpus
 
-        def tick(*_counters) -> bool:
-            return cancel.is_set()
 
-        def run_once(cfg: SchedulerConfig) -> SchedulerResult:
-            scheduler = PreRuntimeScheduler(net, cfg)
-            scheduler.tick = tick
-            scheduler.metrics = metrics
-            if scheduler.obs is not None:
-                # one trace track per portfolio worker slot
-                scheduler.obs.track = f"w{index}:{slot_text}"
-            if scheduler.heartbeat is not None:
-                scheduler.heartbeat.label = f"w{index}:{slot_text}"
-                scheduler.heartbeat.metrics = metrics
-            return scheduler.search()
+def restart_seed(seed: int, attempt: int) -> int:
+    """The ``random`` seed of restart ``attempt`` of slot ``random:seed``.
 
+    Attempt 0 runs ``seed`` itself; later attempts run a splitmix64
+    word of ``(seed, attempt)``, so a restart never replays another
+    slot's stream (``random:seed+1`` is the next slot's).
+    """
+    return seed if attempt == 0 else _mix(_mix(seed) ^ attempt)
+
+
+def _lane_count(running: int) -> int:
+    """Lanes to fork for ``running`` slots: one per usable CPU, and
+    none unless that makes two or more, fork exists, this process is
+    no :mod:`multiprocessing` child (a pool worker never forks) and no
+    other thread runs (a lock it holds would stay locked in the lane)."""
+    if (
+        parent_process() is not None
+        or "fork" not in get_all_start_methods()
+        or threading.active_count() > 1
+    ):
+        return 0
+    lanes = min(running, usable_cpus())
+    return lanes if lanes >= 2 else 0
+
+
+class _Slot:
+    """One portfolio slot: its search, its restarts and its totals.
+
+    ``kind`` is ``None`` while the slot runs, then one of
+    ``feasible``, ``infeasible``, ``exhausted``, ``cancelled`` or
+    ``error``.  A ``random`` slot restarts an exhausted attempt under
+    a doubled state budget and a fresh :func:`restart_seed`.
+    """
+
+    def __init__(self, index, text, net, config, deadline):
+        engine, policy = parse_slot(text)
+        self.engine = engine or config.engine
+        self.name, seed = parse_policy(policy)
+        self.seed = seed or 0  # portfolio_policies pins random seeds
+        self.index = index
+        self.text = text
+        self.net = net
+        self.config = config
+        self.deadline = deadline
         overrides = dict(
-            engine=engine,
-            parallel=0,
-            portfolio=(),
-            policy=name,
-            policy_seed=seed,
+            engine=self.engine, parallel=0, portfolio=(), policy=self.name
         )
-        if engine == "stateclass" and config.delay_mode != "earliest":
-            # one state class covers *every* dense firing delay, so
-            # the discrete delay-enumeration modes have nothing to
-            # enumerate for this slot — and the dense search already
-            # subsumes them: with finite LFTs a delay-enumerated
-            # discrete run is one realisation of some class path
+        if self.engine == "stateclass":
+            # a state class covers every dense firing delay, so the
+            # discrete delay-enumeration modes have nothing to add
             overrides["delay_mode"] = "earliest"
-        base = config.replace(**overrides)
-        if name == "random":
+        self.base = config.replace(**overrides)
+        self.total = SearchStats()
+        self.metrics = MetricsRegistry()
+        self.seconds = 0.0
+        self.attempt = 0
+        self.scheduler = None
+        self.steps = None
+        self.kind = None
+        self.payload = None  # (firing schedule, dense windows) of a win
+        self.error = None
+
+    @property
+    def policy(self) -> str:
+        """The policy the current (or last) attempt runs."""
+        if self.name != "random":
+            return self.name
+        return f"random:{restart_seed(self.seed, self.attempt)}"
+
+    def _begin(self) -> None:
+        changes = {"policy_seed": restart_seed(self.seed, self.attempt)}
+        if self.name == "random":
+            changes["max_states"] = min(
+                RESTART_BASE_STATES << self.attempt,
+                self.config.max_states - self.total.states_visited,
+            )
+        if self.deadline is not None:
+            changes["max_seconds"] = max(
+                0.001, self.deadline - time.monotonic()
+            )
+        scheduler = PreRuntimeScheduler(
+            self.net, self.base.replace(**changes)
+        )
+        scheduler.metrics = self.metrics
+        label = f"w{self.index}:{self.text}"
+        if scheduler.obs is not None:
+            scheduler.obs.track = label  # one trace track per slot
+        if scheduler.heartbeat is not None:
+            scheduler.heartbeat.label = label
+            scheduler.heartbeat.metrics = self.metrics
+        self.scheduler = scheduler
+        self.steps = scheduler.steps(resumable=True)
+
+    def step(self) -> bool:
+        """Run one poll quantum; True once the slot has ended."""
+        started = time.monotonic()
+        try:
+            if self.steps is None:
+                self._begin()
+            next(self.steps)
+        except StopIteration as done:
+            self._ended(done.value)
+        except Exception as error:  # noqa: BLE001 — one slot's failure
+            self.steps = None
+            self.error = f"{type(error).__name__}: {error}"
+            self._finish("error")
+        finally:
+            self.seconds += time.monotonic() - started
+        return self.kind is not None
+
+    def _ended(self, result: SchedulerResult) -> None:
+        self.steps = None
+        self.total.add(result.stats)
+        if result.feasible:
+            self.payload = (
+                result.firing_schedule,
+                result.interval_schedule,
+            )
+            self._finish("feasible")
+        elif not result.exhausted:
+            self._finish("infeasible")
+        elif (
+            self.name == "random"
+            and self.total.states_visited < self.config.max_states
+            and (self.deadline is None or time.monotonic() < self.deadline)
+        ):
             # geometric restarts: heavy-tailed instances usually fall
             # to *some* seed quickly; doubling budgets bound the total
             # overhead to <= 2x the lucky seed's work
-            spent = 0
-            budget = min(RESTART_BASE_STATES, config.max_states)
-            result = None
-            while True:
-                remaining = config.max_states - spent
-                if remaining <= 0:
-                    break
-                seconds_left = (
-                    None
-                    if deadline is None
-                    else max(0.001, deadline - time.monotonic())
-                )
-                cfg = base.replace(
-                    policy_seed=seed + restarts,
-                    max_states=min(budget, remaining),
-                    max_seconds=seconds_left,
-                )
-                attempt = run_once(cfg)
-                total.add(attempt.stats)
-                spent += attempt.stats.states_visited
-                result = attempt
-                if cancel.is_set():
-                    break
-                if attempt.feasible or not attempt.exhausted:
-                    break
-                if deadline is not None and time.monotonic() >= deadline:
-                    break
-                restarts += 1
-                budget *= 2
+            self.attempt += 1
         else:
-            result = run_once(base)
-            total.add(result.stats)
+            self._finish("exhausted")
 
-        total.restarts = restarts
-        if cancel.is_set():
-            kind = "cancelled"
-        elif result is None or (not result.feasible and result.exhausted):
-            kind = "exhausted"
-        elif result.feasible:
-            kind = "feasible"
-        else:
-            kind = "infeasible"
-        if kind in ("feasible", "infeasible"):
-            cancel.set()  # end the race without the parent's round trip
-        # per-slot wall-clock and outcome land in the metrics snapshot
-        # (gauges carry the slot name, so workers never collide)
+    def cancel(self) -> None:
+        """End a running slot, stopping its search at the poll it
+        paused at (its counters still count)."""
+        if self.kind is not None:
+            return
+        steps, self.steps = self.steps, None
+        if steps is not None and steps.gi_frame is not None:
+            try:
+                steps.send(True)
+            except StopIteration as done:
+                self.total.add(done.value.stats)
+        self._finish("cancelled")
+
+    def abandon(self) -> None:
+        """Drop the parent's copy of a search a forked lane took over,
+        freeing its memory without recording its spans."""
+        if self.steps is not None:
+            self.scheduler.obs = None
+            self.steps.close()
+            self.steps = None
+
+    def _finish(self, kind: str) -> None:
+        self.kind = kind
+        self.total.restarts = self.attempt
+        metrics = self.metrics
         metrics.set_gauge(
-            f"slot.{slot_text}.wall_seconds",
-            round(time.monotonic() - worker_started, 6),
+            f"slot.{self.text}.wall_seconds", round(self.seconds, 6)
         )
-        metrics.inc(f"slot.{slot_text}.{kind}")
-        if restarts:
-            metrics.inc(f"slot.{slot_text}.restarts", restarts)
-        # feasible payload: the schedule plus the dense windows the
-        # stateclass engine attaches (None for the discrete engines)
-        payload = (
-            (list(result.firing_schedule), result.interval_schedule)
-            if result is not None and result.feasible
-            else None
-        )
-        results.put(
-            (kind, index, slot_text, total, metrics.snapshot(), payload)
-        )
-    except Exception as error:  # noqa: BLE001 — workers must not die silently
-        results.put(
-            (
-                "error",
-                index,
-                slot_text,
-                total,
-                metrics.snapshot(),
-                f"{type(error).__name__}: {error}",
-            )
-        )
+        metrics.inc(f"slot.{self.text}.{kind}")
+        if self.attempt:
+            metrics.inc(f"slot.{self.text}.restarts", self.attempt)
+
+    def report(self) -> dict:
+        """What a lane sends home for this slot (picklable)."""
+        return {name: getattr(self, name) for name in _REPORTED}
+
+
+def _round_robin(slots, until=None, cancelled=None) -> None:
+    """Step the running slots in order, one poll quantum each.
+
+    Returns once a slot has a definitive verdict or every slot has
+    ended; also after a full round past ``until`` or once
+    ``cancelled()`` holds.  Rounds are never cut short, so stepping
+    resumes in the same order.
+    """
+    running = [slot for slot in slots if slot.kind is None]
+    while running:
+        for slot in running:
+            if slot.step() and slot.kind in _DEFINITIVE:
+                return
+        running = [slot for slot in running if slot.kind is None]
+        if until is not None and time.monotonic() >= until:
+            return
+        if cancelled is not None and cancelled():
+            return
+
+
+def _winner(slots):
+    """The first definitive slot in slot order, a feasible one first."""
+    return min(
+        (slot for slot in slots if slot.kind in _DEFINITIVE),
+        key=lambda slot: slot.kind != "feasible",
+        default=None,
+    )
+
+
+def _lane(slots, results, cancel) -> None:
+    """A forked lane: step ``slots`` until a verdict or a cancel."""
+    _round_robin(slots, cancelled=cancel.is_set)
+    if any(slot.kind in _DEFINITIVE for slot in slots):
+        cancel.set()  # end the race without the parent's round trip
+    for slot in slots:
+        slot.cancel()
+    results.put([(slot.index, slot.report()) for slot in slots])
 
 
 # ----------------------------------------------------------------------
-# The parallel scheduler
+# The portfolio scheduler
 # ----------------------------------------------------------------------
 class ParallelScheduler:
-    """Race the pre-runtime DFS across worker processes.
+    """Run a portfolio of searches over one net; first verdict wins.
 
     Construct with the same ``(net, config)`` pair as
     :class:`PreRuntimeScheduler`; ``config.parallel`` (>= 2) is the
-    worker count.
-    :meth:`search` blocks until a verdict is reached and every worker
-    process has been reaped.
-
-    Portfolio slots are engine-aware: ``config.portfolio`` entries may
-    prefix their policy with a successor engine
-    (``"stateclass:earliest"``), racing the dense state-class search
-    against the discrete engines; unprefixed slots inherit the
-    configured engine.
+    slot count.  :meth:`search` returns once a verdict is reached and
+    every lane process it forked has been reaped.
     """
 
     def __init__(
@@ -248,241 +326,186 @@ class ParallelScheduler:
                 "ParallelScheduler needs config.parallel >= 2 "
                 "(use PreRuntimeScheduler for a serial search)"
             )
-        try:
-            self._context = get_context("fork")
-        except ValueError:  # platforms without fork
-            self._context = get_context()
 
     # ------------------------------------------------------------------
     def portfolio_policies(self) -> tuple[str, ...]:
-        """The slot (``[engine:]policy[:seed]``) raced by each worker.
+        """The slot (``[engine:]policy[:seed]``) of each portfolio entry.
 
         An explicit ``config.portfolio`` is honoured (truncated to the
-        worker count, padded with fresh random seeds when shorter);
+        slot count, padded with fresh random seeds when shorter);
         otherwise the default rotation applies.
         """
         workers = self.config.parallel
-        if not self.config.portfolio:
-            entries = list(default_portfolio(workers))
-        else:
-            entries = list(self.config.portfolio[:workers])
-            used_seeds = set()
-            for index, entry in enumerate(entries):
-                name, seed = parse_policy(parse_slot(entry)[1])
-                if name == "random":
-                    # unseeded entries default to the worker index
-                    used_seeds.add(index if seed is None else seed)
-            seed = 0
-            while len(entries) < workers:
-                while seed in used_seeds:
-                    seed += 1
-                used_seeds.add(seed)
-                entries.append(f"random:{seed}")
-        # pin unseeded random slots to their rotation index, the seed
-        # the worker would fall back to: the slot name then carries
-        # the seed, so a winning slot reruns serially as reported
+        entries = list(
+            self.config.portfolio[:workers] or default_portfolio(workers)
+        )
+        used_seeds = set()
         for index, entry in enumerate(entries):
             engine_prefix, policy = parse_slot(entry)
             name, seed = parse_policy(policy)
-            if name == "random" and seed is None:
-                pinned = f"random:{index}"
-                entries[index] = (
-                    pinned
-                    if engine_prefix is None
-                    else f"{engine_prefix}:{pinned}"
+            if name != "random":
+                continue
+            if seed is None:
+                # pin an unseeded random slot to its rotation index, the
+                # seed it would fall back to: the slot name then carries
+                # the seed, so a winning slot reruns serially as reported
+                seed = index
+                entries[index] = ":".join(
+                    filter(None, (engine_prefix, f"random:{index}"))
                 )
+            used_seeds.add(seed)
+        seed = 0
+        while len(entries) < workers:
+            while seed in used_seeds:
+                seed += 1
+            used_seeds.add(seed)
+            entries.append(f"random:{seed}")
         return tuple(entries)
 
     # ------------------------------------------------------------------
     def search(self) -> SchedulerResult:
         config = self.config
         started = time.monotonic()
-        # parent-side recorder: one "portfolio-race" track framing the
-        # whole race plus the reference-replay gate (workers record
-        # their own tracks into the same O_APPEND sink)
+        # one "portfolio-race" track framing the whole race plus the
+        # reference-replay gate (each slot records its own track into
+        # the same O_APPEND sink)
         obs = NULL_RECORDER
         if config.trace_jsonl:
             obs = Recorder(
                 JsonlSink(config.trace_jsonl), track="portfolio-race"
             )
         race_t0 = obs.now_ns()
-        ctx = self._context
-        results = ctx.Queue()
-        cancel = ctx.Event()
-        start = ctx.Event()
+        deadline = None
+        if config.max_seconds is not None:
+            deadline = started + config.max_seconds
         policies = self.portfolio_policies()
-        workers = [
-            ctx.Process(
-                target=_portfolio_worker,
-                args=(
-                    index,
-                    policy,
-                    self.net,
-                    config,
-                    results,
-                    cancel,
-                    start,
-                ),
-                name=f"ezrt-portfolio-{index}",
-            )
-            for index, policy in enumerate(policies)
+        slots = [
+            _Slot(index, text, self.net, config, deadline)
+            for index, text in enumerate(policies)
         ]
+        lanes = 0
         try:
-            for process in workers:
-                process.start()
+            _round_robin(slots, until=started + LANE_THRESHOLD_SECONDS)
+            running = [slot for slot in slots if slot.kind is None]
+            if running and not any(s.kind in _DEFINITIVE for s in slots):
+                lanes = _lane_count(len(running))
+                if lanes:
+                    self._run_lanes(running, lanes, deadline)
+                else:
+                    _round_robin(running)
         finally:
-            start.set()  # never leave a started worker waiting
-
-        messages = self._collect(workers, results, cancel)
-        winner = None
-        for message in messages:
-            if message[0] in ("feasible", "infeasible"):
-                winner = message
-                break
+            for slot in slots:
+                slot.cancel()
         merged = SearchStats()
-        for message in messages:
-            merged.add(message[3])
+        for slot in slots:
+            merged.add(slot.total)
         merged.elapsed_seconds = time.monotonic() - started
         race_metrics = MetricsRegistry.merge_snapshots(
-            m[4] for m in messages
+            slot.metrics.snapshot() for slot in slots
         )
         obs.record_span(
             "portfolio-race",
             race_t0,
             obs.now_ns(),
             cat="portfolio",
-            args={"workers": len(workers), "slots": list(policies)},
+            args={
+                "workers": len(slots),
+                "lanes": lanes,
+                "slots": list(policies),
+            },
         )
-        if winner is None:
-            errors = [m for m in messages if m[0] == "error"]
-            if len(errors) == len(workers) and errors:
-                raise SchedulingError(
-                    f"every portfolio worker failed; first: {errors[0][5]}"
-                )
-            if not messages:
-                raise SchedulingError(
-                    "portfolio search produced no worker results"
-                )
-            return SchedulerResult(
-                feasible=False,
-                stats=merged,
-                config=config,
-                exhausted=True,
-                workers=len(workers),
-                metrics=race_metrics,
+        winner = _winner(slots)
+        if winner is None and all(s.kind == "error" for s in slots):
+            raise SchedulingError(
+                f"every portfolio worker failed; first: {slots[0].error}"
             )
-        kind, _index, slot, _stats, _metrics, payload = winner
-        slot_engine, policy = parse_slot(slot)
-        if slot_engine is None:
-            slot_engine = config.engine
-        if kind == "feasible":
-            raw_schedule, windows = payload
-            schedule = [tuple(entry) for entry in raw_schedule]
-            with obs.span("reference-replay", cat="validate"):
-                validate_with_reference(self.net, config, schedule)
-            return SchedulerResult(
-                feasible=True,
-                firing_schedule=schedule,
-                stats=merged,
-                config=config,
-                winner_policy=policy,
-                winner_engine=slot_engine,
-                workers=len(workers),
-                interval_schedule=(
-                    None
-                    if windows is None
-                    else [tuple(entry) for entry in windows]
-                ),
-                metrics=race_metrics,
-            )
-        return SchedulerResult(
+        result = SchedulerResult(
             feasible=False,
             stats=merged,
             config=config,
-            winner_policy=policy,
-            winner_engine=slot_engine,
-            workers=len(workers),
+            exhausted=winner is None,
+            workers=len(slots),
             metrics=race_metrics,
         )
+        if winner is None:
+            return result
+        result.winner_policy = winner.policy
+        result.winner_engine = winner.engine
+        if winner.kind == "feasible":
+            result.feasible = True
+            result.firing_schedule, result.interval_schedule = winner.payload
+            with obs.span("reference-replay", cat="validate"):
+                validate_with_reference(
+                    self.net, config, result.firing_schedule
+                )
+        return result
 
     # ------------------------------------------------------------------
-    def _collect(self, workers, results, cancel) -> list[tuple]:
-        """Gather worker messages; cancel on the first definitive one.
-
-        Returns every message received.  Guarantees that all worker
-        processes are dead (joined, terminated or killed) on return.
-        """
-        config = self.config
-        expected = len(workers)
-        messages: list[tuple] = []
-        budget_deadline = (
-            None
-            if config.max_seconds is None
-            else time.monotonic() + config.max_seconds + _DRAIN_GRACE
-        )
-        drain_deadline = None
+    def _run_lanes(self, running, lanes, deadline) -> None:
+        """Fork ``lanes`` processes over the running slots and fold
+        their reports back into the parent's slots."""
+        ctx = get_context("fork")
+        results = ctx.Queue()
+        cancel = ctx.Event()
+        processes = []
         try:
-            while len(messages) < expected:
-                if drain_deadline is not None:
-                    timeout = drain_deadline - time.monotonic()
-                    if timeout <= 0:
-                        break
-                    timeout = min(timeout, 0.2)
-                else:
-                    timeout = 0.2
+            for lane in range(lanes):
+                process = ctx.Process(
+                    target=_lane,
+                    args=(running[lane::lanes], results, cancel),
+                    name=f"ezrt-portfolio-lane-{lane}",
+                )
+                process.start()
+                processes.append(process)
+        except BaseException:
+            cancel.set()  # a lane failed to start: stop the started ones
+            raise
+        finally:
+            # the lanes own the searches now; the parent frees its copies
+            for slot in running:
+                slot.abandon()
+            reports = self._collect(processes, results, cancel, deadline)
+        by_index = {slot.index: slot for slot in running}
+        for lane_reports in reports:
+            for index, report in lane_reports:
+                vars(by_index[index]).update(report)
+        for slot in running:
+            if slot.kind is None:
+                slot.error = "portfolio lane died without reporting"
+                slot.kind = "error"
+
+    @staticmethod
+    def _collect(processes, results, cancel, deadline) -> list:
+        """Gather one report per lane; cancel the lanes when one dies
+        without reporting or the budget is long gone.  Every lane
+        process is dead on return."""
+        reports: list = []
+        drain_until = None
+        try:
+            while len(reports) < len(processes) and (
+                drain_until is None or time.monotonic() < drain_until
+            ):
                 try:
-                    message = results.get(timeout=timeout)
+                    reports.append(results.get(timeout=0.2))
                 except queue_module.Empty:
-                    if budget_deadline is not None and (
-                        time.monotonic() > budget_deadline
+                    now = time.monotonic()
+                    dead = sum(not p.is_alive() for p in processes)
+                    overdue = deadline is not None and (
+                        now > deadline + _DRAIN_GRACE
+                    )
+                    if drain_until is None and (
+                        overdue or dead > len(reports)
                     ):
                         cancel.set()
-                        if drain_deadline is None:
-                            drain_deadline = (
-                                time.monotonic() + _DRAIN_GRACE
-                            )
-                    alive = sum(1 for p in workers if p.is_alive())
-                    if alive + len(messages) < expected:
-                        # a worker died without reporting: its slot
-                        # can never finish the race, so release the
-                        # survivors instead of letting them spin
-                        cancel.set()
-                        if drain_deadline is None:
-                            drain_deadline = (
-                                time.monotonic() + _DRAIN_GRACE
-                            )
-                    if not any(p.is_alive() for p in workers):
-                        # reap whatever is still buffered, then stop
-                        while True:
-                            try:
-                                messages.append(results.get_nowait())
-                            except queue_module.Empty:
-                                break
-                        break
-                    continue
-                messages.append(message)
-                if drain_deadline is None and message[0] in ("feasible", "infeasible"):
-                    cancel.set()
-                    drain_deadline = time.monotonic() + _DRAIN_GRACE
+                        drain_until = now + _DRAIN_GRACE
         finally:
             cancel.set()
-            for process in workers:
+            for process in processes:
                 process.join(timeout=1.0)
-            for process in workers:
-                if process.is_alive():
-                    process.terminate()
-            for process in workers:
-                if process.is_alive():
-                    process.join(timeout=1.0)
-            for process in workers:
-                if process.is_alive():  # pragma: no cover — last resort
+                if process.is_alive():  # pragma: no cover — stuck lane
                     process.kill()
                     process.join(timeout=1.0)
-            for process in workers:
-                try:
-                    process.close()
-                except ValueError:  # pragma: no cover — unkillable
-                    pass
+                process.close()
             results.cancel_join_thread()
             results.close()
-        return messages
+        return reports

@@ -26,8 +26,8 @@ each other (first definitive verdict wins):
   rescues models whose static priorities are absent or misleading.
 * ``random`` — a seeded per-node shuffle.  Different seeds sample
   independent orderings, which is what makes racing several of them
-  effective on heavy-tailed instances; the portfolio worker couples
-  this with geometric restarts (see ``dfs`` docs).  The shuffle is
+  effective on heavy-tailed instances; a portfolio slot couples
+  this with geometric restarts (see ``parallel`` docs).  The shuffle is
   Fisher–Yates from the back over one splitmix64 stream per search
   (:func:`make_reorder`), which the native driver computes too.
 

@@ -15,13 +15,13 @@ class SearchStats(Record):
     (paper: 3130 for the mine pump), so ``states_visited −
     schedule_length`` measures backtracking overhead.
 
-    A parallel search (:mod:`repro.scheduler.parallel`) returns the
-    *merged* counters of every worker in the race, so
-    ``states_visited`` then measures total work done across the
-    portfolio/partition, not the winner's path alone; unlike serial
-    counters the merged values are not run-to-run deterministic (they
-    depend on when the losers were cancelled).  ``restarts`` counts
-    seeded-random restarts performed by portfolio workers.
+    A portfolio search (:mod:`repro.scheduler.parallel`) returns the
+    *merged* counters of every slot, so ``states_visited`` then
+    measures total work done across the portfolio, not the winner's
+    path alone; a portfolio that forked lanes merges values that are
+    not run-to-run deterministic (they depend on when the losing
+    lanes saw the cancel).  ``restarts`` counts seeded-random
+    restarts performed by portfolio slots.
     """
 
     __slots__ = (
@@ -62,7 +62,7 @@ class SearchStats(Record):
 
     def add(self, other: SearchStats) -> None:
         """Add ``other``'s counters to these (a portfolio summing its
-        restarts and its workers); ``elapsed_seconds`` stays."""
+        restarts and its slots); ``elapsed_seconds`` stays."""
         for name in self._fields:
             if name != "elapsed_seconds":
                 mine = getattr(self, name)
@@ -141,7 +141,7 @@ class SchedulerResult(Record):
             the winning slot (``"kernel"`` or ``"stateclass"``); with
             engine-aware slots this can differ
             from ``config.engine``.  ``None`` outside portfolio races.
-        workers: worker processes used (1 for a serial search).
+        workers: portfolio slots searched (1 for a serial search).
         interval_schedule: dense-time companion of
             ``firing_schedule``, set by the state-class engine only:
             one ``(transition name, earliest, latest)`` entry per
@@ -160,9 +160,9 @@ class SchedulerResult(Record):
         metrics: :mod:`repro.obs` metrics snapshot of the search —
             ``{"counters", "gauges", "histograms"}``.  A serial search
             carries its own registry's snapshot (e.g. the
-            ``search.max_depth`` gauge); a parallel search carries the
-            queue-drained merge of every worker's snapshot (per-slot
-            wall-clock gauges, steal counts, frontier size).  Empty
+            ``search.max_depth`` gauge); a portfolio carries the merge
+            of every slot's snapshot (per-slot gauges and outcome
+            counters).  Empty
             when the scheduler's ``metrics`` registry is set to
             ``None``.
     """

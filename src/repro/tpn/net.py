@@ -666,16 +666,15 @@ class CompiledNet:
         )
 
     # ------------------------------------------------------------------
-    # Pickling (parallel-search handoff)
+    # Pickling
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
         """Ship only the compiled vectors, not the builder.
 
-        The parallel scheduler sends one ``CompiledNet`` to every
-        worker process; the ``source`` builder (name-keyed dicts of
-        node records) dwarfs the compiled arrays and no engine reads it,
-        so it is dropped from the pickle.  An unpickled net therefore
-        has ``source is None`` — everything the schedulers, engines and
+        The ``source`` builder (name-keyed dicts of node records)
+        dwarfs the compiled arrays and no engine reads it, so it is
+        dropped from the pickle.  An unpickled net therefore has
+        ``source is None`` — everything the schedulers, engines and
         schedule extraction need lives in the compiled slots.
         """
         return {

@@ -20,7 +20,7 @@ for disabled ones, which makes states hashable and canonical.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro._record import FrozenRecord
 from repro.errors import SchedulingError
@@ -327,3 +327,55 @@ class StateEngine:
             else:
                 new_clocks.append(0)
         return State(new_marking, tuple(new_clocks))
+
+
+def replay_firings(
+    engine: StateEngine,
+    firings: Iterable[tuple[int | str, int]],
+    priority_filter: bool = False,
+) -> Iterator[tuple[int, int, int, State]]:
+    """Fire ``(transition, delay)`` pairs from ``s0`` under the checked
+    firing rule: the one Python schedule replay, behind
+    :meth:`repro.tpn.tlts.TLTS.replay` and
+    :func:`repro.scheduler.core.validate_with_reference`.
+
+    A transition, given by index or name, must be enabled (with
+    ``priority_filter``: in the strict ``FT(s)``) and its delay inside
+    the firing domain ``[DLB(t), min DUB]``, or :class:`SchedulingError`
+    names the first violation.  Yields ``(t, q, now, state)`` after
+    each firing, ``now`` being its absolute time.
+    """
+    names = engine.net.transition_names
+    index = engine.net.transition_index
+    state = engine.initial_state()
+    now = 0
+    for step, (t, q) in enumerate(firings):
+        if isinstance(t, str):
+            if t not in index:
+                raise SchedulingError(f"unknown transition {t!r}")
+            t = index[t]
+        elif not 0 <= t < len(names):
+            raise SchedulingError(f"transition index {t} out of range")
+        if state.clocks[t] == DISABLED or (
+            priority_filter
+            and t not in [c.transition for c in engine.fireable(state)]
+        ):
+            fireable = engine.fireable(state, priority_filter)
+            raise SchedulingError(
+                f"transition {names[t]!r} is not fireable at step {step} "
+                f"(fireable: {[names[c.transition] for c in fireable]})"
+            )
+        domain = engine.firing_domain(state, t)
+        if not domain.dlb <= q <= domain.dub:
+            bound = (
+                f"below DLB({names[t]!r})={domain.dlb}"
+                if q < domain.dlb
+                else f"beyond min DUB={domain.dub} (strong semantics)"
+            )
+            raise SchedulingError(
+                f"delay {q} outside firing domain [{domain.dlb}, "
+                f"{domain.dub}] of {names[t]!r} at step {step}: {bound}"
+            )
+        now += q
+        state = engine._fire_unchecked(state, t, q)
+        yield t, q, now, state

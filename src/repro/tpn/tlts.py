@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 
 from repro.errors import SchedulingError
 from repro.tpn.net import CompiledNet
-from repro.tpn.state import State, StateEngine
+from repro.tpn.state import State, StateEngine, replay_firings
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,10 @@ class TLTS:
 
         Transitions may be given by index or name.  Every firing is
         validated against the fireable set and firing domain of the
-        current state — i.e. the replay *proves* the sequence is a legal
-        run of the TLTS; any violation raises :class:`SchedulingError`.
+        current state (:func:`~repro.tpn.state.replay_firings`, the
+        loop the scheduler's reference gate runs too) — i.e. the
+        replay *proves* the sequence is a legal run of the TLTS; any
+        violation raises :class:`SchedulingError`.
 
         ``priority_filter`` applies the paper's strict minimum-priority
         restriction of ``FT(s)``.  It defaults to off because this
@@ -144,36 +146,11 @@ class TLTS:
         are legal timed behaviours even when a lower-priority transition
         fires first.
         """
-        engine = self.engine
-        state = engine.initial_state()
-        run = Run(states=[state])
-        now = 0
-        for ref, q in firings:
-            t = self._resolve(ref)
-            candidates = {
-                c.transition: c
-                for c in engine.fireable(
-                    state, priority_filter=priority_filter
-                )
-            }
-            if t not in candidates:
-                name = self.net.transition_names[t]
-                raise SchedulingError(
-                    f"transition {name!r} is not fireable at step "
-                    f"{run.length} (fireable: "
-                    f"{[self.net.transition_names[c] for c in candidates]})"
-                )
-            cand = candidates[t]
-            if not (cand.dlb <= q <= cand.dub):
-                name = self.net.transition_names[t]
-                raise SchedulingError(
-                    f"delay {q} outside firing domain "
-                    f"[{cand.dlb}, {cand.dub}] of {name!r} at step "
-                    f"{run.length}"
-                )
-            now += q
+        run = Run(states=[self.engine.initial_state()])
+        for t, q, now, state in replay_firings(
+            self.engine, firings, priority_filter
+        ):
             run.actions.append(Action(t, q, now))
-            state = engine._fire_unchecked(state, t, q)
             run.states.append(state)
         return run
 
@@ -193,15 +170,3 @@ class TLTS:
         except SchedulingError:
             return False
         return self.net.is_final(run.final_state.marking)
-
-    def _resolve(self, ref: int | str) -> int:
-        if isinstance(ref, str):
-            try:
-                return self.net.transition_index[ref]
-            except KeyError:
-                raise SchedulingError(
-                    f"unknown transition {ref!r}"
-                ) from None
-        if not 0 <= ref < self.net.num_transitions:
-            raise SchedulingError(f"transition index {ref} out of range")
-        return ref

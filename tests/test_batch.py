@@ -7,6 +7,7 @@ cache-key semantics, the campaign runner and the ``ezrt batch`` CLI.
 """
 
 import json
+import os
 
 import pytest
 
@@ -235,8 +236,9 @@ class TestCacheKey:
         assert len(keys) == 2
 
     def test_v2_entries_miss_cleanly(self, tmp_path):
-        """Pre-engine (v2) and pre-v4 (``parallel_mode``) cache entries
-        are never served under the current layout."""
+        """Pre-engine (v2), pre-v4 (``parallel_mode``) and pre-v5
+        (old ``random`` streams) cache entries are never served under
+        the current layout."""
         import hashlib
 
         from repro.batch.cache import (
@@ -244,7 +246,7 @@ class TestCacheKey:
             job_fingerprint,
         )
 
-        assert CACHE_FORMAT_VERSION == 4
+        assert CACHE_FORMAT_VERSION == 5
         spec = fig3_precedence()
         options, config = ComposerOptions(), SchedulerConfig()
         # the v2 layout: old version tag, no engine field
@@ -255,7 +257,10 @@ class TestCacheKey:
         v3 = job_fingerprint(spec, options, config)
         v3["v"] = 3
         v3["scheduler"]["parallel_mode"] = "portfolio"
-        for document in (v2, v3):
+        # the v4 layout: today's fields under the old version tag
+        v4 = job_fingerprint(spec, options, config)
+        v4["v"] = 4
+        for document in (v2, v3, v4):
             stale_key = hashlib.sha256(
                 json.dumps(
                     document, sort_keys=True, separators=(",", ":")
@@ -309,7 +314,10 @@ class TestCacheKey:
     def test_paper_spec_keys_are_pinned(self):
         """The keys of the four paper specs, under the default and a
         non-default config, equal the ones the hand-written scheduler
-        section produced, so existing cache directories still hit."""
+        section produced, so existing cache directories still hit.
+        The pins were retaken when the format version went from 4 to
+        5; the fingerprint layout did not change (under a version tag
+        of 4 the old pins come back)."""
         from repro.spec import paper_examples
 
         options = ComposerOptions()
@@ -345,28 +353,28 @@ class TestCacheKey:
         }
         assert keys == {
             "mine-pump": (
-                "5c883916aa449fc114a70f25275736e1"
-                "1589a82113a1d9d58bb60ff2dae97bfb",
-                "f091cea1b43492707f9791835f5e8974"
-                "50a926dfd5337221efba530acfa78e8a",
+                "308798f90873794846b9c142fa8fbd77"
+                "cd3091d92cd2f193a684da9c5fb6f6d8",
+                "0fa3135008efdbb06287c6ffa602eab1"
+                "58076c2ccc0ce88bf66ff63f2b6b2865",
             ),
             "fig3": (
-                "023428302e9465bdb6ac6d6a83098550"
-                "83527e0f89d91c0fcaf39fcdd6aa5f29",
-                "2ce91fb88c820c30d0160ec09b4dffb3"
-                "4caddc08f94cb513fa01d181d76a840e",
+                "e2b642da54624a7f7a49150447961143"
+                "f3b61828bd2cab494e53089753c4b022",
+                "fc60550c279750ad93e0b69c13d447a3"
+                "1c1e271929777844b7ef50c629d26004",
             ),
             "fig4": (
-                "89bd3ddd70e8529d7499dab400ec82e6"
-                "4f8989be4a95f20ec16fc8aad1153ae2",
-                "fcd0a3038d71eedf4d6fa4c7be69fbeb"
-                "4e65681e6ed94d7802b629d95a08ddd5",
+                "ec89b53a4b489f1b0df18ff7e8c27460"
+                "a0dad529222217e5bab09367be75df1c",
+                "f6703ec867beba72998a083304770f82"
+                "890add8ac3cc120e750c39ccca3e4931",
             ),
             "fig8": (
-                "8dba723c370577cd3384060d2d65ea71"
-                "775179d8d75c3173a129e10d1f69e2cc",
-                "9ae3c2fe580750a9a4e4f7d4d5f85861"
-                "635e843d7b5e85b39e6b04bb00c3f389",
+                "bc9708154925c4b3f9fb129b2bd7790e"
+                "ee576b59f472449fe7e0f7679e261a24",
+                "cdbad65558ac1e8abebd2012cc5e5523"
+                "a83a6b9162c1d71a7ac8508d608b4113",
             ),
         }
 
@@ -602,67 +610,40 @@ class TestSubmissionBridge:
         assert bridge.inflight == 0
 
 
-class TestCoreBudget:
-    def test_pool_shrinks_within_budget(self):
-        engine = BatchEngine(
-            scheduler_config=SchedulerConfig(parallel=2),
-            max_workers=8,
-            cores=8,
+class TestPooledPortfolio:
+    def test_pooled_job_forks_no_lanes_and_matches_inline(
+        self, monkeypatch, tmp_path
+    ):
+        """A pool worker is a multiprocessing child, so its portfolio
+        never forks lanes — not even past the lane threshold with four
+        usable CPUs — and its row equals an inline one-CPU run's."""
+        from repro.obs.trace import read_events
+        from repro.scheduler import parallel
+
+        specs = [mine_pump(), fig4_exclusion()]
+        config = SchedulerConfig(parallel=4)
+        # the pool forks its workers, which inherit these patches
+        monkeypatch.setattr(parallel, "LANE_THRESHOLD_SECONDS", 0.0)
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 1)
+        inline = BatchEngine(scheduler_config=config, max_workers=1).run(
+            specs
         )
-        assert engine.max_workers == 4
-        assert engine.scheduler_config.parallel == 2
-        assert not engine.parallel_clamped
-
-    def test_intra_job_parallel_clamped_to_cores(self):
-        """Regression: cores=2 with parallel=4 used to oversubscribe.
-
-        The pool clamped to one worker but each job still spawned four
-        intra-job processes — more busy processes than the promised
-        core budget.  The intra-job width must come down to the budget
-        and the clamp must be visible in the stats.
-        """
-        engine = BatchEngine(
-            scheduler_config=SchedulerConfig(parallel=4),
-            max_workers=4,
-            cores=2,
-        )
-        assert engine.scheduler_config.parallel == 2
-        assert engine.max_workers == 1
-        assert engine.parallel_clamped
-        # busy processes = pool width x intra-job workers <= cores
-        assert engine.max_workers * max(
-            1, engine.scheduler_config.parallel
-        ) <= 2
-
-        result = engine.run([fig3_precedence()])
-        assert result.stats.parallel_clamped
-        assert result.stats.intra_parallel == 2
-        assert result.outcomes[0].status == STATUS_FEASIBLE
-        assert "clamped to 2" in result.summary()
-
-    def test_single_core_budget_forces_serial_search(self):
-        engine = BatchEngine(
-            scheduler_config=SchedulerConfig(parallel=4),
-            max_workers=4,
-            cores=1,
-        )
-        assert engine.scheduler_config.parallel == 1  # serial search
-        assert engine.max_workers == 1
-        assert engine.parallel_clamped
-
-    def test_clamp_reflected_in_stats_dict(self):
-        engine = BatchEngine(
-            scheduler_config=SchedulerConfig(parallel=4),
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: 4)
+        trace = str(tmp_path / "trace.jsonl")
+        pooled = BatchEngine(
+            scheduler_config=config.replace(trace_jsonl=trace),
             max_workers=2,
-            cores=2,
-        )
-        stats = engine.run([fig3_precedence()]).stats.as_dict()
-        assert stats["intra_parallel"] == 2
-        assert stats["parallel_clamped"] is True
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            BatchEngine(cores=0)
+        ).run(specs)
+        assert pooled.stats.workers == 2
+        assert pooled.rows() == inline.rows()
+        races = [
+            event
+            for event in read_events(trace)
+            if event.get("name") == "portfolio-race"
+        ]
+        assert len(races) == 2
+        assert all(race["args"]["lanes"] == 0 for race in races)
+        assert all(race["pid"] != os.getpid() for race in races)
 
 
 class TestCampaign:

@@ -15,14 +15,14 @@ of ``tests/test_kernel_driver.py``:
   nets, seeded ``random_task_set`` and ``random_task_set_with_relations``
   inputs: identical verdict, ``exhausted``, every :class:`SearchStats`
   counter, firing schedule, interval windows and sequence of
-  ``tick``/``heartbeat`` arguments;
+  poll counters and ``heartbeat`` arguments;
 * **every search prefix** — ``max_states=k`` over every ``k`` of a
   small search and sampled ``k`` of the perfbench ``dense`` kind;
 * **loud overflow** — the packed token cap raises the same
   :class:`PackedCapError` text in the driver and when the DBM engine
   is stepped directly (the spec has no caps, and the scheduler falls
   back to it);
-* **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
+* **stopping and memory** — ``max_seconds``, a stop sent at a poll and
   a pending Ctrl-C stop within one poll interval, the driver's memory
   is freed on every exit path and ``tracemalloc`` sees it, and a
   repeated search reuses the memory the last one freed.
@@ -128,24 +128,27 @@ def _config(setting, **extra):
     )
 
 
-def _search(net, config, native, polled=True, tick=None):
+def _search(net, config, native, polled=True, stop=None):
     """One search, on the native driver or on the tuple spec; returns
-    (result, [("tick"|"heartbeat", args)])."""
+    (result, [("poll"|"heartbeat", args)]): ``polled`` drives the
+    resumable search, logging the counters yielded at each poll and
+    sending ``stop(counters)`` back."""
     scheduler = PreRuntimeScheduler(net, config)
     if not native:
         scheduler.adapter = StateClassSpecAdapter(net, scheduler.config)
     assert scheduler.adapter.native == native
     calls: list = []
-    if polled:
-        def log_tick(*args):
-            calls.append(("tick", args))
-            return tick(*args) if tick is not None else False
-
-        scheduler.tick = log_tick
-        scheduler.heartbeat = lambda *args: calls.append(
-            ("heartbeat", args)
-        )
-    return scheduler.search(), calls
+    if not polled:
+        return scheduler.search(), calls
+    scheduler.heartbeat = lambda *args: calls.append(("heartbeat", args))
+    steps = scheduler.steps(resumable=True)
+    try:
+        counters = next(steps)
+        while True:
+            calls.append(("poll", counters))
+            counters = steps.send(stop is not None and stop(*counters))
+    except StopIteration as done:
+        return done.value, calls
 
 
 def _outcome(result):
@@ -161,9 +164,9 @@ def _outcome(result):
     )
 
 
-def _assert_lockstep(net, config, polled=True, tick=None):
-    spec, spec_calls = _search(net, config, False, polled, tick)
-    drv, drv_calls = _search(net, config, True, polled, tick)
+def _assert_lockstep(net, config, polled=True, stop=None):
+    spec, spec_calls = _search(net, config, False, polled, stop)
+    drv, drv_calls = _search(net, config, True, polled, stop)
     assert _outcome(drv) == _outcome(spec)
     assert drv_calls == spec_calls
     return drv, drv_calls
@@ -191,7 +194,7 @@ class TestSettingsMatrix:
         "name", ["fig8", "race-n4-w16", "rel-s1", "rand-s0"]
     )
     def test_unpolled_search_matches(self, nets, name):
-        """No tick/heartbeat/deadline: the driver still yields every
+        """Not resumable, no heartbeat or deadline: the driver still returns every
         1024 expansions, but Python does no poll work there."""
         setting = ("ordered", True, "paper", "earliest")
         drv, calls = _assert_lockstep(
@@ -201,12 +204,12 @@ class TestSettingsMatrix:
         assert "search.max_depth" not in drv.metrics["gauges"]
 
     def test_polls_are_compared(self, nets):
-        """The matrix's tick/heartbeat logs are not vacuous."""
+        """The matrix's poll/heartbeat logs are not vacuous."""
         setting = ("ordered", True, "paper", "earliest")
         drv, calls = _assert_lockstep(nets["fig8"], _config(setting))
         assert drv.feasible
         generated = drv.stats.states_generated
-        assert [kind for kind, _ in calls].count("tick") == (
+        assert [kind for kind, _ in calls].count("poll") == (
             generated // 1024
         ) > 0
 
@@ -381,14 +384,14 @@ class TestStoppingAndMemory:
         assert result.exhausted and not result.feasible
         assert result.stats.states_generated == 1024
 
-    def test_cancelling_tick_stops_at_the_first_poll(self):
+    def test_stop_sent_at_the_first_poll_stops_there(self):
         config = SchedulerConfig(engine="stateclass")
         drv, calls = _assert_lockstep(
-            self._long(), config, tick=lambda *_args: True
+            self._long(), config, stop=lambda *_counters: True
         )
         assert drv.exhausted
         assert drv.stats.states_generated == 1024
-        assert [kind for kind, _ in calls] == ["heartbeat", "tick"]
+        assert [kind for kind, _ in calls] == ["heartbeat", "poll"]
 
     def test_ctrl_c_stops_within_one_poll_and_frees(self, monkeypatch):
         """An unpolled search still returns to Python every 1024

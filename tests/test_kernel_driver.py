@@ -13,13 +13,13 @@ pins the two together:
   models, seeded ``random_task_set`` and
   ``random_task_set_with_relations`` inputs: identical verdict,
   ``exhausted``, every :class:`SearchStats` counter, firing schedule
-  and sequence of ``tick``/``heartbeat`` arguments;
+  and sequence of poll counters and ``heartbeat`` arguments;
 * **every search prefix** — ``max_states=k`` over a range of ``k``;
 * **loud overflow** — the packed caps raise the same
   :class:`PackedCapError` text in the driver and when the kernel
   engine is stepped directly (the spec has no caps, and the scheduler
   falls back to it);
-* **stopping and memory** — ``max_seconds``, a cancelling ``tick`` and
+* **stopping and memory** — ``max_seconds``, a stop sent at a poll and
   a pending Ctrl-C stop within one poll interval, the driver's memory
   is freed on every exit path and ``tracemalloc`` sees it, and a
   repeated search reuses the memory the last one freed.
@@ -113,25 +113,28 @@ def _config(setting, **extra):
     )
 
 
-def _search(net, config, native, polled=True, tick=None):
+def _search(net, config, native, polled=True, stop=None):
     """One search, on the native driver or on the reference spec;
-    returns (result, [("tick"|"heartbeat", args)])."""
+    returns (result, [("poll"|"heartbeat", args)]): ``polled`` drives the
+    resumable search, logging the counters yielded at each poll and
+    sending ``stop(counters)`` back."""
     with pytest.MonkeyPatch.context() as env:
         if not native:
             env.setenv(_kernelc.PURE_ENV, "1")
         scheduler = PreRuntimeScheduler(net, config)
     assert scheduler.adapter.native == native
     calls: list = []
-    if polled:
-        def log_tick(*args):
-            calls.append(("tick", args))
-            return tick(*args) if tick is not None else False
-
-        scheduler.tick = log_tick
-        scheduler.heartbeat = lambda *args: calls.append(
-            ("heartbeat", args)
-        )
-    return scheduler.search(), calls
+    if not polled:
+        return scheduler.search(), calls
+    scheduler.heartbeat = lambda *args: calls.append(("heartbeat", args))
+    steps = scheduler.steps(resumable=True)
+    try:
+        counters = next(steps)
+        while True:
+            calls.append(("poll", counters))
+            counters = steps.send(stop is not None and stop(*counters))
+    except StopIteration as done:
+        return done.value, calls
 
 
 def _outcome(result):
@@ -146,9 +149,9 @@ def _outcome(result):
     )
 
 
-def _assert_lockstep(net, config, polled=True, tick=None):
-    spec, spec_calls = _search(net, config, False, polled, tick)
-    drv, drv_calls = _search(net, config, True, polled, tick)
+def _assert_lockstep(net, config, polled=True, stop=None):
+    spec, spec_calls = _search(net, config, False, polled, stop)
+    drv, drv_calls = _search(net, config, True, polled, stop)
     assert _outcome(drv) == _outcome(spec)
     assert drv_calls == spec_calls
     return drv, drv_calls
@@ -173,7 +176,7 @@ class TestSettingsMatrix:
 
     @pytest.mark.parametrize("name", ["mine-pump", "rand-s0", "rel-s1"])
     def test_unpolled_search_matches(self, nets, name):
-        """No tick/heartbeat/deadline: the driver still yields every
+        """Not resumable, no heartbeat or deadline: the driver still returns every
         1024 expansions, but Python does no poll work there."""
         setting = ("earliest", "ordered", True, "paper", "earliest")
         drv, calls = _assert_lockstep(
@@ -183,10 +186,10 @@ class TestSettingsMatrix:
         assert "search.max_depth" not in drv.metrics["gauges"]
 
     def test_polls_are_compared(self, nets):
-        """The matrix's tick/heartbeat logs are not vacuous."""
+        """The matrix's poll/heartbeat logs are not vacuous."""
         setting = ("earliest", "ordered", True, "paper", "earliest")
         _drv, calls = _assert_lockstep(nets["mine-pump"], _config(setting))
-        assert [kind for kind, _ in calls].count("tick") == 3255 // 1024
+        assert [kind for kind, _ in calls].count("poll") == 3255 // 1024
 
 
 class TestSearchPrefixes:
@@ -350,15 +353,15 @@ class TestStoppingAndMemory:
         assert result.exhausted and not result.feasible
         assert result.stats.states_generated == 1024
 
-    def test_cancelling_tick_stops_at_the_first_poll(self):
+    def test_stop_sent_at_the_first_poll_stops_there(self):
         net = self._long()
         config = SchedulerConfig(engine="kernel", max_states=60_000)
         drv, calls = _assert_lockstep(
-            net, config, tick=lambda *_args: True
+            net, config, stop=lambda *_counters: True
         )
         assert drv.exhausted
         assert drv.stats.states_generated == 1024
-        assert [kind for kind, _ in calls] == ["heartbeat", "tick"]
+        assert [kind for kind, _ in calls] == ["heartbeat", "poll"]
 
     def test_ctrl_c_stops_within_one_poll_and_frees(self, monkeypatch):
         """An unpolled search still returns to Python every 1024

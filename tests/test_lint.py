@@ -96,6 +96,18 @@ def tight_pair_spec() -> EzRTSpec:
     )
 
 
+def long_timing_spec() -> EzRTSpec:
+    """Two tasks whose periods take the kernel's clocks past
+    ``MAX_CLOCK``: five derived transitions exceed the cap too."""
+    return EzRTSpec(
+        "long",
+        tasks=[
+            Task("a", computation=2, deadline=140_000, period=140_000),
+            Task("b", computation=3, deadline=70_000, period=70_000),
+        ],
+    )
+
+
 def broken_spec() -> EzRTSpec:
     """Validation-invalid (c > d), built without the builder's check."""
     return EzRTSpec(
@@ -393,15 +405,8 @@ class TestNetRules:
             )
 
     def test_spec_level_kernel_clock_cap(self):
-        # two tasks whose periods take the kernel's clocks past
-        # MAX_CLOCK: lint warns, and the kernel search falls back
-        spec = EzRTSpec(
-            "long",
-            tasks=[
-                Task("a", computation=2, deadline=140_000, period=140_000),
-                Task("b", computation=3, deadline=70_000, period=70_000),
-            ],
-        )
+        # lint warns, and the kernel search falls back
+        spec = long_timing_spec()
         diagnostics = clock_cap_diagnostics(spec)
         assert codes(diagnostics) == ["EZT203", "EZT203"]
         assert all(d.severity == WARNING for d in diagnostics)
@@ -774,11 +779,22 @@ class TestLintCli:
         assert rc == 1
         assert "EZG301" in capsys.readouterr().out
 
-    def test_warnings_alone_keep_exit_zero(self, tmp_path, capsys):
-        path = tmp_path / "tight.xml"
-        path.write_text(dumps(tight_pair_spec()))
+    @pytest.mark.parametrize(
+        "make_spec,code,count",
+        [
+            (tight_pair_spec, "EZS105", 2),
+            # one EZT203 per task: the net-level findings on the
+            # transitions derived from a flagged task are dropped
+            (long_timing_spec, "EZT203", 2),
+        ],
+    )
+    def test_warnings_alone_keep_exit_zero(
+        self, tmp_path, capsys, make_spec, code, count
+    ):
+        path = tmp_path / "spec.xml"
+        path.write_text(dumps(make_spec()))
         assert cli_main(["lint", str(path)]) == 0
-        assert "EZS105" in capsys.readouterr().out
+        assert capsys.readouterr().out.count(code) == count
 
 
 # ----------------------------------------------------------------------

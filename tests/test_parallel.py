@@ -10,7 +10,11 @@ The contract under test (see ``docs/scheduling.md``):
   reference engine (the :func:`validate_with_reference` gate runs
   inside ``ParallelScheduler.search``, so feasibility results in these
   tests are already reference-validated);
-* a first-win cancellation leaves no orphaned worker processes;
+* slots share one process, stepped round-robin at the poll, so a
+  short portfolio picks the same winner every run and the winner
+  reruns serially to the same schedule, restarts included;
+* a portfolio past the lane threshold forks one lane per usable CPU,
+  and a finished race leaves no lane process behind;
 * engine-aware slots (the ``[engine:]policy[:seed]`` grammar of
   ``parse_slot``) race engines as well as orderings: a state-class
   slot wins a wide-interval model, the winner's engine and policy are
@@ -20,6 +24,7 @@ The contract under test (see ``docs/scheduling.md``):
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 
 import pytest
@@ -36,11 +41,17 @@ from repro.scheduler import (
     search,
     validate_with_reference,
 )
+from repro.scheduler import parallel as parallel_module
 from repro.scheduler.config import ENGINES
+from repro.scheduler.parallel import restart_seed, usable_cpus
 from repro.scheduler.policies import POLICIES
 from repro.spec import paper_examples
 from repro.tpn.state import StateEngine
-from repro.workloads import random_task_set, wide_interval_race_net
+from repro.workloads import (
+    hard_portfolio_task_set,
+    random_task_set,
+    wide_interval_race_net,
+)
 
 
 def _no_ezrt_children() -> bool:
@@ -508,36 +519,162 @@ class TestNativeCoreGauges:
         assert _no_ezrt_children()
 
 
-class TestBatchCoresBudget:
-    def test_pool_width_shrinks_for_intra_job_parallelism(self):
-        from repro.batch import BatchEngine
+class TestLanes:
+    def test_usable_cpus_reads_affinity_and_cpu_max(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setattr(
+            parallel_module.os, "sched_getaffinity", lambda _pid: {0, 1, 2, 3}
+        )
+        cpu_max = tmp_path / "cpu.max"
+        cpu_max.write_text("150000 100000\n")
+        assert usable_cpus(str(cpu_max)) == 2  # 1.5 CPUs of quota
+        cpu_max.write_text("max 100000\n")
+        assert usable_cpus(str(cpu_max)) == 4  # no quota: the affinity
+        assert usable_cpus(str(tmp_path / "missing")) == 4
 
-        engine = BatchEngine(
-            scheduler_config=SchedulerConfig(parallel=4),
-            max_workers=16,
-            cores=8,
+    def test_no_lanes_beside_another_thread(self, monkeypatch):
+        """Fork copies only the calling thread, so a process running
+        another thread keeps its portfolio in one process."""
+        import threading
+
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 4)
+        assert parallel_module._lane_count(3) == 3
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            assert parallel_module._lane_count(3) == 0
+        finally:
+            release.set()
+            other.join(timeout=5)
+        assert not other.is_alive()
+        assert parallel_module._lane_count(1) == 0  # one slot: no lanes
+
+    def test_long_portfolio_forks_lanes_and_reaps_them(
+        self, monkeypatch, tmp_path
+    ):
+        """Past the threshold with two usable CPUs the portfolio forks
+        two lanes; the lanes report every slot home, the verdict
+        matches the serial search and no lane process survives."""
+        from repro.obs.trace import read_events
+
+        monkeypatch.setattr(parallel_module, "LANE_THRESHOLD_SECONDS", 0.0)
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 2)
+        model = compose(paper_examples()["mine-pump"])
+        trace = str(tmp_path / "trace.jsonl")
+        serial = find_schedule(model, SchedulerConfig())
+        result = find_schedule(
+            model, SchedulerConfig(parallel=4, trace_jsonl=trace)
         )
-        assert engine.max_workers == 2  # 8 cores / 4 workers per job
-        engine = BatchEngine(
-            scheduler_config=SchedulerConfig(parallel=8),
-            max_workers=16,
-            cores=4,
+        assert result.feasible == serial.feasible
+        assert result.workers == 4
+        (race,) = [
+            e for e in read_events(trace) if e.get("name") == "portfolio-race"
+        ]
+        assert race["args"]["lanes"] == 2
+        outcomes = [
+            value
+            for name, value in result.metrics["counters"].items()
+            if name.startswith("slot.")
+            and name.split(".")[-1]
+            in ("feasible", "infeasible", "exhausted", "cancelled", "error")
+        ]
+        assert sum(outcomes) == 4
+        assert result.stats.states_visited >= serial.stats.states_visited
+        assert _no_ezrt_children()
+
+    @staticmethod
+    def _lane_slots(net, config):
+        scheduler = ParallelScheduler(net, config)
+        slots = [
+            parallel_module._Slot(index, text, net, config, None)
+            for index, text in enumerate(scheduler.portfolio_policies())
+        ]
+        return scheduler, slots
+
+    @staticmethod
+    def _late_start_net():
+        """Feasible only when ``t1`` fires at 1 with nothing else
+        firing then, so a kernel ``earliest`` search refutes it while
+        the dense search (or ``delay_mode="full"``) finds it."""
+        from repro.tpn.net import TimeInterval, TimePetriNet
+
+        net = TimePetriNet("late-start")
+        for place in ("p0", "r0"):
+            net.add_place(place, marking=1)
+        for place in ("p1", "p2", "r1", "done", "gone", "dead"):
+            net.add_place(place)
+        for name, low, high in (
+            ("t1", 0, 3), ("c", 2, 2), ("w", 3, 3),
+            ("close", 0, 0), ("miss", 0, 0), ("good", 0, 0),
+        ):
+            net.add_transition(name, TimeInterval(low, high))
+        for source, target in (
+            ("p0", "t1"), ("t1", "p1"), ("p1", "c"), ("c", "p2"),
+            ("r0", "w"), ("w", "r1"), ("r1", "close"), ("close", "gone"),
+            ("p2", "miss"), ("miss", "dead"),
+            ("p2", "good"), ("r1", "good"), ("good", "done"),
+        ):
+            net.add_arc(source, target)
+        net.set_final_marking({"done": 1})
+        return net.compile()
+
+    def test_mixed_lane_verdicts_prefer_the_feasible_slot(self):
+        """Two lanes can both end definitive before either sees the
+        cancel: a feasible slot then beats the kernel ``earliest``
+        refutation, which only covers that delay policy."""
+        net = self._late_start_net()
+        refuted = search(net, SchedulerConfig())
+        assert not refuted.feasible and not refuted.exhausted
+        assert search(net, SchedulerConfig(engine="stateclass")).feasible
+        config = SchedulerConfig(
+            parallel=2,
+            portfolio=("kernel:earliest", "stateclass:earliest"),
         )
-        assert engine.max_workers == 1  # never starves below one job
-        engine = BatchEngine(max_workers=16, cores=4)
-        assert engine.max_workers == 4  # serial jobs: budget = pool
-        with pytest.raises(ValueError):
-            BatchEngine(cores=0)
+        scheduler, slots = self._lane_slots(net, config)
+        scheduler._run_lanes(slots, 2, None)
+        assert [slot.kind for slot in slots] == ["infeasible", "feasible"]
+        assert parallel_module._winner(slots) is slots[1]
+        assert _no_ezrt_children()
+
+    def test_failed_lane_start_reaps_the_started_lanes(self, monkeypatch):
+        """When a later lane fails to start, the lanes already started
+        are cancelled and joined before the error propagates."""
+        from multiprocessing.context import ForkProcess
+
+        real_start = ForkProcess.start
+        started = []
+
+        def start(process):
+            if started:
+                raise OSError("cannot start a second lane")
+            real_start(process)
+            started.append(process.pid)
+
+        monkeypatch.setattr(ForkProcess, "start", start)
+        spec = random_task_set(
+            8, 0.9, seed=4, preemptive_fraction=0, deadline_slack=0.7
+        )
+        net = compose(spec).compiled()
+        scheduler, slots = self._lane_slots(
+            net, SchedulerConfig(parallel=2)
+        )
+        with pytest.raises(OSError, match="second lane"):
+            scheduler._run_lanes(slots, 2, None)
+        assert len(started) == 1
+        with pytest.raises(ProcessLookupError):  # joined and reaped
+            os.kill(started[0], 0)
+        assert _no_ezrt_children()
 
     def test_parallel_jobs_run_inside_the_pool(self):
-        """Intra-job workers nest under pool workers (fork-safe)."""
+        """Portfolio jobs run inside pool workers."""
         from repro.batch import BatchEngine
         from repro.spec import paper_examples as examples
 
         engine = BatchEngine(
             scheduler_config=SchedulerConfig(parallel=2),
             max_workers=2,
-            cores=4,
         )
         result = engine.run(
             [examples()["fig3"], examples()["fig4"]]
@@ -546,6 +683,65 @@ class TestBatchCoresBudget:
             outcome.error for outcome in result.outcomes
         ]
         assert _no_ezrt_children()
+
+
+class TestDeterminism:
+    """Below the lane threshold (here: on one usable CPU, where the
+    portfolio never forks) the winner depends only on expansion
+    counts, and the winning slot reruns serially to the same
+    schedule."""
+
+    @staticmethod
+    def _rerun(net, result):
+        name, seed = parse_policy(result.winner_policy)
+        return search(
+            net,
+            SchedulerConfig(
+                engine=result.winner_engine,
+                policy=name,
+                policy_seed=0 if seed is None else seed,
+            ),
+        )
+
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_same_winner_every_run_and_serial_rerun(
+        self, monkeypatch, workers
+    ):
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 1)
+        net = compose(hard_portfolio_task_set()).compiled()
+        config = SchedulerConfig(parallel=workers)
+        runs = [search(net, config) for _ in range(5)]
+        assert len(
+            {(r.winner_policy, tuple(r.firing_schedule)) for r in runs}
+        ) == 1
+        assert runs[0].feasible
+        rerun = self._rerun(net, runs[0])
+        assert rerun.firing_schedule == runs[0].firing_schedule
+
+    def test_restarted_win_reruns_serially(self, monkeypatch):
+        """A ``random`` slot that wins on a restart names the seed of
+        that attempt, and a serial search under it finds the same
+        schedule."""
+        monkeypatch.setattr(parallel_module, "usable_cpus", lambda: 1)
+        net = compose(hard_portfolio_task_set()).compiled()
+        result = search(
+            net,
+            SchedulerConfig(parallel=2, portfolio=("earliest", "random:1")),
+        )
+        assert result.feasible
+        assert result.stats.restarts >= 1
+        attempt = result.stats.restarts
+        assert result.winner_policy == f"random:{restart_seed(1, attempt)}"
+        rerun = self._rerun(net, result)
+        assert rerun.feasible
+        assert rerun.firing_schedule == result.firing_schedule
+
+    def test_restart_seeds_never_reuse_a_slot_stream(self):
+        seeds = range(64)
+        assert [restart_seed(s, 0) for s in seeds] == list(seeds)
+        restarts = {restart_seed(s, r) for s in seeds for r in range(1, 9)}
+        assert len(restarts) == 64 * 8
+        assert not restarts & set(range(1 << 16))
 
 
 class TestValidateWithReference:

@@ -594,27 +594,26 @@ class TestSearchHooks:
         assert not result.feasible
         assert result.exhausted
 
-    def test_tick_hook_cancels_the_search(self):
-        # 5 jobs generate >2k expansions, so the 1024-expansion tick
-        # boundary is crossed and the cancellation must abort the
-        # (otherwise fully explorable) refutation as `exhausted`
+    def test_stop_at_a_poll_cancels_the_search(self):
+        # 5 jobs generate >2k expansions, so the resumable search
+        # pauses at the 1024-expansion poll, and a stop sent there
+        # must abort the (otherwise fully explorable) refutation as
+        # `exhausted`
         net = wide_interval_job_net(
             n_jobs=5, width=4, feasible=False
         ).compile()
         scheduler = PreRuntimeScheduler(
             net, SchedulerConfig(engine="stateclass")
         )
-        ticks = []
-
-        def tick(*counters):
-            ticks.append(counters)
-            return True
-
-        scheduler.tick = tick
-        result = scheduler.search()
+        steps = scheduler.steps(resumable=True)
+        counters = next(steps)
+        assert counters[1] == 1024  # states generated
+        with pytest.raises(StopIteration) as done:
+            steps.send(True)
+        result = done.value.value
         assert not result.feasible
         assert result.exhausted
-        assert len(ticks) == 1
+        assert result.stats.states_generated == 1024
 
     @pytest.mark.parametrize(
         "policy", ["latest", "min-laxity", "random"]
