@@ -21,6 +21,17 @@ portfolio workloads are measured end-to-end (compose + compile
    the dense slot must win the race (gated) — the dense-aware
    portfolio the ROADMAP asked for.  The winning slot is recorded per
    row (``winner_slot``).
+3. **A refutation past the lane threshold**
+   (:data:`LANE_REFUTATION`, ~0.25 s serial): the only workload here
+   still running after :data:`~repro.scheduler.parallel.LANE_THRESHOLD_SECONDS`,
+   so ``--parallel 2`` reaches the forked-lane path.  It is reported
+   serial, then at ``parallel=2`` with one usable CPU (the slots take
+   turns in one process) and with two (two lanes; parallel only on a
+   host with two CPUs to give).  The rows are reported, not gated;
+   the bench asserts that every path refutes and that the one-process
+   path is the serial search interleaved with a second slot: it is won
+   by the serial search's policy and visits the same states on every
+   run.
 
 The kernel's absolute throughput floor against the frozen
 ``benchmarks/BASELINE_scheduler.json`` lives in ``bench_kernel.py``
@@ -43,10 +54,12 @@ from repro.blocks import compose
 from repro.scheduler import (
     SchedulerConfig,
     find_schedule,
+    parallel,
     search,
 )
 from repro.workloads import (
     hard_portfolio_task_set,
+    random_task_set,
     wide_interval_race_net,
 )
 
@@ -58,6 +71,16 @@ MIN_SPEEDUP_AT_4 = 1.8
 
 WORKER_CURVE = (2, 4)
 ROUNDS = 2
+
+#: A kernel refutation of ~403,000 states that outlives the lane
+#: threshold (:func:`_lane_curve`).
+LANE_REFUTATION = dict(
+    n_tasks=8,
+    total_utilization=0.9,
+    seed=4,
+    preemptive_fraction=0,
+    deadline_slack=0.7,
+)
 
 
 def _slot(result):
@@ -142,9 +165,52 @@ def _mixed_engine_curve():
     return rows, winners
 
 
-def test_parallel_dfs(report):
+def _lane_curve(monkeypatch):
+    """The long refutation serial, then at ``parallel=2`` with
+    :func:`~repro.scheduler.parallel.usable_cpus` pinned to one CPU and
+    to two."""
+    net = compose(random_task_set(**LANE_REFUTATION)).compiled()
+    visited = {1: [], 2: []}
+
+    def race(cpus):
+        monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
+        result = search(net, SchedulerConfig(parallel=2))
+        visited[cpus].append(result.stats.states_visited)
+        return result
+
+    first, samples = measure(
+        {
+            "serial": partial(search, net, SchedulerConfig()),
+            1: partial(race, 1),
+            2: partial(race, 2),
+        },
+        ROUNDS,
+    )
+    serial = first["serial"]
+    for result in first.values():
+        assert not result.feasible and not result.exhausted
+    one_process = first[1]
+    assert one_process.winner_policy == serial.config.policy
+    assert len(set(visited[1])) == 1, visited[1]
+    assert one_process.stats.states_visited > serial.stats.states_visited
+    rows = [
+        row(f"{net.name}:w1", "large", "search", "kernel",
+            seconds=min(samples["serial"]),
+            states=serial.stats.states_visited)
+    ]
+    rows.extend(
+        row(f"{net.name}:w2-cpu{cpus}", "large", "search",
+            _slot(first[cpus]), seconds=min(samples[cpus]),
+            states=first[cpus].stats.states_visited)
+        for cpus in (1, 2)
+    )
+    return rows
+
+
+def test_parallel_dfs(report, monkeypatch):
     portfolio = _portfolio_curve()
     mixed, winners = _mixed_engine_curve()
+    lanes = _lane_curve(monkeypatch)
     for r in portfolio:
         report(
             "PD1",
@@ -160,12 +226,19 @@ def test_parallel_dfs(report):
         f"{', '.join(winners)} "
         f"({mixed[0]['seconds'] / mixed[1]['seconds']:.2f}x)",
     )
+    for r in lanes:
+        report(
+            "PD1",
+            r["workload"],
+            "reported (one CPU: one process; two: forked lanes)",
+            f"{r['seconds']:.3f} s, {r['states']:,} states",
+        )
     # the last row is WORKER_CURVE's last entry, 4 workers
     at4 = portfolio[0]["seconds"] / portfolio[-1]["seconds"]
     dense_wins = sum(w.startswith("stateclass:") for w in winners)
     write_bench(
         "parallel",
-        portfolio + mixed,
+        portfolio + mixed + lanes,
         [
             gate("portfolio_speedup:w4", MIN_SPEEDUP_AT_4, at4,
                  at4 >= MIN_SPEEDUP_AT_4),

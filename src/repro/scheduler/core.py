@@ -9,7 +9,7 @@ production adapter and an executable spec (:data:`ADAPTERS`):
 * ``engine="kernel"`` (discrete time) — :class:`KernelAdapter`, the
   packed-buffer kernel over :class:`~repro.tpn.kernel.KernelEngine`
   (flat ``array('H')`` marking/clock state buffers and incremental
-  64-bit Zobrist state keys — by far the fastest engine), and
+  64-bit additive state keys — by far the fastest engine), and
   :class:`ReferenceAdapter`, its spec over the checked
   :class:`~repro.tpn.state.StateEngine` (dense O(|T|·|P|) rescans,
   dense candidate scans over all of T);
@@ -325,7 +325,7 @@ class _AdapterBase:
 class KernelAdapter(_AdapterBase):
     """The packed-buffer kernel over :class:`KernelEngine`.
 
-    States are two flat buffers plus an incremental 64-bit Zobrist
+    States are two flat buffers plus an incremental 64-bit additive
     key.  The adapter builds the root; :meth:`open_driver` hands the
     whole search to the native driver (see
     :meth:`~repro.scheduler.dfs.PreRuntimeScheduler._drive`).

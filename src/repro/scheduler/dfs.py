@@ -30,7 +30,7 @@ shared loop, and ``config.engine`` picks the engine:
 * ``engine="kernel"`` (default) — discrete time over the packed-buffer
   :class:`~repro.tpn.kernel.KernelEngine`: markings and clocks live in
   flat byte/word buffers with an incrementally maintained 64-bit
-  Zobrist state key, and the whole depth-first search runs in the
+  additive state key, and the whole depth-first search runs in the
   optional native core's C driver (:mod:`repro.tpn._native`).  Its
   spec is the checked-semantics :class:`~repro.tpn.state.StateEngine`
   with dense O(|T|·|P|) rescans, the baseline the benchmarks and the

@@ -137,21 +137,16 @@ static uint64_t dc_bounds_hash(const int32_t *dbm, size_t cells)
 }
 
 /* The key of a class from scratch: `hash_out[0]` receives the
- * marking hash and `hash_out[1]` the bound-matrix hash, the two words
- * dc_fire yields (the key is their XOR).  Hidden: only this unit's
- * cffi wrapper calls it, so it takes no PLT slot and leaves the
- * kernel's code at the addresses it had without it (the kernel
- * driver's speed is sensitive to that layout). */
-#if defined(__GNUC__)
-__attribute__((visibility("hidden")))
-#endif
+ * marking key (the additive key over the marking words, see ez_slot)
+ * and `hash_out[1]` the bound-matrix hash, the two words dc_fire
+ * yields (the class key is their XOR). */
 void dc_hash(const ez_net *net, const uint16_t *mark, int32_t size,
              const int32_t *dbm, uint64_t *hash_out)
 {
     uint64_t h = 0;
     int32_t i;
     for (i = 0; i < net->P; i++)
-        h ^= ez_zm(i, mark[i]);
+        h += net->coef[i] * mark[i];
     hash_out[0] = h;
     hash_out[1] = dc_bounds_hash(dbm, (size_t)size * (size_t)size);
 }
@@ -213,7 +208,7 @@ int32_t dc_fire(const ez_net *net, const uint16_t *old_mark,
         int32_t nv = (int32_t)mark[p] + net->delta_d[u];
         if (nv < 0 || nv > 0xFFFF)
             return -2;
-        h ^= ez_zm(p, mark[p]) ^ ez_zm(p, (uint32_t)nv);
+        h += net->coef[p] * (uint64_t)(int64_t)net->delta_d[u];
         mark[p] = (uint16_t)nv;
     }
     hash_io[0] = h;

@@ -66,34 +66,33 @@ SOURCE = r"""
 #define KN_DIS 0xFFFFu
 #define KN_INF_CEILING INT32_MAX
 
-/* Zobrist word of transition t's clock holding v (kind 2). */
-static uint64_t kn_zc(int32_t t, uint32_t v)
-{
-    return ez_mix(((uint64_t)2 << 62) ^ ((uint64_t)t << 20) ^ v);
-}
-
+/* The additive key of a packed state from scratch (see ez_slot): the
+ * marking words take coefficients 0..P-1, the clock words P..P+T-1. */
 uint64_t kn_hash(const ez_net *net, const uint16_t *mark,
                  const uint16_t *clk)
 {
+    const uint64_t *cc = net->coef + net->P;
     uint64_t h = 0;
     int32_t i;
     for (i = 0; i < net->P; i++)
-        h ^= ez_zm(i, mark[i]);
+        h += net->coef[i] * mark[i];
     for (i = 0; i < net->T; i++)
-        h ^= kn_zc(i, clk[i]);
+        h += cc[i] * clk[i];
     return h;
 }
 
 /* Definition 3.1 over the packed buffers.  `mark`/`clk` arrive as
  * copies of `old_mark`/`old_clk` and are mutated in place; the state
- * hash is maintained incrementally (XOR out the old word, XOR in the
- * new one).  Returns 0 on success, 1 on marking overflow (> 0xFFFF
- * tokens in a place), 2 on clock overflow (>= 0xFFFF). */
+ * key is maintained incrementally, one multiply-add per changed word
+ * (and one per delay for the bulk clock advance).  Returns 0 on
+ * success, 1 on marking overflow (> 0xFFFF tokens in a place), 2 on
+ * clock overflow (>= 0xFFFF). */
 int32_t kn_successor(const ez_net *net, const uint16_t *old_mark,
                      const uint16_t *old_clk, uint16_t *mark,
                      uint16_t *clk, uint64_t *hash_io, int32_t t,
                      int32_t q, int32_t intermediate)
 {
+    const uint64_t *cc = net->coef + net->P;
     uint64_t h = *hash_io;
     int32_t i, j;
     const uint16_t *ref = NULL;
@@ -103,22 +102,28 @@ int32_t kn_successor(const ez_net *net, const uint16_t *old_mark,
         int32_t nv = (int32_t)mark[p] + net->delta_d[i];
         if (nv < 0 || nv > 0xFFFF)
             return 1;
-        h ^= ez_zm(p, mark[p]) ^ ez_zm(p, (uint32_t)nv);
+        h += net->coef[p] * (uint64_t)(int64_t)net->delta_d[i];
         mark[p] = (uint16_t)nv;
     }
 
     if (q) {
+        /* every enabled clock advances by q, branch-free (a disabled
+         * one adds 0 and stays DIS): the key moves by q times the sum
+         * of the enabled clocks' coefficients */
         int32_t T = net->T;
+        uint64_t sum = 0;
+        uint32_t over = 0;
         for (j = 0; j < T; j++) {
             uint32_t v = clk[j];
-            if (v != KN_DIS) {
-                uint32_t nv = v + (uint32_t)q;
-                if (nv >= KN_DIS)
-                    return 2;
-                h ^= kn_zc(j, v) ^ kn_zc(j, nv);
-                clk[j] = (uint16_t)nv;
-            }
+            uint32_t on = v != KN_DIS;
+            uint32_t nv = v + ((uint32_t)q & (0u - on));
+            over |= on & (nv >= KN_DIS);
+            sum += cc[j] & (0 - (uint64_t)on);
+            clk[j] = (uint16_t)nv;
         }
+        if (over)
+            return 2;
+        h += (uint64_t)q * sum;
     }
 
     /* enabledness transiently re-checked against m - W(., t) */
@@ -130,21 +135,18 @@ int32_t kn_successor(const ez_net *net, const uint16_t *old_mark,
         uint32_t oldc = old_clk[tk];
         if (!ez_enabled(net, mark, tk)) {
             if (oldc != KN_DIS) {
-                h ^= kn_zc(tk, clk[tk]) ^ kn_zc(tk, KN_DIS);
+                h += cc[tk] * (uint64_t)(KN_DIS - clk[tk]);
                 clk[tk] = (uint16_t)KN_DIS;
             }
         } else if (oldc == KN_DIS) {
             /* newly enabled: clock resets to zero (the bulk advance
              * skipped disabled entries, so clk[tk] is still DIS) */
-            h ^= kn_zc(tk, KN_DIS) ^ kn_zc(tk, 0u);
+            h -= cc[tk] * (uint64_t)KN_DIS;
             clk[tk] = 0;
         } else if (tk == t || (ref && !ez_enabled(net, ref, tk))) {
             /* fired, or disabled at m - W(., t): the clock resets */
-            uint32_t cur = clk[tk];
-            if (cur) {
-                h ^= kn_zc(tk, cur) ^ kn_zc(tk, 0u);
-                clk[tk] = 0;
-            }
+            h -= cc[tk] * (uint64_t)clk[tk];
+            clk[tk] = 0;
         }
         /* else persistent: the bulk advance already set it */
     }
@@ -154,39 +156,37 @@ int32_t kn_successor(const ez_net *net, const uint16_t *old_mark,
 
 /* Min-DUB ceiling plus the unfiltered (transition, lower) firing
  * window in ascending index order; deadline-miss transitions never
- * become candidates but their LFTs still cap the ceiling. */
+ * become candidates but their LFTs still cap the ceiling.  One
+ * branch-free pass compacts the enabled transitions into net->en; the
+ * ceiling and the window then scan that list only, selecting instead
+ * of branching: every enabled transition is written to `out`, and
+ * only a window member advances the count. */
 static int32_t kn_scan(const ez_net *net, const uint16_t *clk,
                        int32_t *out, int32_t *ceiling_out)
 {
+    int32_t *en = net->en;
     int32_t T = net->T;
     int32_t ceiling = KN_INF_CEILING;
-    int32_t tk, n = 0;
+    int32_t tk, i, k = 0, n = 0;
 
     for (tk = 0; tk < T; tk++) {
-        uint32_t v = clk[tk];
-        int32_t l;
-        if (v == KN_DIS)
-            continue;
-        l = net->lft[tk];
-        if (l < 0)
-            continue; /* unbounded LFT */
-        l -= (int32_t)v;
-        if (l < ceiling)
-            ceiling = l;
+        en[k] = tk;
+        k += clk[tk] != KN_DIS;
     }
-    for (tk = 0; tk < T; tk++) {
-        uint32_t v = clk[tk];
+    for (i = 0; i < k; i++) {
+        int32_t l = net->lft[en[i]];
+        int32_t dub = l < 0 ? KN_INF_CEILING /* unbounded LFT */
+                            : l - (int32_t)clk[en[i]];
+        ceiling = dub < ceiling ? dub : ceiling;
+    }
+    for (i = 0; i < k; i++) {
         int32_t lo;
-        if (v == KN_DIS || (net->flags[tk] & 2))
-            continue; /* disabled or deadline-miss */
-        lo = net->eft[tk] - (int32_t)v;
-        if (lo < 0)
-            lo = 0;
-        if (lo <= ceiling) {
-            out[2 * n] = tk;
-            out[2 * n + 1] = lo;
-            n++;
-        }
+        tk = en[i];
+        lo = net->eft[tk] - (int32_t)clk[tk];
+        lo = lo < 0 ? 0 : lo;
+        out[2 * n] = tk;
+        out[2 * n + 1] = lo;
+        n += (lo <= ceiling) & !(net->flags[tk] & 2);
     }
     *ceiling_out = ceiling;
     return n;

@@ -7,9 +7,10 @@ needs no extra data files) and compiled on demand through cffi's API
 mode into one shared object.  The unit has three parts:
 
 * this module's half, written once: the prelude (includes, the raw
-  allocator, the splitmix ``ez_mix`` and the marking Zobrist word
-  ``ez_zm``), the compiled net (``ez_net``, one struct and one
-  constructor for both engines), the firing-rule primitives both
+  allocator, the splitmix ``ez_mix`` and the visited table's slot of
+  the additive state key, ``ez_slot``), the compiled net (``ez_net``,
+  one struct and one constructor for both engines, with the key's
+  coefficient table), the firing-rule primitives both
   engines call — the enabledness test ``ez_enabled``, the
   intermediate marking m − W(·, t) ``ez_inter``, the strict priority
   filter ``ez_strict`` and the ``(delay, priority, index)`` candidate
@@ -168,9 +169,8 @@ void *PyMem_RawCalloc(size_t nelem, size_t elsize);
 void *PyMem_RawRealloc(void *ptr, size_t new_size);
 void PyMem_RawFree(void *ptr);
 
-/* splitmix64 finalizer: the functional Zobrist key generator.  No
- * tables — the key of (kind, index, value) is the mix of one packed
- * word. */
+/* splitmix64 finalizer: builds the state key's coefficients and
+ * draws the random order. */
 static uint64_t ez_mix(uint64_t x)
 {
     x += 0x9E3779B97F4A7C15ULL;
@@ -179,11 +179,18 @@ static uint64_t ez_mix(uint64_t x)
     return x ^ (x >> 31);
 }
 
-/* Zobrist word of place p holding v tokens (kind 1): both engines key
- * the marking the same way and maintain it incrementally. */
-static uint64_t ez_zm(int32_t p, uint32_t v)
+/* The additive state key: sum of coef[i] * word[i] mod 2^64 over a
+ * state's packed words (the P marking words, then the kernel's T clock
+ * words), with coef[i] = ez_mix(i) | 1 built once per net.  Every
+ * update is a multiply-add: a word changing by d moves the key by
+ * coef[i] * d, and a delay q that advances every enabled clock moves it
+ * by q times the sum of their coefficients.  Both engines key the
+ * marking the same way.  The key is linear, so its low bits are weak
+ * (bit 0 is the parity of the word sum): the visited table is indexed
+ * by the top bits of its Fibonacci product, ez_slot. */
+static size_t ez_slot(uint64_t key, int32_t shift)
 {
-    return ez_mix(((uint64_t)1 << 62) ^ ((uint64_t)p << 20) ^ v);
+    return (size_t)((key * 0x9E3779B97F4A7C15ULL) >> shift);
 }
 
 typedef struct ez_net {
@@ -197,9 +204,11 @@ typedef struct ez_net {
     int32_t n_miss, n_final;
     const int32_t *miss_place, *final_place, *final_req;
     const int32_t *timer; /* deadline timer per transition, -1 = none */
+    uint64_t *coef;    /* P+T: the additive key's coefficients */
     uint16_t *inter;   /* P: the intermediate marking (ez_inter) */
     /* kernel scratch */
     int32_t *cand;     /* 2(T+1): pre-expansion candidate pairs */
+    int32_t *en;       /* T+1: the enabled transitions (kn_scan) */
     /* DBM scratch */
     int32_t *row;      /* T+1: the fired variable's repaired row */
     int32_t *pers;     /* T+1: new variable -> old variable (0=fresh) */
@@ -210,8 +219,10 @@ typedef struct ez_net {
 void ez_net_free(ez_net *net)
 {
     if (net) {
+        free(net->coef);
         free(net->inter);
         free(net->cand);
+        free(net->en);
         free(net->row);
         free(net->pers);
         free(net->new_vars);
@@ -235,6 +246,7 @@ ez_net *ez_net_new(int32_t num_places, int32_t num_transitions,
 {
     size_t size = (size_t)num_transitions + 1;
     size_t places = num_places ? (size_t)num_places : 1;
+    size_t words = (size_t)num_places + (size_t)num_transitions, i;
     ez_net *net = (ez_net *)calloc(1, sizeof(ez_net));
     if (!net)
         return NULL;
@@ -260,17 +272,21 @@ ez_net *ez_net_new(int32_t num_places, int32_t num_transitions,
     net->final_place = final_place;
     net->final_req = final_req;
     net->timer = timer;
+    net->coef = (uint64_t *)malloc((words ? words : 1) * sizeof(uint64_t));
     net->inter = (uint16_t *)malloc(places * sizeof(uint16_t));
     net->cand = (int32_t *)malloc(2 * size * sizeof(int32_t));
+    net->en = (int32_t *)malloc(size * sizeof(int32_t));
     net->row = (int32_t *)malloc(size * sizeof(int32_t));
     net->pers = (int32_t *)malloc(size * sizeof(int32_t));
     net->new_vars = (int32_t *)malloc(size * sizeof(int32_t));
     net->mask = (uint8_t *)calloc(size, sizeof(uint8_t));
-    if (!net->inter || !net->cand || !net->row || !net->pers ||
-        !net->new_vars || !net->mask) {
+    if (!net->coef || !net->inter || !net->cand || !net->en ||
+        !net->row || !net->pers || !net->new_vars || !net->mask) {
         ez_net_free(net);
         return NULL;
     }
+    for (i = 0; i < words; i++)
+        net->coef[i] = ez_mix(i) | 1;
     return net;
 }
 
@@ -450,6 +466,7 @@ struct ez_search {
     size_t n_states, cap_states;
     uint32_t *table;
     size_t table_cap;
+    int32_t table_shift; /* 64 - log2(table_cap), for ez_slot */
     ez_frame *frames;
     size_t n_frames, cap_frames;
     /* candidate pairs of every open frame, stacked like the frames */
@@ -496,7 +513,7 @@ EZ_INLINE void ez_account(ez_search *s, const ez_ops *ops)
 EZ_INLINE int ez_visit(ez_search *s, const ez_ops *ops, uint64_t key)
 {
     size_t mask = s->table_cap - 1;
-    size_t i = (size_t)key & mask, idx;
+    size_t i = ez_slot(key, s->table_shift), idx;
     uint32_t e;
 
     while ((e = s->table[i]) != 0) {
@@ -526,8 +543,9 @@ EZ_INLINE int ez_visit(ez_search *s, const ez_ops *ops, uint64_t key)
         if (!grown)
             return -1;
         mask = ncap - 1;
+        s->table_shift--;
         for (k = 0; k < s->n_states; k++) {
-            size_t j = (size_t)s->keys[k] & mask;
+            size_t j = ez_slot(s->keys[k], s->table_shift);
             while (grown[j])
                 j = (j + 1) & mask;
             grown[j] = (uint32_t)(k + 1);
@@ -536,7 +554,7 @@ EZ_INLINE int ez_visit(ez_search *s, const ez_ops *ops, uint64_t key)
         s->table = grown;
         s->table_cap = ncap;
         ez_account(s, ops);
-        i = (size_t)key & mask;
+        i = ez_slot(key, s->table_shift);
         while (s->table[i])
             i = (i + 1) & mask;
     }
@@ -673,6 +691,7 @@ static int ez_search_init(ez_search *s, const ez_net *net,
     s->max_states = max_states;
     s->draw = seed;
     s->table_cap = 1024;
+    s->table_shift = 64 - 10;
     s->table = (uint32_t *)PyMem_RawCalloc(s->table_cap, sizeof(uint32_t));
     return s->table != NULL;
 }

@@ -20,9 +20,11 @@ semantics over flat buffers, the substrate the discrete kernel engine
   before a search starts);
 * the enabled list is an ``array('i')`` of transition indices in DBM
   variable order (variable 0 is the zero reference);
-* the 64-bit state key is the XOR of two words: a functional
-  Zobrist hash of the marking, maintained *incrementally* across
-  firings (XOR out the old word, XOR in the new one), and a
+* the 64-bit state key is the XOR of two words: the kernel's additive
+  key of the marking (``sum of coef[p] * m[p]`` mod 2**64 over the
+  net's coefficient table, see :mod:`repro.tpn.kernel`), maintained
+  *incrementally* across firings (one multiply-add per changed place),
+  and a
   four-lane word-stream hash over the bound matrix's bytes, taken once
   per successor right after the matrix is written; since the enabled
   list is a function of the marking it needs no words of its own.

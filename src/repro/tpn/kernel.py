@@ -18,10 +18,15 @@ same Definition 3.1 semantics over *packed flat buffers* —
   parity);
 * the enabled set is implicit in the clock buffer (``clk[t] != DIS``)
   and maintained branchlessly from :attr:`CompiledNet.affected`;
-* the 64-bit state key is a functional Zobrist hash (splitmix64 of a
-  packed ``(kind, index, value)`` word — no precomputed tables)
-  maintained *incrementally* across firings: XOR out the old word,
-  XOR in the new one.
+* the 64-bit state key is additive: ``sum of coef[i] * word[i]`` mod
+  2**64 over the marking words and then the clock words, with one
+  odd coefficient per word (``ez_mix(i) | 1``, a table built once per
+  net).  It is maintained *incrementally* across firings: a word that
+  changes by ``d`` moves the key by ``coef[i] * d``, and a delay ``q``
+  moves it by ``q`` times the sum of the enabled clocks'
+  coefficients, one multiply-add each.  The key is linear, so its low
+  bits are weak; the native search's visited table takes its slot
+  from the top bits of the key's Fibonacci product (``ez_slot``).
 
 The successor/firable/min-DUB inner loop runs in the kernel's part
 (:mod:`repro.tpn._kernelc`) of the native core
@@ -72,7 +77,7 @@ MAX_CLOCK = DIS - 1
 
 
 class KernelState:
-    """A TLTS state as two packed buffers plus its 64-bit Zobrist key.
+    """A TLTS state as two packed buffers plus its 64-bit additive key.
 
     Identity (equality) lives entirely in the buffer contents, exactly
     like the tuple-based states; ``__hash__`` returns the precomputed
@@ -218,7 +223,7 @@ class KernelEngine:
         self.core = _NativeCore(module, net)
 
     def full_hash(self, mark: array, clk: array) -> int:
-        """The 64-bit Zobrist key of a packed state, from scratch."""
+        """The 64-bit additive key of a packed state, from scratch."""
         return self.core.full_hash(mark, clk)
 
     # ------------------------------------------------------------------

@@ -15,7 +15,7 @@ This suite walks seeded class graphs and pins the two to the *same
 bits*: identical markings, identical canonical matrices, identical
 firable sets, bounds and ordered candidate lists (against
 :class:`~repro.scheduler.core.StateClassSpecAdapter`'s pipeline),
-and incremental 64-bit Zobrist keys equal to their from-scratch
+and incremental 64-bit keys equal to their from-scratch
 ``dc_hash``, under both clock-reset policies.  It also pins the
 construction-time EZT204 bound-cap refusal.  The packed engine needs
 the native core, so the suite skips without it; the caps it pins are
@@ -248,7 +248,7 @@ class TestIncrementalHash:
     def test_hash_matches_from_scratch_recomputation(
         self, nets, reset_policy
     ):
-        """The XOR-maintained key equals a full Zobrist recompute
+        """The incrementally maintained key equals a full recompute
         (``dc_hash``) on every reachable class (collision-free
         bookkeeping).  ``hash()`` folds the raw key modulo 2**61 - 1
         (CPython int hashing), so the comparison pins the unfolded

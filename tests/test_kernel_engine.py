@@ -6,7 +6,7 @@ ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
   compiled core) steps a randomized firing walk in lockstep with the
   checked reference :class:`~repro.tpn.state.StateEngine`; markings,
   clock vectors and candidate windows must match at every step, and
-  the incremental Zobrist key must equal the from-scratch
+  the incremental additive key must equal the from-scratch
   ``full_hash``, under both clock-reset policies, on the paper models
   and a seeded task-set grid.
 * **Native vs spec steps** — the same walks compare the kernel
@@ -27,6 +27,7 @@ ISSUE 7's acceptance coverage for ``repro.tpn.kernel``, in four layers:
 
 from __future__ import annotations
 
+import itertools
 import os
 import random
 import subprocess
@@ -44,10 +45,10 @@ from repro.scheduler.result import SearchStats
 from repro.spec import paper_examples
 from repro.tpn import _dbmc, _kernelc, _native
 from repro.tpn.dbm import DbmEngine
-from repro.tpn.interval import TimeInterval
+from repro.tpn.interval import INF, TimeInterval
 from repro.tpn.kernel import DIS, MAX_CLOCK, KernelEngine
-from repro.tpn.net import TimePetriNet
-from repro.tpn.state import DISABLED, StateEngine
+from repro.tpn.net import ROLE_DEADLINE_MISS, TimePetriNet
+from repro.tpn.state import DISABLED, State, StateEngine
 from repro.workloads import random_task_set
 
 RESETS = ("paper", "intermediate")
@@ -555,3 +556,110 @@ class TestPackedRepresentation:
         cands, _ = engine.candidates(a, False, True, "earliest")
         child = engine.successor(a, *cands[0])
         assert child != a
+
+
+#: The window-edge net's transitions: name -> (interval, priority, role,
+#: output place).  ``u`` has an unbounded LFT, ``m`` is a deadline-miss
+#: transition, ``b`` is conflict-free with an unread postset (reducible
+#: once forced) and ``c`` feeds ``a`` (reducible only while ``a`` is
+#: disabled).
+WINDOW_EDGE_NET = {
+    "u": (TimeInterval(1, INF), 2, None, "out"),
+    "a": (TimeInterval(2, 5), 1, None, "out"),
+    "b": (TimeInterval(0, 3), 1, None, "out"),
+    "c": (TimeInterval(1, 1), 0, None, "in_a"),
+    "m": (TimeInterval(0, 4), 0, ROLE_DEADLINE_MISS, "out"),
+}
+
+
+def _window_edge_net():
+    net = TimePetriNet("window-edges")
+    net.add_place("out")
+    for name, (interval, priority, role, target) in WINDOW_EDGE_NET.items():
+        net.add_place(f"in_{name}", marking=1)
+        net.add_transition(name, interval, priority=priority, role=role)
+        net.add_arc(f"in_{name}", name)
+    for name, (_, _, _, target) in WINDOW_EDGE_NET.items():
+        net.add_arc(name, target)
+    return net.compile()
+
+
+def _window_edge_state(net, clocks):
+    """The state enabling exactly the transitions in ``clocks`` (name ->
+    clock value), one token in each one's input place."""
+    index = net.transition_index
+    marking = [0] * net.num_places
+    dense = [DISABLED] * net.num_transitions
+    for name, clock in clocks.items():
+        marking[net.place_index[f"in_{name}"]] = 1
+        dense[index[name]] = clock
+    return State(tuple(marking), tuple(dense))
+
+
+def _window_edge_states(net):
+    """Every subset of the transitions enabled, each clock at zero, at
+    its EFT and at its LFT (past the EFT for the unbounded ``u``)."""
+    names = list(WINDOW_EDGE_NET)
+    for mask in range(1 << len(names)):
+        enabled = [n for k, n in enumerate(names) if mask >> k & 1]
+        choices = [
+            sorted({0, iv.eft, iv.eft + 6 if iv.lft == INF else iv.lft})
+            for iv in (WINDOW_EDGE_NET[n][0] for n in enabled)
+        ]
+        for values in itertools.product(*choices):
+            yield _window_edge_state(net, dict(zip(enabled, values)))
+
+
+@native_only
+class TestWindowEdgeCases:
+    """``kn_candidates`` on a hand-built net whose states hit the edges
+    of the window scan, against the spec adapter's list."""
+
+    @pytest.mark.parametrize("partial_order", (True, False))
+    @pytest.mark.parametrize("priority_mode", PRIORITY_MODES)
+    @pytest.mark.parametrize("delay_mode", DELAY_MODES)
+    def test_candidates_match_the_spec(
+        self, delay_mode, priority_mode, partial_order
+    ):
+        net = _window_edge_net()
+        config = SchedulerConfig(
+            delay_mode=delay_mode,
+            priority_mode=priority_mode,
+            partial_order=partial_order,
+        )
+        native = KernelEngine(net)
+        spec = ReferenceAdapter(net, config)
+        count = 0
+        for state in _window_edge_states(net):
+            stats_a, stats_b = SearchStats(), SearchStats()
+            got = _native_candidates(
+                native, native.lift(state), config, stats_a
+            )
+            assert got == spec.candidates_of(state, stats_b), state
+            assert stats_a.reductions == stats_b.reductions, state
+            count += 1
+        assert count == 4 * 4 * 3 * 3 * 3  # (1 + clock choices) each
+
+    def test_the_edges_are_reached(self):
+        """The sweep's named edges, under the full delay expansion."""
+        net = _window_edge_net()
+        engine = KernelEngine(net)
+        index = net.transition_index
+
+        def full(**clocks):
+            state = engine.lift(_window_edge_state(net, clocks))
+            cands, _ = engine.candidates(state, False, False, "full")
+            names = net.transition_names
+            return [(names[t], q) for t, q in cands]
+
+        # unbounded ceiling: earliest-only ordering in every mode
+        assert full(u=0) == [("u", 1)]
+        # no enabled transition
+        assert full() == []
+        # m caps the ceiling at 4 - 2 but is never a candidate
+        assert full(u=0, a=0, m=2) == [("u", 1), ("a", 2), ("u", 2)]
+        assert full(m=0) == []
+        # a clock sitting at its LFT pins the ceiling at zero
+        assert full(a=0, c=1) == [("c", 0)]
+        assert full(u=7, b=3) == [("b", 0), ("u", 0)]
+        assert index["m"] in net.miss_transitions

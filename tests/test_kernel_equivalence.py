@@ -10,7 +10,7 @@ verdicts — across both clock-reset policies and all three delay modes.
   weights, priorities and markings the task-set compiler never
   produces) the kernel's compiled core agrees with the reference on
   every reachable state, under each reset policy, and the
-  incrementally maintained Zobrist key never drifts from the
+  incrementally maintained additive key never drifts from the
   from-scratch :meth:`~repro.tpn.kernel.KernelEngine.full_hash`;
 * **search level** — seeded task sets under every delay mode, priority
   mode, partial-order setting and reset policy, the paper models and
